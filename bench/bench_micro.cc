@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose costs the calibration
 // constants model: sparse gradient coalescing (naive map reference vs fused sort-based
 // path, cold vs workspace-reuse), fused multi-slice Sum, scatter updates, partition
-// split/stitch, the cost-model fit, ring-schedule construction, and task-graph
-// execution throughput.
+// split/stitch, the dense matmuls of the executor (seed loops vs register strips), the
+// cost-model fit, ring-schedule construction, and task-graph execution throughput.
 #include <benchmark/benchmark.h>
 
 #include "src/base/rng.h"
@@ -157,6 +157,60 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
+
+// The sampled-logits node at the executor's real shapes, args {batch, hidden}: skew
+// (EmbeddingSkewModel, batch 64) is {64, 128}, lm (WordLmModel in pxbench) is {32, 48}.
+// Forward: logits[batch, batch] = x[batch, hidden] . selected[batch, hidden]^T.
+// Backward: dselected[batch, hidden] = g[batch, batch]^T . x[batch, hidden].
+// The Naive variants run the seed loops (tests/naive_reference.h) on the same operands.
+template <bool kNaive>
+void MatMulTransposeBBench(benchmark::State& state) {
+  Rng rng(7);
+  int64_t batch = state.range(0);
+  int64_t hidden = state.range(1);
+  Tensor x = RandomNormal(TensorShape({batch, hidden}), rng);
+  Tensor selected = RandomNormal(TensorShape({batch, hidden}), rng);
+  Tensor logits;
+  for (auto _ : state) {
+    if (kNaive) {
+      logits = NaiveMatMulTransposeB(x, selected);
+    } else {
+      MatMulTransposeBInto(logits, x, selected);
+    }
+    benchmark::DoNotOptimize(logits.floats().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
+}
+
+template <bool kNaive>
+void MatMulTransposeABench(benchmark::State& state) {
+  Rng rng(8);
+  int64_t batch = state.range(0);
+  int64_t hidden = state.range(1);
+  Tensor g = RandomNormal(TensorShape({batch, batch}), rng);
+  Tensor x = RandomNormal(TensorShape({batch, hidden}), rng);
+  Tensor dselected;
+  for (auto _ : state) {
+    if (kNaive) {
+      dselected = NaiveMatMulTransposeA(g, x);
+    } else {
+      MatMulTransposeAInto(dselected, g, x);
+    }
+    benchmark::DoNotOptimize(dselected.floats().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
+}
+
+void BM_MatMulTransposeB(benchmark::State& state) { MatMulTransposeBBench<false>(state); }
+BENCHMARK(BM_MatMulTransposeB)->Args({64, 128})->Args({32, 48});
+void BM_MatMulTransposeBNaive(benchmark::State& state) { MatMulTransposeBBench<true>(state); }
+BENCHMARK(BM_MatMulTransposeBNaive)->Args({64, 128})->Args({32, 48});
+void BM_MatMulTransposeA(benchmark::State& state) { MatMulTransposeABench<false>(state); }
+BENCHMARK(BM_MatMulTransposeA)->Args({64, 128})->Args({32, 48});
+void BM_MatMulTransposeANaive(benchmark::State& state) { MatMulTransposeABench<true>(state); }
+BENCHMARK(BM_MatMulTransposeANaive)->Args({64, 128})->Args({32, 48});
 
 void BM_RingAllReduceSchedule(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -989,6 +1043,27 @@ BENCHMARK(BM_ExecutorRunStep);
 
 void BM_ExecutorRunStepScratch(benchmark::State& state) { RunStepBench(state, true); }
 BENCHMARK(BM_ExecutorRunStepScratch);
+
+// One replica's compute in pxbench's skew workload: EmbeddingSkewModel at batch 64
+// through RunStepInto with a persistent scratch and result, as GraphRunner drives it.
+void BM_ExecutorRunStepSkew(benchmark::State& state) {
+  EmbeddingSkewModel::Options options;
+  options.batch_per_rank = 64;
+  EmbeddingSkewModel model(options);
+  Executor executor(model.graph());
+  VariableStore store = VariableStore::InitFrom(*model.graph());
+  Rng rng(11);
+  FeedMap feeds = model.TrainShards(1, rng)[0];
+  ExecScratch scratch;
+  StepResult result;
+  for (auto _ : state) {
+    executor.RunStepInto(store, feeds, model.loss(), &scratch, &result);
+    benchmark::DoNotOptimize(result.loss);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecutorRunStepSkew);
 
 // ---- Elastic rescale ------------------------------------------------------------------
 

@@ -110,6 +110,15 @@ VariableStore VariableStore::Clone() const {
   return copy;
 }
 
+const Tensor* ExecScratch::node_gradient(NodeId id) const {
+  size_t i = static_cast<size_t>(id);
+  if (needed_graph == nullptr || i >= has_grad.size() || !has_grad[i] ||
+      needed_graph->nodes()[i].type == OpType::kVariable) {
+    return nullptr;
+  }
+  return &node_grad[i];
+}
+
 void Executor::Forward(const VariableStore& variables, const FeedMap& feeds, NodeId fetch,
                        ExecScratch& scratch) const {
   const auto& nodes = graph_->nodes();
@@ -117,6 +126,7 @@ void Executor::Forward(const VariableStore& variables, const FeedMap& feeds, Nod
   // nothing here but avoids re-constructing the table every step.
   scratch.values.resize(nodes.size());
   scratch.computed.assign(nodes.size(), 0);
+  scratch.saved.assign(nodes.size(), nullptr);
   // Temporaries are acquired in deterministic order across the whole forward+backward
   // pass, so each slot sees one stable shape per step (no realloc ping-pong).
   scratch.temp_cursor = 0;
@@ -200,11 +210,13 @@ void Executor::Forward(const VariableStore& variables, const FeedMap& feeds, Nod
         Tensor& selected = scratch.NextTemp();
         GatherRowsInto(selected, in(1), in(2).ints());
         MatMulTransposeBInto(out, in(0), selected);
+        scratch.saved[static_cast<size_t>(id)] = &selected;
         break;
       }
       case OpType::kSoftmaxXentMean: {
         Tensor& probs = scratch.NextTemp();
         float loss = SoftmaxCrossEntropyInto(probs, in(0), in(1), nullptr);
+        scratch.saved[static_cast<size_t>(id)] = &probs;
         if (out.is_float() && out.shape().rank() == 0 && out.UniquelyOwned()) {
           out.mutable_floats()[0] = loss;
         } else {
@@ -300,11 +312,11 @@ void Executor::RunStepInto(const VariableStore& variables, const FeedMap& feeds,
     const Node& n = nodes[i];
     if (n.type == OpType::kSoftmaxXentMean) {
       // Seed: d(loss)/d(logits); upstream of the loss node itself is 1 (it is the fetch).
+      // The gradient comes from the forward pass's softmax probabilities.
       PX_CHECK_EQ(id, loss) << "interior SoftmaxXentMean nodes are not differentiable here";
-      Tensor& probs = s.NextTemp();
       emit(n.inputs[0], [&](Tensor& dst) {
-        SoftmaxCrossEntropyInto(probs, values[static_cast<size_t>(n.inputs[0])],
-                                values[static_cast<size_t>(n.inputs[1])], &dst);
+        SoftmaxCrossEntropyGradInto(dst, *s.saved[i],
+                                    values[static_cast<size_t>(n.inputs[1])]);
       });
       continue;
     }
@@ -353,11 +365,10 @@ void Executor::RunStepInto(const VariableStore& variables, const FeedMap& feeds,
       case OpType::kGatherDotT: {
         const Tensor& x = values[static_cast<size_t>(n.inputs[0])];
         const Node& var_node = nodes[static_cast<size_t>(n.inputs[1])];
-        const Tensor& var_value = values[static_cast<size_t>(n.inputs[1])];
         const Tensor& ids = values[static_cast<size_t>(n.inputs[2])];
-        // out = x . selected^T  =>  dx = g . selected ; dselected = g^T . x
-        Tensor& selected = s.NextTemp();
-        GatherRowsInto(selected, var_value, ids.ints());
+        // out = x . selected^T  =>  dx = g . selected ; dselected = g^T . x, with the
+        // rows the forward pass gathered.
+        const Tensor& selected = *s.saved[i];
         emit(n.inputs[0], [&](Tensor& dst) { MatMulInto(dst, g, selected); });
         Tensor& dselected = s.NextTemp();
         MatMulTransposeAInto(dselected, g, x);

@@ -96,12 +96,21 @@ class ExecScratch {
  public:
   ExecScratch() = default;
 
+  // The upstream gradient of interior node `id` computed by the last RunStep through
+  // this scratch, or null when the loss did not reach the node. Null for variable nodes
+  // too: their gradients move into the StepResult.
+  const Tensor* node_gradient(NodeId id) const;
+
  private:
   friend class Executor;
 
   // Forward tables.
   std::vector<Tensor> values;
   std::vector<uint8_t> computed;
+  // Forward intermediates the backward pass reuses instead of recomputing, by node: the
+  // loss node's softmax probabilities and a GatherDotT's gathered rows. Each points at
+  // a `temps` slot filled this step; null for nodes that save nothing.
+  std::vector<const Tensor*> saved;
   // Cached backward closure of `needed_fetch` on `needed_graph` (recomputed when the
   // fetch — or the graph this scratch is driven over — changes).
   std::vector<uint8_t> needed;

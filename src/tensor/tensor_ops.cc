@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "src/tensor/sparse_workspace.h"
 
@@ -93,15 +94,12 @@ float* PrepareDense(Tensor& out, const TensorShape& shape, bool zero_fill) {
 
 // PrepareDense for a [rows, cols] target without constructing a TensorShape on the hot
 // path — the steady-state reuse check compares dims directly, so a kernel whose output
-// buffer is reusable performs zero allocations (the shape vector included).
-float* PrepareDense2D(Tensor& out, int64_t rows, int64_t cols, bool zero_fill) {
+// buffer is reusable performs zero allocations (the shape vector included). Every
+// caller overwrites the whole target, so a reused buffer is not zero-filled.
+float* PrepareDense2D(Tensor& out, int64_t rows, int64_t cols) {
   if (out.is_float() && out.UniquelyOwned() && out.shape().rank() == 2 &&
       out.shape().dim(0) == rows && out.shape().dim(1) == cols) {
-    auto data = out.mutable_floats();
-    if (zero_fill) {
-      std::fill(data.begin(), data.end(), 0.0f);
-    }
-    return data.data();
+    return out.mutable_floats().data();
   }
   out = Tensor::Zeros(TensorShape({rows, cols}));
   return out.mutable_floats().data();
@@ -142,6 +140,112 @@ float* PrepareDenseRows(Tensor& out, const TensorShape& like, int64_t rows, bool
   return out.mutable_floats().data();
 }
 
+// ---- Register-strip matmul core ----
+//
+// Every matmul kernel computes each output element as the seed's loops did: start at
+// +0.0f and add a(i, p) * b(p, j) in ascending p, one rounded multiply then one rounded
+// add per term (optionally skipping terms whose a(i, p) compares equal to zero). The
+// core keeps that per-element sequence and only changes what runs side by side: a strip
+// of kStripCols columns of one output row stays in vector registers for the whole p
+// loop, and the element-wise vector multiply and add are the same IEEE operations as
+// their scalar forms. So the results are bit-identical to the scalar loops, while B is
+// read once per strip and C is written once.
+
+// Four-lane float vector (GCC/Clang vector extension): one SSE register on x86-64,
+// lowered to scalar code where the target has no vector unit.
+using Vec4 = float __attribute__((vector_size(16)));
+constexpr int64_t kLanes = 4;
+constexpr int kStripVecs = 8;  // 32 columns: 8 accumulators leave registers for B
+constexpr int64_t kStripCols = kStripVecs * kLanes;
+
+inline Vec4 LoadVec(const float* src) {
+  Vec4 v;
+  std::memcpy(&v, src, sizeof(v));
+  return v;
+}
+
+inline void StoreVec(float* dst, Vec4 v) { std::memcpy(dst, &v, sizeof(v)); }
+
+// c[0, kVecs * 4) = sum over p in [0, k) of a[p * a_step] * b[p * ldb, +kVecs * 4).
+template <int kVecs, bool kSkipZeros>
+inline void Strip(float* c, const float* a, int64_t a_step, const float* b, int64_t ldb,
+                  int64_t k) {
+  Vec4 acc[kVecs] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float ap = a[p * a_step];
+    if (kSkipZeros && ap == 0.0f) {
+      continue;
+    }
+    const float* bp = b + p * ldb;
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      const Vec4 product = ap * LoadVec(bp + v * kLanes);
+      acc[v] += product;
+    }
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < kVecs; ++v) {
+    StoreVec(c + v * kLanes, acc[v]);
+  }
+}
+
+// The same sequence for one column (the strip remainder narrower than a vector).
+template <bool kSkipZeros>
+inline float Column(const float* a, int64_t a_step, const float* b, int64_t ldb,
+                    int64_t k) {
+  float acc = 0.0f;
+  for (int64_t p = 0; p < k; ++p) {
+    const float ap = a[p * a_step];
+    if (kSkipZeros && ap == 0.0f) {
+      continue;
+    }
+    acc += ap * b[p * ldb];
+  }
+  return acc;
+}
+
+// C[m, n] = A x B, where A's element (i, p) is a[i * a_row_step + p * a_col_step] and
+// B is row-major [k, n]. Writes every element of C.
+template <bool kSkipZeros>
+void StripMatMul(float* c, const float* a, int64_t a_row_step, int64_t a_col_step,
+                 const float* b, int64_t m, int64_t k, int64_t n) {
+  if (k == 0) {
+    // Empty sums are +0; returning here also keeps offsets off empty (null) operands.
+    std::fill_n(c, m * n, 0.0f);
+    return;
+  }
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_row_step;
+    float* ci = c + i * n;
+    int64_t j = 0;
+    for (; j + kStripCols <= n; j += kStripCols) {
+      Strip<kStripVecs, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
+    }
+    // Remainders: a 4-column strip is one add chain, bound by the add latency, so a
+    // half-width strip first keeps four chains in flight (lm's 48 columns = 32 + 16).
+    if (j + kStripCols / 2 <= n) {
+      Strip<kStripVecs / 2, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
+      j += kStripCols / 2;
+    }
+    for (; j + kLanes <= n; j += kLanes) {
+      Strip<1, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
+    }
+    for (; j < n; ++j) {
+      ci[j] = Column<kSkipZeros>(ai, a_col_step, b + j, n, k);
+    }
+  }
+}
+
+// Per-thread packing buffer for the transposed operand of MatMulTransposeB. It only
+// grows, so once a thread has seen its largest operand a kernel call allocates nothing.
+float* PackBuffer(size_t floats) {
+  thread_local std::vector<float> buffer;
+  if (buffer.size() < floats) {
+    buffer.resize(floats);
+  }
+  return buffer.data();
+}
+
 }  // namespace
 
 void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
@@ -151,23 +255,8 @@ void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t k = a.shape().dim(1);
   int64_t n = b.shape().dim(1);
   PX_CHECK_EQ(k, b.shape().dim(0));
-  float* cv = PrepareDense2D(out, m, n, /*zero_fill=*/true);
-  auto av = a.floats();
-  auto bv = b.floats();
-  // i-k-j loop order: unit-stride inner loop over both B and C rows.
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t p = 0; p < k; ++p) {
-      float aip = av[static_cast<size_t>(i * k + p)];
-      if (aip == 0.0f) {
-        continue;
-      }
-      const float* brow = &bv[static_cast<size_t>(p * n)];
-      float* crow = cv + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        crow[j] += aip * brow[j];
-      }
-    }
-  }
+  float* cv = PrepareDense2D(out, m, n);
+  StripMatMul</*kSkipZeros=*/true>(cv, a.floats().data(), k, 1, b.floats().data(), m, k, n);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -183,23 +272,9 @@ void MatMulTransposeAInto(Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t m = a.shape().dim(1);
   int64_t n = b.shape().dim(1);
   PX_CHECK_EQ(k, b.shape().dim(0));
-  float* cv = PrepareDense2D(out, m, n, /*zero_fill=*/true);
-  auto av = a.floats();
-  auto bv = b.floats();
-  for (int64_t p = 0; p < k; ++p) {
-    const float* arow = &av[static_cast<size_t>(p * m)];
-    const float* brow = &bv[static_cast<size_t>(p * n)];
-    for (int64_t i = 0; i < m; ++i) {
-      float aip = arow[i];
-      if (aip == 0.0f) {
-        continue;
-      }
-      float* crow = cv + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        crow[j] += aip * brow[j];
-      }
-    }
-  }
+  float* cv = PrepareDense2D(out, m, n);
+  // A^T's row i is A's column i: one strided scalar read per p.
+  StripMatMul</*kSkipZeros=*/true>(cv, a.floats().data(), 1, m, b.floats().data(), m, k, n);
 }
 
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
@@ -215,22 +290,17 @@ void MatMulTransposeBInto(Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t k = a.shape().dim(1);
   int64_t n = b.shape().dim(0);
   PX_CHECK_EQ(k, b.shape().dim(1));
-  // Every element is assigned below — no zero fill needed.
-  float* cv = PrepareDense2D(out, m, n, /*zero_fill=*/false);
-  auto av = a.floats();
-  auto bv = b.floats();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = &av[static_cast<size_t>(i * k)];
-    float* crow = cv + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = &bv[static_cast<size_t>(j * k)];
-      float sum = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        sum += arow[p] * brow[p];
-      }
-      crow[j] = sum;
+  float* cv = PrepareDense2D(out, m, n);
+  // Pack B^T as row-major [k, n] so a strip of output columns reads contiguous floats.
+  float* bt = PackBuffer(static_cast<size_t>(k * n));
+  const float* bv = b.floats().data();
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t p = 0; p < k; ++p) {
+      bt[p * n + j] = bv[j * k + p];
     }
   }
+  // The seed's dot product added every term, so no zero skipping here.
+  StripMatMul</*kSkipZeros=*/false>(cv, a.floats().data(), k, 1, bt, m, k, n);
 }
 
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
@@ -377,18 +447,30 @@ float SoftmaxCrossEntropyInto(Tensor& probs, const Tensor& logits, const Tensor&
   }
   loss /= static_cast<double>(rows);
   if (grad_logits != nullptr) {
-    CopyInto(*grad_logits, probs);
-    auto g = grad_logits->mutable_floats();
-    float inv_rows = 1.0f / static_cast<float>(rows);
-    for (int64_t r = 0; r < rows; ++r) {
-      int64_t label = label_ids[static_cast<size_t>(r)];
-      g[static_cast<size_t>(r * cols + label)] -= 1.0f;
-    }
-    for (float& v : g) {
-      v *= inv_rows;
-    }
+    SoftmaxCrossEntropyGradInto(*grad_logits, probs, labels);
   }
   return static_cast<float>(loss);
+}
+
+void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
+                                 const Tensor& labels) {
+  PX_CHECK_EQ(probs.shape().rank(), 2);
+  int64_t rows = probs.shape().dim(0);
+  int64_t cols = probs.shape().dim(1);
+  auto label_ids = labels.ints();
+  PX_CHECK_EQ(static_cast<int64_t>(label_ids.size()), rows);
+  CopyInto(grad_logits, probs);
+  auto g = grad_logits.mutable_floats();
+  float inv_rows = 1.0f / static_cast<float>(rows);
+  for (int64_t r = 0; r < rows; ++r) {
+    int64_t label = label_ids[static_cast<size_t>(r)];
+    PX_CHECK_GE(label, 0);
+    PX_CHECK_LT(label, cols);
+    g[static_cast<size_t>(r * cols + label)] -= 1.0f;
+  }
+  for (float& v : g) {
+    v *= inv_rows;
+  }
 }
 
 void GatherRowsInto(Tensor& out, const Tensor& params, std::span<const int64_t> indices) {
@@ -502,7 +584,7 @@ void SliceColsInto(Tensor& out, const Tensor& input, int64_t col_begin, int64_t 
   int64_t rows = input.shape().dim(0);
   int64_t cols = input.shape().dim(1);
   int64_t out_cols = col_end - col_begin;
-  float* dst = PrepareDense2D(out, rows, out_cols, /*zero_fill=*/false);
+  float* dst = PrepareDense2D(out, rows, out_cols);
   auto src = input.floats();
   for (int64_t r = 0; r < rows; ++r) {
     std::copy_n(src.begin() + static_cast<ptrdiff_t>(r * cols + col_begin), out_cols,
@@ -567,7 +649,7 @@ void ConcatColsPairInto(Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t rows = a.shape().dim(0);
   int64_t pa = a.shape().dim(1);
   int64_t pb = b.shape().dim(1);
-  float* dst = PrepareDense2D(out, rows, pa + pb, /*zero_fill=*/false);
+  float* dst = PrepareDense2D(out, rows, pa + pb);
   auto av = a.floats();
   auto bv = b.floats();
   for (int64_t r = 0; r < rows; ++r) {

@@ -119,6 +119,11 @@ void SoftmaxRowsInto(Tensor& out, const Tensor& logits);
 // both via buffer reuse. Bit-identical to SoftmaxCrossEntropy, which wraps this.
 float SoftmaxCrossEntropyInto(Tensor& probs, const Tensor& logits, const Tensor& labels,
                               Tensor* grad_logits);
+// The gradient half of SoftmaxCrossEntropyInto from already computed row
+// probabilities: grad_logits <- (probs - onehot(labels)) / rows. Lets a backward pass
+// reuse the forward pass's softmax instead of recomputing it.
+void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
+                                 const Tensor& labels);
 
 // ---- Initializers ----
 

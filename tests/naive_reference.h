@@ -1,8 +1,9 @@
-// Naive reference implementations of the sparse aggregation kernels — the seed's
-// semantics, kept verbatim in spirit as (a) the bit-for-bit oracle for the property
-// tests and (b) the baseline the micro-benchmarks measure the fused path against.
-// Shared by tests/sparse_fused_test.cc and bench/bench_micro.cc so the oracle and the
-// benchmark baseline cannot drift apart.
+// Naive reference implementations of the sparse aggregation kernels and the dense
+// matmuls — the seed's semantics, kept verbatim in spirit as (a) the bit-for-bit oracle
+// for the property tests and (b) the baseline the micro-benchmarks measure the fused and
+// register-strip paths against. Shared by tests/sparse_fused_test.cc,
+// tests/matmul_kernel_test.cc and bench/bench_micro.cc so the oracle and the benchmark
+// baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
 #define PARALLAX_TESTS_NAIVE_REFERENCE_H_
 
@@ -14,6 +15,84 @@
 #include "src/tensor/indexed_slices.h"
 
 namespace parallax {
+
+// The seed MatMul, C = A x B with A: [m, k], B: [k, n]: i-k-j loop order into a
+// zero-filled C, skipping zero A entries.
+inline Tensor NaiveMatMul(const Tensor& a, const Tensor& b) {
+  int64_t m = a.shape().dim(0);
+  int64_t k = a.shape().dim(1);
+  int64_t n = b.shape().dim(1);
+  Tensor c = Tensor::Zeros(TensorShape({m, n}));
+  float* cv = c.mutable_floats().data();
+  auto av = a.floats();
+  auto bv = b.floats();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      float aip = av[static_cast<size_t>(i * k + p)];
+      if (aip == 0.0f) {
+        continue;
+      }
+      const float* brow = &bv[static_cast<size_t>(p * n)];
+      float* crow = cv + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        crow[j] += aip * brow[j];
+      }
+    }
+  }
+  return c;
+}
+
+// The seed MatMulTransposeA, C = A^T x B with A: [k, m], B: [k, n]: p-i-j loop order
+// into a zero-filled C, skipping zero A entries.
+inline Tensor NaiveMatMulTransposeA(const Tensor& a, const Tensor& b) {
+  int64_t k = a.shape().dim(0);
+  int64_t m = a.shape().dim(1);
+  int64_t n = b.shape().dim(1);
+  Tensor c = Tensor::Zeros(TensorShape({m, n}));
+  float* cv = c.mutable_floats().data();
+  auto av = a.floats();
+  auto bv = b.floats();
+  for (int64_t p = 0; p < k; ++p) {
+    const float* arow = &av[static_cast<size_t>(p * m)];
+    const float* brow = &bv[static_cast<size_t>(p * n)];
+    for (int64_t i = 0; i < m; ++i) {
+      float aip = arow[i];
+      if (aip == 0.0f) {
+        continue;
+      }
+      float* crow = cv + i * n;
+      for (int64_t j = 0; j < n; ++j) {
+        crow[j] += aip * brow[j];
+      }
+    }
+  }
+  return c;
+}
+
+// The seed MatMulTransposeB, C = A x B^T with A: [m, k], B: [n, k]: one serial dot
+// product per output element, no zero skipping.
+inline Tensor NaiveMatMulTransposeB(const Tensor& a, const Tensor& b) {
+  int64_t m = a.shape().dim(0);
+  int64_t k = a.shape().dim(1);
+  int64_t n = b.shape().dim(0);
+  Tensor c = Tensor::Zeros(TensorShape({m, n}));
+  float* cv = c.mutable_floats().data();
+  auto av = a.floats();
+  auto bv = b.floats();
+  for (int64_t i = 0; i < m; ++i) {
+    const float* arow = &av[static_cast<size_t>(i * k)];
+    float* crow = cv + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* brow = &bv[static_cast<size_t>(j * k)];
+      float sum = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        sum += arow[p] * brow[p];
+      }
+      crow[j] = sum;
+    }
+  }
+  return c;
+}
 
 // The seed Coalesced: std::map slot assignment, accumulation in input order.
 inline IndexedSlices NaiveCoalesce(const IndexedSlices& slices) {
