@@ -1,7 +1,7 @@
 // Multi-tenant planning throughput: N training sessions starting concurrently, each
 // needing a partition plan for its (model, resources, options) key. Compares
-//  - private:  every session runs its own SearchPartitionPlan on a private arena
-//              (the pre-service status quo — per-tenant cost is the full search), vs
+//  - private:  every session runs its own SearchPlan on a private arena (the
+//              pre-service status quo — per-tenant cost is the full search), vs
 //  - shared:   every session routes through one PlannerService, so identical keys are
 //              answered from the PlanCache and concurrent duplicates coalesce onto one
 //              simulation.
@@ -131,21 +131,14 @@ void Run() {
   const int kSessions = 120;
   const std::vector<PlannerQuery> queries = TenantMix(kSessions);
 
-  // Private baseline: each session searches on its own arena, no sharing anywhere.
+  // Private baseline: each session runs the runner's own search (SearchPlan, serial)
+  // on its own arena, no sharing anywhere.
   PlannerService oracle;  // used only to canonicalize, so both modes solve the same keys
   ModeResult priv = RunSessions(queries, [&](const PlannerQuery& query) {
     PlannerQuery canonical = query;
     oracle.Canonicalize(&canonical);
     SimulationArena arena;
-    auto measure_plan = [&](const PartitionPlan& plan) {
-      IterationSimulator sim(canonical.cluster,
-                             ApplyPlanToVariables(canonical.variables, plan),
-                             canonical.gpu_compute_seconds, canonical.compute_chunks,
-                             canonical.sim_config, &arena);
-      return sim.MeasureIterationSeconds(canonical.options.warmup_iterations,
-                                         canonical.options.measured_iterations);
-    };
-    SearchPartitionPlan(measure_plan, canonical.targets, canonical.options);
+    SearchPlan(canonical, &arena, nullptr);
   });
 
   PlannerService service;

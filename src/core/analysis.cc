@@ -1,5 +1,9 @@
 #include "src/core/analysis.h"
 
+#include <utility>
+
+#include "src/base/logging.h"
+
 namespace parallax {
 
 std::unordered_map<int, VariableSparsity> AnalyzeSparsity(const Graph& graph, NodeId loss,
@@ -57,6 +61,44 @@ SyncMethod DecideSyncMethod(const VariableSparsity& info, const HybridOptions& o
   return SyncMethod::kPs;
 }
 
+std::vector<PlannerVariable> PlannerVariablesOf(const Graph& graph,
+                                                const std::vector<VariableSync>& variables) {
+  PX_CHECK_EQ(variables.size(), graph.variables().size());
+  std::vector<PlannerVariable> result;
+  result.reserve(variables.size());
+  for (size_t v = 0; v < variables.size(); ++v) {
+    const VariableDef& def = graph.variables()[v];
+    PlannerVariable variable;
+    variable.sync = variables[v];
+    variable.partitioned =
+        variables[v].method == SyncMethod::kPs && def.partitioner_scope;
+    variable.rows = def.shape.rank() >= 1 ? def.shape.dim(0) : 1;
+    result.push_back(std::move(variable));
+  }
+  return result;
+}
+
+std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable>& variables,
+                                               const PartitionPlan& plan) {
+  std::vector<VariableSync> result;
+  result.reserve(variables.size());
+  for (const PlannerVariable& v : variables) {
+    VariableSync sync = v.sync;
+    if (v.partitioned) {
+      sync.partitions = RowCappedPartitions(plan.For(sync.spec.name), v.rows);
+      const std::vector<int>* placement = plan.PlacementFor(sync.spec.name);
+      if (placement != nullptr &&
+          static_cast<int>(placement->size()) == sync.partitions) {
+        sync.placement = *placement;
+      } else {
+        sync.placement.clear();
+      }
+    }
+    result.push_back(std::move(sync));
+  }
+  return result;
+}
+
 std::vector<VariableSync> AssignGraphVariables(
     const Graph& graph, const std::unordered_map<int, VariableSparsity>& info,
     const HybridOptions& options, const PartitionPlan& plan) {
@@ -67,22 +109,9 @@ std::vector<VariableSync> AssignGraphVariables(
     VariableSync sync;
     sync.spec = specs[v];
     sync.method = DecideSyncMethod(info.at(static_cast<int>(v)), options);
-    if (sync.method == SyncMethod::kPs && graph.variables()[v].partitioner_scope) {
-      int64_t rows = graph.variables()[v].shape.rank() >= 1
-                         ? graph.variables()[v].shape.dim(0)
-                         : 1;
-      sync.partitions = RowCappedPartitions(plan.For(sync.spec.name), rows);
-      // Placement rides along only when its length survives the row cap (same gate as
-      // GraphRunner::VariablesWithPartitions — the two appliers must agree).
-      const std::vector<int>* placement = plan.PlacementFor(sync.spec.name);
-      if (placement != nullptr &&
-          static_cast<int>(placement->size()) == sync.partitions) {
-        sync.placement = *placement;
-      }
-    }
     assignment.push_back(std::move(sync));
   }
-  return assignment;
+  return ApplyPlanToVariables(PlannerVariablesOf(graph, assignment), plan);
 }
 
 std::vector<VariableSync> AssignGraphVariables(

@@ -45,6 +45,30 @@ struct HybridOptions {
 // The per-variable architecture decision.
 SyncMethod DecideSyncMethod(const VariableSparsity& info, const HybridOptions& options);
 
+// One variable of a model as the partition search sees it. `sync` carries the routed
+// method and the current layout; for `partitioned` variables a plan overrides
+// partitions/placement (row-capped via `rows`), everything else is fixed.
+struct PlannerVariable {
+  VariableSync sync;
+  bool partitioned = false;
+  int64_t rows = 1;
+};
+
+// Pairs each routed variable (index-aligned with graph.variables()) with the graph's
+// partitioning facts: a variable is partitioned when it is routed to PS and declared in
+// a partitioner scope; rows is its leading dimension.
+std::vector<PlannerVariable> PlannerVariablesOf(const Graph& graph,
+                                                const std::vector<VariableSync>& variables);
+
+// The one rule that applies a partition plan to variables: each partitioned variable
+// gets the plan's count for its name, capped at its row count, and the plan's placement
+// when that placement's length survives the cap (cleared otherwise, so a placement from
+// an older plan never outlives the plan that carried it). Everything else passes
+// through. The runner's assignment, its candidate layouts and the PlannerService all
+// apply plans through here.
+std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable>& variables,
+                                               const PartitionPlan& plan);
+
 // Full assignment for a graph: every variable gets a method; each partitioner-scoped
 // PS variable gets the plan's count for its name, capped at its row count.
 std::vector<VariableSync> AssignGraphVariables(

@@ -5,9 +5,10 @@
 // to the serial measure." This file builds that callback out of the pieces the
 // serial call sites already hold — the cluster, the plan→variables application, the
 // simulator config — plus a ThreadPool to fan candidates across and an ArenaPool to
-// lease one SimulationArena per worker. Both GraphRunner's private searches and the
-// PlannerService construct their batch measures here, so the concurrency mechanics
-// (chunking, leasing, the worker cap) live in exactly one place.
+// lease one SimulationArena per worker. SearchPlan (src/service/planner_service.h),
+// the one search behind GraphRunner's private searches and the PlannerService, builds
+// its batch measure here, so the concurrency mechanics (chunking, leasing, the worker
+// cap) live in exactly one place.
 //
 // Determinism: each candidate is simulated independently on its own arena, and
 // simulated times are arena-independent (the schedule cache only changes wall-clock),
@@ -30,9 +31,8 @@ namespace parallax {
 class ArenaPool;
 
 // Everything one candidate simulation needs besides the plan itself. `apply_plan`
-// must be safe to call concurrently from pool threads (the runner's
-// VariablesWithPartitions and the service's ApplyPlanToVariables are both pure reads
-// of caller-owned state).
+// must be safe to call concurrently from pool threads (SearchPlan's is
+// ApplyPlanToVariables over the query's variables, a pure read of caller-owned state).
 struct ParallelMeasureSpec {
   ClusterSpec cluster;
   std::function<std::vector<VariableSync>(const PartitionPlan&)> apply_plan;

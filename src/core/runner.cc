@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/base/strings.h"
-#include "src/core/parallel_measure.h"
 #include "src/service/planner_service.h"
 
 namespace parallax {
@@ -46,23 +45,13 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   cluster_spec_ = resources_.ToClusterSpec(config_.hardware);
   HybridOptions hybrid{config_.alpha_dense_threshold};
 
-  // 2. Partition search over the simulated training loop (section 3.2). The measure
-  //    function runs short training at candidate P; Equation 1 is fitted over the
-  //    samples and the best predicted P is adopted.
-  bool has_partitioned_sparse = false;
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    if (graph_->variables()[v].partitioner_scope &&
-        sparsity_.at(static_cast<int>(v)).kind == GradKind::kSparse) {
-      has_partitioned_sparse = true;
-    }
-  }
-  // 3a. The SyncPlan's routing and methods — established BEFORE the search, because
-  //     they do not depend on partition counts and the search must simulate the
-  //     methods that will actually run (an engine override can move a variable off
-  //     PS entirely, which changes what is worth partitioning). Hybrid assignment,
-  //     then per-variable engine routing: unmatched variables follow the hybrid rule;
-  //     overrides route by name pattern, with the engine's cost hook supplying the
-  //     timing-plane method.
+  // 2. The SyncPlan's routing and methods — established BEFORE the search, because
+  //    they do not depend on partition counts and the search must simulate the
+  //    methods that will actually run (an engine override can move a variable off PS
+  //    entirely, which changes what is worth partitioning). Hybrid assignment, then
+  //    per-variable engine routing: unmatched variables follow the hybrid rule;
+  //    overrides route by name pattern, with the engine's cost hook supplying the
+  //    timing-plane method.
   plan_.variables = AssignGraphVariables(*graph_, sparsity_, hybrid, PartitionPlan::Uniform(1));
   plan_.engines.assign(plan_.variables.size(), std::string());
   plan_.num_ranks = num_ranks();
@@ -111,102 +100,39 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
     // Every variable also adopts its engine's compression model (kNone for the
     // built-ins). Stamped before the partition search so every simulated candidate —
     // startup, adaptive, rescale — prices the compressed wire volume; the stamp rides
-    // plan_.variables through VariablesWithPartitions into each of them.
+    // plan_.variables into every planner query.
     plan_.variables[v].compression =
         engines_[static_cast<size_t>(index)]->CostCompression(
             sparsity_.at(static_cast<int>(v)).kind);
   }
 
-  // 3b. The partition search (uniform or per-variable), simulating candidate layouts
-  //     over the routed methods fixed above.
+  // 3. Partition search over the simulated training loop (section 3.2), uniform or
+  //    per-variable, over the routed methods fixed above — only when some variable
+  //    takes a partition count, since otherwise every candidate layout is the same.
   partition_plan_ = config_.manual_plan.has_value()
                         ? *config_.manual_plan
                         : PartitionPlan::Uniform(std::max(config_.manual_partitions, 1));
   sim_arena_ = std::make_unique<SimulationArena>();
-  if (config_.auto_partition && has_partitioned_sparse) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = cluster_spec_.num_machines;
-    IterationSimConfig sim_config = MakeSimConfig();
-    // Every sampled layout gets a fresh simulator over the shared arena: task storage
-    // and cached collective schedules persist across the whole search, so the thousands
-    // of simulated iterations behind the search run allocation-free in steady state.
-    auto measure_plan = [&](const PartitionPlan& plan) {
-      IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                             config_.gpu_compute_seconds, config_.compute_chunks,
-                             sim_config, sim_arena_.get());
-      return sim.MeasureIterationSeconds(search.warmup_iterations,
-                                         search.measured_iterations);
-    };
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
-    if (config_.planner != nullptr) {
-      // Shared planning service: the search (or a memoized twin of it) runs on a
-      // pooled arena, coalesced with identical queries from other tenants. The
-      // introspection results a private search would have filled are synthesized from
-      // the service's answer.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      partition_plan_ = answer.plan;
-      if (!answer.uniform) {
-        PartitionPlanSearchResult synth;
-        synth.plan = answer.plan;
-        synth.seconds = answer.seconds;
-        synth.uniform_seconds = answer.uniform_seconds;
-        synth.uniform.best_partitions = answer.best_uniform_partitions;
-        synth.uniform.predicted_seconds = answer.uniform_seconds;
-        synth.evaluations = answer.evaluations;
-        plan_search_result_ = synth;
-        search_result_ = synth.uniform;
-      } else {
-        PartitionSearchResult synth;
-        synth.best_partitions = answer.best_uniform_partitions;
-        synth.predicted_seconds = answer.seconds;
-        search_result_ = synth;
-      }
-      PX_LOG(Info) << "partition search (shared planner): plan "
-                   << partition_plan_.ToString() << " after " << answer.evaluations
-                   << " sampling runs"
-                   << (answer.cache_hit ? " (cache hit)"
-                                        : (answer.coalesced ? " (coalesced)" : ""));
-    } else if (!targets.empty()) {
-      plan_search_result_ =
-          SearchPartitionPlan(measure_plan, MakeSearchBatchMeasure(search), targets, search);
-      partition_plan_ = plan_search_result_->plan;
-      search_result_ = plan_search_result_->uniform;
-      PX_LOG(Info) << "partition search: plan " << partition_plan_.ToString()
-                   << " after " << plan_search_result_->evaluations
-                   << " sampling runs (best uniform P="
-                   << plan_search_result_->uniform.best_partitions << " at "
-                   << plan_search_result_->uniform_seconds << "s vs "
-                   << plan_search_result_->seconds << "s per-variable)";
-      if (plan_search_result_->batch.batches > 0) {
-        PX_LOG(Info) << "partition search: " << plan_search_result_->batch.batched_evaluations
-                     << " candidates simulated across "
-                     << plan_search_result_->batch.batches << " parallel batches ("
-                     << plan_search_result_->batch.speculative_waste
-                     << " speculative-waste)";
-      }
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      search_result_ = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
-      partition_plan_ = PartitionPlan::Uniform(search_result_->best_partitions);
-      PX_LOG(Info) << "partition search: uniform P=" << search_result_->best_partitions
-                   << " after " << search_result_->samples.size() << " sampling runs";
+  if (config_.auto_partition && HasPartitionedVariable()) {
+    PartitionSearchOptions options = SearchOptionsForCluster();
+    options.initial_partitions = cluster_spec_.num_machines;
+    const PlannerQuery query = MakePlannerQuery(options);
+    PartitionPlanSearchResult found = Plan(query);
+    partition_plan_ = found.plan;
+    search_result_ = found.uniform;
+    if (!query.targets.empty()) {
+      plan_search_result_ = std::move(found);
     }
   }
 
-  // 3c. Stamp the chosen layout onto the plan and hand it to the engines.
+  // 4. Stamp the chosen layout onto the plan and hand it to the engines.
   plan_.variables = VariablesWithPartitions(partition_plan_);
   plan_.sparse_partitions = partition_plan_.MaxPartitions();
   for (const std::unique_ptr<SyncEngine>& engine : engines_) {
     engine->Prepare(plan_);
   }
 
-  // 4.+5. Graph transformation and the timing plane for this training job.
+  // 5.+6. Graph transformation and the timing plane for this training job.
   RebuildTimingPlane();
   cluster_ = std::make_unique<Cluster>(cluster_spec_);
   MaybeStartMonitor();
@@ -247,30 +173,21 @@ void GraphRunner::RebuildTimingPlane() {
 
 std::vector<VariableSync> GraphRunner::VariablesWithPartitions(
     const PartitionPlan& plan) const {
-  std::vector<VariableSync> variables = plan_.variables;
-  for (size_t v = 0; v < variables.size(); ++v) {
-    // Same per-variable gate as AssignGraphVariables: partitioner-scoped PS-family
-    // variables split up to their row count.
-    if (variables[v].method == SyncMethod::kPs &&
-        graph_->variables()[v].partitioner_scope) {
-      int64_t rows = graph_->variables()[v].shape.rank() >= 1
-                         ? graph_->variables()[v].shape.dim(0)
-                         : 1;
-      variables[v].partitions = RowCappedPartitions(plan.For(variables[v].spec.name), rows);
-      // A placement rides along only when its length survives the row cap — a vector
-      // sized for a count the cap rejected is stale intent, and stamping it would make
-      // ResolveShardServers ignore it anyway. Clearing otherwise keeps a placement
-      // from an older plan from outliving the plan that carried it.
-      const std::vector<int>* placement = plan.PlacementFor(variables[v].spec.name);
-      if (placement != nullptr &&
-          static_cast<int>(placement->size()) == variables[v].partitions) {
-        variables[v].placement = *placement;
-      } else {
-        variables[v].placement.clear();
-      }
-    }
-  }
-  return variables;
+  return ApplyPlanToVariables(PlannerVariablesOf(*graph_, plan_.variables), plan);
+}
+
+bool GraphRunner::HasPartitionedVariable() const {
+  const std::vector<PlannerVariable> variables = PlannerVariablesOf(*graph_, plan_.variables);
+  return std::any_of(variables.begin(), variables.end(),
+                     [](const PlannerVariable& v) { return v.partitioned; });
+}
+
+double GraphRunner::MeasurePlan(const PartitionPlan& plan) {
+  IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
+                         config_.gpu_compute_seconds, config_.compute_chunks,
+                         MakeSimConfig(), sim_arena_.get());
+  return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
+                                     config_.search.measured_iterations);
 }
 
 PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
@@ -285,30 +202,10 @@ PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
   return search;
 }
 
-PlanBatchMeasure GraphRunner::MakeSearchBatchMeasure(const PartitionSearchOptions& options) {
-  if (options.concurrency.pool == nullptr) {
-    return PlanBatchMeasure();
-  }
-  if (search_arenas_ == nullptr) {
-    search_arenas_ = std::make_unique<ArenaPool>();
-  }
-  ParallelMeasureSpec spec;
-  spec.cluster = cluster_spec_;
-  // VariablesWithPartitions is a pure read of plan_/graph_ state that no search
-  // mutates mid-flight, so concurrent calls from pool workers are safe.
-  spec.apply_plan = [this](const PartitionPlan& plan) {
-    return VariablesWithPartitions(plan);
-  };
-  spec.gpu_compute_seconds = config_.gpu_compute_seconds;
-  spec.compute_chunks = config_.compute_chunks;
-  spec.sim_config = MakeSimConfig();
-  spec.warmup_iterations = options.warmup_iterations;
-  spec.measured_iterations = options.measured_iterations;
-  return MakeParallelPlanMeasure(std::move(spec), options.concurrency,
-                                 search_arenas_.get());
-}
-
 std::vector<PartitionSearchVariable> GraphRunner::SearchTargets() const {
+  if (config_.search_mode != PartitionSearchMode::kPerVariable) {
+    return {};  // uniform mode: the query searches one shared P
+  }
   // plan_.variables carries the routed method and the current (startup-sampled or
   // monitor-measured) alpha for every variable by the time any search runs, so the
   // targets reflect what will actually execute — including engine overrides that
@@ -343,30 +240,48 @@ std::vector<PartitionSearchVariable> GraphRunner::SearchTargets() const {
   return targets;
 }
 
-PlannerQuery GraphRunner::MakePlannerQuery(
-    const PartitionSearchOptions& options,
-    const std::vector<PartitionSearchVariable>& targets) const {
+PlannerQuery GraphRunner::MakePlannerQuery(const PartitionSearchOptions& options) const {
   PlannerQuery query;
-  query.variables.reserve(plan_.variables.size());
-  for (size_t v = 0; v < plan_.variables.size(); ++v) {
-    PlannerVariable variable;
-    variable.sync = plan_.variables[v];
-    // Same predicate as VariablesWithPartitions: these are the variables whose
-    // partitions/placement the searched plan will override (row-capped).
-    variable.partitioned = plan_.variables[v].method == SyncMethod::kPs &&
-                           graph_->variables()[v].partitioner_scope;
-    variable.rows = graph_->variables()[v].shape.rank() >= 1
-                        ? graph_->variables()[v].shape.dim(0)
-                        : 1;
-    query.variables.push_back(std::move(variable));
-  }
-  query.targets = targets;
+  query.variables = PlannerVariablesOf(*graph_, plan_.variables);
+  query.targets = SearchTargets();
   query.cluster = cluster_spec_;
   query.sim_config = MakeSimConfig();
   query.gpu_compute_seconds = config_.gpu_compute_seconds;
   query.compute_chunks = config_.compute_chunks;
   query.options = options;
   return query;
+}
+
+PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
+  PartitionPlanSearchResult found;
+  const char* source = "private";
+  if (config_.planner != nullptr) {
+    // Shared planning service: the search (or a memoized twin of it) runs on a pooled
+    // arena, coalesced with identical queries from other tenants. The fields a private
+    // search would have filled are synthesized from the service's answer.
+    const PlannerResult answer = config_.planner->Plan(query);
+    found.plan = answer.plan;
+    found.seconds = answer.seconds;
+    found.uniform_seconds = answer.uniform_seconds;
+    found.uniform.best_partitions = answer.best_uniform_partitions;
+    found.uniform.predicted_seconds = answer.uniform_seconds;
+    found.evaluations = answer.evaluations;
+    source = answer.cache_hit   ? "shared planner, cache hit"
+             : answer.coalesced ? "shared planner, coalesced"
+                                : "shared planner";
+  } else {
+    found = SearchPlan(query, sim_arena_.get(), &search_arenas_);
+  }
+  const std::string batches =
+      found.batch.batches > 0
+          ? StrFormat(" (%d candidates in %d parallel batches, %d speculative waste)",
+                      found.batch.batched_evaluations, found.batch.batches,
+                      found.batch.speculative_waste)
+          : std::string();
+  PX_LOG(Info) << "partition search (" << source << "): plan " << found.plan.ToString()
+               << " at " << found.seconds << "s vs " << found.uniform_seconds
+               << "s baseline after " << found.evaluations << " sampling runs" << batches;
+  return found;
 }
 
 double GraphRunner::MigrationSeconds(const std::vector<VariableSync>& to) const {
@@ -558,60 +473,20 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
 
   // Re-search against the NEW topology, adopting the result only if it simulates
   // faster there than the incumbent layout does — the incumbent never loses to its
-  // own re-search, so adopted_seconds <= incumbent_seconds by construction.
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                           config_.gpu_compute_seconds, config_.compute_chunks,
-                           MakeSimConfig(), sim_arena_.get());
-    return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
-                                       config_.search.measured_iterations);
-  };
-  const double incumbent_seconds = measure_plan(partition_plan_);
+  // own re-search, so adopted_seconds <= incumbent_seconds by construction. The found
+  // plan is re-measured on this runner's clock at its exact alphas (a shared planner
+  // searched at bucket-representative ones), so the best-of stays apples-to-apples.
+  const double incumbent_seconds = MeasurePlan(partition_plan_);
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = incumbent_seconds;
-  bool has_partitioned_sparse = false;
-  for (size_t v = 0; v < plan_.variables.size(); ++v) {
-    has_partitioned_sparse =
-        has_partitioned_sparse ||
-        (graph_->variables()[v].partitioner_scope &&
-         sparsity_.at(static_cast<int>(v)).kind == GradKind::kSparse &&
-         plan_.variables[v].method == SyncMethod::kPs);
-  }
-  if (config_.auto_partition && has_partitioned_sparse) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = cluster_spec_.num_machines;
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
-    if (config_.planner != nullptr) {
-      // The service searched at the bucket-representative alphas; re-measure its plan
-      // locally at the exact ones so the best-of against the incumbent stays
-      // apples-to-apples on this runner's own clock.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      const double seconds = measure_plan(answer.plan);
-      if (seconds < best_seconds) {
-        best_plan = answer.plan;
-        best_seconds = seconds;
-      }
-    } else if (!targets.empty()) {
-      PartitionPlanSearchResult result = SearchPartitionPlan(
-          measure_plan, MakeSearchBatchMeasure(search), targets, search);
-      if (result.seconds < best_seconds) {
-        best_plan = result.plan;
-        best_seconds = result.seconds;
-      }
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      PartitionSearchResult result = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
-      const double seconds = measure(result.best_partitions);
-      if (seconds < best_seconds) {
-        best_plan = PartitionPlan::Uniform(result.best_partitions);
-        best_seconds = seconds;
-      }
+  if (config_.auto_partition && HasPartitionedVariable()) {
+    PartitionSearchOptions options = SearchOptionsForCluster();
+    options.initial_partitions = cluster_spec_.num_machines;
+    PartitionPlan found = Plan(MakePlannerQuery(options)).plan;
+    const double seconds = MeasurePlan(found);
+    if (seconds < best_seconds) {
+      best_plan = std::move(found);
+      best_seconds = seconds;
     }
   }
 
@@ -793,13 +668,6 @@ void GraphRunner::MaybeAdapt() {
 
   // Re-search over the shared arena: every candidate replays cached schedules and
   // reuses task storage, so the whole search costs milliseconds (docs/perf.md).
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                           config_.gpu_compute_seconds, config_.compute_chunks,
-                           MakeSimConfig(), sim_arena_.get());
-    return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
-                                       config_.search.measured_iterations);
-  };
   auto same_layout = [](const std::vector<VariableSync>& a,
                         const std::vector<VariableSync>& b) {
     for (size_t v = 0; v < a.size(); ++v) {
@@ -809,58 +677,28 @@ void GraphRunner::MaybeAdapt() {
     }
     return true;
   };
-  const double current_seconds = measure_plan(partition_plan_);
+  const double current_seconds = MeasurePlan(partition_plan_);
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = current_seconds;
   if (policy.repartition) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = partition_plan_.MaxPartitions();
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
-    // Warm start the re-search when the drift is confined to a single variable:
-    // the other counts were right at the last verdict and their workloads have not
-    // moved, so the descent resumes from the incumbent plan and round 0 sweeps only
-    // the drifted coordinate — one sweep instead of a full search.
-    if (!targets.empty()) {
-      int drifted_targets = 0;
-      for (const PartitionSearchVariable& target : targets) {
-        drifted_targets += target.drifted ? 1 : 0;
-      }
-      search.warm_start = drifted_targets == 1;
-    }
-    if (config_.planner != nullptr) {
-      // Shared planner path: take its candidate but re-measure it locally at the
-      // measured (unsnapped) alphas, so the hysteresis comparison against
-      // current_seconds is the same measured-vs-measured test the private path runs.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      if (!same_layout(VariablesWithPartitions(answer.plan), plan_.variables)) {
-        best_plan = answer.plan;
-        best_seconds = measure_plan(answer.plan);
-      }
-    } else if (!targets.empty()) {
-      // Per-variable re-search at the measured alphas (coordinate descent; the
-      // uniform sweep inside seeds it, unless warm-started). Measured-vs-measured
-      // comparison on the same arena, so the hysteresis test is deterministic and
-      // free of model error.
-      PartitionPlanSearchResult result = SearchPartitionPlan(
-          measure_plan, MakeSearchBatchMeasure(search), targets, search);
-      if (!same_layout(VariablesWithPartitions(result.plan), plan_.variables)) {
-        best_plan = result.plan;
-        best_seconds = result.seconds;
-      }
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      PartitionSearchResult result = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
-      PartitionPlan candidate = PartitionPlan::Uniform(result.best_partitions);
-      if (!same_layout(VariablesWithPartitions(candidate), plan_.variables)) {
-        best_plan = candidate;
-        best_seconds = measure(result.best_partitions);
-      }
+    PartitionSearchOptions options = SearchOptionsForCluster();
+    options.initial_partitions = partition_plan_.MaxPartitions();
+    PlannerQuery query = MakePlannerQuery(options);
+    // Warm start the per-variable re-search when the drift is confined to a single
+    // variable: the other counts were right at the last verdict and their workloads
+    // have not moved, so the descent resumes from the incumbent plan and round 0
+    // sweeps only the drifted coordinate — one sweep instead of a full search.
+    const auto drifted =
+        std::count_if(query.targets.begin(), query.targets.end(),
+                      [](const PartitionSearchVariable& target) { return target.drifted; });
+    query.options.warm_start = drifted == 1;
+    // The candidate is re-measured at the measured (unsnapped) alphas, so the
+    // hysteresis comparison against current_seconds is measured-vs-measured on the
+    // same arena whichever planner produced it: deterministic and free of model error.
+    PartitionPlan found = Plan(query).plan;
+    if (!same_layout(VariablesWithPartitions(found), plan_.variables)) {
+      best_seconds = MeasurePlan(found);
+      best_plan = std::move(found);
     }
   }
 

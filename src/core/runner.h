@@ -2,13 +2,14 @@
 //
 // Given a single-GPU graph, a loss node, and a resource specification, the runner:
 //   1. samples a backward pass to classify variables (dense / sparse) and measure alpha,
-//   2. runs the partition search for partitioner-scoped sparse variables (section 3.2):
-//      uniform (one shared P) or per-variable (a PartitionPlan found by coordinate
-//      descent at each variable's measured alpha, PartitionSearchMode::kPerVariable),
-//   3. assigns each variable a synchronization architecture (hybrid rule, section 3.1)
+//   2. assigns each variable a synchronization architecture (hybrid rule, section 3.1)
 //      and a SyncEngine (registry name; RunnerBuilder::WithEngine overrides per
-//      variable), summarized as one SyncPlan carrying each variable's own partition
-//      count,
+//      variable), summarized as one SyncPlan,
+//   3. runs the partition search for the partitioner-scoped variables routed to PS
+//      (section 3.2): uniform (one shared P) or per-variable (a PartitionPlan found by
+//      coordinate descent at each variable's measured alpha,
+//      PartitionSearchMode::kPerVariable), and stamps each variable's own partition
+//      count onto the SyncPlan,
 //   4. transforms the graph (section 4.3) — the resulting DistributedGraph is inspectable,
 //   5. trains: each Step() executes every GPU replica's forward/backward on its shard of
 //      the batch (numerics are real), hands the per-rank results to every prepared
@@ -29,6 +30,11 @@
 // partition/placement search re-runs against the new topology, and the migration's
 // bytes are charged to the simulated clock (docs/elasticity.md). Checkpoint/RestoreFrom
 // (WithCheckpoint) add crash recovery with replay bounded by the checkpoint interval.
+//
+// Every search — startup, adaptive, rescale — is one planning query (PlannerQuery)
+// answered by one dispatch, GraphRunner::Plan: the shared PlannerService when
+// WithPlanner is set, SearchPlan on the runner's own arenas otherwise. Every layout
+// reaches the variables through ApplyPlanToVariables (core/analysis.h).
 //
 // Engines are reached exclusively through the SyncEngine interface
 // (core/sync_engine.h); the runner never names a concrete engine type.
@@ -143,9 +149,11 @@ struct ParallaxConfig {
   std::optional<CheckpointConfig> checkpoint;
   // Shared planning front-end (normally filled by RunnerBuilder::WithPlanner). When
   // set, the startup search, adaptive re-searches, and rescale re-searches route
-  // through the service's cache/coalescing instead of searching on the private arena;
-  // a cache hit is byte-identical to what the private search would have produced.
-  // Unset = the private-arena path, the default and the bit-for-bit oracle.
+  // through the service's cache/coalescing instead of searching on the private arena.
+  // Both run the same SearchPlan; the service runs it at bucket-representative alphas,
+  // so its answer equals the private search's when its alpha_quantum is 0, and a
+  // cache hit is identical to a fresh service search at the same key.
+  // Unset = the private-arena path, the default.
   std::shared_ptr<PlannerService> planner;
 };
 
@@ -210,9 +218,13 @@ class GraphRunner {
   // uniform plans; a heterogeneous plan cannot be described by one int — read
   // partition_plan() instead.
   int chosen_sparse_partitions() const { return partition_plan_.MaxPartitions(); }
+  // The uniform sweep of the startup search, in either mode (in per-variable mode the
+  // one that seeded the descent). Unset when no search ran.
   const std::optional<PartitionSearchResult>& partition_search() const { return search_result_; }
   // The per-variable search's full result (plan, measured seconds, uniform baseline).
-  // Set only when the startup search ran in PartitionSearchMode::kPerVariable.
+  // Set only when the startup search ran in PartitionSearchMode::kPerVariable. With a
+  // shared planner only the fields PlannerResult carries are filled (plan, seconds,
+  // uniform_seconds, uniform.best_partitions, evaluations).
   const std::optional<PartitionPlanSearchResult>& plan_search() const {
     return plan_search_result_;
   }
@@ -247,10 +259,17 @@ class GraphRunner {
   // Simulator configuration shared by the partition search, the training-time timing
   // plane, and the adaptive re-search.
   IterationSimConfig MakeSimConfig() const;
-  // Copy of plan_.variables with the partition layout swapped (the same per-variable
-  // gate Repartition applies): each partitioner-scoped PS-family variable gets the
-  // plan's count for its name, capped at its row count; everything else untouched.
+  // plan_.variables with `plan` applied through ApplyPlanToVariables (analysis.h): each
+  // partitioner-scoped PS-family variable gets the plan's count for its name, capped at
+  // its row count; everything else untouched.
   std::vector<VariableSync> VariablesWithPartitions(const PartitionPlan& plan) const;
+  // True when some variable is routed to PS and partitioner-scoped — the variables a
+  // plan can re-shard (PlannerVariable::partitioned). Without one, every candidate
+  // layout is the same and no search runs.
+  bool HasPartitionedVariable() const;
+  // Mean simulated iteration seconds of `plan` on this runner's cluster, alphas and
+  // arena — the clock Rescale and MaybeAdapt compare candidates on.
+  double MeasurePlan(const PartitionPlan& plan);
   // Cost-model estimate of swapping plan_.variables for `to`, placement-aware: both
   // layouts are resolved to effective shard servers (ResolveShardServers), and only
   // the bytes whose owning server actually changes move — charged over the actual
@@ -271,25 +290,25 @@ class GraphRunner {
   // The variables the per-variable search may re-shard: partitioner-scoped sparse
   // variables the plan routes to PS (engine overrides respected), with the plan's
   // current alphas (startup-sampled at initialization, monitor-measured afterwards).
-  // Requires plan_.variables to be routed, which both call sites guarantee.
+  // None in uniform mode, which searches one shared P. Requires plan_.variables to be
+  // routed, which every call site guarantees.
   std::vector<PartitionSearchVariable> SearchTargets() const;
   // Packages this runner's current search inputs (variables, targets, cluster, sim
-  // config, options) as a PlannerService query. The query fully determines the search
+  // config, options) as one planning query. The query fully determines the search
   // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones.
-  PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options,
-                                const std::vector<PartitionSearchVariable>& targets) const;
-  // The batch-measure callback the private searches hand to the batched overloads —
-  // candidates fan out over options.concurrency's pool, one leased arena per worker
-  // (search_arenas_, created on first use). Null (= serial search) when no pool is
-  // configured; results are bit-identical either way (cost_model.h).
-  PlanBatchMeasure MakeSearchBatchMeasure(const PartitionSearchOptions& options);
+  PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options) const;
+  // The one search dispatch: the shared PlannerService when config_.planner is set,
+  // SearchPlan on this runner's arena and search_arenas_ otherwise. A service answer
+  // is reported in the private search's shape (plan, seconds, uniform baseline,
+  // evaluations); either way one search line is logged.
+  PartitionPlanSearchResult Plan(const PlannerQuery& query);
   // Creates the sparsity monitor and attaches it to the engines, when the config asks
   // for adaptive partitioning and the plan has monitorable variables.
   void MaybeStartMonitor();
   // The adaptive loop's per-step tail: fold observations, check drift, re-search
-  // (uniform or per-variable per config_.search_mode), and Repartition when the
-  // simulated win clears the hysteresis margin AND amortizes the migration cost —
-  // which is then charged to the simulated clock — within the cooldown window.
+  // through Plan (uniform or per-variable per config_.search_mode), and Repartition
+  // when the simulated win clears the hysteresis margin AND amortizes the migration
+  // cost — which is then charged to the simulated clock — within the cooldown window.
   void MaybeAdapt();
 
   const Graph* graph_;
@@ -321,10 +340,10 @@ class GraphRunner {
   // One arena for the partition search and the training-time timing plane: cached
   // collective schedules and task storage persist for the runner's lifetime.
   std::unique_ptr<SimulationArena> sim_arena_;
-  // Extra arenas for parallel candidate evaluation (WithSearchConcurrency), created
-  // lazily on the first concurrent search and kept warm across startup/adaptive/
-  // rescale re-searches.
-  std::unique_ptr<ArenaPool> search_arenas_;
+  // Extra arenas for parallel candidate evaluation (WithSearchConcurrency), leased per
+  // worker and kept warm across startup/adaptive/rescale re-searches. Stays empty
+  // while the search is serial.
+  ArenaPool search_arenas_;
   std::unique_ptr<IterationSimulator> timing_;
   std::unique_ptr<Cluster> cluster_;
   double simulated_seconds_ = 0.0;

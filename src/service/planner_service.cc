@@ -161,26 +161,48 @@ PlannerResult ResultFrom(const CachedPlan& cached) {
 
 }  // namespace
 
-std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable>& variables,
-                                               const PartitionPlan& plan) {
-  std::vector<VariableSync> result;
-  result.reserve(variables.size());
-  for (const PlannerVariable& v : variables) {
-    VariableSync sync = v.sync;
-    if (v.partitioned) {
-      // Same gate as GraphRunner::VariablesWithPartitions: row-capped count, placement
-      // stamped only when its length survives the cap.
-      sync.partitions = RowCappedPartitions(plan.For(sync.spec.name), v.rows);
-      const std::vector<int>* placement = plan.PlacementFor(sync.spec.name);
-      if (placement != nullptr &&
-          static_cast<int>(placement->size()) == sync.partitions) {
-        sync.placement = *placement;
-      } else {
-        sync.placement.clear();
-      }
-    }
-    result.push_back(std::move(sync));
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena,
+                                     ArenaPool* arenas) {
+  // A fresh simulator per candidate layout over the caller's arena: cached schedules
+  // and task storage persist across the whole search. Simulated times are
+  // arena-independent, which is what lets waves run on leased arenas and lets the
+  // service memoize a result for every future tenant at its key.
+  auto measure_plan = [&](const PartitionPlan& plan) {
+    IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
+                           query.gpu_compute_seconds, query.compute_chunks,
+                           query.sim_config, arena);
+    return sim.MeasureIterationSeconds(query.options.warmup_iterations,
+                                       query.options.measured_iterations);
+  };
+  ParallelMeasureSpec spec;
+  spec.cluster = query.cluster;
+  spec.apply_plan = [&query](const PartitionPlan& plan) {
+    return ApplyPlanToVariables(query.variables, plan);
+  };
+  spec.gpu_compute_seconds = query.gpu_compute_seconds;
+  spec.compute_chunks = query.compute_chunks;
+  spec.sim_config = query.sim_config;
+  spec.warmup_iterations = query.options.warmup_iterations;
+  spec.measured_iterations = query.options.measured_iterations;
+  PlanBatchMeasure measure_batch =
+      MakeParallelPlanMeasure(std::move(spec), query.options.concurrency, arenas);
+
+  if (!query.targets.empty()) {
+    return SearchPartitionPlan(measure_plan, measure_batch, query.targets, query.options);
   }
+  PartitionPlanSearchResult result;
+  result.uniform = SearchPartitions(
+      [&](int partitions) { return measure_plan(PartitionPlan::Uniform(partitions)); },
+      MakeUniformBatchMeasure(std::move(measure_batch)), query.options);
+  const int best = result.uniform.best_partitions;
+  result.plan = PartitionPlan::Uniform(best);
+  const auto& samples = result.uniform.samples;
+  auto sampled = std::find_if(samples.begin(), samples.end(),
+                              [best](const auto& sample) { return sample.first == best; });
+  result.seconds = sampled != samples.end() ? sampled->second : measure_plan(result.plan);
+  result.uniform_seconds = result.seconds;
+  result.evaluations = static_cast<int>(samples.size());
+  result.batch = result.uniform.batch;
   return result;
 }
 
@@ -229,69 +251,26 @@ PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
   return key;
 }
 
-CachedPlan PlannerService::Search(const PlannerQuery& query) {
-  ArenaLease lease = AcquireArena();
-  // The same measure the runner's private path uses: a fresh simulator per candidate
-  // layout over the leased arena, so cached schedules and task storage persist across
-  // the whole search. Simulated times are arena-independent, which is what makes the
-  // memoized result valid for every future tenant at this key.
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
-                           query.gpu_compute_seconds, query.compute_chunks,
-                           query.sim_config, lease.get());
-    return sim.MeasureIterationSeconds(query.options.warmup_iterations,
-                                       query.options.measured_iterations);
-  };
+CachedPlan PlannerService::Search(PlannerQuery query) {
   // Candidate batches fan out over the service's own pool and arena pool — whatever
   // concurrency the query carried is replaced (a tenant's pool pointer means nothing
   // service-side, and results do not depend on it). The substituted concurrency also
   // sizes the searches' speculation waves. Under PlanMany the fan-out lane already
   // occupies the pool, so the nested batch runs inline (thread_pool.h) — query-level
   // and candidate-level parallelism share the same lanes.
-  PartitionSearchOptions options = query.options;
-  options.concurrency = SearchConcurrency{pool_.get(), 0};
-  ParallelMeasureSpec spec;
-  spec.cluster = query.cluster;
-  spec.apply_plan = [&query](const PartitionPlan& plan) {
-    return ApplyPlanToVariables(query.variables, plan);
-  };
-  spec.gpu_compute_seconds = query.gpu_compute_seconds;
-  spec.compute_chunks = query.compute_chunks;
-  spec.sim_config = query.sim_config;
-  spec.warmup_iterations = query.options.warmup_iterations;
-  spec.measured_iterations = query.options.measured_iterations;
-  PlanBatchMeasure measure_batch = MakeParallelPlanMeasure(
-      std::move(spec), SearchConcurrency{pool_.get(), 0}, &arenas_);
-
+  query.options.concurrency = SearchConcurrency{pool_.get(), 0};
+  ArenaLease lease = AcquireArena();
+  const PartitionPlanSearchResult result = SearchPlan(query, lease.get(), &arenas_);
   CachedPlan cached;
-  BatchMeasureStats batch;
-  if (!query.targets.empty()) {
-    PartitionPlanSearchResult result =
-        SearchPartitionPlan(measure_plan, measure_batch, query.targets, options);
-    cached.plan = result.plan;
-    cached.seconds = result.seconds;
-    cached.uniform_seconds = result.uniform_seconds;
-    cached.best_uniform_partitions = result.uniform.best_partitions;
-    cached.evaluations = result.evaluations;
-    cached.uniform = false;
-    batch = result.batch;
-  } else {
-    auto measure = [&](int partitions) {
-      return measure_plan(PartitionPlan::Uniform(partitions));
-    };
-    PartitionSearchResult result = SearchPartitions(
-        measure, MakeUniformBatchMeasure(measure_batch), options);
-    cached.plan = PartitionPlan::Uniform(result.best_partitions);
-    cached.seconds = measure(result.best_partitions);
-    cached.uniform_seconds = cached.seconds;
-    cached.best_uniform_partitions = result.best_partitions;
-    cached.evaluations = static_cast<int>(result.samples.size());
-    cached.uniform = true;
-    batch = result.batch;
-  }
-  batched_evaluations_.fetch_add(static_cast<uint64_t>(batch.batched_evaluations),
+  cached.plan = result.plan;
+  cached.seconds = result.seconds;
+  cached.uniform_seconds = result.uniform_seconds;
+  cached.best_uniform_partitions = result.uniform.best_partitions;
+  cached.evaluations = result.evaluations;
+  cached.uniform = query.targets.empty();
+  batched_evaluations_.fetch_add(static_cast<uint64_t>(result.batch.batched_evaluations),
                                  std::memory_order_relaxed);
-  speculative_waste_.fetch_add(static_cast<uint64_t>(batch.speculative_waste),
+  speculative_waste_.fetch_add(static_cast<uint64_t>(result.batch.speculative_waste),
                                std::memory_order_relaxed);
   return cached;
 }
@@ -339,7 +318,7 @@ PlannerResult PlannerService::Plan(const PlannerQuery& original) {
   }
 
   searches_.fetch_add(1, std::memory_order_relaxed);
-  CachedPlan searched = Search(query);
+  CachedPlan searched = Search(std::move(query));
   {
     std::lock_guard<std::mutex> lock(mu_);
     cache_.Put(key, searched);

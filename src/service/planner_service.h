@@ -2,7 +2,7 @@
 // any number of GraphRunners — the multi-tenant counterpart of the runner's private
 // search path (ROADMAP "Multi-tenant training service"; docs/planner_service.md).
 //
-// Three mechanisms make many concurrent tenants cheap:
+// Four mechanisms make many concurrent tenants cheap:
 //
 //   1. Arena pool — SimulationArena is single-threaded state, so each query checks one
 //      out RAII-style (ArenaPool::Lease, src/sim/arena_pool.h). Checkout never blocks
@@ -25,8 +25,11 @@
 //      substitutes its pool, and since concurrency never changes results it is
 //      excluded from the options fingerprint.
 //
-// Runners opt in with RunnerBuilder::WithPlanner(service). The private-arena path
-// remains the default and the bit-for-bit oracle the service is tested against.
+// Every miss runs SearchPlan (below), the same function a runner's private search
+// calls, so the service and the private path differ only in the alphas they search at:
+// a hit is identical to a fresh search at the same key, and with alpha_quantum = 0 the
+// service answers exactly what the private search would. Runners opt in with
+// RunnerBuilder::WithPlanner(service); the private-arena path remains the default.
 #ifndef PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 #define PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "src/base/thread_pool.h"
+#include "src/core/analysis.h"
 #include "src/core/cost_model.h"
 #include "src/core/iteration_sim.h"
 #include "src/core/sync_engine.h"
@@ -66,18 +70,10 @@ struct PlannerServiceOptions {
   int max_workers = 0;
 };
 
-// One variable of the querying model, as the simulator will see it. `sync` carries the
-// routed method and the current layout; for `partitioned` variables the searched plan
-// overrides partitions/placement (row-capped via `rows`), exactly like the runner's
-// private VariablesWithPartitions gate.
-struct PlannerVariable {
-  VariableSync sync;
-  bool partitioned = false;
-  int64_t rows = 1;
-};
-
 // Everything a search outcome depends on. Runners build this with
 // GraphRunner::MakePlannerQuery; standalone callers can assemble it directly.
+// `variables` is the querying model as the simulator will see it (PlannerVariable,
+// src/core/analysis.h): a searched plan reaches it through ApplyPlanToVariables.
 struct PlannerQuery {
   std::vector<PlannerVariable> variables;
   // Per-variable search targets; empty runs the uniform (single shared P) search.
@@ -88,6 +84,21 @@ struct PlannerQuery {
   int compute_chunks = 1;
   PartitionSearchOptions options;
 };
+
+// The one partition search behind every planning path: a runner's private start-up,
+// adaptive and rescale searches call it on the runner's own arenas, and
+// PlannerService runs it on a leased arena for every cache miss. Each candidate layout
+// is simulated on `arena` through ApplyPlanToVariables.
+//   - With targets: SearchPartitionPlan (per-variable counts, placement when enabled).
+//   - Without: the uniform sweep (SearchPartitions), reported as a plan search —
+//     `plan` is Uniform(best P), `uniform` holds the sweep, `evaluations` is its sample
+//     count, `batch` its wave stats, and `seconds` == `uniform_seconds` is the measured
+//     time at best P (read from the sweep when it sampled best P, simulated otherwise).
+// Candidate waves run on query.options.concurrency with one arena per worker leased
+// from `arenas`; the search is serial when either is null. The result does not depend
+// on the arena, the pool or the worker count.
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena,
+                                     ArenaPool* arenas);
 
 struct PlannerResult {
   PartitionPlan plan;
@@ -161,10 +172,10 @@ class PlannerService {
     CachedPlan result;           // guarded by mu; valid once done
   };
 
-  // Runs the actual (per-variable or uniform) search for a canonicalized query on a
-  // leased arena, with candidate batches fanned across pool_ (serial when the service
-  // has no pool). Pure compute: takes no service lock.
-  CachedPlan Search(const PlannerQuery& query);
+  // Runs SearchPlan for a canonicalized query on a leased arena, with the query's
+  // concurrency replaced by pool_ (serial when the service has no pool). Pure compute:
+  // takes no service lock.
+  CachedPlan Search(PlannerQuery query);
 
   const PlannerServiceOptions options_;
 
@@ -188,13 +199,6 @@ class PlannerService {
   std::atomic<uint64_t> batched_evaluations_{0};
   std::atomic<uint64_t> speculative_waste_{0};
 };
-
-// Applies a searched plan to the query's base variables: partitioner-controlled
-// variables get their row-capped count and (length-matching) placement stamped,
-// everything else passes through — the service-side replica of the runner's private
-// VariablesWithPartitions, asserted identical in tests/planner_service_test.cc.
-std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable>& variables,
-                                               const PartitionPlan& plan);
 
 }  // namespace parallax
 

@@ -6,11 +6,18 @@
 //  - N threads issuing the same query coalesce onto ONE simulation; distinct keys
 //    search separately,
 //  - LRU eviction respects the configured capacity,
-//  - ApplyPlanToVariables replicates the runner's row-cap/placement gate,
+//  - ApplyPlanToVariables, the one plan applier, row-caps counts and drops stale
+//    placements,
 //  - a runner using the shared planner trains bit-identically to a private-search
-//    runner (monitored and unmonitored alike).
+//    runner (monitored and unmonitored alike),
+//  - with alpha_quantum = 0 the shared planner and the private search decide the same
+//    way at all three call sites: start-up, adaptive re-search and rescale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +25,7 @@
 #include "src/core/api.h"
 #include "src/models/trainable.h"
 #include "src/service/planner_service.h"
+#include "tests/drift_scenario.h"
 
 namespace parallax {
 namespace {
@@ -339,6 +347,149 @@ TEST(PlannerServiceRunnerTest, MonitoredSharedPlannerRunnerMatchesUnmonitoredPri
     float b = monitored.Step(model_monitored.TrainShards(4, rng_b));
     EXPECT_EQ(a, b) << "step " << step;
   }
+}
+
+// Everything the planning seam decides over one drifting run: the start-up search,
+// every adaptation verdict, every rescale, and what they did to losses and the clock.
+struct SeamRun {
+  std::vector<float> losses;
+  std::optional<PartitionSearchResult> partition_search;
+  std::optional<PartitionPlanSearchResult> plan_search;
+  std::vector<AdaptationVerdict> verdicts;
+  std::vector<RescaleEvent> rescales;
+  double simulated_seconds = 0.0;
+};
+
+// The drift scenario with adaptation on for 30 steps, then a 2 -> 4 -> 2 machine
+// rescale — one search at each of the runner's three call sites.
+SeamRun RunDriftAndRescale(PartitionSearchMode mode, std::shared_ptr<PlannerService> planner) {
+  WordLmModel model(DriftingLm(/*seed=*/81, /*drift_step=*/10));
+  AdaptivePartitioningPolicy policy;
+  policy.ewma_decay = 0.5;
+  policy.drift_threshold = 0.3;
+  policy.hysteresis = 0.02;
+  policy.warmup_steps = 4;
+  policy.check_interval = 4;
+  policy.cooldown_steps = 8;
+  RunnerBuilder builder(model.graph(), model.loss());
+  builder.WithResources("m0:0,1;m1:0,1")
+      .WithLearningRate(0.3f)
+      .WithSyncCosts(AccumulationDominatedCosts())
+      .WithCompute(2e-3, 4)
+      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+      .WithSearchMode(mode)
+      .WithAdaptivePartitioning(policy);
+  if (planner != nullptr) {
+    builder.WithPlanner(std::move(planner));
+  }
+  auto built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  GraphRunner& runner = *built.value();
+  SeamRun run;
+  Rng rng(83);
+  for (int step = 0; step < 30; ++step) {
+    run.losses.push_back(runner.Step(model.TrainShards(4, rng, step)));
+  }
+  EXPECT_TRUE(runner.Rescale(ResourceSpec::Homogeneous(4, 2)).ok());
+  EXPECT_TRUE(runner.Rescale(ResourceSpec::Homogeneous(2, 2)).ok());
+  run.partition_search = runner.partition_search();
+  run.plan_search = runner.plan_search();
+  EXPECT_NE(runner.sparsity_monitor(), nullptr);
+  if (runner.sparsity_monitor() != nullptr) {
+    run.verdicts = runner.sparsity_monitor()->trail();
+  }
+  run.rescales = runner.rescale_trail();
+  run.simulated_seconds = runner.simulated_seconds();
+  return run;
+}
+
+void ExpectSameDecisions(const SeamRun& shared, const SeamRun& priv) {
+  EXPECT_EQ(shared.losses, priv.losses);
+
+  // Start-up: the fields a service answer carries.
+  ASSERT_EQ(shared.partition_search.has_value(), priv.partition_search.has_value());
+  if (priv.partition_search.has_value()) {
+    EXPECT_EQ(shared.partition_search->best_partitions,
+              priv.partition_search->best_partitions);
+  }
+  ASSERT_EQ(shared.plan_search.has_value(), priv.plan_search.has_value());
+  if (priv.plan_search.has_value()) {
+    ExpectPlansIdentical(shared.plan_search->plan, priv.plan_search->plan);
+    EXPECT_EQ(shared.plan_search->seconds, priv.plan_search->seconds);
+    EXPECT_EQ(shared.plan_search->uniform_seconds, priv.plan_search->uniform_seconds);
+    EXPECT_EQ(shared.plan_search->uniform.best_partitions,
+              priv.plan_search->uniform.best_partitions);
+    EXPECT_EQ(shared.plan_search->evaluations, priv.plan_search->evaluations);
+  }
+
+  ASSERT_EQ(shared.verdicts.size(), priv.verdicts.size());
+  for (size_t i = 0; i < priv.verdicts.size(); ++i) {
+    SCOPED_TRACE("verdict " + std::to_string(i));
+    const AdaptationVerdict& a = shared.verdicts[i];
+    const AdaptationVerdict& b = priv.verdicts[i];
+    EXPECT_EQ(a.step, b.step);
+    ExpectPlansIdentical(a.best_plan, b.best_plan);
+    EXPECT_EQ(a.current_seconds, b.current_seconds);
+    EXPECT_EQ(a.best_seconds, b.best_seconds);
+    EXPECT_EQ(a.migration_seconds, b.migration_seconds);
+    EXPECT_EQ(a.adopted, b.adopted);
+  }
+
+  ASSERT_EQ(shared.rescales.size(), priv.rescales.size());
+  for (size_t i = 0; i < priv.rescales.size(); ++i) {
+    SCOPED_TRACE("rescale " + std::to_string(i));
+    const RescaleEvent& a = shared.rescales[i];
+    const RescaleEvent& b = priv.rescales[i];
+    EXPECT_EQ(a.step, b.step);
+    EXPECT_EQ(a.from_machines, b.from_machines);
+    EXPECT_EQ(a.to_machines, b.to_machines);
+    EXPECT_EQ(a.from_ranks, b.from_ranks);
+    EXPECT_EQ(a.to_ranks, b.to_ranks);
+    ExpectPlansIdentical(a.from_plan, b.from_plan);
+    ExpectPlansIdentical(a.to_plan, b.to_plan);
+    EXPECT_EQ(a.incumbent_seconds, b.incumbent_seconds);
+    EXPECT_EQ(a.adopted_seconds, b.adopted_seconds);
+    EXPECT_EQ(a.migration_seconds, b.migration_seconds);
+  }
+
+  EXPECT_EQ(shared.simulated_seconds, priv.simulated_seconds);
+}
+
+// The scenario must reach every call site with something to decide: an adopted and a
+// second verdict, and rescales that move the plan.
+void ExpectSeamExercised(const SeamRun& run) {
+  EXPECT_TRUE(run.partition_search.has_value());
+  EXPECT_GE(run.verdicts.size(), 2u);
+  EXPECT_TRUE(std::any_of(run.verdicts.begin(), run.verdicts.end(),
+                          [](const AdaptationVerdict& v) { return v.adopted; }));
+  ASSERT_EQ(run.rescales.size(), 2u);
+  for (const RescaleEvent& event : run.rescales) {
+    EXPECT_FALSE(event.to_plan == event.from_plan) << event.from_plan.ToString();
+  }
+}
+
+PlannerServiceOptions ExactAlphas() {
+  PlannerServiceOptions options;
+  options.alpha_quantum = 0.0;
+  return options;
+}
+
+TEST(PlannerServiceRunnerTest, SharedAndPrivatePlannersDecideAlikeUniform) {
+  const SeamRun priv = RunDriftAndRescale(PartitionSearchMode::kUniform, nullptr);
+  const SeamRun shared = RunDriftAndRescale(
+      PartitionSearchMode::kUniform, std::make_shared<PlannerService>(ExactAlphas()));
+  ExpectSeamExercised(priv);
+  EXPECT_FALSE(priv.plan_search.has_value());
+  ExpectSameDecisions(shared, priv);
+}
+
+TEST(PlannerServiceRunnerTest, SharedAndPrivatePlannersDecideAlikePerVariable) {
+  const SeamRun priv = RunDriftAndRescale(PartitionSearchMode::kPerVariable, nullptr);
+  const SeamRun shared = RunDriftAndRescale(
+      PartitionSearchMode::kPerVariable, std::make_shared<PlannerService>(ExactAlphas()));
+  ExpectSeamExercised(priv);
+  EXPECT_TRUE(priv.plan_search.has_value());
+  ExpectSameDecisions(shared, priv);
 }
 
 }  // namespace

@@ -74,6 +74,29 @@ TEST(RunnerTest, PartitionSearchRunsForPartitionerScopedVariables) {
   EXPECT_GE(runner.chosen_sparse_partitions(), 1);
 }
 
+TEST(RunnerTest, AllAllReduceRunnerSearchesNoLayout) {
+  // Every variable on AllReduce: no variable takes a partition count, so every
+  // candidate layout simulates the same and start-up must not search at all.
+  WordLmModel::Options options = SmallLm();
+  options.vocab_size = 2000;
+  options.embedding_dim = 32;
+  options.hidden_dim = 48;
+  WordLmModel model(options);
+  ParallaxConfig config = FastConfig();
+  config.engine_overrides.push_back({"*", "ar"});
+  GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(4, 2), config);
+  Rng rng(69);
+  runner.Step(model.TrainShards(8, rng));
+  EXPECT_FALSE(runner.partition_search().has_value());
+  EXPECT_FALSE(runner.plan_search().has_value());
+  EXPECT_TRUE(runner.partition_plan() == PartitionPlan::Uniform(1))
+      << runner.partition_plan().ToString();
+  for (const VariableSync& sync : runner.assignment()) {
+    EXPECT_NE(sync.method, SyncMethod::kPs) << sync.spec.name;
+    EXPECT_EQ(sync.partitions, 1) << sync.spec.name;
+  }
+}
+
 TEST(RunnerTest, ManualPartitionsRespected) {
   WordLmModel model(SmallLm());
   ParallaxConfig config = FastConfig();
