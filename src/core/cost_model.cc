@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -28,14 +29,45 @@ int EffectiveSearchWorkers(const SearchConcurrency& concurrency, size_t candidat
 
 namespace {
 
+// Searched variables' counts, in input order.
+using CountKey = std::vector<int>;
+// Searched variables' shard placements, parallel to CountKey; an empty inner vector
+// (or an empty outer vector) means the historical round-robin.
+using Placements = std::vector<std::vector<int>>;
+// One measurement cache entry is keyed by counts + placements; everything else about
+// the plan is fixed across the search. Count-only phases always pass empty placements,
+// so placement-oblivious searches pay nothing for the wider key.
+using PlanKey = std::pair<CountKey, Placements>;
+
+// What a candidate costs to simulate: its PS piece count. The simulator's task graph,
+// and with it the simulation's wall time, grows with the pieces (docs/perf.md,
+// "Parallel partition search").
+int PieceCount(int partitions) { return partitions; }
+int PieceCount(const PlanKey& key) {
+  return std::accumulate(key.first.begin(), key.first.end(), 0);
+}
+
+// The wave admission rule, shared by every wave site: a speculative candidate joins a
+// wave only if it costs at most the requested candidate (the wave's first). With a
+// lane per candidate the wave then takes no longer than the requested candidate alone,
+// so a miss never waits on a costlier layout the serial trajectory may not ask for.
+// On a landscape rising in P those are exactly the layouts it never asks for: from
+// P = 4 on two lanes, unfiltered waves would be {4,8}, {2,16} and {1,32}, and the two
+// costliest, P = 16 and 32, would go unused. Placement trials keep the requested
+// trial's counts, so they are always admitted.
+template <typename Candidate>
+bool JoinsWave(const Candidate& candidate, const Candidate& requested) {
+  return PieceCount(candidate) <= PieceCount(requested);
+}
+
 // Every point the doubling/halving sweep of SearchPartitions could visit from these
 // options, ordered for SPECULATION: the clamped initial first, then the two arms
 // interleaved by distance from it (x2, /2, x4, /4, ...). A wave of W candidates taken
 // in this order covers the next rungs of BOTH arms — the points the serial sweep is
-// most likely to request — before the far doubling rungs, which are exponentially
-// costlier to simulate (task count grows with P) and reached only on long monotone
-// runs. Prefetching the raw sweep order instead would spend a 4-wide wave on
-// {P, 2P, 4P, 8P} when the sweep usually stops after one rise.
+// most likely to request — before the far doubling rungs, which are reached only on
+// long monotone runs. Prefetching the raw sweep order instead would spend a 4-wide
+// wave on {P, 2P, 4P, 8P} when the sweep usually stops after one rise. JoinsWave then
+// filters this order: rungs costlier than the requested one wait until the sweep asks.
 std::vector<int> SpeculationOrder(const PartitionSearchOptions& options) {
   const int initial = std::clamp(options.initial_partitions, options.min_partitions,
                                  options.max_partitions);
@@ -204,9 +236,9 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
   BatchMeasureStats stats;
 
   // On every memo miss, simulate the requested P plus the next lookahead-1 fresh
-  // candidates in speculation order as one batch. The sweep below then consumes the
-  // hits in its own (serial) order; early exits leave the tail of the last wave
-  // unconsumed — that is the waste, bounded per wave by lookahead - 1.
+  // candidates in speculation order that JoinsWave admits, as one batch. The sweep
+  // below then consumes the hits in its own (serial) order; early exits leave the tail
+  // of the last wave unconsumed — that is the waste, bounded per wave by lookahead - 1.
   auto speculating_measure = [&](int p) {
     auto it = memo.find(p);
     if (it == memo.end()) {
@@ -215,7 +247,7 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
         if (static_cast<int>(wave.size()) >= lookahead) {
           break;
         }
-        if (q == p || memo.find(q) != memo.end()) {
+        if (q == p || memo.find(q) != memo.end() || !JoinsWave(q, p)) {
           continue;
         }
         wave.push_back(q);
@@ -246,16 +278,6 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
 }
 
 namespace {
-
-// Searched variables' counts, in input order.
-using CountKey = std::vector<int>;
-// Searched variables' shard placements, parallel to CountKey; an empty inner vector
-// (or an empty outer vector) means the historical round-robin.
-using Placements = std::vector<std::vector<int>>;
-// One measurement cache entry is keyed by counts + placements; everything else about
-// the plan is fixed across the search. Count-only phases always pass empty placements,
-// so placement-oblivious searches pay nothing for the wider key.
-using PlanKey = std::pair<CountKey, Placements>;
 
 // seconds + how the entry got here. `requested` flips on the first time the serial
 // adoption logic asks for the key — that is when `evaluations` counts it, so the
@@ -344,83 +366,47 @@ PartitionPlanSearchResult SearchPartitionPlan(
     }
     return counts;
   };
-  // Speculatively simulate a wave of not-yet-measured keys in one measure_batch call
-  // and file the results as memo entries. The serial logic downstream then finds hits
-  // for the candidates it would have measured one-by-one; candidates its early exits
-  // never reach stay unrequested and are reported as waste. A no-op without a batch
-  // measure — the serial path never speculates.
-  auto prefetch = [&](const std::vector<PlanKey>& keys) {
-    if (!measure_batch) {
+  const int lookahead = SpeculationLookahead(options.concurrency);
+  // Wave speculation: when the serial logic is about to miss on `requested`, simulate
+  // it plus the first lookahead-1 fresh candidates among candidate(0..count-1) that
+  // JoinsWave admits, in one measure_batch call, and file the results as memo entries.
+  // The serial logic downstream then finds hits for the candidates it would have
+  // measured one by one; candidates its early exits never reach stay unrequested and
+  // are reported as waste, bounded per wave by the worker count. A no-op without a
+  // batch measure — the serial path never speculates.
+  auto speculate = [&](PlanKey requested, size_t count, const auto& candidate) {
+    if (!measure_batch || measured.find(requested) != measured.end()) {
       return;
     }
-    std::vector<const PlanKey*> fresh;
+    std::vector<PlanKey> wave;
+    wave.push_back(std::move(requested));
+    for (size_t i = 0; i < count && static_cast<int>(wave.size()) < lookahead; ++i) {
+      PlanKey key = candidate(i);
+      if (measured.find(key) == measured.end() && JoinsWave(key, wave.front()) &&
+          std::find(wave.begin(), wave.end(), key) == wave.end()) {
+        wave.push_back(std::move(key));
+      }
+    }
     std::vector<PartitionPlan> plans;
-    for (const PlanKey& key : keys) {
-      if (measured.find(key) != measured.end()) {
-        continue;
-      }
-      bool duplicate = false;
-      for (const PlanKey* seen : fresh) {
-        if (*seen == key) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) {
-        continue;
-      }
-      fresh.push_back(&key);
+    plans.reserve(wave.size());
+    for (const PlanKey& key : wave) {
       plans.push_back(plan_of(key.first, key.second));
-    }
-    if (plans.empty()) {
-      return;
     }
     const std::vector<double> seconds = measure_batch(plans);
     PX_CHECK_EQ(seconds.size(), plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      measured.emplace(*fresh[i], MemoEntry{seconds[i], false, true});
+    for (size_t i = 0; i < wave.size(); ++i) {
+      measured.emplace(std::move(wave[i]), MemoEntry{seconds[i], false, true});
     }
     ++result.batch.batches;
     result.batch.batched_evaluations += static_cast<int>(plans.size());
     result.batch.max_batch_size =
         std::max(result.batch.max_batch_size, static_cast<int>(plans.size()));
   };
-  const int lookahead = SpeculationLookahead(options.concurrency);
-  // Wave speculation for one sweep: when the serial sweep is about to miss on
-  // candidate p, simulate it plus the next lookahead-1 fresh candidates of the
-  // sweep's speculation order in one batch. Bounds waste by the worker count and
-  // keeps the far (expensive, rarely visited) doubling rungs out of the waves.
+  // One sweep's wave: candidate p first, then the sweep's speculation order.
   auto wave_before = [&](const std::vector<int>& order,
                          const std::function<CountKey(int)>& counts_of, int p) {
-    if (!measure_batch) {
-      return;
-    }
-    PlanKey requested{counts_of(p), Placements()};
-    if (measured.find(requested) != measured.end()) {
-      return;
-    }
-    std::vector<PlanKey> wave;
-    wave.push_back(std::move(requested));
-    for (int q : order) {
-      if (static_cast<int>(wave.size()) >= lookahead) {
-        break;
-      }
-      PlanKey key{counts_of(q), Placements()};
-      if (measured.find(key) != measured.end()) {
-        continue;
-      }
-      bool duplicate = false;
-      for (const PlanKey& seen : wave) {
-        if (seen == key) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        wave.push_back(std::move(key));
-      }
-    }
-    prefetch(wave);
+    speculate(PlanKey{counts_of(p), Placements()}, order.size(),
+              [&](size_t i) { return PlanKey{counts_of(order[i]), Placements()}; });
   };
 
   CountKey best;
@@ -661,20 +647,9 @@ PartitionPlanSearchResult SearchPartitionPlan(
       bool moved = false;
       for (size_t t = 0; t < round_pieces.size(); ++t) {
         Placements trial = trial_of(*round_pieces[t]);
-        if (measure_batch &&
-            measured.find(PlanKey{best, trial}) == measured.end()) {
-          std::vector<PlanKey> wave;
-          wave.emplace_back(best, trial);
-          for (size_t q = t + 1;
-               q < round_pieces.size() && static_cast<int>(wave.size()) < lookahead;
-               ++q) {
-            PlanKey key{best, trial_of(*round_pieces[q])};
-            if (measured.find(key) == measured.end()) {
-              wave.push_back(std::move(key));
-            }
-          }
-          prefetch(wave);
-        }
+        speculate(PlanKey{best, trial}, round_pieces.size() - t - 1, [&](size_t i) {
+          return PlanKey{best, trial_of(*round_pieces[t + 1 + i])};
+        });
         const double seconds = measure_placed(best, trial);
         if (seconds < placed_seconds * (1.0 - pl.swap_margin)) {
           placed = std::move(trial);

@@ -162,11 +162,15 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
 // through `measure_batch` in WAVES — each memo miss batches the requested P plus the
 // next fresh rungs of both sweep arms, nearest first, capped at the worker count
 // options.concurrency can run (so callers that supply a measure_batch should fill in
-// options.concurrency; a one-lane configuration degrades to waves of one). The serial
-// sweep then replays over the results — best_partitions, fit, and the samples trail
-// are bit-identical to the serial search; rungs a wave simulated past an early exit
-// are reported as batch.speculative_waste, bounded per wave by the worker count. A
-// null measure_batch degrades to the serial search.
+// options.concurrency; a one-lane configuration degrades to the serial sweep). A rung
+// joins a wave only if it is no larger than the requested P: simulation time grows
+// with the piece count, so with a lane per rung a wave takes no longer than the
+// requested rung alone, and the costly far rungs the sweep rarely reaches are
+// simulated only when it asks for them. The serial sweep then replays over the
+// results — best_partitions, fit, and the samples trail are bit-identical to the
+// serial search; rungs a wave simulated past an early exit are reported as
+// batch.speculative_waste, bounded per wave by the worker count. A null measure_batch
+// degrades to the serial search.
 PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
                                        const UniformBatchMeasure& measure_batch,
                                        const PartitionSearchOptions& options);
@@ -244,8 +248,11 @@ PartitionPlanSearchResult SearchPartitionPlan(
 // in canonical order over memo hits. Search trajectory, tie-breaks, `evaluations`,
 // and the full result trail are therefore bit-identical to the serial search at any
 // worker count — `measure_batch` only changes wall-clock and fills in `result.batch`,
-// whose speculative_waste is bounded per wave by the worker count. A null
-// measure_batch degrades to the serial search.
+// whose speculative_waste is bounded per wave by the worker count. A speculative
+// candidate joins a wave only if its PS piece count (the searched variables' counts
+// summed) is at most the requested candidate's, so a wave on enough lanes takes no
+// longer than the requested candidate alone; swap trials keep their counts and always
+// qualify. A null measure_batch degrades to the serial search.
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
     const PlanBatchMeasure& measure_batch,

@@ -21,8 +21,10 @@
 //      runs the batched partition search: candidate layouts are simulated concurrently
 //      on the shared pool, one leased arena per worker, and the serial adoption logic
 //      replays over the results, so the answer stays bit-identical to a serial search
-//      (cost_model.h). A query's own options.concurrency is ignored — the service
-//      substitutes its pool, and since concurrency never changes results it is
+//      (cost_model.h). A wave speculates only layouts with no more PS pieces than the
+//      one the search asked for, so with a core per lane no wave outlasts the serial
+//      search's own candidate. A query's own options.concurrency is ignored — the
+//      service substitutes its pool, and since concurrency never changes results it is
 //      excluded from the options fingerprint.
 //
 // Every miss runs SearchPlan (below), the same function a runner's private search

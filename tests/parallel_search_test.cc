@@ -10,6 +10,9 @@
 //    serial measure returns for the same candidate (simulated times are
 //    arena-independent),
 //  - speculation stats are reported on parallel searches and all-zero on serial ones,
+//  - no speculative wave holds a candidate with more PS pieces than the candidate it
+//    was built for (the batch's first), in every search phase and at 2/4/8 workers,
+//    and a sweep on a landscape rising in P speculates only cheaper rungs, wasting none,
 //  - ArenaPool checkout/return and a warmed leased-arena simulation iteration perform
 //    zero heap allocations — the steady-state cost of one batched candidate,
 //  - nested ParallelFor on one pool runs inline (no deadlock, right answer), which is
@@ -18,10 +21,11 @@
 //  - a PlannerService with workers answers bit-identically to a serial service and to
 //    the private-arena oracle, and reports batched-evaluation stats.
 //
-// Allocation counting replaces global operator new/delete for this binary; the
-// counters are only inspected inside explicit single-threaded windows.
+// Allocation counting replaces global operator new/delete, nothrow forms included, for
+// this binary; the counters are only inspected inside explicit single-threaded windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -65,10 +69,24 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too: std::stable_sort's temporary buffer comes from them, and a
+// block the library's default nothrow new allocated must not reach the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace parallax {
 namespace {
@@ -132,11 +150,51 @@ double MeasureHybridPlan(const PartitionPlan& plan, SimulationArena* arena) {
   return sim.MeasureIterationSeconds(2, 2);
 }
 
+// Every batch a search issued, each as its candidates' PS piece counts (the searched
+// variables' counts summed) in batch order: the first is the candidate the wave was
+// built for.
+using Waves = std::vector<std::vector<int>>;
+
+// Wraps a batch measure so each call is appended to `waves`; null in, null out. A
+// search issues its batches from its own thread, one at a time, so the recording needs
+// no lock.
+PlanBatchMeasure RecordWaves(PlanBatchMeasure batch,
+                             std::vector<PartitionSearchVariable> targets, Waves* waves) {
+  if (!batch) {
+    return PlanBatchMeasure();
+  }
+  return [batch = std::move(batch), targets = std::move(targets),
+          waves](const std::vector<PartitionPlan>& plans) {
+    std::vector<int>& wave = waves->emplace_back();
+    for (const PartitionPlan& plan : plans) {
+      int pieces = 0;
+      for (const PartitionSearchVariable& target : targets) {
+        pieces += plan.For(target.name);
+      }
+      wave.push_back(pieces);
+    }
+    return batch(plans);
+  };
+}
+
+// The wave admission rule: a speculative candidate costs at most the requested one, so
+// with a lane per candidate a wave takes no longer than the requested candidate alone.
+void ExpectWavesCostBounded(const Waves& waves) {
+  ASSERT_FALSE(waves.empty());
+  for (const std::vector<int>& wave : waves) {
+    for (size_t i = 1; i < wave.size(); ++i) {
+      EXPECT_LE(wave[i], wave.front()) << "candidate " << i << " of a wave";
+    }
+  }
+}
+
 // A ThreadPool + ArenaPool + the batch measure wired over them, the way the runner and
-// the planner service wire theirs (src/core/parallel_measure.h).
+// the planner service wire theirs (src/core/parallel_measure.h). `batch` records every
+// call in `waves`.
 struct ParallelHarness {
   std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<ArenaPool> arenas;
+  std::unique_ptr<Waves> waves;
   PlanBatchMeasure batch;
 };
 
@@ -152,8 +210,11 @@ ParallelHarness MakeHybridHarness(int workers) {
   spec.sim_config = HybridSimConfig();
   spec.warmup_iterations = 2;
   spec.measured_iterations = 2;
-  h.batch = MakeParallelPlanMeasure(std::move(spec),
-                                    SearchConcurrency{h.pool.get(), 0}, h.arenas.get());
+  h.waves = std::make_unique<Waves>();
+  h.batch = RecordWaves(MakeParallelPlanMeasure(std::move(spec),
+                                                SearchConcurrency{h.pool.get(), 0},
+                                                h.arenas.get()),
+                        HybridTargets(), h.waves.get());
   return h;
 }
 
@@ -214,6 +275,7 @@ TEST(ParallelSearchTest, PerVariableBitIdenticalAtEveryWorkerCount) {
       EXPECT_GT(parallel.batch.max_batch_size, 0);
       EXPECT_GE(parallel.batch.speculative_waste, 0);
       EXPECT_LE(parallel.batch.speculative_waste, parallel.batch.batched_evaluations);
+      ExpectWavesCostBounded(*h.waves);
     } else {
       EXPECT_EQ(parallel.batch.batches, 0);
     }
@@ -243,7 +305,7 @@ TEST(ParallelSearchTest, WarmStartDriftedSubsetBitIdentical) {
       SearchPartitionPlan(measure, warm_targets, warm_options);
   ASSERT_TRUE(serial.warm_started);
 
-  for (int workers : {2, 4}) {
+  for (int workers : {2, 4, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ParallelHarness h = MakeHybridHarness(workers);
     SimulationArena replay_arena;
@@ -255,6 +317,7 @@ TEST(ParallelSearchTest, WarmStartDriftedSubsetBitIdentical) {
     PartitionPlanSearchResult parallel =
         SearchPartitionPlan(replay_measure, h.batch, warm_targets, batched_options);
     ExpectResultsBitIdentical(parallel, serial);
+    ExpectWavesCostBounded(*h.waves);
   }
 }
 
@@ -267,7 +330,7 @@ TEST(ParallelSearchTest, UniformSearchBitIdentical) {
   const PartitionSearchOptions options = HybridOptions();
   const PartitionSearchResult serial = SearchPartitions(measure, options);
 
-  for (int workers : {2, 4}) {
+  for (int workers : {2, 4, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ParallelHarness h = MakeHybridHarness(workers);
     SimulationArena replay_arena;
@@ -294,7 +357,41 @@ TEST(ParallelSearchTest, UniformSearchBitIdentical) {
     EXPECT_EQ(parallel.batch.speculative_waste,
               parallel.batch.batched_evaluations -
                   static_cast<int>(serial.samples.size()));
+    ExpectWavesCostBounded(*h.waves);
   }
+}
+
+// The planner service's uniform sweep on a two-lane pool (the lm-pooled tenants'
+// misses): from P = 4 on a landscape rising in P, the serial sweep samples 4, 8, 2, 1.
+// Each wave pairs the requested rung with the next rung that costs no more, so the
+// sweep runs two waves, {4,2} and {8,1}, and uses every candidate. Taking the next
+// rungs whatever their cost would run {4,8}, {2,16} and {1,32}: six simulations, and
+// the two costliest never used.
+TEST(ParallelSearchTest, RisingSweepSpeculatesOnlyCheaperRungs) {
+  auto measure = [](int p) { return 1e-3 * (1.0 + 0.01 * p); };
+  PartitionSearchOptions options;
+  options.initial_partitions = 4;
+  options.min_partitions = 1;
+  const PartitionSearchResult serial = SearchPartitions(measure, options);
+
+  ThreadPool pool(2);
+  options.concurrency = {&pool, 0};
+  Waves waves;
+  UniformBatchMeasure batch = [&](const std::vector<int>& candidates) {
+    waves.push_back(candidates);
+    std::vector<double> seconds;
+    for (int p : candidates) {
+      seconds.push_back(measure(p));
+    }
+    return seconds;
+  };
+  const PartitionSearchResult parallel = SearchPartitions(measure, batch, options);
+
+  EXPECT_EQ(waves, (Waves{{4, 2}, {8, 1}}));
+  EXPECT_EQ(parallel.batch.batched_evaluations, 4);
+  EXPECT_EQ(parallel.batch.speculative_waste, 0);
+  EXPECT_EQ(parallel.samples, serial.samples);
+  EXPECT_EQ(parallel.best_partitions, serial.best_partitions);
 }
 
 // ---- Placement search on a racked topology (the 2-rack skewed-embedding demo) --------
@@ -391,8 +488,11 @@ TEST(ParallelSearchTest, PlacementSearchBitIdenticalOnRackedTopology) {
     spec.sim_config = TwoRackSimConfig();
     spec.warmup_iterations = 3;
     spec.measured_iterations = 3;
-    PlanBatchMeasure batch = MakeParallelPlanMeasure(
-        std::move(spec), SearchConcurrency{pool.get(), 0}, &arenas);
+    Waves waves;
+    PlanBatchMeasure batch = RecordWaves(
+        MakeParallelPlanMeasure(std::move(spec), SearchConcurrency{pool.get(), 0},
+                                &arenas),
+        TwoRackTargets(), &waves);
     ASSERT_TRUE(batch);
 
     SimulationArena replay_arena;
@@ -405,6 +505,13 @@ TEST(ParallelSearchTest, PlacementSearchBitIdenticalOnRackedTopology) {
         SearchPartitionPlan(replay_measure, batch, TwoRackTargets(), batched_options);
     ExpectResultsBitIdentical(parallel, serial);
     EXPECT_GT(parallel.batch.batches, 0);
+    ExpectWavesCostBounded(waves);
+    // Swap trials keep the incumbent's counts, so equal-cost trials share a wave.
+    EXPECT_TRUE(std::any_of(waves.begin(), waves.end(), [](const std::vector<int>& wave) {
+      return wave.size() > 1 &&
+             std::all_of(wave.begin(), wave.end(),
+                         [&](int pieces) { return pieces == wave.front(); });
+    }));
   }
 }
 
