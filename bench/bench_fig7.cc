@@ -118,7 +118,7 @@ void RunLm() {
   const int eval_every = 5;
 
   PsNumericConfig ps_config;
-  ps_config.sparse_partitions = 8;
+  ps_config.variable_partitions.assign(model.graph()->variables().size(), 8);
   PsNumericEngine ps(model.graph(), ps_config);
   EngineCurve ps_curve = TrainCurve(
       model, max_iters, eval_every, target, true, metric,
@@ -165,7 +165,9 @@ void RunNmt() {
   const int max_iters = 150;
   const int eval_every = 5;
 
-  PsNumericEngine ps(model.graph(), PsNumericConfig{.sparse_partitions = 8});
+  PsNumericConfig ps_config;
+  ps_config.variable_partitions.assign(model.graph()->variables().size(), 8);
+  PsNumericEngine ps(model.graph(), ps_config);
   EngineCurve ps_curve = TrainCurve(
       model, max_iters, eval_every, target, false, metric,
       [&] { return ps.CurrentValues(); },

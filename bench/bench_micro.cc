@@ -1000,7 +1000,7 @@ void PsApplyStepBench(benchmark::State& state, bool observed) {
     per_rank.push_back(executor.RunStep(store, feeds, model.loss()));
   }
   PsNumericConfig config;
-  config.sparse_partitions = 8;
+  config.variable_partitions.assign(model.graph()->variables().size(), 8);
   config.local_aggregation = true;
   config.ranks_per_machine = 2;
   PsNumericEngine engine(model.graph(), config);

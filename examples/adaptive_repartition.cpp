@@ -6,7 +6,6 @@
 // time improves — all without touching the numerics.
 #include <cstdio>
 
-#include "src/base/strings.h"
 #include "src/core/api.h"
 #include "src/models/trainable.h"
 
@@ -56,8 +55,8 @@ int main() {
   for (int step = 0; step < 60; ++step) {
     float loss = runner->Step(model.TrainShards(runner->num_ranks(), data_rng, step));
     if ((step + 1) % 10 == 0) {
-      std::printf("step %3d  loss %.3f  P=%-3d simulated %.3f s%s\n", step + 1, loss,
-                  runner->chosen_sparse_partitions(), runner->simulated_seconds(),
+      std::printf("step %3d  loss %.3f  %-5s simulated %.3f s%s\n", step + 1, loss,
+                  runner->partition_plan().ToString().c_str(), runner->simulated_seconds(),
                   step + 1 == kDriftStep ? "   <- vocabulary opens up here" : "");
     }
   }
@@ -67,11 +66,12 @@ int main() {
   std::printf("\nadaptive repartitions: %d\n", runner->adaptive_repartitions());
   for (const AdaptationVerdict& verdict : monitor->trail()) {
     std::printf("  step %3lld: drift %.2f on variable %d (measured alpha %.4f), "
-                "P %d, best candidate P=%d (%.2f ms vs %.2f ms current)  [%s]\n",
+                "plan %s, best candidate %s (%.2f ms vs %.2f ms current)  [%s]\n",
                 static_cast<long long>(verdict.step), verdict.drift, verdict.variable,
-                verdict.measured_alpha, verdict.from_partitions, verdict.best_partitions,
-                verdict.best_seconds * 1e3, verdict.current_seconds * 1e3,
-                verdict.adopted ? StrFormat("adopted -> P=%d", verdict.to_partitions).c_str()
+                verdict.measured_alpha, verdict.from_plan.ToString().c_str(),
+                verdict.best_plan.ToString().c_str(), verdict.best_seconds * 1e3,
+                verdict.current_seconds * 1e3,
+                verdict.adopted ? ("adopted -> " + verdict.to_plan.ToString()).c_str()
                                 : "kept");
   }
   for (int v : monitor->tracked()) {

@@ -58,7 +58,7 @@ int main() {
   }
 
   // What Parallax decided for this graph:
-  std::printf("\nchosen sparse partition count: %d\n", runner->chosen_sparse_partitions());
+  std::printf("\nchosen partition plan: %s\n", runner->partition_plan().ToString().c_str());
   for (size_t v = 0; v < runner->assignment().size(); ++v) {
     const VariableSync& sync = runner->assignment()[v];
     std::printf("  %-12s -> %s%s\n", sync.spec.name.c_str(),

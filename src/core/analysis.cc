@@ -114,11 +114,4 @@ std::vector<VariableSync> AssignGraphVariables(
   return ApplyPlanToVariables(PlannerVariablesOf(graph, assignment), plan);
 }
 
-std::vector<VariableSync> AssignGraphVariables(
-    const Graph& graph, const std::unordered_map<int, VariableSparsity>& info,
-    const HybridOptions& options, int sparse_partitions) {
-  return AssignGraphVariables(graph, info, options,
-                              PartitionPlan::Uniform(std::max(sparse_partitions, 1)));
-}
-
 }  // namespace parallax

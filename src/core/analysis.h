@@ -75,12 +75,6 @@ std::vector<VariableSync> AssignGraphVariables(
     const Graph& graph, const std::unordered_map<int, VariableSparsity>& info,
     const HybridOptions& options, const PartitionPlan& plan);
 
-// Uniform-plan shim: every partitioner-scoped sparse variable gets `sparse_partitions`
-// pieces (row-capped). Exactly AssignGraphVariables(PartitionPlan::Uniform(p)).
-std::vector<VariableSync> AssignGraphVariables(
-    const Graph& graph, const std::unordered_map<int, VariableSparsity>& info,
-    const HybridOptions& options, int sparse_partitions);
-
 }  // namespace parallax
 
 #endif  // PARALLAX_SRC_CORE_ANALYSIS_H_

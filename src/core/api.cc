@@ -52,13 +52,6 @@ RunnerBuilder& RunnerBuilder::WithSearchConcurrency(ThreadPool* pool, int max_wo
   return *this;
 }
 
-RunnerBuilder& RunnerBuilder::WithManualPartitions(int partitions) {
-  config_.auto_partition = false;
-  config_.manual_partitions = partitions;
-  config_.manual_plan.reset();
-  return *this;
-}
-
 RunnerBuilder& RunnerBuilder::WithPartitionPlan(PartitionPlan plan) {
   config_.auto_partition = false;
   config_.manual_plan = std::move(plan);
@@ -157,9 +150,6 @@ StatusOr<std::unique_ptr<GraphRunner>> RunnerBuilder::Build() const {
           override.engine.c_str(),
           Join(SyncEngineRegistry::Global().Names(), ", ").c_str()));
     }
-  }
-  if (config_.manual_partitions < 1) {
-    return Status::InvalidArgument("manual partition count must be >= 1");
   }
   // PartitionPlan's own invariants guarantee every manual_plan count is >= 1.
   if (config_.search.coordinate_margin < 0.0 || config_.search.max_coordinate_rounds < 1) {

@@ -73,11 +73,9 @@ class RunnerBuilder {
   // (0 = every pool lane). The pool must outlive the runner; a null pool restores
   // the serial search.
   RunnerBuilder& WithSearchConcurrency(ThreadPool* pool, int max_workers = 0);
-  // Fixed partition count; disables the automatic search.
-  RunnerBuilder& WithManualPartitions(int partitions);
-  // Fixed per-variable layout; disables the automatic search. The plan's count for
-  // each partitioner-scoped PS variable is applied row-capped; variables the plan does
-  // not name get its default count. WithManualPartitions(p) is exactly
+  // Fixed layout; disables the automatic search. The plan's count for each
+  // partitioner-scoped PS variable is applied row-capped; variables the plan does not
+  // name get its default count. One P for every variable is
   // WithPartitionPlan(PartitionPlan::Uniform(p)).
   RunnerBuilder& WithPartitionPlan(PartitionPlan plan);
 

@@ -1,6 +1,7 @@
 #include "src/core/frameworks.h"
 
 #include "src/base/logging.h"
+#include "src/core/partition_plan.h"
 
 namespace parallax {
 
@@ -93,11 +94,8 @@ std::vector<VariableSync> AssignVariables(Framework framework, const ModelSpec& 
         }
         break;
     }
-    // A variable cannot be split into more pieces than rows.
-    int64_t rows = spec.num_elements / std::max<int64_t>(spec.row_elements, 1);
-    if (sync.partitions > 1 && rows < sync.partitions) {
-      sync.partitions = static_cast<int>(std::max<int64_t>(rows, 1));
-    }
+    sync.partitions = RowCappedPartitions(
+        sync.partitions, spec.num_elements / std::max<int64_t>(spec.row_elements, 1));
     assignment.push_back(std::move(sync));
   }
   return assignment;

@@ -33,9 +33,10 @@ enum class Framework {
 const char* FrameworkName(Framework framework);
 
 struct FrameworkOptions {
-  // Partition count applied to sparse variables synchronized through PS. The paper
-  // applies manual partitioning to the baselines too (section 6.2); Parallax's automatic
-  // search (core/partition_search.h) fills this in when auto_partition is used.
+  // Fixed partition count for every sparse variable synchronized through PS (row-
+  // capped). The paper gives its baselines a fixed count too (section 6.2); nothing
+  // fills it in, so a caller wanting Parallax's searched count passes the
+  // best_partitions of a SearchPartitions result (core/cost_model.h).
   int sparse_partitions = 1;
   // Sparse variables with alpha >= this are treated as dense under kParallax.
   double alpha_dense_threshold = 0.8;

@@ -4,21 +4,22 @@
 // on *that variable's* access pattern: a hot embedding whose workers hammer a few rows
 // wants few pieces (per-piece overhead dominates), while a near-dense table whose
 // aggregated gradient touches most rows wants many (accumulator serialization
-// dominates). One global `int sparse_partitions` cannot express that, so every layer
-// that decides, simulates, or applies a layout passes a PartitionPlan instead:
+// dominates). One global partition count cannot express that, so every layer that
+// decides, simulates, or applies a layout passes a PartitionPlan instead:
 //
 //   search  — SearchPartitionPlan (core/cost_model.h) produces one by per-variable
 //             coordinate descent over the simulated clock,
 //   assign  — AssignGraphVariables (core/analysis.h) stamps plan.For(name) onto each
 //             partitioner-scoped PS variable (row-capped),
 //   apply   — the PS-family engines re-split shards from the per-variable counts the
-//             SyncPlan carries, and GraphRunner::Repartition(plan) swaps layouts
-//             mid-training, re-preparing only what changed.
+//             SyncPlan carries (PsNumericConfigFor, ps/ps_numeric.h), and
+//             GraphRunner::Repartition(plan) swaps layouts mid-training, re-preparing
+//             only what changed.
 //
 // A plan is a default count plus per-variable overrides keyed by variable *name*
 // (names are the stable identity across Graph, SyncPlan, and the cost model's
-// VariableSpec). Uniform(p) — every variable at p — is the exact value the legacy
-// int-based entry points (GetRunner, Repartition(int), WithManualPartitions) shim to.
+// VariableSpec). It is the only way to set or read a layout; Uniform(p) gives every
+// variable p pieces (ParallaxConfig::manual_plan defaults to Uniform(1)).
 #ifndef PARALLAX_SRC_CORE_PARTITION_PLAN_H_
 #define PARALLAX_SRC_CORE_PARTITION_PLAN_H_
 
@@ -44,8 +45,7 @@ class PartitionPlan {
  public:
   PartitionPlan() = default;
 
-  // The uniform-P convenience constructor: every variable gets `partitions` pieces —
-  // exactly what the int-based APIs have always meant.
+  // The uniform-P convenience constructor: every variable gets `partitions` pieces.
   static PartitionPlan Uniform(int partitions);
 
   // Sets the partition count for one variable (by name). Overrides win over the
@@ -76,13 +76,13 @@ class PartitionPlan {
   // Per-variable placements, ordered by name (deterministic iteration).
   const std::map<std::string, std::vector<int>>& placements() const { return placements_; }
 
-  // True when no variable deviates from the default — the plans the int shims build.
-  // A placed variable is a deviation: its shards no longer follow round-robin.
+  // True when no variable deviates from the default — the plans Uniform builds. A
+  // placed variable is a deviation: its shards no longer follow round-robin.
   bool uniform() const { return overrides_.empty() && placements_.empty(); }
 
-  // Largest count the plan assigns to any variable (default included). This is the
-  // honest single-number summary of a heterogeneous plan — what the deprecated
-  // chosen_sparse_partitions() accessor reports.
+  // Largest count the plan assigns to any variable (default included) — the honest
+  // single-number summary of a heterogeneous plan, where the uniform adaptive re-search
+  // starts its sweep.
   int MaxPartitions() const;
 
   // "P=4" for uniform plans, "{emb:16, softmax:2; default P=1}" otherwise — the form

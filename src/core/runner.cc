@@ -83,11 +83,9 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
       }
     }
     if (index < 0) {
-      std::unique_ptr<SyncEngine> engine =
-          SyncEngineRegistry::Global().Create(plan_.engines[v], env);
-      PX_CHECK(engine != nullptr) << "unknown sync engine '" << plan_.engines[v] << "'";
       index = static_cast<int>(engines_.size());
-      engines_.push_back(std::move(engine));
+      engines_.push_back(
+          SyncEngineRegistry::Global().CreateChecked(plan_.engines[v], env).value());
     }
     // The hybrid rule already produced a method consistent with the default engines;
     // overridden variables adopt the override target's model.
@@ -109,9 +107,7 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   // 3. Partition search over the simulated training loop (section 3.2), uniform or
   //    per-variable, over the routed methods fixed above — only when some variable
   //    takes a partition count, since otherwise every candidate layout is the same.
-  partition_plan_ = config_.manual_plan.has_value()
-                        ? *config_.manual_plan
-                        : PartitionPlan::Uniform(std::max(config_.manual_partitions, 1));
+  partition_plan_ = config_.manual_plan;
   sim_arena_ = std::make_unique<SimulationArena>();
   if (config_.auto_partition && HasPartitionedVariable()) {
     PartitionSearchOptions options = SearchOptionsForCluster();
@@ -127,7 +123,6 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
 
   // 4. Stamp the chosen layout onto the plan and hand it to the engines.
   plan_.variables = VariablesWithPartitions(partition_plan_);
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   for (const std::unique_ptr<SyncEngine>& engine : engines_) {
     engine->Prepare(plan_);
   }
@@ -411,7 +406,6 @@ void GraphRunner::Repartition(const PartitionPlan& plan) {
     }
   }
   partition_plan_ = plan;
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   plan_.variables = std::move(next);
   for (size_t e = 0; e < engines_.size(); ++e) {
     if (engine_dirty[e]) {
@@ -419,11 +413,6 @@ void GraphRunner::Repartition(const PartitionPlan& plan) {
     }
   }
   RebuildTimingPlane();
-}
-
-void GraphRunner::Repartition(int sparse_partitions) {
-  PX_CHECK_GE(sparse_partitions, 1);
-  Repartition(PartitionPlan::Uniform(sparse_partitions));
 }
 
 Status GraphRunner::Rescale(const ResourceSpec& to) {
@@ -492,7 +481,6 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
 
   partition_plan_ = best_plan;
   plan_.variables = VariablesWithPartitions(partition_plan_);
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   // Every engine re-Prepares: the rank count changed for all of them. AR resizes its
   // replica set around the incumbent values; PS re-splits only the variables the
   // adopted plan actually moved. Both are value-preserving, which is what makes an
@@ -722,9 +710,7 @@ void GraphRunner::MaybeAdapt() {
       drift_variable >= 0 ? monitor_->measured_alpha(drift_variable) : 0.0;
   verdict.from_plan = partition_plan_;
   verdict.best_plan = best_plan;
-  verdict.from_partitions = partition_plan_.MaxPartitions();
   verdict.current_seconds = current_seconds;
-  verdict.best_partitions = best_plan.MaxPartitions();
   verdict.best_seconds = best_seconds;
   verdict.migration_seconds = migration_seconds;
   verdict.amortized = amortized;
@@ -732,7 +718,6 @@ void GraphRunner::MaybeAdapt() {
                     best_seconds < current_seconds * (1.0 - policy.hysteresis) &&
                     amortized;
   verdict.to_plan = verdict.adopted ? best_plan : partition_plan_;
-  verdict.to_partitions = verdict.to_plan.MaxPartitions();
 
   if (verdict.adopted) {
     PX_LOG(Info) << "adaptive repartition at step " << iterations_ << ": "

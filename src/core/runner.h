@@ -109,12 +109,11 @@ struct ParallaxConfig {
   // Use local (per-machine) aggregation and machine-level pulls for PS variables.
   bool local_aggregation = true;
   double alpha_dense_threshold = 0.8;
-  // Automatic partition search for partitioner-scoped variables; when disabled, the
-  // manual layout is applied directly (manual_plan when set, else a uniform
-  // manual_partitions).
+  // Automatic partition search for partitioner-scoped variables; when disabled,
+  // manual_plan is applied directly (its default, Uniform(1), keeps every variable
+  // whole).
   bool auto_partition = true;
-  int manual_partitions = 1;
-  std::optional<PartitionPlan> manual_plan;
+  PartitionPlan manual_plan = PartitionPlan::Uniform(1);
   // Uniform (one shared P, the default) or per-variable (a PartitionPlan found by
   // coordinate descent) — applies to both the startup search and adaptive re-searches.
   PartitionSearchMode search_mode = PartitionSearchMode::kUniform;
@@ -174,8 +173,6 @@ class GraphRunner {
   // are re-Prepared (and the PS engine re-splits only those variables); the timing
   // plane and the distributed graph are rebuilt for the new layout.
   void Repartition(const PartitionPlan& plan);
-  // Uniform-plan shim: Repartition(PartitionPlan::Uniform(sparse_partitions)).
-  void Repartition(int sparse_partitions);
 
   // Elastic membership change (docs/elasticity.md): workers and servers join or leave
   // mid-training. Values are preserved bit-for-bit — PS shards re-split around the
@@ -210,14 +207,9 @@ class GraphRunner {
   // variable to it.
   SyncEngine* engine(const std::string& name) const;
   const DistributedGraph& distributed_graph() const;
-  // The partition layout in force. Uniform for the int-based entry points; per-variable
-  // once a PartitionPlan was searched, passed via WithPartitionPlan, or adopted by the
-  // adaptive loop.
+  // The partition layout in force: the manual plan or the startup search's result,
+  // until Repartition, the adaptive loop or Rescale adopts another.
   const PartitionPlan& partition_plan() const { return partition_plan_; }
-  // DEPRECATED single-number summary: the max partition count over the plan. Exact for
-  // uniform plans; a heterogeneous plan cannot be described by one int — read
-  // partition_plan() instead.
-  int chosen_sparse_partitions() const { return partition_plan_.MaxPartitions(); }
   // The uniform sweep of the startup search, in either mode (in per-variable mode the
   // one that seeded the descent). Unset when no search ran.
   const std::optional<PartitionSearchResult>& partition_search() const { return search_result_; }

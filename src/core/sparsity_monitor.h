@@ -84,18 +84,12 @@ struct AdaptationVerdict {
   double drift = 0.0;            // that variable's relative drift at the check
   double measured_alpha = 0.0;   // its drift-EWMA alpha at the check
   // The full layouts: incumbent, the re-search's best candidate (== from_plan when the
-  // search found nothing better), and the one in force after the verdict. These are
-  // the authoritative record — the int fields below are max-over-plan summaries kept
-  // for the legacy single-P trail and exact only for uniform plans.
+  // search found nothing better), and the one in force after the verdict (== from_plan
+  // when not adopted). best_plan is recorded adopted or not — how near-equal a vetoed
+  // alternative was is what the hysteresis tuning guide reads off the trail.
   PartitionPlan from_plan;
   PartitionPlan best_plan;
   PartitionPlan to_plan;
-  int from_partitions = 1;       // max over from_plan
-  int to_partitions = 1;         // max over the layout in force after the verdict
-                                 // (== from_partitions when not adopted)
-  int best_partitions = 1;       // max over the re-search's best candidate, adopted or
-                                 // not — how near-equal a vetoed alternative was is
-                                 // what the hysteresis tuning guide reads off the trail
   double current_seconds = 0.0;  // simulated iteration time at from_plan,
                                  // measured alphas
   double best_seconds = 0.0;     // simulated iteration time at the best candidate

@@ -74,12 +74,6 @@ std::vector<std::string> SyncEngineRegistry::Names() const {
   return names;
 }
 
-std::unique_ptr<SyncEngine> SyncEngineRegistry::Create(const std::string& name,
-                                                       const SyncEngineEnv& env) const {
-  StatusOr<std::unique_ptr<SyncEngine>> engine = CreateChecked(name, env);
-  return engine.ok() ? std::move(engine.value()) : nullptr;
-}
-
 StatusOr<std::unique_ptr<SyncEngine>> SyncEngineRegistry::CreateChecked(
     const std::string& name, const SyncEngineEnv& env) const {
   auto it = factories_.find(name);

@@ -104,11 +104,6 @@ struct SyncPlan {
   int num_ranks = 1;
   // Ranks per machine (local-aggregation grouping for PS-family engines).
   int ranks_per_machine = 1;
-  // Single-number summary of the partition layout: the max of variables[v].partitions
-  // the runner put in force (legacy field — engines consume the per-variable counts in
-  // `variables`, never this). A heterogeneous plan is NOT one number; this exists only
-  // so old introspection keeps reading something sensible.
-  int sparse_partitions = 1;
   bool local_aggregation = true;
   // Batch all of an engine's sparse variables through one fused workspace pass.
   bool fuse_sparse_variables = true;
@@ -247,11 +242,8 @@ class SyncEngineRegistry {
   // Registered names, ascending.
   std::vector<std::string> Names() const;
 
-  // Constructs and names an engine; nullptr for an unknown name (legacy shim over
-  // CreateChecked for callers that already validated the name).
-  std::unique_ptr<SyncEngine> Create(const std::string& name, const SyncEngineEnv& env) const;
-  // Constructs and names an engine; NotFound naming the unknown engine and listing the
-  // registered names — the error RunnerBuilder::Build surfaces for a bad WithEngine.
+  // Constructs and names an engine (the runner creates every engine here); NotFound
+  // naming the unknown engine and listing the registered names.
   StatusOr<std::unique_ptr<SyncEngine>> CreateChecked(const std::string& name,
                                                       const SyncEngineEnv& env) const;
 

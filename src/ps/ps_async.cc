@@ -28,15 +28,7 @@ AsyncPsEngine::AsyncPsEngine(const Graph* graph, PsNumericConfig config)
 void AsyncPsEngine::Prepare(const SyncPlan& plan) {
   // The inner engine must manage the variables routed to *this* engine's name, so the
   // plan is translated into an explicit config instead of forwarding Prepare.
-  PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
-  config.variable_partitions.reserve(plan.variables.size());
-  for (const VariableSync& sync : plan.variables) {
-    config.variable_partitions.push_back(sync.partitions);
-  }
-  config.managed_variables = plan.ManagedBy(name());
-  config.fuse_sparse_variables = plan.fuse_sparse_variables;
-  engine_.Reconfigure(ForAsync(std::move(config)));
+  engine_.Reconfigure(ForAsync(PsNumericConfigFor(plan, name())));
 }
 
 void AsyncPsEngine::ApplyStep(const std::vector<StepResult>& per_rank,

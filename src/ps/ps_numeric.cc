@@ -72,9 +72,8 @@ PsNumericEngine::PsNumericEngine(const Graph* graph, PsNumericConfig config)
   Reconfigure(std::move(config));
 }
 
-void PsNumericEngine::Prepare(const SyncPlan& plan) {
+PsNumericConfig PsNumericConfigFor(const SyncPlan& plan, const std::string& engine) {
   PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
   // The plan's layout is per variable: each entry already carries its own (row-capped)
   // partition count, which is what the shards are split from.
   config.variable_partitions.reserve(plan.variables.size());
@@ -87,13 +86,16 @@ void PsNumericEngine::Prepare(const SyncPlan& plan) {
   config.dense_aggregation = plan.dense_aggregation;
   config.sparse_aggregation = plan.sparse_aggregation;
   config.ranks_per_machine = plan.ranks_per_machine;
-  config.managed_variables = plan.ManagedBy(name());
+  config.managed_variables = plan.ManagedBy(engine);
   config.fuse_sparse_variables = plan.fuse_sparse_variables;
-  Reconfigure(std::move(config));
+  return config;
+}
+
+void PsNumericEngine::Prepare(const SyncPlan& plan) {
+  Reconfigure(PsNumericConfigFor(plan, name()));
 }
 
 void PsNumericEngine::Reconfigure(PsNumericConfig config) {
-  PX_CHECK_GE(config.sparse_partitions, 1);
   PX_CHECK_GE(config.ranks_per_machine, 1);
   if (!config.variable_partitions.empty()) {
     PX_CHECK_EQ(config.variable_partitions.size(), graph_->variables().size())
@@ -113,19 +115,13 @@ void PsNumericEngine::Reconfigure(PsNumericConfig config) {
   next.reserve(graph_->variables().size());
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
     const VariableDef& def = graph_->variables()[v];
-    // Only partitioner-scoped variables are split (Figure 3 line 9). On the plan path
-    // the count is per variable and row-capped (the same RowCappedPartitions gate the
-    // assigner and the simulator's layout use, so the engine always builds the layout
-    // that was timed). The legacy direct-config path keeps its historical
-    // all-or-nothing gate: a variable of fewer rows than the uniform count stays
-    // whole, as TF's fixed_size_partitioner would have refused to split it.
+    // Only partitioner-scoped variables are split (Figure 3 line 9), each by its own
+    // count through the same RowCappedPartitions gate the assigner and the simulator's
+    // layout use, so the engine always builds the layout that was timed.
     int partitions = 1;
-    if (def.partitioner_scope && def.shape.rank() >= 1) {
-      if (!config.variable_partitions.empty()) {
-        partitions = RowCappedPartitions(config.variable_partitions[v], def.shape.dim(0));
-      } else if (def.shape.dim(0) >= config.sparse_partitions) {
-        partitions = config.sparse_partitions;
-      }
+    if (def.partitioner_scope && def.shape.rank() >= 1 &&
+        !config.variable_partitions.empty()) {
+      partitions = RowCappedPartitions(config.variable_partitions[v], def.shape.dim(0));
     }
     if (!preserve) {
       next.emplace_back(def.initial_value, partitions);

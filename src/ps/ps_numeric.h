@@ -19,6 +19,7 @@
 #define PARALLAX_SRC_PS_PS_NUMERIC_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/comm/reduce.h"
@@ -31,12 +32,11 @@
 namespace parallax {
 
 struct PsNumericConfig {
-  // Uniform partition count applied to every partitioner-scoped variable (legacy
-  // direct-configuration path; ignored when variable_partitions is set).
-  int sparse_partitions = 1;
-  // Per-variable partition counts, parallel to Graph::variables() — what Prepare fills
-  // from the SyncPlan's per-variable layout. Empty = fall back to the uniform
-  // sparse_partitions above with its historical all-or-nothing row gate.
+  // Per-variable partition counts, parallel to Graph::variables(): each
+  // partitioner-scoped variable is split into RowCappedPartitions(count, rows) pieces
+  // (core/partition_plan.h). Empty = every variable stays whole. PsNumericConfigFor
+  // fills it from the SyncPlan; a directly configured engine that wants one P for every
+  // variable writes variable_partitions.assign(graph.variables().size(), P).
   std::vector<int> variable_partitions;
   // Per-variable shard placements, parallel to Graph::variables() when non-empty; an
   // empty inner vector means round-robin. The numeric runtime stores every shard in
@@ -59,6 +59,12 @@ struct PsNumericConfig {
   // MultiVariableSum). Off = one Sum pipeline per variable, kept for comparison.
   bool fuse_sparse_variables = true;
 };
+
+// The one translation from a SyncPlan to the config of the PS engine registered as
+// `engine`: the plan's per-variable counts and placements, its aggregation semantics,
+// and the variables it routes to that name. The Prepare of every PS-family engine
+// (ps, async_ps, topk_ps, int8_ps) builds its inner engine's config here.
+PsNumericConfig PsNumericConfigFor(const SyncPlan& plan, const std::string& engine);
 
 // One variable as the servers store it: whole (dense or unpartitioned) or row-partitioned.
 class PsVariable {

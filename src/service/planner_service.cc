@@ -220,7 +220,7 @@ PlannerService::PlannerService(PlannerServiceOptions options)
   }
 }
 
-PlannerService::ArenaLease PlannerService::AcquireArena() { return arenas_.Acquire(); }
+ArenaPool::Lease PlannerService::AcquireArena() { return arenas_.Acquire(); }
 
 void PlannerService::Canonicalize(PlannerQuery* query) const {
   PX_CHECK(query != nullptr);
@@ -259,7 +259,7 @@ CachedPlan PlannerService::Search(PlannerQuery query) {
   // occupies the pool, so the nested batch runs inline (thread_pool.h) — query-level
   // and candidate-level parallelism share the same lanes.
   query.options.concurrency = SearchConcurrency{pool_.get(), 0};
-  ArenaLease lease = AcquireArena();
+  ArenaPool::Lease lease = AcquireArena();
   const PartitionPlanSearchResult result = SearchPlan(query, lease.get(), &arenas_);
   CachedPlan cached;
   cached.plan = result.plan;

@@ -133,12 +133,6 @@ class PlannerService {
  public:
   explicit PlannerService(PlannerServiceOptions options = {});
 
-  // RAII checkout of a pooled SimulationArena (the extracted ArenaPool's lease; the
-  // historical nested-class spelling still works). The lease — and the service — must
-  // outlive any simulator constructed over the arena; destruction returns the arena
-  // to the pool.
-  using ArenaLease = ArenaPool::Lease;
-
   // Answers one planning query: canonicalize, consult the cache, coalesce with any
   // identical in-flight search, otherwise search on a leased arena and memoize.
   // Thread-safe; deterministic given the query (cache_hit/coalesced flags aside).
@@ -158,9 +152,11 @@ class PlannerService {
   // tests and tools can reason about key identity.
   PlanCacheKey KeyFor(const PlannerQuery& query) const;
 
-  // Contention-free arena checkout (grows the pool on demand; never blocks on a busy
-  // arena).
-  ArenaLease AcquireArena();
+  // Contention-free RAII checkout of a pooled SimulationArena (grows the pool on
+  // demand; never blocks on a busy arena). The lease — and the service — must outlive
+  // any simulator constructed over the arena; destruction returns the arena to the
+  // pool.
+  ArenaPool::Lease AcquireArena();
 
   PlannerServiceStats stats() const;
   const PlannerServiceOptions& options() const { return options_; }

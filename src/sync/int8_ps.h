@@ -2,7 +2,7 @@
 // quantization (docs/compression.md).
 //
 // Same wrapper shape as "topk_ps": Prepare translates the SyncPlan into the inner
-// PS numeric runtime's config, and ApplyStep hands it quantize-dequantized per-rank
+// PS numeric runtime's config (PsNumericConfigFor), and ApplyStep hands it quantize-dequantized per-rank
 // gradients — every managed gradient row (sparse slice rows AND dense rows) is
 // symmetrically quantized to int8 against its own max-abs scale and immediately
 // dequantized, so the values the accumulators sum are exactly the values an int8 wire

@@ -22,23 +22,8 @@ TopKPsEngine::TopKPsEngine(const Graph* graph, TopKPsConfig config)
 }
 
 void TopKPsEngine::Prepare(const SyncPlan& plan) {
-  // Same translation as the async wrapper: the inner engine must manage the variables
-  // routed to *this* engine's registry name.
-  PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
-  config.variable_partitions.reserve(plan.variables.size());
-  config.variable_placements.reserve(plan.variables.size());
-  for (const VariableSync& sync : plan.variables) {
-    config.variable_partitions.push_back(sync.partitions);
-    config.variable_placements.push_back(sync.placement);
-  }
-  config.local_aggregation = plan.local_aggregation;
-  config.dense_aggregation = plan.dense_aggregation;
-  config.sparse_aggregation = plan.sparse_aggregation;
-  config.ranks_per_machine = plan.ranks_per_machine;
-  config.managed_variables = plan.ManagedBy(name());
-  config.fuse_sparse_variables = plan.fuse_sparse_variables;
-
+  // The inner engine must manage the variables routed to *this* engine's registry name.
+  PsNumericConfig config = PsNumericConfigFor(plan, name());
   managed_.assign(graph_->variables().size(), 0);
   for (int v : config.managed_variables) {
     managed_[static_cast<size_t>(v)] = 1;

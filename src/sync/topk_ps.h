@@ -2,8 +2,8 @@
 // sparsification and optional error-feedback residual accumulation (docs/compression.md).
 //
 // The engine wraps the PS numeric runtime the way the async engine does: Prepare
-// translates the SyncPlan into an explicit PsNumericConfig for the variables routed
-// here, and ApplyStep hands the inner engine *compressed* per-rank gradients — each
+// translates the SyncPlan through PsNumericConfigFor for the variables routed here,
+// and ApplyStep hands the inner engine *compressed* per-rank gradients — each
 // rank's sparse gradient is folded into that rank's residual, the k highest-energy
 // rows are selected (k = ceil(ratio * incoming nnz), deterministic tie-break), sent,
 // and zeroed from the residual. With error_feedback on, unsent rows stay in the

@@ -170,7 +170,7 @@ struct AdaptiveRun {
   std::vector<float> losses;
   std::vector<AdaptationVerdict> trail;
   double simulated_seconds = 0.0;
-  int chosen_partitions = 0;
+  PartitionPlan plan;  // the layout in force at the end of the run
   int repartitions = 0;
   double measured_alpha_embedding = 0.0;
 };
@@ -195,7 +195,7 @@ AdaptiveRun TrainDriftingLm(uint64_t seed, int steps, int64_t drift_step,
     run.losses.push_back(runner.value()->Step(model.TrainShards(4, rng, step)));
   }
   run.simulated_seconds = runner.value()->simulated_seconds();
-  run.chosen_partitions = runner.value()->chosen_sparse_partitions();
+  run.plan = runner.value()->partition_plan();
   run.repartitions = runner.value()->adaptive_repartitions();
   if (const SparsityMonitor* monitor = runner.value()->sparsity_monitor()) {
     run.trail = monitor->trail();
@@ -238,14 +238,17 @@ TEST(AdaptiveRunnerTest, DriftTriggersRepartitionThatLowersSimulatedTime) {
   const AdaptationVerdict& verdict = adaptive.trail.front();
   EXPECT_TRUE(verdict.adopted);
   EXPECT_GT(verdict.step, kDriftStep);  // reacted to the drift, not the startup state
-  EXPECT_NE(verdict.to_partitions, verdict.from_partitions);
-  EXPECT_EQ(adaptive.chosen_partitions, verdict.to_partitions);
+  // Uniform mode: both layouts are one P, and the adopted one is a different P.
+  EXPECT_TRUE(verdict.from_plan.uniform()) << verdict.from_plan.ToString();
+  EXPECT_TRUE(verdict.to_plan.uniform()) << verdict.to_plan.ToString();
+  EXPECT_NE(verdict.to_plan, verdict.from_plan);
+  EXPECT_EQ(adaptive.plan, verdict.to_plan);
   // The hysteresis contract, on the simulated numbers the decision actually used.
   EXPECT_LT(verdict.best_seconds, verdict.current_seconds * (1.0 - 0.02));
   EXPECT_GT(verdict.drift, 0.3);
 
   EXPECT_EQ(pinned.repartitions, 0);
-  EXPECT_EQ(pinned.chosen_partitions, verdict.from_partitions);
+  EXPECT_EQ(pinned.plan, verdict.from_plan);
   // Both runs' timing planes track the measured alphas (the pinned run records the
   // same drift verdicts, it just never swaps the layout), so the clock comparison is
   // apples to apples — and the adaptive layout must win.
@@ -265,13 +268,14 @@ TEST(AdaptiveRunnerTest, TrajectoryIsDeterministic) {
   AdaptiveRun second = TrainDriftingLm(43, 32, 10, true, true);
   EXPECT_EQ(first.losses, second.losses);
   EXPECT_EQ(first.simulated_seconds, second.simulated_seconds);
-  EXPECT_EQ(first.chosen_partitions, second.chosen_partitions);
+  EXPECT_EQ(first.plan, second.plan);
   ASSERT_EQ(first.trail.size(), second.trail.size());
   for (size_t i = 0; i < first.trail.size(); ++i) {
     EXPECT_EQ(first.trail[i].step, second.trail[i].step);
     EXPECT_EQ(first.trail[i].variable, second.trail[i].variable);
-    EXPECT_EQ(first.trail[i].from_partitions, second.trail[i].from_partitions);
-    EXPECT_EQ(first.trail[i].to_partitions, second.trail[i].to_partitions);
+    EXPECT_EQ(first.trail[i].from_plan, second.trail[i].from_plan);
+    EXPECT_EQ(first.trail[i].best_plan, second.trail[i].best_plan);
+    EXPECT_EQ(first.trail[i].to_plan, second.trail[i].to_plan);
     EXPECT_EQ(first.trail[i].adopted, second.trail[i].adopted);
     EXPECT_EQ(first.trail[i].current_seconds, second.trail[i].current_seconds);
     EXPECT_EQ(first.trail[i].best_seconds, second.trail[i].best_seconds);
@@ -297,21 +301,21 @@ TEST(AdaptiveRunnerTest, HysteresisSuppressesFlappingUnderNoisyAlpha) {
                     .Build();
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   Rng rng(91);
-  const int initial_partitions = [&] {
+  const PartitionPlan initial_plan = [&] {
     runner.value()->Step(model.TrainShards(4, rng, 0));
-    return runner.value()->chosen_sparse_partitions();
+    return runner.value()->partition_plan();
   }();
   for (int step = 1; step < 30; ++step) {
     runner.value()->Step(model.TrainShards(4, rng, step));
   }
   EXPECT_EQ(runner.value()->adaptive_repartitions(), 0);
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), initial_partitions);
+  EXPECT_EQ(runner.value()->partition_plan(), initial_plan);
   const SparsityMonitor* monitor = runner.value()->sparsity_monitor();
   ASSERT_NE(monitor, nullptr);
   EXPECT_GE(monitor->trail().size(), 1u);  // drift was seen...
   for (const AdaptationVerdict& verdict : monitor->trail()) {
     EXPECT_FALSE(verdict.adopted);         // ...but never acted on
-    EXPECT_EQ(verdict.to_partitions, verdict.from_partitions);
+    EXPECT_EQ(verdict.to_plan, verdict.from_plan);
   }
 }
 
@@ -369,8 +373,6 @@ TEST(PerVariablePlanTest, SkewedModelAdoptsHeterogeneousPlanBeatingBestUniform) 
   EXPECT_LT(hot, wide) << "plan " << plan.ToString();   // heterogeneous, right shape
   EXPECT_LE(hot, 2) << "hot embedding wants (nearly) whole";
   EXPECT_GE(wide, 6) << "wide table wants many pieces";
-  // The deprecated single-number accessor reports the max over the plan.
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), plan.MaxPartitions());
   // The adopted counts flow into the SyncPlan (and so into every engine's shards).
   for (const VariableSync& sync : runner.value()->assignment()) {
     if (sync.spec.name == "hot_embedding") {

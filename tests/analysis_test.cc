@@ -94,7 +94,8 @@ TEST(AnalysisTest, AssignmentHonorsPartitionerScope) {
   }
   auto info = AnalyzeSparsity(*model.graph(), model.loss(), samples);
   std::vector<VariableSync> assignment =
-      AssignGraphVariables(*model.graph(), info, HybridOptions{}, 8);
+      AssignGraphVariables(*model.graph(), info, HybridOptions{},
+                           PartitionPlan::Uniform(8));
   const auto& vars = model.graph()->variables();
   for (size_t v = 0; v < vars.size(); ++v) {
     if (vars[v].partitioner_scope) {
@@ -126,7 +127,7 @@ TEST(AnalysisTest, PartitionCountClampedToRows) {
   std::vector<StepResult> samples = {executor.RunStep(store, feeds, loss)};
   auto info = AnalyzeSparsity(graph, loss, samples);
   std::vector<VariableSync> assignment =
-      AssignGraphVariables(graph, info, HybridOptions{}, 8);
+      AssignGraphVariables(graph, info, HybridOptions{}, PartitionPlan::Uniform(8));
   EXPECT_EQ(assignment[0].partitions, 5);
 }
 

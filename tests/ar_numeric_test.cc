@@ -46,7 +46,7 @@ TEST(ArNumericTest, MatchesPsEngineTrajectory) {
                            .batch_per_rank = 10, .seed = 202});
   ArNumericEngine ar(model.graph(), 4);
   PsNumericConfig ps_config;
-  ps_config.sparse_partitions = 4;
+  ps_config.variable_partitions.assign(model.graph()->variables().size(), 4);
   ps_config.local_aggregation = true;
   ps_config.ranks_per_machine = 2;
   PsNumericEngine ps(model.graph(), ps_config);

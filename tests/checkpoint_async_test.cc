@@ -198,7 +198,9 @@ TEST(CheckpointTest, FailedSaveLeavesPreviousCheckpointIntact) {
 TEST(AsyncPsTest, TrainingConvergesWithoutBarrier) {
   WordLmModel model({.vocab_size = 80, .embedding_dim = 6, .hidden_dim = 10,
                      .batch_per_rank = 16, .seed = 905});
-  AsyncPsEngine engine(model.graph(), PsNumericConfig{.sparse_partitions = 4});
+  PsNumericConfig config;
+  config.variable_partitions.assign(model.graph()->variables().size(), 4);
+  AsyncPsEngine engine(model.graph(), config);
   Executor executor(model.graph());
   Rng rng(95);
   float first_loss = 0.0f;

@@ -48,7 +48,7 @@ void ExpectTrajectoriesMatch(Model& model, float tolerance) {
 
   // Engines under test.
   PsNumericConfig ps_config;
-  ps_config.sparse_partitions = 4;
+  ps_config.variable_partitions.assign(graph.variables().size(), 4);
   ps_config.local_aggregation = true;
   ps_config.ranks_per_machine = 2;
   PsNumericEngine ps(model.graph(), ps_config);
@@ -115,7 +115,8 @@ TEST(EngineEquivalenceTest, MlpClassifierAllEnginesTrackReference) {
 // ArNumericEngine pair, cloned per-rank AR replicas, and overlaid PS pulls. This
 // reference replays the seed's exact step semantics (per-variable sparse aggregation,
 // no fusion) over any ps/ar managed split, so both the default hybrid assignment and
-// builder-forced mixed assignments can be compared bit-for-bit.
+// builder-forced mixed assignments can be compared bit-for-bit. Like the seed, it
+// splits every partitioner-scoped PS variable into one uniform count.
 class LegacyRunnerReference {
  public:
   LegacyRunnerReference(const Graph* graph, NodeId loss, int num_ranks,
@@ -123,7 +124,7 @@ class LegacyRunnerReference {
                         std::vector<int> ps_vars, std::vector<int> ar_vars, float lr)
       : graph_(graph), loss_(loss), executor_(graph), ps_vars_(std::move(ps_vars)), lr_(lr) {
     PsNumericConfig ps_config;
-    ps_config.sparse_partitions = sparse_partitions;
+    ps_config.variable_partitions.assign(graph->variables().size(), sparse_partitions);
     ps_config.local_aggregation = true;
     ps_config.ranks_per_machine = ranks_per_machine;
     ps_config.managed_variables = ps_vars_;
@@ -192,7 +193,8 @@ void ExpectBitIdenticalToLegacy(GraphRunner& runner, WordLmModel& model, int num
     (plan.engines[v] == "ps" ? ps_vars : ar_vars).push_back(static_cast<int>(v));
   }
   LegacyRunnerReference legacy(model.graph(), model.loss(), num_ranks, ranks_per_machine,
-                               runner.chosen_sparse_partitions(), ps_vars, ar_vars, lr);
+                               runner.partition_plan().MaxPartitions(), ps_vars, ar_vars,
+                               lr);
 
   for (int s = 0; s < steps; ++s) {
     float loss_new = s == 0 ? first_loss : runner.Step(shards[static_cast<size_t>(s)]);
@@ -231,7 +233,7 @@ TEST(EngineEquivalenceTest, MixedEngineAssignmentBitIdenticalToLegacyRunner) {
                     .WithEngine("softmax_emb", "ar")
                     .WithEngine("w1", "ps")
                     .WithLearningRate(kLr)
-                    .WithManualPartitions(5)  // partitioned shards in the PS engine
+                    .WithPartitionPlan(PartitionPlan::Uniform(5))  // split PS shards
                     .Build();
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   ExpectBitIdenticalToLegacy(*runner.value(), model, 4, 2, kLr, kSteps);
@@ -343,8 +345,8 @@ TEST(EngineEquivalenceTest, SparsityMonitoringNeverTouchesTheNumerics) {
 TEST(EngineEquivalenceTest, HeterogeneousPlanBitIdenticalToUniformRunRepartitionedOntoIt) {
   // A heterogeneous PartitionPlan is layout, never math: a run built on the plan from
   // step 0 must be bit-identical — losses and variable bits — to a run that starts
-  // uniform (every int-based entry point) and swaps to the same per-variable counts
-  // via Repartition(plan) mid-training.
+  // uniform and swaps to the same per-variable counts via Repartition(plan)
+  // mid-training.
   WordLmModel model({.vocab_size = 90, .embedding_dim = 6, .hidden_dim = 10,
                      .batch_per_rank = 12, .seed = 714});
   PartitionPlan plan;
@@ -357,7 +359,7 @@ TEST(EngineEquivalenceTest, HeterogeneousPlanBitIdenticalToUniformRunRepartition
     if (planned) {
       builder.WithPartitionPlan(plan);
     } else {
-      builder.WithManualPartitions(1);
+      builder.WithPartitionPlan(PartitionPlan::Uniform(1));
     }
     auto runner = builder.Build();
     EXPECT_TRUE(runner.ok()) << runner.status().ToString();
@@ -393,7 +395,7 @@ TEST(EngineEquivalenceTest, HeterogeneousPlanBitIdenticalToUniformRunRepartition
   // Both runners now hold the same per-variable layout, and the plan's counts reached
   // the SyncPlan entries (row caps would apply, but 90 rows > 7 pieces).
   for (const GraphRunner* runner : {planned.get(), uniform.get()}) {
-    EXPECT_EQ(runner->chosen_sparse_partitions(), 7);  // deprecated: max over plan
+    EXPECT_EQ(runner->partition_plan(), plan);
     for (const VariableSync& sync : runner->assignment()) {
       if (sync.spec.name == "embedding") {
         EXPECT_EQ(sync.partitions, 3);
@@ -420,43 +422,76 @@ TEST(EngineEquivalenceTest, IdentityCompressionEnginesBitIdenticalToPs) {
     ASSERT_TRUE(RegisterInt8PsEngine("int8_identity", {.identity = true}).ok());
   }
 
-  auto train = [](const std::string& engine, VariableStore* view) {
+  // Every PS-family engine translates the SyncPlan through the one PsNumericConfigFor,
+  // so the runs cover two layouts: the searched uniform one, and a per-variable plan
+  // with a placed table, swapped at step 2 for a uniform plan that places the other
+  // table instead.
+  PartitionPlan placed;
+  placed.Set("embedding", 3);
+  placed.Set("softmax_emb", 7);
+  placed.SetPlacement("embedding", {1, 0, 1});
+  PartitionPlan swapped = PartitionPlan::Uniform(2);
+  swapped.SetPlacement("softmax_emb", {1, 1});
+  auto placement_of = [](const GraphRunner& runner, const std::string& name) {
+    for (const VariableSync& sync : runner.assignment()) {
+      if (sync.spec.name == name) {
+        return sync.placement;
+      }
+    }
+    return std::vector<int>{-1};  // no such variable
+  };
+
+  auto train = [&](const std::string& engine, bool planned, VariableStore* view) {
     WordLmModel model({.vocab_size = 90, .embedding_dim = 6, .hidden_dim = 10,
                        .batch_per_rank = 12, .seed = 715});
-    auto runner = RunnerBuilder(model.graph(), model.loss())
-                      .WithResources("m0:0,1;m1:0,1")
-                      .WithLearningRate(kLr)
-                      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
-                      .WithEngine("*", engine)
-                      .Build();
+    RunnerBuilder builder(model.graph(), model.loss());
+    builder.WithResources("m0:0,1;m1:0,1")
+        .WithLearningRate(kLr)
+        .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+        .WithEngine("*", engine);
+    if (planned) {
+      builder.WithPartitionPlan(placed);
+    }
+    auto runner = builder.Build();
     EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+    GraphRunner& r = *runner.value();
     Rng rng(715);
     std::vector<float> losses;
     for (int s = 0; s < kSteps; ++s) {
-      losses.push_back(runner.value()->Step(model.TrainShards(kRanks, rng)));
+      if (planned && s == 2) {
+        EXPECT_EQ(placement_of(r, "embedding"), (std::vector<int>{1, 0, 1})) << engine;
+        EXPECT_TRUE(placement_of(r, "softmax_emb").empty()) << engine;
+        r.Repartition(swapped);
+        EXPECT_EQ(r.partition_plan(), swapped) << engine;
+        EXPECT_TRUE(placement_of(r, "embedding").empty()) << engine;
+        EXPECT_EQ(placement_of(r, "softmax_emb"), (std::vector<int>{1, 1})) << engine;
+      }
+      losses.push_back(r.Step(model.TrainShards(kRanks, rng)));
     }
-    *view = runner.value()->WorkerView();
+    *view = r.WorkerView();
     return losses;
   };
 
-  VariableStore ps_view;
-  std::vector<float> ps_losses = train("ps", &ps_view);
-  for (const char* engine : {"topk_identity", "int8_identity", "async_ps"}) {
-    // async_ps rides along as the registration-isolation control: its trajectory was
-    // never bit-equal to "ps", but it must still build and train after the new
-    // registrations (the satellite invariant is "registering engines changes nothing
-    // for anyone else").
-    VariableStore view;
-    std::vector<float> losses = train(engine, &view);
-    if (std::string(engine) == "async_ps") {
-      EXPECT_EQ(losses.size(), ps_losses.size());
-      continue;
-    }
-    EXPECT_EQ(losses, ps_losses) << engine;
-    for (size_t v = 0; v < view.size(); ++v) {
-      EXPECT_TRUE(AllClose(view.Get(static_cast<int>(v)),
-                           ps_view.Get(static_cast<int>(v)), 0.0f))
-          << engine << " variable " << v;
+  for (bool planned : {false, true}) {
+    const char* layout = planned ? "placed plan" : "searched layout";
+    VariableStore ps_view;
+    std::vector<float> ps_losses = train("ps", planned, &ps_view);
+    for (const char* engine : {"topk_identity", "int8_identity", "async_ps"}) {
+      // async_ps rides along as the registration-isolation control: its trajectory was
+      // never bit-equal to "ps", but it must still build and train after the new
+      // registrations (registering engines changes nothing for anyone else).
+      VariableStore view;
+      std::vector<float> losses = train(engine, planned, &view);
+      if (std::string(engine) == "async_ps") {
+        EXPECT_EQ(losses.size(), ps_losses.size()) << layout;
+        continue;
+      }
+      EXPECT_EQ(losses, ps_losses) << engine << " on the " << layout;
+      for (size_t v = 0; v < view.size(); ++v) {
+        EXPECT_TRUE(AllClose(view.Get(static_cast<int>(v)),
+                             ps_view.Get(static_cast<int>(v)), 0.0f))
+            << engine << " variable " << v << " on the " << layout;
+      }
     }
   }
 }

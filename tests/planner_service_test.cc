@@ -253,9 +253,9 @@ TEST(PlannerServiceTest, ArenaPoolGrowsOnDemandAndRetainsUpToCap) {
   options.max_pooled_arenas = 2;
   PlannerService service(options);
   {
-    PlannerService::ArenaLease a = service.AcquireArena();
-    PlannerService::ArenaLease b = service.AcquireArena();
-    PlannerService::ArenaLease c = service.AcquireArena();
+    ArenaPool::Lease a = service.AcquireArena();
+    ArenaPool::Lease b = service.AcquireArena();
+    ArenaPool::Lease c = service.AcquireArena();
     EXPECT_NE(a.get(), nullptr);
     EXPECT_NE(b.get(), nullptr);
     EXPECT_NE(c.get(), nullptr);
@@ -266,7 +266,7 @@ TEST(PlannerServiceTest, ArenaPoolGrowsOnDemandAndRetainsUpToCap) {
   EXPECT_EQ(service.stats().pooled_arenas, 2u);
   EXPECT_EQ(service.stats().total_arenas, 2u);
   // A pooled arena is reused, not reallocated.
-  PlannerService::ArenaLease reused = service.AcquireArena();
+  ArenaPool::Lease reused = service.AcquireArena();
   EXPECT_NE(reused.get(), nullptr);
   EXPECT_EQ(service.stats().total_arenas, 2u);
   EXPECT_EQ(service.stats().pooled_arenas, 1u);

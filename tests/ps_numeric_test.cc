@@ -48,7 +48,7 @@ TEST_P(PsConfigParamTest, MatchesSingleDeviceReference) {
   WordLmModel model({.vocab_size = 40, .embedding_dim = 6, .hidden_dim = 8,
                      .batch_per_rank = 12, .seed = 101});
   PsNumericConfig config;
-  config.sparse_partitions = partitions;
+  config.variable_partitions.assign(model.graph()->variables().size(), partitions);
   config.local_aggregation = local_agg;
   config.ranks_per_machine = 2;
   PsNumericEngine engine(model.graph(), config);
@@ -70,8 +70,10 @@ TEST_P(PsConfigParamTest, MatchesSingleDeviceReference) {
   }
 }
 
+// P = 64 exceeds the 40 rows of the model's partitioner-scoped tables: the request is
+// row-capped to one row per piece.
 INSTANTIATE_TEST_SUITE_P(Configs, PsConfigParamTest,
-                         ::testing::Combine(::testing::Values(1, 4, 8),
+                         ::testing::Combine(::testing::Values(1, 4, 8, 64),
                                             ::testing::Bool()));
 
 TEST(PsVariableTest, MaterializeEqualsInitial) {

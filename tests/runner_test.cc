@@ -71,7 +71,9 @@ TEST(RunnerTest, PartitionSearchRunsForPartitionerScopedVariables) {
   runner.Step(model.TrainShards(4, rng));
   ASSERT_TRUE(runner.partition_search().has_value());
   EXPECT_GE(runner.partition_search()->samples.size(), 2u);
-  EXPECT_GE(runner.chosen_sparse_partitions(), 1);
+  // Uniform mode adopts the sweep's best count for every variable.
+  EXPECT_EQ(runner.partition_plan(),
+            PartitionPlan::Uniform(runner.partition_search()->best_partitions));
 }
 
 TEST(RunnerTest, AllAllReduceRunnerSearchesNoLayout) {
@@ -101,11 +103,11 @@ TEST(RunnerTest, ManualPartitionsRespected) {
   WordLmModel model(SmallLm());
   ParallaxConfig config = FastConfig();
   config.auto_partition = false;
-  config.manual_partitions = 6;
+  config.manual_plan = PartitionPlan::Uniform(6);
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 2), config);
   Rng rng(64);
   runner.Step(model.TrainShards(4, rng));
-  EXPECT_EQ(runner.chosen_sparse_partitions(), 6);
+  EXPECT_EQ(runner.partition_plan(), PartitionPlan::Uniform(6));
   EXPECT_FALSE(runner.partition_search().has_value());
   for (const VariableSync& sync : runner.assignment()) {
     if (sync.method == SyncMethod::kPs && sync.spec.name == "embedding") {

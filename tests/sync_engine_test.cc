@@ -37,16 +37,6 @@ TEST(SyncEngineRegistryTest, BuiltinsAreRegistered) {
   EXPECT_FALSE(registry.Contains("nccl"));
 }
 
-TEST(SyncEngineRegistryTest, CreateNamesTheEngineAndRejectsUnknown) {
-  WordLmModel model(SmallLm(920));
-  SyncEngineEnv env{model.graph(), 4};
-  std::unique_ptr<SyncEngine> engine = SyncEngineRegistry::Global().Create("ps", env);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "ps");
-  EXPECT_EQ(engine->CostMethod(GradKind::kSparse), SyncMethod::kPs);
-  EXPECT_EQ(SyncEngineRegistry::Global().Create("does_not_exist", env), nullptr);
-}
-
 TEST(SyncEngineRegistryTest, CreateCheckedNamesTheUnknownEngineAndTheAlternatives) {
   // The checked factory turns a typo into an actionable Status: NotFound, carrying the
   // offending name and the registered alternatives, instead of a bare nullptr.
@@ -74,9 +64,9 @@ TEST(SyncEngineRegistryTest, DuplicateRegistrationIsRejectedWithTheOffendingName
   // The original registration is untouched.
   WordLmModel model(SmallLm(932));
   SyncEngineEnv env{model.graph(), 2};
-  auto engine = SyncEngineRegistry::Global().Create("ps", env);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->CostMethod(GradKind::kSparse), SyncMethod::kPs);
+  auto engine = SyncEngineRegistry::Global().CreateChecked("ps", env);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->CostMethod(GradKind::kSparse), SyncMethod::kPs);
 }
 
 TEST(SyncEngineRegistryTest, RejectsEmptyNameAndNullFactory) {
@@ -200,7 +190,7 @@ TEST(AsyncEngineTest, StepDiffersFromSynchronousPsTrajectory) {
 
 TEST(RepartitionTest, RePrepareSwapsPartitionsAndPreservesValues) {
   WordLmModel model(SmallLm(925));
-  auto runner = SmallBuilder(model).WithManualPartitions(2).Build();
+  auto runner = SmallBuilder(model).WithPartitionPlan(PartitionPlan::Uniform(2)).Build();
   ASSERT_TRUE(runner.ok());
   Rng rng(95);
   for (int i = 0; i < 3; ++i) {
@@ -208,9 +198,9 @@ TEST(RepartitionTest, RePrepareSwapsPartitionsAndPreservesValues) {
   }
   VariableStore before = runner.value()->WorkerView();
 
-  runner.value()->Repartition(5);
+  runner.value()->Repartition(PartitionPlan::Uniform(5));
 
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), 5);
+  EXPECT_EQ(runner.value()->partition_plan(), PartitionPlan::Uniform(5));
   VariableStore after = runner.value()->WorkerView();
   for (size_t v = 0; v < model.graph()->variables().size(); ++v) {
     EXPECT_TRUE(AllClose(before.Get(static_cast<int>(v)), after.Get(static_cast<int>(v)),
@@ -234,14 +224,14 @@ TEST(RepartitionTest, TrainingTrajectoryUnchangedAcrossRepartition) {
     auto runner = RunnerBuilder(model.graph(), model.loss())
                       .WithResources("m0:0,1;m1:0,1")
                       .WithLearningRate(0.3f)
-                      .WithManualPartitions(2)
+                      .WithPartitionPlan(PartitionPlan::Uniform(2))
                       .Build();
     EXPECT_TRUE(runner.ok());
     Rng rng(96);
     std::vector<float> losses;
     for (int i = 0; i < 8; ++i) {
       if (repartition && i == 4) {
-        runner.value()->Repartition(7);
+        runner.value()->Repartition(PartitionPlan::Uniform(7));
       }
       losses.push_back(runner.value()->Step(model.TrainShards(4, rng)));
     }
@@ -256,7 +246,7 @@ TEST(RepartitionTest, PlacementRoundTripPreservesValuesAndStampsAssignment) {
   // variable bit-for-bit at each hop, and the placement must be visible in the
   // SyncPlan exactly while a plan carries it.
   WordLmModel model(SmallLm(929));
-  auto runner = SmallBuilder(model).WithManualPartitions(2).Build();
+  auto runner = SmallBuilder(model).WithPartitionPlan(PartitionPlan::Uniform(2)).Build();
   ASSERT_TRUE(runner.ok());
   Rng rng(98);
   for (int i = 0; i < 3; ++i) {
@@ -310,7 +300,7 @@ TEST(RepartitionTest, TrajectoryUnchangedAcrossPlacementRoundTrip) {
     auto runner = RunnerBuilder(model.graph(), model.loss())
                       .WithResources("m0:0,1;m1:0,1")
                       .WithLearningRate(0.3f)
-                      .WithManualPartitions(2)
+                      .WithPartitionPlan(PartitionPlan::Uniform(2))
                       .Build();
     EXPECT_TRUE(runner.ok());
     Rng rng(99);
@@ -345,8 +335,11 @@ TEST(SyncEngineInterfaceTest, PreparedEnginesExposeManagedViews) {
   plan.num_ranks = 2;
 
   SyncEngineEnv env{model.graph(), 2};
-  auto ps = SyncEngineRegistry::Global().Create("ps", env);
-  auto ar = SyncEngineRegistry::Global().Create("ar", env);
+  auto ps_or = SyncEngineRegistry::Global().CreateChecked("ps", env);
+  auto ar_or = SyncEngineRegistry::Global().CreateChecked("ar", env);
+  ASSERT_TRUE(ps_or.ok() && ar_or.ok());
+  std::unique_ptr<SyncEngine>& ps = ps_or.value();
+  std::unique_ptr<SyncEngine>& ar = ar_or.value();
   ps->Prepare(plan);
   ar->Prepare(plan);
   VariableStore ps_view = ps->View();
@@ -360,55 +353,6 @@ TEST(SyncEngineInterfaceTest, PreparedEnginesExposeManagedViews) {
     total += ps_view.Contains(key) + ar_view.Contains(key);
   }
   EXPECT_EQ(total, model.graph()->variables().size());
-}
-
-TEST(PartitionPlanShimTest, IntEntryPointsAreExactUniformPlanShims) {
-  // Every int-P entry point must produce literally the uniform plan: same layout, same
-  // introspection, bit-identical training. WithManualPartitions(p) vs
-  // WithPartitionPlan(Uniform(p)), then Repartition(int) vs Repartition(plan).
-  WordLmModel model(SmallLm(928));
-  auto build = [&](bool via_plan) {
-    RunnerBuilder builder(model.graph(), model.loss());
-    builder.WithResources("m0:0,1;m1:0,1").WithLearningRate(0.3f);
-    if (via_plan) {
-      builder.WithPartitionPlan(PartitionPlan::Uniform(5));
-    } else {
-      builder.WithManualPartitions(5);
-    }
-    auto runner = builder.Build();
-    EXPECT_TRUE(runner.ok()) << runner.status().ToString();
-    return std::move(runner.value());
-  };
-  std::unique_ptr<GraphRunner> via_int = build(false);
-  std::unique_ptr<GraphRunner> via_plan = build(true);
-
-  Rng rng(97);
-  std::vector<std::vector<FeedMap>> shards;
-  for (int s = 0; s < 4; ++s) {
-    shards.push_back(model.TrainShards(4, rng));
-  }
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(via_int->Step(shards[static_cast<size_t>(s)]),
-              via_plan->Step(shards[static_cast<size_t>(s)]));
-    if (s == 1) {
-      via_int->Repartition(3);
-      via_plan->Repartition(PartitionPlan::Uniform(3));
-    }
-  }
-  EXPECT_EQ(via_int->partition_plan(), via_plan->partition_plan());
-  EXPECT_TRUE(via_int->partition_plan().uniform());
-  EXPECT_EQ(via_int->partition_plan().default_partitions(), 3);
-  EXPECT_EQ(via_int->chosen_sparse_partitions(), 3);
-  ASSERT_EQ(via_int->assignment().size(), via_plan->assignment().size());
-  for (size_t v = 0; v < via_int->assignment().size(); ++v) {
-    EXPECT_EQ(via_int->assignment()[v].partitions, via_plan->assignment()[v].partitions);
-  }
-  VariableStore int_view = via_int->WorkerView();
-  VariableStore plan_view = via_plan->WorkerView();
-  for (size_t v = 0; v < model.graph()->variables().size(); ++v) {
-    EXPECT_TRUE(AllClose(int_view.Get(static_cast<int>(v)),
-                         plan_view.Get(static_cast<int>(v)), 0.0f));
-  }
 }
 
 }  // namespace

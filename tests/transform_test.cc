@@ -27,7 +27,8 @@ struct TransformFixture {
     }
     auto info = AnalyzeSparsity(*model.graph(), model.loss(), samples);
     std::vector<VariableSync> assignment =
-        AssignGraphVariables(*model.graph(), info, HybridOptions{}, 4);
+        AssignGraphVariables(*model.graph(), info, HybridOptions{},
+                             PartitionPlan::Uniform(4));
     dist = TransformGraph(*model.graph(), assignment, resources, local_agg);
   }
 };
@@ -145,7 +146,8 @@ TEST(TransformTest, ArOnlyGraphHasNoServerOps) {
   }
   auto info = AnalyzeSparsity(*model.graph(), model.loss(), samples);
   std::vector<VariableSync> assignment =
-      AssignGraphVariables(*model.graph(), info, HybridOptions{}, 4);
+      AssignGraphVariables(*model.graph(), info, HybridOptions{},
+                           PartitionPlan::Uniform(4));
   DistributedGraph dist =
       TransformGraph(*model.graph(), assignment, ResourceSpec::Homogeneous(2, 2), true);
   EXPECT_TRUE(dist.OpsWithRole(DistOpRole::kVariablePiece).empty());
