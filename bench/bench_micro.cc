@@ -1065,6 +1065,71 @@ void BM_ExecutorRunStepSkew(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorRunStepSkew);
 
+// ---- Runner step ----------------------------------------------------------------------
+
+// One warm GraphRunner::Step of a built session: the step-start view, the replicas'
+// compute (fanned out over PARALLAX_THREADS kernel-pool lanes), every engine's apply and
+// the simulated iteration. Cycles through 16 pre-generated batches.
+template <typename Model>
+void RunnerStepBench(benchmark::State& state, Model& model, RunnerBuilder& builder) {
+  auto built = builder.Build();
+  PX_CHECK(built.ok()) << built.status().ToString();
+  GraphRunner& runner = *built.value();
+  Rng rng(12);
+  std::vector<std::vector<FeedMap>> feeds;
+  for (int i = 0; i < 16; ++i) {
+    feeds.push_back(model.TrainShards(runner.num_ranks(), rng));
+  }
+  // The first step samples, searches and prepares; one pass over the batches warms
+  // every scratch and result.
+  for (const std::vector<FeedMap>& batch : feeds) {
+    runner.Step(batch);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runner.Step(feeds[next]));
+    next = (next + 1) % feeds.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["lanes"] = GlobalSparsePool().num_threads();
+}
+
+// pxbench's `lm` and `skew` sessions (pxbench/pxbench.cc): the same model options,
+// 4 machines x 2 GPUs, and skew's 2 racks, per-variable partition and placement search,
+// sync costs and compute profile.
+void BM_RunnerStep(benchmark::State& state, bool skew) {
+  if (!skew) {
+    WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                       .batch_per_rank = 32, .seed = 13});
+    RunnerBuilder builder(model.graph(), model.loss());
+    builder.WithResources(ResourceSpec::Homogeneous(4, 2)).WithLearningRate(0.5f);
+    RunnerStepBench(state, model, builder);
+    return;
+  }
+  EmbeddingSkewModel::Options options;
+  options.batch_per_rank = 64;
+  options.seed = 13;
+  EmbeddingSkewModel model(options);
+  ClusterSpec hardware = ClusterSpec::Paper();
+  hardware.topology.num_racks = 2;
+  SyncCostParams costs;
+  costs.sparse_agg_seconds_per_element = 400e-9;
+  costs.sparse_update_seconds_per_element = 20e-9;
+  costs.sparse_flush_seconds_per_element = 2e-9;
+  costs.worker_dispatch_seconds_per_piece = 150e-6;
+  RunnerBuilder builder(model.graph(), model.loss());
+  builder.WithResources(ResourceSpec::Homogeneous(4, 2))
+      .WithHardware(hardware)
+      .WithSearchMode(PartitionSearchMode::kPerVariable)
+      .WithPlacementSearch(true)
+      .WithSyncCosts(costs)
+      .WithCompute(1e-3, 4)
+      .WithLearningRate(0.1f);
+  RunnerStepBench(state, model, builder);
+}
+BENCHMARK_CAPTURE(BM_RunnerStep, lm, false);
+BENCHMARK_CAPTURE(BM_RunnerStep, skew, true);
+
 // ---- Elastic rescale ------------------------------------------------------------------
 
 // One grow + one shrink per iteration: shard migration cost estimation, stale-placement

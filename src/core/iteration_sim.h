@@ -100,7 +100,8 @@ struct SimulationArena {
 // lives on placement[p]; every other shard follows the historical round-robin, whose
 // counter advances for EVERY shard so placing one variable never shifts another's
 // assignment. This is the single shard-ownership rule — the iteration simulator builds
-// its DAG from it and the runner's migration estimate replays it.
+// its DAG from it, TransformGraph places its piece ops by it, and the runner's
+// migration estimate replays it.
 std::vector<int> ResolveShardServers(std::span<const VariableSync> variables,
                                      int num_machines);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/base/strings.h"
+#include "src/base/thread_pool.h"
 #include "src/service/planner_service.h"
 
 namespace parallax {
@@ -786,13 +787,23 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
     // Synchronous barrier: every replica computes on its shard against the step-start
     // view (shared across ranks — reads only, valid until the engines apply the step),
     // then every engine applies the batch to the variables the plan routes to it.
-    // step_results_[r] recycles rank r's gradient storage from the previous step.
+    // The replicas fan out over the kernel pool, one rank per task: each writes only
+    // its own scratch and step_results_[r] (which recycles its gradient storage from
+    // the previous step), and the loss is summed in rank order after the join, so the
+    // step is bit-identical at every lane count. With one lane ParallelFor runs the
+    // ranks in order on this thread, on one scratch. The engines' pooled kernels run
+    // after the join, so nothing nests.
     VariableStore view = ComposeView();
-    step_results_.resize(per_rank_feeds.size());
-    for (int r = 0; r < num_ranks(); ++r) {
-      executor_.RunStepInto(view, per_rank_feeds[static_cast<size_t>(r)], loss_,
-                            &exec_scratch_, &step_results_[static_cast<size_t>(r)]);
-      loss_sum += step_results_[static_cast<size_t>(r)].loss;
+    const size_t ranks = per_rank_feeds.size();
+    step_results_.resize(ranks);
+    rank_scratch_.resize(ranks > 0 ? ranks - 1 : 0);
+    step_view_ = &view;
+    step_feeds_ = &per_rank_feeds;
+    GlobalSparsePool().ParallelFor(num_ranks(), /*grain=*/1, replica_body_);
+    step_view_ = nullptr;
+    step_feeds_ = nullptr;
+    for (const StepResult& result : step_results_) {
+      loss_sum += result.loss;
     }
     for (const std::unique_ptr<SyncEngine>& engine : engines_) {
       engine->ApplyStep(step_results_, config_.learning_rate);
@@ -811,6 +822,19 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
                           << "' failed: " << status.ToString();
   }
   return loss_sum / static_cast<float>(num_ranks());
+}
+
+void GraphRunner::RunReplicas(int64_t begin, int64_t end) {
+  // A chunk's ranks run one after another on one lane, so they share the scratch of its
+  // first rank: at grain 1 every rank has its own, and a one-lane (inline) run keeps
+  // all ranks on exec_scratch_.
+  ExecScratch* scratch =
+      begin == 0 ? &exec_scratch_ : &rank_scratch_[static_cast<size_t>(begin) - 1];
+  for (int64_t r = begin; r < end; ++r) {
+    const size_t rank = static_cast<size_t>(r);
+    executor_.RunStepInto(*step_view_, (*step_feeds_)[rank], loss_, scratch,
+                          &step_results_[rank]);
+  }
 }
 
 Tensor GraphRunner::Evaluate(const FeedMap& feeds, NodeId fetch) {

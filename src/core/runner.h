@@ -12,9 +12,13 @@
 //      count onto the SyncPlan,
 //   4. transforms the graph (section 4.3) — the resulting DistributedGraph is inspectable,
 //   5. trains: each Step() executes every GPU replica's forward/backward on its shard of
-//      the batch (numerics are real), hands the per-rank results to every prepared
-//      SyncEngine, and advances the simulated clock by the iteration's task-graph
-//      makespan,
+//      the batch (numerics are real) — in a synchronous step the replicas run at once,
+//      one rank per task on the kernel pool (PARALLAX_THREADS lanes), each on its own
+//      ExecScratch against the shared step-start view (with one lane, in rank order on
+//      one scratch), with the loss summed in rank order after the join, so results are
+//      bit-identical at every lane count — hands
+//      the per-rank results to every prepared SyncEngine, and advances the simulated
+//      clock by the iteration's task-graph makespan,
 //   6. adapts (optional, WithAdaptivePartitioning): a SparsityMonitor folds the nnz
 //      each engine observed into per-variable measured alphas, and on drift the
 //      partition search re-runs against the measured workload, swapping the layout
@@ -43,6 +47,7 @@
 #ifndef PARALLAX_SRC_CORE_RUNNER_H_
 #define PARALLAX_SRC_CORE_RUNNER_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -161,6 +166,12 @@ class GraphRunner {
   GraphRunner(const Graph* graph, NodeId loss, const ResourceSpec& resources,
               ParallaxConfig config);
 
+  // Neither copyable nor movable: the replica fan-out's body captures `this`.
+  GraphRunner(const GraphRunner&) = delete;
+  GraphRunner& operator=(const GraphRunner&) = delete;
+  GraphRunner(GraphRunner&&) = delete;
+  GraphRunner& operator=(GraphRunner&&) = delete;
+
   // One synchronous data-parallel step; per_rank_feeds[r] is rank r's mini-batch shard.
   // Returns the mean loss across replicas.
   float Step(const std::vector<FeedMap>& per_rank_feeds);
@@ -243,6 +254,11 @@ class GraphRunner {
 
  private:
   void InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds);
+  // Replicas [begin, end) of the synchronous step in flight, one ParallelFor chunk:
+  // rank r runs against *step_view_ on (*step_feeds_)[r] into step_results_[r], on the
+  // scratch of rank `begin`. Writes nothing another chunk reads, so chunks may run on
+  // different lanes.
+  void RunReplicas(int64_t begin, int64_t end);
   // Union of every engine's View() — tensors may share engine buffers (valid until the
   // next ApplyStep/Prepare), which is exactly the lifetime the step path needs.
   VariableStore ComposeView() const;
@@ -308,13 +324,26 @@ class GraphRunner {
   ResourceSpec resources_;
   ParallaxConfig config_;
   Executor executor_;
-  // Gradient buffer plan: backward-pass scratch reused by every RunStep this runner
-  // issues (sampling and training).
+  // Gradient buffer plan: backward-pass scratch reused by the sampling passes, the
+  // sequential-arrival loop and the synchronous fan-out's chunk at rank 0 (every rank
+  // when the pool has one lane).
   ExecScratch exec_scratch_;
+  // Scratch of ranks 1..N-1 in the synchronous fan-out (a chunk starting at rank r > 0
+  // uses rank_scratch_[r - 1]); resized to num_ranks() - 1 every step, so a Rescale
+  // grows or shrinks it with the membership.
+  std::vector<ExecScratch> rank_scratch_;
   // Per-rank StepResults reused across training steps (RunStepInto recycles their map
   // nodes and gradient storage, so steady-state steps stay off the allocator). Engines
   // must not retain references into them past ApplyStep.
   std::vector<StepResult> step_results_;
+  // The synchronous step in flight, read by RunReplicas: set before the fan-out and
+  // cleared after the join.
+  const VariableStore* step_view_ = nullptr;
+  const std::vector<FeedMap>* step_feeds_ = nullptr;
+  // The fan-out's ParallelFor body, built once and capturing only `this`, so a step
+  // hands the pool a persistent callable instead of allocating one.
+  const std::function<void(int64_t, int64_t)> replica_body_ =
+      [this](int64_t begin, int64_t end) { RunReplicas(begin, end); };
 
   bool initialized_ = false;
   std::unordered_map<int, VariableSparsity> sparsity_;

@@ -1,6 +1,7 @@
 #include "src/core/transform.h"
 
 #include "src/base/strings.h"
+#include "src/core/iteration_sim.h"
 
 namespace parallax {
 
@@ -85,7 +86,11 @@ DistributedGraph TransformGraph(const Graph& graph,
   }
 
   bool any_ps_variable = false;
-  int server_rr = 0;  // round-robin placement of pieces across server machines
+  // Server machine of every PS piece, in variable order: a searched placement where the
+  // plan has one, round-robin otherwise — the ownership rule the simulator and the
+  // engines use.
+  const std::vector<int> servers = ResolveShardServers(assignment, dist.num_machines);
+  size_t next_server = 0;
   for (size_t v = 0; v < assignment.size(); ++v) {
     const VariableSync& sync = assignment[v];
     const std::string& var_name = graph.variables()[v].name;
@@ -119,7 +124,7 @@ DistributedGraph TransformGraph(const Graph& graph,
     for (int p = 0; p < sync.partitions; ++p) {
       Placement server;
       server.kind = DeviceKind::kServerCpu;
-      server.machine = server_rr++ % dist.num_machines;
+      server.machine = servers[next_server++];
 
       DistOp piece;
       piece.role = DistOpRole::kVariablePiece;

@@ -5,9 +5,11 @@
 //   AR rule      — model forward/backward ops are replicated once per GPU; each dense
 //                  variable gets a replica on every GPU and an AllReduce op per replica.
 //   PS rule      — each sparse variable is split into partitions; pieces and their update
-//                  ops are distributed across the per-machine server processes, with the
-//                  update and global-aggregation ops colocated with their piece; each
-//                  machine gets a local-aggregation op; each worker gets pull/stitch ops.
+//                  ops are distributed across the per-machine server processes (on the
+//                  machines ResolveShardServers gives: a searched placement, else
+//                  round-robin), with the update and global-aggregation ops colocated
+//                  with their piece; each machine gets a local-aggregation op; each
+//                  worker gets pull/stitch ops.
 //   Hybrid rule  — the union: per-variable routing by the hybrid assignment.
 //   Chief rule   — exactly one chief worker triggers updates; every other worker gets a
 //                  notification queue (section 5).

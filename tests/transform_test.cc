@@ -3,6 +3,7 @@
 #include <map>
 
 #include "src/base/rng.h"
+#include "src/core/iteration_sim.h"
 #include "src/core/transform.h"
 #include "src/models/trainable.h"
 
@@ -17,7 +18,8 @@ struct TransformFixture {
   ResourceSpec resources = ResourceSpec::Homogeneous(2, 3);
   DistributedGraph dist;
 
-  explicit TransformFixture(bool local_agg = true) {
+  explicit TransformFixture(bool local_agg = true,
+                            PartitionPlan plan = PartitionPlan::Uniform(4)) {
     Executor executor(model.graph());
     VariableStore store = VariableStore::InitFrom(*model.graph());
     Rng rng(41);
@@ -27,8 +29,7 @@ struct TransformFixture {
     }
     auto info = AnalyzeSparsity(*model.graph(), model.loss(), samples);
     std::vector<VariableSync> assignment =
-        AssignGraphVariables(*model.graph(), info, HybridOptions{},
-                             PartitionPlan::Uniform(4));
+        AssignGraphVariables(*model.graph(), info, HybridOptions{}, plan);
     dist = TransformGraph(*model.graph(), assignment, resources, local_agg);
   }
 };
@@ -77,6 +78,26 @@ TEST(TransformTest, UpdateAndGlobalAggColocatedWithPiece) {
     const DistOp* piece = fx.dist.FindPiece(agg->variable, agg->piece);
     ASSERT_NE(piece, nullptr);
     EXPECT_TRUE(agg->placement == piece->placement) << agg->name;
+  }
+}
+
+TEST(TransformTest, SearchedPlacementPutsPiecesAggAndUpdateOnTheirServer) {
+  // Both sparse variables at 4 pieces, every piece placed on machine 1: the
+  // distributed graph must report the shard ownership the simulator and the engines
+  // use (ResolveShardServers), not its own round-robin.
+  PartitionPlan plan = PartitionPlan::Uniform(4);
+  plan.SetPlacement("embedding", {1, 1, 1, 1});
+  plan.SetPlacement("softmax_emb", {1, 1, 1, 1});
+  TransformFixture fx(/*local_agg=*/true, plan);
+  EXPECT_EQ(ResolveShardServers(fx.dist.assignment, 2), std::vector<int>(8, 1));
+  for (DistOpRole role :
+       {DistOpRole::kVariablePiece, DistOpRole::kGlobalAgg, DistOpRole::kUpdate}) {
+    const std::vector<const DistOp*> ops = fx.dist.OpsWithRole(role);
+    EXPECT_EQ(ops.size(), 8u) << DistOpRoleName(role);
+    for (const DistOp* op : ops) {
+      EXPECT_EQ(op->placement.kind, DeviceKind::kServerCpu) << op->name;
+      EXPECT_EQ(op->placement.machine, 1) << op->name;
+    }
   }
 }
 
