@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose costs the calibration
-// constants model: sparse gradient coalescing (naive map reference vs fused sort-based
-// path, cold vs workspace-reuse), fused multi-slice Sum, scatter updates, partition
-// split/stitch, the dense matmuls of the executor (seed loops vs register strips), the
-// cost-model fit, ring-schedule construction, and task-graph execution throughput.
+// constants model: sparse gradient coalescing and multi-slice sums (naive map reference
+// vs the fused MultiVariableSum pass, cold vs workspace-reuse), scatter updates,
+// partition stitch, the dense matmuls of the executor (seed loops vs register strips),
+// the cost-model fit, ring-schedule construction, and task-graph execution throughput.
 #include <benchmark/benchmark.h>
 
 #include "src/base/rng.h"
@@ -45,10 +45,12 @@ void BM_SparseCoalesceNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseCoalesceNaive)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
+// The fused pass over one group of one input: a coalesce.
 void BM_SparseCoalesce(benchmark::State& state) {
   IndexedSlices slices = MakeSlices(100'000, 64, state.range(0), 1);
+  const std::vector<SparseSumGroup> groups = {{{&slices}}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slices.Coalesced());
+    benchmark::DoNotOptimize(MultiVariableSum(groups));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 64);
 }
@@ -56,9 +58,10 @@ BENCHMARK(BM_SparseCoalesce)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
 void BM_SparseCoalesceReuse(benchmark::State& state) {
   IndexedSlices slices = MakeSlices(100'000, 64, state.range(0), 1);
+  const std::vector<SparseSumGroup> groups = {{{&slices}}};
   SparseWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slices.Coalesced(&ws));
+    benchmark::DoNotOptimize(MultiVariableSum(groups, &ws));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 64);
 }
@@ -78,15 +81,20 @@ void BM_SparseSumNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSumNaive)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
+// The fused pass over one group of the same 8 inputs.
 void BM_SparseSumFused(benchmark::State& state) {
   std::vector<IndexedSlices> slices;
   for (int k = 0; k < 8; ++k) {
     slices.push_back(
         MakeSlices(100'000, 64, state.range(0), static_cast<uint64_t>(10 + k)));
   }
+  std::vector<SparseSumGroup> groups(1);
+  for (const IndexedSlices& s : slices) {
+    groups.front().inputs.push_back(&s);
+  }
   SparseWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(IndexedSlices::Sum(slices, &ws));
+    benchmark::DoNotOptimize(MultiVariableSum(groups, &ws));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 8 * 64);
 }
@@ -107,7 +115,7 @@ BENCHMARK(BM_ScatterSgdUpdate)->Arg(1'000)->Arg(10'000);
 void BM_ScatterSgdUpdateSorted(benchmark::State& state) {
   Rng rng(2);
   Tensor params = RandomNormal(TensorShape({100'000, 64}), rng);
-  IndexedSlices grad = MakeSlices(100'000, 64, state.range(0), 3).Coalesced();
+  IndexedSlices grad = NaiveCoalesce(MakeSlices(100'000, 64, state.range(0), 3));
   SparseWorkspace ws;
   for (auto _ : state) {
     ScatterSgdUpdate(params, grad, 0.01f, &ws);
@@ -115,25 +123,6 @@ void BM_ScatterSgdUpdateSorted(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * grad.nnz_rows() * 64);
 }
 BENCHMARK(BM_ScatterSgdUpdateSorted)->Arg(10'000)->Arg(50'000);
-
-void BM_SplitSlicesByPartition(benchmark::State& state) {
-  IndexedSlices slices = MakeSlices(100'000, 64, 20'000, 4);
-  RowPartition partition(100'000, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SplitSlicesByPartition(slices, partition));
-  }
-}
-BENCHMARK(BM_SplitSlicesByPartition)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_SplitSlicesByPartitionReuse(benchmark::State& state) {
-  IndexedSlices slices = MakeSlices(100'000, 64, 20'000, 4);
-  RowPartition partition(100'000, static_cast<int>(state.range(0)));
-  SparseWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SplitSlicesByPartition(slices, partition, &ws));
-  }
-}
-BENCHMARK(BM_SplitSlicesByPartitionReuse)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_StitchPartitions(benchmark::State& state) {
   Rng rng(5);
@@ -850,12 +839,11 @@ BENCHMARK(BM_CostModelFit);
 
 // ---- Multi-variable fused aggregation (the SyncEngine step path) ---------------------
 //
-// A training step's sparse synchronization: V variables x R ranks of IndexedSlices.
-// Per-variable = one Sum pipeline per variable (the pre-SyncEngine engine step);
-// fused = all variables through one MultiVariableSum workspace pass, as the PS engine
-// now runs it. Args are {per-rank nnz per variable, V, variable rows}: the first regime
-// is a few large embeddings (the LM/NMT shape), the second many small embedding tables
-// (the recommendation-model shape, where per-variable pipeline overhead dominates).
+// A training step's sparse synchronization: V variables x R ranks of IndexedSlices,
+// all through one MultiVariableSumStream workspace pass, as the PS engine runs it. Args
+// are {per-rank nnz per variable, V, variable rows}: the first regime is a few large
+// embeddings (the LM/NMT shape), the second many small embedding tables (the
+// recommendation-model shape).
 
 constexpr int kMultiRanks = 8;
 
@@ -870,31 +858,6 @@ std::vector<std::vector<IndexedSlices>> MakeMultiVarGrads(int64_t nnz, int64_t v
   }
   return per_var;
 }
-
-// The full per-variable step path: aggregate (Sum), scale, and scatter-apply into the
-// parameter tensor — what the pre-SyncEngine PS engine ran once per variable.
-void BM_MultiVarAggApplyPerVariable(benchmark::State& state) {
-  auto per_var = MakeMultiVarGrads(state.range(0), state.range(1), state.range(2));
-  std::vector<Tensor> params;
-  for (int64_t v = 0; v < state.range(1); ++v) {
-    params.push_back(Tensor::Zeros(TensorShape({state.range(2), 64})));
-  }
-  SparseWorkspace ws;
-  for (auto _ : state) {
-    for (size_t v = 0; v < per_var.size(); ++v) {
-      IndexedSlices aggregated = IndexedSlices::Sum(per_var[v], &ws);
-      aggregated.Scale(1.0f / static_cast<float>(kMultiRanks));
-      ScatterSgdUpdate(params[v], aggregated, 0.1f, &ws);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1) *
-                          kMultiRanks * 64);
-}
-BENCHMARK(BM_MultiVarAggApplyPerVariable)
-    ->Args({1'000, 6, 100'000})
-    ->Args({10'000, 6, 100'000})
-    ->Args({256, 64, 8'192})
-    ->Args({64, 256, 2'048});
 
 // The fused step path: every variable through one MultiVariableSumStream pass, each
 // coalesced row scaled and applied in place — no intermediate gradient tensors.

@@ -116,11 +116,6 @@ RunnerBuilder& RunnerBuilder::WithCompute(double gpu_compute_seconds, int comput
   return *this;
 }
 
-RunnerBuilder& RunnerBuilder::WithSparseFusion(bool fuse) {
-  config_.fuse_sparse_variables = fuse;
-  return *this;
-}
-
 RunnerBuilder& RunnerBuilder::WithConfig(ParallaxConfig config) {
   config_ = std::move(config);
   return *this;

@@ -115,7 +115,6 @@ class RunnerBuilder {
   // sits for a given workload.
   RunnerBuilder& WithSyncCosts(const SyncCostParams& costs);
   RunnerBuilder& WithCompute(double gpu_compute_seconds, int compute_chunks);
-  RunnerBuilder& WithSparseFusion(bool fuse);
 
   // Replaces every knob with `config` (engine overrides included) — the bridge the
   // GetRunner shim rides on. With* calls after this refine the replaced config.

@@ -1,5 +1,9 @@
 #include "src/core/resources.h"
 
+#include <algorithm>
+#include <charconv>
+#include <system_error>
+
 #include "src/base/strings.h"
 
 namespace parallax {
@@ -92,10 +96,25 @@ StatusOr<ResourceSpec> ParseResourceSpec(const std::string& text) {
           return Status::InvalidArgument("malformed GPU id: " + id_text);
         }
       }
-      machine.gpu_ids.push_back(std::atoi(id_text.c_str()));
+      int id = 0;
+      const char* last = id_text.data() + id_text.size();
+      if (std::from_chars(id_text.data(), last, id).ec != std::errc()) {
+        return Status::InvalidArgument("GPU id out of range: " + id_text);
+      }
+      if (std::find(machine.gpu_ids.begin(), machine.gpu_ids.end(), id) !=
+          machine.gpu_ids.end()) {
+        return Status::InvalidArgument("GPU id " + id_text + " repeated on " +
+                                       machine.hostname);
+      }
+      machine.gpu_ids.push_back(id);
     }
     if (machine.gpu_ids.empty()) {
       return Status::InvalidArgument("machine with no GPUs: " + machine.hostname);
+    }
+    for (const MachineInfo& other : spec.machines) {
+      if (other.hostname == machine.hostname) {
+        return Status::InvalidArgument("machine listed twice: " + machine.hostname);
+      }
     }
     spec.machines.push_back(std::move(machine));
   }

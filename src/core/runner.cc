@@ -58,7 +58,6 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   plan_.num_ranks = num_ranks();
   plan_.ranks_per_machine = cluster_spec_.gpus_per_machine;
   plan_.local_aggregation = config_.local_aggregation;
-  plan_.fuse_sparse_variables = config_.fuse_sparse_variables;
   plan_.dense_aggregation = config_.dense_aggregation;
   plan_.sparse_aggregation = config_.sparse_aggregation;
   for (size_t v = 0; v < plan_.variables.size(); ++v) {

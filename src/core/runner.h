@@ -139,9 +139,6 @@ struct ParallaxConfig {
   // Hardware parameters (bandwidths, cores); machine/GPU counts come from ResourceSpec.
   ClusterSpec hardware = ClusterSpec::Paper();
   SyncCostParams costs;
-  // Batch all sparse variables of a step through one fused workspace pass (PS-family
-  // engines); off = per-variable aggregation, kept for benchmarking/verification.
-  bool fuse_sparse_variables = true;
   // Per-variable engine routing (normally filled by RunnerBuilder::WithEngine).
   std::vector<EngineOverride> engine_overrides;
   // Adaptive re-partitioning from measured sparsity drift (normally filled by

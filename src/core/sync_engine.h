@@ -105,8 +105,6 @@ struct SyncPlan {
   // Ranks per machine (local-aggregation grouping for PS-family engines).
   int ranks_per_machine = 1;
   bool local_aggregation = true;
-  // Batch all of an engine's sparse variables through one fused workspace pass.
-  bool fuse_sparse_variables = true;
   AggregationMethod dense_aggregation = AggregationMethod::kAverage;
   AggregationMethod sparse_aggregation = AggregationMethod::kAverage;
 

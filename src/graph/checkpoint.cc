@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "src/base/strings.h"
 
@@ -135,6 +136,7 @@ StatusOr<VariableStore> LoadCheckpoint(const Graph& graph, const std::string& pa
                   static_cast<unsigned long long>(count), graph.variables().size()));
   }
   VariableStore store;
+  std::vector<bool> seen(graph.variables().size(), false);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t index = 0;
     uint64_t rank = 0;
@@ -164,6 +166,13 @@ StatusOr<VariableStore> LoadCheckpoint(const Graph& graph, const std::string& pa
       return Status::FailedPrecondition("checkpoint shape mismatch for variable " +
                                         std::to_string(index));
     }
+    // The count matches the graph, so a repeated record means another variable has no
+    // value — a store that restores would silently keep that variable's live value.
+    if (seen[static_cast<size_t>(index)]) {
+      return Status::InvalidArgument("checkpoint names variable " + std::to_string(index) +
+                                     " twice: " + path);
+    }
+    seen[static_cast<size_t>(index)] = true;
     Tensor value = Tensor::Zeros(shape);
     auto data = value.mutable_floats();
     if (std::fread(data.data(), sizeof(float), data.size(), file.get()) != data.size()) {

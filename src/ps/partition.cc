@@ -1,10 +1,7 @@
 #include "src/ps/partition.h"
 
-#include <algorithm>
-
 #include "src/base/logging.h"
 #include "src/base/math.h"
-#include "src/tensor/sparse_workspace.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
@@ -36,59 +33,6 @@ int RowPartition::PartitionOfRow(int64_t row) const {
     return static_cast<int>(row / (base_rows_ + 1));
   }
   return static_cast<int>(remainder_ + (row - large_span) / base_rows_);
-}
-
-std::vector<IndexedSlices> SplitSlicesByPartition(const IndexedSlices& slices,
-                                                  const RowPartition& partition,
-                                                  SparseWorkspace* workspace) {
-  const int p_count = partition.num_partitions();
-  const int64_t n = slices.nnz_rows();
-  const int64_t row = slices.row_elements();
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  const std::vector<int64_t>& indices = slices.indices();
-  auto& piece_of = ws.small_ints(n);
-  auto& counts = ws.zeroed_counts(p_count);
-  for (int64_t i = 0; i < n; ++i) {
-    int p = partition.PartitionOfRow(indices[static_cast<size_t>(i)]);
-    piece_of[static_cast<size_t>(i)] = p;
-    ++counts[static_cast<size_t>(p)];
-  }
-
-  // Exact-size outputs, then direct placement via per-piece cursors.
-  std::vector<std::vector<int64_t>> piece_indices(static_cast<size_t>(p_count));
-  std::vector<Tensor> piece_values;
-  piece_values.reserve(static_cast<size_t>(p_count));
-  std::vector<float*> piece_dst(static_cast<size_t>(p_count));
-  std::vector<int64_t> piece_row_begin(static_cast<size_t>(p_count));
-  for (int p = 0; p < p_count; ++p) {
-    piece_indices[static_cast<size_t>(p)].resize(
-        static_cast<size_t>(counts[static_cast<size_t>(p)]));
-    piece_values.push_back(
-        Tensor::Zeros(slices.values().shape().WithDim0(counts[static_cast<size_t>(p)])));
-    piece_dst[static_cast<size_t>(p)] = piece_values.back().mutable_floats().data();
-    piece_row_begin[static_cast<size_t>(p)] = partition.RowBegin(p);
-  }
-  const float* values = slices.values().floats().data();
-  auto& cursors = ws.zeroed_cursors(p_count);
-  for (int64_t i = 0; i < n; ++i) {
-    int p = piece_of[static_cast<size_t>(i)];
-    int64_t slot = cursors[static_cast<size_t>(p)]++;
-    piece_indices[static_cast<size_t>(p)][static_cast<size_t>(slot)] =
-        indices[static_cast<size_t>(i)] - piece_row_begin[static_cast<size_t>(p)];
-    std::copy_n(values + i * row, row, piece_dst[static_cast<size_t>(p)] + slot * row);
-  }
-
-  std::vector<IndexedSlices> pieces;
-  pieces.reserve(static_cast<size_t>(p_count));
-  for (int p = 0; p < p_count; ++p) {
-    TensorShape piece_shape = slices.dense_shape().WithDim0(partition.RowsIn(p));
-    pieces.emplace_back(std::move(piece_indices[static_cast<size_t>(p)]),
-                        std::move(piece_values[static_cast<size_t>(p)]),
-                        std::move(piece_shape));
-  }
-  return pieces;
 }
 
 std::vector<Tensor> SplitRowsByPartition(const Tensor& value, const RowPartition& partition) {

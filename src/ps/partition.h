@@ -2,20 +2,18 @@
 // which is what Parallax's partitioner() scope tunes (paper sections 3.2, 4.1).
 //
 // A variable with R rows split P ways gives the first R % P pieces ceil(R/P) rows and the
-// rest floor(R/P). Sparse gradients are routed to pieces by row id and re-indexed into
-// piece-local coordinates; pulls are reassembled ("stitched") by the inverse mapping.
+// rest floor(R/P). The PS engine routes each aggregated sparse row to its piece by row id
+// (PartitionOfRow) at the piece-local row (row - RowBegin); pulls are reassembled
+// ("stitched") by the inverse mapping.
 #ifndef PARALLAX_SRC_PS_PARTITION_H_
 #define PARALLAX_SRC_PS_PARTITION_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "src/tensor/indexed_slices.h"
 #include "src/tensor/tensor.h"
 
 namespace parallax {
-
-class SparseWorkspace;
 
 class RowPartition {
  public:
@@ -33,17 +31,6 @@ class RowPartition {
   int64_t base_rows_;   // floor(num_rows / num_partitions)
   int64_t remainder_;   // num_rows % num_partitions
 };
-
-// Splits a sparse gradient into per-piece gradients with piece-local row indices.
-// Pieces with no touched rows come back empty (nnz_rows == 0) but present. Rows keep
-// their input order within each piece.
-//
-// Two passes: count rows per piece (tagging each row with its piece), then place rows
-// directly at their final offsets — outputs are allocated exactly-sized up front, and
-// with a SparseWorkspace the tag/count scratch is reused across calls.
-std::vector<IndexedSlices> SplitSlicesByPartition(const IndexedSlices& slices,
-                                                  const RowPartition& partition,
-                                                  SparseWorkspace* workspace = nullptr);
 
 // Splits a dense tensor into per-piece row blocks.
 std::vector<Tensor> SplitRowsByPartition(const Tensor& value, const RowPartition& partition);

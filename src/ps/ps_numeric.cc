@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/core/partition_plan.h"
+#include "src/tensor/indexed_slices.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
@@ -33,22 +34,6 @@ void PsVariable::ApplyDenseSgd(const Tensor& grad, float learning_rate) {
   std::vector<Tensor> grad_pieces = SplitRowsByPartition(grad, *partition_);
   for (size_t p = 0; p < pieces_.size(); ++p) {
     AxpyInPlace(pieces_[p], -learning_rate, grad_pieces[p]);
-  }
-}
-
-void PsVariable::ApplySparseSgd(const IndexedSlices& grad, float learning_rate,
-                                SparseWorkspace* workspace) {
-  PX_CHECK(grad.dense_shape() == shape_);
-  if (!partition_) {
-    ScatterSgdUpdate(pieces_.front(), grad, learning_rate, workspace);
-    return;
-  }
-  std::vector<IndexedSlices> grad_pieces =
-      SplitSlicesByPartition(grad, *partition_, workspace);
-  for (size_t p = 0; p < pieces_.size(); ++p) {
-    if (grad_pieces[p].nnz_rows() > 0) {
-      ScatterSgdUpdate(pieces_[p], grad_pieces[p], learning_rate, workspace);
-    }
   }
 }
 
@@ -87,7 +72,6 @@ PsNumericConfig PsNumericConfigFor(const SyncPlan& plan, const std::string& engi
   config.sparse_aggregation = plan.sparse_aggregation;
   config.ranks_per_machine = plan.ranks_per_machine;
   config.managed_variables = plan.ManagedBy(engine);
-  config.fuse_sparse_variables = plan.fuse_sparse_variables;
   return config;
 }
 
@@ -170,7 +154,7 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
   PX_CHECK_EQ(num_ranks % ranks_per_machine, 0)
       << "ranks must fill machines evenly for local aggregation";
 
-  // Dense variables take the per-variable AllReduce-style path; sparse ones are
+  // Dense variables are aggregated one at a time, AllReduce-style; sparse ones are
   // collected and batched through the fused multi-variable aggregation below. Variables
   // are independent (aggregation never mixes them numerically), so the split changes
   // nothing about the values.
@@ -223,43 +207,9 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
     }
   }
 
-  if (config_.fuse_sparse_variables && sparse_vars.size() > 1) {
+  if (!sparse_vars.empty()) {
     ApplySparseFused(sparse_vars, per_rank, learning_rate, ranks_per_machine);
-  } else {
-    for (int v : sparse_vars) {
-      ApplySparsePerVariable(v, per_rank, learning_rate, ranks_per_machine);
-    }
   }
-}
-
-void PsNumericEngine::ApplySparsePerVariable(int variable_index,
-                                             const std::vector<StepResult>& per_rank,
-                                             float learning_rate, int ranks_per_machine) {
-  const int num_ranks = static_cast<int>(per_rank.size());
-  // Two-level aggregation: local (per machine) coalesced sums, then the global
-  // accumulator sums the machine contributions. Without local aggregation the
-  // accumulator sums the per-rank gradients directly.
-  std::vector<IndexedSlices> global_inputs;
-  for (int base = 0; base < num_ranks; base += ranks_per_machine) {
-    std::vector<IndexedSlices> local;
-    local.reserve(static_cast<size_t>(ranks_per_machine));
-    for (int r = base; r < base + ranks_per_machine; ++r) {
-      local.push_back(per_rank[static_cast<size_t>(r)].grads.at(variable_index).sparse());
-    }
-    global_inputs.push_back(local.size() == 1 ? local.front()
-                                              : IndexedSlices::Sum(local, &workspace_));
-  }
-  IndexedSlices aggregated = IndexedSlices::Sum(global_inputs, &workspace_);
-  if (observer() != nullptr) {
-    // Sum's output is coalesced, so its nnz *is* the union row count — the same number
-    // the fused path reads off its segment table.
-    observer()->ObserveSparseStep(variable_index, aggregated.nnz_rows(), num_ranks);
-  }
-  if (config_.sparse_aggregation == AggregationMethod::kAverage) {
-    aggregated.Scale(1.0f / static_cast<float>(num_ranks));
-  }
-  variables_[static_cast<size_t>(variable_index)].ApplySparseSgd(aggregated, learning_rate,
-                                                                &workspace_);
 }
 
 void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
@@ -271,8 +221,8 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
 
   // Level 1 — local aggregation: every machine sums its ranks' gradients for ALL
   // variables in one fused pass. Skipped when each machine contributes one rank: the
-  // raw gradient *is* the machine's contribution (exactly the per-variable path's
-  // `local.size() == 1` shortcut), so the global level consumes the raw slices.
+  // raw gradient *is* the machine's contribution, so the global level consumes the raw
+  // slices (coalescing them first would regroup each row's float additions).
   std::vector<std::vector<IndexedSlices>> machine_bundles;
   std::vector<SparseSumGroup> groups(n_vars);
   if (ranks_per_machine > 1) {
@@ -293,8 +243,9 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
   // coalesced row, applies the aggregation scale, and writes the SGD update straight
   // into the owning shard row. No aggregated gradient tensor is ever materialized —
   // the element-wise operations (sum in a fresh zero buffer, *= scale, dst -= lr * v)
-  // are exactly those of Sum + Scale + SplitSlicesByPartition + ScatterSgdUpdate, so
-  // the result is bit-identical to the per-variable path.
+  // are exactly those of the seed's per-variable pipeline (sum, scale, split by
+  // partition, scatter update; tests/naive_reference.h keeps it as the oracle), so the
+  // result is bit-identical to it.
   for (size_t i = 0; i < n_vars; ++i) {
     groups[i].inputs.clear();
     for (int m = 0; m < num_machines; ++m) {
@@ -317,7 +268,8 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
     const int64_t width = variable.shape().row_elements();
     float* dst = variable.MutableRow(row);
     if (average) {
-      // (v * scale) then (lr * scaled) — the float sequence of Scale + ScatterSgdUpdate.
+      // (v * scale) then (lr * scaled) — the float sequence of a scale pass followed
+      // by a scatter update.
       for (int64_t j = 0; j < width; ++j) {
         dst[j] -= learning_rate * (values[j] * scale);
       }

@@ -13,8 +13,9 @@
 // PsNumericEngine implements the SyncEngine interface (core/sync_engine.h) and registers
 // as "ps": Prepare routes the plan's PS variables here, and a re-Prepare with a new
 // partition count re-splits the shards around the *current* values (elastic
-// re-partitioning). By default all sparse variables of a step are aggregated in one
-// fused MultiVariableSum pass per level instead of one sort pipeline per variable.
+// re-partitioning). Every sparse variable of a step is aggregated in one fused
+// MultiVariableSum pass per level, and the global level writes its SGD update straight
+// into the owning shard rows.
 #ifndef PARALLAX_SRC_PS_PS_NUMERIC_H_
 #define PARALLAX_SRC_PS_PS_NUMERIC_H_
 
@@ -54,10 +55,6 @@ struct PsNumericConfig {
   // Variable indices this engine owns; empty means all (the hybrid runner assigns only
   // the PS-routed subset here and the AR-routed subset to the AR engine).
   std::vector<int> managed_variables;
-  // Batch all sparse variables of a step through one fused workspace pass per
-  // aggregation level (bit-identical to the per-variable pipeline; see
-  // MultiVariableSum). Off = one Sum pipeline per variable, kept for comparison.
-  bool fuse_sparse_variables = true;
 };
 
 // The one translation from a SyncPlan to the config of the PS engine registered as
@@ -75,15 +72,11 @@ class PsVariable {
   Tensor Materialize() const;
 
   void ApplyDenseSgd(const Tensor& grad, float learning_rate);
-  // Splits the aggregated sparse gradient by partition and scatter-updates each piece —
-  // the per-piece update ops the transformation colocates with the shards. The caller's
-  // workspace (if any) backs the split/scatter scratch.
-  void ApplySparseSgd(const IndexedSlices& grad, float learning_rate,
-                      SparseWorkspace* workspace = nullptr);
 
-  // Storage row holding global row `row` (resolved through the partition). The fused
-  // aggregate-and-apply path updates shard rows in place through this; distinct rows
-  // may be written concurrently.
+  // Storage row holding global row `row`: the piece RowPartition::PartitionOfRow names,
+  // at the piece-local row. The sparse step routes every aggregated row to its shard
+  // through this and updates it in place — the per-piece update ops the transformation
+  // colocates with the shards; distinct rows may be written concurrently.
   float* MutableRow(int64_t row);
 
   const TensorShape& shape() const { return shape_; }
@@ -127,8 +120,6 @@ class PsNumericEngine : public SyncEngine {
 
  private:
   bool Manages(int variable_index) const;
-  void ApplySparsePerVariable(int variable_index, const std::vector<StepResult>& per_rank,
-                              float learning_rate, int ranks_per_machine);
   void ApplySparseFused(const std::vector<int>& variables,
                         const std::vector<StepResult>& per_rank, float learning_rate,
                         int ranks_per_machine);
@@ -136,9 +127,9 @@ class PsNumericEngine : public SyncEngine {
   const Graph* graph_;
   PsNumericConfig config_;
   std::vector<PsVariable> variables_;
-  // Scratch arena for the sparse aggregation pipeline (sort buffers, segment tables,
-  // split cursors); reused every ApplyStep so steady-state aggregation never allocates
-  // scratch. Not thread-safe: owned by the step path, like the engine's variables.
+  // Scratch arena for the fused sparse aggregation (sort buffers, segment table);
+  // reused every ApplyStep so steady-state aggregation never allocates scratch. Not
+  // thread-safe: owned by the step path, like the engine's variables.
   SparseWorkspace workspace_;
   // Per-group coalesced row counts from the fused pass, reported to the attached
   // SparseAccessObserver; sized only when an observer is present.

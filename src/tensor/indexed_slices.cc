@@ -6,41 +6,6 @@
 #include "src/tensor/sparse_workspace.h"
 
 namespace parallax {
-namespace {
-
-// Shared tail of Coalesced and Sum: after the caller filled sort_keys/row_ptrs for
-// `total_rows` source rows and ran SortByKey, builds the segment table and reduces each
-// sorted run of equal indices into one output row. values_shape supplies the row layout
-// for the output tensor ([*, row_elements...]).
-IndexedSlices ReduceSortedSegments(SparseWorkspace& ws, int64_t total_rows,
-                                   const TensorShape& values_shape,
-                                   const TensorShape& dense_shape) {
-  const int64_t row = dense_shape.row_elements();
-  const std::vector<int64_t>& seg = ws.BuildSegments(total_rows);
-  const int64_t num_out = static_cast<int64_t>(seg.size()) - 1;
-  std::vector<int64_t> out_indices(static_cast<size_t>(num_out));
-  Tensor out_values = Tensor::Zeros(values_shape.WithDim0(num_out));
-  auto out = out_values.mutable_floats();
-  const std::vector<int64_t>& sorted_keys = ws.sorted_keys();
-  const std::vector<int64_t>& pos = ws.sorted_pos();
-  const std::vector<const float*>& rows = ws.row_ptrs(total_rows);
-  ParallelOverSegments(ws, num_out, total_rows * row, [&](int64_t s_begin, int64_t s_end) {
-    for (int64_t s = s_begin; s < s_end; ++s) {
-      out_indices[static_cast<size_t>(s)] =
-          sorted_keys[static_cast<size_t>(seg[static_cast<size_t>(s)])];
-      float* dst = out.data() + s * row;
-      for (int64_t i = seg[static_cast<size_t>(s)]; i < seg[static_cast<size_t>(s) + 1]; ++i) {
-        const float* src = rows[static_cast<size_t>(pos[static_cast<size_t>(i)])];
-        for (int64_t j = 0; j < row; ++j) {
-          dst[j] += src[j];
-        }
-      }
-    }
-  });
-  return IndexedSlices(std::move(out_indices), std::move(out_values), dense_shape);
-}
-
-}  // namespace
 
 IndexedSlices::IndexedSlices(std::vector<int64_t> indices, Tensor values,
                              TensorShape dense_shape)
@@ -83,70 +48,13 @@ Tensor IndexedSlices::ToDense() const {
   return dense;
 }
 
-IndexedSlices IndexedSlices::Coalesced(SparseWorkspace* workspace) const {
-  const int64_t n = nnz_rows();
-  const int64_t row = row_elements();
-  if (n == 0) {
-    return IndexedSlices({}, Tensor::Zeros(values_.shape().WithDim0(0)), dense_shape_);
-  }
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  auto& keys = ws.sort_keys(n);
-  auto& rows = ws.row_ptrs(n);
-  std::copy(indices_.begin(), indices_.end(), keys.begin());
-  const float* in = values_.floats().data();
-  for (int64_t i = 0; i < n; ++i) {
-    rows[static_cast<size_t>(i)] = in + i * row;
-  }
-  ws.SortByKey(n, dense_shape_.dim(0) - 1);
-  return ReduceSortedSegments(ws, n, values_.shape(), dense_shape_);
-}
-
-IndexedSlices IndexedSlices::Sum(const std::vector<IndexedSlices>& slices,
-                                 SparseWorkspace* workspace) {
-  PX_CHECK(!slices.empty());
-  if (slices.size() == 1) {
-    return slices.front().Coalesced(workspace);
-  }
-  const TensorShape& dense_shape = slices.front().dense_shape();
-  const int64_t row = slices.front().row_elements();
-  int64_t total = 0;
-  for (const IndexedSlices& s : slices) {
-    PX_CHECK(s.dense_shape() == dense_shape);
-    total += s.nnz_rows();
-  }
-  if (total == 0) {
-    return IndexedSlices({}, Tensor::Zeros(slices.front().values().shape().WithDim0(0)),
-                         dense_shape);
-  }
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-
-  // Global key/row-pointer tables in (slice, row) lexicographic order — the same order
-  // Concat would materialize, so the stable sort reproduces its accumulation order.
-  auto& keys = ws.sort_keys(total);
-  auto& rows = ws.row_ptrs(total);
-  int64_t g = 0;
-  for (const IndexedSlices& s : slices) {
-    auto values = s.values().floats();
-    const std::vector<int64_t>& idx = s.indices();
-    for (int64_t i = 0; i < s.nnz_rows(); ++i, ++g) {
-      keys[static_cast<size_t>(g)] = idx[static_cast<size_t>(i)];
-      rows[static_cast<size_t>(g)] = values.data() + i * row;
-    }
-  }
-  ws.SortByKey(total, dense_shape.dim(0) - 1);
-  return ReduceSortedSegments(ws, total, slices.front().values().shape(), dense_shape);
-}
-
 namespace {
 
 // Shared front half of the fused multi-variable pipeline: one key / row-pointer fill
-// over all groups (group-major, (contributor, row) order — the order per-group Sum
-// enumerates), one independent stable subsort per group range (cache-sized, group-local
-// radix width), and one segment build that never merges across group boundaries.
-// Returns false when there are no pairs at all.
+// over all groups (group-major, (contributor, row) order — the order Concat would
+// materialize), one independent stable subsort per group range (cache-sized,
+// group-local radix width), and one segment build that never merges across group
+// boundaries. Returns false when there are no pairs at all.
 struct MultiSortLayout {
   std::vector<int64_t> pair_start;  // [groups + 1] pair range per group
   std::vector<int64_t> width;       // [groups] row elements per group

@@ -82,26 +82,6 @@ class IndexedSlices {
   // Expands to a dense tensor of dense_shape (duplicate indices accumulate).
   Tensor ToDense() const;
 
-  // Coalesces duplicate indices by summing their rows; output indices are sorted.
-  // This is the "gradient aggregation ... iterating through nonzero indices one by one"
-  // operation whose cost partitioning parallelizes (paper section 3.2).
-  //
-  // Implemented as a stable sort over the indices plus one segmented-reduction pass over
-  // contiguous row blocks; per-row accumulation order equals input order, so the result
-  // is bit-identical to the naive slot-map reference. Pass a SparseWorkspace to reuse
-  // sort/segment scratch across calls (steady-state allocation-free except the output).
-  IndexedSlices Coalesced(SparseWorkspace* workspace = nullptr) const;
-
-  // Sums a list of slices into one coalesced slices object. All inputs must share
-  // dense_shape. Used by accumulators (PS global aggregation) and local aggregation.
-  //
-  // Fused k-way: sorts (row index, source row) pairs drawn from all inputs and reduces
-  // straight out of the input value buffers — no intermediate Concat tensor. Pair order
-  // is (input slice, row) lexicographic, so accumulation per output row is bit-identical
-  // to Concat(slices).Coalesced().
-  static IndexedSlices Sum(const std::vector<IndexedSlices>& slices,
-                           SparseWorkspace* workspace = nullptr);
-
   // Concatenates (gathers) slices without coalescing — the AllGatherv aggregation
   // semantics: [grad(X1), ..., grad(XN)] (paper section 2.1).
   static IndexedSlices Concat(const std::vector<IndexedSlices>& slices);
@@ -130,25 +110,27 @@ class IndexedSlices {
 };
 
 // One variable's contributions inside a multi-variable fused sum. All inputs share a
-// dense_shape; contributor order defines the per-row accumulation order, exactly as in
-// IndexedSlices::Sum.
+// dense_shape; contributor order defines the per-row accumulation order.
 struct SparseSumGroup {
   std::vector<const IndexedSlices*> inputs;  // non-empty, non-null
 };
 
-// Fused multi-variable aggregation: sums every group's contributions through ONE shared
-// workspace pass — a single key/row-pointer fill, one segment build, and one
-// (potentially parallel) segmented reduction over all groups — instead of one full Sum
-// pipeline per variable. Each group's contiguous key range is stable-sorted
+// Fused multi-variable aggregation — the one sparse sum kernel: coalesces and sums
+// every group's contributions through ONE shared workspace pass — a single
+// key/row-pointer fill, one segment build, and one (potentially parallel) segmented
+// reduction over all groups. Each group's contiguous key range is stable-sorted
 // independently (SortRangeByKey), so every sort stays cache-sized and keeps the group's
 // own radix width; group ranges never mix, which is what composite keys would have
-// bought at the cost of wider sorts. This is the kernel behind batching all sparse
-// variables of a training step through a single SparseWorkspace pass.
+// bought at the cost of wider sorts. This is the "gradient aggregation ... iterating
+// through nonzero indices one by one" whose cost partitioning parallelizes (paper
+// section 3.2), for all sparse variables of a training step at once.
 //
-// result[g] is bit-identical to IndexedSlices::Sum over group g's inputs (and to
-// Coalesced for a single input): pairs are enumerated group-major in (contributor, row)
-// order and each subsort is stable, so each output row accumulates the same values in
-// the same order; segments never cross group boundaries (BuildSegmentsInRanges).
+// result[g] holds group g's distinct indices in ascending order, each row the sum of
+// that index's contributions in (contributor, row) order starting from +0 — bit-
+// identical to coalescing Concat(inputs) with the naive slot map: pairs are enumerated
+// group-major in (contributor, row) order and each subsort is stable, so each output
+// row accumulates the same values in the same order; segments never cross group
+// boundaries (BuildSegmentsInRanges). A group of one input is that input coalesced.
 std::vector<IndexedSlices> MultiVariableSum(const std::vector<SparseSumGroup>& groups,
                                             SparseWorkspace* workspace = nullptr);
 

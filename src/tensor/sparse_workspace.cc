@@ -21,12 +21,6 @@ constexpr int64_t kRadixBuckets = int64_t{1} << kRadixBits;
 
 }  // namespace
 
-void SparseWorkspace::SortByKey(int64_t n, int64_t max_key) {
-  PX_CHECK_LE(n, static_cast<int64_t>(sort_keys_.size()));
-  Resized(sort_pos_, n);
-  SortRangeByKey(0, n, max_key);
-}
-
 void SparseWorkspace::SortRangeByKey(int64_t begin, int64_t end, int64_t max_key) {
   PX_CHECK_GE(max_key, 0);
   PX_CHECK_GE(begin, 0);
@@ -117,18 +111,6 @@ void SparseWorkspace::SortRangeByKey(int64_t begin, int64_t end, int64_t max_key
   }
 }
 
-const std::vector<int64_t>& SparseWorkspace::BuildSegments(int64_t n) {
-  PX_CHECK_LE(n, static_cast<int64_t>(sort_keys_.size()));
-  segment_starts_.clear();
-  for (int64_t i = 0; i < n; ++i) {
-    if (i == 0 || sort_keys_[static_cast<size_t>(i)] != sort_keys_[static_cast<size_t>(i - 1)]) {
-      segment_starts_.push_back(i);
-    }
-  }
-  segment_starts_.push_back(n);
-  return segment_starts_;
-}
-
 const std::vector<int64_t>& SparseWorkspace::BuildSegmentsInRanges(
     const std::vector<int64_t>& range_starts) {
   PX_CHECK_GE(range_starts.size(), 2u);
@@ -153,18 +135,6 @@ const std::vector<int64_t>& SparseWorkspace::BuildSegmentsInRanges(
   return segment_starts_;
 }
 
-std::vector<int64_t>& SparseWorkspace::zeroed_counts(int64_t n) {
-  Resized(counts_, n);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  return counts_;
-}
-
-std::vector<int64_t>& SparseWorkspace::zeroed_cursors(int64_t n) {
-  Resized(cursors_, n);
-  std::fill(cursors_.begin(), cursors_.end(), 0);
-  return cursors_;
-}
-
 void SparseWorkspace::Release() {
   sort_keys_ = {};
   sort_pos_ = {};
@@ -172,10 +142,7 @@ void SparseWorkspace::Release() {
   alt_pos_ = {};
   segment_starts_ = {};
   histogram_ = {};
-  counts_ = {};
-  cursors_ = {};
   row_ptrs_ = {};
-  small_ints_ = {};
 }
 
 int64_t SparseWorkspace::RetainedBytes() const {
@@ -183,8 +150,7 @@ int64_t SparseWorkspace::RetainedBytes() const {
     return static_cast<int64_t>(v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type));
   };
   return bytes(sort_keys_) + bytes(sort_pos_) + bytes(alt_keys_) + bytes(alt_pos_) +
-         bytes(segment_starts_) + bytes(histogram_) + bytes(counts_) + bytes(cursors_) +
-         bytes(row_ptrs_) + bytes(small_ints_);
+         bytes(segment_starts_) + bytes(histogram_) + bytes(row_ptrs_);
 }
 
 void ParallelOverSegments(const SparseWorkspace& workspace, int64_t num_segments,

@@ -1,7 +1,7 @@
 // SparseWorkspace: a reusable scratch arena for the sparse aggregation pipeline.
 //
-// The sparse hot path — Coalesced / Sum / SplitSlicesByPartition / ScatterSgdUpdate —
-// runs once per variable per training iteration. Rebuilding its working state (sort
+// The sparse hot path — the fused MultiVariableSum / MultiVariableSumStream pass of the
+// PS engine's step — runs every training iteration. Rebuilding its working state (sort
 // buffers, permutations, histograms, segment tables) from the heap every call dominated
 // the kernels' cost in the seed implementation (a std::map node per distinct row).
 // Threading one SparseWorkspace through a training loop makes the steady state
@@ -35,53 +35,42 @@ class SparseWorkspace {
   ThreadPool& pool() const { return pool_ != nullptr ? *pool_ : GlobalSparsePool(); }
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // ---- Sort pipeline (used by Coalesced / Sum) -------------------------------------
+  // ---- Sort pipeline (used by MultiVariableSum / MultiVariableSumStream) ----------
   //
-  // Protocol: fill sort_keys(n) with the row indices, then call SortByKey(n, max_key).
-  // Afterwards sorted_keys() holds the keys in ascending order and sorted_pos()[i] is
-  // the original position of sorted element i; ties keep their input order (stable), so
-  // per-row float accumulation order matches the naive input-order reference exactly.
+  // Protocol: fill sort_keys(n) with the row indices of every range, call
+  // SortRangeByKey once per range, then BuildSegmentsInRanges over the range bounds.
+  // Afterwards each range of sorted_keys() holds its keys in ascending order and
+  // sorted_pos()[i] is the original position of sorted element i; ties keep their input
+  // order (stable), so per-row float accumulation order matches the naive input-order
+  // reference exactly.
 
   // Scratch key buffer, resized to n (contents unspecified).
   std::vector<int64_t>& sort_keys(int64_t n) { return Resized(sort_keys_, n); }
 
-  // Stable-sorts sort_keys()[0, n) ascending, producing the permutation in sorted_pos().
-  // Keys must lie in [0, max_key]. LSD radix sort for large n, comparison sort below
-  // the cutoff; both stable, both allocation-free once buffers are warm.
-  void SortByKey(int64_t n, int64_t max_key);
-
   // Stable-sorts the subrange sort_keys()[begin, end) in place (sorted_pos()[begin, end)
-  // holds the originating positions, which lie in [begin, end)). Lets one key buffer
-  // carry many independently-sorted ranges — the multi-variable fused aggregation sorts
-  // each variable's contiguous run separately, keeping every sort cache-sized and its
-  // radix width at the variable's own key range. The whole key buffer must be sized
-  // first (sort_keys(n)); ranges must not overlap.
+  // holds the originating positions, which lie in [begin, end)). Keys must lie in
+  // [0, max_key]. LSD radix sort for large ranges, comparison sort below the cutoff;
+  // both stable, both allocation-free once buffers are warm. One key buffer carries
+  // many independently-sorted ranges — the multi-variable fused aggregation sorts each
+  // variable's contiguous run separately, keeping every sort cache-sized and its radix
+  // width at the variable's own key range. The whole key buffer must be sized first
+  // (sort_keys(n)); ranges must not overlap.
   void SortRangeByKey(int64_t begin, int64_t end, int64_t max_key);
 
   const std::vector<int64_t>& sorted_keys() const { return sort_keys_; }
   const std::vector<int64_t>& sorted_pos() const { return sort_pos_; }
 
-  // Builds the segment table over sorted_keys()[0, n): segment_starts()[s] is the first
-  // position of segment s, with a final sentinel n. Returns the table; num segments is
-  // size() - 1. Requires SortByKey to have run for this n.
-  const std::vector<int64_t>& BuildSegments(int64_t n);
-
-  // Segment table over independently-sorted ranges: range_starts[i], range_starts[i+1])
-  // delimit the i-th sorted range (first entry 0, last entry n). Equal keys on opposite
-  // sides of a range boundary stay in separate segments — boundaries always start a new
-  // segment. Returns the table with the final sentinel n.
+  // Segment table over independently-sorted ranges: [range_starts[i], range_starts[i+1])
+  // delimit the i-th sorted range (first entry 0, last entry n). Entry s of the returned
+  // table is the first position of segment s, with a final sentinel n; num segments is
+  // size() - 1. Equal keys on opposite sides of a range boundary stay in separate
+  // segments — boundaries always start a new segment.
   const std::vector<int64_t>& BuildSegmentsInRanges(const std::vector<int64_t>& range_starts);
 
   // ---- General scratch -------------------------------------------------------------
 
   // Per-source row pointer table for fused multi-slice reduction.
   std::vector<const float*>& row_ptrs(int64_t n) { return Resized(row_ptrs_, n); }
-  // Small per-element tags (e.g. partition of each row).
-  std::vector<int32_t>& small_ints(int64_t n) { return Resized(small_ints_, n); }
-  // Counting buffer (histograms, per-partition counts), zero-filled.
-  std::vector<int64_t>& zeroed_counts(int64_t n);
-  // Cursor buffer (write offsets during placement), zero-filled.
-  std::vector<int64_t>& zeroed_cursors(int64_t n);
 
   // Frees all scratch capacity (the workspace stays usable).
   void Release();
@@ -104,10 +93,7 @@ class SparseWorkspace {
   std::vector<int64_t> alt_pos_;
   std::vector<int64_t> segment_starts_;
   std::vector<int64_t> histogram_;
-  std::vector<int64_t> counts_;
-  std::vector<int64_t> cursors_;
   std::vector<const float*> row_ptrs_;
-  std::vector<int32_t> small_ints_;
 };
 
 // Runs fn(segment_begin, segment_end) over [0, num_segments), in parallel when the

@@ -1,6 +1,6 @@
 // Dense and sparse compute kernels. These are the numeric workhorses behind the graph
-// executor, the collectives (element-wise reduction), and the parameter-server update
-// path (gather / scatter / coalesce).
+// executor, the collectives (element-wise reduction), and the sparse gather / scatter
+// updates. (Sparse coalescing and summation live in indexed_slices.h: MultiVariableSum.)
 //
 // All kernels are deterministic: reductions run in a fixed order so that distributed
 // engines can be compared bit-for-bit against the single-device reference.
@@ -64,11 +64,11 @@ Tensor GatherRows(const Tensor& params, std::span<const int64_t> indices);
 void ScatterAddInPlace(Tensor& params, const IndexedSlices& slices);
 // params[indices[i], :] -= lr * slices row i — the sparse SGD update.
 //
-// For large sorted-index gradients (what Coalesced/Sum produce) the update runs across
-// the workspace's thread pool, split at index boundaries so each destination row is
-// owned by exactly one lane; per-row accumulation order is input order either way, so
-// the result is bit-identical to the sequential loop for every pool size. Unsorted or
-// small gradients take the sequential path.
+// For large sorted-index gradients (coalesced ones, as MultiVariableSum produces) the
+// update runs across the workspace's thread pool, split at index boundaries so each
+// destination row is owned by exactly one lane; per-row accumulation order is input
+// order either way, so the result is bit-identical to the sequential loop for every
+// pool size. Unsorted or small gradients take the sequential path.
 void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate,
                       SparseWorkspace* workspace = nullptr);
 // Contiguous row slice [row_begin, row_end) of a rank>=1 tensor.

@@ -177,6 +177,35 @@ TEST(CheckpointTest, LoadRejectsUnsupportedVersion) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointTest, LoadRejectsDuplicateVariableRecord) {
+  // embedding_dim == hidden_dim gives the two tables one shape, so a file that names
+  // the embedding twice passes the count and every shape check. Loading it must fail:
+  // otherwise softmax_emb would get no value, and a restore would keep its live value
+  // while rewinding the step counter and clock.
+  WordLmModel model({.vocab_size = 40, .embedding_dim = 4, .hidden_dim = 4,
+                     .batch_per_rank = 8, .seed = 914});
+  const std::vector<VariableDef>& variables = model.graph()->variables();
+  ASSERT_TRUE(variables[0].shape == variables[1].shape);
+  std::vector<uint64_t> words = {kMagic, kVersion, /*step=*/0, /*seconds bits=*/0,
+                                 variables.size()};
+  for (size_t v = 0; v < variables.size(); ++v) {
+    const TensorShape& shape = variables[v].shape;
+    words.push_back(v == 1 ? 0 : v);  // the second record repeats index 0
+    words.push_back(static_cast<uint64_t>(shape.rank()));
+    for (int d = 0; d < shape.rank(); ++d) {
+      words.push_back(static_cast<uint64_t>(shape.dim(d)));
+    }
+    ASSERT_EQ(shape.num_elements() % 2, 0);  // zero floats, two per word
+    words.insert(words.end(), static_cast<size_t>(shape.num_elements() / 2), 0);
+  }
+  std::string path = TempPath("ckpt_duplicate.px");
+  WriteWords(path, words);
+  auto loaded = LoadCheckpoint(*model.graph(), path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, FailedSaveLeavesPreviousCheckpointIntact) {
   // The atomic-write property the recovery path relies on: when a save cannot
   // complete, the previous checkpoint at the target path survives untouched.

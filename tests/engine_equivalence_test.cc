@@ -6,12 +6,14 @@
 #include "src/ar/ar_numeric.h"
 #include "src/base/rng.h"
 #include "src/core/api.h"
+#include "src/core/partition_plan.h"
 #include "src/models/trainable.h"
 #include "src/ps/ps_numeric.h"
 #include "src/sync/int8_ps.h"
 #include "src/sync/topk_ps.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/drift_scenario.h"
+#include "tests/naive_reference.h"
 
 namespace parallax {
 namespace {
@@ -113,62 +115,73 @@ TEST(EngineEquivalenceTest, MlpClassifierAllEnginesTrackReference) {
 // The redesigned runner routes every step through SyncEngine::ApplyStep and composes
 // worker views from engine View()s; the seed runner hardwired a PsNumericEngine +
 // ArNumericEngine pair, cloned per-rank AR replicas, and overlaid PS pulls. This
-// reference replays the seed's exact step semantics (per-variable sparse aggregation,
-// no fusion) over any ps/ar managed split, so both the default hybrid assignment and
-// builder-forced mixed assignments can be compared bit-for-bit. Like the seed, it
-// splits every partitioner-scoped PS variable into one uniform count.
+// reference replays the seed's exact step semantics over any ps/ar managed split, so
+// both the default hybrid assignment and builder-forced mixed assignments can be
+// compared bit-for-bit. Its server side is the naive per-variable oracle
+// (NaivePsVariableStep in tests/naive_reference.h: sum per machine, sum across
+// machines, scale, split, scatter), so every comparison pins the runner's fused sparse
+// pass to the seed's per-variable pipeline. Like the seed, it splits every
+// partitioner-scoped PS variable into one uniform count.
 class LegacyRunnerReference {
  public:
   LegacyRunnerReference(const Graph* graph, NodeId loss, int num_ranks,
                         int ranks_per_machine, int sparse_partitions,
                         std::vector<int> ps_vars, std::vector<int> ar_vars, float lr)
-      : graph_(graph), loss_(loss), executor_(graph), ps_vars_(std::move(ps_vars)), lr_(lr) {
-    PsNumericConfig ps_config;
-    ps_config.variable_partitions.assign(graph->variables().size(), sparse_partitions);
-    ps_config.local_aggregation = true;
-    ps_config.ranks_per_machine = ranks_per_machine;
-    ps_config.managed_variables = ps_vars_;
-    ps_config.fuse_sparse_variables = false;  // the seed's per-variable pipeline
-    ps_ = std::make_unique<PsNumericEngine>(graph, ps_config);
+      : loss_(loss),
+        executor_(graph),
+        ps_vars_(std::move(ps_vars)),
+        ranks_per_machine_(ranks_per_machine),
+        lr_(lr),
+        ps_values_(VariableStore::InitFrom(*graph)) {
+    for (const VariableDef& def : graph->variables()) {
+      partitions_.push_back(def.partitioner_scope
+                                ? RowCappedPartitions(sparse_partitions, def.shape.dim(0))
+                                : 1);
+    }
     ArNumericConfig ar_config;
     ar_config.managed_variables = std::move(ar_vars);
     ar_ = std::make_unique<ArNumericEngine>(graph, num_ranks, ar_config);
   }
 
   float Step(const std::vector<FeedMap>& shards) {
-    VariableStore ps_values = ps_->CurrentValues();
     std::vector<StepResult> per_rank;
     float loss_sum = 0.0f;
     for (size_t r = 0; r < shards.size(); ++r) {
       VariableStore view = ar_->replica(static_cast<int>(r)).Clone();
       for (int v : ps_vars_) {
-        view.Set(v, ps_values.Get(v));
+        view.Set(v, ps_values_.Get(v).Clone());
       }
       StepResult result = executor_.RunStep(view, shards[r], loss_);
       loss_sum += result.loss;
       per_rank.push_back(std::move(result));
     }
-    ps_->ApplyStep(per_rank, lr_);
+    for (int v : ps_vars_) {
+      if (per_rank.front().grads.count(v) > 0) {
+        NaivePsVariableStep(ps_values_.GetMutable(v), partitions_[static_cast<size_t>(v)], v,
+                            per_rank, ranks_per_machine_, AggregationMethod::kAverage,
+                            AggregationMethod::kAverage, lr_);
+      }
+    }
     ar_->ApplyStep(per_rank, lr_);
     return loss_sum / static_cast<float>(shards.size());
   }
 
   VariableStore WorkerView() const {
     VariableStore view = ar_->replica(0).Clone();
-    VariableStore ps_values = ps_->CurrentValues();
     for (int v : ps_vars_) {
-      view.Set(v, ps_values.Get(v));
+      view.Set(v, ps_values_.Get(v).Clone());
     }
     return view;
   }
 
  private:
-  const Graph* graph_;
   NodeId loss_;
   Executor executor_;
   std::vector<int> ps_vars_;
+  std::vector<int> partitions_;  // per variable, as the PS engine splits its shards
+  int ranks_per_machine_;
   float lr_;
-  std::unique_ptr<PsNumericEngine> ps_;
+  VariableStore ps_values_;  // the servers' values of the ps_vars_ entries
   std::unique_ptr<ArNumericEngine> ar_;
 };
 
@@ -253,38 +266,27 @@ TEST(EngineEquivalenceTest, MixedEngineAssignmentBitIdenticalToLegacyRunner) {
 }
 
 TEST(EngineEquivalenceTest, FusedSparseAggregationBitIdenticalToPerVariable) {
-  // The multi-variable fused workspace pass is the default; a runner with fusion off
-  // takes the per-variable Sum pipeline. Both must produce identical bits.
-  WordLmModel fused_model({.vocab_size = 90, .embedding_dim = 6, .hidden_dim = 10,
-                           .batch_per_rank = 12, .seed = 712});
-  WordLmModel plain_model({.vocab_size = 90, .embedding_dim = 6, .hidden_dim = 10,
-                           .batch_per_rank = 12, .seed = 712});
-  auto build = [](WordLmModel& model, bool fuse) {
-    auto runner = RunnerBuilder(model.graph(), model.loss())
-                      .WithResources("m0:0,1;m1:0,1")
-                      .WithLearningRate(kLr)
-                      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
-                      .WithSparseFusion(fuse)
-                      .Build();
-    EXPECT_TRUE(runner.ok()) << runner.status().ToString();
-    return std::move(runner).value();
-  };
-  auto fused = build(fused_model, true);
-  auto plain = build(plain_model, false);
-  Rng rng(4343);
-  for (int s = 0; s < kSteps; ++s) {
-    std::vector<FeedMap> shards = fused_model.TrainShards(4, rng);
-    float loss_fused = fused->Step(shards);
-    float loss_plain = plain->Step(shards);
-    EXPECT_EQ(loss_fused, loss_plain) << "step " << s;
-    VariableStore view_fused = fused->WorkerView();
-    VariableStore view_plain = plain->WorkerView();
-    for (size_t v = 0; v < fused_model.graph()->variables().size(); ++v) {
-      EXPECT_TRUE(AllClose(view_fused.Get(static_cast<int>(v)),
-                           view_plain.Get(static_cast<int>(v)), 0.0f))
-          << fused_model.graph()->variables()[v].name << " at step " << s;
-    }
+  // The PS engine sends every step's sparse variables through one fused workspace
+  // pass; the seed aggregated them one variable at a time. On four one-GPU machines
+  // there is no local-aggregation level, so the fused global pass sums the raw
+  // per-rank slices — the case the two-GPU-machine comparisons above never reach.
+  // Both sparse tables stay on the PS engine and must match the per-variable oracle
+  // bit for bit.
+  WordLmModel model({.vocab_size = 90, .embedding_dim = 6, .hidden_dim = 10,
+                     .batch_per_rank = 12, .seed = 712});
+  auto runner = RunnerBuilder(model.graph(), model.loss())
+                    .WithResources("m0:0;m1:0;m2:0;m3:0")
+                    .WithLearningRate(kLr)
+                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .Build();
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  ExpectBitIdenticalToLegacy(*runner.value(), model, 4, 1, kLr, kSteps);
+  int ps_sparse = 0;
+  const SyncPlan& plan = runner.value()->plan();
+  for (size_t v = 0; v < plan.variables.size(); ++v) {
+    ps_sparse += plan.variables[v].spec.is_sparse && plan.engines[v] == "ps" ? 1 : 0;
   }
+  EXPECT_EQ(ps_sparse, 2);
 }
 
 TEST(EngineEquivalenceTest, SparsityMonitoringNeverTouchesTheNumerics) {

@@ -27,9 +27,10 @@ TEST(IndexedSlicesTest, ToDenseAccumulatesDuplicates) {
 }
 
 TEST(IndexedSlicesTest, CoalescedPreservesDenseEquivalent) {
+  // MultiVariableSum over one group of one input coalesces that input.
   Rng rng(11);
   IndexedSlices s = RandomSlices(rng, 20, 4, 50);
-  IndexedSlices c = s.Coalesced();
+  IndexedSlices c = MultiVariableSum({SparseSumGroup{{&s}}}).front();
   EXPECT_LE(c.nnz_rows(), s.nnz_rows());
   EXPECT_TRUE(AllClose(c.ToDense(), s.ToDense(), 1e-5f));
   // Coalesced output has sorted, unique indices.
@@ -46,7 +47,11 @@ TEST(IndexedSlicesTest, SumEqualsDenseSum) {
     parts.push_back(RandomSlices(rng, 15, 3, 8));
     AddInPlace(expected, parts.back().ToDense());
   }
-  EXPECT_TRUE(AllClose(IndexedSlices::Sum(parts).ToDense(), expected, 1e-4f));
+  SparseSumGroup group;
+  for (const IndexedSlices& part : parts) {
+    group.inputs.push_back(&part);
+  }
+  EXPECT_TRUE(AllClose(MultiVariableSum({group}).front().ToDense(), expected, 1e-4f));
 }
 
 TEST(IndexedSlicesTest, ConcatKeepsAllRows) {

@@ -1,7 +1,11 @@
-// Naive reference implementations of the sparse aggregation kernels and the dense
-// matmuls — the seed's semantics, kept verbatim in spirit as (a) the bit-for-bit oracle
-// for the property tests and (b) the baseline the micro-benchmarks measure the fused and
-// register-strip paths against. Shared by tests/sparse_fused_test.cc,
+// Naive reference implementations of the sparse aggregation kernels, the parameter
+// server's per-variable step, and the dense matmuls — the seed's semantics, kept
+// verbatim in spirit as (a) the bit-for-bit oracle for the property tests and (b) the
+// baseline the micro-benchmarks measure the fused and register-strip paths against.
+// The library has one sparse aggregation path, the fused MultiVariableSum pass; the
+// seed's per-variable pipeline (sum, scale, split by partition, scatter) survives only
+// here, as NaivePsVariableStep. Shared by tests/sparse_fused_test.cc,
+// tests/ps_numeric_test.cc, tests/engine_equivalence_test.cc,
 // tests/matmul_kernel_test.cc and bench/bench_micro.cc so the oracle and the benchmark
 // baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
@@ -11,8 +15,11 @@
 #include <map>
 #include <vector>
 
+#include "src/comm/reduce.h"
+#include "src/graph/executor.h"
 #include "src/ps/partition.h"
 #include "src/tensor/indexed_slices.h"
+#include "src/tensor/tensor_ops.h"
 
 namespace parallax {
 
@@ -141,7 +148,7 @@ inline void NaiveScatterSgd(Tensor& params, const IndexedSlices& grad,
   }
 }
 
-// The seed SplitSlicesByPartition: per-piece push_back growth, then a copy pass.
+// The seed sparse split by partition: per-piece push_back growth, then a copy pass.
 inline std::vector<IndexedSlices> NaiveSplit(const IndexedSlices& slices,
                                              const RowPartition& partition) {
   const int p_count = partition.num_partitions();
@@ -170,6 +177,61 @@ inline std::vector<IndexedSlices> NaiveSplit(const IndexedSlices& slices,
                         slices.dense_shape().WithDim0(partition.RowsIn(p)));
   }
   return pieces;
+}
+
+// The seed parameter server's step for one variable — the oracle for
+// PsNumericEngine::ApplyStep, which sends all of a step's sparse variables through one
+// fused pass. Ranks form machines of `ranks_per_machine` consecutive ranks (1 = no
+// local aggregation). A sparse gradient is summed per machine with NaiveSum (a machine
+// of one rank contributes its raw gradient), the machine sums are summed with NaiveSum,
+// scaled by 1/ranks under kAverage, split with NaiveSplit, and every piece is updated
+// with NaiveScatterSgd. A dense gradient takes the same two levels through
+// AllReduceSum, then ScaleInPlace and one AxpyInPlace per piece. `value` is the
+// variable's full tensor, stored as `partitions` row pieces while it is updated.
+inline void NaivePsVariableStep(Tensor& value, int partitions, int variable,
+                                const std::vector<StepResult>& per_rank,
+                                int ranks_per_machine, AggregationMethod dense_aggregation,
+                                AggregationMethod sparse_aggregation, float learning_rate) {
+  const int num_ranks = static_cast<int>(per_rank.size());
+  const float scale = 1.0f / static_cast<float>(num_ranks);
+  RowPartition partition(value.shape().dim(0), partitions);
+  std::vector<Tensor> pieces = SplitRowsByPartition(value, partition);
+  if (per_rank.front().grads.at(variable).is_sparse()) {
+    std::vector<IndexedSlices> machines;
+    for (int base = 0; base < num_ranks; base += ranks_per_machine) {
+      std::vector<IndexedSlices> local;
+      for (int r = base; r < base + ranks_per_machine; ++r) {
+        local.push_back(per_rank[static_cast<size_t>(r)].grads.at(variable).sparse());
+      }
+      machines.push_back(local.size() == 1 ? local.front() : NaiveSum(local));
+    }
+    IndexedSlices aggregated = NaiveSum(machines);
+    if (sparse_aggregation == AggregationMethod::kAverage) {
+      aggregated.Scale(scale);
+    }
+    std::vector<IndexedSlices> grad_pieces = NaiveSplit(aggregated, partition);
+    for (size_t p = 0; p < pieces.size(); ++p) {
+      NaiveScatterSgd(pieces[p], grad_pieces[p], learning_rate);
+    }
+  } else {
+    std::vector<Tensor> machines;
+    for (int base = 0; base < num_ranks; base += ranks_per_machine) {
+      std::vector<Tensor> local;
+      for (int r = base; r < base + ranks_per_machine; ++r) {
+        local.push_back(per_rank[static_cast<size_t>(r)].grads.at(variable).dense());
+      }
+      machines.push_back(AllReduceSum(local));
+    }
+    Tensor aggregated = AllReduceSum(machines);
+    if (dense_aggregation == AggregationMethod::kAverage) {
+      ScaleInPlace(aggregated, scale);
+    }
+    std::vector<Tensor> grad_pieces = SplitRowsByPartition(aggregated, partition);
+    for (size_t p = 0; p < pieces.size(); ++p) {
+      AxpyInPlace(pieces[p], -learning_rate, grad_pieces[p]);
+    }
+  }
+  value = StitchPartitions(pieces, partition);
 }
 
 }  // namespace parallax

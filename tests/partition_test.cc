@@ -2,6 +2,7 @@
 
 #include "src/base/rng.h"
 #include "src/ps/partition.h"
+#include "src/ps/ps_numeric.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
@@ -55,21 +56,25 @@ TEST(PartitionTest, SplitStitchRoundTrip) {
   EXPECT_TRUE(AllClose(StitchPartitions(pieces, partition), value, 0.0f));
 }
 
+// The PS engine splits a sparse gradient across a variable's pieces row by row: the
+// fused step hands each aggregated row to PsVariable::MutableRow, which resolves the
+// row's piece (PartitionOfRow) and its piece-local row (row - RowBegin).
+
 TEST(PartitionTest, SplitSlicesRoutesRowsAndReindexes) {
   // Variable of 10 rows split 2 ways: rows 0-4 -> piece 0, rows 5-9 -> piece 1.
-  IndexedSlices slices({1, 7, 4, 5},
-                       Tensor::FromVector({1, 1, 2, 2, 3, 3, 4, 4}, TensorShape({4, 2})),
-                       TensorShape({10, 2}));
   RowPartition partition(10, 2);
-  std::vector<IndexedSlices> pieces = SplitSlicesByPartition(slices, partition);
-  ASSERT_EQ(pieces.size(), 2u);
-  EXPECT_EQ(pieces[0].nnz_rows(), 2);
-  EXPECT_EQ(pieces[1].nnz_rows(), 2);
-  // Piece-local indices.
-  EXPECT_EQ(pieces[0].indices()[0], 1);  // global row 1
-  EXPECT_EQ(pieces[0].indices()[1], 4);  // global row 4
-  EXPECT_EQ(pieces[1].indices()[0], 2);  // global row 7 - 5
-  EXPECT_EQ(pieces[1].indices()[1], 0);  // global row 5 - 5
+  PsVariable variable(Tensor::Zeros(TensorShape({10, 2})), 2);
+  const std::vector<int64_t> rows = {1, 7, 4, 5};
+  const std::vector<int> want_piece = {0, 1, 0, 1};
+  const std::vector<int64_t> want_local = {1, 2, 4, 0};  // global row 7 -> 7 - 5, ...
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int piece = partition.PartitionOfRow(rows[i]);
+    EXPECT_EQ(piece, want_piece[i]);
+    EXPECT_EQ(rows[i] - partition.RowBegin(piece), want_local[i]);
+    // The storage row sits want_local rows past the first row of its piece.
+    EXPECT_EQ(variable.MutableRow(rows[i]),
+              variable.MutableRow(partition.RowBegin(piece)) + want_local[i] * 2);
+  }
 }
 
 TEST(PartitionTest, SplitSlicesPreservesDenseEquivalent) {
@@ -80,31 +85,32 @@ TEST(PartitionTest, SplitSlicesPreservesDenseEquivalent) {
   }
   IndexedSlices slices(indices, RandomNormal(TensorShape({40, 3}), rng),
                        TensorShape({17, 3}));
-  RowPartition partition(17, 5);
-  std::vector<IndexedSlices> pieces = SplitSlicesByPartition(slices, partition);
-  // Reassemble: apply each piece to its row range of a zero tensor.
-  Tensor reassembled = Tensor::Zeros(TensorShape({17, 3}));
-  for (int p = 0; p < 5; ++p) {
-    Tensor piece = pieces[static_cast<size_t>(p)].ToDense();
-    auto src = piece.floats();
-    auto dst = reassembled.mutable_floats();
-    int64_t offset = partition.RowBegin(p) * 3;
-    for (size_t i = 0; i < src.size(); ++i) {
-      dst[static_cast<size_t>(offset) + i] += src[i];
+  // Route every row, duplicates included, into a zero variable split 5 ways.
+  PsVariable variable(Tensor::Zeros(TensorShape({17, 3})), 5);
+  auto values = slices.values().floats();
+  for (size_t i = 0; i < indices.size(); ++i) {
+    float* dst = variable.MutableRow(indices[i]);
+    for (size_t j = 0; j < 3; ++j) {
+      dst[j] += values[i * 3 + j];
     }
   }
-  EXPECT_TRUE(AllClose(reassembled, slices.ToDense(), 1e-5f));
+  EXPECT_TRUE(AllClose(variable.Materialize(), slices.ToDense(), 0.0f));
 }
 
 TEST(PartitionTest, EmptyPiecesAreRepresented) {
-  IndexedSlices slices({0}, Tensor::FromVector({1, 2}, TensorShape({1, 2})),
-                       TensorShape({9, 2}));
-  RowPartition partition(9, 3);
-  std::vector<IndexedSlices> pieces = SplitSlicesByPartition(slices, partition);
-  ASSERT_EQ(pieces.size(), 3u);
-  EXPECT_EQ(pieces[0].nnz_rows(), 1);
-  EXPECT_EQ(pieces[1].nnz_rows(), 0);
-  EXPECT_EQ(pieces[2].nnz_rows(), 0);
+  // A gradient touching only piece 0 leaves the other pieces present and untouched.
+  PsVariable variable(Tensor::Zeros(TensorShape({9, 2})), 3);
+  float* dst = variable.MutableRow(0);
+  dst[0] += 1.0f;
+  dst[1] += 2.0f;
+  EXPECT_EQ(variable.num_partitions(), 3);
+  Tensor value = variable.Materialize();
+  ASSERT_EQ(value.shape().dim(0), 9);
+  EXPECT_EQ(value.floats()[0], 1.0f);
+  EXPECT_EQ(value.floats()[1], 2.0f);
+  for (size_t i = 2; i < value.floats().size(); ++i) {
+    EXPECT_EQ(value.floats()[i], 0.0f) << "element " << i;
+  }
 }
 
 }  // namespace

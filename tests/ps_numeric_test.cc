@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "src/base/rng.h"
+#include "src/base/strings.h"
+#include "src/core/partition_plan.h"
 #include "src/models/trainable.h"
+#include "src/ps/ps_async.h"
 #include "src/ps/ps_numeric.h"
 #include "src/tensor/tensor_ops.h"
+#include "tests/naive_reference.h"
 
 namespace parallax {
 namespace {
@@ -85,16 +92,23 @@ TEST(PsVariableTest, MaterializeEqualsInitial) {
 }
 
 TEST(PsVariableTest, PartitionedSparseUpdateEqualsWholeUpdate) {
+  // The sparse step updates each aggregated row in place through MutableRow, which
+  // resolves the row's piece; a split variable must end up with the whole one's bits.
   Rng rng(42);
   Tensor initial = RandomNormal(TensorShape({20, 4}), rng);
   PsVariable whole(initial, 1);
   PsVariable split(initial, 6);
   std::vector<int64_t> indices = {0, 5, 5, 13, 19};
-  IndexedSlices grad(indices, RandomNormal(TensorShape({5, 4}), rng),
-                     TensorShape({20, 4}));
-  whole.ApplySparseSgd(grad, 0.3f);
-  split.ApplySparseSgd(grad, 0.3f);
-  EXPECT_TRUE(AllClose(whole.Materialize(), split.Materialize(), 1e-6f));
+  Tensor values = RandomNormal(TensorShape({5, 4}), rng);
+  for (PsVariable* variable : {&whole, &split}) {
+    for (size_t i = 0; i < indices.size(); ++i) {
+      float* dst = variable->MutableRow(indices[i]);
+      for (int64_t j = 0; j < 4; ++j) {
+        dst[j] -= 0.3f * values.floats()[i * 4 + static_cast<size_t>(j)];
+      }
+    }
+  }
+  EXPECT_TRUE(AllClose(whole.Materialize(), split.Materialize(), 0.0f));
 }
 
 TEST(PsVariableTest, PartitionedDenseUpdateEqualsWholeUpdate) {
@@ -143,6 +157,116 @@ TEST(PsNumericTest, ManagedVariablesFilterUpdates) {
   engine.ApplyStep(grads, kLr);
   VariableStore after = engine.CurrentValues();
   EXPECT_GT(MaxAbsDiff(before.Get(0), after.Get(0)), 0.0f);
+}
+
+// ---- The fused sparse pass against the seed's per-variable pipeline -----------------
+//
+// PsNumericEngine::ApplyStep sends every sparse variable of a step, one included,
+// through one fused MultiVariableSum pass per aggregation level and applies the update
+// row by row in the shards. The oracle is the seed's pipeline, one variable at a time
+// (NaivePsVariableStep in tests/naive_reference.h). Every comparison is memcmp: the
+// fused pass must reproduce the seed's per-row float additions exactly.
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const std::string& context) {
+  ASSERT_TRUE(got.shape() == want.shape()) << context;
+  ASSERT_EQ(std::memcmp(got.floats().data(), want.floats().data(),
+                        got.floats().size() * sizeof(float)),
+            0)
+      << context;
+}
+
+// WordLm's two sparse tables: 0 = embedding (width embedding_dim), 1 = softmax_emb
+// (width hidden_dim).
+WordLmModel OracleLm() {
+  return WordLmModel({.vocab_size = 40, .embedding_dim = 6, .hidden_dim = 8,
+                      .batch_per_rank = 12, .seed = 105});
+}
+
+int ShardsOf(const Graph& graph, int variable, int partitions) {
+  const VariableDef& def = graph.variables()[static_cast<size_t>(variable)];
+  return def.partitioner_scope ? RowCappedPartitions(partitions, def.shape.dim(0)) : 1;
+}
+
+TEST(PsNumericTest, ApplyStepBitIdenticalToNaivePerVariableOracle) {
+  WordLmModel model = OracleLm();
+  const Graph& graph = *model.graph();
+  const AggregationMethod kMethods[] = {AggregationMethod::kSum, AggregationMethod::kAverage};
+  for (const std::vector<int>& managed : {std::vector<int>{0}, std::vector<int>{0, 1}}) {
+    for (int partitions : {1, 3, 7}) {
+      for (bool local_agg : {false, true}) {
+        for (AggregationMethod method : kMethods) {
+          PsNumericConfig config;
+          config.variable_partitions.assign(graph.variables().size(), partitions);
+          config.local_aggregation = local_agg;
+          config.ranks_per_machine = 2;
+          config.dense_aggregation = method;
+          config.sparse_aggregation = method;
+          config.managed_variables = managed;
+          PsNumericEngine engine(model.graph(), config);
+          // The oracle holds every variable; the unmanaged ones keep their initial values,
+          // as they do for the workers reading the engine.
+          VariableStore oracle = VariableStore::InitFrom(graph);
+          Rng rng(static_cast<uint64_t>(17 + partitions));
+          for (int step = 0; step < 5; ++step) {
+            // Six ranks: three machines under local aggregation, and an averaging scale
+            // of 1/6, which (unlike 1/4) rounds, so the order of the scale and the
+            // learning-rate products shows in the bits.
+            std::vector<StepResult> grads = ComputeGrads(model, oracle, 6, rng);
+            engine.ApplyStep(grads, kLr);
+            for (int v : managed) {
+              ASSERT_TRUE(grads.front().grads.at(v).is_sparse());
+              NaivePsVariableStep(oracle.GetMutable(v), ShardsOf(graph, v, partitions), v,
+                                  grads, local_agg ? 2 : 1, method, method, kLr);
+            }
+            VariableStore actual = engine.CurrentValues();
+            for (int v : managed) {
+              ExpectSameBits(actual.Get(v), oracle.Get(v),
+                             StrFormat("variables=%zu P=%d local_agg=%d %s step=%d var=%d",
+                                       managed.size(), partitions, local_agg ? 1 : 0,
+                                       method == AggregationMethod::kSum ? "sum" : "average",
+                                       step, v));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PsNumericTest, AsyncPushesBitIdenticalToNaivePerVariableOracle) {
+  // AsyncPsEngine applies each rank's push as a one-rank synchronous step with kSum: a
+  // single contribution per row-sum, through the same fused pass.
+  WordLmModel model = OracleLm();
+  const Graph& graph = *model.graph();
+  for (const std::vector<int>& managed : {std::vector<int>{0}, std::vector<int>{0, 1}}) {
+    for (int partitions : {1, 3, 7}) {
+      PsNumericConfig config;
+      config.variable_partitions.assign(graph.variables().size(), partitions);
+      config.managed_variables = managed;
+      AsyncPsEngine engine(model.graph(), config);
+      VariableStore oracle = VariableStore::InitFrom(graph);
+      Rng rng(static_cast<uint64_t>(31 + partitions));
+      for (int step = 0; step < 5; ++step) {
+        // All ranks computed against the same values; their pushes then land one by one.
+        std::vector<StepResult> grads = ComputeGrads(model, oracle, 3, rng);
+        engine.ApplyStep(grads, kLr);
+        for (const StepResult& push : grads) {
+          for (int v : managed) {
+            NaivePsVariableStep(oracle.GetMutable(v), ShardsOf(graph, v, partitions), v,
+                                {push}, 1, AggregationMethod::kSum, AggregationMethod::kSum,
+                                kLr);
+          }
+        }
+        VariableStore actual = engine.CurrentValues();
+        for (int v : managed) {
+          ExpectSameBits(actual.Get(v), oracle.Get(v),
+                         StrFormat("variables=%zu P=%d step=%d var=%d", managed.size(),
+                                   partitions, step, v));
+        }
+      }
+      EXPECT_EQ(engine.pushes_applied(), 15);
+    }
+  }
 }
 
 }  // namespace

@@ -42,6 +42,31 @@ TEST(ResourcesTest, RejectsNoGpus) {
   EXPECT_FALSE(ParseResourceSpec("host:").ok());
 }
 
+TEST(ResourcesTest, RejectsRepeatedGpuId) {
+  // One GPU named twice is one device, not a machine with two.
+  auto result = ParseResourceSpec("m0:0,0");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ResourcesTest, RejectsRepeatedHostname) {
+  auto result = ParseResourceSpec("m0:0;m0:0");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ResourcesTest, RejectsGpuIdsPastInt) {
+  // 2^31 and a 20-digit id: neither fits in int, so neither may wrap to a negative id.
+  for (const char* spec : {"m0:2147483648", "m0:99999999999999999999"}) {
+    auto result = ParseResourceSpec(spec);
+    ASSERT_FALSE(result.ok()) << spec;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  auto largest = ParseResourceSpec("m0:2147483647");
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest.value().machines[0].gpu_ids[0], 2147483647);
+}
+
 TEST(ResourcesTest, HeterogeneousDetected) {
   auto result = ParseResourceSpec("a:0,1;b:0");
   ASSERT_TRUE(result.ok());

@@ -1,12 +1,16 @@
-// Property tests for the fused sparse aggregation pipeline: the sort-based
-// Coalesced/Sum, the counting-sort SplitSlicesByPartition, and the (optionally
-// parallel) ScatterSgdUpdate must match the naive reference implementations
+// Property tests for the fused sparse aggregation kernels: MultiVariableSum and its
+// streaming form MultiVariableSumStream — the library's one sparse sum path — and the
+// (optionally parallel) ScatterSgdUpdate must match the naive reference implementations
 // BIT-FOR-BIT — same accumulation order per output row — across randomized nnz, row
-// widths, duplicate-index densities, and thread-pool sizes, including nnz=0 and
-// all-duplicate edge cases. The references below reproduce the seed implementations
-// (std::map slot assignment, Concat-then-coalesce, sequential scatter).
+// widths, duplicate-index densities, group layouts and thread-pool sizes, including
+// nnz=0 and all-duplicate edge cases. The references (tests/naive_reference.h) reproduce
+// the seed implementations (std::map slot assignment, Concat-then-coalesce, sequential
+// scatter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
 #include <unordered_set>
 
 #include "src/base/rng.h"
@@ -79,50 +83,162 @@ std::vector<Case> PropertyCases() {
   };
 }
 
-// ---- Properties ----------------------------------------------------------------------
+void ExpectStrictlyAscending(const std::vector<int64_t>& indices, const std::string& context) {
+  for (size_t i = 1; i < indices.size(); ++i) {
+    ASSERT_LT(indices[i - 1], indices[i]) << context << " at output row " << i;
+  }
+}
 
-TEST(SparseFusedTest, CoalescedMatchesNaiveBitForBit) {
-  Rng rng(101);
+// The naive seed kernels per group: NaiveCoalesce for a group of one input, NaiveSum
+// otherwise, plus the group's distinct row count.
+struct NaiveGroupSums {
+  std::vector<IndexedSlices> sums;
+  std::vector<int64_t> distinct_rows;
+};
+
+NaiveGroupSums NaivePerGroup(const std::vector<std::vector<IndexedSlices>>& inputs) {
+  NaiveGroupSums naive;
+  for (const std::vector<IndexedSlices>& group : inputs) {
+    std::set<int64_t> rows;
+    for (const IndexedSlices& input : group) {
+      rows.insert(input.indices().begin(), input.indices().end());
+    }
+    naive.sums.push_back(group.size() == 1 ? NaiveCoalesce(group.front()) : NaiveSum(group));
+    naive.distinct_rows.push_back(static_cast<int64_t>(rows.size()));
+  }
+  return naive;
+}
+
+// Runs both fused kernels over `inputs` (one group per entry, contributors in order)
+// and checks each group against the naive seed kernels. MultiVariableSum must return the
+// naive result's bits with strictly ascending indices; MultiVariableSumStream must hand
+// every naive output row to `consume` exactly once with the same bits, and report each
+// group's naive distinct-row count through unique_rows_out.
+void ExpectFusedKernelsMatchNaive(const std::vector<std::vector<IndexedSlices>>& inputs,
+                                  const NaiveGroupSums& naive, SparseWorkspace* ws,
+                                  const std::string& context) {
+  const size_t num_groups = inputs.size();
+  const std::vector<IndexedSlices>& want = naive.sums;
+  std::vector<SparseSumGroup> groups(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (const IndexedSlices& input : inputs[g]) {
+      groups[g].inputs.push_back(&input);
+    }
+  }
+
+  std::vector<IndexedSlices> got = MultiVariableSum(groups, ws);
+  ASSERT_EQ(got.size(), num_groups) << context;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const std::string group_context = context + StrFormat(" group=%zu", g);
+    ExpectBitIdentical(got[g], want[g], group_context + " MultiVariableSum");
+    ExpectStrictlyAscending(got[g].indices(), group_context + " MultiVariableSum");
+  }
+
+  // Streamed rows may arrive from several lanes at once; each lands in its own slot of
+  // the naive output's layout (found by binary search over the naive indices).
+  std::vector<Tensor> streamed;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (size_t g = 0; g < num_groups; ++g) {
+    streamed.push_back(Tensor::Zeros(want[g].values().shape()));
+    hits.emplace_back(static_cast<size_t>(want[g].nnz_rows()));
+  }
+  std::atomic<int> unknown_rows{0};
+  std::vector<int64_t> unique_rows;
+  MultiVariableSumStream(groups, ws, [&](int64_t g, int64_t row, const float* values) {
+    const std::vector<int64_t>& rows = want[static_cast<size_t>(g)].indices();
+    auto it = std::lower_bound(rows.begin(), rows.end(), row);
+    if (it == rows.end() || *it != row) {
+      unknown_rows.fetch_add(1);
+      return;
+    }
+    const int64_t slot = it - rows.begin();
+    const int64_t width = want[static_cast<size_t>(g)].row_elements();
+    std::copy_n(values, width,
+                streamed[static_cast<size_t>(g)].mutable_floats().data() + slot * width);
+    hits[static_cast<size_t>(g)][static_cast<size_t>(slot)].fetch_add(1);
+  }, &unique_rows);
+  ASSERT_EQ(unknown_rows.load(), 0) << context << " MultiVariableSumStream";
+  ASSERT_EQ(unique_rows, naive.distinct_rows) << context << " unique_rows_out";
+  for (size_t g = 0; g < num_groups; ++g) {
+    const std::string group_context = context + StrFormat(" group=%zu stream", g);
+    for (int64_t slot = 0; slot < want[g].nnz_rows(); ++slot) {
+      ASSERT_EQ(hits[g][static_cast<size_t>(slot)].load(), 1)
+          << group_context << " row " << want[g].indices()[static_cast<size_t>(slot)];
+    }
+    ExpectTensorsBitIdentical(streamed[g], want[g].values(), group_context);
+  }
+}
+
+// Every property case at pool sizes 1, 2 and 4: on a fresh workspace, then twice on one
+// workspace reused across every case (buffer reuse across differing sizes must not leak
+// state between calls), plus once without a workspace (the kernels' local fallback).
+template <typename MakeInputs>
+void ForEveryPoolAndWorkspace(uint64_t seed, MakeInputs make_inputs) {
+  Rng rng(seed);
   for (int pool_threads : {1, 2, 4}) {
     ThreadPool pool(pool_threads);
-    SparseWorkspace ws(&pool);
+    SparseWorkspace reused(&pool);
     for (const Case& c : PropertyCases()) {
-      IndexedSlices slices = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
-      IndexedSlices want = NaiveCoalesce(slices);
-      std::string context = StrFormat("threads=%d nnz=%lld dup_span=%lld", pool_threads,
-                                      static_cast<long long>(c.nnz),
-                                      static_cast<long long>(c.dup_span));
-      // With and without a workspace, and again on the same workspace (buffer reuse
-      // across differing sizes must not leak state between calls).
-      ExpectBitIdentical(slices.Coalesced(), want, context + " no-ws");
-      ExpectBitIdentical(slices.Coalesced(&ws), want, context + " ws");
-      ExpectBitIdentical(slices.Coalesced(&ws), want, context + " ws-reused");
+      const std::vector<std::vector<IndexedSlices>> inputs = make_inputs(c, rng);
+      const std::string context = StrFormat(
+          "threads=%d rows=%lld width=%lld nnz=%lld dup_span=%lld", pool_threads,
+          static_cast<long long>(c.rows), static_cast<long long>(c.width),
+          static_cast<long long>(c.nnz), static_cast<long long>(c.dup_span));
+      const NaiveGroupSums naive = NaivePerGroup(inputs);
+      SparseWorkspace fresh(&pool);
+      ExpectFusedKernelsMatchNaive(inputs, naive, &fresh, context + " fresh-ws");
+      ExpectFusedKernelsMatchNaive(inputs, naive, &reused, context + " reused-ws");
+      ExpectFusedKernelsMatchNaive(inputs, naive, &reused, context + " reused-ws again");
+      if (pool_threads == 1) {
+        ExpectFusedKernelsMatchNaive(inputs, naive, nullptr, context + " no-ws");
+      }
     }
   }
 }
 
+// ---- Properties ----------------------------------------------------------------------
+
+TEST(SparseFusedTest, CoalescedMatchesNaiveBitForBit) {
+  // One group of one input: the fused kernels coalesce it.
+  ForEveryPoolAndWorkspace(101, [](const Case& c, Rng& rng) {
+    return std::vector<std::vector<IndexedSlices>>{
+        {MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng)}};
+  });
+}
+
 TEST(SparseFusedTest, FusedSumMatchesConcatCoalesceBitForBit) {
-  Rng rng(202);
-  for (int pool_threads : {1, 3}) {
-    ThreadPool pool(pool_threads);
-    SparseWorkspace ws(&pool);
-    for (int k : {1, 2, 5}) {
-      for (const Case& c : PropertyCases()) {
-        std::vector<IndexedSlices> inputs;
-        for (int s = 0; s < k; ++s) {
-          // Vary nnz per contribution, including empty contributions.
-          int64_t nnz = s == 1 ? 0 : c.nnz;
-          inputs.push_back(MakeRandomSlices(c.rows, c.width, nnz, c.dup_span, rng));
-        }
-        IndexedSlices want = NaiveSum(inputs);
-        std::string context = StrFormat("threads=%d k=%d nnz=%lld dup_span=%lld",
-                                        pool_threads, k, static_cast<long long>(c.nnz),
-                                        static_cast<long long>(c.dup_span));
-        ExpectBitIdentical(IndexedSlices::Sum(inputs), want, context + " no-ws");
-        ExpectBitIdentical(IndexedSlices::Sum(inputs, &ws), want, context + " ws");
+  // One group of k inputs, including empty contributions: the fused kernels sum them
+  // in contributor order, as coalescing their concatenation does.
+  for (int k : {1, 2, 5}) {
+    ForEveryPoolAndWorkspace(202 + static_cast<uint64_t>(k), [k](const Case& c, Rng& rng) {
+      std::vector<IndexedSlices> group;
+      for (int s = 0; s < k; ++s) {
+        // Vary nnz per contribution, including empty contributions.
+        int64_t nnz = s == 1 ? 0 : c.nnz;
+        group.push_back(MakeRandomSlices(c.rows, c.width, nnz, c.dup_span, rng));
       }
-    }
+      return std::vector<std::vector<IndexedSlices>>{std::move(group)};
+    });
   }
+}
+
+TEST(SparseFusedTest, MultiGroupSumMatchesNaivePerGroupBitForBit) {
+  // Several groups through one pass: an empty group, groups over the same key space
+  // (equal index values in different groups must never merge), and different widths.
+  ForEveryPoolAndWorkspace(303, [](const Case& c, Rng& rng) {
+    std::vector<std::vector<IndexedSlices>> groups(4);
+    for (int s = 0; s < 2; ++s) {
+      groups[0].push_back(MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng));
+    }
+    groups[1].push_back(MakeRandomSlices(16, 3, 0, 16, rng));  // empty group
+    for (int s = 0; s < 3; ++s) {
+      // Same rows and index span as group 0, wider rows.
+      groups[2].push_back(MakeRandomSlices(c.rows, c.width + 3, c.nnz / 2, c.dup_span, rng));
+    }
+    groups[3].push_back(
+        MakeRandomSlices(c.rows, 1, c.nnz, std::min<int64_t>(c.dup_span, 7), rng));
+    return groups;
+  });
 }
 
 TEST(SparseFusedTest, ScatterSgdUpdateMatchesNaiveForAllPoolSizes) {
@@ -134,7 +250,7 @@ TEST(SparseFusedTest, ScatterSgdUpdateMatchesNaiveForAllPoolSizes) {
       IndexedSlices raw = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
       // Both the raw (unsorted, duplicate-bearing) gradient and the coalesced
       // (sorted-unique) one, which is what triggers the parallel path.
-      for (const IndexedSlices& grad : {raw, raw.Coalesced()}) {
+      for (const IndexedSlices& grad : {raw, NaiveCoalesce(raw)}) {
         Tensor params = RandomNormal(TensorShape({c.rows, c.width}), rng);
         Tensor want = params.Clone();
         NaiveScatterSgd(want, grad, 0.05f);
@@ -149,52 +265,40 @@ TEST(SparseFusedTest, ScatterSgdUpdateMatchesNaiveForAllPoolSizes) {
   }
 }
 
-TEST(SparseFusedTest, SplitSlicesByPartitionMatchesNaive) {
-  Rng rng(404);
-  SparseWorkspace ws;
-  for (int partitions : {1, 3, 8}) {
-    for (const Case& c : PropertyCases()) {
-      if (c.rows < partitions) {
-        continue;
-      }
-      IndexedSlices slices = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
-      RowPartition partition(c.rows, partitions);
-      std::vector<IndexedSlices> want = NaiveSplit(slices, partition);
-      std::vector<IndexedSlices> got = SplitSlicesByPartition(slices, partition, &ws);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t p = 0; p < got.size(); ++p) {
-        ExpectBitIdentical(got[p], want[p],
-                           StrFormat("partitions=%d piece=%zu nnz=%lld", partitions, p,
-                                     static_cast<long long>(c.nnz)));
-      }
-    }
-  }
-}
-
 TEST(SparseFusedTest, SumAfterSplitEqualsSplitAfterSum) {
   // End-to-end PS-shard identity: splitting each worker's gradient then summing per
   // piece must equal summing globally then splitting — the algebra the partitioned
-  // accumulators rely on. (Values, not bit-layout: accumulation orders differ.)
+  // accumulators rely on. The per-piece sums run as one multi-group pass, one group per
+  // piece. A split keeps each piece's rows in input order, so every row sums the same
+  // contributions in the same order either way: the bits agree.
   Rng rng(505);
   SparseWorkspace ws;
   const int64_t rows = 300, width = 4;
   RowPartition partition(rows, 4);
   std::vector<IndexedSlices> workers;
+  SparseSumGroup global_group;
   for (int w = 0; w < 3; ++w) {
     workers.push_back(MakeRandomSlices(rows, width, 200, 40, rng));
   }
-  IndexedSlices global = IndexedSlices::Sum(workers, &ws);
-  std::vector<IndexedSlices> split_of_sum = SplitSlicesByPartition(global, partition, &ws);
-  for (int p = 0; p < partition.num_partitions(); ++p) {
-    std::vector<IndexedSlices> per_worker_pieces;
-    for (const IndexedSlices& w : workers) {
-      per_worker_pieces.push_back(
-          SplitSlicesByPartition(w, partition, &ws)[static_cast<size_t>(p)]);
+  for (const IndexedSlices& w : workers) {
+    global_group.inputs.push_back(&w);
+  }
+  IndexedSlices global = MultiVariableSum({global_group}, &ws).front();
+  std::vector<IndexedSlices> split_of_sum = NaiveSplit(global, partition);
+  std::vector<std::vector<IndexedSlices>> worker_pieces;
+  for (const IndexedSlices& w : workers) {
+    worker_pieces.push_back(NaiveSplit(w, partition));
+  }
+  std::vector<SparseSumGroup> piece_groups(static_cast<size_t>(partition.num_partitions()));
+  for (size_t p = 0; p < piece_groups.size(); ++p) {
+    for (const std::vector<IndexedSlices>& pieces : worker_pieces) {
+      piece_groups[p].inputs.push_back(&pieces[p]);
     }
-    IndexedSlices sum_of_split = IndexedSlices::Sum(per_worker_pieces, &ws);
-    ASSERT_EQ(sum_of_split.indices(), split_of_sum[static_cast<size_t>(p)].indices());
-    ASSERT_TRUE(AllClose(sum_of_split.values(),
-                         split_of_sum[static_cast<size_t>(p)].values(), 1e-5f));
+  }
+  std::vector<IndexedSlices> sum_of_split = MultiVariableSum(piece_groups, &ws);
+  ASSERT_EQ(sum_of_split.size(), split_of_sum.size());
+  for (size_t p = 0; p < sum_of_split.size(); ++p) {
+    ExpectBitIdentical(sum_of_split[p], split_of_sum[p], StrFormat("piece=%zu", p));
   }
 }
 
@@ -214,8 +318,8 @@ TEST(SparseFusedTest, CoalescedOutputIsSortedUnique) {
   Rng rng(707);
   SparseWorkspace ws;
   for (const Case& c : PropertyCases()) {
-    IndexedSlices out =
-        MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng).Coalesced(&ws);
+    IndexedSlices in = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
+    IndexedSlices out = MultiVariableSum({SparseSumGroup{{&in}}}, &ws).front();
     for (int64_t i = 1; i < out.nnz_rows(); ++i) {
       EXPECT_LT(out.indices()[static_cast<size_t>(i - 1)],
                 out.indices()[static_cast<size_t>(i)]);
