@@ -24,7 +24,7 @@
 namespace parallax {
 namespace {
 
-constexpr int kRanks = 8;  // numeric-plane replicas (learning curves are scale-free)
+constexpr int kRanks = 8;  // data-parallel ranks (learning curves are scale-free)
 constexpr float kLr = 0.5f;
 
 struct EngineCurve {
@@ -117,18 +117,16 @@ void RunLm() {
   const int max_iters = 150;
   const int eval_every = 5;
 
-  PsNumericConfig ps_config;
-  ps_config.variable_partitions.assign(model.graph()->variables().size(), 8);
-  PsNumericEngine ps(model.graph(), ps_config);
+  PsNumericEngine ps(model.graph(), PsNumericConfig{});
   EngineCurve ps_curve = TrainCurve(
       model, max_iters, eval_every, target, true, metric,
       [&] { return ps.CurrentValues(); },
       [&](const std::vector<StepResult>& g) { ps.ApplyStep(g, kLr); });
 
-  ArNumericEngine ar(model.graph(), kRanks);
+  ArNumericEngine ar(model.graph());
   EngineCurve ar_curve = TrainCurve(
       model, max_iters, eval_every, target, true, metric,
-      [&] { return ar.replica(0).Clone(); },
+      [&] { return ar.View(); },
       [&](const std::vector<StepResult>& g) { ar.ApplyStep(g, kLr); });
 
   ParallaxConfig config;
@@ -165,18 +163,16 @@ void RunNmt() {
   const int max_iters = 150;
   const int eval_every = 5;
 
-  PsNumericConfig ps_config;
-  ps_config.variable_partitions.assign(model.graph()->variables().size(), 8);
-  PsNumericEngine ps(model.graph(), ps_config);
+  PsNumericEngine ps(model.graph(), PsNumericConfig{});
   EngineCurve ps_curve = TrainCurve(
       model, max_iters, eval_every, target, false, metric,
       [&] { return ps.CurrentValues(); },
       [&](const std::vector<StepResult>& g) { ps.ApplyStep(g, kLr); });
 
-  ArNumericEngine ar(model.graph(), kRanks);
+  ArNumericEngine ar(model.graph());
   EngineCurve ar_curve = TrainCurve(
       model, max_iters, eval_every, target, false, metric,
-      [&] { return ar.replica(0).Clone(); },
+      [&] { return ar.View(); },
       [&](const std::vector<StepResult>& g) { ar.ApplyStep(g, kLr); });
 
   ParallaxConfig config;
@@ -218,10 +214,10 @@ void RunResNet() {
       [&] { return ps.CurrentValues(); },
       [&](const std::vector<StepResult>& g) { ps.ApplyStep(g, kLr); });
 
-  ArNumericEngine ar(model.graph(), kRanks);
+  ArNumericEngine ar(model.graph());
   EngineCurve ar_curve = TrainCurve(
       model, max_iters, eval_every, target, true, metric,
-      [&] { return ar.replica(0).Clone(); },
+      [&] { return ar.View(); },
       [&](const std::vector<StepResult>& g) { ar.ApplyStep(g, kLr); });
 
   ParallaxConfig config;

@@ -15,7 +15,6 @@
 #include "src/sim/arena_pool.h"
 #include "src/graph/executor.h"
 #include "src/models/trainable.h"
-#include "src/ps/partition.h"
 #include "src/ps/ps_numeric.h"
 #include "src/sync/compression.h"
 #include "src/tensor/sparse_workspace.h"
@@ -110,30 +109,6 @@ void BM_ScatterSgdUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 64);
 }
 BENCHMARK(BM_ScatterSgdUpdate)->Arg(1'000)->Arg(10'000);
-
-// Coalesced (sorted-unique) gradient: the shape the parallel scatter path accepts.
-void BM_ScatterSgdUpdateSorted(benchmark::State& state) {
-  Rng rng(2);
-  Tensor params = RandomNormal(TensorShape({100'000, 64}), rng);
-  IndexedSlices grad = NaiveCoalesce(MakeSlices(100'000, 64, state.range(0), 3));
-  SparseWorkspace ws;
-  for (auto _ : state) {
-    ScatterSgdUpdate(params, grad, 0.01f, &ws);
-  }
-  state.SetItemsProcessed(state.iterations() * grad.nnz_rows() * 64);
-}
-BENCHMARK(BM_ScatterSgdUpdateSorted)->Arg(10'000)->Arg(50'000);
-
-void BM_StitchPartitions(benchmark::State& state) {
-  Rng rng(5);
-  Tensor value = RandomNormal(TensorShape({100'000, 64}), rng);
-  RowPartition partition(100'000, static_cast<int>(state.range(0)));
-  std::vector<Tensor> pieces = SplitRowsByPartition(value, partition);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(StitchPartitions(pieces, partition));
-  }
-}
-BENCHMARK(BM_StitchPartitions)->Arg(8)->Arg(256);
 
 void BM_MatMul(benchmark::State& state) {
   Rng rng(6);
@@ -963,7 +938,6 @@ void PsApplyStepBench(benchmark::State& state, bool observed) {
     per_rank.push_back(executor.RunStep(store, feeds, model.loss()));
   }
   PsNumericConfig config;
-  config.variable_partitions.assign(model.graph()->variables().size(), 8);
   config.local_aggregation = true;
   config.ranks_per_machine = 2;
   PsNumericEngine engine(model.graph(), config);

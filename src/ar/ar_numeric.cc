@@ -1,45 +1,25 @@
 #include "src/ar/ar_numeric.h"
 
-#include <algorithm>
-
-#include "src/tensor/tensor_ops.h"
-
 namespace parallax {
 
-ArNumericEngine::ArNumericEngine(const Graph* graph, int num_ranks, ArNumericConfig config)
+ArNumericEngine::ArNumericEngine(const Graph* graph, ArNumericConfig config)
     : graph_(graph), config_(std::move(config)) {
   PX_CHECK(graph != nullptr);
-  PX_CHECK_GE(num_ranks, 1);
   set_name("ar");
-  replicas_.reserve(static_cast<size_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) {
-    replicas_.push_back(VariableStore::InitFrom(*graph));
-  }
+  values_ = VariableStore::InitFrom(*graph);
 }
 
 void ArNumericEngine::Prepare(const SyncPlan& plan) {
-  // Replicas persist (value-preserving re-Prepare); only the routing and aggregation
-  // semantics are refreshed — unless the plan's rank count moved (an elastic rescale),
-  // in which case the replica set grows or shrinks around the incumbent values.
   config_.dense_aggregation = plan.dense_aggregation;
   config_.sparse_aggregation = plan.sparse_aggregation;
   config_.managed_variables = plan.ManagedBy(name());
-  const size_t ranks = static_cast<size_t>(std::max(plan.num_ranks, 1));
-  if (ranks < replicas_.size()) {
-    replicas_.resize(ranks);
-  }
-  while (replicas_.size() < ranks) {
-    // Between steps every replica holds identical values, so a joining rank bootstraps
-    // from a deep copy of replica 0 — the broadcast a real AR job performs on join.
-    replicas_.push_back(replicas_.front().Clone());
-  }
 }
 
 VariableStore ArNumericEngine::View() const {
   VariableStore view;
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
     if (Manages(static_cast<int>(v))) {
-      view.Set(static_cast<int>(v), replicas_.front().Get(static_cast<int>(v)));
+      view.Set(static_cast<int>(v), values_.Get(static_cast<int>(v)));
     }
   }
   return view;
@@ -59,7 +39,7 @@ bool ArNumericEngine::Manages(int variable_index) const {
 
 void ArNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
                                 float learning_rate) {
-  PX_CHECK_EQ(per_rank.size(), replicas_.size());
+  PX_CHECK(!per_rank.empty());
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
     int key = static_cast<int>(v);
     if (!Manages(key)) {
@@ -77,10 +57,7 @@ void ArNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
       }
       IndexedSlices aggregated =
           AllGathervAggregate(contributions, config_.sparse_aggregation);
-      GradValue grad = GradValue::MakeSparse(std::move(aggregated));
-      for (VariableStore& replica : replicas_) {
-        replica.ApplySgd(key, grad, learning_rate);
-      }
+      values_.ApplySgd(key, GradValue::MakeSparse(std::move(aggregated)), learning_rate);
     } else {
       std::vector<Tensor> contributions;
       contributions.reserve(per_rank.size());
@@ -88,52 +65,16 @@ void ArNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
         contributions.push_back(r.grads.at(key).dense());
       }
       Tensor aggregated = AllReduceAggregate(contributions, config_.dense_aggregation);
-      GradValue grad = GradValue::MakeDense(std::move(aggregated));
-      for (VariableStore& replica : replicas_) {
-        replica.ApplySgd(key, grad, learning_rate);
-      }
+      values_.ApplySgd(key, GradValue::MakeDense(std::move(aggregated)), learning_rate);
     }
-  }
-  if (!config_.skip_consistency_check) {
-    CheckReplicasConsistent();
   }
 }
 
 void ArNumericEngine::LoadValues(const VariableStore& values) {
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
     const int key = static_cast<int>(v);
-    if (!Manages(key) || !values.Contains(key)) {
-      continue;
-    }
-    for (VariableStore& replica : replicas_) {
-      replica.Set(key, values.Get(key).Clone());
-    }
-  }
-}
-
-const VariableStore& ArNumericEngine::replica(int rank) const {
-  PX_CHECK_GE(rank, 0);
-  PX_CHECK_LT(static_cast<size_t>(rank), replicas_.size());
-  return replicas_[static_cast<size_t>(rank)];
-}
-
-VariableStore& ArNumericEngine::mutable_replica(int rank) {
-  PX_CHECK_GE(rank, 0);
-  PX_CHECK_LT(static_cast<size_t>(rank), replicas_.size());
-  return replicas_[static_cast<size_t>(rank)];
-}
-
-void ArNumericEngine::CheckReplicasConsistent() const {
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    if (!Manages(static_cast<int>(v))) {
-      continue;
-    }
-    const Tensor& reference = replicas_.front().Get(static_cast<int>(v));
-    for (size_t r = 1; r < replicas_.size(); ++r) {
-      PX_CHECK(AllClose(reference, replicas_[r].Get(static_cast<int>(v)), 0.0f))
-          << "replica divergence on variable " << graph_->variables()[v].name
-          << " at rank " << r << " — identical aggregated gradients must keep replicas "
-          << "bit-identical";
+    if (Manages(key) && values.Contains(key)) {
+      values_.Set(key, values.Get(key).Clone());
     }
   }
 }

@@ -3,9 +3,11 @@
 // sparse gradients are AllGatherv-concatenated, and every replica applies the identical
 // aggregated gradient — so replicas never diverge.
 //
-// The replica-consistency invariant is checked after every step (cheap hash comparison),
-// because it is the correctness property that makes the AR architecture "simple": all
-// workers always have the same variable values (paper section 2.1).
+// That invariant is what makes the AR architecture "simple" (paper section 2.1), and it
+// is also why the engine stores one copy: identical replicas are one value, and a
+// replica count decides only how long a step takes, which the timing plane models
+// (ring AllReduce and AllGatherv over the plan's ranks). Every rank reads the same
+// buffers through View().
 //
 // ArNumericEngine implements the SyncEngine interface (core/sync_engine.h) and registers
 // as "ar". Its timing-plane cost hook routes dense gradients to ring AllReduce and
@@ -25,48 +27,37 @@ namespace parallax {
 struct ArNumericConfig {
   AggregationMethod dense_aggregation = AggregationMethod::kAverage;
   AggregationMethod sparse_aggregation = AggregationMethod::kAverage;
-  // If true, the post-step replica equality check is skipped (for large models).
-  bool skip_consistency_check = false;
   // Variable indices this engine owns; empty means all (hybrid routing).
   std::vector<int> managed_variables;
 };
 
 class ArNumericEngine : public SyncEngine {
  public:
-  ArNumericEngine(const Graph* graph, int num_ranks, ArNumericConfig config = {});
+  explicit ArNumericEngine(const Graph* graph, ArNumericConfig config = {});
 
   // SyncEngine:
-  // Refreshes routing/aggregation semantics, and — when the plan's rank count moved
-  // (GraphRunner::Rescale) — resizes the replica set value-preservingly: joining ranks
-  // clone the incumbent replica (all replicas are identical between steps), leaving
-  // ranks are dropped. Values never change across a Prepare, only the replica count.
+  // Refreshes routing and aggregation semantics; values never move, whatever the plan's
+  // rank count (GraphRunner::Rescale re-Prepares with a new one).
   void Prepare(const SyncPlan& plan) override;
-  // One synchronous step: aggregates per-rank gradients with collective semantics and
-  // applies the result to every replica.
+  // One synchronous step over any number of ranks: aggregates per-rank gradients with
+  // collective semantics and applies the result once.
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  // Managed variables of replica 0 (identical on every rank). Tensors share the
-  // replica's buffers: valid until the next ApplyStep.
+  // The managed variables' own buffers (no copy): every later ApplyStep writes through
+  // them, a Prepare leaves them as they are.
   VariableStore View() const override;
   SyncMethod CostMethod(GradKind kind) const override {
     return kind == GradKind::kSparse ? SyncMethod::kArAllGatherv
                                      : SyncMethod::kArAllReduce;
   }
-  // Checkpoint restore: every replica adopts the managed variables' loaded values
-  // (deep copies — replicas must never share buffers).
+  // Checkpoint restore: each managed variable present in `values` gets a copy of it.
   void LoadValues(const VariableStore& values) override;
 
-  // Rank r's replica (all replicas are identical after any step).
-  const VariableStore& replica(int rank) const;
-  VariableStore& mutable_replica(int rank);
-  int num_ranks() const { return static_cast<int>(replicas_.size()); }
-
  private:
-  void CheckReplicasConsistent() const;
   bool Manages(int variable_index) const;
 
   const Graph* graph_;
   ArNumericConfig config_;
-  std::vector<VariableStore> replicas_;
+  VariableStore values_;  // every graph variable, one buffer each
 };
 
 }  // namespace parallax

@@ -1,8 +1,9 @@
 // Shared integer schedule math.
 //
 // The same "split N items into P near-equal parts, first N % P parts one larger"
-// convention appears in two layers: row-range variable partitioning (ps/partition.h,
-// TensorFlow's fixed_size_partitioner semantics) and ring-collective chunking
+// convention appears in two layers: row-range variable partitioning (RowPartition in
+// tests/naive_reference.h, the split the PS oracle updates piece by piece; TensorFlow's
+// fixed_size_partitioner semantics) and ring-collective chunking
 // (comm/collectives.cc, where a w-byte gradient is cut into N ring chunks). Keeping the
 // arithmetic here guarantees the two stay consistent — a ring chunk boundary and a
 // partition piece boundary are computed by the same formula.

@@ -37,8 +37,9 @@
 namespace parallax {
 
 // Builder-style session construction. Every With* returns *this for chaining; Build()
-// validates (resources present and homogeneous, engine names registered) and returns
-// the runner or the first error.
+// validates (resources present and homogeneous, engine names registered, search,
+// adaptivity and checkpoint options in range) and returns the runner or the first
+// error.
 class RunnerBuilder {
  public:
   RunnerBuilder(const Graph* graph, NodeId loss);

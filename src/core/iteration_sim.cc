@@ -551,6 +551,7 @@ std::vector<double> IterationSimulator::RunIterations(int iterations) {
 }
 
 double IterationSimulator::MeasureIterationSeconds(int warmup, int measure) {
+  PX_CHECK_GE(warmup, 0);
   PX_CHECK_GT(measure, 0);
   std::vector<double> durations = RunIterations(warmup + measure);
   double sum = 0.0;

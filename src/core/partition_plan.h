@@ -11,10 +11,11 @@
 //             coordinate descent over the simulated clock,
 //   assign  — AssignGraphVariables (core/analysis.h) stamps plan.For(name) onto each
 //             partitioner-scoped PS variable (row-capped),
-//   apply   — the PS-family engines re-split shards from the per-variable counts the
-//             SyncPlan carries (PsNumericConfigFor, ps/ps_numeric.h), and
-//             GraphRunner::Repartition(plan) swaps layouts mid-training, re-preparing
-//             only what changed.
+//   apply   — the timing plane (IterationSimulator, TransformGraph, the migration
+//             charge) splits shards from the per-variable counts the SyncPlan
+//             carries, and GraphRunner::Repartition(plan) swaps layouts
+//             mid-training. A layout never changes values, so the numeric engines
+//             hold each variable whole.
 //
 // A plan is a default count plus per-variable overrides keyed by variable *name*
 // (names are the stable identity across Graph, SyncPlan, and the cost model's
@@ -33,9 +34,9 @@ namespace parallax {
 
 // The structural gate every applier of a partition count shares: a variable cannot
 // have more pieces than rows, and never fewer than one. The assigner, the runner's
-// re-partitioner, and the PS engine's shard builder all go through this one function —
-// if any of them gated differently, the simulator would time a layout the engine never
-// builds.
+// re-partitioner, and the framework baselines all go through this one function — if
+// any of them gated differently, the simulator would time a layout the plan never
+// names.
 inline int RowCappedPartitions(int requested, int64_t rows) {
   return static_cast<int>(
       std::min<int64_t>(std::max<int64_t>(rows, 1), std::max(requested, 1)));

@@ -72,7 +72,7 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   // Instantiate one engine per distinct name, in order of first appearance, and let
   // each engine's cost hook fix the timing-plane method of the variables it received
   // through an override.
-  SyncEngineEnv env{graph_, num_ranks()};
+  SyncEngineEnv env{graph_};
   engines_.clear();
   for (size_t v = 0; v < plan_.variables.size(); ++v) {
     int index = -1;
@@ -389,28 +389,11 @@ double GraphRunner::MigrationSecondsBetween(const std::vector<VariableSync>& fro
 void GraphRunner::Repartition(const PartitionPlan& plan) {
   PX_CHECK(initialized_) << "Repartition before the first Step";
   PX_CHECK_GE(plan.default_partitions(), 1);
-  std::vector<VariableSync> next = VariablesWithPartitions(plan);
-  // Only engines owning a variable whose count or placement actually changes need a
-  // re-Prepare; everything else keeps its shards (Prepare is value-preserving either
-  // way, this just skips the no-op materialize/re-split round-trips).
-  std::vector<bool> engine_dirty(engines_.size(), false);
-  for (size_t v = 0; v < next.size(); ++v) {
-    if (next[v].partitions == plan_.variables[v].partitions &&
-        next[v].placement == plan_.variables[v].placement) {
-      continue;
-    }
-    for (size_t e = 0; e < engines_.size(); ++e) {
-      if (engines_[e]->name() == plan_.engines[v]) {
-        engine_dirty[e] = true;
-      }
-    }
-  }
+  plan_.variables = VariablesWithPartitions(plan);
   partition_plan_ = plan;
-  plan_.variables = std::move(next);
-  for (size_t e = 0; e < engines_.size(); ++e) {
-    if (engine_dirty[e]) {
-      engines_[e]->Prepare(plan_);
-    }
+  // A re-Prepare only refreshes each engine's configuration; values never move.
+  for (const std::unique_ptr<SyncEngine>& engine : engines_) {
+    engine->Prepare(plan_);
   }
   RebuildTimingPlane();
 }
@@ -481,10 +464,9 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
 
   partition_plan_ = best_plan;
   plan_.variables = VariablesWithPartitions(partition_plan_);
-  // Every engine re-Prepares: the rank count changed for all of them. AR resizes its
-  // replica set around the incumbent values; PS re-splits only the variables the
-  // adopted plan actually moved. Both are value-preserving, which is what makes an
-  // immediate N -> M -> N round trip bit-identical.
+  // Every engine re-Prepares with the new rank count and layout. Prepare is
+  // value-preserving, which is what makes an immediate N -> M -> N round trip
+  // bit-identical; the layout's cost is the migration charge below.
   for (const std::unique_ptr<SyncEngine>& engine : engines_) {
     engine->Prepare(plan_);
   }

@@ -30,9 +30,9 @@
 // *time axis* (simulated seconds) — the two ingredients of the paper's Figure 7.
 //
 // The resource set is NOT fixed for the runner's life: Rescale(ResourceSpec) swaps the
-// worker/server membership mid-training — shards migrate value-preservingly, the
-// partition/placement search re-runs against the new topology, and the migration's
-// bytes are charged to the simulated clock (docs/elasticity.md). Checkpoint/RestoreFrom
+// worker/server membership mid-training — values are untouched, the
+// partition/placement search re-runs against the new topology, and the shard
+// migration's bytes are charged to the simulated clock (docs/elasticity.md). Checkpoint/RestoreFrom
 // (WithCheckpoint) add crash recovery with replay bounded by the checkpoint interval.
 //
 // Every search — startup, adaptive, rescale — is one planning query (PlannerQuery)
@@ -42,8 +42,8 @@
 //
 // Engines are reached exclusively through the SyncEngine interface
 // (core/sync_engine.h); the runner never names a concrete engine type.
-// Repartition(plan) swaps the partition layout mid-training (values preserved),
-// re-preparing only the engines that own a variable whose count actually changed.
+// Repartition(plan) swaps the partition layout mid-training (values preserved): every
+// engine is re-Prepared, which only refreshes its configuration.
 #ifndef PARALLAX_SRC_CORE_RUNNER_H_
 #define PARALLAX_SRC_CORE_RUNNER_H_
 
@@ -177,14 +177,14 @@ class GraphRunner {
   Tensor Evaluate(const FeedMap& feeds, NodeId fetch);
 
   // Elastic re-partitioning: swaps the partition layout mid-training. Values are
-  // preserved bit-for-bit; only engines owning a variable whose count actually changed
-  // are re-Prepared (and the PS engine re-splits only those variables); the timing
-  // plane and the distributed graph are rebuilt for the new layout.
+  // preserved bit-for-bit: every engine is re-Prepared, which only refreshes its
+  // configuration, and the timing plane and the distributed graph are rebuilt for the
+  // new layout.
   void Repartition(const PartitionPlan& plan);
 
   // Elastic membership change (docs/elasticity.md): workers and servers join or leave
-  // mid-training. Values are preserved bit-for-bit — PS shards re-split around the
-  // current values, AR replicas clone on grow / truncate on shrink. The partition and
+  // mid-training. Values are preserved bit-for-bit: every engine is re-Prepared with
+  // the new rank count and layout, which moves no value. The partition and
   // placement search re-runs against the NEW cluster's topology, and the result is
   // adopted only if it beats the incumbent layout simulated on that same topology
   // (placements referencing departed machines are cleared first). The shard-migration

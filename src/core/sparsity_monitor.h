@@ -93,9 +93,9 @@ struct AdaptationVerdict {
   double current_seconds = 0.0;  // simulated iteration time at from_plan,
                                  // measured alphas
   double best_seconds = 0.0;     // simulated iteration time at the best candidate
-  // Estimated cost of swapping from_plan -> best candidate: re-Prepare materializes
-  // and re-splits every variable whose count changes, moving its shard bytes between
-  // servers. Charged to the simulated clock when adopted.
+  // Estimated cost of swapping from_plan -> best candidate: on a real cluster every
+  // variable whose count or placement changes moves its shard bytes between servers.
+  // Charged to the simulated clock when adopted.
   double migration_seconds = 0.0;
   // True iff the per-step win pays the migration back before the loop could revisit
   // the decision: (current - best) * max(cooldown_steps, check_interval) >=

@@ -27,7 +27,7 @@ SyncEngineRegistry& SyncEngineRegistry::Global() {
       return std::make_unique<PsNumericEngine>(env.graph);
     }));
     must(r->Register("ar", [](const SyncEngineEnv& env) -> std::unique_ptr<SyncEngine> {
-      return std::make_unique<ArNumericEngine>(env.graph, env.num_ranks);
+      return std::make_unique<ArNumericEngine>(env.graph);
     }));
     must(r->Register("async_ps",
                      [](const SyncEngineEnv& env) -> std::unique_ptr<SyncEngine> {

@@ -6,10 +6,10 @@
 // SyncEngine is one synchronization mechanism (parameter server, AllReduce, async PS,
 // anything registered) behind a small interface:
 //
-//   Prepare(plan)    — (re)configure for the variables the plan routes here. The first
-//                      call initializes from the graph's initial values; later calls
-//                      preserve the current values, which is what makes elastic
-//                      mid-training re-partitioning a plain re-Prepare.
+//   Prepare(plan)    — (re)configure for the variables the plan routes here. Values
+//                      start at the graph's initial values and no Prepare moves them,
+//                      which is what makes elastic mid-training re-partitioning and
+//                      rescaling a plain re-Prepare.
 //   ApplyStep(...)   — one synchronous data-parallel step over the managed variables.
 //   View()           — the managed variables' current values as a worker observes them.
 //   CostMethod(kind) — the timing-plane model for a variable of this gradient kind
@@ -84,13 +84,14 @@ struct VariableSync {
   CompressionSpec compression;
   // PS only; >1 splits the shard row-wise across servers. This count is per variable —
   // a PartitionPlan stamps each partitioner-scoped variable's own count here (row-
-  // capped), and the PS-family engines split their shards from exactly this field.
+  // capped), and the timing plane and the migration estimate split the shard from
+  // exactly this field. The engines' values do not depend on it.
   int partitions = 1;
   // PS only; placement[p] is the server machine hosting piece p. Empty (the default)
   // means the historical round-robin assignment; when a PartitionPlan carries a
   // searched placement the runner stamps it here (only if its length matches the
-  // row-capped partition count), and the timing plane, the migration estimate, and the
-  // PS-family engines all read shard ownership from this one field.
+  // row-capped partition count), and the timing plane and the migration estimate read
+  // shard ownership from this one field.
   std::vector<int> placement;
 };
 
@@ -148,8 +149,9 @@ class SyncEngine {
   virtual ~SyncEngine() = default;
 
   // (Re)configures the engine for the plan entries naming it. Must be value-preserving:
-  // a second Prepare (e.g. with a new partition count) keeps the variables' current
-  // values bit-identical.
+  // a second Prepare (e.g. with a new partition count, placement or rank count) keeps
+  // the variables' current values bit-identical. Layout is the timing plane's concern,
+  // so the built-in engines only refresh routing and aggregation here.
   virtual void Prepare(const SyncPlan& plan) = 0;
 
   // One synchronous training step given every rank's backward results; applies SGD with
@@ -157,18 +159,20 @@ class SyncEngine {
   virtual void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) = 0;
 
   // Current values of the managed variables, as a worker pulling now observes them.
-  // Returned tensors may share the engine's buffers and are valid until the next
-  // ApplyStep/Prepare; callers that need a snapshot Clone() the store.
+  // Returned tensors may share the engine's buffers: the built-in engines hand out the
+  // buffers they update, with no copy, so the values read through a View are current
+  // until the next ApplyStep writes through them or LoadValues replaces them (a Prepare
+  // leaves them as they are). Callers that need a snapshot Clone() the store.
   virtual VariableStore View() const = 0;
 
   // Overwrites the managed variables' current values from `values` (a full worker
-  // view, e.g. a loaded checkpoint), keeping the engine's layout — partition counts,
-  // placements, replica structure — untouched. The restore counterpart of the
-  // value-preserving re-Prepare: Prepare carries values across a layout change,
-  // LoadValues carries a layout across a value change (crash recovery,
-  // GraphRunner::RestoreFrom). Engines must copy, never alias, the incoming tensors.
-  // Only variables present in `values` AND managed by this engine move; the default
-  // no-op suits engines that hold no persistent state.
+  // view, e.g. a loaded checkpoint), keeping the engine's configuration untouched. The
+  // restore counterpart of the value-preserving re-Prepare: Prepare carries values
+  // across a layout change, LoadValues carries a layout across a value change (crash
+  // recovery, GraphRunner::RestoreFrom). Engines must copy, never alias, the incoming
+  // tensors; a View taken before keeps the replaced buffers. Only variables present in
+  // `values` AND managed by this engine move; the default no-op suits engines that
+  // hold no persistent state.
   virtual void LoadValues(const VariableStore& values) { (void)values; }
 
   // Cost hook for the timing plane: how the iteration simulator models a variable of
@@ -220,7 +224,6 @@ class SyncEngine {
 // Prepare.
 struct SyncEngineEnv {
   const Graph* graph = nullptr;
-  int num_ranks = 1;
 };
 
 // Name -> factory registry. "ps", "ar", "async_ps", "topk_ps", and "int8_ps" are

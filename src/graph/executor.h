@@ -46,8 +46,8 @@ class GradValue {
   IndexedSlices sparse_;
 };
 
-// Variable name/index -> current value. Each simulated process owns one store (AR
-// replicas, PS server shards, the single-device reference).
+// Variable name/index -> current value. Each numeric engine owns one store, one buffer
+// per variable (so does the single-device reference).
 class VariableStore {
  public:
   VariableStore() = default;

@@ -33,10 +33,10 @@ class AsyncPsEngine : public SyncEngine {
   // already moved. In a mixed plan (barrier fallback) the whole batch arrives at once
   // and is drained as one deterministic arrival sequence.
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  VariableStore View() const override { return engine_.CurrentValues(); }
+  VariableStore View() const override { return engine_.View(); }
   SyncMethod CostMethod(GradKind) const override { return SyncMethod::kPs; }
   bool SequentialArrival() const override { return true; }
-  // Checkpoint restore: the inner engine owns the shards, so it does the loading.
+  // Checkpoint restore: the inner engine owns the values, so it does the loading.
   void LoadValues(const VariableStore& values) override { engine_.LoadValues(values); }
   // Forwarded to the inner engine, whose step path does the reporting. Each push is a
   // single-contributor apply, so observations arrive as per-worker access-ratio
@@ -56,7 +56,7 @@ class AsyncPsEngine : public SyncEngine {
   int64_t pushes_applied() const { return pushes_applied_; }
 
  private:
-  PsNumericEngine engine_;  // reuses shard storage; async path bypasses accumulators
+  PsNumericEngine engine_;  // owns the values; the async path bypasses accumulators
   int64_t pushes_applied_ = 0;
 };
 

@@ -1,55 +1,14 @@
 #include "src/ps/ps_numeric.h"
 
-#include <algorithm>
-
-#include "src/core/partition_plan.h"
 #include "src/tensor/indexed_slices.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
 
-PsVariable::PsVariable(Tensor initial, int partitions) : shape_(initial.shape()) {
-  if (partitions > 1) {
-    PX_CHECK_GE(shape_.rank(), 1);
-    partition_.emplace(shape_.dim(0), partitions);
-    pieces_ = SplitRowsByPartition(initial, *partition_);
-  } else {
-    pieces_.push_back(initial.Clone());
-  }
-}
-
-Tensor PsVariable::Materialize() const {
-  if (!partition_) {
-    return pieces_.front().Clone();
-  }
-  return StitchPartitions(pieces_, *partition_);
-}
-
-void PsVariable::ApplyDenseSgd(const Tensor& grad, float learning_rate) {
-  PX_CHECK(grad.shape() == shape_);
-  if (!partition_) {
-    AxpyInPlace(pieces_.front(), -learning_rate, grad);
-    return;
-  }
-  std::vector<Tensor> grad_pieces = SplitRowsByPartition(grad, *partition_);
-  for (size_t p = 0; p < pieces_.size(); ++p) {
-    AxpyInPlace(pieces_[p], -learning_rate, grad_pieces[p]);
-  }
-}
-
-float* PsVariable::MutableRow(int64_t row) {
-  const int64_t width = shape_.row_elements();
-  if (!partition_) {
-    return pieces_.front().mutable_floats().data() + row * width;
-  }
-  const int piece = partition_->PartitionOfRow(row);
-  const int64_t local = row - partition_->RowBegin(piece);
-  return pieces_[static_cast<size_t>(piece)].mutable_floats().data() + local * width;
-}
-
 PsNumericEngine::PsNumericEngine(const Graph* graph) : graph_(graph) {
   PX_CHECK(graph != nullptr);
   set_name("ps");
+  values_ = VariableStore::InitFrom(*graph);
 }
 
 PsNumericEngine::PsNumericEngine(const Graph* graph, PsNumericConfig config)
@@ -59,14 +18,6 @@ PsNumericEngine::PsNumericEngine(const Graph* graph, PsNumericConfig config)
 
 PsNumericConfig PsNumericConfigFor(const SyncPlan& plan, const std::string& engine) {
   PsNumericConfig config;
-  // The plan's layout is per variable: each entry already carries its own (row-capped)
-  // partition count, which is what the shards are split from.
-  config.variable_partitions.reserve(plan.variables.size());
-  config.variable_placements.reserve(plan.variables.size());
-  for (const VariableSync& sync : plan.variables) {
-    config.variable_partitions.push_back(sync.partitions);
-    config.variable_placements.push_back(sync.placement);
-  }
   config.local_aggregation = plan.local_aggregation;
   config.dense_aggregation = plan.dense_aggregation;
   config.sparse_aggregation = plan.sparse_aggregation;
@@ -81,55 +32,15 @@ void PsNumericEngine::Prepare(const SyncPlan& plan) {
 
 void PsNumericEngine::Reconfigure(PsNumericConfig config) {
   PX_CHECK_GE(config.ranks_per_machine, 1);
-  if (!config.variable_partitions.empty()) {
-    PX_CHECK_EQ(config.variable_partitions.size(), graph_->variables().size())
-        << "variable_partitions must be parallel to the graph's variables";
-  }
-  if (!config.variable_placements.empty()) {
-    PX_CHECK_EQ(config.variable_placements.size(), graph_->variables().size())
-        << "variable_placements must be parallel to the graph's variables";
-  }
-  // Re-preparation preserves values: shards are rebuilt around the current state, not
-  // the initializers — what makes a mid-training partition swap a plain re-Prepare.
-  // Variables whose partition count does not change are moved over untouched (no
-  // materialize + re-split), so swapping a plan that moves one variable costs only
-  // that variable's bytes.
-  const bool preserve = !variables_.empty();
-  std::vector<PsVariable> next;
-  next.reserve(graph_->variables().size());
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    const VariableDef& def = graph_->variables()[v];
-    // Only partitioner-scoped variables are split (Figure 3 line 9), each by its own
-    // count through the same RowCappedPartitions gate the assigner and the simulator's
-    // layout use, so the engine always builds the layout that was timed.
-    int partitions = 1;
-    if (def.partitioner_scope && def.shape.rank() >= 1 &&
-        !config.variable_partitions.empty()) {
-      partitions = RowCappedPartitions(config.variable_partitions[v], def.shape.dim(0));
-    }
-    if (!preserve) {
-      next.emplace_back(def.initial_value, partitions);
-    } else if (variables_[v].num_partitions() == partitions) {
-      next.push_back(std::move(variables_[v]));
-    } else {
-      next.emplace_back(variables_[v].Materialize(), partitions);
-    }
-  }
   config_ = std::move(config);
-  variables_ = std::move(next);
 }
 
 void PsNumericEngine::LoadValues(const VariableStore& values) {
-  PX_CHECK_EQ(variables_.size(), graph_->variables().size())
-      << "LoadValues before Prepare/Reconfigure";
-  for (size_t v = 0; v < variables_.size(); ++v) {
-    if (!Manages(static_cast<int>(v)) || !values.Contains(static_cast<int>(v))) {
-      continue;
+  for (size_t v = 0; v < graph_->variables().size(); ++v) {
+    const int key = static_cast<int>(v);
+    if (Manages(key) && values.Contains(key)) {
+      values_.Set(key, values.Get(key).Clone());
     }
-    // The PsVariable constructor splits (or clones) the incoming tensor, so the shards
-    // never alias the caller's buffer; the partition count in force is kept.
-    variables_[v] =
-        PsVariable(values.Get(static_cast<int>(v)), variables_[v].num_partitions());
   }
 }
 
@@ -148,7 +59,6 @@ bool PsNumericEngine::Manages(int variable_index) const {
 void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
                                 float learning_rate) {
   PX_CHECK(!per_rank.empty());
-  PX_CHECK(!variables_.empty()) << "ApplyStep before Prepare/configuration";
   const int num_ranks = static_cast<int>(per_rank.size());
   const int ranks_per_machine = config_.local_aggregation ? config_.ranks_per_machine : 1;
   PX_CHECK_EQ(num_ranks % ranks_per_machine, 0)
@@ -159,7 +69,7 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
   // are independent (aggregation never mixes them numerically), so the split changes
   // nothing about the values.
   std::vector<int> sparse_vars;
-  for (size_t v = 0; v < variables_.size(); ++v) {
+  for (size_t v = 0; v < graph_->variables().size(); ++v) {
     int key = static_cast<int>(v);
     if (!Manages(key)) {
       continue;
@@ -189,7 +99,7 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
     if (config_.dense_aggregation == AggregationMethod::kAverage) {
       ScaleInPlace(aggregated, 1.0f / static_cast<float>(num_ranks));
     }
-    variables_[v].ApplyDenseSgd(aggregated, learning_rate);
+    AxpyInPlace(values_.GetMutable(key), -learning_rate, aggregated);
   }
 
   // Per-rank taps: one worker's own coalesced row count is a direct access-ratio
@@ -241,11 +151,12 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
 
   // Level 2 — global accumulation fused with the update: one streaming pass sums each
   // coalesced row, applies the aggregation scale, and writes the SGD update straight
-  // into the owning shard row. No aggregated gradient tensor is ever materialized —
-  // the element-wise operations (sum in a fresh zero buffer, *= scale, dst -= lr * v)
-  // are exactly those of the seed's per-variable pipeline (sum, scale, split by
-  // partition, scatter update; tests/naive_reference.h keeps it as the oracle), so the
-  // result is bit-identical to it.
+  // into the variable's row. No aggregated gradient tensor is ever materialized — the
+  // element-wise operations (sum in a fresh zero buffer, *= scale, dst -= lr * v) are
+  // exactly those of the seed's per-variable pipeline (sum, scale, split by partition,
+  // scatter update into each piece; tests/naive_reference.h keeps it as the oracle),
+  // so the result is bit-identical to it at every partition count.
+  row_targets_.resize(n_vars);
   for (size_t i = 0; i < n_vars; ++i) {
     groups[i].inputs.clear();
     for (int m = 0; m < num_machines; ++m) {
@@ -254,8 +165,9 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
               ? &machine_bundles[static_cast<size_t>(m)][i]
               : &per_rank[static_cast<size_t>(m)].grads.at(variables[i]).sparse());
     }
-    PX_CHECK(groups[i].inputs.front()->dense_shape() ==
-             variables_[static_cast<size_t>(variables[i])].shape());
+    Tensor& value = values_.GetMutable(variables[i]);
+    PX_CHECK(groups[i].inputs.front()->dense_shape() == value.shape());
+    row_targets_[i] = {value.mutable_floats().data(), value.shape().row_elements()};
   }
   const bool average = config_.sparse_aggregation == AggregationMethod::kAverage;
   const float scale = 1.0f / static_cast<float>(num_ranks);
@@ -264,9 +176,9 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
   std::vector<int64_t>* unique_out = observer() != nullptr ? &observed_unique_ : nullptr;
   MultiVariableSumStream(groups, &workspace_,
                          [&](int64_t g, int64_t row, const float* values) {
-    PsVariable& variable = variables_[static_cast<size_t>(variables[static_cast<size_t>(g)])];
-    const int64_t width = variable.shape().row_elements();
-    float* dst = variable.MutableRow(row);
+    const RowTarget& target = row_targets_[static_cast<size_t>(g)];
+    const int64_t width = target.width;
+    float* dst = target.base + row * width;
     if (average) {
       // (v * scale) then (lr * scaled) — the float sequence of a scale pass followed
       // by a scatter update.
@@ -286,14 +198,16 @@ void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
   }
 }
 
-VariableStore PsNumericEngine::CurrentValues() const {
-  VariableStore store;
-  for (size_t v = 0; v < variables_.size(); ++v) {
+VariableStore PsNumericEngine::View() const {
+  VariableStore view;
+  for (size_t v = 0; v < graph_->variables().size(); ++v) {
     if (Manages(static_cast<int>(v))) {
-      store.Set(static_cast<int>(v), variables_[v].Materialize());
+      view.Set(static_cast<int>(v), values_.Get(static_cast<int>(v)));
     }
   }
-  return store;
+  return view;
 }
+
+VariableStore PsNumericEngine::CurrentValues() const { return View().Clone(); }
 
 }  // namespace parallax

@@ -36,7 +36,7 @@ class Int8PsEngine : public SyncEngine {
   // SyncEngine:
   void Prepare(const SyncPlan& plan) override;
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  VariableStore View() const override { return engine_.CurrentValues(); }
+  VariableStore View() const override { return engine_.View(); }
   SyncMethod CostMethod(GradKind) const override { return SyncMethod::kPs; }
   CompressionSpec CostCompression(GradKind kind) const override;
   void LoadValues(const VariableStore& values) override { engine_.LoadValues(values); }

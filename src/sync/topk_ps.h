@@ -49,10 +49,10 @@ class TopKPsEngine : public SyncEngine {
   // SyncEngine:
   void Prepare(const SyncPlan& plan) override;
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  VariableStore View() const override { return engine_.CurrentValues(); }
+  VariableStore View() const override { return engine_.View(); }
   SyncMethod CostMethod(GradKind) const override { return SyncMethod::kPs; }
   CompressionSpec CostCompression(GradKind kind) const override;
-  // Checkpoint restore moves the inner engine's shard values. Residuals are transient
+  // Checkpoint restore moves the inner engine's values. Residuals are transient
   // optimizer-side state and restart at zero, like a fresh run's.
   void LoadValues(const VariableStore& values) override { engine_.LoadValues(values); }
   void set_observer(SparseAccessObserver* observer) override {

@@ -1,11 +1,8 @@
 #include "src/tensor/tensor_ops.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
-
-#include "src/tensor/sparse_workspace.h"
 
 namespace parallax {
 namespace {
@@ -14,11 +11,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
   PX_CHECK(a.shape() == b.shape())
       << "shape mismatch: " << a.shape().ToString() << " vs " << b.shape().ToString();
 }
-
-// Parallel scatter engages only past this many touched elements (and needs >1 lane and
-// sorted indices); below it the shard setup outweighs the row updates.
-constexpr int64_t kParallelScatterThreshold = 1 << 16;
-constexpr int kMaxScatterShards = 32;
 
 }  // namespace
 
@@ -508,50 +500,19 @@ void ScatterAddInPlace(Tensor& params, const IndexedSlices& slices) {
   }
 }
 
-void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate,
-                      SparseWorkspace* workspace) {
+void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate) {
   PX_CHECK(params.shape() == grad.dense_shape());
-  const int64_t n = grad.nnz_rows();
   const int64_t row = params.shape().row_elements();
   auto dst = params.mutable_floats();
   auto src = grad.values().floats();
   const std::vector<int64_t>& indices = grad.indices();
-  auto update_range = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      float* d = dst.data() + indices[static_cast<size_t>(i)] * row;
-      const float* s = src.data() + i * row;
-      for (int64_t j = 0; j < row; ++j) {
-        d[j] -= learning_rate * s[j];
-      }
+  for (int64_t i = 0; i < grad.nnz_rows(); ++i) {
+    float* d = dst.data() + indices[static_cast<size_t>(i)] * row;
+    const float* s = src.data() + i * row;
+    for (int64_t j = 0; j < row; ++j) {
+      d[j] -= learning_rate * s[j];
     }
-  };
-
-  ThreadPool& pool = workspace != nullptr ? workspace->pool() : GlobalSparsePool();
-  if (pool.num_threads() > 1 && n * row >= kParallelScatterThreshold &&
-      std::is_sorted(indices.begin(), indices.end())) {
-    // Shard boundaries snapped forward to the next index change, so every destination
-    // row belongs to exactly one shard (duplicates stay together, in input order).
-    std::array<int64_t, kMaxScatterShards + 1> bounds;
-    int shards = std::min(pool.num_threads(), kMaxScatterShards);
-    int used = 0;
-    bounds[0] = 0;
-    for (int t = 1; t <= shards; ++t) {
-      int64_t b = t == shards ? n : t * n / shards;
-      while (b < n && b > 0 && indices[static_cast<size_t>(b)] == indices[static_cast<size_t>(b - 1)]) {
-        ++b;
-      }
-      if (b > bounds[static_cast<size_t>(used)]) {
-        bounds[static_cast<size_t>(++used)] = b;
-      }
-    }
-    pool.ParallelFor(used, 1, [&](int64_t shard_begin, int64_t shard_end) {
-      for (int64_t t = shard_begin; t < shard_end; ++t) {
-        update_range(bounds[static_cast<size_t>(t)], bounds[static_cast<size_t>(t) + 1]);
-      }
-    });
-    return;
   }
-  update_range(0, n);
 }
 
 Tensor SliceRows(const Tensor& input, int64_t row_begin, int64_t row_end) {

@@ -17,8 +17,6 @@
 
 namespace parallax {
 
-class SparseWorkspace;
-
 // ---- Element-wise dense kernels ----
 
 // out += in (shapes must match).
@@ -62,15 +60,9 @@ float SoftmaxCrossEntropy(const Tensor& logits, const Tensor& labels, Tensor* gr
 Tensor GatherRows(const Tensor& params, std::span<const int64_t> indices);
 // params[indices[i], :] += slices row i (duplicates accumulate).
 void ScatterAddInPlace(Tensor& params, const IndexedSlices& slices);
-// params[indices[i], :] -= lr * slices row i — the sparse SGD update.
-//
-// For large sorted-index gradients (coalesced ones, as MultiVariableSum produces) the
-// update runs across the workspace's thread pool, split at index boundaries so each
-// destination row is owned by exactly one lane; per-row accumulation order is input
-// order either way, so the result is bit-identical to the sequential loop for every
-// pool size. Unsorted or small gradients take the sequential path.
-void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate,
-                      SparseWorkspace* workspace = nullptr);
+// params[indices[i], :] -= lr * slices row i — the sparse SGD update, one sequential
+// pass in input order (duplicates apply one after another).
+void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate);
 // Contiguous row slice [row_begin, row_end) of a rank>=1 tensor.
 Tensor SliceRows(const Tensor& input, int64_t row_begin, int64_t row_end);
 // Contiguous column slice [col_begin, col_end) of a 2-D tensor.

@@ -227,9 +227,7 @@ TEST(CheckpointTest, FailedSaveLeavesPreviousCheckpointIntact) {
 TEST(AsyncPsTest, TrainingConvergesWithoutBarrier) {
   WordLmModel model({.vocab_size = 80, .embedding_dim = 6, .hidden_dim = 10,
                      .batch_per_rank = 16, .seed = 905});
-  PsNumericConfig config;
-  config.variable_partitions.assign(model.graph()->variables().size(), 4);
-  AsyncPsEngine engine(model.graph(), config);
+  AsyncPsEngine engine(model.graph(), PsNumericConfig{});
   Executor executor(model.graph());
   Rng rng(95);
   float first_loss = 0.0f;

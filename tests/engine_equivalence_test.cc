@@ -50,11 +50,10 @@ void ExpectTrajectoriesMatch(Model& model, float tolerance) {
 
   // Engines under test.
   PsNumericConfig ps_config;
-  ps_config.variable_partitions.assign(graph.variables().size(), 4);
   ps_config.local_aggregation = true;
   ps_config.ranks_per_machine = 2;
   PsNumericEngine ps(model.graph(), ps_config);
-  ArNumericEngine ar(model.graph(), kRanks);
+  ArNumericEngine ar(model.graph());
   ParallaxConfig px_config;
   px_config.learning_rate = kLr;
   px_config.search.warmup_iterations = 2;
@@ -84,7 +83,7 @@ void ExpectTrajectoriesMatch(Model& model, float tolerance) {
       const std::string& name = graph.variables()[v].name;
       EXPECT_TRUE(AllClose(ps_values.Get(key), reference.Get(key), tolerance))
           << "PS diverged on " << name << " at step " << step;
-      EXPECT_TRUE(AllClose(ar.replica(0).Get(key), reference.Get(key), tolerance))
+      EXPECT_TRUE(AllClose(ar.View().Get(key), reference.Get(key), tolerance))
           << "AR diverged on " << name << " at step " << step;
       EXPECT_TRUE(AllClose(px_values.Get(key), reference.Get(key), tolerance))
           << "Parallax diverged on " << name << " at step " << step;
@@ -113,11 +112,13 @@ TEST(EngineEquivalenceTest, MlpClassifierAllEnginesTrackReference) {
 // ---- Bit-identity against the pre-SyncEngine runner ---------------------------------
 //
 // The redesigned runner routes every step through SyncEngine::ApplyStep and composes
-// worker views from engine View()s; the seed runner hardwired a PsNumericEngine +
-// ArNumericEngine pair, cloned per-rank AR replicas, and overlaid PS pulls. This
-// reference replays the seed's exact step semantics over any ps/ar managed split, so
-// both the default hybrid assignment and builder-forced mixed assignments can be
-// compared bit-for-bit. Its server side is the naive per-variable oracle
+// worker views from engine View()s, which hand out each engine's one copy of a
+// variable; the seed runner hardwired a PS + AR engine pair, kept one AR replica per
+// rank, and overlaid PS pulls. This reference replays the seed's exact step semantics
+// over any ps/ar managed split, so both the default hybrid assignment and
+// builder-forced mixed assignments can be compared bit-for-bit. It keeps the seed's
+// layout itself: every rank reads its own AR replica, and every replica applies the
+// same aggregated gradient. Its server side is the naive per-variable oracle
 // (NaivePsVariableStep in tests/naive_reference.h: sum per machine, sum across
 // machines, scale, split, scatter), so every comparison pins the runner's fused sparse
 // pass to the seed's per-variable pipeline. Like the seed, it splits every
@@ -130,6 +131,7 @@ class LegacyRunnerReference {
       : loss_(loss),
         executor_(graph),
         ps_vars_(std::move(ps_vars)),
+        ar_vars_(std::move(ar_vars)),
         ranks_per_machine_(ranks_per_machine),
         lr_(lr),
         ps_values_(VariableStore::InitFrom(*graph)) {
@@ -138,16 +140,16 @@ class LegacyRunnerReference {
                                 ? RowCappedPartitions(sparse_partitions, def.shape.dim(0))
                                 : 1);
     }
-    ArNumericConfig ar_config;
-    ar_config.managed_variables = std::move(ar_vars);
-    ar_ = std::make_unique<ArNumericEngine>(graph, num_ranks, ar_config);
+    for (int r = 0; r < num_ranks; ++r) {
+      ar_rank_values_.push_back(VariableStore::InitFrom(*graph));
+    }
   }
 
   float Step(const std::vector<FeedMap>& shards) {
     std::vector<StepResult> per_rank;
     float loss_sum = 0.0f;
     for (size_t r = 0; r < shards.size(); ++r) {
-      VariableStore view = ar_->replica(static_cast<int>(r)).Clone();
+      VariableStore view = ar_rank_values_[r].Clone();
       for (int v : ps_vars_) {
         view.Set(v, ps_values_.Get(v).Clone());
       }
@@ -162,12 +164,37 @@ class LegacyRunnerReference {
                             AggregationMethod::kAverage, lr_);
       }
     }
-    ar_->ApplyStep(per_rank, lr_);
+    // AllReduce (dense) or AllGatherv (sparse) with averaging, then the same update
+    // on every rank's replica.
+    for (int v : ar_vars_) {
+      if (per_rank.front().grads.count(v) == 0) {
+        continue;
+      }
+      GradValue grad;
+      if (per_rank.front().grads.at(v).is_sparse()) {
+        std::vector<IndexedSlices> contributions;
+        for (const StepResult& result : per_rank) {
+          contributions.push_back(result.grads.at(v).sparse());
+        }
+        grad = GradValue::MakeSparse(
+            AllGathervAggregate(contributions, AggregationMethod::kAverage));
+      } else {
+        std::vector<Tensor> contributions;
+        for (const StepResult& result : per_rank) {
+          contributions.push_back(result.grads.at(v).dense());
+        }
+        grad = GradValue::MakeDense(
+            AllReduceAggregate(contributions, AggregationMethod::kAverage));
+      }
+      for (VariableStore& replica : ar_rank_values_) {
+        replica.ApplySgd(v, grad, lr_);
+      }
+    }
     return loss_sum / static_cast<float>(shards.size());
   }
 
   VariableStore WorkerView() const {
-    VariableStore view = ar_->replica(0).Clone();
+    VariableStore view = ar_rank_values_.front().Clone();
     for (int v : ps_vars_) {
       view.Set(v, ps_values_.Get(v).Clone());
     }
@@ -178,11 +205,12 @@ class LegacyRunnerReference {
   NodeId loss_;
   Executor executor_;
   std::vector<int> ps_vars_;
-  std::vector<int> partitions_;  // per variable, as the PS engine splits its shards
+  std::vector<int> ar_vars_;
+  std::vector<int> partitions_;  // per variable, as the seed's servers split it
   int ranks_per_machine_;
   float lr_;
   VariableStore ps_values_;  // the servers' values of the ps_vars_ entries
-  std::unique_ptr<ArNumericEngine> ar_;
+  std::vector<VariableStore> ar_rank_values_;  // each rank's AR replica
 };
 
 // Pre-generates the shards so the runner under test and the legacy reference consume

@@ -2,10 +2,11 @@
 // server's per-variable step, and the dense matmuls — the seed's semantics, kept
 // verbatim in spirit as (a) the bit-for-bit oracle for the property tests and (b) the
 // baseline the micro-benchmarks measure the fused and register-strip paths against.
-// The library has one sparse aggregation path, the fused MultiVariableSum pass; the
-// seed's per-variable pipeline (sum, scale, split by partition, scatter) survives only
-// here, as NaivePsVariableStep. Shared by tests/sparse_fused_test.cc,
-// tests/ps_numeric_test.cc, tests/engine_equivalence_test.cc,
+// The library has one sparse aggregation path, the fused MultiVariableSum pass, and
+// holds every variable whole; the seed's per-variable pipeline (sum, scale, split by
+// partition, scatter into each row piece) and its row-range partitioning survive only
+// here, as NaivePsVariableStep and RowPartition. Shared by tests/sparse_fused_test.cc,
+// tests/ps_numeric_test.cc, tests/partition_test.cc, tests/engine_equivalence_test.cc,
 // tests/matmul_kernel_test.cc and bench/bench_micro.cc so the oracle and the benchmark
 // baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
@@ -15,13 +16,81 @@
 #include <map>
 #include <vector>
 
+#include "src/base/logging.h"
+#include "src/base/math.h"
 #include "src/comm/reduce.h"
 #include "src/graph/executor.h"
-#include "src/ps/partition.h"
 #include "src/tensor/indexed_slices.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
+
+// Row-range partitioning of a variable — TensorFlow's fixed_size_partitioner semantics,
+// which is what Parallax's partitioner() scope tunes (paper sections 3.2, 4.1). A
+// variable with R rows split P ways gives the first R % P pieces ceil(R/P) rows and the
+// rest floor(R/P). The seed's parameter server stored each piece as its own tensor and
+// routed every aggregated row to its piece (PartitionOfRow) at the piece-local row
+// (row - RowBegin).
+class RowPartition {
+ public:
+  RowPartition(int64_t num_rows, int num_partitions)
+      : num_rows_(num_rows), num_partitions_(num_partitions) {
+    PX_CHECK_GT(num_rows, 0);
+    PX_CHECK_GT(num_partitions, 0);
+    PX_CHECK_LE(static_cast<int64_t>(num_partitions), num_rows)
+        << "more partitions than rows";
+    base_rows_ = num_rows / num_partitions;
+    remainder_ = num_rows % num_partitions;
+  }
+
+  int num_partitions() const { return num_partitions_; }
+  int64_t num_rows() const { return num_rows_; }
+  // Balanced split: the first `remainder_` pieces hold base+1 rows — the same
+  // convention (and the same base/math.h formula) the ring collectives use to chunk a
+  // gradient.
+  int64_t RowBegin(int partition) const {
+    PX_CHECK_GE(partition, 0);
+    PX_CHECK_LE(partition, num_partitions_);
+    return BalancedSplitBegin(num_rows_, num_partitions_, partition);
+  }
+  int64_t RowsIn(int partition) const { return RowBegin(partition + 1) - RowBegin(partition); }
+  int PartitionOfRow(int64_t row) const {
+    PX_CHECK_GE(row, 0);
+    PX_CHECK_LT(row, num_rows_);
+    // Rows [0, remainder*(base+1)) live in the larger pieces.
+    const int64_t large_span = remainder_ * (base_rows_ + 1);
+    if (row < large_span) {
+      return static_cast<int>(row / (base_rows_ + 1));
+    }
+    return static_cast<int>(remainder_ + (row - large_span) / base_rows_);
+  }
+
+ private:
+  int64_t num_rows_;
+  int num_partitions_;
+  int64_t base_rows_;   // floor(num_rows / num_partitions)
+  int64_t remainder_;   // num_rows % num_partitions
+};
+
+// Splits a dense tensor into per-piece row blocks.
+inline std::vector<Tensor> SplitRowsByPartition(const Tensor& value,
+                                                const RowPartition& partition) {
+  std::vector<Tensor> pieces;
+  pieces.reserve(static_cast<size_t>(partition.num_partitions()));
+  for (int p = 0; p < partition.num_partitions(); ++p) {
+    pieces.push_back(SliceRows(value, partition.RowBegin(p), partition.RowBegin(p + 1)));
+  }
+  return pieces;
+}
+
+// Inverse of SplitRowsByPartition: stitches pieces back into the full tensor.
+inline Tensor StitchPartitions(const std::vector<Tensor>& pieces,
+                               const RowPartition& partition) {
+  PX_CHECK_EQ(static_cast<int>(pieces.size()), partition.num_partitions());
+  Tensor full = ConcatRows(pieces);
+  PX_CHECK_EQ(full.shape().dim(0), partition.num_rows());
+  return full;
+}
 
 // The seed MatMul, C = A x B with A: [m, k], B: [k, n]: i-k-j loop order into a
 // zero-filled C, skipping zero A entries.
@@ -181,7 +250,7 @@ inline std::vector<IndexedSlices> NaiveSplit(const IndexedSlices& slices,
 
 // The seed parameter server's step for one variable — the oracle for
 // PsNumericEngine::ApplyStep, which sends all of a step's sparse variables through one
-// fused pass. Ranks form machines of `ranks_per_machine` consecutive ranks (1 = no
+// fused pass and updates each variable whole, whatever the plan's partition count. Ranks form machines of `ranks_per_machine` consecutive ranks (1 = no
 // local aggregation). A sparse gradient is summed per machine with NaiveSum (a machine
 // of one rank contributes its raw gradient), the machine sums are summed with NaiveSum,
 // scaled by 1/ranks under kAverage, split with NaiveSplit, and every piece is updated

@@ -48,78 +48,125 @@ std::vector<StepResult> ComputeGrads(WordLmModel& model, const VariableStore& va
   return results;
 }
 
+void ExpectSameBits(const Tensor& got, const Tensor& want, const std::string& context) {
+  ASSERT_TRUE(got.shape() == want.shape()) << context;
+  ASSERT_EQ(std::memcmp(got.floats().data(), want.floats().data(),
+                        got.floats().size() * sizeof(float)),
+            0)
+      << context;
+}
+
+// WordLm's two sparse tables: 0 = embedding (width embedding_dim), 1 = softmax_emb
+// (width hidden_dim).
+WordLmModel OracleLm() {
+  return WordLmModel({.vocab_size = 40, .embedding_dim = 6, .hidden_dim = 8,
+                      .batch_per_rank = 12, .seed = 105});
+}
+
+int ShardsOf(const Graph& graph, int variable, int partitions) {
+  const VariableDef& def = graph.variables()[static_cast<size_t>(variable)];
+  return def.partitioner_scope ? RowCappedPartitions(partitions, def.shape.dim(0)) : 1;
+}
+
 class PsConfigParamTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(PsConfigParamTest, MatchesSingleDeviceReference) {
+  // The engine holds every variable whole; P splits only the seed's server, the oracle
+  // the engine must match bit for bit at every P.
   auto [partitions, local_agg] = GetParam();
   WordLmModel model({.vocab_size = 40, .embedding_dim = 6, .hidden_dim = 8,
                      .batch_per_rank = 12, .seed = 101});
+  const Graph& graph = *model.graph();
   PsNumericConfig config;
-  config.variable_partitions.assign(model.graph()->variables().size(), partitions);
   config.local_aggregation = local_agg;
   config.ranks_per_machine = 2;
   PsNumericEngine engine(model.graph(), config);
 
-  VariableStore reference = VariableStore::InitFrom(*model.graph());
+  VariableStore reference = VariableStore::InitFrom(graph);
+  VariableStore split_oracle = VariableStore::InitFrom(graph);
   Rng rng(7);
   for (int step = 0; step < 5; ++step) {
     // Workers read the PS values (engine and reference must agree at every step).
     std::vector<StepResult> grads = ComputeGrads(model, engine.CurrentValues(), 4, rng);
     engine.ApplyStep(grads, kLr);
-    reference = ReferenceStep(*model.graph(), grads, std::move(reference), kLr);
+    reference = ReferenceStep(graph, grads, std::move(reference), kLr);
     VariableStore actual = engine.CurrentValues();
-    for (size_t v = 0; v < model.graph()->variables().size(); ++v) {
-      EXPECT_TRUE(AllClose(actual.Get(static_cast<int>(v)),
-                           reference.Get(static_cast<int>(v)), 2e-4f))
-          << "variable " << model.graph()->variables()[v].name << " at step " << step
+    for (size_t v = 0; v < graph.variables().size(); ++v) {
+      const int key = static_cast<int>(v);
+      EXPECT_TRUE(AllClose(actual.Get(key), reference.Get(key), 2e-4f))
+          << "variable " << graph.variables()[v].name << " at step " << step
           << " with P=" << partitions << " local_agg=" << local_agg;
+      if (grads.front().grads.count(key) > 0) {
+        NaivePsVariableStep(split_oracle.GetMutable(key), ShardsOf(graph, key, partitions),
+                            key, grads, local_agg ? 2 : 1, AggregationMethod::kAverage,
+                            AggregationMethod::kAverage, kLr);
+      }
+      ExpectSameBits(actual.Get(key), split_oracle.Get(key),
+                     StrFormat("P=%d local_agg=%d step=%d var=%zu", partitions,
+                               local_agg ? 1 : 0, step, v));
     }
   }
 }
 
-// P = 64 exceeds the 40 rows of the model's partitioner-scoped tables: the request is
-// row-capped to one row per piece.
+// P = 64 exceeds the 40 rows of the model's partitioner-scoped tables: the oracle's
+// request is row-capped to one row per piece.
 INSTANTIATE_TEST_SUITE_P(Configs, PsConfigParamTest,
                          ::testing::Combine(::testing::Values(1, 4, 8, 64),
                                             ::testing::Bool()));
 
-TEST(PsVariableTest, MaterializeEqualsInitial) {
-  Rng rng(41);
-  Tensor initial = RandomNormal(TensorShape({11, 3}), rng);
-  PsVariable var(initial, 4);
-  EXPECT_TRUE(AllClose(var.Materialize(), initial, 0.0f));
-  EXPECT_EQ(var.num_partitions(), 4);
+// A SyncPlan routing every variable to `engine` on `num_ranks` ranks, two per machine:
+// each partitioner-scoped table split `partitions` ways and, when `placement` names
+// that many pieces, placed on those servers.
+SyncPlan PlanFor(const Graph& graph, const std::string& engine, int partitions,
+                 const std::vector<int>& placement, int num_ranks) {
+  SyncPlan plan;
+  plan.num_ranks = num_ranks;
+  plan.ranks_per_machine = 2;
+  for (size_t v = 0; v < graph.variables().size(); ++v) {
+    VariableSync sync;
+    sync.spec.name = graph.variables()[v].name;
+    sync.partitions = ShardsOf(graph, static_cast<int>(v), partitions);
+    if (placement.size() == static_cast<size_t>(sync.partitions)) {
+      sync.placement = placement;
+    }
+    plan.variables.push_back(sync);
+    plan.engines.push_back(engine);
+  }
+  return plan;
 }
 
-TEST(PsVariableTest, PartitionedSparseUpdateEqualsWholeUpdate) {
-  // The sparse step updates each aggregated row in place through MutableRow, which
-  // resolves the row's piece; a split variable must end up with the whole one's bits.
-  Rng rng(42);
-  Tensor initial = RandomNormal(TensorShape({20, 4}), rng);
-  PsVariable whole(initial, 1);
-  PsVariable split(initial, 6);
-  std::vector<int64_t> indices = {0, 5, 5, 13, 19};
-  Tensor values = RandomNormal(TensorShape({5, 4}), rng);
-  for (PsVariable* variable : {&whole, &split}) {
-    for (size_t i = 0; i < indices.size(); ++i) {
-      float* dst = variable->MutableRow(indices[i]);
-      for (int64_t j = 0; j < 4; ++j) {
-        dst[j] -= 0.3f * values.floats()[i * 4 + static_cast<size_t>(j)];
+TEST(PsNumericTest, RePrepareKeepsOneBufferPerVariable) {
+  // A layout decides where rows live, never what they hold: every PS-family engine
+  // keeps one buffer per variable across a re-Prepare with another partition count,
+  // placement and rank count, and View() hands that buffer out. CurrentValues() is a
+  // snapshot that shares none of them.
+  WordLmModel model = OracleLm();
+  const Graph& graph = *model.graph();
+  for (const std::string name : {"ps", "async_ps", "topk_ps", "int8_ps"}) {
+    auto created = SyncEngineRegistry::Global().CreateChecked(name, {model.graph()});
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    SyncEngine& engine = *created.value();
+    engine.Prepare(PlanFor(graph, name, 1, {}, 4));
+    Rng rng(41);
+    engine.ApplyStep(ComputeGrads(model, engine.View(), 4, rng), kLr);
+    const VariableStore first = engine.View();
+    const VariableStore snapshot = first.Clone();
+
+    engine.Prepare(PlanFor(graph, name, 3, {1, 0, 1}, 6));
+    const VariableStore second = engine.View();
+    ASSERT_EQ(second.size(), graph.variables().size()) << name;
+    for (const auto& [v, value] : second.values()) {
+      EXPECT_TRUE(value.SharesBufferWith(first.Get(v))) << name << " variable " << v;
+      ExpectSameBits(value, snapshot.Get(v), StrFormat("%s variable %d", name.c_str(), v));
+    }
+    if (const auto* ps = dynamic_cast<const PsNumericEngine*>(&engine)) {
+      const VariableStore current = ps->CurrentValues();
+      ASSERT_EQ(current.size(), second.size());
+      for (const auto& [v, value] : current.values()) {
+        EXPECT_FALSE(value.SharesBufferWith(second.Get(v))) << "variable " << v;
       }
     }
   }
-  EXPECT_TRUE(AllClose(whole.Materialize(), split.Materialize(), 0.0f));
-}
-
-TEST(PsVariableTest, PartitionedDenseUpdateEqualsWholeUpdate) {
-  Rng rng(43);
-  Tensor initial = RandomNormal(TensorShape({20, 4}), rng);
-  PsVariable whole(initial, 1);
-  PsVariable split(initial, 5);
-  Tensor grad = RandomNormal(TensorShape({20, 4}), rng);
-  whole.ApplyDenseSgd(grad, 0.3f);
-  split.ApplyDenseSgd(grad, 0.3f);
-  EXPECT_TRUE(AllClose(whole.Materialize(), split.Materialize(), 1e-6f));
 }
 
 TEST(PsNumericTest, SumAggregationScalesLikeRankCount) {
@@ -162,30 +209,11 @@ TEST(PsNumericTest, ManagedVariablesFilterUpdates) {
 // ---- The fused sparse pass against the seed's per-variable pipeline -----------------
 //
 // PsNumericEngine::ApplyStep sends every sparse variable of a step, one included,
-// through one fused MultiVariableSum pass per aggregation level and applies the update
-// row by row in the shards. The oracle is the seed's pipeline, one variable at a time
-// (NaivePsVariableStep in tests/naive_reference.h). Every comparison is memcmp: the
-// fused pass must reproduce the seed's per-row float additions exactly.
-
-void ExpectSameBits(const Tensor& got, const Tensor& want, const std::string& context) {
-  ASSERT_TRUE(got.shape() == want.shape()) << context;
-  ASSERT_EQ(std::memcmp(got.floats().data(), want.floats().data(),
-                        got.floats().size() * sizeof(float)),
-            0)
-      << context;
-}
-
-// WordLm's two sparse tables: 0 = embedding (width embedding_dim), 1 = softmax_emb
-// (width hidden_dim).
-WordLmModel OracleLm() {
-  return WordLmModel({.vocab_size = 40, .embedding_dim = 6, .hidden_dim = 8,
-                      .batch_per_rank = 12, .seed = 105});
-}
-
-int ShardsOf(const Graph& graph, int variable, int partitions) {
-  const VariableDef& def = graph.variables()[static_cast<size_t>(variable)];
-  return def.partitioner_scope ? RowCappedPartitions(partitions, def.shape.dim(0)) : 1;
-}
+// through one fused MultiVariableSum pass per aggregation level and writes the update
+// row by row into each variable's one buffer. The oracle is the seed's pipeline, one
+// variable at a time, on a server split into P row pieces (NaivePsVariableStep in
+// tests/naive_reference.h). Every comparison is memcmp: the fused pass must reproduce
+// the seed's per-row float additions exactly, whatever the oracle's P.
 
 TEST(PsNumericTest, ApplyStepBitIdenticalToNaivePerVariableOracle) {
   WordLmModel model = OracleLm();
@@ -196,7 +224,6 @@ TEST(PsNumericTest, ApplyStepBitIdenticalToNaivePerVariableOracle) {
       for (bool local_agg : {false, true}) {
         for (AggregationMethod method : kMethods) {
           PsNumericConfig config;
-          config.variable_partitions.assign(graph.variables().size(), partitions);
           config.local_aggregation = local_agg;
           config.ranks_per_machine = 2;
           config.dense_aggregation = method;
@@ -241,7 +268,6 @@ TEST(PsNumericTest, AsyncPushesBitIdenticalToNaivePerVariableOracle) {
   for (const std::vector<int>& managed : {std::vector<int>{0}, std::vector<int>{0, 1}}) {
     for (int partitions : {1, 3, 7}) {
       PsNumericConfig config;
-      config.variable_partitions.assign(graph.variables().size(), partitions);
       config.managed_variables = managed;
       AsyncPsEngine engine(model.graph(), config);
       VariableStore oracle = VariableStore::InitFrom(graph);

@@ -5,7 +5,9 @@
 //    in every loss and in the bytes of every variable of WorkerView(), also across a
 //    Rescale that grows the rank count mid-run;
 //  - a warm fan-out step allocates at most once more than the twin's serial step: the
-//    ParallelFor batch (none with one lane, where the ranks run inline).
+//    ParallelFor batch (none with one lane, where the ranks run inline);
+//  - a warm step allocates fewer bytes than one PS table: the step-start view hands
+//    out the engines' buffers instead of copying them.
 // CMake registers this binary at PARALLAX_THREADS=1, 2 and 4, so the fan-out runs on
 // several lanes on any host.
 //
@@ -32,6 +34,12 @@
 
 namespace {
 std::atomic<size_t> g_alloc_count{0};
+std::atomic<size_t> g_alloc_bytes{0};
+
+void CountAllocation(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 // GCC pairs the replaced operator new (malloc-backed) with the replaced operator
@@ -40,7 +48,7 @@ std::atomic<size_t> g_alloc_count{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = std::malloc(size)) {
     return p;
   }
@@ -48,7 +56,7 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = std::malloc(size)) {
     return p;
   }
@@ -56,12 +64,12 @@ void* operator new[](std::size_t size) {
 }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   return std::malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   return std::malloc(size);
 }
 
@@ -76,6 +84,7 @@ namespace parallax {
 namespace {
 
 size_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
+size_t AllocBytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 
 constexpr float kLr = 0.3f;
 constexpr int kSteps = 10;
@@ -248,12 +257,15 @@ TEST(ReplicaFanoutTest, WarmFanoutStepAllocatesAtMostTheBatch) {
   // batches, from the twin's sparse kernels as much as from the fan-out; neither is a
   // per-step cost.
   std::vector<size_t> fanout_allocs;
+  std::vector<size_t> fanout_bytes;
   std::vector<size_t> serial_allocs;
   for (int s = kWarm; s < kWarm + kMeasured; ++s) {
     const std::vector<FeedMap>& step_feeds = feeds[static_cast<size_t>(s)];
     size_t before = AllocCount();
+    const size_t bytes_before = AllocBytes();
     const float fanout_loss = fanout->Step(step_feeds);
     fanout_allocs.push_back(AllocCount() - before);
+    fanout_bytes.push_back(AllocBytes() - bytes_before);
     before = AllocCount();
     const float serial_loss = serial.Step(step_feeds);
     serial_allocs.push_back(AllocCount() - before);
@@ -265,8 +277,13 @@ TEST(ReplicaFanoutTest, WarmFanoutStepAllocatesAtMostTheBatch) {
   };
   const size_t fanout_median = median(fanout_allocs);
   const size_t serial_median = median(serial_allocs);
-  std::fprintf(stderr, "allocations per warm step (median): fan-out %zu, serial twin %zu\n",
-               fanout_median, serial_median);
+  const size_t bytes_median = median(fanout_bytes);
+  std::fprintf(stderr,
+               "allocations per warm step (median): fan-out %zu (%zu bytes), serial twin %zu\n",
+               fanout_median, bytes_median, serial_median);
+  // The smaller PS table, embedding, is 2000 x 32 floats: a step that copied any PS
+  // table into its view would allocate at least that much.
+  EXPECT_LT(bytes_median, size_t{2000 * 32 * sizeof(float)});
   // The one allowed extra is ParallelFor's batch; with one lane the ranks run inline
   // and there is none.
   EXPECT_LE(fanout_median, serial_median + 1);

@@ -1,6 +1,6 @@
 // Property tests for the fused sparse aggregation kernels: MultiVariableSum and its
-// streaming form MultiVariableSumStream — the library's one sparse sum path — and the
-// (optionally parallel) ScatterSgdUpdate must match the naive reference implementations
+// streaming form MultiVariableSumStream — the library's one sparse sum path — and
+// ScatterSgdUpdate must match the naive reference implementations
 // BIT-FOR-BIT — same accumulation order per output row — across randomized nnz, row
 // widths, duplicate-index densities, group layouts and thread-pool sizes, including
 // nnz=0 and all-duplicate edge cases. The references (tests/naive_reference.h) reproduce
@@ -16,7 +16,6 @@
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
-#include "src/ps/partition.h"
 #include "src/tensor/sparse_workspace.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/naive_reference.h"
@@ -242,25 +241,20 @@ TEST(SparseFusedTest, MultiGroupSumMatchesNaivePerGroupBitForBit) {
 }
 
 TEST(SparseFusedTest, ScatterSgdUpdateMatchesNaiveForAllPoolSizes) {
+  // The update is one sequential pass whatever the kernel pool's size; both the raw
+  // (unsorted, duplicate-bearing) gradient and the coalesced (sorted-unique) one must
+  // reproduce the seed's scatter bit for bit.
   Rng rng(303);
-  for (int pool_threads : {1, 2, 4}) {
-    ThreadPool pool(pool_threads);
-    SparseWorkspace ws(&pool);
-    for (const Case& c : PropertyCases()) {
-      IndexedSlices raw = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
-      // Both the raw (unsorted, duplicate-bearing) gradient and the coalesced
-      // (sorted-unique) one, which is what triggers the parallel path.
-      for (const IndexedSlices& grad : {raw, NaiveCoalesce(raw)}) {
-        Tensor params = RandomNormal(TensorShape({c.rows, c.width}), rng);
-        Tensor want = params.Clone();
-        NaiveScatterSgd(want, grad, 0.05f);
-        Tensor got = params.Clone();
-        ScatterSgdUpdate(got, grad, 0.05f, &ws);
-        ExpectTensorsBitIdentical(
-            got, want,
-            StrFormat("threads=%d nnz=%lld", pool_threads,
-                      static_cast<long long>(grad.nnz_rows())));
-      }
+  for (const Case& c : PropertyCases()) {
+    IndexedSlices raw = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
+    for (const IndexedSlices& grad : {raw, NaiveCoalesce(raw)}) {
+      Tensor params = RandomNormal(TensorShape({c.rows, c.width}), rng);
+      Tensor want = params.Clone();
+      NaiveScatterSgd(want, grad, 0.05f);
+      Tensor got = params.Clone();
+      ScatterSgdUpdate(got, grad, 0.05f);
+      ExpectTensorsBitIdentical(
+          got, want, StrFormat("nnz=%lld", static_cast<long long>(grad.nnz_rows())));
     }
   }
 }

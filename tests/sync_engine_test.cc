@@ -41,7 +41,7 @@ TEST(SyncEngineRegistryTest, CreateCheckedNamesTheUnknownEngineAndTheAlternative
   // The checked factory turns a typo into an actionable Status: NotFound, carrying the
   // offending name and the registered alternatives, instead of a bare nullptr.
   WordLmModel model(SmallLm(931));
-  SyncEngineEnv env{model.graph(), 4};
+  SyncEngineEnv env{model.graph()};
   auto engine = SyncEngineRegistry::Global().CreateChecked("warp_drive", env);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kNotFound);
@@ -63,7 +63,7 @@ TEST(SyncEngineRegistryTest, DuplicateRegistrationIsRejectedWithTheOffendingName
   EXPECT_NE(status.ToString().find("'ps'"), std::string::npos);
   // The original registration is untouched.
   WordLmModel model(SmallLm(932));
-  SyncEngineEnv env{model.graph(), 2};
+  SyncEngineEnv env{model.graph()};
   auto engine = SyncEngineRegistry::Global().CreateChecked("ps", env);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine.value()->CostMethod(GradKind::kSparse), SyncMethod::kPs);
@@ -138,6 +138,33 @@ TEST(RunnerBuilderTest, ValidatesInputs) {
                   .WithEngine("emb*", "async_ps")
                   .Build()
                   .ok());
+}
+
+TEST(RunnerBuilderTest, RejectsSearchOptionsTheFirstStepCannotRun) {
+  // Each of these would abort the first Step's partition search, so Build rejects it.
+  WordLmModel model(SmallLm(933));
+  auto build_with = [&](PartitionSearchOptions search) {
+    return RunnerBuilder(model.graph(), model.loss())
+        .WithResources("a:0,1;b:0,1")
+        .WithSearch(search)
+        .Build();
+  };
+  PartitionSearchOptions no_min;
+  no_min.min_partitions = 0;
+  PartitionSearchOptions inverted;
+  inverted.min_partitions = 8;
+  inverted.max_partitions = 4;
+  PartitionSearchOptions nothing_measured;
+  nothing_measured.measured_iterations = 0;
+  PartitionSearchOptions negative_warmup;
+  negative_warmup.warmup_iterations = -1;
+  for (const PartitionSearchOptions& search :
+       {no_min, inverted, nothing_measured, negative_warmup}) {
+    auto runner = build_with(search);
+    ASSERT_FALSE(runner.ok());
+    EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
+        << runner.status().ToString();
+  }
 }
 
 TEST(AsyncEngineTest, ReachableFromRunnerAndAppliesEveryPush) {
@@ -334,7 +361,7 @@ TEST(SyncEngineInterfaceTest, PreparedEnginesExposeManagedViews) {
   }
   plan.num_ranks = 2;
 
-  SyncEngineEnv env{model.graph(), 2};
+  SyncEngineEnv env{model.graph()};
   auto ps_or = SyncEngineRegistry::Global().CreateChecked("ps", env);
   auto ar_or = SyncEngineRegistry::Global().CreateChecked("ar", env);
   ASSERT_TRUE(ps_or.ok() && ar_or.ok());
