@@ -47,7 +47,7 @@ double MeasureForced(const ModelSpec& model, SyncMethod sparse_method, int parti
   IterationSimConfig config = SimConfigFor(Framework::kParallax, options);
   IterationSimulator sim(cluster, assignment, model.gpu_compute_seconds,
                          model.compute_chunks, config);
-  return model.Throughput(sim.MeasureIterationSeconds(5, 8), cluster.total_gpus());
+  return model.Throughput(sim.MeasureIterationSeconds(), cluster.total_gpus());
 }
 
 void Run() {
@@ -62,7 +62,7 @@ void Run() {
     double forced_ps = MeasureForced(model, SyncMethod::kPs, 64);
     double forced_ar = MeasureForced(model, SyncMethod::kArAllReduce, 64);
     double chosen = MeasureFrameworkThroughput(Framework::kParallax, cluster, model,
-                                               options, 5, 8);
+                                               options);
     std::vector<VariableSync> assignment =
         AssignVariables(Framework::kParallax, model, options, cluster);
     const char* decision = "PS";

@@ -23,7 +23,7 @@ double Measure(const ModelSpec& model, bool local_agg, bool machine_pulls) {
   config.ps_machine_level_pulls = machine_pulls;
   IterationSimulator sim(cluster, assignment, model.gpu_compute_seconds,
                          model.compute_chunks, config);
-  return model.Throughput(sim.MeasureIterationSeconds(5, 8), cluster.total_gpus());
+  return model.Throughput(sim.MeasureIterationSeconds(), cluster.total_gpus());
 }
 
 void Run() {

@@ -76,11 +76,11 @@ FrameworkTimes IterationSeconds(const ModelSpec& manifest, int machines) {
   options.sparse_partitions = manifest.name == "NMT" ? 64 : 128;
   FrameworkTimes times;
   times.tfps = MakeFrameworkSimulator(Framework::kTfPs, cluster, manifest, options)
-                   .MeasureIterationSeconds(3, 5);
+                   .MeasureIterationSeconds();
   times.horovod = MakeFrameworkSimulator(Framework::kHorovod, cluster, manifest, options)
-                      .MeasureIterationSeconds(3, 5);
+                      .MeasureIterationSeconds();
   times.parallax = MakeFrameworkSimulator(Framework::kParallax, cluster, manifest, options)
-                       .MeasureIterationSeconds(3, 5);
+                       .MeasureIterationSeconds();
   return times;
 }
 
@@ -131,8 +131,6 @@ void RunLm() {
 
   ParallaxConfig config;
   config.learning_rate = kLr;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 3;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(4, 2), config);
   Executor executor(model.graph());
   Rng data_rng(4242);
@@ -177,8 +175,6 @@ void RunNmt() {
 
   ParallaxConfig config;
   config.learning_rate = kLr;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 3;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(4, 2), config);
   Rng data_rng(4242);
   EngineCurve px_curve;

@@ -339,14 +339,11 @@ void BM_PartitionSearch(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   for (auto _ : state) {
     auto measure = [&](int partitions) {
       IterationSimulator sim(ClusterSpec::Paper(), HybridVariables(partitions), 4e-3, 4,
                              HybridSimConfig());
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     benchmark::DoNotOptimize(SearchPartitions(measure, options));
   }
@@ -359,15 +356,12 @@ void BM_PartitionSearchSharedArena(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   SimulationArena arena;
   for (auto _ : state) {
     auto measure = [&](int partitions) {
       IterationSimulator sim(ClusterSpec::Paper(), HybridVariables(partitions), 4e-3, 4,
                              HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     benchmark::DoNotOptimize(SearchPartitions(measure, options));
   }
@@ -399,16 +393,13 @@ void BM_PerVariableSearch(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
   SimulationArena arena;
   for (auto _ : state) {
     auto measure = [&](const PartitionPlan& plan) {
       IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
                              4e-3, 4, HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     benchmark::DoNotOptimize(SearchPartitionPlan(measure, targets, options));
   }
@@ -423,15 +414,12 @@ void BM_PerVariableSearchWarmStart(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
   SimulationArena arena;
   auto measure = [&](const PartitionPlan& plan) {
     IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
                            4e-3, 4, HybridSimConfig(), &arena);
-    return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                       options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   PartitionPlanSearchResult cold = SearchPartitionPlan(measure, targets, options);
   for (PartitionSearchVariable& target : targets) {
@@ -455,8 +443,7 @@ BENCHMARK(BM_PerVariableSearchWarmStart);
 // only wall-clock and the speculation counters move. docs/perf.md's "Parallel
 // partition search" table reads from these four benches.
 
-PlanBatchMeasure MakeBenchBatchMeasure(ThreadPool* pool, ArenaPool* arenas,
-                                       const PartitionSearchOptions& options) {
+PlanBatchMeasure MakeBenchBatchMeasure(ThreadPool* pool, ArenaPool* arenas) {
   ParallelMeasureSpec spec;
   spec.cluster = ClusterSpec::Paper();
   spec.apply_plan = [](const PartitionPlan& plan) {
@@ -465,8 +452,6 @@ PlanBatchMeasure MakeBenchBatchMeasure(ThreadPool* pool, ArenaPool* arenas,
   spec.gpu_compute_seconds = 4e-3;
   spec.compute_chunks = 4;
   spec.sim_config = HybridSimConfig();
-  spec.warmup_iterations = options.warmup_iterations;
-  spec.measured_iterations = options.measured_iterations;
   return MakeParallelPlanMeasure(std::move(spec), SearchConcurrency{pool, 0}, arenas);
 }
 
@@ -474,8 +459,6 @@ PartitionSearchOptions ParallelSearchBenchOptions() {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   return options;
 }
 
@@ -490,7 +473,7 @@ void BM_ParallelSearchUniform(benchmark::State& state) {
   options.concurrency = {&pool, 0};
   ArenaPool arenas;
   const UniformBatchMeasure batch =
-      MakeUniformBatchMeasure(MakeBenchBatchMeasure(&pool, &arenas, options));
+      MakeUniformBatchMeasure(MakeBenchBatchMeasure(&pool, &arenas));
   SimulationArena arena;
   PartitionSearchResult result;
   for (auto _ : state) {
@@ -498,8 +481,7 @@ void BM_ParallelSearchUniform(benchmark::State& state) {
       IterationSimulator sim(ClusterSpec::Paper(),
                              PerVariableSearchVariables(PartitionPlan::Uniform(partitions)),
                              4e-3, 4, HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     result = SearchPartitions(measure, batch, options);
     benchmark::DoNotOptimize(result);
@@ -513,7 +495,7 @@ void BM_ParallelSearchPerVariable(benchmark::State& state) {
   ThreadPool pool(static_cast<int>(state.range(0)));
   options.concurrency = {&pool, 0};
   ArenaPool arenas;
-  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas, options);
+  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas);
   const std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
   SimulationArena arena;
   PartitionPlanSearchResult result;
@@ -521,8 +503,7 @@ void BM_ParallelSearchPerVariable(benchmark::State& state) {
     auto measure = [&](const PartitionPlan& plan) {
       IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
                              4e-3, 4, HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     result = SearchPartitionPlan(measure, batch, targets, options);
     benchmark::DoNotOptimize(result);
@@ -536,14 +517,13 @@ void BM_ParallelSearchWarmStart(benchmark::State& state) {
   ThreadPool pool(static_cast<int>(state.range(0)));
   options.concurrency = {&pool, 0};
   ArenaPool arenas;
-  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas, options);
+  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas);
   std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
   SimulationArena arena;
   auto measure = [&](const PartitionPlan& plan) {
     IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
                            4e-3, 4, HybridSimConfig(), &arena);
-    return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                       options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   PartitionPlanSearchResult cold = SearchPartitionPlan(measure, targets, options);
   for (PartitionSearchVariable& target : targets) {
@@ -603,8 +583,6 @@ void BM_ParallelSearchPlacement(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 4;
   options.max_partitions = 16;
-  options.warmup_iterations = 3;
-  options.measured_iterations = 3;
   options.placement.enabled = true;
   options.placement.num_machines = 4;
   options.placement.num_racks = 2;
@@ -620,8 +598,6 @@ void BM_ParallelSearchPlacement(benchmark::State& state) {
   measure_spec.gpu_compute_seconds = 2e-3;
   measure_spec.compute_chunks = 4;
   measure_spec.sim_config = sim_config;
-  measure_spec.warmup_iterations = options.warmup_iterations;
-  measure_spec.measured_iterations = options.measured_iterations;
   const PlanBatchMeasure batch = MakeParallelPlanMeasure(
       std::move(measure_spec), SearchConcurrency{&pool, 0}, &arenas);
 
@@ -630,8 +606,7 @@ void BM_ParallelSearchPlacement(benchmark::State& state) {
   for (auto _ : state) {
     auto measure = [&](const PartitionPlan& plan) {
       IterationSimulator sim(spec, apply_plan(plan), 2e-3, 4, sim_config, &arena);
-      return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                         options.measured_iterations);
+      return sim.MeasureIterationSeconds();
     };
     result = SearchPartitionPlan(measure, batch, targets, options);
     benchmark::DoNotOptimize(result);
@@ -746,8 +721,6 @@ void BM_PlacementSearch(benchmark::State& state) {
   PartitionSearchOptions options;
   options.initial_partitions = 4;
   options.max_partitions = 16;
-  options.warmup_iterations = 3;
-  options.measured_iterations = 3;
   if (state.range(0) == 1) {
     options.placement.enabled = true;
     options.placement.num_machines = 4;
@@ -788,8 +761,7 @@ void BM_PlacementSearch(benchmark::State& state) {
     config.ps_local_aggregation = true;
     config.ps_machine_level_pulls = true;
     IterationSimulator sim(spec, std::move(vars), 2e-3, 4, config, &arena);
-    return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                       options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   double seconds = 0.0;
   for (auto _ : state) {
@@ -1077,8 +1049,6 @@ void BM_RescaleMigration(benchmark::State& state) {
                      .batch_per_rank = 32, .seed = 31});
   ParallaxConfig config;
   config.learning_rate = 0.1f;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 2;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 1),
                      config);
   Rng rng(32);

@@ -68,8 +68,6 @@ PlannerQuery TenantQuery(int shape, double alpha) {
   query.gpu_compute_seconds = 4e-3;
   query.compute_chunks = 4;
   query.options.initial_partitions = 4;
-  query.options.warmup_iterations = 3;
-  query.options.measured_iterations = 3;
   return query;
 }
 
@@ -143,7 +141,7 @@ void Run() {
 
   PlannerService service;
   ModeResult shared = RunSessions(
-      queries, [&](const PlannerQuery& query) { service.Plan(query); });
+      queries, [&](const PlannerQuery& query) { service.Plan(query).value(); });
 
   const double private_rate = static_cast<double>(kSessions) / priv.wall_seconds;
   const double shared_rate = static_cast<double>(kSessions) / shared.wall_seconds;
@@ -191,11 +189,11 @@ void RunMissHeavy() {
   serial_options.max_workers = 1;
   PlannerService serial_service(serial_options);
   ModeResult serial = RunSessions(
-      queries, [&](const PlannerQuery& query) { serial_service.Plan(query); });
+      queries, [&](const PlannerQuery& query) { serial_service.Plan(query).value(); });
 
   PlannerService pooled_service;  // max_workers = 0: DefaultWorkerCount() lanes
   ModeResult pooled = RunSessions(
-      queries, [&](const PlannerQuery& query) { pooled_service.Plan(query); });
+      queries, [&](const PlannerQuery& query) { pooled_service.Plan(query).value(); });
 
   const PlannerServiceStats serial_stats = serial_service.stats();
   const PlannerServiceStats pooled_stats = pooled_service.stats();

@@ -64,8 +64,6 @@ PartitionSearchOptions SearchOptions() {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 1024;
-  options.warmup_iterations = 5;
-  options.measured_iterations = 10;
   return options;
 }
 
@@ -92,8 +90,6 @@ TimedSearch RunSearch(int workers, int reps) {
   spec.gpu_compute_seconds = 4e-3;
   spec.compute_chunks = 4;
   spec.sim_config = SimConfig();
-  spec.warmup_iterations = options.warmup_iterations;
-  spec.measured_iterations = options.measured_iterations;
   const PlanBatchMeasure batch =
       MakeParallelPlanMeasure(std::move(spec), SearchConcurrency{&pool, 0}, &arenas);
 
@@ -101,8 +97,7 @@ TimedSearch RunSearch(int workers, int reps) {
   auto measure = [&](const PartitionPlan& plan) {
     IterationSimulator sim(ClusterSpec::Paper(), SearchVariables(plan), 4e-3, 4,
                            SimConfig(), &arena);
-    return sim.MeasureIterationSeconds(options.warmup_iterations,
-                                       options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
 
   TimedSearch timed;

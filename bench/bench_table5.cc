@@ -29,7 +29,7 @@ BruteForceResult BruteForce(const ClusterSpec& cluster, const ModelSpec& model, 
     FrameworkOptions options;
     options.sparse_partitions = p;
     double throughput =
-        MeasureFrameworkThroughput(Framework::kParallax, cluster, model, options, 3, 4);
+        MeasureFrameworkThroughput(Framework::kParallax, cluster, model, options);
     ++result.runs;
     if (throughput > result.best_throughput) {
       result.best_throughput = throughput;
@@ -63,7 +63,7 @@ void Run() {
       options.sparse_partitions = partitions;
       IterationSimulator sim =
           MakeFrameworkSimulator(Framework::kParallax, cluster, model, options, &arena);
-      return sim.MeasureIterationSeconds(3, 4);
+      return sim.MeasureIterationSeconds();
     };
 
     PartitionSearchOptions search;

@@ -41,7 +41,7 @@ int main() {
     auto runner_or = RunnerBuilder(model.graph(), model.loss())
                          .WithResources(ResourceSpec::Homogeneous(2, 1))
                          .WithLearningRate(0.4f)
-                         .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                         .WithSearch({})
                          .WithCheckpoint(ckpt, kInterval)
                          .Build();
     if (!runner_or.ok()) {

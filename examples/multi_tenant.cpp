@@ -49,8 +49,6 @@ int main() {
       WordLmModel model(TenantModel(t));
       PartitionSearchOptions search;
       search.initial_partitions = 4;
-      search.warmup_iterations = 3;
-      search.measured_iterations = 3;
       auto runner_or = RunnerBuilder(model.graph(), model.loss())
                            .WithResources("node-a:0,1;node-b:0,1")
                            .WithSearchMode(PartitionSearchMode::kPerVariable)

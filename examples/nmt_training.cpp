@@ -26,8 +26,6 @@ int main() {
   // quickstart.cpp for the builder form).
   ParallaxConfig config;
   config.learning_rate = 0.5f;
-  config.search.warmup_iterations = 3;
-  config.search.measured_iterations = 4;
   auto runner_or =
       GetRunner(model.graph(), model.loss(), "m0:0,1,2;m1:0,1,2", config);
   if (!runner_or.ok()) {

@@ -61,7 +61,7 @@ double MeasurePlan(const PartitionPlan& plan, SimulationArena* arena) {
   config.ps_local_aggregation = true;
   config.ps_machine_level_pulls = true;
   IterationSimulator sim(TwoRackSpec(), std::move(variables), 2e-3, 4, config, arena);
-  return sim.MeasureIterationSeconds(3, 3);
+  return sim.MeasureIterationSeconds();
 }
 
 }  // namespace
@@ -79,8 +79,6 @@ int main() {
   PartitionSearchOptions options;
   options.initial_partitions = 4;
   options.max_partitions = 16;
-  options.warmup_iterations = 3;
-  options.measured_iterations = 3;
 
   SimulationArena arena;
   auto measure = [&](const PartitionPlan& plan) { return MeasurePlan(plan, &arena); };

@@ -148,18 +148,8 @@ StatusOr<std::unique_ptr<GraphRunner>> RunnerBuilder::Build() const {
   }
   // PartitionPlan's own invariants guarantee every manual_plan count is >= 1. The
   // search options are checked here, not by the first Step's PX_CHECKs.
-  const PartitionSearchOptions& search = config_.search;
-  if (search.min_partitions < 1 || search.max_partitions < search.min_partitions) {
-    return Status::InvalidArgument(
-        "WithSearch: min_partitions must be >= 1 and max_partitions >= min_partitions");
-  }
-  if (search.warmup_iterations < 0 || search.measured_iterations < 1) {
-    return Status::InvalidArgument(
-        "WithSearch: warmup_iterations must be >= 0 and measured_iterations >= 1");
-  }
-  if (search.coordinate_margin < 0.0 || search.max_coordinate_rounds < 1) {
-    return Status::InvalidArgument(
-        "WithSearch: coordinate_margin must be >= 0 and max_coordinate_rounds >= 1");
+  if (Status search = ValidateSearchOptions(config_.search); !search.ok()) {
+    return Status::InvalidArgument("WithSearch: " + search.message());
   }
   if (config_.adaptive_partitioning.has_value()) {
     const AdaptivePartitioningPolicy& policy = *config_.adaptive_partitioning;

@@ -137,6 +137,18 @@ CostModelFit FitCostModel(const std::vector<std::pair<int, double>>& samples) {
   return fit;
 }
 
+Status ValidateSearchOptions(const PartitionSearchOptions& options) {
+  if (options.min_partitions < 1 || options.max_partitions < options.min_partitions) {
+    return Status::InvalidArgument(
+        "min_partitions must be >= 1 and max_partitions >= min_partitions");
+  }
+  if (options.coordinate_margin < 0.0 || options.max_coordinate_rounds < 1) {
+    return Status::InvalidArgument(
+        "coordinate_margin must be >= 0 and max_coordinate_rounds >= 1");
+  }
+  return Status::Ok();
+}
+
 PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
                                        const PartitionSearchOptions& options) {
   PX_CHECK_GE(options.min_partitions, 1);

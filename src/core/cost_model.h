@@ -6,11 +6,15 @@
 //   theta1 — the cost partitioning parallelizes/amortizes (accumulator serialization),
 //   theta2 — per-partition overhead (stitching, per-piece bookkeeping, extra requests).
 //
-// The search replicates the paper's procedure: start at P = number of machines, measure a
-// short real run (first half discarded as warmup), double P until iteration time starts
-// to increase, then halve from the start point until it increases again. The model is a
-// convex function of P, so the sampled interval brackets the optimum and the fit never
-// extrapolates. The fitted optimum is then snapped to the best predicted integer.
+// The search replicates the paper's procedure: start at P = number of machines, measure
+// the iteration time there, double P until iteration time starts to increase, then
+// halve from the start point until it increases again. The model is a convex function
+// of P, so the sampled interval brackets the optimum and the fit never extrapolates.
+// The fitted optimum is then snapped to the best predicted integer. The paper measures
+// each sample as a short real run (100 iterations, the first 50 discarded); a
+// simulated sample here is one iteration, because the simulator's iteration barrier
+// drains the cluster and nothing carries over into a later iteration
+// (IterationSimulator::MeasureIterationSeconds).
 //
 // SearchPartitionPlan generalizes the procedure to one count *per variable* (a
 // PartitionPlan): a uniform sweep seeds the descent, Equation 1's closed form at each
@@ -25,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/core/partition_plan.h"
 
 namespace parallax {
@@ -115,9 +120,6 @@ struct PartitionSearchOptions {
   int initial_partitions = 8;
   int min_partitions = 1;
   int max_partitions = 4096;
-  // Iterations per sampling run; the paper runs 100 and discards the first 50.
-  int warmup_iterations = 50;
-  int measured_iterations = 50;
   // Per-variable search only: a coordinate move is adopted when it beats the incumbent
   // plan's measured time by this relative margin. The margin keeps the descent from
   // chasing simulator noise and guarantees termination on a finite landscape.
@@ -137,6 +139,12 @@ struct PartitionSearchOptions {
   // excluded from planner fingerprints for the same reason.
   SearchConcurrency concurrency;
 };
+
+// The options every search below requires: min_partitions >= 1, max_partitions >=
+// min_partitions, coordinate_margin >= 0 and max_coordinate_rounds >= 1. The searches
+// abort on a violation; RunnerBuilder::Build and PlannerService::Plan, which take
+// options from callers, return this InvalidArgument instead.
+Status ValidateSearchOptions(const PartitionSearchOptions& options);
 
 // Which search the runner performs for partitioner-scoped sparse variables.
 enum class PartitionSearchMode : uint8_t {

@@ -133,10 +133,9 @@ IterationSimulator MakeFrameworkSimulator(Framework framework, const ClusterSpec
 }
 
 double MeasureFrameworkThroughput(Framework framework, const ClusterSpec& cluster,
-                                  const ModelSpec& model, const FrameworkOptions& options,
-                                  int warmup_iterations, int measured_iterations) {
+                                  const ModelSpec& model, const FrameworkOptions& options) {
   IterationSimulator sim = MakeFrameworkSimulator(framework, cluster, model, options);
-  double seconds = sim.MeasureIterationSeconds(warmup_iterations, measured_iterations);
+  double seconds = sim.MeasureIterationSeconds();
   return model.Throughput(seconds, cluster.total_gpus());
 }
 

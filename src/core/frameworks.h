@@ -78,8 +78,7 @@ IterationSimulator MakeFrameworkSimulator(Framework framework, const ClusterSpec
 
 // Steady-state throughput in the model's item unit (images/sec or words/sec).
 double MeasureFrameworkThroughput(Framework framework, const ClusterSpec& cluster,
-                                  const ModelSpec& model, const FrameworkOptions& options,
-                                  int warmup_iterations = 8, int measured_iterations = 12);
+                                  const ModelSpec& model, const FrameworkOptions& options);
 
 }  // namespace parallax
 

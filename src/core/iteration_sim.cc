@@ -146,6 +146,26 @@ double IterationSimulator::CompressSeconds(const Shard& shard) const {
 
 SimTime IterationSimulator::SimulateIteration(Cluster& cluster, SimTime start_time) {
   const RankLayout layout = cluster.layout();
+  SimulationArena& a = *arena_;
+  // The iteration DAG depends only on this simulator's fixed configuration plus the
+  // cluster layout, so when the arena still holds this simulator's last build, skip the
+  // rebuild and go straight to Execute. (Reset + identical rebuild produces an
+  // identical graph — asserted by tests/sim_steady_state_test.cc — so this is purely a
+  // time saving, never a behavior change.)
+  if (a.built_by != this || a.build_serial != built_serial_ ||
+      built_num_machines_ != layout.num_machines || built_gpus_ != layout.gpus_per_machine) {
+    BuildIterationGraph(layout);
+  }
+  const TaskResult result = a.graph.Execute(cluster, start_time);
+  const SimTime finish = a.graph.FinishTime(final_task_);
+  // A task outside the final task's ancestry would still hold a resource when the
+  // iteration reports its end, and MeasureIterationSeconds would misprice the layout.
+  PX_CHECK_LE(result.finish_time, finish)
+      << "a simulated task outlives the iteration barrier";
+  return finish;
+}
+
+void IterationSimulator::BuildIterationGraph(const RankLayout& layout) {
   const int num_ranks = layout.num_ranks();
   const int gpus = cluster_spec_.gpus_per_machine;
   const SyncCostParams& costs = config_.costs;
@@ -153,21 +173,6 @@ SimTime IterationSimulator::SimulateIteration(Cluster& cluster, SimTime start_ti
 
   SimulationArena& a = *arena_;
   TaskGraph& graph = a.graph;
-
-  // The iteration DAG depends only on this simulator's fixed configuration plus the
-  // cluster layout, so when the arena still holds this simulator's last build, skip the
-  // rebuild and go straight to Execute. (Reset + identical rebuild produces an
-  // identical graph — asserted by tests/sim_steady_state_test.cc — so this is purely a
-  // time saving, never a behavior change.)
-  if (a.built_by == this && a.build_serial == built_serial_ &&
-      built_num_machines_ == layout.num_machines && built_gpus_ == layout.gpus_per_machine) {
-    TaskResult result = graph.Execute(cluster, start_time);
-    if (!built_multi_rank_) {
-      return graph.FinishTime(final_task_);
-    }
-    SimTime barrier_finish = graph.FinishTime(final_task_);
-    return barrier_finish == 0.0 ? result.finish_time : barrier_finish;
-  }
   graph.Reset();
   a.built_by = this;
   built_serial_ = ++a.build_serial;
@@ -190,9 +195,7 @@ SimTime IterationSimulator::SimulateIteration(Cluster& cluster, SimTime start_ti
         costs.gpu_dense_apply_seconds_per_element * static_cast<double>(total_elements),
         {compute});
     final_task_ = apply;
-    built_multi_rank_ = false;
-    graph.Execute(cluster, start_time);
-    return graph.FinishTime(apply);
+    return;
   }
 
   // ---- Phase 1: PS pulls ----------------------------------------------------------
@@ -530,11 +533,7 @@ SimTime IterationSimulator::SimulateIteration(Cluster& cluster, SimTime start_ti
   }
 
   // ---- Iteration barrier (chief-worker notification through shared queues) ----------
-  TaskId barrier = graph.AddBarrier(std::span<const TaskId>(end_tasks));
-  final_task_ = barrier;
-  built_multi_rank_ = true;
-  TaskResult result = graph.Execute(cluster, start_time);
-  return graph.FinishTime(barrier) == 0.0 ? result.finish_time : graph.FinishTime(barrier);
+  final_task_ = graph.AddBarrier(std::span<const TaskId>(end_tasks));
 }
 
 std::vector<double> IterationSimulator::RunIterations(int iterations) {
@@ -550,15 +549,9 @@ std::vector<double> IterationSimulator::RunIterations(int iterations) {
   return durations;
 }
 
-double IterationSimulator::MeasureIterationSeconds(int warmup, int measure) {
-  PX_CHECK_GE(warmup, 0);
-  PX_CHECK_GT(measure, 0);
-  std::vector<double> durations = RunIterations(warmup + measure);
-  double sum = 0.0;
-  for (int i = warmup; i < warmup + measure; ++i) {
-    sum += durations[static_cast<size_t>(i)];
-  }
-  return sum / measure;
+double IterationSimulator::MeasureIterationSeconds() {
+  Cluster cluster(cluster_spec_);
+  return SimulateIteration(cluster, 0.0);
 }
 
 }  // namespace parallax

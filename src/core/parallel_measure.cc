@@ -40,8 +40,7 @@ PlanBatchMeasure MakeParallelPlanMeasure(ParallelMeasureSpec spec,
         IterationSimulator simulator(shared->cluster, std::move(variables),
                                      shared->gpu_compute_seconds, shared->compute_chunks,
                                      shared->sim_config, lease.get());
-        seconds[i] = simulator.MeasureIterationSeconds(shared->warmup_iterations,
-                                                       shared->measured_iterations);
+        seconds[i] = simulator.MeasureIterationSeconds();
       }
     };
     if (workers <= 1) {

@@ -39,8 +39,6 @@ struct ParallelMeasureSpec {
   double gpu_compute_seconds = 0.0;
   int compute_chunks = 1;
   IterationSimConfig sim_config;
-  int warmup_iterations = 50;
-  int measured_iterations = 50;
 };
 
 // Builds the batch-measure callback, or a null function when

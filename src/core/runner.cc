@@ -181,8 +181,7 @@ double GraphRunner::MeasurePlan(const PartitionPlan& plan) {
   IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
                          config_.gpu_compute_seconds, config_.compute_chunks,
                          MakeSimConfig(), sim_arena_.get());
-  return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
-                                     config_.search.measured_iterations);
+  return sim.MeasureIterationSeconds();
 }
 
 PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
@@ -254,7 +253,8 @@ PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
     // Shared planning service: the search (or a memoized twin of it) runs on a pooled
     // arena, coalesced with identical queries from other tenants. The fields a private
     // search would have filled are synthesized from the service's answer.
-    const PlannerResult answer = config_.planner->Plan(query);
+    // Build validated the search options, so the service cannot reject the query.
+    const PlannerResult answer = config_.planner->Plan(query).value();
     found.plan = answer.plan;
     found.seconds = answer.seconds;
     found.uniform_seconds = answer.uniform_seconds;

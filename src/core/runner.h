@@ -129,9 +129,7 @@ struct ParallaxConfig {
   bool search_placement = false;
   PartitionSearchOptions search{.initial_partitions = 8,
                                 .min_partitions = 1,
-                                .max_partitions = 1024,
-                                .warmup_iterations = 10,
-                                .measured_iterations = 10};
+                                .max_partitions = 1024};
   // Compute profile of one replica's fwd+bwd for the timing plane.
   double gpu_compute_seconds = 4e-3;
   int compute_chunks = 4;

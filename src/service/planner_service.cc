@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/strings.h"
 #include "src/core/parallel_measure.h"
 #include "src/core/partition_plan.h"
 
@@ -132,8 +133,6 @@ uint64_t OptionsFingerprint(const PartitionSearchOptions& o) {
   h = Mix(h, static_cast<uint64_t>(o.initial_partitions));
   h = Mix(h, static_cast<uint64_t>(o.min_partitions));
   h = Mix(h, static_cast<uint64_t>(o.max_partitions));
-  h = Mix(h, static_cast<uint64_t>(o.warmup_iterations));
-  h = Mix(h, static_cast<uint64_t>(o.measured_iterations));
   h = MixDouble(h, o.coordinate_margin);
   h = Mix(h, static_cast<uint64_t>(o.max_coordinate_rounds));
   h = Mix(h, o.warm_start ? 1 : 0);
@@ -171,8 +170,7 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
     IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
                            query.gpu_compute_seconds, query.compute_chunks,
                            query.sim_config, arena);
-    return sim.MeasureIterationSeconds(query.options.warmup_iterations,
-                                       query.options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   ParallelMeasureSpec spec;
   spec.cluster = query.cluster;
@@ -182,8 +180,6 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
   spec.gpu_compute_seconds = query.gpu_compute_seconds;
   spec.compute_chunks = query.compute_chunks;
   spec.sim_config = query.sim_config;
-  spec.warmup_iterations = query.options.warmup_iterations;
-  spec.measured_iterations = query.options.measured_iterations;
   PlanBatchMeasure measure_batch =
       MakeParallelPlanMeasure(std::move(spec), query.options.concurrency, arenas);
 
@@ -275,7 +271,8 @@ CachedPlan PlannerService::Search(PlannerQuery query) {
   return cached;
 }
 
-PlannerResult PlannerService::Plan(const PlannerQuery& original) {
+StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
+  PX_RETURN_IF_ERROR(ValidateSearchOptions(original.options));
   queries_.fetch_add(1, std::memory_order_relaxed);
   PlannerQuery query = original;
   Canonicalize(&query);
@@ -333,7 +330,13 @@ PlannerResult PlannerService::Plan(const PlannerQuery& original) {
   return ResultFrom(searched);
 }
 
-std::vector<PlannerResult> PlannerService::PlanMany(const std::vector<PlannerQuery>& queries) {
+StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
+    const std::vector<PlannerQuery>& queries) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (Status status = ValidateSearchOptions(queries[i].options); !status.ok()) {
+      return Status::InvalidArgument(StrFormat("query %zu: %s", i, status.message().c_str()));
+    }
+  }
   std::vector<PlannerResult> results(queries.size());
   if (queries.empty()) {
     return results;
@@ -358,7 +361,7 @@ std::vector<PlannerResult> PlannerService::PlanMany(const std::vector<PlannerQue
   auto plan_range = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       const size_t index = representatives[static_cast<size_t>(i)];
-      results[index] = Plan(canonical[index]);
+      results[index] = Plan(canonical[index]).value();  // validated above
     }
   };
   const int64_t lanes = pool_ != nullptr ? pool_->num_threads() : 1;

@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/base/thread_pool.h"
 #include "src/core/analysis.h"
 #include "src/core/cost_model.h"
@@ -136,13 +137,16 @@ class PlannerService {
   // Answers one planning query: canonicalize, consult the cache, coalesce with any
   // identical in-flight search, otherwise search on a leased arena and memoize.
   // Thread-safe; deterministic given the query (cache_hit/coalesced flags aside).
-  PlannerResult Plan(const PlannerQuery& query);
+  // Queries are untrusted input: options that fail ValidateSearchOptions
+  // (cost_model.h) return InvalidArgument before the query is counted or searched.
+  StatusOr<PlannerResult> Plan(const PlannerQuery& query);
 
   // Batched front-end: one search per distinct key, fanned across worker threads so a
   // batch's candidate simulations run concurrently on distinct pooled arenas;
   // duplicate queries share their representative's result. results[i] answers
-  // queries[i].
-  std::vector<PlannerResult> PlanMany(const std::vector<PlannerQuery>& queries);
+  // queries[i]. Every query is validated first: one bad query returns InvalidArgument
+  // naming the first bad index, and no query of the batch is counted or searched.
+  StatusOr<std::vector<PlannerResult>> PlanMany(const std::vector<PlannerQuery>& queries);
 
   // Snaps every alpha (variables' spec.alpha and targets' alpha) to its bucket
   // representative — the value searches actually run at. Idempotent.

@@ -183,7 +183,7 @@ AdaptiveRun TrainDriftingLm(uint64_t seed, int steps, int64_t drift_step,
       .WithLearningRate(0.3f)
       .WithSyncCosts(AccumulationDominatedCosts())
       .WithCompute(2e-3, 4)
-      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2});
+      .WithSearch({});
   if (adaptive) {
     builder.WithAdaptivePartitioning(TestPolicy(repartition));
   }
@@ -296,7 +296,7 @@ TEST(AdaptiveRunnerTest, HysteresisSuppressesFlappingUnderNoisyAlpha) {
   auto runner = RunnerBuilder(model.graph(), model.loss())
                     .WithResources("m0:0,1;m1:0,1")
                     .WithLearningRate(0.3f)
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .WithAdaptivePartitioning(policy)
                     .Build();
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
@@ -324,7 +324,7 @@ TEST(AdaptiveRunnerTest, MonitorAbsentWithoutPolicyAndHarmlessWithoutSparseVars)
   WordLmModel model(DriftingLm(45, 0));
   auto plain = RunnerBuilder(model.graph(), model.loss())
                    .WithResources("m0:0,1;m1:0,1")
-                   .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                   .WithSearch({})
                    .Build();
   ASSERT_TRUE(plain.ok());
   Rng rng(92);
@@ -337,7 +337,7 @@ TEST(AdaptiveRunnerTest, MonitorAbsentWithoutPolicyAndHarmlessWithoutSparseVars)
                             .batch_per_rank = 12, .seed = 46});
   auto runner = RunnerBuilder(dense.graph(), dense.loss())
                     .WithResources("m0:0,1;m1:0,1")
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .WithAdaptivePartitioning(TestPolicy(true))
                     .Build();
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
@@ -422,7 +422,7 @@ TEST(PerVariablePlanTest, AdaptiveLoopResearchesPerVariableOnDriftAndChargesMigr
                     .WithLearningRate(0.3f)
                     .WithSyncCosts(AccumulationDominatedCosts())
                     .WithCompute(2e-3, 4)
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .WithSearchMode(PartitionSearchMode::kPerVariable)
                     .WithAdaptivePartitioning(TestPolicy(true))
                     .Build();
@@ -476,7 +476,7 @@ TEST(PerVariablePlanTest, UnamortizedMigrationVetoesAdoption) {
                       .WithLearningRate(0.3f)
                       .WithSyncCosts(costs)
                       .WithCompute(2e-3, 4)
-                      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                      .WithSearch({})
                       .WithAdaptivePartitioning(policy)
                       .Build();
     EXPECT_TRUE(runner.ok()) << runner.status().ToString();

@@ -127,7 +127,7 @@ AdaptiveRun RunAdaptive(const std::string& engine, uint64_t seed, int64_t drift_
                     .WithLearningRate(0.3f)
                     .WithSyncCosts(AccumulationDominatedCosts())
                     .WithCompute(2e-3, 4)
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .WithAdaptivePartitioning(policy)
                     .WithEngine("*", engine)
                     .Build();

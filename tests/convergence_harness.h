@@ -56,7 +56,7 @@ std::vector<float> RunTrajectory(Model& model, const std::string& engine_name,
   auto runner = RunnerBuilder(model.graph(), model.loss())
                     .WithResources("m0:0,1;m1:0,1")
                     .WithLearningRate(options.learning_rate)
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .WithEngine("*", engine_name)
                     .Build();
   EXPECT_TRUE(runner.ok()) << engine_name << ": " << runner.status().ToString();

@@ -355,15 +355,13 @@ double MeasureTwoRackPlan(const PartitionPlan& plan, SimulationArena* arena) {
   config.ps_local_aggregation = true;
   config.ps_machine_level_pulls = true;
   IterationSimulator sim(spec, std::move(variables), 2e-3, 4, config, arena);
-  return sim.MeasureIterationSeconds(3, 3);
+  return sim.MeasureIterationSeconds();
 }
 
 TEST(PlacementSearchTest, TwoRackPlacedPlanBeatsBestObliviousPlan) {
   PartitionSearchOptions options;
   options.initial_partitions = 4;
   options.max_partitions = 16;
-  options.warmup_iterations = 3;
-  options.measured_iterations = 3;
 
   SimulationArena arena;
   auto measure = [&](const PartitionPlan& plan) {

@@ -33,8 +33,6 @@ WordLmModel::Options SmallLm(uint64_t seed) {
 ParallaxConfig FastConfig() {
   ParallaxConfig config;
   config.learning_rate = 0.4f;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 2;
   return config;
 }
 

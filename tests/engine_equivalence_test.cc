@@ -56,8 +56,6 @@ void ExpectTrajectoriesMatch(Model& model, float tolerance) {
   ArNumericEngine ar(model.graph());
   ParallaxConfig px_config;
   px_config.learning_rate = kLr;
-  px_config.search.warmup_iterations = 2;
-  px_config.search.measured_iterations = 2;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 2),
                      px_config);
   VariableStore reference = VariableStore::InitFrom(graph);
@@ -256,8 +254,6 @@ TEST(EngineEquivalenceTest, GetRunnerShimBitIdenticalToLegacyRunner) {
                      .batch_per_rank = 12, .seed = 710});
   ParallaxConfig config;
   config.learning_rate = kLr;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 2;
   auto runner = GetRunner(model.graph(), model.loss(), "m0:0,1;m1:0,1", config);
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   ExpectBitIdenticalToLegacy(*runner.value(), model, 4, 2, kLr, kSteps);
@@ -305,7 +301,7 @@ TEST(EngineEquivalenceTest, FusedSparseAggregationBitIdenticalToPerVariable) {
   auto runner = RunnerBuilder(model.graph(), model.loss())
                     .WithResources("m0:0;m1:0;m2:0;m3:0")
                     .WithLearningRate(kLr)
-                    .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                    .WithSearch({})
                     .Build();
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   ExpectBitIdenticalToLegacy(*runner.value(), model, 4, 1, kLr, kSteps);
@@ -334,7 +330,7 @@ TEST(EngineEquivalenceTest, SparsityMonitoringNeverTouchesTheNumerics) {
         .WithLearningRate(kLr)
         .WithSyncCosts(AccumulationDominatedCosts())
         .WithCompute(2e-3, 4)
-        .WithSearch({.warmup_iterations = 2, .measured_iterations = 2});
+        .WithSearch({});
     if (monitored) {
       AdaptivePartitioningPolicy policy;
       policy.ewma_decay = 0.5;
@@ -477,7 +473,7 @@ TEST(EngineEquivalenceTest, IdentityCompressionEnginesBitIdenticalToPs) {
     RunnerBuilder builder(model.graph(), model.loss());
     builder.WithResources("m0:0,1;m1:0,1")
         .WithLearningRate(kLr)
-        .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+        .WithSearch({})
         .WithEngine("*", engine);
     if (planned) {
       builder.WithPartitionPlan(placed);
@@ -588,7 +584,7 @@ TEST(EngineEquivalenceTest, CheckpointingNeverTouchesTheNumerics) {
         .WithLearningRate(kLr)
         .WithSyncCosts(AccumulationDominatedCosts())
         .WithCompute(2e-3, 4)
-        .WithSearch({.warmup_iterations = 2, .measured_iterations = 2});
+        .WithSearch({});
     AdaptivePartitioningPolicy policy;
     policy.warmup_steps = 2;
     policy.check_interval = 2;

@@ -27,9 +27,9 @@ TEST(FailureInjectionTest, DegradedNicSlowsIterationButStaysLive) {
   degraded.nic_bandwidth /= 10.0;  // 10 Gbps instead of 100
   for (Framework framework : {Framework::kTfPs, Framework::kHorovod, Framework::kParallax}) {
     double fast = MakeFrameworkSimulator(framework, healthy, model, options)
-                      .MeasureIterationSeconds(3, 4);
+                      .MeasureIterationSeconds();
     double slow = MakeFrameworkSimulator(framework, degraded, model, options)
-                      .MeasureIterationSeconds(3, 4);
+                      .MeasureIterationSeconds();
     EXPECT_GT(slow, fast) << FrameworkName(framework);
     EXPECT_LT(slow, fast * 40) << FrameworkName(framework) << " (no livelock)";
   }
@@ -44,13 +44,13 @@ TEST(FailureInjectionTest, FewerCoresHurtsPsMoreThanAr) {
   ClusterSpec weak = healthy;
   weak.cores_per_machine = 4;
   double ps_ratio = MakeFrameworkSimulator(Framework::kTfPs, weak, model, options)
-                        .MeasureIterationSeconds(3, 4) /
+                        .MeasureIterationSeconds() /
                     MakeFrameworkSimulator(Framework::kTfPs, healthy, model, options)
-                        .MeasureIterationSeconds(3, 4);
+                        .MeasureIterationSeconds();
   double ar_ratio = MakeFrameworkSimulator(Framework::kHorovod, weak, model, options)
-                        .MeasureIterationSeconds(3, 4) /
+                        .MeasureIterationSeconds() /
                     MakeFrameworkSimulator(Framework::kHorovod, healthy, model, options)
-                        .MeasureIterationSeconds(3, 4);
+                        .MeasureIterationSeconds();
   EXPECT_GT(ps_ratio, ar_ratio);
 }
 
@@ -62,9 +62,9 @@ TEST(FailureInjectionTest, SlowPcieHurtsLocalAggregationPath) {
   ClusterSpec slow_pcie = healthy;
   slow_pcie.pcie_bandwidth /= 8.0;
   double healthy_s = MakeFrameworkSimulator(Framework::kOptPs, healthy, model, options)
-                         .MeasureIterationSeconds(3, 4);
+                         .MeasureIterationSeconds();
   double degraded_s = MakeFrameworkSimulator(Framework::kOptPs, slow_pcie, model, options)
-                          .MeasureIterationSeconds(3, 4);
+                          .MeasureIterationSeconds();
   EXPECT_GT(degraded_s, healthy_s * 1.2);
 }
 
@@ -77,8 +77,6 @@ TEST(FailureInjectionTest, NumericsUnaffectedByHardwareDegradation) {
     ParallaxConfig config;
     config.learning_rate = 0.4f;
     config.hardware.nic_bandwidth = nic_bandwidth;
-    config.search.warmup_iterations = 2;
-    config.search.measured_iterations = 2;
     GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 2),
                        config);
     Rng rng(81);
@@ -116,7 +114,7 @@ TEST(FailureInjectionTest, RankDeathRecoversFromLastCheckpointWithBoundedReplay)
     auto runner = RunnerBuilder(model.graph(), model.loss())
                       .WithResources(ResourceSpec::Homogeneous(2, 1))
                       .WithLearningRate(0.4f)
-                      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+                      .WithSearch({})
                       .WithCheckpoint(path, kInterval)
                       .Build();
     EXPECT_TRUE(runner.ok()) << runner.status().ToString();
@@ -173,8 +171,6 @@ TEST(FailureInjectionTest, RestoreOntoLiveRunnerRewindsToTheCheckpoint) {
                      .batch_per_rank = 12, .seed = 812});
   ParallaxConfig config;
   config.learning_rate = 0.4f;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 2;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 1),
                      config);
   Rng rng(92);
@@ -218,11 +214,11 @@ TEST(FailureInjectionTest, StragglerGpuStretchesEveryIteration) {
   FrameworkOptions options;
   ClusterSpec cluster = ClusterSpec::Paper();
   double base = MakeFrameworkSimulator(Framework::kParallax, cluster, model, options)
-                    .MeasureIterationSeconds(3, 4);
+                    .MeasureIterationSeconds();
   ModelSpec slow_model = model;
   slow_model.gpu_compute_seconds *= 2.0;
   double slow = MakeFrameworkSimulator(Framework::kParallax, cluster, slow_model, options)
-                    .MeasureIterationSeconds(3, 4);
+                    .MeasureIterationSeconds();
   EXPECT_GT(slow, base * 1.8);
 }
 

@@ -135,7 +135,7 @@ TEST(IterationSimTest, PartitioningParallelizesAggregation) {
   auto time_at = [&](int partitions) {
     options.sparse_partitions = partitions;
     IterationSimulator sim = MakeFrameworkSimulator(Framework::kTfPs, spec, lm, options);
-    return sim.MeasureIterationSeconds(3, 5);
+    return sim.MeasureIterationSeconds();
   };
   double t8 = time_at(8);
   double t128 = time_at(128);
@@ -149,8 +149,8 @@ TEST(IterationSimTest, ArBeatsNaivePsOnDenseModel) {
   ClusterSpec spec = ClusterSpec::Paper();
   ModelSpec resnet = ResNet50Spec();
   FrameworkOptions options;
-  double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, resnet, options, 3, 5);
-  double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, resnet, options, 3, 5);
+  double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, resnet, options);
+  double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, resnet, options);
   EXPECT_GT(ar, ps * 1.1);
 }
 
@@ -160,8 +160,8 @@ TEST(IterationSimTest, PsBeatsArOnSparseModel) {
   ModelSpec lm = LmSpec();
   FrameworkOptions options;
   options.sparse_partitions = 128;
-  double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, lm, options, 3, 5);
-  double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, lm, options, 3, 5);
+  double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, lm, options);
+  double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, lm, options);
   EXPECT_GT(ps, ar * 1.3);
 }
 
@@ -172,10 +172,10 @@ TEST(IterationSimTest, HybridAtLeastMatchesBothPureArchitectures) {
   FrameworkOptions options;
   options.sparse_partitions = 64;
   for (const ModelSpec& model : {ResNet50Spec(), LmSpec(), NmtSpec()}) {
-    double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, model, options, 3, 5);
-    double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, model, options, 3, 5);
+    double ps = MeasureFrameworkThroughput(Framework::kTfPs, spec, model, options);
+    double ar = MeasureFrameworkThroughput(Framework::kHorovod, spec, model, options);
     double hybrid =
-        MeasureFrameworkThroughput(Framework::kParallax, spec, model, options, 3, 5);
+        MeasureFrameworkThroughput(Framework::kParallax, spec, model, options);
     EXPECT_GE(hybrid, ps * 0.98) << model.name;
     EXPECT_GE(hybrid, ar * 0.98) << model.name;
   }
@@ -187,8 +187,8 @@ TEST(IterationSimTest, LocalAggregationReducesServerTraffic) {
   ModelSpec lm = LmSpec();
   FrameworkOptions options;
   options.sparse_partitions = 128;
-  double naive = MeasureFrameworkThroughput(Framework::kTfPs, spec, lm, options, 3, 5);
-  double opt = MeasureFrameworkThroughput(Framework::kOptPs, spec, lm, options, 3, 5);
+  double naive = MeasureFrameworkThroughput(Framework::kTfPs, spec, lm, options);
+  double opt = MeasureFrameworkThroughput(Framework::kOptPs, spec, lm, options);
   EXPECT_GT(opt, naive * 1.2);
 }
 
@@ -215,7 +215,7 @@ TEST(IterationSimTest, ThroughputScalesWithMachines) {
       ClusterSpec spec = ClusterSpec::Paper();
       spec.num_machines = machines;
       double throughput =
-          MeasureFrameworkThroughput(framework, spec, resnet, options, 3, 5);
+          MeasureFrameworkThroughput(framework, spec, resnet, options);
       EXPECT_GT(throughput, previous) << FrameworkName(framework) << " @ " << machines;
       previous = throughput;
     }

@@ -139,15 +139,13 @@ PartitionSearchOptions HybridOptions() {
   PartitionSearchOptions options;
   options.initial_partitions = 8;
   options.max_partitions = 256;
-  options.warmup_iterations = 2;
-  options.measured_iterations = 2;
   return options;
 }
 
 double MeasureHybridPlan(const PartitionPlan& plan, SimulationArena* arena) {
   IterationSimulator sim(ClusterSpec::Paper(), HybridPlanVariables(plan), 4e-3, 4,
                          HybridSimConfig(), arena);
-  return sim.MeasureIterationSeconds(2, 2);
+  return sim.MeasureIterationSeconds();
 }
 
 // Every batch a search issued, each as its candidates' PS piece counts (the searched
@@ -208,8 +206,6 @@ ParallelHarness MakeHybridHarness(int workers) {
   spec.gpu_compute_seconds = 4e-3;
   spec.compute_chunks = 4;
   spec.sim_config = HybridSimConfig();
-  spec.warmup_iterations = 2;
-  spec.measured_iterations = 2;
   h.waves = std::make_unique<Waves>();
   h.batch = RecordWaves(MakeParallelPlanMeasure(std::move(spec),
                                                 SearchConcurrency{h.pool.get(), 0},
@@ -446,15 +442,13 @@ std::vector<VariableSync> TwoRackPlanVariables(const PartitionPlan& plan) {
 double MeasureTwoRackPlan(const PartitionPlan& plan, SimulationArena* arena) {
   IterationSimulator sim(TwoRackSpec(), TwoRackPlanVariables(plan), 2e-3, 4,
                          TwoRackSimConfig(), arena);
-  return sim.MeasureIterationSeconds(3, 3);
+  return sim.MeasureIterationSeconds();
 }
 
 PartitionSearchOptions TwoRackOptions() {
   PartitionSearchOptions options;
   options.initial_partitions = 4;
   options.max_partitions = 16;
-  options.warmup_iterations = 3;
-  options.measured_iterations = 3;
   options.placement.enabled = true;
   options.placement.num_machines = 4;
   options.placement.num_racks = 2;
@@ -486,8 +480,6 @@ TEST(ParallelSearchTest, PlacementSearchBitIdenticalOnRackedTopology) {
     spec.gpu_compute_seconds = 2e-3;
     spec.compute_chunks = 4;
     spec.sim_config = TwoRackSimConfig();
-    spec.warmup_iterations = 3;
-    spec.measured_iterations = 3;
     Waves waves;
     PlanBatchMeasure batch = RecordWaves(
         MakeParallelPlanMeasure(std::move(spec), SearchConcurrency{pool.get(), 0},
@@ -699,8 +691,6 @@ PlannerQuery ServiceQuery(double embedding_alpha) {
   query.gpu_compute_seconds = 4e-3;
   query.compute_chunks = 4;
   query.options.initial_partitions = 4;
-  query.options.warmup_iterations = 2;
-  query.options.measured_iterations = 2;
   return query;
 }
 
@@ -713,8 +703,8 @@ TEST(ParallelSearchTest, PlannerServiceParallelPlanMatchesSerialServiceAndOracle
   PlannerService serial_service(serial_options);
 
   PlannerQuery query = ServiceQuery(0.02);
-  PlannerResult parallel = parallel_service.Plan(query);
-  PlannerResult serial = serial_service.Plan(query);
+  PlannerResult parallel = parallel_service.Plan(query).value();
+  PlannerResult serial = serial_service.Plan(query).value();
 
   EXPECT_TRUE(parallel.plan == serial.plan);
   EXPECT_EQ(parallel.plan.ToString(), serial.plan.ToString());
@@ -731,8 +721,7 @@ TEST(ParallelSearchTest, PlannerServiceParallelPlanMatchesSerialServiceAndOracle
                            ApplyPlanToVariables(canonical.variables, plan),
                            canonical.gpu_compute_seconds, canonical.compute_chunks,
                            canonical.sim_config, &arena);
-    return sim.MeasureIterationSeconds(canonical.options.warmup_iterations,
-                                       canonical.options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   PartitionPlanSearchResult oracle =
       SearchPartitionPlan(measure, canonical.targets, canonical.options);
@@ -759,13 +748,13 @@ TEST(ParallelSearchTest, PlannerServicePlanManyMatchesPerQueryPlans) {
   for (double alpha : {0.02, 0.1, 0.3, 0.02}) {  // one duplicate key
     queries.push_back(ServiceQuery(alpha));
   }
-  std::vector<PlannerResult> batched = service.PlanMany(queries);
+  std::vector<PlannerResult> batched = service.PlanMany(queries).value();
   ASSERT_EQ(batched.size(), queries.size());
 
   PlannerService reference;  // defaults; answers must match regardless of its workers
   for (size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    PlannerResult single = reference.Plan(queries[i]);
+    PlannerResult single = reference.Plan(queries[i]).value();
     EXPECT_TRUE(batched[i].plan == single.plan);
     EXPECT_EQ(batched[i].seconds, single.seconds);
     EXPECT_EQ(batched[i].uniform_seconds, single.uniform_seconds);

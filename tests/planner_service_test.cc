@@ -6,6 +6,7 @@
 //  - N threads issuing the same query coalesce onto ONE simulation; distinct keys
 //    search separately,
 //  - LRU eviction respects the configured capacity,
+//  - search options a search cannot run are rejected with a Status, never searched,
 //  - ApplyPlanToVariables, the one plan applier, row-caps counts and drops stale
 //    placements,
 //  - a runner using the shared planner trains bit-identically to a private-search
@@ -77,8 +78,6 @@ PlannerQuery MakeQuery(double embedding_alpha, double softmax_alpha = 0.05) {
   query.gpu_compute_seconds = 4e-3;
   query.compute_chunks = 4;
   query.options.initial_partitions = 4;
-  query.options.warmup_iterations = 2;
-  query.options.measured_iterations = 2;
   return query;
 }
 
@@ -91,8 +90,7 @@ PartitionPlanSearchResult PrivateSearch(const PlannerQuery& canonical) {
                            ApplyPlanToVariables(canonical.variables, plan),
                            canonical.gpu_compute_seconds, canonical.compute_chunks,
                            canonical.sim_config, &arena);
-    return sim.MeasureIterationSeconds(canonical.options.warmup_iterations,
-                                       canonical.options.measured_iterations);
+    return sim.MeasureIterationSeconds();
   };
   return SearchPartitionPlan(measure_plan, canonical.targets, canonical.options);
 }
@@ -106,7 +104,7 @@ void ExpectPlansIdentical(const PartitionPlan& a, const PartitionPlan& b) {
 TEST(PlannerServiceTest, PlanMatchesPrivateArenaSearchByteForByte) {
   PlannerService service;
   PlannerQuery query = MakeQuery(0.02);
-  PlannerResult result = service.Plan(query);
+  PlannerResult result = service.Plan(query).value();
   EXPECT_FALSE(result.cache_hit);
   EXPECT_FALSE(result.uniform);
 
@@ -122,8 +120,8 @@ TEST(PlannerServiceTest, PlanMatchesPrivateArenaSearchByteForByte) {
 TEST(PlannerServiceTest, CacheHitReturnsIdenticalPlanState) {
   PlannerService service;
   PlannerQuery query = MakeQuery(0.02);
-  PlannerResult first = service.Plan(query);
-  PlannerResult second = service.Plan(query);
+  PlannerResult first = service.Plan(query).value();
+  PlannerResult second = service.Plan(query).value();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
   ExpectPlansIdentical(first.plan, second.plan);
@@ -161,7 +159,8 @@ TEST(PlannerServiceTest, ConcurrentIdenticalQueriesCoalesceToOneSearch) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] { results[static_cast<size_t>(t)] = service.Plan(query); });
+    threads.emplace_back(
+        [&, t] { results[static_cast<size_t>(t)] = service.Plan(query).value(); });
   }
   for (std::thread& thread : threads) {
     thread.join();
@@ -185,7 +184,7 @@ TEST(PlannerServiceTest, ConcurrentDistinctQueriesSearchSeparatelyAndMatchOracle
   threads.reserve(alphas.size());
   for (size_t t = 0; t < alphas.size(); ++t) {
     threads.emplace_back(
-        [&, t] { results[t] = service.Plan(MakeQuery(alphas[t])); });
+        [&, t] { results[t] = service.Plan(MakeQuery(alphas[t])).value(); });
   }
   for (std::thread& thread : threads) {
     thread.join();
@@ -204,7 +203,7 @@ TEST(PlannerServiceTest, PlanManyCoalescesDuplicatesWithinTheBatch) {
   for (int i = 0; i < 6; ++i) {
     queries.push_back(MakeQuery(i % 2 == 0 ? 0.02 : 0.2));  // two distinct keys
   }
-  std::vector<PlannerResult> results = service.PlanMany(queries);
+  std::vector<PlannerResult> results = service.PlanMany(queries).value();
   ASSERT_EQ(results.size(), queries.size());
   EXPECT_EQ(service.stats().searches, 2u);
   EXPECT_EQ(service.stats().queries, 6u);
@@ -217,19 +216,60 @@ TEST(PlannerServiceTest, EvictionRespectsCapacity) {
   PlannerServiceOptions options;
   options.cache_capacity = 2;
   PlannerService service(options);
-  service.Plan(MakeQuery(0.01));
-  service.Plan(MakeQuery(0.05));
-  service.Plan(MakeQuery(0.3));  // evicts the 0.01 entry (LRU)
+  service.Plan(MakeQuery(0.01)).value();
+  service.Plan(MakeQuery(0.05)).value();
+  service.Plan(MakeQuery(0.3)).value();  // evicts the 0.01 entry (LRU)
   PlanCacheStats cache = service.stats().cache;
   EXPECT_EQ(cache.size, 2u);
   EXPECT_EQ(cache.capacity, 2u);
   EXPECT_EQ(cache.evictions, 1u);
   // The evicted key misses (and re-searches); the most recent keys still hit.
-  PlannerResult again = service.Plan(MakeQuery(0.3));
+  PlannerResult again = service.Plan(MakeQuery(0.3)).value();
   EXPECT_TRUE(again.cache_hit);
-  PlannerResult evicted = service.Plan(MakeQuery(0.01));
+  PlannerResult evicted = service.Plan(MakeQuery(0.01)).value();
   EXPECT_FALSE(evicted.cache_hit);
   EXPECT_EQ(service.stats().searches, 4u);
+}
+
+TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
+  // Queries are untrusted input. Each of these options would abort the search, so Plan
+  // and PlanMany return InvalidArgument, and nothing is counted or searched. PlanMany
+  // checks every query before it plans any, and names the bad one's index.
+  struct BadOptions {
+    const char* name;
+    void (*apply)(PartitionSearchOptions&);
+  };
+  const BadOptions cases[] = {
+      {"min_partitions < 1", [](PartitionSearchOptions& o) { o.min_partitions = 0; }},
+      {"max_partitions < min_partitions",
+       [](PartitionSearchOptions& o) { o.max_partitions = 0; }},
+      {"coordinate_margin < 0", [](PartitionSearchOptions& o) { o.coordinate_margin = -0.01; }},
+      {"max_coordinate_rounds < 1",
+       [](PartitionSearchOptions& o) { o.max_coordinate_rounds = 0; }},
+  };
+  for (const bool uniform : {false, true}) {
+    for (const BadOptions& bad : cases) {
+      SCOPED_TRACE(std::string(bad.name) + (uniform ? ", uniform search" : ", per-variable"));
+      PlannerQuery query = MakeQuery(0.02);
+      if (uniform) {
+        query.targets.clear();
+      }
+      bad.apply(query.options);
+      PlannerService service;
+      StatusOr<PlannerResult> single = service.Plan(query);
+      ASSERT_FALSE(single.ok());
+      EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+
+      StatusOr<std::vector<PlannerResult>> batch = service.PlanMany({MakeQuery(0.2), query});
+      ASSERT_FALSE(batch.ok());
+      EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(batch.status().message().find("query 1"), std::string::npos)
+          << batch.status().ToString();
+
+      EXPECT_EQ(service.stats().searches, 0u);
+      EXPECT_EQ(service.stats().queries, 0u);
+    }
+  }
 }
 
 TEST(PlannerServiceTest, ApplyPlanToVariablesReplicatesRowCapAndPlacementGate) {
@@ -282,8 +322,6 @@ WordLmModel::Options SmallLm(uint64_t seed) {
 ParallaxConfig FastConfig() {
   ParallaxConfig config;
   config.learning_rate = 0.4f;
-  config.search.warmup_iterations = 2;
-  config.search.measured_iterations = 2;
   config.search_mode = PartitionSearchMode::kPerVariable;
   return config;
 }
@@ -376,7 +414,7 @@ SeamRun RunDriftAndRescale(PartitionSearchMode mode, std::shared_ptr<PlannerServ
       .WithLearningRate(0.3f)
       .WithSyncCosts(AccumulationDominatedCosts())
       .WithCompute(2e-3, 4)
-      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+      .WithSearch({})
       .WithSearchMode(mode)
       .WithAdaptivePartitioning(policy);
   if (planner != nullptr) {

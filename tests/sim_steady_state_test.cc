@@ -4,6 +4,11 @@
 //  - the Reset/rebuild/Execute cycle and SimulateIteration perform zero heap
 //    allocations once warm (the property the partition search relies on),
 //  - sharing a SimulationArena across simulators changes nothing about the results,
+//  - the iteration barrier drains the cluster: back-to-back iterations run exactly as
+//    on a fresh cluster from the same start, so MeasureIterationSeconds' one simulated
+//    iteration prices a layout, across topologies, placements, PS options, collectives,
+//    plans and compression (a later start's rounding can flip an exact tie; one case
+//    pins that),
 //  - a full training RunStep (forward + backward + escaping gradients, via
 //    Executor::RunStepInto with recycled StepResult storage) is allocation-free once
 //    warm — the numeric twin of the simulation guarantee.
@@ -12,9 +17,12 @@
 // are only inspected inside explicit windows, so gtest's own allocations don't matter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 
 #include "src/base/rng.h"
 #include "src/core/iteration_sim.h"
@@ -264,6 +272,132 @@ TEST(SimulatorSteadyStateTest, SharedArenaSearchSteadyStateIsAllocationFree) {
     EXPECT_EQ(AllocCount() - before, 0u) << "P=" << partitions;
   }
 }
+
+// Which variables of HybridVariables go to PS: the sparse embedding only (hybrid),
+// all three, or none (the dense AllReduce and the sparse AllGatherv remain).
+enum class ReplayPlan { kHybrid, kPsOnly, kArOnly };
+
+// One configuration of the replay test below. Every job runs on `machines` x `gpus`
+// (4 x 2 unless a case says otherwise), with the embedding in 6 pieces.
+struct ReplayCase {
+  const char* name;
+  ReplayPlan plan = ReplayPlan::kHybrid;
+  int num_racks = 1;
+  bool placed = false;  // pin the embedding's pieces to explicit servers
+  bool local_aggregation = false;
+  bool machine_level_pulls = false;
+  GathervAlgorithm gatherv = GathervAlgorithm::kBroadcast;
+  CompressionKind compression = CompressionKind::kNone;  // on the embedding's pushes
+  int machines = 4;
+  int gpus = 2;
+  // Rounding at a later start time breaks an exact tie between two tasks ready at the
+  // same instant the other way, so the event loop serves them in the other order and
+  // the iteration takes a different time (ROADMAP, "Make a step's simulated time
+  // independent of its start time"). Iteration 0, from t = 0, keeps the insertion-order
+  // tie-break the event loop is built on.
+  bool later_starts_flip_a_tie = false;
+};
+
+// Names the ctest entries after the case instead of its raw bytes.
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<VariableSync> ReplayVariables(const ReplayCase& c) {
+  std::vector<VariableSync> vars = HybridVariables(6);
+  switch (c.plan) {
+    case ReplayPlan::kHybrid:
+      break;
+    case ReplayPlan::kPsOnly:
+      vars[1].method = SyncMethod::kPs;
+      vars[1].partitions = 2;
+      vars[2].method = SyncMethod::kPs;
+      vars[2].partitions = 3;
+      break;
+    case ReplayPlan::kArOnly:
+      vars.erase(vars.begin());  // dense AllReduce and sparse AllGatherv remain
+      break;
+  }
+  if (c.plan != ReplayPlan::kArOnly) {
+    if (c.placed) {
+      vars[0].placement = {0, c.machines - 1, 1 % c.machines, 2 % c.machines, 0,
+                           c.machines - 1};
+    }
+    vars[0].compression.kind = c.compression;
+    vars[0].compression.ratio = c.compression == CompressionKind::kTopK ? 0.1 : 1.0;
+  }
+  return vars;
+}
+
+class SimulatorReplayTest : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(SimulatorReplayTest, EveryIterationReplaysTheFirst) {
+  const ReplayCase& c = GetParam();
+  ClusterSpec spec = TinySpec();
+  spec.num_machines = c.machines;
+  spec.gpus_per_machine = c.gpus;
+  spec.topology.num_racks = c.num_racks;
+  spec.topology.spine_bandwidth = 2e9;
+  spec.topology.spine_latency = 5e-6;
+  IterationSimConfig config;
+  config.ps_local_aggregation = c.local_aggregation;
+  config.ps_machine_level_pulls = c.machine_level_pulls;
+  config.gatherv_algorithm = c.gatherv;
+  IterationSimulator sim(spec, ReplayVariables(c), 4e-3, 4, config);
+
+  const double one = sim.MeasureIterationSeconds();
+  ASSERT_GT(one, 0.0);
+  EXPECT_EQ(one, sim.RunIterations(1)[0]) << "not the first iteration, bit for bit";
+
+  // The barrier drains the cluster: each of 20 back-to-back iterations finishes
+  // exactly when the same iteration would on a fresh cluster from the same start.
+  const std::vector<double> twenty = sim.RunIterations(20);
+  Cluster cluster(spec);
+  SimTime start = 0.0;
+  double worst = 0.0;
+  for (size_t i = 0; i < twenty.size(); ++i) {
+    const SimTime finish = sim.SimulateIteration(cluster, start);
+    Cluster fresh(spec);
+    EXPECT_EQ(finish, sim.SimulateIteration(fresh, start)) << "iteration " << i;
+    EXPECT_EQ(finish - start, twenty[i]) << "iteration " << i;
+    worst = std::max(worst, std::abs(twenty[i] - one) / one);
+    start = finish;
+  }
+  // So every iteration replays the first, up to the rounding its start time adds.
+  if (c.later_starts_flip_a_tie) {
+    EXPECT_GT(worst, 1e-3) << "the tie no longer flips: clear later_starts_flip_a_tie";
+  } else {
+    EXPECT_LE(worst, 1e-12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, SimulatorReplayTest,
+    ::testing::Values(
+        ReplayCase{.name = "flat_hybrid_naive_ps"},
+        ReplayCase{.name = "flat_hybrid_local_aggregation", .local_aggregation = true},
+        ReplayCase{.name = "flat_hybrid_machine_pulls", .machine_level_pulls = true},
+        ReplayCase{.name = "flat_hybrid_opt_ps_ring", .local_aggregation = true,
+                   .machine_level_pulls = true, .gatherv = GathervAlgorithm::kRing},
+        ReplayCase{.name = "flat_hybrid_placed", .placed = true, .local_aggregation = true,
+                   .machine_level_pulls = true},
+        ReplayCase{.name = "racked_hybrid", .num_racks = 2, .later_starts_flip_a_tie = true},
+        ReplayCase{.name = "racked_hybrid_placed_ring", .num_racks = 2, .placed = true,
+                   .local_aggregation = true, .machine_level_pulls = true,
+                   .gatherv = GathervAlgorithm::kRing},
+        ReplayCase{.name = "flat_ps_only", .plan = ReplayPlan::kPsOnly},
+        ReplayCase{.name = "racked_ps_only_placed_opt_ps", .plan = ReplayPlan::kPsOnly,
+                   .num_racks = 2, .placed = true, .local_aggregation = true,
+                   .machine_level_pulls = true},
+        ReplayCase{.name = "flat_ar_only_broadcast", .plan = ReplayPlan::kArOnly},
+        ReplayCase{.name = "racked_ar_only_ring", .plan = ReplayPlan::kArOnly, .num_racks = 2,
+                   .gatherv = GathervAlgorithm::kRing},
+        ReplayCase{.name = "flat_hybrid_topk", .compression = CompressionKind::kTopK},
+        ReplayCase{.name = "flat_hybrid_int8_opt_ps", .local_aggregation = true,
+                   .machine_level_pulls = true, .compression = CompressionKind::kInt8},
+        ReplayCase{.name = "racked_ps_only_topk_placed", .plan = ReplayPlan::kPsOnly,
+                   .num_racks = 2, .placed = true, .compression = CompressionKind::kTopK},
+        ReplayCase{.name = "single_gpu", .machines = 1, .gpus = 1},
+        ReplayCase{.name = "one_machine_four_gpus", .local_aggregation = true,
+                   .machine_level_pulls = true, .machines = 1, .gpus = 4}));
 
 TEST(ExecutorSteadyStateTest, FullRunStepIsAllocationFreeOnceWarm) {
   // The gather-bearing WordLM graph produces every gradient flavour: sparse slices for

@@ -23,7 +23,7 @@ RunnerBuilder SmallBuilder(WordLmModel& model) {
   RunnerBuilder builder(model.graph(), model.loss());
   builder.WithResources("m0:0,1;m1:0,1")
       .WithLearningRate(0.3f)
-      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2});
+      .WithSearch({});
   return builder;
 }
 
@@ -154,12 +154,7 @@ TEST(RunnerBuilderTest, RejectsSearchOptionsTheFirstStepCannotRun) {
   PartitionSearchOptions inverted;
   inverted.min_partitions = 8;
   inverted.max_partitions = 4;
-  PartitionSearchOptions nothing_measured;
-  nothing_measured.measured_iterations = 0;
-  PartitionSearchOptions negative_warmup;
-  negative_warmup.warmup_iterations = -1;
-  for (const PartitionSearchOptions& search :
-       {no_min, inverted, nothing_measured, negative_warmup}) {
+  for (const PartitionSearchOptions& search : {no_min, inverted}) {
     auto runner = build_with(search);
     ASSERT_FALSE(runner.ok());
     EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
