@@ -1,9 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose costs the calibration
 // constants model: sparse gradient coalescing and multi-slice sums (naive map reference
 // vs the fused MultiVariableSum pass, cold vs workspace-reuse), scatter updates,
-// partition stitch, the dense matmuls of the executor (seed loops vs register strips),
-// the cost-model fit, ring-schedule construction, and task-graph execution throughput.
+// partition stitch, the dense matmuls of the executor (seed loops vs register strips)
+// and its tanh, the cost-model fit, ring-schedule construction, and task-graph execution
+// throughput. Every bench that runs the register-strip matmuls is labelled with the
+// instantiation this CPU dispatches them to ("avx2" or "vec4").
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
@@ -110,6 +115,9 @@ void BM_ScatterSgdUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterSgdUpdate)->Arg(1'000)->Arg(10'000);
 
+// The instantiation the public matmul kernels run on this CPU, as a bench label.
+const char* MatMulIsaLabel() { return internal::MatMulIsaName(internal::ActiveMatMulIsa()); }
+
 void BM_MatMul(benchmark::State& state) {
   Rng rng(6);
   int64_t n = state.range(0);
@@ -119,6 +127,7 @@ void BM_MatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(MatMul(a, b));
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetLabel(MatMulIsaLabel());
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
 
@@ -145,6 +154,9 @@ void MatMulTransposeBBench(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
+  if (!kNaive) {
+    state.SetLabel(MatMulIsaLabel());
+  }
 }
 
 template <bool kNaive>
@@ -165,6 +177,9 @@ void MatMulTransposeABench(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
+  if (!kNaive) {
+    state.SetLabel(MatMulIsaLabel());
+  }
 }
 
 void BM_MatMulTransposeB(benchmark::State& state) { MatMulTransposeBBench<false>(state); }
@@ -175,6 +190,55 @@ void BM_MatMulTransposeA(benchmark::State& state) { MatMulTransposeABench<false>
 BENCHMARK(BM_MatMulTransposeA)->Args({64, 128})->Args({32, 48});
 void BM_MatMulTransposeANaive(benchmark::State& state) { MatMulTransposeABench<true>(state); }
 BENCHMARK(BM_MatMulTransposeANaive)->Args({64, 128})->Args({32, 48});
+
+// The tensor a model's "hidden" Tanh node reads, from a forward pass on the initial
+// values and one training shard: the values TanhInto sees in a replica's step.
+template <typename Model>
+Tensor HiddenPreActivation(Model& model, uint64_t seed) {
+  const Graph& graph = *model.graph();
+  NodeId input = kNoNode;
+  for (const Node& node : graph.nodes()) {
+    if (node.type == OpType::kTanh && node.name == "hidden") {
+      input = node.inputs[0];
+    }
+  }
+  PX_CHECK(input != kNoNode) << "no hidden Tanh node";
+  Rng rng(seed);
+  return Executor(&graph).RunForward(VariableStore::InitFrom(graph),
+                                     model.TrainShards(1, rng)[0], input);
+}
+
+// The hidden layer's tanh at the executor's real shapes and values: skew
+// (EmbeddingSkewModel, batch 64) is [64, 128], lm (WordLmModel in pxbench) is [32, 48].
+// With the matmuls on the wide strips, this is the largest op left in a skew replica;
+// max_abs_x echoes how small the pre-activations are.
+void BM_TanhInto(benchmark::State& state, bool skew) {
+  Tensor x;
+  if (skew) {
+    EmbeddingSkewModel::Options options;
+    options.batch_per_rank = 64;
+    EmbeddingSkewModel model(options);
+    x = HiddenPreActivation(model, 14);
+  } else {
+    WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                       .batch_per_rank = 32, .seed = 13});
+    x = HiddenPreActivation(model, 14);
+  }
+  Tensor out;
+  for (auto _ : state) {
+    TanhInto(out, x);
+    benchmark::DoNotOptimize(out.floats().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.num_elements());
+  float max_abs = 0.0f;
+  for (float v : x.floats()) {
+    max_abs = std::max(max_abs, std::abs(v));
+  }
+  state.counters["max_abs_x"] = max_abs;
+}
+BENCHMARK_CAPTURE(BM_TanhInto, skew, true);
+BENCHMARK_CAPTURE(BM_TanhInto, lm, false);
 
 void BM_RingAllReduceSchedule(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -945,6 +1009,7 @@ void RunStepBench(benchmark::State& state, bool use_scratch) {
                                               use_scratch ? &scratch : nullptr));
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(MatMulIsaLabel());
 }
 
 void BM_ExecutorRunStep(benchmark::State& state) { RunStepBench(state, false); }
@@ -971,6 +1036,7 @@ void BM_ExecutorRunStepSkew(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(MatMulIsaLabel());
 }
 BENCHMARK(BM_ExecutorRunStepSkew);
 
@@ -1001,6 +1067,7 @@ void RunnerStepBench(benchmark::State& state, Model& model, RunnerBuilder& build
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["lanes"] = GlobalSparsePool().num_threads();
+  state.SetLabel(MatMulIsaLabel());
 }
 
 // pxbench's `lm` and `skew` sessions (pxbench/pxbench.cc): the same model options,

@@ -31,17 +31,17 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   // 1. Sample backward passes on the initial values to classify variables and measure
   //    alpha (section 5: gradient type identifies sparsity). A deferred RestoreFrom
   //    supplies the initial values instead: the sampled alphas then describe the
-  //    workload at the restored parameters, not a cold start.
+  //    workload at the restored parameters, not a cold start. The samples stay in
+  //    step_results_ as the first step's results for their ranks (see Step).
   VariableStore initial = pending_restore_.has_value()
                               ? pending_restore_->store.Clone()
                               : VariableStore::InitFrom(*graph_);
-  std::vector<StepResult> samples;
-  size_t sample_count = std::min<size_t>(per_rank_feeds.size(), 4);
-  samples.reserve(sample_count);
-  for (size_t r = 0; r < sample_count; ++r) {
-    samples.push_back(executor_.RunStep(initial, per_rank_feeds[r], loss_, &exec_scratch_));
+  step_results_.resize(std::min<size_t>(per_rank_feeds.size(), 4));
+  for (size_t r = 0; r < step_results_.size(); ++r) {
+    executor_.RunStepInto(initial, per_rank_feeds[r], loss_, &exec_scratch_,
+                          &step_results_[r]);
   }
-  sparsity_ = AnalyzeSparsity(*graph_, loss_, samples);
+  sparsity_ = AnalyzeSparsity(*graph_, loss_, step_results_);
 
   cluster_spec_ = resources_.ToClusterSpec(config_.hardware);
   HybridOptions hybrid{config_.alpha_dense_threshold};
@@ -740,8 +740,12 @@ VariableStore GraphRunner::ComposeView() const {
 float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
   PX_CHECK_EQ(static_cast<int>(per_rank_feeds.size()), num_ranks())
       << "one feed shard per GPU replica";
+  // Ranks [0, computed) of this step already have their results in step_results_:
+  // the first step's samples ran on the values the engines start from.
+  size_t computed = 0;
   if (!initialized_) {
     InitializeFromSamples(per_rank_feeds);
+    computed = step_results_.size();
   }
 
   bool sequential = !engines_.empty();
@@ -773,14 +777,17 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
     // the previous step), and the loss is summed in rank order after the join, so the
     // step is bit-identical at every lane count. With one lane ParallelFor runs the
     // ranks in order on this thread, on one scratch. The engines' pooled kernels run
-    // after the join, so nothing nests.
+    // after the join, so nothing nests. The first step fans out only the ranks its
+    // samples left uncomputed: the view holds the values they were sampled on.
     VariableStore view = ComposeView();
     const size_t ranks = per_rank_feeds.size();
     step_results_.resize(ranks);
     rank_scratch_.resize(ranks > 0 ? ranks - 1 : 0);
     step_view_ = &view;
     step_feeds_ = &per_rank_feeds;
-    GlobalSparsePool().ParallelFor(num_ranks(), /*grain=*/1, replica_body_);
+    step_first_rank_ = static_cast<int64_t>(computed);
+    GlobalSparsePool().ParallelFor(static_cast<int64_t>(ranks - computed), /*grain=*/1,
+                                   replica_body_);
     step_view_ = nullptr;
     step_feeds_ = nullptr;
     for (const StepResult& result : step_results_) {
@@ -807,12 +814,13 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
 
 void GraphRunner::RunReplicas(int64_t begin, int64_t end) {
   // A chunk's ranks run one after another on one lane, so they share the scratch of its
-  // first rank: at grain 1 every rank has its own, and a one-lane (inline) run keeps
-  // all ranks on exec_scratch_.
+  // first index: at grain 1 every rank has its own, and a one-lane (inline) run keeps
+  // all ranks on exec_scratch_. Indices count from step_first_rank_, so a chunk's
+  // scratch depends only on its place in the fan-out.
   ExecScratch* scratch =
       begin == 0 ? &exec_scratch_ : &rank_scratch_[static_cast<size_t>(begin) - 1];
-  for (int64_t r = begin; r < end; ++r) {
-    const size_t rank = static_cast<size_t>(r);
+  for (int64_t i = begin; i < end; ++i) {
+    const size_t rank = static_cast<size_t>(step_first_rank_ + i);
     executor_.RunStepInto(*step_view_, (*step_feeds_)[rank], loss_, scratch,
                           &step_results_[rank]);
   }

@@ -248,11 +248,12 @@ class GraphRunner {
   VariableStore WorkerView() const;
 
  private:
+  // Leaves its samples in step_results_, one per sampled rank from rank 0 on.
   void InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds);
-  // Replicas [begin, end) of the synchronous step in flight, one ParallelFor chunk:
-  // rank r runs against *step_view_ on (*step_feeds_)[r] into step_results_[r], on the
-  // scratch of rank `begin`. Writes nothing another chunk reads, so chunks may run on
-  // different lanes.
+  // Fan-out indices [begin, end) of the synchronous step in flight, one ParallelFor
+  // chunk: index i runs rank r = step_first_rank_ + i against *step_view_ on
+  // (*step_feeds_)[r] into step_results_[r], on the scratch of index `begin`. Writes
+  // nothing another chunk reads, so chunks may run on different lanes.
   void RunReplicas(int64_t begin, int64_t end);
   // Union of every engine's View() — tensors may share engine buffers (valid until the
   // next ApplyStep/Prepare), which is exactly the lifetime the step path needs.
@@ -320,21 +321,24 @@ class GraphRunner {
   ParallaxConfig config_;
   Executor executor_;
   // Gradient buffer plan: backward-pass scratch reused by the sampling passes, the
-  // sequential-arrival loop and the synchronous fan-out's chunk at rank 0 (every rank
+  // sequential-arrival loop and the synchronous fan-out's chunk at index 0 (every rank
   // when the pool has one lane).
   ExecScratch exec_scratch_;
-  // Scratch of ranks 1..N-1 in the synchronous fan-out (a chunk starting at rank r > 0
-  // uses rank_scratch_[r - 1]); resized to num_ranks() - 1 every step, so a Rescale
+  // Scratch of the synchronous fan-out's other chunks (a chunk starting at index i > 0
+  // uses rank_scratch_[i - 1]); resized to num_ranks() - 1 every step, so a Rescale
   // grows or shrinks it with the membership.
   std::vector<ExecScratch> rank_scratch_;
   // Per-rank StepResults reused across training steps (RunStepInto recycles their map
   // nodes and gradient storage, so steady-state steps stay off the allocator). Engines
-  // must not retain references into them past ApplyStep.
+  // must not retain references into them past ApplyStep. The first step's sampled
+  // ranks start here.
   std::vector<StepResult> step_results_;
   // The synchronous step in flight, read by RunReplicas: set before the fan-out and
-  // cleared after the join.
+  // cleared after the join. step_first_rank_ is the first rank the fan-out computes
+  // (above 0 only on the first step, whose samples computed the ranks below it).
   const VariableStore* step_view_ = nullptr;
   const std::vector<FeedMap>* step_feeds_ = nullptr;
+  int64_t step_first_rank_ = 0;
   // The fan-out's ParallelFor body, built once and capturing only `this`, so a step
   // hands the pool a persistent callable instead of allocating one.
   const std::function<void(int64_t, int64_t)> replica_body_ =

@@ -138,31 +138,32 @@ float* PrepareDenseRows(Tensor& out, const TensorShape& like, int64_t rows, bool
 // +0.0f and add a(i, p) * b(p, j) in ascending p, one rounded multiply then one rounded
 // add per term (optionally skipping terms whose a(i, p) compares equal to zero). The
 // core keeps that per-element sequence and only changes what runs side by side: a strip
-// of kStripCols columns of one output row stays in vector registers for the whole p
+// of up to kStripVecs vectors of one output row stays in registers for the whole p
 // loop, and the element-wise vector multiply and add are the same IEEE operations as
 // their scalar forms. So the results are bit-identical to the scalar loops, while B is
 // read once per strip and C is written once.
 
-// Four-lane float vector (GCC/Clang vector extension): one SSE register on x86-64,
-// lowered to scalar code where the target has no vector unit.
+// The core is one template on the float vector type V (GCC/Clang vector extension),
+// compiled twice: with four lanes at the build's baseline ISA (one SSE register on
+// x86-64, scalar code where the target has no vector unit), and with eight lanes inside
+// an AVX2 entry point that x86-64 CPUs with AVX2 run instead (see ActiveMatMulIsa).
+// Everything the entry points call is always_inline, so each copy is compiled for its
+// entry point's ISA.
 using Vec4 = float __attribute__((vector_size(16)));
-constexpr int64_t kLanes = 4;
-constexpr int kStripVecs = 8;  // 32 columns: 8 accumulators leave registers for B
-constexpr int64_t kStripCols = kStripVecs * kLanes;
+using Vec8 = float __attribute__((vector_size(32)));
 
-inline Vec4 LoadVec(const float* src) {
-  Vec4 v;
-  std::memcpy(&v, src, sizeof(v));
-  return v;
-}
+template <typename V>
+constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+// Widest strip: 8 accumulators leave registers for B's vectors (x86-64 has 16 of
+// either width).
+constexpr int kStripVecs = 8;
 
-inline void StoreVec(float* dst, Vec4 v) { std::memcpy(dst, &v, sizeof(v)); }
-
-// c[0, kVecs * 4) = sum over p in [0, k) of a[p * a_step] * b[p * ldb, +kVecs * 4).
-template <int kVecs, bool kSkipZeros>
-inline void Strip(float* c, const float* a, int64_t a_step, const float* b, int64_t ldb,
-                  int64_t k) {
-  Vec4 acc[kVecs] = {};
+// c[0, kVecs * lanes) = sum over p in [0, k) of a[p * a_step] * b[p * ldb, +kVecs * lanes).
+// Vectors move through memcpy, so no function passes one by value.
+template <typename V, int kVecs, bool kSkipZeros>
+[[gnu::always_inline]] inline void Strip(float* c, const float* a, int64_t a_step,
+                                         const float* b, int64_t ldb, int64_t k) {
+  V acc[kVecs] = {};
   for (int64_t p = 0; p < k; ++p) {
     const float ap = a[p * a_step];
     if (kSkipZeros && ap == 0.0f) {
@@ -171,20 +172,37 @@ inline void Strip(float* c, const float* a, int64_t a_step, const float* b, int6
     const float* bp = b + p * ldb;
 #pragma GCC unroll 8
     for (int v = 0; v < kVecs; ++v) {
-      const Vec4 product = ap * LoadVec(bp + v * kLanes);
+      V bv;
+      std::memcpy(&bv, bp + v * kLanes<V>, sizeof(bv));
+      const V product = ap * bv;
       acc[v] += product;
     }
   }
 #pragma GCC unroll 8
   for (int v = 0; v < kVecs; ++v) {
-    StoreVec(c + v * kLanes, acc[v]);
+    std::memcpy(c + v * kLanes<V>, &acc[v], sizeof(V));
+  }
+}
+
+// Strip<V, vecs> for a run-time vecs in [1, kMaxVecs]. A remainder of r vectors runs as
+// one r-wide strip, not as a 4-, 2- and 1-wide one: each vector is one add chain, bound
+// by the add latency, so every chain it keeps in flight counts (lm's 48 columns are one
+// 6-vector strip on AVX2).
+template <typename V, int kMaxVecs, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripOf(int64_t vecs, float* c, const float* a,
+                                           int64_t a_step, const float* b, int64_t ldb,
+                                           int64_t k) {
+  if (vecs == kMaxVecs) {
+    Strip<V, kMaxVecs, kSkipZeros>(c, a, a_step, b, ldb, k);
+  } else if constexpr (kMaxVecs > 1) {
+    StripOf<V, kMaxVecs - 1, kSkipZeros>(vecs, c, a, a_step, b, ldb, k);
   }
 }
 
 // The same sequence for one column (the strip remainder narrower than a vector).
 template <bool kSkipZeros>
-inline float Column(const float* a, int64_t a_step, const float* b, int64_t ldb,
-                    int64_t k) {
+[[gnu::always_inline]] inline float Column(const float* a, int64_t a_step, const float* b,
+                                           int64_t ldb, int64_t k) {
   float acc = 0.0f;
   for (int64_t p = 0; p < k; ++p) {
     const float ap = a[p * a_step];
@@ -198,9 +216,10 @@ inline float Column(const float* a, int64_t a_step, const float* b, int64_t ldb,
 
 // C[m, n] = A x B, where A's element (i, p) is a[i * a_row_step + p * a_col_step] and
 // B is row-major [k, n]. Writes every element of C.
-template <bool kSkipZeros>
-void StripMatMul(float* c, const float* a, int64_t a_row_step, int64_t a_col_step,
-                 const float* b, int64_t m, int64_t k, int64_t n) {
+template <typename V, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripMatMul(float* c, const float* a, int64_t a_row_step,
+                                               int64_t a_col_step, const float* b, int64_t m,
+                                               int64_t k, int64_t n) {
   if (k == 0) {
     // Empty sums are +0; returning here also keeps offsets off empty (null) operands.
     std::fill_n(c, m * n, 0.0f);
@@ -210,22 +229,43 @@ void StripMatMul(float* c, const float* a, int64_t a_row_step, int64_t a_col_ste
     const float* ai = a + i * a_row_step;
     float* ci = c + i * n;
     int64_t j = 0;
-    for (; j + kStripCols <= n; j += kStripCols) {
-      Strip<kStripVecs, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
-    }
-    // Remainders: a 4-column strip is one add chain, bound by the add latency, so a
-    // half-width strip first keeps four chains in flight (lm's 48 columns = 32 + 16).
-    if (j + kStripCols / 2 <= n) {
-      Strip<kStripVecs / 2, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
-      j += kStripCols / 2;
-    }
-    for (; j + kLanes <= n; j += kLanes) {
-      Strip<1, kSkipZeros>(ci + j, ai, a_col_step, b + j, n, k);
+    while (j + kLanes<V> <= n) {
+      const int64_t vecs = std::min<int64_t>((n - j) / kLanes<V>, kStripVecs);
+      StripOf<V, kStripVecs, kSkipZeros>(vecs, ci + j, ai, a_col_step, b + j, n, k);
+      j += vecs * kLanes<V>;
     }
     for (; j < n; ++j) {
       ci[j] = Column<kSkipZeros>(ai, a_col_step, b + j, n, k);
     }
   }
+}
+
+#if defined(__x86_64__)
+// The 8-lane instantiation: AVX2 and nothing beyond it. C++ compiles with
+// -ffp-contract=fast by default, so on a target with FMA (AVX-512F, "fma",
+// -march=native) GCC fuses `acc += ap * bv` into one multiply-add with a single
+// rounding, and results change. AVX2 has no FMA instruction.
+template <bool kSkipZeros>
+[[gnu::target("avx2")]] void StripMatMulAvx2(float* c, const float* a, int64_t a_row_step,
+                                             int64_t a_col_step, const float* b, int64_t m,
+                                             int64_t k, int64_t n) {
+  StripMatMul<Vec8, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+}
+#endif
+
+// StripMatMul on instantiation `isa`; the 4-lane one is compiled right here.
+template <bool kSkipZeros>
+void RunStripMatMul(internal::MatMulIsa isa, float* c, const float* a, int64_t a_row_step,
+                    int64_t a_col_step, const float* b, int64_t m, int64_t k, int64_t n) {
+  PX_CHECK(internal::MatMulIsaSupported(isa))
+      << internal::MatMulIsaName(isa) << " is not supported by this CPU";
+#if defined(__x86_64__)
+  if (isa == internal::MatMulIsa::kAvx2) {
+    StripMatMulAvx2<kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+    return;
+  }
+#endif
+  StripMatMul<Vec4, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
 }
 
 // Per-thread packing buffer for the transposed operand of MatMulTransposeB. It only
@@ -240,7 +280,29 @@ float* PackBuffer(size_t floats) {
 
 }  // namespace
 
-void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
+namespace internal {
+
+bool MatMulIsaSupported(MatMulIsa isa) {
+#if defined(__x86_64__)
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return isa == MatMulIsa::kVec4 || avx2;
+#else
+  return isa == MatMulIsa::kVec4;
+#endif
+}
+
+MatMulIsa ActiveMatMulIsa() {
+  return MatMulIsaSupported(MatMulIsa::kAvx2) ? MatMulIsa::kAvx2 : MatMulIsa::kVec4;
+}
+
+const char* MatMulIsaName(MatMulIsa isa) {
+  return isa == MatMulIsa::kAvx2 ? "avx2" : "vec4";
+}
+
+void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t m = a.shape().dim(0);
@@ -248,16 +310,11 @@ void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t n = b.shape().dim(1);
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
-  StripMatMul</*kSkipZeros=*/true>(cv, a.floats().data(), k, 1, b.floats().data(), m, k, n);
+  RunStripMatMul</*kSkipZeros=*/true>(isa, cv, a.floats().data(), k, 1, b.floats().data(), m,
+                                      k, n);
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  MatMulInto(c, a, b);
-  return c;
-}
-
-void MatMulTransposeAInto(Tensor& out, const Tensor& a, const Tensor& b) {
+void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t k = a.shape().dim(0);
@@ -266,16 +323,11 @@ void MatMulTransposeAInto(Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
   // A^T's row i is A's column i: one strided scalar read per p.
-  StripMatMul</*kSkipZeros=*/true>(cv, a.floats().data(), 1, m, b.floats().data(), m, k, n);
+  RunStripMatMul</*kSkipZeros=*/true>(isa, cv, a.floats().data(), 1, m, b.floats().data(), m,
+                                      k, n);
 }
 
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  MatMulTransposeAInto(c, a, b);
-  return c;
-}
-
-void MatMulTransposeBInto(Tensor& out, const Tensor& a, const Tensor& b) {
+void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t m = a.shape().dim(0);
@@ -292,7 +344,33 @@ void MatMulTransposeBInto(Tensor& out, const Tensor& a, const Tensor& b) {
     }
   }
   // The seed's dot product added every term, so no zero skipping here.
-  StripMatMul</*kSkipZeros=*/false>(cv, a.floats().data(), k, 1, bt, m, k, n);
+  RunStripMatMul</*kSkipZeros=*/false>(isa, cv, a.floats().data(), k, 1, bt, m, k, n);
+}
+
+}  // namespace internal
+
+void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
+  internal::MatMulInto(internal::ActiveMatMulIsa(), out, a, b);
+}
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  Tensor c;
+  MatMulInto(c, a, b);
+  return c;
+}
+
+void MatMulTransposeAInto(Tensor& out, const Tensor& a, const Tensor& b) {
+  internal::MatMulTransposeAInto(internal::ActiveMatMulIsa(), out, a, b);
+}
+
+Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
+  Tensor c;
+  MatMulTransposeAInto(c, a, b);
+  return c;
+}
+
+void MatMulTransposeBInto(Tensor& out, const Tensor& a, const Tensor& b) {
+  internal::MatMulTransposeBInto(internal::ActiveMatMulIsa(), out, a, b);
 }
 
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {

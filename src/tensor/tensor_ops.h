@@ -117,6 +117,30 @@ float SoftmaxCrossEntropyInto(Tensor& probs, const Tensor& logits, const Tensor&
 void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
                                  const Tensor& labels);
 
+namespace internal {
+
+// The instantiations of the register-strip core behind the three matmul kernels. Both
+// give every output element the same sequence of rounded operations, so they agree bit
+// for bit; only the number of columns computed side by side differs.
+enum class MatMulIsa {
+  kVec4,  // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
+  kAvx2,  // 8-lane AVX2 vectors, never fused multiply-add; x86-64 CPUs with AVX2 only
+};
+// Whether this CPU can run `isa`'s instantiation.
+bool MatMulIsaSupported(MatMulIsa isa);
+// The instantiation the public kernels run: kAvx2 where it is supported, kVec4 otherwise.
+MatMulIsa ActiveMatMulIsa();
+// "vec4" or "avx2".
+const char* MatMulIsaName(MatMulIsa isa);
+// MatMulInto, MatMulTransposeAInto and MatMulTransposeBInto on a chosen instantiation,
+// so tests can check each one, not only the one this CPU dispatches to. `isa` must be
+// supported.
+void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+
+}  // namespace internal
+
 // ---- Initializers ----
 
 Tensor RandomNormal(TensorShape shape, Rng& rng, float stddev = 1.0f);

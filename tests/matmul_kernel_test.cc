@@ -4,6 +4,12 @@
 // denormals count — across strip remainders, degenerate m = 1 / k = 1 shapes, and the
 // special values that exercise the zero-skip path.
 //
+// The kernels run one of two instantiations of their core, chosen per process from the
+// CPU (internal::ActiveMatMulIsa), so on an AVX2 machine the public kernels never run
+// the 4-lane one. Each check therefore calls both instantiations directly:
+// MatMulKernelTest the 4-lane one, MatMulKernelAvx2Test the 8-lane AVX2 one, skipped
+// where the CPU lacks AVX2.
+//
 // One thing is outside any kernel's control: when an add meets two NaNs with different
 // bit patterns, which one it returns is left to the compiler's choice of operand order
 // (C++ does not specify it). The seed's own MatMulTransposeB loop returns different NaN
@@ -36,17 +42,25 @@ struct Kernel {
   std::function<Tensor(const Tensor&, const Tensor&)> oracle;
 };
 
-std::vector<Kernel> Kernels() {
+using internal::MatMulIsa;
+
+// The three kernels on instantiation `isa`.
+std::vector<Kernel> Kernels(MatMulIsa isa) {
+  auto on_isa = [isa](void (*kernel)(MatMulIsa, Tensor&, const Tensor&, const Tensor&)) {
+    return [isa, kernel](Tensor& out, const Tensor& a, const Tensor& b) {
+      kernel(isa, out, a, b);
+    };
+  };
   return {
       {"MatMul", [](int64_t m, int64_t k, int64_t) { return TensorShape({m, k}); },
-       [](int64_t, int64_t k, int64_t n) { return TensorShape({k, n}); }, MatMulInto,
-       NaiveMatMul},
+       [](int64_t, int64_t k, int64_t n) { return TensorShape({k, n}); },
+       on_isa(internal::MatMulInto), NaiveMatMul},
       {"MatMulTransposeA", [](int64_t m, int64_t k, int64_t) { return TensorShape({k, m}); },
        [](int64_t, int64_t k, int64_t n) { return TensorShape({k, n}); },
-       MatMulTransposeAInto, NaiveMatMulTransposeA},
+       on_isa(internal::MatMulTransposeAInto), NaiveMatMulTransposeA},
       {"MatMulTransposeB", [](int64_t m, int64_t k, int64_t) { return TensorShape({m, k}); },
        [](int64_t, int64_t k, int64_t n) { return TensorShape({n, k}); },
-       MatMulTransposeBInto, NaiveMatMulTransposeB},
+       on_isa(internal::MatMulTransposeBInto), NaiveMatMulTransposeB},
   };
 }
 
@@ -136,10 +150,14 @@ Tensor NonFiniteOperand(const TensorShape& shape, Rng& rng, float nan) {
   return t;
 }
 
-// Strips are 32, 16 and 4 columns wide, then single columns. n = 1 is one scalar
-// column; 31 takes the 16-, 4- and 1-wide paths; 33 is a full strip plus one column; 45
-// a full strip plus 4-wide and scalar remainders; 2000 is 62 full strips and a 16-wide.
-constexpr int64_t kColumnCounts[] = {1, 31, 33, 45, 2000};
+// A row runs full strips of 8 vectors (32 columns with 4 lanes, 64 with 8), then one
+// strip of the 1-7 vectors left, then single columns. Over these counts both
+// instantiations run every strip width from 1 to 8 vectors and every column remainder:
+//   4 lanes: 7 = 1 vector + 3 columns, 9 = 2 + 1, 21 = 5 + 1, 24 = 6, 31 = 7 + 3,
+//            45 = 8 + 3 + 1, 48 = 8 + 4, 2000 = 62 full strips + 4;
+//   8 lanes: 7 = 7 columns, 9 = 1 + 1, 21 = 2 + 5, 24 = 3, 33 = 4 + 1, 45 = 5 + 5,
+//            48 = 6 (lm's hidden width), 63 = 7 + 7, 65 = 8 + 1, 128 = 8 + 8 (skew's).
+constexpr int64_t kColumnCounts[] = {1, 7, 9, 21, 24, 31, 33, 45, 48, 63, 65, 128, 2000};
 
 struct RowsInner {
   int64_t m;
@@ -147,9 +165,20 @@ struct RowsInner {
 };
 constexpr RowsInner kRowsInner[] = {{1, 1}, {1, 37}, {5, 1}, {6, 29}};
 
-TEST(MatMulKernelTest, StripRemaindersMatchOracleBitForBit) {
+// The 4-lane instantiation runs on every CPU; this fixture runs the checks on the
+// 8-lane AVX2 one, where the CPU has AVX2.
+class MatMulKernelAvx2Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
+};
+
+void CheckStripRemainders(MatMulIsa isa) {
   Rng rng(101);
-  for (const Kernel& kernel : Kernels()) {
+  for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       for (RowsInner shape : kRowsInner) {
         Tensor a = RandomNormal(kernel.a_shape(shape.m, shape.k, n), rng);
@@ -159,10 +188,16 @@ TEST(MatMulKernelTest, StripRemaindersMatchOracleBitForBit) {
     }
   }
 }
+TEST(MatMulKernelTest, StripRemaindersMatchOracleBitForBit) {
+  CheckStripRemainders(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, StripRemaindersMatchOracleBitForBit) {
+  CheckStripRemainders(MatMulIsa::kAvx2);
+}
 
-TEST(MatMulKernelTest, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
+void CheckSpecialValues(MatMulIsa isa) {
   Rng rng(202);
-  for (const Kernel& kernel : Kernels()) {
+  for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       for (RowsInner shape : kRowsInner) {
         Tensor a = SkipOperand(kernel.a_shape(shape.m, shape.k, n), rng);
@@ -172,11 +207,17 @@ TEST(MatMulKernelTest, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
     }
   }
 }
+TEST(MatMulKernelTest, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
+  CheckSpecialValues(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
+  CheckSpecialValues(MatMulIsa::kAvx2);
+}
 
-TEST(MatMulKernelTest, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
+void CheckForeignNaNs(MatMulIsa isa) {
   Rng rng(404);
   const float foreign_nan = -HardwareNaN();  // same class, opposite sign bit
-  for (const Kernel& kernel : Kernels()) {
+  for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       for (RowsInner shape : kRowsInner) {
         Tensor a = SkipOperand(kernel.a_shape(shape.m, shape.k, n), rng);
@@ -187,12 +228,18 @@ TEST(MatMulKernelTest, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
     }
   }
 }
+TEST(MatMulKernelTest, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
+  CheckForeignNaNs(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
+  CheckForeignNaNs(MatMulIsa::kAvx2);
+}
 
 // A zero A entry facing an infinite B row: the skipping kernels leave the sum finite,
 // MatMulTransposeB (which never skipped) turns it into NaN, exactly like the oracle.
-TEST(MatMulKernelTest, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
+void CheckSkippedZeroAgainstInfinity(MatMulIsa isa) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (const Kernel& kernel : Kernels()) {
+  for (const Kernel& kernel : Kernels(isa)) {
     const int64_t m = 2;
     const int64_t k = 3;
     const int64_t n = 37;
@@ -221,12 +268,18 @@ TEST(MatMulKernelTest, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
     }
   }
 }
+TEST(MatMulKernelTest, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
+  CheckSkippedZeroAgainstInfinity(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
+  CheckSkippedZeroAgainstInfinity(MatMulIsa::kAvx2);
+}
 
 // k = 0: every output element is an empty sum, +0, also over a NaN-poisoned reused
 // output. (The seed's MatMulTransposeB loop indexed its empty operands here, so the
 // expectation is written out rather than taken from the oracle.)
-TEST(MatMulKernelTest, EmptyInnerDimensionWritesPositiveZeros) {
-  for (const Kernel& kernel : Kernels()) {
+void CheckEmptyInnerDimension(MatMulIsa isa) {
+  for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       Tensor a = Tensor::Zeros(kernel.a_shape(3, 0, n));
       Tensor b = Tensor::Zeros(kernel.b_shape(3, 0, n));
@@ -240,13 +293,19 @@ TEST(MatMulKernelTest, EmptyInnerDimensionWritesPositiveZeros) {
     }
   }
 }
+TEST(MatMulKernelTest, EmptyInnerDimensionWritesPositiveZeros) {
+  CheckEmptyInnerDimension(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, EmptyInnerDimensionWritesPositiveZeros) {
+  CheckEmptyInnerDimension(MatMulIsa::kAvx2);
+}
 
 // The transposed operand of MatMulTransposeB is packed into a per-thread buffer that
 // only grows: a small call after a large one, and a large one after that, must each
 // read only their own operand.
-TEST(MatMulKernelTest, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
+void CheckPackedOperand(MatMulIsa isa) {
   Rng rng(303);
-  const Kernel kernel = Kernels()[2];
+  const Kernel kernel = Kernels(isa)[2];
   const RowsInner shapes[] = {{4, 64}, {3, 5}, {2, 70}, {1, 1}};
   const int64_t columns[] = {200, 7, 300, 33};
   for (int round = 0; round < 2; ++round) {
@@ -257,6 +316,52 @@ TEST(MatMulKernelTest, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
       CheckAgainstOracle(kernel, a, b, StrFormat("round %d shape %zu", round, s));
     }
   }
+}
+TEST(MatMulKernelTest, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
+  CheckPackedOperand(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
+  CheckPackedOperand(MatMulIsa::kAvx2);
+}
+
+// Contraction detector. With a(i, :) = (-1, 1 + 2^-13) and b(:, j) = (1, 1 - 2^-13),
+// the product of the second terms, 1 - 2^-26, rounds to 1, so a separate multiply and
+// add give -1 + 1 = +0. A fused multiply-add rounds once and gives -2^-26. Random data
+// shows a contracting build only when some sum happens to round differently; this one
+// always does, for every strip width. The expectation is written out, so a build that
+// contracts the oracle too still fails.
+void CheckMultiplyAndAddRoundSeparately(MatMulIsa isa) {
+  const int64_t m = 3;
+  const int64_t k = 2;
+  for (const Kernel& kernel : Kernels(isa)) {
+    for (int64_t n : kColumnCounts) {
+      Tensor a = Tensor::Zeros(kernel.a_shape(m, k, n));
+      Tensor b = Tensor::Zeros(kernel.b_shape(m, k, n));
+      auto av = a.mutable_floats();
+      auto bv = b.mutable_floats();
+      for (int64_t p = 0; p < k; ++p) {
+        for (int64_t i = 0; i < m; ++i) {
+          size_t at = kernel.name == "MatMulTransposeA" ? static_cast<size_t>(p * m + i)
+                                                        : static_cast<size_t>(i * k + p);
+          av[at] = p == 0 ? -1.0f : 1.0f + 0x1p-13f;
+        }
+        for (int64_t j = 0; j < n; ++j) {
+          size_t at = kernel.name == "MatMulTransposeB" ? static_cast<size_t>(j * k + p)
+                                                        : static_cast<size_t>(p * n + j);
+          bv[at] = p == 0 ? 1.0f : 1.0f - 0x1p-13f;
+        }
+      }
+      Tensor got;
+      kernel.into(got, a, b);
+      ExpectSameBits(got, Tensor::Zeros(TensorShape({m, n})), ShapeContext(kernel, m, k, n));
+    }
+  }
+}
+TEST(MatMulKernelTest, MultiplyAndAddRoundSeparately) {
+  CheckMultiplyAndAddRoundSeparately(MatMulIsa::kVec4);
+}
+TEST_F(MatMulKernelAvx2Test, MultiplyAndAddRoundSeparately) {
+  CheckMultiplyAndAddRoundSeparately(MatMulIsa::kAvx2);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 //  - a warm fan-out step allocates at most once more than the twin's serial step: the
 //    ParallelFor batch (none with one lane, where the ranks run inline);
 //  - a warm step allocates fewer bytes than one PS table: the step-start view hands
-//    out the engines' buffers instead of copying them.
+//    out the engines' buffers instead of copying them;
+//  - the first step, which reuses its sampling passes as the sampled ranks' results,
+//    matches a twin that recomputes every rank, also after a deferred RestoreFrom.
 // CMake registers this binary at PARALLAX_THREADS=1, 2 and 4, so the fan-out runs on
 // several lanes on any host.
 //
@@ -27,9 +29,12 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
 #include "src/core/api.h"
+#include "src/graph/checkpoint.h"
 #include "src/models/trainable.h"
 
 namespace {
@@ -224,6 +229,71 @@ TEST(ReplicaFanoutTest, EmbeddingSkewMatchesSerialTwinWithPlacement) {
   std::unique_ptr<GraphRunner> fanout = Build(builder());
   std::unique_ptr<GraphRunner> twin = Build(builder());
   ExpectFanoutMatchesSerialTwin(model, *fanout, *twin, std::nullopt);
+}
+
+// The first Step samples up to four ranks on the values it starts from, keeps those
+// passes as the ranks' results and fans out only the rest. `twin` recomputes them all:
+// it takes its own first step to initialize, its engines reload `start` (the values that
+// step began from), and the serial layered replay runs the step again over every rank.
+// Loss and every variable byte must agree.
+template <typename Model>
+void ExpectFirstStepMatchesRecomputingTwin(Model& model, GraphRunner& runner,
+                                           GraphRunner& twin, const VariableStore& start) {
+  Rng rng(6062);
+  const std::vector<FeedMap> feeds = model.TrainShards(runner.num_ranks(), rng);
+  const float loss = runner.Step(feeds);
+  twin.Step(feeds);
+  for (const std::string& name : twin.plan().engines) {
+    twin.engine(name)->LoadValues(start);
+  }
+  SerialTwin serial(&twin, model.graph(), model.loss());
+  EXPECT_EQ(loss, serial.Step(feeds));
+  ExpectSameBytes(*model.graph(), runner, twin, /*step=*/0);
+}
+
+TEST(ReplicaFanoutTest, FirstStepMatchesTwinThatRecomputesEveryRank) {
+  WordLmModel model({.vocab_size = 300, .embedding_dim = 16, .hidden_dim = 24,
+                     .batch_per_rank = 16, .seed = 1604});
+  // 8 ranks: four sampled, four fanned out. 2 ranks: both sampled, nothing fanned out.
+  for (const ResourceSpec& resources :
+       {ResourceSpec::Homogeneous(4, 2), ResourceSpec::Homogeneous(1, 2)}) {
+    auto builder = [&] {
+      return RunnerBuilder(model.graph(), model.loss()).WithResources(resources);
+    };
+    std::unique_ptr<GraphRunner> runner = Build(builder());
+    std::unique_ptr<GraphRunner> twin = Build(builder());
+    SCOPED_TRACE(testing::Message() << runner->num_ranks() << " ranks");
+    ExpectFirstStepMatchesRecomputingTwin(model, *runner, *twin,
+                                          VariableStore::InitFrom(*model.graph()));
+  }
+}
+
+TEST(ReplicaFanoutTest, FirstStepAfterDeferredRestoreMatchesTwinThatRecomputesEveryRank) {
+  WordLmModel model({.vocab_size = 300, .embedding_dim = 16, .hidden_dim = 24,
+                     .batch_per_rank = 16, .seed = 1605});
+  auto builder = [&] {
+    return RunnerBuilder(model.graph(), model.loss())
+        .WithResources(ResourceSpec::Homogeneous(4, 2));
+  };
+  // A checkpoint three steps into a run; the restored runners sample its values.
+  const std::string path = std::string(::testing::TempDir()) + "/replica_fanout_first_step_" +
+                           std::to_string(::getpid()) + ".px";
+  {
+    std::unique_ptr<GraphRunner> source = Build(builder());
+    Rng rng(6063);
+    for (int s = 0; s < 3; ++s) {
+      source->Step(model.TrainShards(source->num_ranks(), rng));
+    }
+    ASSERT_TRUE(source->CheckpointTo(path).ok());
+  }
+  StatusOr<VariableStore> start = LoadCheckpoint(*model.graph(), path);
+  ASSERT_TRUE(start.ok()) << start.status().ToString();
+  std::unique_ptr<GraphRunner> runner = Build(builder());
+  std::unique_ptr<GraphRunner> twin = Build(builder());
+  ASSERT_TRUE(runner->RestoreFrom(path).ok());
+  ASSERT_TRUE(twin->RestoreFrom(path).ok());
+  std::remove(path.c_str());
+  ExpectFirstStepMatchesRecomputingTwin(model, *runner, *twin, start.value());
 }
 
 TEST(ReplicaFanoutTest, WarmFanoutStepAllocatesAtMostTheBatch) {
