@@ -16,8 +16,6 @@
 #include "src/core/api.h"
 #include "src/core/cost_model.h"
 #include "src/core/iteration_sim.h"
-#include "src/core/parallel_measure.h"
-#include "src/sim/arena_pool.h"
 #include "src/graph/executor.h"
 #include "src/models/trainable.h"
 #include "src/ps/ps_numeric.h"
@@ -498,186 +496,6 @@ void BM_PerVariableSearchWarmStart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PerVariableSearchWarmStart);
-
-// ---- Parallel partition search -------------------------------------------------------
-//
-// The batched-candidate searches at 1/2/4/8 workers (Arg = pool lanes; 1 leaves the
-// batch provider null, i.e. the serial search — the in-family baseline). The adopted
-// plan and full trail are bit-identical across args (tests/parallel_search_test.cc);
-// only wall-clock and the speculation counters move. docs/perf.md's "Parallel
-// partition search" table reads from these four benches.
-
-PlanBatchMeasure MakeBenchBatchMeasure(ThreadPool* pool, ArenaPool* arenas) {
-  ParallelMeasureSpec spec;
-  spec.cluster = ClusterSpec::Paper();
-  spec.apply_plan = [](const PartitionPlan& plan) {
-    return PerVariableSearchVariables(plan);
-  };
-  spec.gpu_compute_seconds = 4e-3;
-  spec.compute_chunks = 4;
-  spec.sim_config = HybridSimConfig();
-  return MakeParallelPlanMeasure(std::move(spec), SearchConcurrency{pool, 0}, arenas);
-}
-
-PartitionSearchOptions ParallelSearchBenchOptions() {
-  PartitionSearchOptions options;
-  options.initial_partitions = 8;
-  options.max_partitions = 1024;
-  return options;
-}
-
-void ReportSpeculation(benchmark::State& state, const BatchMeasureStats& batch) {
-  state.counters["batched_evals"] = static_cast<double>(batch.batched_evaluations);
-  state.counters["spec_waste"] = static_cast<double>(batch.speculative_waste);
-}
-
-void BM_ParallelSearchUniform(benchmark::State& state) {
-  PartitionSearchOptions options = ParallelSearchBenchOptions();
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  options.concurrency = {&pool, 0};
-  ArenaPool arenas;
-  const UniformBatchMeasure batch =
-      MakeUniformBatchMeasure(MakeBenchBatchMeasure(&pool, &arenas));
-  SimulationArena arena;
-  PartitionSearchResult result;
-  for (auto _ : state) {
-    auto measure = [&](int partitions) {
-      IterationSimulator sim(ClusterSpec::Paper(),
-                             PerVariableSearchVariables(PartitionPlan::Uniform(partitions)),
-                             4e-3, 4, HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds();
-    };
-    result = SearchPartitions(measure, batch, options);
-    benchmark::DoNotOptimize(result);
-  }
-  ReportSpeculation(state, result.batch);
-}
-BENCHMARK(BM_ParallelSearchUniform)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ParallelSearchPerVariable(benchmark::State& state) {
-  PartitionSearchOptions options = ParallelSearchBenchOptions();
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  options.concurrency = {&pool, 0};
-  ArenaPool arenas;
-  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas);
-  const std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
-  SimulationArena arena;
-  PartitionPlanSearchResult result;
-  for (auto _ : state) {
-    auto measure = [&](const PartitionPlan& plan) {
-      IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
-                             4e-3, 4, HybridSimConfig(), &arena);
-      return sim.MeasureIterationSeconds();
-    };
-    result = SearchPartitionPlan(measure, batch, targets, options);
-    benchmark::DoNotOptimize(result);
-  }
-  ReportSpeculation(state, result.batch);
-}
-BENCHMARK(BM_ParallelSearchPerVariable)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ParallelSearchWarmStart(benchmark::State& state) {
-  PartitionSearchOptions options = ParallelSearchBenchOptions();
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  options.concurrency = {&pool, 0};
-  ArenaPool arenas;
-  const PlanBatchMeasure batch = MakeBenchBatchMeasure(&pool, &arenas);
-  std::vector<PartitionSearchVariable> targets = PerVariableSearchTargets();
-  SimulationArena arena;
-  auto measure = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(ClusterSpec::Paper(), PerVariableSearchVariables(plan),
-                           4e-3, 4, HybridSimConfig(), &arena);
-    return sim.MeasureIterationSeconds();
-  };
-  PartitionPlanSearchResult cold = SearchPartitionPlan(measure, targets, options);
-  for (PartitionSearchVariable& target : targets) {
-    target.previous_partitions = cold.plan.For(target.name);
-    target.drifted = target.name == "embedding";
-  }
-  targets[0].alpha = 0.05;
-  options.warm_start = true;
-  PartitionPlanSearchResult result;
-  for (auto _ : state) {
-    result = SearchPartitionPlan(measure, batch, targets, options);
-    benchmark::DoNotOptimize(result);
-  }
-  ReportSpeculation(state, result.batch);
-}
-BENCHMARK(BM_ParallelSearchWarmStart)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Placement trials are the widest independent-candidate stage (every piece-move of a
-// swap round), so this is where speculation fans out hardest. 2 racks x 2 machines
-// over an oversubscribed spine — the topology demo's scenario.
-void BM_ParallelSearchPlacement(benchmark::State& state) {
-  ClusterSpec spec;
-  spec.num_machines = 4;
-  spec.gpus_per_machine = 2;
-  spec.cores_per_machine = 4;
-  spec.nic_bandwidth = 1e9;
-  spec.nic_latency = 1e-6;
-  spec.pcie_bandwidth = 4e9;
-  spec.pcie_latency = 1e-6;
-  spec.topology.num_racks = 2;
-  spec.topology.spine_bandwidth = 1e9;
-  spec.topology.spine_latency = 5e-6;
-  const std::vector<PartitionSearchVariable> targets = {
-      {.name = "emb", .alpha = 0.3, .num_elements = 4'000'000, .max_partitions = 3},
-      {.name = "softmax", .alpha = 0.5, .num_elements = 600'000, .max_partitions = 2}};
-  auto apply_plan = [targets](const PartitionPlan& plan) {
-    std::vector<VariableSync> variables;
-    for (const PartitionSearchVariable& searched : targets) {
-      VariableSync sync;
-      sync.spec = {searched.name, searched.num_elements, 64, true, searched.alpha};
-      sync.method = SyncMethod::kPs;
-      sync.partitions =
-          RowCappedPartitions(plan.For(searched.name), searched.max_partitions);
-      const std::vector<int>* placement = plan.PlacementFor(searched.name);
-      if (placement != nullptr &&
-          static_cast<int>(placement->size()) == sync.partitions) {
-        sync.placement = *placement;
-      }
-      variables.push_back(std::move(sync));
-    }
-    return variables;
-  };
-  IterationSimConfig sim_config;
-  sim_config.ps_local_aggregation = true;
-  sim_config.ps_machine_level_pulls = true;
-
-  PartitionSearchOptions options;
-  options.initial_partitions = 4;
-  options.max_partitions = 16;
-  options.placement.enabled = true;
-  options.placement.num_machines = 4;
-  options.placement.num_racks = 2;
-  options.placement.nic_bandwidth = 1e9;
-  options.placement.spine_bandwidth = 1e9;
-
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  options.concurrency = {&pool, 0};
-  ArenaPool arenas;
-  ParallelMeasureSpec measure_spec;
-  measure_spec.cluster = spec;
-  measure_spec.apply_plan = apply_plan;
-  measure_spec.gpu_compute_seconds = 2e-3;
-  measure_spec.compute_chunks = 4;
-  measure_spec.sim_config = sim_config;
-  const PlanBatchMeasure batch = MakeParallelPlanMeasure(
-      std::move(measure_spec), SearchConcurrency{&pool, 0}, &arenas);
-
-  SimulationArena arena;
-  PartitionPlanSearchResult result;
-  for (auto _ : state) {
-    auto measure = [&](const PartitionPlan& plan) {
-      IterationSimulator sim(spec, apply_plan(plan), 2e-3, 4, sim_config, &arena);
-      return sim.MeasureIterationSeconds();
-    };
-    result = SearchPartitionPlan(measure, batch, targets, options);
-    benchmark::DoNotOptimize(result);
-  }
-  ReportSpeculation(state, result.batch);
-}
-BENCHMARK(BM_ParallelSearchPlacement)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---- Topology-aware collectives ------------------------------------------------------
 //

@@ -136,7 +136,7 @@ void Run() {
     PlannerQuery canonical = query;
     oracle.Canonicalize(&canonical);
     SimulationArena arena;
-    SearchPlan(canonical, &arena, nullptr);
+    SearchPlan(canonical, &arena);
   });
 
   PlannerService service;
@@ -168,64 +168,10 @@ void Run() {
               shared_rate / private_rate >= 5.0 ? "  [meets >=5x target]" : "");
 }
 
-// Miss-heavy counterpart: every tenant's alpha lands in its own quantization bucket,
-// so no query ever hits the cache or coalesces — each one pays a full search. This is
-// the regime the cache cannot help with and intra-search parallelism can: a one-lane
-// service (serial searches) vs the pooled service (candidate batches fanned across
-// DefaultWorkerCount() lanes, bit-identical plans). On a 1-core host both run the
-// serial search and the ratio sits near 1x.
-void RunMissHeavy() {
-  PrintHeading("Miss-heavy planning: serial searches vs intra-search parallelism");
-  const int kSessions = 16;
-  std::vector<PlannerQuery> queries;
-  queries.reserve(kSessions);
-  double alpha = 0.01;
-  for (int s = 0; s < kSessions; ++s) {
-    queries.push_back(TenantQuery(s % 4, alpha));
-    alpha *= 1.3;  // > the 0.05 quantum apart: every key is distinct, every query a miss
-  }
-
-  PlannerServiceOptions serial_options;
-  serial_options.max_workers = 1;
-  PlannerService serial_service(serial_options);
-  ModeResult serial = RunSessions(
-      queries, [&](const PlannerQuery& query) { serial_service.Plan(query).value(); });
-
-  PlannerService pooled_service;  // max_workers = 0: DefaultWorkerCount() lanes
-  ModeResult pooled = RunSessions(
-      queries, [&](const PlannerQuery& query) { pooled_service.Plan(query).value(); });
-
-  const PlannerServiceStats serial_stats = serial_service.stats();
-  const PlannerServiceStats pooled_stats = pooled_service.stats();
-  const double serial_rate = static_cast<double>(kSessions) / serial.wall_seconds;
-  const double pooled_rate = static_cast<double>(kSessions) / pooled.wall_seconds;
-
-  PrintRow({"mode", "plans/sec", "wall ms", "p50 ms", "p99 ms"});
-  PrintRule(5);
-  PrintRow({"serial", StrFormat("%.1f", serial_rate),
-            StrFormat("%.1f", serial.wall_seconds * 1e3),
-            StrFormat("%.2f", Percentile(serial.latencies, 0.50) * 1e3),
-            StrFormat("%.2f", Percentile(serial.latencies, 0.99) * 1e3)});
-  PrintRow({"pooled", StrFormat("%.1f", pooled_rate),
-            StrFormat("%.1f", pooled.wall_seconds * 1e3),
-            StrFormat("%.2f", Percentile(pooled.latencies, 0.50) * 1e3),
-            StrFormat("%.2f", Percentile(pooled.latencies, 0.99) * 1e3)});
-  std::printf(
-      "  searches: serial %llu, pooled %llu (every query a miss); pooled batched "
-      "%llu candidates, %llu speculative waste\n",
-      static_cast<unsigned long long>(serial_stats.searches),
-      static_cast<unsigned long long>(pooled_stats.searches),
-      static_cast<unsigned long long>(pooled_stats.batched_evaluations),
-      static_cast<unsigned long long>(pooled_stats.speculative_waste));
-  std::printf("  miss-heavy speedup: %.2fx plans/sec (pooled vs serial)\n",
-              pooled_rate / serial_rate);
-}
-
 }  // namespace
 }  // namespace parallax
 
 int main() {
   parallax::Run();
-  parallax::RunMissHeavy();
   return 0;
 }

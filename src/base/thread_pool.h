@@ -23,9 +23,9 @@
 // the pool it is already running on executes the nested range serially on the calling
 // lane instead of queueing more work onto lanes that are already occupied. Under the
 // disjoint-shard contract this preserves bit-identity (serial order is the reference
-// order), so one pool can serve both an outer fan-out (e.g. the planner's query batch)
-// and inner candidate batches. Keep kernel code at one level of parallelism
-// regardless — the inline fallback forfeits the inner level's speedup.
+// order), so one pool can serve both an outer fan-out (e.g. GraphRunner::Step's
+// replicas) and the sparse kernels its bodies call. Keep kernel code at one level of
+// parallelism regardless — the inline fallback forfeits the inner level's speedup.
 #ifndef PARALLAX_SRC_BASE_THREAD_POOL_H_
 #define PARALLAX_SRC_BASE_THREAD_POOL_H_
 

@@ -46,12 +46,6 @@ RunnerBuilder& RunnerBuilder::WithPlacementSearch(bool enabled) {
   return *this;
 }
 
-RunnerBuilder& RunnerBuilder::WithSearchConcurrency(ThreadPool* pool, int max_workers) {
-  config_.search.concurrency.pool = pool;
-  config_.search.concurrency.max_workers = max_workers;
-  return *this;
-}
-
 RunnerBuilder& RunnerBuilder::WithPartitionPlan(PartitionPlan plan) {
   config_.auto_partition = false;
   config_.manual_plan = std::move(plan);

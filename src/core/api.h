@@ -66,14 +66,6 @@ class RunnerBuilder {
   // seeding plus simulated-clock swap refinement; the adopted plan carries the chosen
   // servers and the PS engines pin their shards accordingly. Off by default.
   RunnerBuilder& WithPlacementSearch(bool enabled = true);
-  // Parallel candidate evaluation inside every search this runner performs (startup,
-  // adaptive re-search, rescale): candidate layouts are simulated concurrently on
-  // `pool`, one pooled arena per worker, and the serial adoption logic replays over
-  // the results — the adopted plan and full search trail are bit-identical to the
-  // serial search at any pool size (cost_model.h). max_workers caps the fan-out
-  // (0 = every pool lane). The pool must outlive the runner; a null pool restores
-  // the serial search.
-  RunnerBuilder& WithSearchConcurrency(ThreadPool* pool, int max_workers = 0);
   // Fixed layout; disables the automatic search. The plan's count for each
   // partitioner-scoped PS variable is applied row-capped; variables the plan does not
   // name get its default count. One P for every variable is

@@ -5,27 +5,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "src/base/logging.h"
 #include "src/base/stats.h"
-#include "src/base/thread_pool.h"
 
 namespace parallax {
-
-int EffectiveSearchWorkers(const SearchConcurrency& concurrency, size_t candidates) {
-  if (concurrency.pool == nullptr || candidates == 0) {
-    return 1;
-  }
-  int workers = concurrency.pool->num_threads();
-  if (concurrency.max_workers > 0) {
-    workers = std::min(workers, concurrency.max_workers);
-  }
-  workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(workers, 1)), candidates));
-  return std::max(workers, 1);
-}
 
 namespace {
 
@@ -38,69 +23,6 @@ using Placements = std::vector<std::vector<int>>;
 // the plan is fixed across the search. Count-only phases always pass empty placements,
 // so placement-oblivious searches pay nothing for the wider key.
 using PlanKey = std::pair<CountKey, Placements>;
-
-// What a candidate costs to simulate: its PS piece count. The simulator's task graph,
-// and with it the simulation's wall time, grows with the pieces (docs/perf.md,
-// "Parallel partition search").
-int PieceCount(int partitions) { return partitions; }
-int PieceCount(const PlanKey& key) {
-  return std::accumulate(key.first.begin(), key.first.end(), 0);
-}
-
-// The wave admission rule, shared by every wave site: a speculative candidate joins a
-// wave only if it costs at most the requested candidate (the wave's first). With a
-// lane per candidate the wave then takes no longer than the requested candidate alone,
-// so a miss never waits on a costlier layout the serial trajectory may not ask for.
-// On a landscape rising in P those are exactly the layouts it never asks for: from
-// P = 4 on two lanes, unfiltered waves would be {4,8}, {2,16} and {1,32}, and the two
-// costliest, P = 16 and 32, would go unused. Placement trials keep the requested
-// trial's counts, so they are always admitted.
-template <typename Candidate>
-bool JoinsWave(const Candidate& candidate, const Candidate& requested) {
-  return PieceCount(candidate) <= PieceCount(requested);
-}
-
-// Every point the doubling/halving sweep of SearchPartitions could visit from these
-// options, ordered for SPECULATION: the clamped initial first, then the two arms
-// interleaved by distance from it (x2, /2, x4, /4, ...). A wave of W candidates taken
-// in this order covers the next rungs of BOTH arms — the points the serial sweep is
-// most likely to request — before the far doubling rungs, which are reached only on
-// long monotone runs. Prefetching the raw sweep order instead would spend a 4-wide
-// wave on {P, 2P, 4P, 8P} when the sweep usually stops after one rise. JoinsWave then
-// filters this order: rungs costlier than the requested one wait until the sweep asks.
-std::vector<int> SpeculationOrder(const PartitionSearchOptions& options) {
-  const int initial = std::clamp(options.initial_partitions, options.min_partitions,
-                                 options.max_partitions);
-  std::vector<int> up;
-  for (int p = initial * 2; p <= options.max_partitions; p *= 2) {
-    up.push_back(p);
-  }
-  std::vector<int> down;
-  for (int p = initial / 2; p >= options.min_partitions; p /= 2) {
-    down.push_back(p);
-  }
-  std::vector<int> order;
-  order.reserve(1 + up.size() + down.size());
-  order.push_back(initial);
-  for (size_t i = 0; i < std::max(up.size(), down.size()); ++i) {
-    if (i < up.size()) {
-      order.push_back(up[i]);
-    }
-    if (i < down.size()) {
-      order.push_back(down[i]);
-    }
-  }
-  return order;
-}
-
-// How many candidates one speculative wave may hold: the workers the configured
-// concurrency can actually run (never fewer than 1 so a degenerate configuration
-// still makes progress). Bounds speculative waste by the worker count — a wave never
-// reaches past what the pool could simulate concurrently anyway.
-int SpeculationLookahead(const SearchConcurrency& concurrency) {
-  constexpr size_t kLookaheadCeiling = 64;  // waves wider than this buy nothing
-  return std::max(EffectiveSearchWorkers(concurrency, kLookaheadCeiling), 1);
-}
 
 }  // namespace
 
@@ -230,98 +152,10 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
   return result;
 }
 
-PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
-                                       const UniformBatchMeasure& measure_batch,
-                                       const PartitionSearchOptions& options) {
-  // Degrade to the serial sweep when there is no batch measure — or when the
-  // configured concurrency yields single-candidate waves, which would pay the batch
-  // path's overhead (wave assembly, one batch call per memo miss) for no parallelism.
-  if (!measure_batch || SpeculationLookahead(options.concurrency) <= 1) {
-    return SearchPartitions(measure, options);
-  }
-  PX_CHECK_GE(options.min_partitions, 1);
-  PX_CHECK_GE(options.max_partitions, options.min_partitions);
-
-  const std::vector<int> order = SpeculationOrder(options);
-  const int lookahead = SpeculationLookahead(options.concurrency);
-  std::map<int, std::pair<double, bool>> memo;  // P -> (seconds, consumed)
-  BatchMeasureStats stats;
-
-  // On every memo miss, simulate the requested P plus the next lookahead-1 fresh
-  // candidates in speculation order that JoinsWave admits, as one batch. The sweep
-  // below then consumes the hits in its own (serial) order; early exits leave the tail
-  // of the last wave unconsumed — that is the waste, bounded per wave by lookahead - 1.
-  auto speculating_measure = [&](int p) {
-    auto it = memo.find(p);
-    if (it == memo.end()) {
-      std::vector<int> wave{p};
-      for (int q : order) {
-        if (static_cast<int>(wave.size()) >= lookahead) {
-          break;
-        }
-        if (q == p || memo.find(q) != memo.end() || !JoinsWave(q, p)) {
-          continue;
-        }
-        wave.push_back(q);
-      }
-      const std::vector<double> seconds = measure_batch(wave);
-      PX_CHECK_EQ(seconds.size(), wave.size());
-      for (size_t i = 0; i < wave.size(); ++i) {
-        memo.emplace(wave[i], std::make_pair(seconds[i], false));
-      }
-      ++stats.batches;
-      stats.batched_evaluations += static_cast<int>(wave.size());
-      stats.max_batch_size =
-          std::max(stats.max_batch_size, static_cast<int>(wave.size()));
-      it = memo.find(p);
-    }
-    it->second.second = true;
-    return it->second.first;
-  };
-
-  PartitionSearchResult result = SearchPartitions(speculating_measure, options);
-  result.batch = stats;
-  for (const auto& [p, entry] : memo) {
-    if (!entry.second) {
-      ++result.batch.speculative_waste;
-    }
-  }
-  return result;
-}
-
-namespace {
-
-// seconds + how the entry got here. `requested` flips on the first time the serial
-// adoption logic asks for the key — that is when `evaluations` counts it, so the
-// counter matches the serial search exactly whether or not the value was prefetched.
-// Entries that stay speculative-and-unrequested are the batch's overshoot
-// (BatchMeasureStats::speculative_waste).
-struct MemoEntry {
-  double seconds = 0.0;
-  bool requested = false;
-  bool speculative = false;
-};
-
-}  // namespace
-
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
     const std::vector<PartitionSearchVariable>& variables,
     const PartitionSearchOptions& options) {
-  return SearchPartitionPlan(measure, PlanBatchMeasure(), variables, options);
-}
-
-PartitionPlanSearchResult SearchPartitionPlan(
-    const std::function<double(const PartitionPlan&)>& measure,
-    const PlanBatchMeasure& measure_batch,
-    const std::vector<PartitionSearchVariable>& variables,
-    const PartitionSearchOptions& options) {
-  if (measure_batch && SpeculationLookahead(options.concurrency) <= 1) {
-    // Single-candidate waves buy nothing: drop the batch measure and run the plain
-    // serial search (the in-tree factories already return a null measure for one-lane
-    // concurrency; this guards direct callers of the batched overload).
-    return SearchPartitionPlan(measure, PlanBatchMeasure(), variables, options);
-  }
   PX_CHECK(!variables.empty()) << "per-variable search needs at least one variable";
   PX_CHECK_GE(options.min_partitions, 1);
   PX_CHECK_GE(options.max_partitions, options.min_partitions);
@@ -351,21 +185,15 @@ PartitionPlanSearchResult SearchPartitionPlan(
   };
 
   PartitionPlanSearchResult result;
-  std::map<PlanKey, MemoEntry> measured;
+  std::map<PlanKey, double> measured;
   auto measure_placed = [&](const CountKey& counts, const Placements& placements) {
     PlanKey key{counts, placements};
     auto it = measured.find(key);
     if (it != measured.end()) {
-      MemoEntry& entry = it->second;
-      if (!entry.requested) {
-        entry.requested = true;
-        ++result.evaluations;
-      }
-      return entry.seconds;
+      return it->second;
     }
     double seconds = measure(plan_of(counts, placements));
-    ++result.evaluations;
-    measured.emplace(std::move(key), MemoEntry{seconds, true, false});
+    measured.emplace(std::move(key), seconds);
     return seconds;
   };
   auto measure_counts = [&](const CountKey& counts) {
@@ -377,48 +205,6 @@ PartitionPlanSearchResult SearchPartitionPlan(
       counts[v] = clamp_count(p, v);
     }
     return counts;
-  };
-  const int lookahead = SpeculationLookahead(options.concurrency);
-  // Wave speculation: when the serial logic is about to miss on `requested`, simulate
-  // it plus the first lookahead-1 fresh candidates among candidate(0..count-1) that
-  // JoinsWave admits, in one measure_batch call, and file the results as memo entries.
-  // The serial logic downstream then finds hits for the candidates it would have
-  // measured one by one; candidates its early exits never reach stay unrequested and
-  // are reported as waste, bounded per wave by the worker count. A no-op without a
-  // batch measure — the serial path never speculates.
-  auto speculate = [&](PlanKey requested, size_t count, const auto& candidate) {
-    if (!measure_batch || measured.find(requested) != measured.end()) {
-      return;
-    }
-    std::vector<PlanKey> wave;
-    wave.push_back(std::move(requested));
-    for (size_t i = 0; i < count && static_cast<int>(wave.size()) < lookahead; ++i) {
-      PlanKey key = candidate(i);
-      if (measured.find(key) == measured.end() && JoinsWave(key, wave.front()) &&
-          std::find(wave.begin(), wave.end(), key) == wave.end()) {
-        wave.push_back(std::move(key));
-      }
-    }
-    std::vector<PartitionPlan> plans;
-    plans.reserve(wave.size());
-    for (const PlanKey& key : wave) {
-      plans.push_back(plan_of(key.first, key.second));
-    }
-    const std::vector<double> seconds = measure_batch(plans);
-    PX_CHECK_EQ(seconds.size(), plans.size());
-    for (size_t i = 0; i < wave.size(); ++i) {
-      measured.emplace(std::move(wave[i]), MemoEntry{seconds[i], false, true});
-    }
-    ++result.batch.batches;
-    result.batch.batched_evaluations += static_cast<int>(plans.size());
-    result.batch.max_batch_size =
-        std::max(result.batch.max_batch_size, static_cast<int>(plans.size()));
-  };
-  // One sweep's wave: candidate p first, then the sweep's speculation order.
-  auto wave_before = [&](const std::vector<int>& order,
-                         const std::function<CountKey(int)>& counts_of, int p) {
-    speculate(PlanKey{counts_of(p), Placements()}, order.size(),
-              [&](size_t i) { return PlanKey{counts_of(order[i]), Placements()}; });
   };
 
   CountKey best;
@@ -442,14 +228,8 @@ PartitionPlanSearchResult SearchPartitionPlan(
   } else {
     // Phase 1 — uniform sweep: the paper's doubling/halving search over a shared P
     // (per-variable caps applied, exactly as the assigner would row-cap a uniform plan).
-    const std::vector<int> uniform_order =
-        measure_batch ? SpeculationOrder(options) : std::vector<int>();
     result.uniform = SearchPartitions(
-        [&](int p) {
-          wave_before(uniform_order, [&](int q) { return uniform_counts(q); }, p);
-          return measure_counts(uniform_counts(p));
-        },
-        options);
+        [&](int p) { return measure_counts(uniform_counts(p)); }, options);
     best = uniform_counts(result.uniform.best_partitions);
     best_seconds = measure_counts(best);
     result.uniform_seconds = best_seconds;
@@ -509,14 +289,8 @@ PartitionPlanSearchResult SearchPartitionPlan(
         trial[v] = clamp_count(p, v);
         return trial;
       };
-      const std::vector<int> coordinate_order =
-          measure_batch ? SpeculationOrder(coordinate) : std::vector<int>();
       PartitionSearchResult sweep = SearchPartitions(
-          [&](int p) {
-            wave_before(coordinate_order, coordinate_counts, p);
-            return measure_counts(coordinate_counts(p));
-          },
-          coordinate);
+          [&](int p) { return measure_counts(coordinate_counts(p)); }, coordinate);
       CountKey trial = best;
       trial[v] = clamp_count(sweep.best_partitions, v);
       const double trial_seconds = measure_counts(trial);
@@ -637,31 +411,19 @@ PartitionPlanSearchResult SearchPartitionPlan(
       if (busiest == idlest) {
         break;
       }
-      // This round's swap candidates, in scan order (bounded by max_swap_trials).
-      // They are independent given the incumbent placement, so waves of them simulate
-      // concurrently; the serial first-win scan replays over the memo, and trials
-      // past the winning one (within its wave) are the speculation the round wastes.
-      std::vector<const Piece*> round_pieces;
+      // Trial the busiest server's pieces in scan order (at most max_swap_trials of
+      // them); the first move that wins by the margin is kept.
+      bool moved = false;
+      int trials = 0;
       for (const Piece& piece : pieces) {
         if (placed[piece.var][piece.index] != busiest) {
           continue;
         }
-        if (static_cast<int>(round_pieces.size()) >= pl.max_swap_trials) {
+        if (trials++ >= pl.max_swap_trials) {
           break;
         }
-        round_pieces.push_back(&piece);
-      }
-      auto trial_of = [&](const Piece& piece) {
         Placements trial = placed;
         trial[piece.var][piece.index] = idlest;
-        return trial;
-      };
-      bool moved = false;
-      for (size_t t = 0; t < round_pieces.size(); ++t) {
-        Placements trial = trial_of(*round_pieces[t]);
-        speculate(PlanKey{best, trial}, round_pieces.size() - t - 1, [&](size_t i) {
-          return PlanKey{best, trial_of(*round_pieces[t + 1 + i])};
-        });
         const double seconds = measure_placed(best, trial);
         if (seconds < placed_seconds * (1.0 - pl.swap_margin)) {
           placed = std::move(trial);
@@ -686,11 +448,7 @@ PartitionPlanSearchResult SearchPartitionPlan(
     }
   }
 
-  for (const auto& [key, entry] : measured) {
-    if (entry.speculative && !entry.requested) {
-      ++result.batch.speculative_waste;
-    }
-  }
+  result.evaluations = static_cast<int>(measured.size());
   result.plan = plan_of(best, best_placements);
   result.seconds = best_seconds;
   return result;

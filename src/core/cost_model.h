@@ -34,47 +34,6 @@
 
 namespace parallax {
 
-class ThreadPool;
-
-// Concurrency for candidate evaluation inside the searches. The searches themselves
-// never touch the pool — they speculate candidate sets against their memo through a
-// caller-supplied batch measure (MakeParallelPlanMeasure, src/core/parallel_measure.h)
-// and replay the serial adoption logic over the memoized results, so the adopted plan,
-// tie-breaks, and the full sample trail are bit-identical to the serial search at any
-// worker count. This struct just carries the knobs from the builder / planner options
-// down to wherever the batch measure is constructed.
-struct SearchConcurrency {
-  ThreadPool* pool = nullptr;  // null = serial (no speculation)
-  // Cap on concurrently simulated candidates; 0 = every pool lane. Results do not
-  // depend on this (or on pool size) — only wall-clock does.
-  int max_workers = 0;
-};
-
-// Candidates to simulate per batch, honoring the cap: min(pool lanes, max_workers,
-// candidates), and 1 when no pool is configured.
-int EffectiveSearchWorkers(const SearchConcurrency& concurrency, size_t candidates);
-
-// Observability for the batched-measure path: how much was speculated and how much of
-// it the serial replay never asked for. All zero on a serial search.
-struct BatchMeasureStats {
-  int batches = 0;              // batch-measure calls issued
-  int batched_evaluations = 0;  // candidates simulated speculatively
-  int max_batch_size = 0;       // largest single batch
-  // Speculative candidates the serial adoption logic never requested (e.g. ladder
-  // points past the sweep's early exit, swap trials after the round's first win).
-  // The price of the parallel fan-out; bounded by batched_evaluations.
-  int speculative_waste = 0;
-};
-
-// Batched candidate measurement: returns measured seconds for each plan, index-aligned
-// with the input. Contract: element i must be bit-identical to what the serial
-// measure would return for plans[i] — simulated times are arena-independent, so any
-// implementation that simulates each plan on its own arena satisfies this.
-using PlanBatchMeasure =
-    std::function<std::vector<double>(const std::vector<PartitionPlan>&)>;
-// Same, for the uniform search's integer candidates.
-using UniformBatchMeasure = std::function<std::vector<double>(const std::vector<int>&)>;
-
 struct CostModelFit {
   double theta0 = 0.0;
   double theta1 = 0.0;
@@ -135,9 +94,6 @@ struct PartitionSearchOptions {
   bool warm_start = false;
   // Per-variable search only: shard placement search (see PlacementSearchOptions).
   PlacementSearchOptions placement;
-  // Candidate-evaluation concurrency. Never changes results (see SearchConcurrency);
-  // excluded from planner fingerprints for the same reason.
-  SearchConcurrency concurrency;
 };
 
 // The options every search below requires: min_partitions >= 1, max_partitions >=
@@ -158,29 +114,11 @@ struct PartitionSearchResult {
   // Every sampling run performed: (P, measured mean iteration seconds).
   std::vector<std::pair<int, double>> samples;
   double predicted_seconds = 0.0;
-  BatchMeasureStats batch;
 };
 
 // measure(P) must return the mean iteration time at P partitions (the caller decides how:
 // simulated training for the benches, or any user-supplied profiler).
 PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
-                                       const PartitionSearchOptions& options);
-
-// Batched variant: ahead of the serial sweep, candidates are simulated speculatively
-// through `measure_batch` in WAVES — each memo miss batches the requested P plus the
-// next fresh rungs of both sweep arms, nearest first, capped at the worker count
-// options.concurrency can run (so callers that supply a measure_batch should fill in
-// options.concurrency; a one-lane configuration degrades to the serial sweep). A rung
-// joins a wave only if it is no larger than the requested P: simulation time grows
-// with the piece count, so with a lane per rung a wave takes no longer than the
-// requested rung alone, and the costly far rungs the sweep rarely reaches are
-// simulated only when it asks for them. The serial sweep then replays over the
-// results — best_partitions, fit, and the samples trail are bit-identical to the
-// serial search; rungs a wave simulated past an early exit are reported as
-// batch.speculative_waste, bounded per wave by the worker count. A null measure_batch
-// degrades to the serial search.
-PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
-                                       const UniformBatchMeasure& measure_batch,
                                        const PartitionSearchOptions& options);
 
 // One variable the per-variable search may re-shard.
@@ -224,7 +162,6 @@ struct PartitionPlanSearchResult {
   // historical round-robin placement — the placement-oblivious baseline the placed plan
   // had to beat. Equal to `seconds` when no placement was adopted.
   double unplaced_seconds = 0.0;
-  BatchMeasureStats batch;
 };
 
 // Per-variable partition search (the PartitionPlan generalization of section 3.2):
@@ -245,25 +182,6 @@ struct PartitionPlanSearchResult {
 // procedure is deterministic: same inputs, same plan.
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
-    const std::vector<PartitionSearchVariable>& variables,
-    const PartitionSearchOptions& options);
-
-// Batched variant — the parallel-candidate entry point. Inside each
-// independent-candidate stage (the uniform sweep, each coordinate sweep, each
-// placement round's swap trials), candidates are simulated speculatively through
-// `measure_batch` into the memo table in waves sized by options.concurrency (fill it
-// in when supplying a measure_batch); the UNMODIFIED serial adoption logic then runs
-// in canonical order over memo hits. Search trajectory, tie-breaks, `evaluations`,
-// and the full result trail are therefore bit-identical to the serial search at any
-// worker count — `measure_batch` only changes wall-clock and fills in `result.batch`,
-// whose speculative_waste is bounded per wave by the worker count. A speculative
-// candidate joins a wave only if its PS piece count (the searched variables' counts
-// summed) is at most the requested candidate's, so a wave on enough lanes takes no
-// longer than the requested candidate alone; swap trials keep their counts and always
-// qualify. A null measure_batch degrades to the serial search.
-PartitionPlanSearchResult SearchPartitionPlan(
-    const std::function<double(const PartitionPlan&)>& measure,
-    const PlanBatchMeasure& measure_batch,
     const std::vector<PartitionSearchVariable>& variables,
     const PartitionSearchOptions& options);
 

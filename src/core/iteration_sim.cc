@@ -183,16 +183,26 @@ void IterationSimulator::BuildIterationGraph(const RankLayout& layout) {
   end_tasks.clear();
 
   // Single-GPU job: the graph runs unmodified — no pulls, no collectives, no servers
-  // (Parallax leaves a 1-GPU graph alone; the local SGD apply rides the GPU).
+  // (Parallax leaves a 1-GPU graph alone; the local SGD apply rides the GPU). A dense
+  // variable's apply walks every element; a sparse one's walks the rows the step
+  // touched, priced as the AllGatherv path prices one rank's block.
   if (num_ranks == 1) {
     TaskId compute = graph.AddGpuCompute(0, 0, gpu_compute_seconds_);
-    int64_t total_elements = 0;
+    int64_t dense_elements = 0;
+    int64_t touched_elements = 0;
     for (const VariableSync& sync : variables_) {
-      total_elements += sync.spec.num_elements;
+      if (sync.spec.is_sparse) {
+        touched_elements += static_cast<int64_t>(
+            sync.spec.alpha * static_cast<double>(sync.spec.num_elements));
+      } else {
+        dense_elements += sync.spec.num_elements;
+      }
     }
     TaskId apply = graph.AddGpuCompute(
         0, 0,
-        costs.gpu_dense_apply_seconds_per_element * static_cast<double>(total_elements),
+        costs.gpu_dense_apply_seconds_per_element * static_cast<double>(dense_elements) +
+            costs.gpu_sparse_apply_seconds_per_element *
+                static_cast<double>(touched_elements),
         {compute});
     final_task_ = apply;
     return;

@@ -253,7 +253,9 @@ PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
     // Shared planning service: the search (or a memoized twin of it) runs on a pooled
     // arena, coalesced with identical queries from other tenants. The fields a private
     // search would have filled are synthesized from the service's answer.
-    // Build validated the search options, so the service cannot reject the query.
+    // Build validated the search options. A query the service rejects otherwise
+    // (ValidatePlannerQuery: a malformed cluster, compute time or cost constant)
+    // aborts here.
     const PlannerResult answer = config_.planner->Plan(query).value();
     found.plan = answer.plan;
     found.seconds = answer.seconds;
@@ -265,17 +267,11 @@ PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
              : answer.coalesced ? "shared planner, coalesced"
                                 : "shared planner";
   } else {
-    found = SearchPlan(query, sim_arena_.get(), &search_arenas_);
+    found = SearchPlan(query, sim_arena_.get());
   }
-  const std::string batches =
-      found.batch.batches > 0
-          ? StrFormat(" (%d candidates in %d parallel batches, %d speculative waste)",
-                      found.batch.batched_evaluations, found.batch.batches,
-                      found.batch.speculative_waste)
-          : std::string();
   PX_LOG(Info) << "partition search (" << source << "): plan " << found.plan.ToString()
                << " at " << found.seconds << "s vs " << found.uniform_seconds
-               << "s baseline after " << found.evaluations << " sampling runs" << batches;
+               << "s baseline after " << found.evaluations << " sampling runs";
   return found;
 }
 

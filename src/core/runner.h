@@ -63,7 +63,6 @@
 #include "src/core/transform.h"
 #include "src/graph/checkpoint.h"
 #include "src/graph/executor.h"
-#include "src/sim/arena_pool.h"
 
 namespace parallax {
 
@@ -302,7 +301,7 @@ class GraphRunner {
   // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones.
   PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options) const;
   // The one search dispatch: the shared PlannerService when config_.planner is set,
-  // SearchPlan on this runner's arena and search_arenas_ otherwise. A service answer
+  // SearchPlan on this runner's arena otherwise. A service answer
   // is reported in the private search's shape (plan, seconds, uniform baseline,
   // evaluations); either way one search line is logged.
   PartitionPlanSearchResult Plan(const PlannerQuery& query);
@@ -360,10 +359,6 @@ class GraphRunner {
   // One arena for the partition search and the training-time timing plane: cached
   // collective schedules and task storage persist for the runner's lifetime.
   std::unique_ptr<SimulationArena> sim_arena_;
-  // Extra arenas for parallel candidate evaluation (WithSearchConcurrency), leased per
-  // worker and kept warm across startup/adaptive/rescale re-searches. Stays empty
-  // while the search is serial.
-  ArenaPool search_arenas_;
   std::unique_ptr<IterationSimulator> timing_;
   std::unique_ptr<Cluster> cluster_;
   double simulated_seconds_ = 0.0;

@@ -4,12 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <utility>
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/core/parallel_measure.h"
 #include "src/core/partition_plan.h"
 
 namespace parallax {
@@ -125,9 +125,6 @@ uint64_t ResourcesFingerprint(const PlannerQuery& query) {
   return h;
 }
 
-// Deliberately excludes o.concurrency: parallel candidate evaluation is bit-identical
-// to serial (cost_model.h), so keying on it would split identical searches — and the
-// service substitutes its own pool regardless of what the query carries.
 uint64_t OptionsFingerprint(const PartitionSearchOptions& o) {
   uint64_t h = 0x6f7074696f6e73ull;  // "options"
   h = Mix(h, static_cast<uint64_t>(o.initial_partitions));
@@ -160,36 +157,92 @@ PlannerResult ResultFrom(const CachedPlan& cached) {
 
 }  // namespace
 
-PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena,
-                                     ArenaPool* arenas) {
+Status ValidatePlannerQuery(const PlannerQuery& query) {
+  const ClusterSpec& c = query.cluster;
+  if (c.num_machines < 1 || c.gpus_per_machine < 1 || c.cores_per_machine < 1) {
+    return Status::InvalidArgument(
+        "cluster: num_machines, gpus_per_machine and cores_per_machine must be >= 1");
+  }
+  // Negated comparisons, so that a NaN fails them too.
+  if (!(c.nic_bandwidth > 0.0) || !(c.pcie_bandwidth > 0.0) || !(c.nic_latency >= 0.0) ||
+      !(c.pcie_latency >= 0.0)) {
+    return Status::InvalidArgument(
+        "cluster: NIC and PCIe bandwidths must be > 0 and their latencies >= 0");
+  }
+  if (!c.topology.flat()) {
+    if (c.num_machines % c.topology.num_racks != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "cluster: %d racks do not divide %d machines evenly", c.topology.num_racks,
+          c.num_machines));
+    }
+    if (!(c.topology.spine_bandwidth > 0.0) || !(c.topology.spine_latency >= 0.0)) {
+      return Status::InvalidArgument(
+          "cluster: spine_bandwidth must be > 0 and spine_latency >= 0");
+    }
+  }
+  if (query.variables.empty()) {
+    return Status::InvalidArgument("a query needs at least one variable");
+  }
+  if (!std::isfinite(query.gpu_compute_seconds) || query.gpu_compute_seconds < 0.0) {
+    return Status::InvalidArgument("gpu_compute_seconds must be finite and >= 0");
+  }
+  const SyncCostParams& k = query.sim_config.costs;
+  for (double cost :
+       {k.sparse_agg_seconds_per_element, k.sparse_update_seconds_per_element,
+        k.sparse_flush_seconds_per_element, k.dense_agg_seconds_per_element,
+        k.dense_update_seconds_per_element, k.request_overhead_seconds,
+        k.partition_overhead_seconds, k.stitch_seconds_per_partition,
+        k.worker_dispatch_seconds_per_piece, k.gpu_dense_apply_seconds_per_element,
+        k.gpu_sparse_apply_seconds_per_element, k.collective_step_overhead_seconds,
+        k.compress_seconds_per_element, k.gatherv_cross_machine_inflation}) {
+    if (!std::isfinite(cost) || cost < 0.0) {
+      return Status::InvalidArgument("sim_config.costs: every cost must be finite and >= 0");
+    }
+  }
+  for (const PlannerVariable& v : query.variables) {
+    if (v.partitioned) {
+      continue;  // the searched plan sets its partitions and placement
+    }
+    const std::string& name = v.sync.spec.name;
+    if (v.sync.partitions < 1) {
+      return Status::InvalidArgument(
+          StrFormat("variable '%s': partitions must be >= 1", name.c_str()));
+    }
+    for (int server : v.sync.placement) {
+      if (server < 0 || server >= c.num_machines) {
+        return Status::InvalidArgument(
+            StrFormat("variable '%s': placement names server %d of %d machines",
+                      name.c_str(), server, c.num_machines));
+      }
+    }
+  }
+  if (query.options.placement.enabled &&
+      query.options.placement.num_machines > c.num_machines) {
+    return Status::InvalidArgument(StrFormat(
+        "placement search models %d machines, the cluster has %d",
+        query.options.placement.num_machines, c.num_machines));
+  }
+  return Status::Ok();
+}
+
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena) {
   // A fresh simulator per candidate layout over the caller's arena: cached schedules
   // and task storage persist across the whole search. Simulated times are
-  // arena-independent, which is what lets waves run on leased arenas and lets the
-  // service memoize a result for every future tenant at its key.
+  // arena-independent, which is what lets the service memoize a result for every
+  // future tenant at its key.
   auto measure_plan = [&](const PartitionPlan& plan) {
     IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
                            query.gpu_compute_seconds, query.compute_chunks,
                            query.sim_config, arena);
     return sim.MeasureIterationSeconds();
   };
-  ParallelMeasureSpec spec;
-  spec.cluster = query.cluster;
-  spec.apply_plan = [&query](const PartitionPlan& plan) {
-    return ApplyPlanToVariables(query.variables, plan);
-  };
-  spec.gpu_compute_seconds = query.gpu_compute_seconds;
-  spec.compute_chunks = query.compute_chunks;
-  spec.sim_config = query.sim_config;
-  PlanBatchMeasure measure_batch =
-      MakeParallelPlanMeasure(std::move(spec), query.options.concurrency, arenas);
-
   if (!query.targets.empty()) {
-    return SearchPartitionPlan(measure_plan, measure_batch, query.targets, query.options);
+    return SearchPartitionPlan(measure_plan, query.targets, query.options);
   }
   PartitionPlanSearchResult result;
   result.uniform = SearchPartitions(
       [&](int partitions) { return measure_plan(PartitionPlan::Uniform(partitions)); },
-      MakeUniformBatchMeasure(std::move(measure_batch)), query.options);
+      query.options);
   const int best = result.uniform.best_partitions;
   result.plan = PartitionPlan::Uniform(best);
   const auto& samples = result.uniform.samples;
@@ -198,7 +251,6 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
   result.seconds = sampled != samples.end() ? sampled->second : measure_plan(result.plan);
   result.uniform_seconds = result.seconds;
   result.evaluations = static_cast<int>(samples.size());
-  result.batch = result.uniform.batch;
   return result;
 }
 
@@ -247,16 +299,9 @@ PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
   return key;
 }
 
-CachedPlan PlannerService::Search(PlannerQuery query) {
-  // Candidate batches fan out over the service's own pool and arena pool — whatever
-  // concurrency the query carried is replaced (a tenant's pool pointer means nothing
-  // service-side, and results do not depend on it). The substituted concurrency also
-  // sizes the searches' speculation waves. Under PlanMany the fan-out lane already
-  // occupies the pool, so the nested batch runs inline (thread_pool.h) — query-level
-  // and candidate-level parallelism share the same lanes.
-  query.options.concurrency = SearchConcurrency{pool_.get(), 0};
+CachedPlan PlannerService::Search(const PlannerQuery& query) {
   ArenaPool::Lease lease = AcquireArena();
-  const PartitionPlanSearchResult result = SearchPlan(query, lease.get(), &arenas_);
+  const PartitionPlanSearchResult result = SearchPlan(query, lease.get());
   CachedPlan cached;
   cached.plan = result.plan;
   cached.seconds = result.seconds;
@@ -264,14 +309,11 @@ CachedPlan PlannerService::Search(PlannerQuery query) {
   cached.best_uniform_partitions = result.uniform.best_partitions;
   cached.evaluations = result.evaluations;
   cached.uniform = query.targets.empty();
-  batched_evaluations_.fetch_add(static_cast<uint64_t>(result.batch.batched_evaluations),
-                                 std::memory_order_relaxed);
-  speculative_waste_.fetch_add(static_cast<uint64_t>(result.batch.speculative_waste),
-                               std::memory_order_relaxed);
   return cached;
 }
 
 StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
+  PX_RETURN_IF_ERROR(ValidatePlannerQuery(original));
   PX_RETURN_IF_ERROR(ValidateSearchOptions(original.options));
   queries_.fetch_add(1, std::memory_order_relaxed);
   PlannerQuery query = original;
@@ -304,9 +346,7 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
   if (!owner) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
     // Safe to block here even from a PlanMany pool lane: the owner is by definition
-    // already executing on some thread, never coalesces itself, and its candidate
-    // batches always make progress because a ParallelFor submitter drains its own
-    // batch regardless of how many pool lanes sit blocked here (thread_pool.h).
+    // already executing a serial search on some thread and never coalesces itself.
     std::unique_lock<std::mutex> lock(flight->mu);
     flight->cv.wait(lock, [&] { return flight->done; });
     PlannerResult result = ResultFrom(flight->result);
@@ -315,7 +355,7 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
   }
 
   searches_.fetch_add(1, std::memory_order_relaxed);
-  CachedPlan searched = Search(std::move(query));
+  CachedPlan searched = Search(query);
   {
     std::lock_guard<std::mutex> lock(mu_);
     cache_.Put(key, searched);
@@ -333,7 +373,11 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
 StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
     const std::vector<PlannerQuery>& queries) {
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (Status status = ValidateSearchOptions(queries[i].options); !status.ok()) {
+    Status status = ValidatePlannerQuery(queries[i]);
+    if (status.ok()) {
+      status = ValidateSearchOptions(queries[i].options);
+    }
+    if (!status.ok()) {
       return Status::InvalidArgument(StrFormat("query %zu: %s", i, status.message().c_str()));
     }
   }
@@ -356,7 +400,7 @@ StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
   }
   // Fan the representatives across the shared pool — no per-call thread spawn/join.
   // Workers clamp to min(distinct queries, pool lanes) via the chunk grain; each
-  // lane's searches still run their own candidate batches (inline, thread_pool.h).
+  // lane runs its searches serially on its own leased arena.
   const int64_t total = static_cast<int64_t>(representatives.size());
   auto plan_range = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
@@ -391,8 +435,6 @@ PlannerServiceStats PlannerService::stats() const {
   stats.coalesced = coalesced_.load(std::memory_order_relaxed);
   stats.pooled_arenas = arenas_.pooled();
   stats.total_arenas = arenas_.total();
-  stats.batched_evaluations = batched_evaluations_.load(std::memory_order_relaxed);
-  stats.speculative_waste = speculative_waste_.load(std::memory_order_relaxed);
   return stats;
 }
 

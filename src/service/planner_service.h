@@ -2,7 +2,7 @@
 // any number of GraphRunners — the multi-tenant counterpart of the runner's private
 // search path (ROADMAP "Multi-tenant training service"; docs/planner_service.md).
 //
-// Four mechanisms make many concurrent tenants cheap:
+// Three mechanisms make many concurrent tenants cheap:
 //
 //   1. Arena pool — SimulationArena is single-threaded state, so each query checks one
 //      out RAII-style (ArenaPool::Lease, src/sim/arena_pool.h). Checkout never blocks
@@ -17,21 +17,13 @@
 //      search instead of simulating again; PlanMany batches a whole query set, running
 //      one search per distinct key across the service's shared ThreadPool and fanning
 //      results back out.
-//   4. Intra-search parallelism — every cache miss (single Plan or PlanMany alike)
-//      runs the batched partition search: candidate layouts are simulated concurrently
-//      on the shared pool, one leased arena per worker, and the serial adoption logic
-//      replays over the results, so the answer stays bit-identical to a serial search
-//      (cost_model.h). A wave speculates only layouts with no more PS pieces than the
-//      one the search asked for, so with a core per lane no wave outlasts the serial
-//      search's own candidate. A query's own options.concurrency is ignored — the
-//      service substitutes its pool, and since concurrency never changes results it is
-//      excluded from the options fingerprint.
 //
-// Every miss runs SearchPlan (below), the same function a runner's private search
-// calls, so the service and the private path differ only in the alphas they search at:
-// a hit is identical to a fresh search at the same key, and with alpha_quantum = 0 the
-// service answers exactly what the private search would. Runners opt in with
-// RunnerBuilder::WithPlanner(service); the private-arena path remains the default.
+// Every miss runs SearchPlan (below) on one leased arena, one candidate at a time —
+// the same serial search a runner's private path calls — so the service and the
+// private path differ only in the alphas they search at: a hit is identical to a fresh
+// search at the same key, and with alpha_quantum = 0 the service answers exactly what
+// the private search would. Runners opt in with RunnerBuilder::WithPlanner(service);
+// the private-arena path remains the default.
 #ifndef PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 #define PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 
@@ -65,9 +57,8 @@ struct PlannerServiceOptions {
   // Arenas retained in the free pool when idle. Checkout past this still succeeds (the
   // pool grows on demand); the excess is dropped on release instead of pooled.
   size_t max_pooled_arenas = 16;
-  // Lanes of the service's shared ThreadPool — PlanMany's query fan-out and every
-  // search's candidate batches both run on it (min(queries, lanes) workers for the
-  // former; a fan-out lane's nested candidate batch runs inline, thread_pool.h).
+  // Lanes of the service's shared ThreadPool, which runs PlanMany's query fan-out
+  // (min(distinct queries, lanes) workers, each running serial searches).
   // 0 = one lane per hardware thread (uncapped — the fan-out scales to the machine);
   // 1 = fully serial (no pool is created).
   int max_workers = 0;
@@ -88,20 +79,32 @@ struct PlannerQuery {
   PartitionSearchOptions options;
 };
 
+// What a query must satisfy for SearchPlan to run it without aborting. Queries are
+// untrusted input, so Plan and PlanMany check this (and ValidateSearchOptions) first and
+// return its InvalidArgument instead. The rules:
+//   - the cluster: num_machines, gpus_per_machine and cores_per_machine >= 1; NIC and
+//     PCIe bandwidths > 0 and latencies >= 0; on more than one rack, the racks divide
+//     the machines evenly, spine_bandwidth > 0 and spine_latency >= 0;
+//   - at least one variable; gpu_compute_seconds and every sim_config.costs constant
+//     finite and >= 0;
+//   - a variable the plan does not control keeps partitions >= 1, and its fixed
+//     placement names servers in [0, num_machines);
+//   - a placement search models no more machines than the cluster has.
+// compute_chunks is not checked (the simulator clamps it), and neither are targets
+// that name no variable (the plan's count for them is never read).
+Status ValidatePlannerQuery(const PlannerQuery& query);
+
 // The one partition search behind every planning path: a runner's private start-up,
-// adaptive and rescale searches call it on the runner's own arenas, and
+// adaptive and rescale searches call it on the runner's own arena, and
 // PlannerService runs it on a leased arena for every cache miss. Each candidate layout
-// is simulated on `arena` through ApplyPlanToVariables.
+// is simulated on `arena` through ApplyPlanToVariables, one at a time.
 //   - With targets: SearchPartitionPlan (per-variable counts, placement when enabled).
 //   - Without: the uniform sweep (SearchPartitions), reported as a plan search —
 //     `plan` is Uniform(best P), `uniform` holds the sweep, `evaluations` is its sample
-//     count, `batch` its wave stats, and `seconds` == `uniform_seconds` is the measured
-//     time at best P (read from the sweep when it sampled best P, simulated otherwise).
-// Candidate waves run on query.options.concurrency with one arena per worker leased
-// from `arenas`; the search is serial when either is null. The result does not depend
-// on the arena, the pool or the worker count.
-PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena,
-                                     ArenaPool* arenas);
+//     count, and `seconds` == `uniform_seconds` is the measured time at best P (read
+//     from the sweep when it sampled best P, simulated otherwise).
+// The result does not depend on the arena.
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena);
 
 struct PlannerResult {
   PartitionPlan plan;
@@ -122,10 +125,8 @@ struct PlannerServiceStats {
   uint64_t coalesced = 0;  // queries that piggybacked on another query's search
   size_t pooled_arenas = 0;
   size_t total_arenas = 0;  // pooled + checked out
-  // Intra-search parallelism observability, summed over every search performed:
-  // candidates simulated speculatively in batches, and how many of them the serial
-  // replay never consumed (cost_model.h BatchMeasureStats). Zero when max_workers
-  // leaves the service serial.
+  // Always 0: every search is serial and simulates no speculative candidate. Kept for
+  // the readers that still report them (pxbench's tenant metrics).
   uint64_t batched_evaluations = 0;
   uint64_t speculative_waste = 0;
 };
@@ -137,13 +138,14 @@ class PlannerService {
   // Answers one planning query: canonicalize, consult the cache, coalesce with any
   // identical in-flight search, otherwise search on a leased arena and memoize.
   // Thread-safe; deterministic given the query (cache_hit/coalesced flags aside).
-  // Queries are untrusted input: options that fail ValidateSearchOptions
-  // (cost_model.h) return InvalidArgument before the query is counted or searched.
+  // Queries are untrusted input: a query that fails ValidatePlannerQuery or whose
+  // options fail ValidateSearchOptions (cost_model.h) returns InvalidArgument before
+  // it is counted or searched.
   StatusOr<PlannerResult> Plan(const PlannerQuery& query);
 
   // Batched front-end: one search per distinct key, fanned across worker threads so a
-  // batch's candidate simulations run concurrently on distinct pooled arenas;
-  // duplicate queries share their representative's result. results[i] answers
+  // batch's searches run concurrently on distinct pooled arenas; duplicate queries
+  // share their representative's result. results[i] answers
   // queries[i]. Every query is validated first: one bad query returns InvalidArgument
   // naming the first bad index, and no query of the batch is counted or searched.
   StatusOr<std::vector<PlannerResult>> PlanMany(const std::vector<PlannerQuery>& queries);
@@ -174,10 +176,9 @@ class PlannerService {
     CachedPlan result;           // guarded by mu; valid once done
   };
 
-  // Runs SearchPlan for a canonicalized query on a leased arena, with the query's
-  // concurrency replaced by pool_ (serial when the service has no pool). Pure compute:
-  // takes no service lock.
-  CachedPlan Search(PlannerQuery query);
+  // Runs SearchPlan for a canonicalized query on a leased arena. Pure compute: takes
+  // no service lock.
+  CachedPlan Search(const PlannerQuery& query);
 
   const PlannerServiceOptions options_;
 
@@ -191,15 +192,13 @@ class PlannerService {
   // Arena pool (internally synchronized) — checkouts never contend with the query
   // path's lock.
   ArenaPool arenas_;
-  // Shared worker pool for PlanMany fan-out and intra-search candidate batches.
-  // Null when options_.max_workers resolves to one lane (fully serial service).
+  // Shared worker pool for PlanMany's fan-out. Null when options_.max_workers
+  // resolves to one lane (fully serial service).
   std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> searches_{0};
   std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> batched_evaluations_{0};
-  std::atomic<uint64_t> speculative_waste_{0};
 };
 
 }  // namespace parallax

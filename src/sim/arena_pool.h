@@ -3,9 +3,8 @@
 // SimulationArena (src/core/iteration_sim.h) is deliberately single-threaded: one
 // simulating thread owns the task storage, schedule cache, and scratch tables at a
 // time. Anything that simulates concurrently therefore needs one arena per worker.
-// This pool is the one mechanism that hands them out — extracted from PlannerService
-// so standalone searches (GraphRunner's parallel candidate batches,
-// src/core/parallel_measure.h) and the service share it:
+// This pool is the one mechanism that hands them out; PlannerService leases one arena
+// per query from it:
 //
 //   - Acquire() never blocks on a busy arena: the pool grows on demand, so N
 //     concurrent leases simply mean N arenas exist.

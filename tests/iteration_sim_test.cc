@@ -204,6 +204,28 @@ TEST(IterationSimTest, IterationTimesReachSteadyState) {
   }
 }
 
+TEST(IterationSimTest, OneGpuAppliesSparseVariablesAtTheElementsTheyTouch) {
+  // A one-GPU job synchronizes nothing: its iteration is the compute plus the local
+  // apply. A dense variable's apply walks every element; a sparse one's walks only the
+  // elements a step touches, at the sparse rate the AllGatherv path charges.
+  const ClusterSpec spec = ClusterSpec::SingleGpuMachines(1);
+  VariableSync embedding = PsVar(50'000'000, /*sparse=*/true, 0.01);
+  embedding.spec.name = "embedding";
+  VariableSync dense = PsVar(3'000'000, /*sparse=*/false, 1.0);
+  dense.spec.name = "dense";
+  dense.method = SyncMethod::kArAllReduce;
+  const double compute_seconds = 0.05;
+  const IterationSimConfig config;
+  IterationSimulator sim(spec, {embedding, dense}, compute_seconds, 4, config);
+
+  const int64_t touched = static_cast<int64_t>(0.01 * 50'000'000.0);
+  const double dense_apply = config.costs.gpu_dense_apply_seconds_per_element * 3e6;
+  const double sparse_apply =
+      config.costs.gpu_sparse_apply_seconds_per_element * static_cast<double>(touched);
+  EXPECT_DOUBLE_EQ(sim.MeasureIterationSeconds(),
+                   compute_seconds + dense_apply + sparse_apply);
+}
+
 TEST(IterationSimTest, ThroughputScalesWithMachines) {
   // Figure 8 shape: adding machines increases aggregate throughput for every framework
   // on the dense model.

@@ -6,7 +6,8 @@
 //  - N threads issuing the same query coalesce onto ONE simulation; distinct keys
 //    search separately,
 //  - LRU eviction respects the configured capacity,
-//  - search options a search cannot run are rejected with a Status, never searched,
+//  - queries and search options a search cannot run are rejected with a Status, never
+//    searched; odd queries a search can run are accepted,
 //  - ApplyPlanToVariables, the one plan applier, row-caps counts and drops stale
 //    placements,
 //  - a runner using the shared planner trains bit-identically to a private-search
@@ -231,30 +232,65 @@ TEST(PlannerServiceTest, EvictionRespectsCapacity) {
   EXPECT_EQ(service.stats().searches, 4u);
 }
 
+// A PS variable the plan does not control, on a fixed layout.
+PlannerVariable FixedPsVariable(int partitions, std::vector<int> placement) {
+  VariableSync sync;
+  sync.spec = {"fixed", 40'000, 64, true, 0.1};
+  sync.method = SyncMethod::kPs;
+  sync.partitions = partitions;
+  sync.placement = std::move(placement);
+  return {sync, /*partitioned=*/false, /*rows=*/625};
+}
+
 TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
-  // Queries are untrusted input. Each of these options would abort the search, so Plan
+  // Queries are untrusted input. Each of these queries would abort the search, so Plan
   // and PlanMany return InvalidArgument, and nothing is counted or searched. PlanMany
   // checks every query before it plans any, and names the bad one's index.
-  struct BadOptions {
+  struct BadQuery {
     const char* name;
-    void (*apply)(PartitionSearchOptions&);
+    void (*apply)(PlannerQuery&);
   };
-  const BadOptions cases[] = {
-      {"min_partitions < 1", [](PartitionSearchOptions& o) { o.min_partitions = 0; }},
+  const BadQuery cases[] = {
+      {"min_partitions < 1", [](PlannerQuery& q) { q.options.min_partitions = 0; }},
       {"max_partitions < min_partitions",
-       [](PartitionSearchOptions& o) { o.max_partitions = 0; }},
-      {"coordinate_margin < 0", [](PartitionSearchOptions& o) { o.coordinate_margin = -0.01; }},
+       [](PlannerQuery& q) { q.options.max_partitions = 0; }},
+      {"coordinate_margin < 0", [](PlannerQuery& q) { q.options.coordinate_margin = -0.01; }},
       {"max_coordinate_rounds < 1",
-       [](PartitionSearchOptions& o) { o.max_coordinate_rounds = 0; }},
+       [](PlannerQuery& q) { q.options.max_coordinate_rounds = 0; }},
+      {"num_machines 0", [](PlannerQuery& q) { q.cluster.num_machines = 0; }},
+      {"gpus_per_machine 0", [](PlannerQuery& q) { q.cluster.gpus_per_machine = 0; }},
+      {"cores_per_machine 0", [](PlannerQuery& q) { q.cluster.cores_per_machine = 0; }},
+      {"nic_bandwidth 0", [](PlannerQuery& q) { q.cluster.nic_bandwidth = 0.0; }},
+      {"nic_latency < 0", [](PlannerQuery& q) { q.cluster.nic_latency = -1.0; }},
+      {"pcie_bandwidth 0", [](PlannerQuery& q) { q.cluster.pcie_bandwidth = 0.0; }},
+      {"3 racks on 4 machines", [](PlannerQuery& q) { q.cluster.topology.num_racks = 3; }},
+      {"spine_bandwidth 0 on 2 racks",
+       [](PlannerQuery& q) {
+         q.cluster.topology.num_racks = 2;
+         q.cluster.topology.spine_bandwidth = 0.0;
+       }},
+      {"no variables", [](PlannerQuery& q) { q.variables.clear(); }},
+      {"fixed PS variable with 0 partitions",
+       [](PlannerQuery& q) { q.variables.push_back(FixedPsVariable(0, {})); }},
+      {"fixed placement names server 7 of 4",
+       [](PlannerQuery& q) { q.variables.push_back(FixedPsVariable(4, {0, 1, 2, 7})); }},
+      {"gpu_compute_seconds < 0", [](PlannerQuery& q) { q.gpu_compute_seconds = -1.0; }},
+      {"partition_overhead_seconds < 0",
+       [](PlannerQuery& q) { q.sim_config.costs.partition_overhead_seconds = -1.0; }},
+      {"placement search on 8 of 4 machines",
+       [](PlannerQuery& q) {
+         q.options.placement.enabled = true;
+         q.options.placement.num_machines = 8;
+       }},
   };
   for (const bool uniform : {false, true}) {
-    for (const BadOptions& bad : cases) {
+    for (const BadQuery& bad : cases) {
       SCOPED_TRACE(std::string(bad.name) + (uniform ? ", uniform search" : ", per-variable"));
       PlannerQuery query = MakeQuery(0.02);
       if (uniform) {
         query.targets.clear();
       }
-      bad.apply(query.options);
+      bad.apply(query);
       PlannerService service;
       StatusOr<PlannerResult> single = service.Plan(query);
       ASSERT_FALSE(single.ok());
@@ -269,6 +305,29 @@ TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
       EXPECT_EQ(service.stats().searches, 0u);
       EXPECT_EQ(service.stats().queries, 0u);
     }
+  }
+}
+
+TEST(PlannerServiceTest, AcceptsOddQueriesASearchCanRun) {
+  // Neither of these aborts a search, so neither is rejected: a target that names no
+  // variable (the plan's count for it is never read), and compute_chunks 0 (the
+  // simulator clamps it).
+  struct OddQuery {
+    const char* name;
+    void (*apply)(PlannerQuery&);
+  };
+  const OddQuery cases[] = {
+      {"target naming no variable",
+       [](PlannerQuery& q) { q.targets.front().name = "no_such_variable"; }},
+      {"compute_chunks 0", [](PlannerQuery& q) { q.compute_chunks = 0; }},
+  };
+  for (const OddQuery& odd : cases) {
+    SCOPED_TRACE(odd.name);
+    PlannerQuery query = MakeQuery(0.02);
+    odd.apply(query);
+    PlannerService service;
+    EXPECT_TRUE(service.Plan(query).ok());
+    EXPECT_TRUE(service.PlanMany({MakeQuery(0.2), query}).ok());
   }
 }
 
