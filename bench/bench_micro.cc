@@ -463,7 +463,8 @@ void BM_PerVariableSearch(benchmark::State& state) {
                              4e-3, 4, HybridSimConfig(), &arena);
       return sim.MeasureIterationSeconds();
     };
-    benchmark::DoNotOptimize(SearchPartitionPlan(measure, targets, options));
+    benchmark::DoNotOptimize(
+        SearchPartitionPlan(measure, targets, ClusterSpec::Paper(), options));
   }
 }
 BENCHMARK(BM_PerVariableSearch);
@@ -483,7 +484,8 @@ void BM_PerVariableSearchWarmStart(benchmark::State& state) {
                            4e-3, 4, HybridSimConfig(), &arena);
     return sim.MeasureIterationSeconds();
   };
-  PartitionPlanSearchResult cold = SearchPartitionPlan(measure, targets, options);
+  PartitionPlanSearchResult cold =
+      SearchPartitionPlan(measure, targets, ClusterSpec::Paper(), options);
   for (PartitionSearchVariable& target : targets) {
     target.previous_partitions = cold.plan.For(target.name);
     target.drifted = target.name == "embedding";  // only the embedding's alpha moved
@@ -492,7 +494,8 @@ void BM_PerVariableSearchWarmStart(benchmark::State& state) {
   PartitionSearchOptions warm_options = options;
   warm_options.warm_start = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SearchPartitionPlan(measure, targets, warm_options));
+    benchmark::DoNotOptimize(
+        SearchPartitionPlan(measure, targets, ClusterSpec::Paper(), warm_options));
   }
 }
 BENCHMARK(BM_PerVariableSearchWarmStart);
@@ -604,11 +607,7 @@ void BM_PlacementSearch(benchmark::State& state) {
   options.initial_partitions = 4;
   options.max_partitions = 16;
   if (state.range(0) == 1) {
-    options.placement.enabled = true;
-    options.placement.num_machines = 4;
-    options.placement.num_racks = 2;
-    options.placement.nic_bandwidth = 1e9;
-    options.placement.spine_bandwidth = 1e9;
+    options.placement = true;
   }
   ClusterSpec spec;
   spec.num_machines = 4;
@@ -647,7 +646,7 @@ void BM_PlacementSearch(benchmark::State& state) {
   };
   double seconds = 0.0;
   for (auto _ : state) {
-    PartitionPlanSearchResult result = SearchPartitionPlan(measure, targets, options);
+    PartitionPlanSearchResult result = SearchPartitionPlan(measure, targets, spec, options);
     seconds = result.seconds;
     benchmark::DoNotOptimize(result);
   }

@@ -49,17 +49,7 @@ PlannerQuery TenantQuery(int shape, double alpha) {
   dense.method = SyncMethod::kArAllReduce;
   query.variables.push_back({dense, false, 1});
 
-  PartitionSearchVariable target;
-  target.name = "embedding";
-  target.alpha = alpha;
-  target.num_elements = embedding.spec.num_elements;
-  target.max_partitions = 6'250 * scale;
-  query.targets.push_back(target);
-  target.name = "softmax";
-  target.alpha = alpha * 2.5;
-  target.num_elements = softmax.spec.num_elements;
-  target.max_partitions = 3'125 * scale;
-  query.targets.push_back(target);
+  query.mode = PartitionSearchMode::kPerVariable;
 
   query.cluster.num_machines = 4;
   query.cluster.gpus_per_machine = 2;

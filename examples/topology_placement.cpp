@@ -2,9 +2,10 @@
 // 2:1 oversubscribed spine, and a model whose row caps make the historical
 // round-robin shard assignment stack two heavy PS pieces on one server while another
 // machine idles. The per-variable partition search's placement pass (the greedy
-// bottleneck-utilization seed plus simulated-clock swap refinement of
-// PlacementSearchOptions) finds a server assignment that balances the NIC incast and
-// beats the best placement-oblivious plan on the simulated clock.
+// bottleneck-utilization seed plus simulated-clock swap refinement, reading the
+// topology of the cluster the candidates are simulated on) finds a server assignment
+// that balances the NIC incast and beats the best placement-oblivious plan on the
+// simulated clock.
 //
 // This is the cost-model-level scenario the runner's WithPlacementSearch drives; the
 // same machinery runs inside GraphRunner when a per-variable search is configured
@@ -85,18 +86,14 @@ int main() {
 
   // The placement-oblivious baseline: the identical search with the placement pass off.
   PartitionPlanSearchResult oblivious =
-      SearchPartitionPlan(measure, SearchVariables(), options);
+      SearchPartitionPlan(measure, SearchVariables(), spec, options);
   std::printf("placement-oblivious optimum: %s at %.3f ms/iter\n",
               oblivious.plan.ToString().c_str(), oblivious.seconds * 1e3);
 
   PartitionSearchOptions placed_options = options;
-  placed_options.placement.enabled = true;
-  placed_options.placement.num_machines = spec.num_machines;
-  placed_options.placement.num_racks = spec.topology.num_racks;
-  placed_options.placement.nic_bandwidth = spec.nic_bandwidth;
-  placed_options.placement.spine_bandwidth = spec.topology.spine_bandwidth;
+  placed_options.placement = true;
   PartitionPlanSearchResult placed =
-      SearchPartitionPlan(measure, SearchVariables(), placed_options);
+      SearchPartitionPlan(measure, SearchVariables(), spec, placed_options);
 
   std::printf("adopted placement: %s at %.3f ms/iter\n", placed.plan.ToString().c_str(),
               placed.seconds * 1e3);

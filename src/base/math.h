@@ -1,12 +1,16 @@
 // Shared integer schedule math.
 //
-// The same "split N items into P near-equal parts, first N % P parts one larger"
-// convention appears in two layers: row-range variable partitioning (RowPartition in
-// tests/naive_reference.h, the split the PS oracle updates piece by piece; TensorFlow's
-// fixed_size_partitioner semantics) and ring-collective chunking
-// (comm/collectives.cc, where a w-byte gradient is cut into N ring chunks). Keeping the
-// arithmetic here guarantees the two stay consistent — a ring chunk boundary and a
-// partition piece boundary are computed by the same formula.
+// The one "split N items into P near-equal parts, first N % P parts one larger"
+// formula (BalancedSplitBegin/BalancedSplitSize below, TensorFlow's
+// fixed_size_partitioner semantics). Its users:
+//   - IterationSimulator's PS shard sizes (core/iteration_sim.cc);
+//   - the runner's shard-migration estimate, which walks old and new pieces
+//     (GraphRunner::MigrationSecondsBetween, core/runner.cc);
+//   - the PS oracle's row pieces (RowPartition, tests/naive_reference.h);
+//   - ring-collective chunking (comm/collectives.cc, where a w-byte gradient is cut
+//     into N ring chunks).
+// Keeping the arithmetic here guarantees they stay consistent — a simulated shard, a
+// migrated piece, an oracle piece and a ring chunk are bounded by the same formula.
 #ifndef PARALLAX_SRC_BASE_MATH_H_
 #define PARALLAX_SRC_BASE_MATH_H_
 

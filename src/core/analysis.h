@@ -47,11 +47,16 @@ SyncMethod DecideSyncMethod(const VariableSparsity& info, const HybridOptions& o
 
 // One variable of a model as the partition search sees it. `sync` carries the routed
 // method and the current layout; for `partitioned` variables a plan overrides
-// partitions/placement (row-capped via `rows`), everything else is fixed.
+// partitions/placement (row-capped via `rows`), everything else is fixed. A per-variable
+// search re-shards the partitioned sparse variables (SearchTargets,
+// service/planner_service.h); a warm-started one resumes from sync.partitions and, in
+// its first round, sweeps only the variables whose measured alpha `drifted` (true
+// unless the runner's monitor says otherwise).
 struct PlannerVariable {
   VariableSync sync;
   bool partitioned = false;
   int64_t rows = 1;
+  bool drifted = true;
 };
 
 // Pairs each routed variable (index-aligned with graph.variables()) with the graph's

@@ -141,9 +141,16 @@ StatusOr<std::unique_ptr<GraphRunner>> RunnerBuilder::Build() const {
     }
   }
   // PartitionPlan's own invariants guarantee every manual_plan count is >= 1. The
-  // search options are checked here, not by the first Step's PX_CHECKs.
+  // search options and the timing plane's inputs are checked here, not by the first
+  // Step's PX_CHECKs.
   if (Status search = ValidateSearchOptions(config_.search); !search.ok()) {
     return Status::InvalidArgument("WithSearch: " + search.message());
+  }
+  if (Status timing = ValidateTimingInputs(resources_.ToClusterSpec(config_.hardware),
+                                           config_.gpu_compute_seconds, config_.costs);
+      !timing.ok()) {
+    return Status::InvalidArgument("WithHardware/WithCompute/WithSyncCosts: " +
+                                   timing.message());
   }
   if (config_.adaptive_partitioning.has_value()) {
     const AdaptivePartitioningPolicy& policy = *config_.adaptive_partitioning;

@@ -38,8 +38,9 @@ namespace parallax {
 
 // Builder-style session construction. Every With* returns *this for chaining; Build()
 // validates (resources present and homogeneous, engine names registered, search,
-// adaptivity and checkpoint options in range) and returns the runner or the first
-// error.
+// adaptivity and checkpoint options in range, and the cluster, compute time and cost
+// constants the timing plane simulates — ValidateTimingInputs) and returns the runner
+// or the first error.
 class RunnerBuilder {
  public:
   RunnerBuilder(const Graph* graph, NodeId loss);

@@ -64,10 +64,6 @@ Status ValidateSearchOptions(const PartitionSearchOptions& options) {
     return Status::InvalidArgument(
         "min_partitions must be >= 1 and max_partitions >= min_partitions");
   }
-  if (options.coordinate_margin < 0.0 || options.max_coordinate_rounds < 1) {
-    return Status::InvalidArgument(
-        "coordinate_margin must be >= 0 and max_coordinate_rounds >= 1");
-  }
   return Status::Ok();
 }
 
@@ -154,13 +150,11 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
 
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
-    const std::vector<PartitionSearchVariable>& variables,
+    const std::vector<PartitionSearchVariable>& variables, const ClusterSpec& cluster,
     const PartitionSearchOptions& options) {
   PX_CHECK(!variables.empty()) << "per-variable search needs at least one variable";
   PX_CHECK_GE(options.min_partitions, 1);
   PX_CHECK_GE(options.max_partitions, options.min_partitions);
-  PX_CHECK_GE(options.coordinate_margin, 0.0);
-  PX_CHECK_GE(options.max_coordinate_rounds, 1);
   const size_t n = variables.size();
 
   auto cap_of = [&](size_t v) {
@@ -275,7 +269,7 @@ PartitionPlanSearchResult SearchPartitionPlan(
   // round 0 sweeps only the drifted variables — the others' counts were right last time
   // and nothing about them changed; later rounds (reached only if round 0 moved) sweep
   // everything, because a drifted variable's new count can shift its neighbours'.
-  for (int round = 0; round < options.max_coordinate_rounds; ++round) {
+  for (int round = 0; round < kMaxCoordinateRounds; ++round) {
     bool moved = false;
     for (size_t v = 0; v < n; ++v) {
       if (result.warm_started && round == 0 && !variables[v].drifted) {
@@ -294,7 +288,7 @@ PartitionPlanSearchResult SearchPartitionPlan(
       CountKey trial = best;
       trial[v] = clamp_count(sweep.best_partitions, v);
       const double trial_seconds = measure_counts(trial);
-      if (trial_seconds < best_seconds * (1.0 - options.coordinate_margin)) {
+      if (trial_seconds < best_seconds * (1.0 - kCoordinateMargin)) {
         best = std::move(trial);
         best_seconds = trial_seconds;
         moved = true;
@@ -312,13 +306,11 @@ PartitionPlanSearchResult SearchPartitionPlan(
   // placed plan measures strictly better than round-robin at the same counts.
   Placements best_placements;
   result.unplaced_seconds = best_seconds;
-  const PlacementSearchOptions& pl = options.placement;
-  if (pl.enabled && pl.num_machines > 1) {
-    const int machines = pl.num_machines;
-    const int racks =
-        (pl.num_racks > 1 && machines % pl.num_racks == 0) ? pl.num_racks : 1;
-    const int per_rack = machines / racks;
-    auto rack_of = [per_rack](int m) { return m / per_rack; };
+  if (options.placement && cluster.num_machines > 1) {
+    const Topology topology(cluster);
+    const int machines = cluster.num_machines;
+    const int racks = topology.num_racks();
+    auto rack_of = [&topology](int m) { return topology.RackOfMachine(m); };
 
     // Every piece of every searched variable, heaviest traffic first. Per step each
     // worker machine pushes and pulls a piece once, so a piece of b bytes loads its
@@ -363,10 +355,10 @@ PartitionPlanSearchResult SearchPartitionPlan(
                           const std::vector<double>& spine_load) {
       double worst = 0.0;
       for (double bytes : nic_load) {
-        worst = std::max(worst, bytes / pl.nic_bandwidth);
+        worst = std::max(worst, bytes / cluster.nic_bandwidth);
       }
       for (double bytes : spine_load) {
-        worst = std::max(worst, bytes / pl.spine_bandwidth);
+        worst = std::max(worst, bytes / cluster.topology.spine_bandwidth);
       }
       return worst;
     };
@@ -397,7 +389,7 @@ PartitionPlanSearchResult SearchPartitionPlan(
 
     // Swap refinement: move a piece off the statically busiest NIC onto the idlest and
     // keep the move only when the simulated clock agrees by the margin.
-    for (int round = 0; round < pl.max_swap_rounds; ++round) {
+    for (int round = 0; round < kMaxSwapRounds; ++round) {
       int busiest = 0;
       int idlest = 0;
       for (int m = 1; m < machines; ++m) {
@@ -411,7 +403,7 @@ PartitionPlanSearchResult SearchPartitionPlan(
       if (busiest == idlest) {
         break;
       }
-      // Trial the busiest server's pieces in scan order (at most max_swap_trials of
+      // Trial the busiest server's pieces in scan order (at most kMaxSwapTrials of
       // them); the first move that wins by the margin is kept.
       bool moved = false;
       int trials = 0;
@@ -419,13 +411,13 @@ PartitionPlanSearchResult SearchPartitionPlan(
         if (placed[piece.var][piece.index] != busiest) {
           continue;
         }
-        if (trials++ >= pl.max_swap_trials) {
+        if (trials++ >= kMaxSwapTrials) {
           break;
         }
         Placements trial = placed;
         trial[piece.var][piece.index] = idlest;
         const double seconds = measure_placed(best, trial);
-        if (seconds < placed_seconds * (1.0 - pl.swap_margin)) {
+        if (seconds < placed_seconds * (1.0 - kSwapMargin)) {
           placed = std::move(trial);
           placed_seconds = seconds;
           moved = true;

@@ -20,6 +20,8 @@
 // PartitionPlan): a uniform sweep seeds the descent, Equation 1's closed form at each
 // variable's measured alpha spreads the seed across variables, and coordinate descent —
 // the same doubling/halving sweep, one variable at a time — refines until no move wins.
+// An optional placement pass then picks each piece's server, reading the topology from
+// the ClusterSpec the candidates are simulated on.
 #ifndef PARALLAX_SRC_CORE_COST_MODEL_H_
 #define PARALLAX_SRC_CORE_COST_MODEL_H_
 
@@ -31,6 +33,7 @@
 
 #include "src/base/status.h"
 #include "src/core/partition_plan.h"
+#include "src/sim/cluster.h"
 
 namespace parallax {
 
@@ -51,55 +54,41 @@ struct CostModelFit {
 // Least-squares fit of Equation 1 to (partition count, iteration seconds) samples.
 CostModelFit FitCostModel(const std::vector<std::pair<int, double>>& samples);
 
-// PS-shard placement as a searched dimension (SearchPartitionPlan's final phase).
-// The greedy seed assigns each piece to the server machine minimizing the bottleneck
-// *link utilization* under a static traffic model — every worker machine pushes and
-// pulls each piece once per step, loading the server's NIC (incast), each worker's NIC,
-// and, across racks, both spine directions — then bounded local swaps refine on the
-// measured (simulated) clock. Disabled by default: flat clusters and placement-oblivious
-// searches pay nothing.
-struct PlacementSearchOptions {
-  bool enabled = false;
-  // The hierarchical machine view (mirrors sim TopologySpec; plain ints/doubles so the
-  // cost model stays independent of the simulator headers). num_machines <= 1 or a rack
-  // count that does not divide the machines degrades gracefully (flat / no-op).
-  int num_machines = 0;
-  int num_racks = 1;
-  double nic_bandwidth = 1.25e9;
-  double spine_bandwidth = 6.25e9;
-  // Local-swap refinement: rounds of busiest-to-idlest piece moves, candidate moves
-  // tried per round, and the relative measured-time margin a move must beat.
-  int max_swap_rounds = 2;
-  int max_swap_trials = 4;
-  double swap_margin = 0.002;
-};
-
 struct PartitionSearchOptions {
   // Initial sample point; the paper uses the number of machines.
   int initial_partitions = 8;
   int min_partitions = 1;
   int max_partitions = 4096;
-  // Per-variable search only: a coordinate move is adopted when it beats the incumbent
-  // plan's measured time by this relative margin. The margin keeps the descent from
-  // chasing simulator noise and guarantees termination on a finite landscape.
-  double coordinate_margin = 0.002;
-  // Per-variable search only: full passes over the variables before the descent stops
-  // even if moves keep winning (each pass re-sweeps every coordinate).
-  int max_coordinate_rounds = 4;
   // Per-variable search only: when true AND every variable carries previous_partitions,
   // the uniform sweep and closed-form seed are skipped — coordinate descent starts at
   // the previous counts and its first round sweeps only the variables marked drifted.
   // This is the re-search the adaptive runner performs when alpha drift is confined to
   // one variable: O(one sweep) instead of O(full search).
   bool warm_start = false;
-  // Per-variable search only: shard placement search (see PlacementSearchOptions).
-  PlacementSearchOptions placement;
+  // Per-variable search only: also search each piece's server (SearchPartitionPlan's
+  // placement pass) on the cluster the candidates are simulated on. Off by default:
+  // flat clusters and placement-oblivious searches pay nothing.
+  bool placement = false;
 };
 
-// The options every search below requires: min_partitions >= 1, max_partitions >=
-// min_partitions, coordinate_margin >= 0 and max_coordinate_rounds >= 1. The searches
-// abort on a violation; RunnerBuilder::Build and PlannerService::Plan, which take
-// options from callers, return this InvalidArgument instead.
+// The per-variable search's fixed tuning. A coordinate move is adopted when it beats
+// the incumbent plan's measured time by this relative margin. The margin keeps the
+// descent from chasing simulator noise and guarantees termination on a finite
+// landscape.
+inline constexpr double kCoordinateMargin = 0.002;
+// Full passes over the variables before the descent stops even if moves keep winning
+// (each pass re-sweeps every coordinate).
+inline constexpr int kMaxCoordinateRounds = 4;
+// Placement refinement: rounds of busiest-to-idlest piece moves, candidate moves tried
+// per round, and the relative measured-time margin a move must beat.
+inline constexpr int kMaxSwapRounds = 2;
+inline constexpr int kMaxSwapTrials = 4;
+inline constexpr double kSwapMargin = 0.002;
+
+// The options every search below requires: min_partitions >= 1 and max_partitions >=
+// min_partitions. The searches abort on a violation; RunnerBuilder::Build and
+// PlannerService::Plan, which take options from callers, return this InvalidArgument
+// instead.
 Status ValidateSearchOptions(const PartitionSearchOptions& options);
 
 // Which search the runner performs for partitioner-scoped sparse variables.
@@ -174,15 +163,24 @@ struct PartitionPlanSearchResult {
 //      by every variable alike, so P_v ~ P* * sqrt(w_v / mean(w));
 //   3. coordinate descent — one variable at a time, the doubling/halving sweep of
 //      SearchPartitions runs over measure(plan with that coordinate varied); the best
-//      candidate is adopted iff it beats the incumbent by coordinate_margin, and the
-//      descent stops after a full pass with no winning move (or max_coordinate_rounds).
+//      candidate is adopted iff it beats the incumbent by kCoordinateMargin, and the
+//      descent stops after a full pass with no winning move (or kMaxCoordinateRounds);
+//   4. placement (options.placement, on more than one machine) — a greedy seed assigns
+//      each piece to the server machine minimizing the bottleneck *link utilization*
+//      under a static traffic model (every worker machine pushes and pulls each piece
+//      once per step, loading the server's NIC, each worker's NIC and, across racks,
+//      both spine directions), then bounded busiest-to-idlest swaps refine on the
+//      measured clock. The placed plan is adopted only if it measures strictly better
+//      than round-robin at the same counts.
 //
-// measure(plan) must return the mean iteration time under that layout. All measurements
-// are memoized by the searched variables' counts, so revisited plans cost nothing. The
-// procedure is deterministic: same inputs, same plan.
+// measure(plan) must return the mean iteration time under that layout, simulated on
+// `cluster`; the placement pass reads the cluster's machines, racks, NIC bandwidth and
+// spine bandwidth, and nothing else does. All measurements are memoized by the searched
+// variables' counts and placements, so revisited plans cost nothing. The procedure is
+// deterministic: same inputs, same plan.
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
-    const std::vector<PartitionSearchVariable>& variables,
+    const std::vector<PartitionSearchVariable>& variables, const ClusterSpec& cluster,
     const PartitionSearchOptions& options);
 
 }  // namespace parallax

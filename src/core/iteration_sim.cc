@@ -3,7 +3,52 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/base/math.h"
+#include "src/base/strings.h"
+
 namespace parallax {
+
+Status ValidateTimingInputs(const ClusterSpec& cluster, double gpu_compute_seconds,
+                            const SyncCostParams& costs) {
+  const ClusterSpec& c = cluster;
+  if (c.num_machines < 1 || c.gpus_per_machine < 1 || c.cores_per_machine < 1) {
+    return Status::InvalidArgument(
+        "cluster: num_machines, gpus_per_machine and cores_per_machine must be >= 1");
+  }
+  // Negated comparisons, so that a NaN fails them too.
+  if (!(c.nic_bandwidth > 0.0) || !(c.pcie_bandwidth > 0.0) || !(c.nic_latency >= 0.0) ||
+      !(c.pcie_latency >= 0.0)) {
+    return Status::InvalidArgument(
+        "cluster: NIC and PCIe bandwidths must be > 0 and their latencies >= 0");
+  }
+  if (!c.topology.flat()) {
+    if (c.num_machines % c.topology.num_racks != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "cluster: %d racks do not divide %d machines evenly", c.topology.num_racks,
+          c.num_machines));
+    }
+    if (!(c.topology.spine_bandwidth > 0.0) || !(c.topology.spine_latency >= 0.0)) {
+      return Status::InvalidArgument(
+          "cluster: spine_bandwidth must be > 0 and spine_latency >= 0");
+    }
+  }
+  if (!std::isfinite(gpu_compute_seconds) || gpu_compute_seconds < 0.0) {
+    return Status::InvalidArgument("gpu_compute_seconds must be finite and >= 0");
+  }
+  for (double cost :
+       {costs.sparse_agg_seconds_per_element, costs.sparse_update_seconds_per_element,
+        costs.sparse_flush_seconds_per_element, costs.dense_agg_seconds_per_element,
+        costs.dense_update_seconds_per_element, costs.request_overhead_seconds,
+        costs.partition_overhead_seconds, costs.stitch_seconds_per_partition,
+        costs.worker_dispatch_seconds_per_piece, costs.gpu_dense_apply_seconds_per_element,
+        costs.gpu_sparse_apply_seconds_per_element, costs.collective_step_overhead_seconds,
+        costs.compress_seconds_per_element, costs.gatherv_cross_machine_inflation}) {
+    if (!std::isfinite(cost) || cost < 0.0) {
+      return Status::InvalidArgument("costs: every cost must be finite and >= 0");
+    }
+  }
+  return Status::Ok();
+}
 
 std::vector<int> ResolveShardServers(std::span<const VariableSync> variables,
                                      int num_machines) {
@@ -67,14 +112,12 @@ IterationSimulator::IterationSimulator(const ClusterSpec& cluster_spec,
     const VariableSync& sync = variables_[static_cast<size_t>(v)];
     PX_CHECK_GE(sync.partitions, 1);
     if (sync.method == SyncMethod::kPs) {
-      int64_t base = sync.spec.num_elements / sync.partitions;
-      int64_t rem = sync.spec.num_elements % sync.partitions;
       for (int p = 0; p < sync.partitions; ++p) {
         Shard shard;
         shard.var = v;
         shard.piece = p;
         shard.server = servers[next_server++];
-        shard.elements = base + (p < rem ? 1 : 0);
+        shard.elements = BalancedSplitSize(sync.spec.num_elements, sync.partitions, p);
         shards_.push_back(shard);
       }
     }

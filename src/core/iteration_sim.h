@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/comm/collectives.h"
 #include "src/core/sync_engine.h"
 #include "src/models/calibration.h"
@@ -94,6 +95,18 @@ struct SimulationArena {
   std::vector<size_t> var_shards;             // per-build scratch
   CollectiveSchedule schedule;                // per-collective replay target
 };
+
+// What the timing plane needs to simulate an iteration without aborting, checked once
+// for every caller that takes these inputs from outside (ValidatePlannerQuery,
+// RunnerBuilder::Build):
+//   - the cluster: num_machines, gpus_per_machine and cores_per_machine >= 1; NIC and
+//     PCIe bandwidths > 0 and latencies >= 0; on more than one rack, the racks divide
+//     the machines evenly, spine_bandwidth > 0 and spine_latency >= 0;
+//   - gpu_compute_seconds and every seconds-valued or factor-valued `costs` constant
+//     finite and >= 0.
+// Returns InvalidArgument naming the first rule broken.
+Status ValidateTimingInputs(const ClusterSpec& cluster, double gpu_compute_seconds,
+                            const SyncCostParams& costs);
 
 // The effective server machine of every PS shard in `variables` (in variable order,
 // pieces ascending): piece p of a variable with a matching-length placement vector

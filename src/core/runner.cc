@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/base/math.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
 #include "src/service/planner_service.h"
@@ -110,13 +111,11 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   partition_plan_ = config_.manual_plan;
   sim_arena_ = std::make_unique<SimulationArena>();
   if (config_.auto_partition && HasPartitionedVariable()) {
-    PartitionSearchOptions options = SearchOptionsForCluster();
-    options.initial_partitions = cluster_spec_.num_machines;
-    const PlannerQuery query = MakePlannerQuery(options);
+    const PlannerQuery query = MakePlannerQuery(cluster_spec_.num_machines);
     PartitionPlanSearchResult found = Plan(query);
     partition_plan_ = found.plan;
     search_result_ = found.uniform;
-    if (!query.targets.empty()) {
+    if (!SearchTargets(query).empty()) {
       plan_search_result_ = std::move(found);
     }
   }
@@ -127,7 +126,8 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
     engine->Prepare(plan_);
   }
 
-  // 5.+6. Graph transformation and the timing plane for this training job.
+  // 5.+6. The timing plane for this training job (the transformed graph is built on
+  // request, distributed_graph()).
   RebuildTimingPlane();
   cluster_ = std::make_unique<Cluster>(cluster_spec_);
   MaybeStartMonitor();
@@ -158,8 +158,6 @@ IterationSimConfig GraphRunner::MakeSimConfig() const {
 }
 
 void GraphRunner::RebuildTimingPlane() {
-  distributed_graph_.emplace(
-      TransformGraph(*graph_, plan_.variables, resources_, config_.local_aggregation));
   timing_ = std::make_unique<IterationSimulator>(cluster_spec_, plan_.variables,
                                                  config_.gpu_compute_seconds,
                                                  config_.compute_chunks, MakeSimConfig(),
@@ -184,65 +182,30 @@ double GraphRunner::MeasurePlan(const PartitionPlan& plan) {
   return sim.MeasureIterationSeconds();
 }
 
-PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
-  PartitionSearchOptions search = config_.search;
-  if (config_.search_placement) {
-    search.placement.enabled = true;
-    search.placement.num_machines = cluster_spec_.num_machines;
-    search.placement.num_racks = cluster_spec_.topology.num_racks;
-    search.placement.nic_bandwidth = cluster_spec_.nic_bandwidth;
-    search.placement.spine_bandwidth = cluster_spec_.topology.spine_bandwidth;
-  }
-  return search;
-}
-
-std::vector<PartitionSearchVariable> GraphRunner::SearchTargets() const {
-  if (config_.search_mode != PartitionSearchMode::kPerVariable) {
-    return {};  // uniform mode: the query searches one shared P
-  }
-  // plan_.variables carries the routed method and the current (startup-sampled or
-  // monitor-measured) alpha for every variable by the time any search runs, so the
-  // targets reflect what will actually execute — including engine overrides that
-  // moved a variable off PS.
-  std::vector<PartitionSearchVariable> targets;
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    const VariableDef& def = graph_->variables()[v];
-    const VariableSparsity& info = sparsity_.at(static_cast<int>(v));
-    if (!def.partitioner_scope || info.kind != GradKind::kSparse ||
-        plan_.variables[v].method != SyncMethod::kPs) {
-      continue;
-    }
-    PartitionSearchVariable target;
-    target.name = def.name;
-    target.alpha = plan_.variables[v].spec.alpha;
-    target.num_elements = info.num_elements;
-    target.max_partitions = def.shape.rank() >= 1 ? def.shape.dim(0) : 1;
-    // Warm-start bookkeeping for adaptive re-searches: the count the variable holds
-    // now, and whether its measured alpha moved past the drift threshold since the
-    // last re-anchor. Without a monitor every variable counts as drifted, which
-    // disables the warm start (the conservative default).
-    target.previous_partitions = plan_.variables[v].partitions;
-    if (monitor_ != nullptr && monitor_->Tracks(static_cast<int>(v))) {
-      const double baseline = monitor_->baseline_alpha(static_cast<int>(v));
-      const double drift =
-          std::abs(monitor_->measured_alpha(static_cast<int>(v)) - baseline) /
-          std::max(baseline, 1e-12);
-      target.drifted = drift >= monitor_->policy().drift_threshold;
-    }
-    targets.push_back(std::move(target));
-  }
-  return targets;
-}
-
-PlannerQuery GraphRunner::MakePlannerQuery(const PartitionSearchOptions& options) const {
+PlannerQuery GraphRunner::MakePlannerQuery(int initial_partitions) const {
   PlannerQuery query;
   query.variables = PlannerVariablesOf(*graph_, plan_.variables);
-  query.targets = SearchTargets();
+  // Warm-start bookkeeping for adaptive re-searches: whether each monitored variable's
+  // measured alpha moved past the drift threshold since the last re-anchor. Without a
+  // monitor every variable counts as drifted, which disables the warm start (the
+  // conservative default).
+  if (monitor_ != nullptr) {
+    for (int v : monitor_->tracked()) {
+      const double baseline = monitor_->baseline_alpha(v);
+      const double drift =
+          std::abs(monitor_->measured_alpha(v) - baseline) / std::max(baseline, 1e-12);
+      query.variables[static_cast<size_t>(v)].drifted =
+          drift >= monitor_->policy().drift_threshold;
+    }
+  }
+  query.mode = config_.search_mode;
   query.cluster = cluster_spec_;
   query.sim_config = MakeSimConfig();
   query.gpu_compute_seconds = config_.gpu_compute_seconds;
   query.compute_chunks = config_.compute_chunks;
-  query.options = options;
+  query.options = config_.search;
+  query.options.initial_partitions = initial_partitions;
+  query.options.placement = config_.search_placement;
   return query;
 }
 
@@ -251,18 +214,12 @@ PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
   const char* source = "private";
   if (config_.planner != nullptr) {
     // Shared planning service: the search (or a memoized twin of it) runs on a pooled
-    // arena, coalesced with identical queries from other tenants. The fields a private
-    // search would have filled are synthesized from the service's answer.
-    // Build validated the search options. A query the service rejects otherwise
-    // (ValidatePlannerQuery: a malformed cluster, compute time or cost constant)
-    // aborts here.
-    const PlannerResult answer = config_.planner->Plan(query).value();
-    found.plan = answer.plan;
-    found.seconds = answer.seconds;
-    found.uniform_seconds = answer.uniform_seconds;
-    found.uniform.best_partitions = answer.best_uniform_partitions;
-    found.uniform.predicted_seconds = answer.uniform_seconds;
-    found.evaluations = answer.evaluations;
+    // arena, coalesced with identical queries from other tenants, and its answer is the
+    // search's own result. Build validated the options and the timing inputs, and the
+    // variables come from the graph and the sampled alphas, so the service accepts the
+    // query.
+    PlannerResult answer = config_.planner->Plan(query).value();
+    found = std::move(answer.search);
     source = answer.cache_hit   ? "shared planner, cache hit"
              : answer.coalesced ? "shared planner, coalesced"
                                 : "shared planner";
@@ -273,13 +230,6 @@ PartitionPlanSearchResult GraphRunner::Plan(const PlannerQuery& query) {
                << " at " << found.seconds << "s vs " << found.uniform_seconds
                << "s baseline after " << found.evaluations << " sampling runs";
   return found;
-}
-
-double GraphRunner::MigrationSeconds(const std::vector<VariableSync>& to) const {
-  // Same-membership shim: both layouts live on the current cluster.
-  const Topology topology(cluster_spec_);
-  return MigrationSecondsBetween(plan_.variables, cluster_spec_.num_machines, to,
-                                 cluster_spec_.num_machines, topology);
 }
 
 double GraphRunner::MigrationSecondsBetween(const std::vector<VariableSync>& from,
@@ -303,14 +253,11 @@ double GraphRunner::MigrationSecondsBetween(const std::vector<VariableSync>& fro
   const std::vector<int> from_servers = ResolveShardServers(from, from_machines);
   const std::vector<int> to_servers = ResolveShardServers(to, to_machines);
 
-  // Element range of piece `piece` out of `count` — the same base/remainder split the
-  // simulator's shards and the PS engine's row splitter apply.
+  // Element range of piece `piece` out of `count`: the one balanced split the
+  // simulator's shards use too (base/math.h).
   auto piece_range = [](int64_t elements, int count, int piece) {
-    const int64_t base = elements / count;
-    const int64_t rem = elements % count;
-    const int64_t start =
-        static_cast<int64_t>(piece) * base + std::min<int64_t>(piece, rem);
-    return std::pair<int64_t, int64_t>(start, start + base + (piece < rem ? 1 : 0));
+    return std::pair<int64_t, int64_t>(BalancedSplitBegin(elements, count, piece),
+                                       BalancedSplitBegin(elements, count, piece + 1));
   };
 
   double transfer_seconds = 0.0;
@@ -448,9 +395,7 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = incumbent_seconds;
   if (config_.auto_partition && HasPartitionedVariable()) {
-    PartitionSearchOptions options = SearchOptionsForCluster();
-    options.initial_partitions = cluster_spec_.num_machines;
-    PartitionPlan found = Plan(MakePlannerQuery(options)).plan;
+    PartitionPlan found = Plan(MakePlannerQuery(cluster_spec_.num_machines)).plan;
     const double seconds = MeasurePlan(found);
     if (seconds < best_seconds) {
       best_plan = std::move(found);
@@ -647,15 +592,14 @@ void GraphRunner::MaybeAdapt() {
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = current_seconds;
   if (policy.repartition) {
-    PartitionSearchOptions options = SearchOptionsForCluster();
-    options.initial_partitions = partition_plan_.MaxPartitions();
-    PlannerQuery query = MakePlannerQuery(options);
+    PlannerQuery query = MakePlannerQuery(partition_plan_.MaxPartitions());
     // Warm start the per-variable re-search when the drift is confined to a single
     // variable: the other counts were right at the last verdict and their workloads
     // have not moved, so the descent resumes from the incumbent plan and round 0
     // sweeps only the drifted coordinate — one sweep instead of a full search.
+    const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
     const auto drifted =
-        std::count_if(query.targets.begin(), query.targets.end(),
+        std::count_if(targets.begin(), targets.end(),
                       [](const PartitionSearchVariable& target) { return target.drifted; });
     query.options.warm_start = drifted == 1;
     // The candidate is re-measured at the measured (unsnapped) alphas, so the
@@ -674,7 +618,11 @@ void GraphRunner::MaybeAdapt() {
   // the check interval, so the window is whichever is longer.
   std::vector<VariableSync> best_variables = VariablesWithPartitions(best_plan);
   const bool layout_changed = !same_layout(best_variables, plan_.variables);
-  const double migration_seconds = layout_changed ? MigrationSeconds(best_variables) : 0.0;
+  const double migration_seconds =
+      layout_changed ? MigrationSecondsBetween(plan_.variables, cluster_spec_.num_machines,
+                                               best_variables, cluster_spec_.num_machines,
+                                               Topology(cluster_spec_))
+                     : 0.0;
   const double window_steps = static_cast<double>(
       std::max({policy.cooldown_steps, policy.check_interval, 1}));
   const bool amortized =
@@ -848,9 +796,9 @@ SyncEngine* GraphRunner::engine(const std::string& name) const {
   return nullptr;
 }
 
-const DistributedGraph& GraphRunner::distributed_graph() const {
+DistributedGraph GraphRunner::distributed_graph() const {
   PX_CHECK(initialized_);
-  return *distributed_graph_;
+  return TransformGraph(*graph_, plan_.variables, resources_, config_.local_aggregation);
 }
 
 VariableStore GraphRunner::WorkerView() const {

@@ -10,7 +10,8 @@
 //      coordinate descent at each variable's measured alpha,
 //      PartitionSearchMode::kPerVariable), and stamps each variable's own partition
 //      count onto the SyncPlan,
-//   4. transforms the graph (section 4.3) — the resulting DistributedGraph is inspectable,
+//   4. transforms the graph (section 4.3) on request — distributed_graph() returns the
+//      DistributedGraph of the layout in force,
 //   5. trains: each Step() executes every GPU replica's forward/backward on its shard of
 //      the batch (numerics are real) — in a synchronous step the replicas run at once,
 //      one rank per task on the kernel pool (PARALLAX_THREADS lanes), each on its own
@@ -124,8 +125,12 @@ struct ParallaxConfig {
   // Per-variable search only: also search each variable's shard *placement* (which
   // server machine hosts each piece) against the cluster's topology — the greedy
   // bottleneck-utilization seed plus measured-clock swap refinement of
-  // PlacementSearchOptions. Off by default: placement-oblivious runs stay bit-identical.
+  // SearchPartitionPlan's placement pass. Off by default: placement-oblivious runs stay
+  // bit-identical.
   bool search_placement = false;
+  // The partition search's options. Each search sets two fields itself: its starting
+  // point (initial_partitions: the machine count, or the current plan's largest count
+  // for an adaptive re-search) and its placement bit (search_placement).
   PartitionSearchOptions search{.initial_partitions = 8,
                                 .min_partitions = 1,
                                 .max_partitions = 1024};
@@ -175,8 +180,7 @@ class GraphRunner {
 
   // Elastic re-partitioning: swaps the partition layout mid-training. Values are
   // preserved bit-for-bit: every engine is re-Prepared, which only refreshes its
-  // configuration, and the timing plane and the distributed graph are rebuilt for the
-  // new layout.
+  // configuration, and the timing plane is rebuilt for the new layout.
   void Repartition(const PartitionPlan& plan);
 
   // Elastic membership change (docs/elasticity.md): workers and servers join or leave
@@ -211,7 +215,9 @@ class GraphRunner {
   // The prepared engine registered under `name`, or nullptr if the plan routes no
   // variable to it.
   SyncEngine* engine(const std::string& name) const;
-  const DistributedGraph& distributed_graph() const;
+  // The transformed graph (section 4.3) of the layout in force, built on each call:
+  // nothing executes it, so the runner keeps none.
+  DistributedGraph distributed_graph() const;
   // The partition layout in force: the manual plan or the startup search's result,
   // until Repartition, the adaptive loop or Rescale adopts another.
   const PartitionPlan& partition_plan() const { return partition_plan_; }
@@ -219,9 +225,9 @@ class GraphRunner {
   // one that seeded the descent). Unset when no search ran.
   const std::optional<PartitionSearchResult>& partition_search() const { return search_result_; }
   // The per-variable search's full result (plan, measured seconds, uniform baseline).
-  // Set only when the startup search ran in PartitionSearchMode::kPerVariable. With a
-  // shared planner only the fields PlannerResult carries are filled (plan, seconds,
-  // uniform_seconds, uniform.best_partitions, evaluations).
+  // Set only when the startup search ran in PartitionSearchMode::kPerVariable and had
+  // a variable to search. A shared planner's answer is the same result, searched at
+  // its bucket-representative alphas.
   const std::optional<PartitionPlanSearchResult>& plan_search() const {
     return plan_search_result_;
   }
@@ -257,7 +263,7 @@ class GraphRunner {
   // Union of every engine's View() — tensors may share engine buffers (valid until the
   // next ApplyStep/Prepare), which is exactly the lifetime the step path needs.
   VariableStore ComposeView() const;
-  // Rebuilds the timing simulator and the inspectable distributed graph from plan_.
+  // Rebuilds the timing simulator from plan_.
   void RebuildTimingPlane();
   // Simulator configuration shared by the partition search, the training-time timing
   // plane, and the adaptive re-search.
@@ -273,37 +279,28 @@ class GraphRunner {
   // Mean simulated iteration seconds of `plan` on this runner's cluster, alphas and
   // arena — the clock Rescale and MaybeAdapt compare candidates on.
   double MeasurePlan(const PartitionPlan& plan);
-  // Cost-model estimate of swapping plan_.variables for `to`, placement-aware: both
-  // layouts are resolved to effective shard servers (ResolveShardServers), and only
-  // the bytes whose owning server actually changes move — charged over the actual
-  // path's bottleneck link (NIC within a rack, min(NIC, spine) across racks; a piece
-  // staying on its server moves nothing). Every piece that sends or receives bytes
-  // costs one round of request handling.
-  double MigrationSeconds(const std::vector<VariableSync>& to) const;
-  // Cross-membership generalization behind MigrationSeconds and Rescale: `from` and
-  // `to` resolve their shard servers against their own machine counts; `topology` must
-  // be the larger cluster's (its machine indices cover both sides — survivors keep
-  // their indices, so a shard on a surviving server moves nothing).
+  // Cost-model estimate of swapping layout `from` for `to`, placement-aware: both
+  // layouts are resolved to effective shard servers (ResolveShardServers) against their
+  // own machine counts, and only the bytes whose owning server actually changes move —
+  // charged over the actual path's bottleneck link (NIC within a rack, min(NIC, spine)
+  // across racks; a piece staying on its server moves nothing). Every piece that sends
+  // or receives bytes costs one round of request handling. `topology` must be the
+  // larger cluster's (its machine indices cover both sides — survivors keep their
+  // indices, so a shard on a surviving server moves nothing). MaybeAdapt passes one
+  // membership twice; Rescale passes the old and the new.
   double MigrationSecondsBetween(const std::vector<VariableSync>& from, int from_machines,
                                  const std::vector<VariableSync>& to, int to_machines,
                                  const Topology& topology) const;
-  // config_.search with the placement block filled from the cluster topology when
-  // config_.search_placement asks for it (call sites still set initial_partitions).
-  PartitionSearchOptions SearchOptionsForCluster() const;
-  // The variables the per-variable search may re-shard: partitioner-scoped sparse
-  // variables the plan routes to PS (engine overrides respected), with the plan's
-  // current alphas (startup-sampled at initialization, monitor-measured afterwards).
-  // None in uniform mode, which searches one shared P. Requires plan_.variables to be
-  // routed, which every call site guarantees.
-  std::vector<PartitionSearchVariable> SearchTargets() const;
-  // Packages this runner's current search inputs (variables, targets, cluster, sim
-  // config, options) as one planning query. The query fully determines the search
-  // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones.
-  PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options) const;
+  // Packages this runner's current search inputs (routed variables with their drift
+  // flags, search mode, cluster, sim config, options starting at initial_partitions) as
+  // one planning query. The query fully determines the search outcome; alphas are the
+  // plan's current (startup-sampled or monitor-measured) ones, and the per-variable
+  // search's targets follow from the routing (SearchTargets), engine overrides
+  // respected. Requires plan_.variables to be routed, which every call site guarantees.
+  PlannerQuery MakePlannerQuery(int initial_partitions) const;
   // The one search dispatch: the shared PlannerService when config_.planner is set,
-  // SearchPlan on this runner's arena otherwise. A service answer
-  // is reported in the private search's shape (plan, seconds, uniform baseline,
-  // evaluations); either way one search line is logged.
+  // SearchPlan on this runner's arena otherwise. Either way the result is the search's
+  // own, and one search line is logged.
   PartitionPlanSearchResult Plan(const PlannerQuery& query);
   // Creates the sparsity monitor and attaches it to the engines, when the config asks
   // for adaptive partitioning and the plan has monitorable variables.
@@ -348,7 +345,6 @@ class GraphRunner {
   SyncPlan plan_;
   // Prepared engines, in order of first appearance in the plan.
   std::vector<std::unique_ptr<SyncEngine>> engines_;
-  std::optional<DistributedGraph> distributed_graph_;
   std::optional<PartitionSearchResult> search_result_;
   std::optional<PartitionPlanSearchResult> plan_search_result_;
   // The layout in force for partitioner-scoped sparse variables (uniform until a

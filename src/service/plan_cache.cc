@@ -27,7 +27,7 @@ size_t PlanCacheKeyHash::operator()(const PlanCacheKey& key) const {
 
 PlanCache::PlanCache(size_t capacity) : capacity_(std::max<size_t>(capacity, 1)) {}
 
-std::optional<CachedPlan> PlanCache::Get(const PlanCacheKey& key) {
+std::optional<PartitionPlanSearchResult> PlanCache::Get(const PlanCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -39,17 +39,17 @@ std::optional<CachedPlan> PlanCache::Get(const PlanCacheKey& key) {
   return it->second->second;
 }
 
-void PlanCache::Put(const PlanCacheKey& key, CachedPlan plan) {
+void PlanCache::Put(const PlanCacheKey& key, PartitionPlanSearchResult result) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
     // Refresh: the search is deterministic so the value should be unchanged, but a
     // re-Put (e.g. after an eviction raced a concurrent search) must stay coherent.
-    it->second->second = std::move(plan);
+    it->second->second = std::move(result);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(plan));
+  lru_.emplace_front(key, std::move(result));
   map_[key] = lru_.begin();
   while (map_.size() > capacity_) {
     map_.erase(lru_.back().first);

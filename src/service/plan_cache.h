@@ -1,22 +1,25 @@
-// Memoized partition plans keyed by what actually determines a search's outcome.
+// Memoized partition searches keyed by what actually determines a search's outcome.
 //
-// SearchPartitionPlan is deterministic: the same (simulated cluster, per-variable
-// synchronization inputs, search options, alphas) always produces the same plan. The
-// PlannerService exploits that by caching adopted plans under a PlanCacheKey — three
-// fingerprints plus the quantized alpha vector (docs/planner_service.md):
+// SearchPlan is deterministic: the same (simulated cluster, per-variable
+// synchronization inputs, search mode and options, alphas) always produces the same
+// result. The PlannerService exploits that by caching each search's whole result under
+// a PlanCacheKey — three fingerprints plus the quantized alpha vector
+// (docs/planner_service.md):
 //
 //   model     — every input of the simulated iteration that comes from the model: each
 //               variable's identity/size/method (and, for variables the plan does NOT
-//               control, its fixed partition count and placement), plus the search
-//               targets' structure. Alphas are excluded: they live in alpha_buckets.
+//               control, its fixed partition count and placement), whether the query
+//               searches per variable, and, under a warm start, the searched variables'
+//               current counts and drift flags. Alphas are excluded: they live in
+//               alpha_buckets.
 //   resources — the ClusterSpec/TopologySpec, the IterationSimConfig (including every
 //               calibrated cost constant), and the compute model (gpu seconds, chunks).
-//   options   — every PartitionSearchOptions field, placement sub-options included.
+//   options   — every PartitionSearchOptions field.
 //
-// alpha_buckets carries one quantized bucket per variable (then per target, in order).
-// Searches run at bucket-representative alphas, so a cache hit is byte-identical to a
-// fresh search at the same key — the representative IS the searched input, not an
-// approximation of it.
+// alpha_buckets carries one quantized bucket per variable, in order. Searches run at
+// bucket-representative alphas, so a cache hit is bit-identical to a fresh search at
+// the same key — the representative IS the searched input, not an approximation of
+// it.
 //
 // The cache is thread-safe (one mutex, LRU eviction) and self-contained: it never calls
 // back into the service, so the service may hold its own lock across Get/Put.
@@ -31,7 +34,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/partition_plan.h"
+#include "src/core/cost_model.h"
 
 namespace parallax {
 
@@ -39,8 +42,8 @@ struct PlanCacheKey {
   uint64_t model = 0;
   uint64_t resources = 0;
   uint64_t options = 0;
-  // One bucket per variable, then one per search target, in query order. With
-  // quantization disabled each entry is the raw alpha's bit pattern.
+  // One bucket per variable, in query order. With quantization disabled each entry is
+  // the raw alpha's bit pattern.
   std::vector<int64_t> alpha_buckets;
 
   bool operator==(const PlanCacheKey& other) const = default;
@@ -48,17 +51,6 @@ struct PlanCacheKey {
 
 struct PlanCacheKeyHash {
   size_t operator()(const PlanCacheKey& key) const;
-};
-
-// The memoized outcome of one search (per-variable or uniform), carrying enough to
-// reconstruct the introspection results a private-arena search would have produced.
-struct CachedPlan {
-  PartitionPlan plan;
-  double seconds = 0.0;          // measured seconds of the adopted plan
-  double uniform_seconds = 0.0;  // measured seconds at the best uniform P
-  int best_uniform_partitions = 1;
-  int evaluations = 0;  // distinct plans measured by the search
-  bool uniform = false;  // produced by the uniform (SearchPartitions) path
 };
 
 struct PlanCacheStats {
@@ -75,13 +67,13 @@ class PlanCache {
  public:
   explicit PlanCache(size_t capacity);
 
-  std::optional<CachedPlan> Get(const PlanCacheKey& key);
-  void Put(const PlanCacheKey& key, CachedPlan plan);
+  std::optional<PartitionPlanSearchResult> Get(const PlanCacheKey& key);
+  void Put(const PlanCacheKey& key, PartitionPlanSearchResult result);
 
   PlanCacheStats stats() const;
 
  private:
-  using Entry = std::pair<PlanCacheKey, CachedPlan>;
+  using Entry = std::pair<PlanCacheKey, PartitionPlanSearchResult>;
 
   mutable std::mutex mu_;
   size_t capacity_;                  // fixed after construction

@@ -71,14 +71,15 @@ uint64_t ModelFingerprint(const PlannerQuery& query) {
       }
     }
   }
-  h = Mix(h, query.targets.size());
-  for (const PartitionSearchVariable& t : query.targets) {
-    h = MixString(h, t.name);
-    h = Mix(h, static_cast<uint64_t>(t.num_elements));
-    h = Mix(h, static_cast<uint64_t>(t.max_partitions));
-    if (query.options.warm_start) {
-      // Warm-start state steers the search only when warm_start is set (the search
-      // never reads it otherwise — keying on it cold would split identical searches).
+  // A target's name, size and cap are its variable's, mixed above. The targets add
+  // their count (0 for a uniform query, and for a per-variable one with no target,
+  // which runs the same uniform search) and, under a warm start, where the search
+  // resumes. The search reads that state only then, and keying on it otherwise would
+  // split identical searches.
+  const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
+  h = Mix(h, targets.size());
+  if (query.options.warm_start) {
+    for (const PartitionSearchVariable& t : targets) {
       h = Mix(h, static_cast<uint64_t>(t.previous_partitions));
       h = Mix(h, t.drifted ? 1 : 0);
     }
@@ -130,99 +131,68 @@ uint64_t OptionsFingerprint(const PartitionSearchOptions& o) {
   h = Mix(h, static_cast<uint64_t>(o.initial_partitions));
   h = Mix(h, static_cast<uint64_t>(o.min_partitions));
   h = Mix(h, static_cast<uint64_t>(o.max_partitions));
-  h = MixDouble(h, o.coordinate_margin);
-  h = Mix(h, static_cast<uint64_t>(o.max_coordinate_rounds));
   h = Mix(h, o.warm_start ? 1 : 0);
-  h = Mix(h, o.placement.enabled ? 1 : 0);
-  h = Mix(h, static_cast<uint64_t>(o.placement.num_machines));
-  h = Mix(h, static_cast<uint64_t>(o.placement.num_racks));
-  h = MixDouble(h, o.placement.nic_bandwidth);
-  h = MixDouble(h, o.placement.spine_bandwidth);
-  h = Mix(h, static_cast<uint64_t>(o.placement.max_swap_rounds));
-  h = Mix(h, static_cast<uint64_t>(o.placement.max_swap_trials));
-  h = MixDouble(h, o.placement.swap_margin);
+  h = Mix(h, o.placement ? 1 : 0);
   return h;
-}
-
-PlannerResult ResultFrom(const CachedPlan& cached) {
-  PlannerResult result;
-  result.plan = cached.plan;
-  result.seconds = cached.seconds;
-  result.uniform_seconds = cached.uniform_seconds;
-  result.best_uniform_partitions = cached.best_uniform_partitions;
-  result.evaluations = cached.evaluations;
-  result.uniform = cached.uniform;
-  return result;
 }
 
 }  // namespace
 
 Status ValidatePlannerQuery(const PlannerQuery& query) {
-  const ClusterSpec& c = query.cluster;
-  if (c.num_machines < 1 || c.gpus_per_machine < 1 || c.cores_per_machine < 1) {
-    return Status::InvalidArgument(
-        "cluster: num_machines, gpus_per_machine and cores_per_machine must be >= 1");
-  }
-  // Negated comparisons, so that a NaN fails them too.
-  if (!(c.nic_bandwidth > 0.0) || !(c.pcie_bandwidth > 0.0) || !(c.nic_latency >= 0.0) ||
-      !(c.pcie_latency >= 0.0)) {
-    return Status::InvalidArgument(
-        "cluster: NIC and PCIe bandwidths must be > 0 and their latencies >= 0");
-  }
-  if (!c.topology.flat()) {
-    if (c.num_machines % c.topology.num_racks != 0) {
-      return Status::InvalidArgument(StrFormat(
-          "cluster: %d racks do not divide %d machines evenly", c.topology.num_racks,
-          c.num_machines));
-    }
-    if (!(c.topology.spine_bandwidth > 0.0) || !(c.topology.spine_latency >= 0.0)) {
-      return Status::InvalidArgument(
-          "cluster: spine_bandwidth must be > 0 and spine_latency >= 0");
-    }
-  }
+  PX_RETURN_IF_ERROR(ValidateTimingInputs(query.cluster, query.gpu_compute_seconds,
+                                          query.sim_config.costs));
   if (query.variables.empty()) {
     return Status::InvalidArgument("a query needs at least one variable");
   }
-  if (!std::isfinite(query.gpu_compute_seconds) || query.gpu_compute_seconds < 0.0) {
-    return Status::InvalidArgument("gpu_compute_seconds must be finite and >= 0");
-  }
-  const SyncCostParams& k = query.sim_config.costs;
-  for (double cost :
-       {k.sparse_agg_seconds_per_element, k.sparse_update_seconds_per_element,
-        k.sparse_flush_seconds_per_element, k.dense_agg_seconds_per_element,
-        k.dense_update_seconds_per_element, k.request_overhead_seconds,
-        k.partition_overhead_seconds, k.stitch_seconds_per_partition,
-        k.worker_dispatch_seconds_per_piece, k.gpu_dense_apply_seconds_per_element,
-        k.gpu_sparse_apply_seconds_per_element, k.collective_step_overhead_seconds,
-        k.compress_seconds_per_element, k.gatherv_cross_machine_inflation}) {
-    if (!std::isfinite(cost) || cost < 0.0) {
-      return Status::InvalidArgument("sim_config.costs: every cost must be finite and >= 0");
-    }
-  }
   for (const PlannerVariable& v : query.variables) {
+    const VariableSpec& spec = v.sync.spec;
+    // Negated, so that a NaN alpha fails it too.
+    if (!(spec.alpha >= 0.0 && spec.alpha <= 1.0)) {
+      return Status::InvalidArgument(
+          StrFormat("variable '%s': alpha must be in [0, 1]", spec.name.c_str()));
+    }
+    if (spec.num_elements < 1 || spec.row_elements < 1 || v.rows < 1) {
+      return Status::InvalidArgument(
+          StrFormat("variable '%s': num_elements, row_elements and rows must be >= 1",
+                    spec.name.c_str()));
+    }
     if (v.partitioned) {
       continue;  // the searched plan sets its partitions and placement
     }
-    const std::string& name = v.sync.spec.name;
     if (v.sync.partitions < 1) {
       return Status::InvalidArgument(
-          StrFormat("variable '%s': partitions must be >= 1", name.c_str()));
+          StrFormat("variable '%s': partitions must be >= 1", spec.name.c_str()));
     }
     for (int server : v.sync.placement) {
-      if (server < 0 || server >= c.num_machines) {
+      if (server < 0 || server >= query.cluster.num_machines) {
         return Status::InvalidArgument(
             StrFormat("variable '%s': placement names server %d of %d machines",
-                      name.c_str(), server, c.num_machines));
+                      spec.name.c_str(), server, query.cluster.num_machines));
       }
     }
   }
-  if (query.options.placement.enabled &&
-      query.options.placement.num_machines > c.num_machines) {
-    return Status::InvalidArgument(StrFormat(
-        "placement search models %d machines, the cluster has %d",
-        query.options.placement.num_machines, c.num_machines));
-  }
   return Status::Ok();
+}
+
+std::vector<PartitionSearchVariable> SearchTargets(const PlannerQuery& query) {
+  std::vector<PartitionSearchVariable> targets;
+  if (query.mode != PartitionSearchMode::kPerVariable) {
+    return targets;
+  }
+  for (const PlannerVariable& v : query.variables) {
+    if (!v.partitioned || !v.sync.spec.is_sparse) {
+      continue;
+    }
+    PartitionSearchVariable target;
+    target.name = v.sync.spec.name;
+    target.alpha = v.sync.spec.alpha;
+    target.num_elements = v.sync.spec.num_elements;
+    target.max_partitions = v.rows;
+    target.previous_partitions = v.sync.partitions;
+    target.drifted = v.drifted;
+    targets.push_back(std::move(target));
+  }
+  return targets;
 }
 
 PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena) {
@@ -236,8 +206,9 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
                            query.sim_config, arena);
     return sim.MeasureIterationSeconds();
   };
-  if (!query.targets.empty()) {
-    return SearchPartitionPlan(measure_plan, query.targets, query.options);
+  const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
+  if (!targets.empty()) {
+    return SearchPartitionPlan(measure_plan, targets, query.cluster, query.options);
   }
   PartitionPlanSearchResult result;
   result.uniform = SearchPartitions(
@@ -279,9 +250,6 @@ void PlannerService::Canonicalize(PlannerQuery* query) const {
   for (PlannerVariable& v : query->variables) {
     v.sync.spec.alpha = BucketRepresentative(AlphaBucket(v.sync.spec.alpha, quantum), quantum);
   }
-  for (PartitionSearchVariable& t : query->targets) {
-    t.alpha = BucketRepresentative(AlphaBucket(t.alpha, quantum), quantum);
-  }
 }
 
 PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
@@ -289,27 +257,16 @@ PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
   key.model = ModelFingerprint(query);
   key.resources = ResourcesFingerprint(query);
   key.options = OptionsFingerprint(query.options);
-  key.alpha_buckets.reserve(query.variables.size() + query.targets.size());
+  key.alpha_buckets.reserve(query.variables.size());
   for (const PlannerVariable& v : query.variables) {
     key.alpha_buckets.push_back(AlphaBucket(v.sync.spec.alpha, options_.alpha_quantum));
-  }
-  for (const PartitionSearchVariable& t : query.targets) {
-    key.alpha_buckets.push_back(AlphaBucket(t.alpha, options_.alpha_quantum));
   }
   return key;
 }
 
-CachedPlan PlannerService::Search(const PlannerQuery& query) {
+PartitionPlanSearchResult PlannerService::Search(const PlannerQuery& query) {
   ArenaPool::Lease lease = AcquireArena();
-  const PartitionPlanSearchResult result = SearchPlan(query, lease.get());
-  CachedPlan cached;
-  cached.plan = result.plan;
-  cached.seconds = result.seconds;
-  cached.uniform_seconds = result.uniform_seconds;
-  cached.best_uniform_partitions = result.uniform.best_partitions;
-  cached.evaluations = result.evaluations;
-  cached.uniform = query.targets.empty();
-  return cached;
+  return SearchPlan(query, lease.get());
 }
 
 StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
@@ -328,10 +285,8 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
     // either sees the cached plan or the in-flight marker — a duplicate search is
     // impossible.
     std::lock_guard<std::mutex> lock(mu_);
-    if (std::optional<CachedPlan> hit = cache_.Get(key)) {
-      PlannerResult result = ResultFrom(*hit);
-      result.cache_hit = true;
-      return result;
+    if (std::optional<PartitionPlanSearchResult> hit = cache_.Get(key)) {
+      return PlannerResult{std::move(*hit), /*cache_hit=*/true, /*coalesced=*/false};
     }
     auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
@@ -349,13 +304,11 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
     // already executing a serial search on some thread and never coalesces itself.
     std::unique_lock<std::mutex> lock(flight->mu);
     flight->cv.wait(lock, [&] { return flight->done; });
-    PlannerResult result = ResultFrom(flight->result);
-    result.coalesced = true;
-    return result;
+    return PlannerResult{flight->result, /*cache_hit=*/false, /*coalesced=*/true};
   }
 
   searches_.fetch_add(1, std::memory_order_relaxed);
-  CachedPlan searched = Search(query);
+  PartitionPlanSearchResult searched = Search(query);
   {
     std::lock_guard<std::mutex> lock(mu_);
     cache_.Put(key, searched);
@@ -367,7 +320,7 @@ StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
     flight->done = true;
   }
   flight->cv.notify_all();
-  return ResultFrom(searched);
+  return PlannerResult{std::move(searched), /*cache_hit=*/false, /*coalesced=*/false};
 }
 
 StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(

@@ -9,10 +9,11 @@
 //      on a busy arena: the pool grows on demand and retains up to max_pooled_arenas
 //      when idle, so concurrent searches are contention-free while steady-state
 //      queries reuse warm task storage and collective-schedule caches.
-//   2. PlanCache — searches are deterministic, so results are memoized under
-//      (model, resources, options) fingerprints plus the quantized alpha vector. A hit
-//      returns a plan byte-identical to a fresh search at the same key, because
-//      searches run AT the bucket-representative alphas (Canonicalize).
+//   2. PlanCache — searches are deterministic, so each search's whole result is
+//      memoized under (model, resources, options) fingerprints plus the quantized
+//      alpha vector. A hit returns the result a fresh search at the same key would,
+//      bit for bit, because searches run AT the bucket-representative alphas
+//      (Canonicalize).
 //   3. Coalescing — duplicate in-flight queries (same key) wait on the one running
 //      search instead of simulating again; PlanMany batches a whole query set, running
 //      one search per distinct key across the service's shared ThreadPool and fanning
@@ -67,11 +68,12 @@ struct PlannerServiceOptions {
 // Everything a search outcome depends on. Runners build this with
 // GraphRunner::MakePlannerQuery; standalone callers can assemble it directly.
 // `variables` is the querying model as the simulator will see it (PlannerVariable,
-// src/core/analysis.h): a searched plan reaches it through ApplyPlanToVariables.
+// src/core/analysis.h): a searched plan reaches it through ApplyPlanToVariables, and
+// the per-variable search's targets are derived from it (SearchTargets). `cluster` is
+// what every candidate is simulated on, and the placement pass reads its topology.
 struct PlannerQuery {
   std::vector<PlannerVariable> variables;
-  // Per-variable search targets; empty runs the uniform (single shared P) search.
-  std::vector<PartitionSearchVariable> targets;
+  PartitionSearchMode mode = PartitionSearchMode::kUniform;
   ClusterSpec cluster;
   IterationSimConfig sim_config;
   double gpu_compute_seconds = 0.0;
@@ -82,23 +84,27 @@ struct PlannerQuery {
 // What a query must satisfy for SearchPlan to run it without aborting. Queries are
 // untrusted input, so Plan and PlanMany check this (and ValidateSearchOptions) first and
 // return its InvalidArgument instead. The rules:
-//   - the cluster: num_machines, gpus_per_machine and cores_per_machine >= 1; NIC and
-//     PCIe bandwidths > 0 and latencies >= 0; on more than one rack, the racks divide
-//     the machines evenly, spine_bandwidth > 0 and spine_latency >= 0;
-//   - at least one variable; gpu_compute_seconds and every sim_config.costs constant
-//     finite and >= 0;
+//   - the cluster, gpu_compute_seconds and sim_config.costs pass ValidateTimingInputs
+//     (core/iteration_sim.h);
+//   - at least one variable; every variable's alpha is finite and in [0, 1], and its
+//     num_elements, row_elements and rows are >= 1;
 //   - a variable the plan does not control keeps partitions >= 1, and its fixed
-//     placement names servers in [0, num_machines);
-//   - a placement search models no more machines than the cluster has.
-// compute_chunks is not checked (the simulator clamps it), and neither are targets
-// that name no variable (the plan's count for them is never read).
+//     placement names servers in [0, num_machines).
+// compute_chunks is not checked (the simulator clamps it).
 Status ValidatePlannerQuery(const PlannerQuery& query);
+
+// The variables a per-variable query searches, in query order: each partitioned sparse
+// variable, with its spec's name, alpha and size, its row count as the cap, and its
+// current partitions and drift flag for a warm start. Empty for a uniform query, and
+// for a per-variable query in which no variable qualifies.
+std::vector<PartitionSearchVariable> SearchTargets(const PlannerQuery& query);
 
 // The one partition search behind every planning path: a runner's private start-up,
 // adaptive and rescale searches call it on the runner's own arena, and
 // PlannerService runs it on a leased arena for every cache miss. Each candidate layout
 // is simulated on `arena` through ApplyPlanToVariables, one at a time.
-//   - With targets: SearchPartitionPlan (per-variable counts, placement when enabled).
+//   - With SearchTargets: SearchPartitionPlan (per-variable counts, placement when
+//     options.placement is set).
 //   - Without: the uniform sweep (SearchPartitions), reported as a plan search —
 //     `plan` is Uniform(best P), `uniform` holds the sweep, `evaluations` is its sample
 //     count, and `seconds` == `uniform_seconds` is the measured time at best P (read
@@ -107,13 +113,9 @@ Status ValidatePlannerQuery(const PlannerQuery& query);
 PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena);
 
 struct PlannerResult {
-  PartitionPlan plan;
-  double seconds = 0.0;          // measured seconds of the adopted plan (at the
-                                 // bucket-representative alphas)
-  double uniform_seconds = 0.0;  // measured seconds at the best uniform P
-  int best_uniform_partitions = 1;
-  int evaluations = 0;
-  bool uniform = false;    // uniform (SearchPartitions) path produced the plan
+  // What SearchPlan returned for the canonicalized query (searched at the
+  // bucket-representative alphas).
+  PartitionPlanSearchResult search;
   bool cache_hit = false;  // served from the PlanCache without simulating
   bool coalesced = false;  // shared another query's in-flight or batched search
 };
@@ -150,8 +152,8 @@ class PlannerService {
   // naming the first bad index, and no query of the batch is counted or searched.
   StatusOr<std::vector<PlannerResult>> PlanMany(const std::vector<PlannerQuery>& queries);
 
-  // Snaps every alpha (variables' spec.alpha and targets' alpha) to its bucket
-  // representative — the value searches actually run at. Idempotent.
+  // Snaps every variable's spec.alpha to its bucket representative — the value searches
+  // actually run at. Idempotent.
   void Canonicalize(PlannerQuery* query) const;
 
   // The cache key of a canonicalized query. Plan() does this internally; exposed so
@@ -172,13 +174,13 @@ class PlannerService {
   struct InFlight {
     std::mutex mu;
     std::condition_variable cv;
-    bool done = false;           // guarded by mu
-    CachedPlan result;           // guarded by mu; valid once done
+    bool done = false;                 // guarded by mu
+    PartitionPlanSearchResult result;  // guarded by mu; valid once done
   };
 
   // Runs SearchPlan for a canonicalized query on a leased arena. Pure compute: takes
   // no service lock.
-  CachedPlan Search(const PlannerQuery& query);
+  PartitionPlanSearchResult Search(const PlannerQuery& query);
 
   const PlannerServiceOptions options_;
 

@@ -187,7 +187,7 @@ TEST(SearchPartitionPlanTest, FindsPerVariableOptimaAndBeatsBestUniform) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult result =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
 
   EXPECT_GE(result.plan.For("a"), 16);
   EXPECT_LE(result.plan.For("a"), 64);
@@ -212,9 +212,9 @@ TEST(SearchPartitionPlanTest, DeterministicAcrossRuns) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult first =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   PartitionPlanSearchResult second =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   EXPECT_EQ(first.plan, second.plan);
   EXPECT_EQ(first.seconds, second.seconds);
   EXPECT_EQ(first.evaluations, second.evaluations);
@@ -228,7 +228,7 @@ TEST(SearchPartitionPlanTest, RespectsPerVariableCaps) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult result =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   EXPECT_LE(result.plan.For("a"), 4);
   for (const auto& [name, partitions] : result.plan.overrides()) {
     EXPECT_GE(partitions, 1);
@@ -246,7 +246,7 @@ TEST(SearchPartitionPlanTest, SymmetricVariablesStayTogether) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult result =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   EXPECT_EQ(result.plan.For("x"), result.plan.For("y"));
 }
 
@@ -259,7 +259,7 @@ TEST(SearchPartitionPlanTest, MemoizationKeepsSamplingBudgetSmall) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult result =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   EXPECT_LE(result.evaluations, 40);
   EXPECT_GE(result.evaluations, 5);
 }
@@ -272,7 +272,7 @@ TEST(SearchPartitionPlanTest, WarmStartSkipsSweepAndKeepsQuality) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   PartitionPlanSearchResult cold =
-      SearchPartitionPlan(landscape, landscape.variables, options);
+      SearchPartitionPlan(landscape, landscape.variables, ClusterSpec(), options);
   ASSERT_FALSE(cold.warm_started);
 
   // Re-search after drift confined to "a": every previous count is known, only "a"
@@ -284,7 +284,8 @@ TEST(SearchPartitionPlanTest, WarmStartSkipsSweepAndKeepsQuality) {
   }
   PartitionSearchOptions warm_options = options;
   warm_options.warm_start = true;
-  PartitionPlanSearchResult warm = SearchPartitionPlan(landscape, warm_vars, warm_options);
+  PartitionPlanSearchResult warm =
+      SearchPartitionPlan(landscape, warm_vars, ClusterSpec(), warm_options);
   EXPECT_TRUE(warm.warm_started);
   EXPECT_TRUE(warm.uniform.samples.empty()) << "uniform sweep ran despite warm start";
   EXPECT_LT(warm.evaluations, cold.evaluations);
@@ -301,7 +302,8 @@ TEST(SearchPartitionPlanTest, WarmStartNeedsEveryPreviousCount) {
   options.initial_partitions = 8;
   options.max_partitions = 512;
   options.warm_start = true;
-  PartitionPlanSearchResult result = SearchPartitionPlan(landscape, vars, options);
+  PartitionPlanSearchResult result =
+      SearchPartitionPlan(landscape, vars, ClusterSpec(), options);
   EXPECT_FALSE(result.warm_started);
   EXPECT_FALSE(result.uniform.samples.empty());
 }
@@ -370,17 +372,14 @@ TEST(PlacementSearchTest, TwoRackPlacedPlanBeatsBestObliviousPlan) {
 
   // The placement-oblivious baseline: the identical search with the placement pass off.
   PartitionPlanSearchResult oblivious =
-      SearchPartitionPlan(measure, TwoRackSearchVariables(), options);
+      SearchPartitionPlan(measure, TwoRackSearchVariables(), TwoRackSpec(), options);
   EXPECT_TRUE(oblivious.plan.placements().empty());
 
   PartitionSearchOptions placed_options = options;
-  placed_options.placement.enabled = true;
-  placed_options.placement.num_machines = 4;
-  placed_options.placement.num_racks = 2;
-  placed_options.placement.nic_bandwidth = 1e9;
-  placed_options.placement.spine_bandwidth = 1e9;
+  placed_options.placement = true;
   PartitionPlanSearchResult placed =
-      SearchPartitionPlan(measure, TwoRackSearchVariables(), placed_options);
+      SearchPartitionPlan(measure, TwoRackSearchVariables(), TwoRackSpec(),
+                          placed_options);
 
   // The counts phases are identical, so the oblivious optimum IS the placed search's
   // round-robin baseline — and the adopted placement must beat it on the simulated
@@ -397,7 +396,8 @@ TEST(PlacementSearchTest, TwoRackPlacedPlanBeatsBestObliviousPlan) {
     return MeasureTwoRackPlan(plan, &second_arena);
   };
   PartitionPlanSearchResult again =
-      SearchPartitionPlan(second_measure, TwoRackSearchVariables(), placed_options);
+      SearchPartitionPlan(second_measure, TwoRackSearchVariables(), TwoRackSpec(),
+                          placed_options);
   EXPECT_EQ(again.plan, placed.plan);
   EXPECT_EQ(again.seconds, placed.seconds);
 }

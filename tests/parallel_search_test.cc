@@ -248,13 +248,7 @@ PlannerQuery ServiceQuery(double embedding_alpha) {
   dense.spec = {"dense", 500'000, 1, false, 1.0};
   dense.method = SyncMethod::kArAllReduce;
   query.variables.push_back({dense, /*partitioned=*/false, /*rows=*/1});
-
-  PartitionSearchVariable target;
-  target.name = "embedding";
-  target.alpha = embedding_alpha;
-  target.num_elements = 640'000;
-  target.max_partitions = 10'000;
-  query.targets.push_back(target);
+  query.mode = PartitionSearchMode::kPerVariable;
 
   query.cluster = ServiceSpec();
   query.sim_config.ps_local_aggregation = true;
@@ -277,11 +271,11 @@ TEST(ParallelSearchTest, PlannerServiceParallelPlanMatchesSerialServiceAndOracle
   PlannerResult parallel = parallel_service.Plan(query).value();
   PlannerResult serial = serial_service.Plan(query).value();
 
-  EXPECT_TRUE(parallel.plan == serial.plan);
-  EXPECT_EQ(parallel.plan.ToString(), serial.plan.ToString());
-  EXPECT_EQ(parallel.seconds, serial.seconds);
-  EXPECT_EQ(parallel.uniform_seconds, serial.uniform_seconds);
-  EXPECT_EQ(parallel.evaluations, serial.evaluations);
+  EXPECT_TRUE(parallel.search.plan == serial.search.plan);
+  EXPECT_EQ(parallel.search.plan.ToString(), serial.search.plan.ToString());
+  EXPECT_EQ(parallel.search.seconds, serial.search.seconds);
+  EXPECT_EQ(parallel.search.uniform_seconds, serial.search.uniform_seconds);
+  EXPECT_EQ(parallel.search.evaluations, serial.search.evaluations);
 
   // And both match the private-arena oracle on a fresh arena.
   PlannerQuery canonical = query;
@@ -294,11 +288,11 @@ TEST(ParallelSearchTest, PlannerServiceParallelPlanMatchesSerialServiceAndOracle
                            canonical.sim_config, &arena);
     return sim.MeasureIterationSeconds();
   };
-  PartitionPlanSearchResult oracle =
-      SearchPartitionPlan(measure, canonical.targets, canonical.options);
-  EXPECT_TRUE(parallel.plan == oracle.plan);
-  EXPECT_EQ(parallel.seconds, oracle.seconds);
-  EXPECT_EQ(parallel.evaluations, oracle.evaluations);
+  PartitionPlanSearchResult oracle = SearchPartitionPlan(
+      measure, SearchTargets(canonical), canonical.cluster, canonical.options);
+  EXPECT_TRUE(parallel.search.plan == oracle.plan);
+  EXPECT_EQ(parallel.search.seconds, oracle.seconds);
+  EXPECT_EQ(parallel.search.evaluations, oracle.evaluations);
 
   // Every search is serial, so the speculation counters pxbench still reads stay 0 on
   // the pooled service too.
@@ -327,11 +321,11 @@ TEST(ParallelSearchTest, PlannerServicePlanManyMatchesPerQueryPlans) {
       service.Canonicalize(&canonical);
       SimulationArena arena;
       const PartitionPlanSearchResult serial = SearchPlan(canonical, &arena);
-      EXPECT_TRUE(batched[i].plan == serial.plan);
-      EXPECT_EQ(batched[i].plan.ToString(), serial.plan.ToString());
-      EXPECT_EQ(batched[i].seconds, serial.seconds);
-      EXPECT_EQ(batched[i].uniform_seconds, serial.uniform_seconds);
-      EXPECT_EQ(batched[i].evaluations, serial.evaluations);
+      EXPECT_TRUE(batched[i].search.plan == serial.plan);
+      EXPECT_EQ(batched[i].search.plan.ToString(), serial.plan.ToString());
+      EXPECT_EQ(batched[i].search.seconds, serial.seconds);
+      EXPECT_EQ(batched[i].search.uniform_seconds, serial.uniform_seconds);
+      EXPECT_EQ(batched[i].search.evaluations, serial.evaluations);
     }
     // The duplicate coalesced onto its representative's search.
     EXPECT_EQ(service.stats().searches, 3u);

@@ -10,13 +10,18 @@
 //    searched; odd queries a search can run are accepted,
 //  - ApplyPlanToVariables, the one plan applier, row-caps counts and drops stale
 //    placements,
+//  - a per-variable query searches exactly its partitioned sparse variables, resumes a
+//    warm start from their partitions and drift flags, and without one gets the
+//    uniform answer under the uniform query's key,
 //  - a runner using the shared planner trains bit-identically to a private-search
 //    runner (monitored and unmonitored alike),
 //  - with alpha_quantum = 0 the shared planner and the private search decide the same
-//    way at all three call sites: start-up, adaptive re-search and rescale.
+//    way at all three call sites: start-up (the whole search result), adaptive
+//    re-search and rescale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,19 +64,7 @@ PlannerQuery MakeQuery(double embedding_alpha, double softmax_alpha = 0.05) {
   dense.spec = {"dense", 500'000, 1, false, 1.0};
   dense.method = SyncMethod::kArAllReduce;
   query.variables.push_back({dense, /*partitioned=*/false, /*rows=*/1});
-
-  PartitionSearchVariable emb_target;
-  emb_target.name = "embedding";
-  emb_target.alpha = embedding_alpha;
-  emb_target.num_elements = 640'000;
-  emb_target.max_partitions = 10'000;
-  query.targets.push_back(emb_target);
-  PartitionSearchVariable sm_target;
-  sm_target.name = "softmax";
-  sm_target.alpha = softmax_alpha;
-  sm_target.num_elements = 320'000;
-  sm_target.max_partitions = 5'000;
-  query.targets.push_back(sm_target);
+  query.mode = PartitionSearchMode::kPerVariable;
 
   query.cluster = TinySpec();
   query.sim_config.ps_local_aggregation = true;
@@ -93,7 +86,8 @@ PartitionPlanSearchResult PrivateSearch(const PlannerQuery& canonical) {
                            canonical.sim_config, &arena);
     return sim.MeasureIterationSeconds();
   };
-  return SearchPartitionPlan(measure_plan, canonical.targets, canonical.options);
+  return SearchPartitionPlan(measure_plan, SearchTargets(canonical), canonical.cluster,
+                             canonical.options);
 }
 
 void ExpectPlansIdentical(const PartitionPlan& a, const PartitionPlan& b) {
@@ -107,15 +101,15 @@ TEST(PlannerServiceTest, PlanMatchesPrivateArenaSearchByteForByte) {
   PlannerQuery query = MakeQuery(0.02);
   PlannerResult result = service.Plan(query).value();
   EXPECT_FALSE(result.cache_hit);
-  EXPECT_FALSE(result.uniform);
+  EXPECT_GE(result.search.rounds, 1);  // the per-variable path produced the plan
 
   PlannerQuery canonical = query;
   service.Canonicalize(&canonical);
   PartitionPlanSearchResult oracle = PrivateSearch(canonical);
-  ExpectPlansIdentical(result.plan, oracle.plan);
-  EXPECT_EQ(result.seconds, oracle.seconds);
-  EXPECT_EQ(result.uniform_seconds, oracle.uniform_seconds);
-  EXPECT_EQ(result.evaluations, oracle.evaluations);
+  ExpectPlansIdentical(result.search.plan, oracle.plan);
+  EXPECT_EQ(result.search.seconds, oracle.seconds);
+  EXPECT_EQ(result.search.uniform_seconds, oracle.uniform_seconds);
+  EXPECT_EQ(result.search.evaluations, oracle.evaluations);
 }
 
 TEST(PlannerServiceTest, CacheHitReturnsIdenticalPlanState) {
@@ -125,10 +119,10 @@ TEST(PlannerServiceTest, CacheHitReturnsIdenticalPlanState) {
   PlannerResult second = service.Plan(query).value();
   EXPECT_FALSE(first.cache_hit);
   EXPECT_TRUE(second.cache_hit);
-  ExpectPlansIdentical(first.plan, second.plan);
-  EXPECT_EQ(first.seconds, second.seconds);
-  EXPECT_EQ(first.uniform_seconds, second.uniform_seconds);
-  EXPECT_EQ(first.evaluations, second.evaluations);
+  ExpectPlansIdentical(first.search.plan, second.search.plan);
+  EXPECT_EQ(first.search.seconds, second.search.seconds);
+  EXPECT_EQ(first.search.uniform_seconds, second.search.uniform_seconds);
+  EXPECT_EQ(first.search.evaluations, second.search.evaluations);
   EXPECT_EQ(service.stats().searches, 1u);
   EXPECT_EQ(service.stats().cache.hits, 1u);
 }
@@ -147,7 +141,7 @@ TEST(PlannerServiceTest, NearbyAlphasShareABucketDistantOnesDoNot) {
   PlannerQuery twice = a;
   service.Canonicalize(&twice);
   EXPECT_EQ(twice.variables[0].sync.spec.alpha, a.variables[0].sync.spec.alpha);
-  EXPECT_EQ(twice.targets[0].alpha, a.targets[0].alpha);
+  EXPECT_EQ(SearchTargets(twice)[0].alpha, SearchTargets(a)[0].alpha);
   // The representative stays within ~quantum/2 relative error of the raw alpha.
   EXPECT_NEAR(a.variables[0].sync.spec.alpha, 0.02, 0.02 * 0.05);
 }
@@ -167,8 +161,8 @@ TEST(PlannerServiceTest, ConcurrentIdenticalQueriesCoalesceToOneSearch) {
     thread.join();
   }
   for (int t = 1; t < kThreads; ++t) {
-    ExpectPlansIdentical(results[0].plan, results[static_cast<size_t>(t)].plan);
-    EXPECT_EQ(results[0].seconds, results[static_cast<size_t>(t)].seconds);
+    ExpectPlansIdentical(results[0].search.plan, results[static_cast<size_t>(t)].search.plan);
+    EXPECT_EQ(results[0].search.seconds, results[static_cast<size_t>(t)].search.seconds);
   }
   PlannerServiceStats stats = service.stats();
   EXPECT_EQ(stats.searches, 1u) << "duplicate in-flight queries must share one search";
@@ -194,7 +188,7 @@ TEST(PlannerServiceTest, ConcurrentDistinctQueriesSearchSeparatelyAndMatchOracle
   for (size_t t = 0; t < alphas.size(); ++t) {
     PlannerQuery canonical = MakeQuery(alphas[t]);
     service.Canonicalize(&canonical);
-    ExpectPlansIdentical(results[t].plan, PrivateSearch(canonical).plan);
+    ExpectPlansIdentical(results[t].search.plan, PrivateSearch(canonical).plan);
   }
 }
 
@@ -209,7 +203,7 @@ TEST(PlannerServiceTest, PlanManyCoalescesDuplicatesWithinTheBatch) {
   EXPECT_EQ(service.stats().searches, 2u);
   EXPECT_EQ(service.stats().queries, 6u);
   for (size_t i = 2; i < results.size(); ++i) {
-    ExpectPlansIdentical(results[i].plan, results[i - 2].plan);
+    ExpectPlansIdentical(results[i].search.plan, results[i - 2].search.plan);
   }
 }
 
@@ -254,9 +248,6 @@ TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
       {"min_partitions < 1", [](PlannerQuery& q) { q.options.min_partitions = 0; }},
       {"max_partitions < min_partitions",
        [](PlannerQuery& q) { q.options.max_partitions = 0; }},
-      {"coordinate_margin < 0", [](PlannerQuery& q) { q.options.coordinate_margin = -0.01; }},
-      {"max_coordinate_rounds < 1",
-       [](PlannerQuery& q) { q.options.max_coordinate_rounds = 0; }},
       {"num_machines 0", [](PlannerQuery& q) { q.cluster.num_machines = 0; }},
       {"gpus_per_machine 0", [](PlannerQuery& q) { q.cluster.gpus_per_machine = 0; }},
       {"cores_per_machine 0", [](PlannerQuery& q) { q.cluster.cores_per_machine = 0; }},
@@ -277,18 +268,22 @@ TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
       {"gpu_compute_seconds < 0", [](PlannerQuery& q) { q.gpu_compute_seconds = -1.0; }},
       {"partition_overhead_seconds < 0",
        [](PlannerQuery& q) { q.sim_config.costs.partition_overhead_seconds = -1.0; }},
-      {"placement search on 8 of 4 machines",
+      {"alpha NaN",
        [](PlannerQuery& q) {
-         q.options.placement.enabled = true;
-         q.options.placement.num_machines = 8;
+         q.variables[0].sync.spec.alpha = std::numeric_limits<double>::quiet_NaN();
        }},
+      {"alpha 5", [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = 5.0; }},
+      {"alpha -0.5", [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = -0.5; }},
+      {"-1 elements", [](PlannerQuery& q) { q.variables[0].sync.spec.num_elements = -1; }},
+      {"0 row_elements", [](PlannerQuery& q) { q.variables[0].sync.spec.row_elements = 0; }},
+      {"0 rows", [](PlannerQuery& q) { q.variables[0].rows = 0; }},
   };
   for (const bool uniform : {false, true}) {
     for (const BadQuery& bad : cases) {
       SCOPED_TRACE(std::string(bad.name) + (uniform ? ", uniform search" : ", per-variable"));
       PlannerQuery query = MakeQuery(0.02);
       if (uniform) {
-        query.targets.clear();
+        query.mode = PartitionSearchMode::kUniform;
       }
       bad.apply(query);
       PlannerService service;
@@ -309,16 +304,13 @@ TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
 }
 
 TEST(PlannerServiceTest, AcceptsOddQueriesASearchCanRun) {
-  // Neither of these aborts a search, so neither is rejected: a target that names no
-  // variable (the plan's count for it is never read), and compute_chunks 0 (the
+  // This does not abort a search, so it is not rejected: compute_chunks 0 (the
   // simulator clamps it).
   struct OddQuery {
     const char* name;
     void (*apply)(PlannerQuery&);
   };
   const OddQuery cases[] = {
-      {"target naming no variable",
-       [](PlannerQuery& q) { q.targets.front().name = "no_such_variable"; }},
       {"compute_chunks 0", [](PlannerQuery& q) { q.compute_chunks = 0; }},
   };
   for (const OddQuery& odd : cases) {
@@ -345,6 +337,116 @@ TEST(PlannerServiceTest, ApplyPlanToVariablesReplicatesRowCapAndPlacementGate) {
   EXPECT_EQ(applied[1].partitions, 4);
   EXPECT_EQ(applied[1].placement, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(applied[2].partitions, 1);  // non-partitioned passes through
+}
+
+// The names a plan overrides, in the plan's order.
+std::vector<std::string> OverriddenNames(const PartitionPlan& plan) {
+  std::vector<std::string> names;
+  for (const auto& [name, partitions] : plan.overrides()) {
+    names.push_back(name);
+  }
+  return names;
+}
+
+TEST(SearchPlanTest, PerVariableSearchCoversExactlyThePartitionedSparseVariables) {
+  PlannerQuery query = MakeQuery(0.02);
+  // A dense variable routed to PS in a partitioner scope (an engine override can do
+  // this): partitioned, but not a target. And a sparse PS variable outside any scope.
+  VariableSync dense_ps;
+  dense_ps.spec = {"dense_ps", 40'000, 64, false, 1.0};
+  dense_ps.method = SyncMethod::kPs;
+  query.variables.push_back({dense_ps, /*partitioned=*/true, /*rows=*/625});
+  query.variables.push_back(FixedPsVariable(2, {}));
+
+  const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
+  ASSERT_EQ(targets.size(), 2u);
+  EXPECT_EQ(targets[0].name, "embedding");
+  EXPECT_EQ(targets[0].alpha, 0.02);
+  EXPECT_EQ(targets[0].num_elements, 640'000);
+  EXPECT_EQ(targets[0].max_partitions, 10'000);
+  EXPECT_EQ(targets[1].name, "softmax");
+  EXPECT_EQ(targets[1].alpha, 0.05);
+  EXPECT_EQ(targets[1].num_elements, 320'000);
+  EXPECT_EQ(targets[1].max_partitions, 5'000);
+
+  SimulationArena arena;
+  const PartitionPlanSearchResult result = SearchPlan(query, &arena);
+  EXPECT_EQ(OverriddenNames(result.plan), (std::vector<std::string>{"embedding", "softmax"}));
+  EXPECT_GE(result.rounds, 1);
+
+  query.mode = PartitionSearchMode::kUniform;
+  EXPECT_TRUE(SearchTargets(query).empty());
+}
+
+TEST(SearchPlanTest, WarmStartResumesFromTheQuerysPartitionsAndDriftFlags) {
+  PlannerQuery query = MakeQuery(0.02);
+  query.options.warm_start = true;
+  query.variables[0].sync.partitions = 8;
+  query.variables[1].sync.partitions = 2;
+  query.variables[1].drifted = false;
+
+  const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
+  ASSERT_EQ(targets.size(), 2u);
+  EXPECT_EQ(targets[0].previous_partitions, 8);
+  EXPECT_TRUE(targets[0].drifted);
+  EXPECT_EQ(targets[1].previous_partitions, 2);
+  EXPECT_FALSE(targets[1].drifted);
+
+  // The search resumes from {embedding:8, softmax:2}: no uniform sweep, and the
+  // baseline is that plan's measured time.
+  SimulationArena arena;
+  const PartitionPlanSearchResult result = SearchPlan(query, &arena);
+  EXPECT_TRUE(result.warm_started);
+  EXPECT_TRUE(result.uniform.samples.empty());
+  PartitionPlan previous = PartitionPlan::Uniform(1);
+  previous.Set("embedding", 8);
+  previous.Set("softmax", 2);
+  IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, previous),
+                         query.gpu_compute_seconds, query.compute_chunks, query.sim_config,
+                         &arena);
+  EXPECT_EQ(result.uniform_seconds, sim.MeasureIterationSeconds());
+
+  // The warm-start state is part of the key only when warm_start is set.
+  PlannerService service;
+  PlannerQuery redrifted = query;
+  redrifted.variables[1].drifted = true;
+  PlannerQuery moved = query;
+  moved.variables[0].sync.partitions = 16;
+  EXPECT_FALSE(service.KeyFor(query) == service.KeyFor(redrifted));
+  EXPECT_FALSE(service.KeyFor(query) == service.KeyFor(moved));
+  query.options.warm_start = false;
+  redrifted.options.warm_start = false;
+  moved.options.warm_start = false;
+  EXPECT_EQ(service.KeyFor(query), service.KeyFor(redrifted));
+  EXPECT_EQ(service.KeyFor(query), service.KeyFor(moved));
+}
+
+TEST(SearchPlanTest, PerVariableQueryWithoutTargetsGetsTheUniformAnswer) {
+  // Both searched variables dense (routed to PS by an override): a per-variable query
+  // has nothing to search one by one, so it runs the uniform sweep under the uniform
+  // query's key.
+  PlannerQuery per_variable = MakeQuery(1.0, 1.0);
+  per_variable.variables[0].sync.spec.is_sparse = false;
+  per_variable.variables[1].sync.spec.is_sparse = false;
+  PlannerQuery uniform = per_variable;
+  uniform.mode = PartitionSearchMode::kUniform;
+  EXPECT_TRUE(SearchTargets(per_variable).empty());
+
+  PlannerService service;
+  EXPECT_EQ(service.KeyFor(per_variable), service.KeyFor(uniform));
+  const PlannerResult first = service.Plan(per_variable).value();
+  const PlannerResult second = service.Plan(uniform).value();
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+
+  SimulationArena arena;
+  const PartitionPlanSearchResult swept = SearchPlan(uniform, &arena);
+  ExpectPlansIdentical(first.search.plan, swept.plan);
+  EXPECT_TRUE(first.search.plan.overrides().empty());
+  EXPECT_EQ(first.search.seconds, swept.seconds);
+  EXPECT_EQ(first.search.evaluations, swept.evaluations);
+  EXPECT_EQ(first.search.uniform.samples, swept.uniform.samples);
+  EXPECT_EQ(first.search.rounds, 0);
 }
 
 TEST(PlannerServiceTest, ArenaPoolGrowsOnDemandAndRetainsUpToCap) {
@@ -500,23 +602,36 @@ SeamRun RunDriftAndRescale(PartitionSearchMode mode, std::shared_ptr<PlannerServ
   return run;
 }
 
+// One uniform sweep, field by field: samples, fit, chosen P and its prediction.
+void ExpectSameSweep(const PartitionSearchResult& a, const PartitionSearchResult& b) {
+  EXPECT_EQ(a.best_partitions, b.best_partitions);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.fit.ok, b.fit.ok);
+  EXPECT_EQ(a.fit.theta0, b.fit.theta0);
+  EXPECT_EQ(a.fit.theta1, b.fit.theta1);
+  EXPECT_EQ(a.fit.theta2, b.fit.theta2);
+  EXPECT_EQ(a.fit.rmse, b.fit.rmse);
+  EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
+}
+
 void ExpectSameDecisions(const SeamRun& shared, const SeamRun& priv) {
   EXPECT_EQ(shared.losses, priv.losses);
 
-  // Start-up: the fields a service answer carries.
+  // Start-up: the whole search, as the service returned it.
   ASSERT_EQ(shared.partition_search.has_value(), priv.partition_search.has_value());
   if (priv.partition_search.has_value()) {
-    EXPECT_EQ(shared.partition_search->best_partitions,
-              priv.partition_search->best_partitions);
+    ExpectSameSweep(*shared.partition_search, *priv.partition_search);
   }
   ASSERT_EQ(shared.plan_search.has_value(), priv.plan_search.has_value());
   if (priv.plan_search.has_value()) {
     ExpectPlansIdentical(shared.plan_search->plan, priv.plan_search->plan);
     EXPECT_EQ(shared.plan_search->seconds, priv.plan_search->seconds);
     EXPECT_EQ(shared.plan_search->uniform_seconds, priv.plan_search->uniform_seconds);
-    EXPECT_EQ(shared.plan_search->uniform.best_partitions,
-              priv.plan_search->uniform.best_partitions);
+    ExpectSameSweep(shared.plan_search->uniform, priv.plan_search->uniform);
+    EXPECT_EQ(shared.plan_search->rounds, priv.plan_search->rounds);
     EXPECT_EQ(shared.plan_search->evaluations, priv.plan_search->evaluations);
+    EXPECT_EQ(shared.plan_search->warm_started, priv.plan_search->warm_started);
+    EXPECT_EQ(shared.plan_search->unplaced_seconds, priv.plan_search->unplaced_seconds);
   }
 
   ASSERT_EQ(shared.verdicts.size(), priv.verdicts.size());

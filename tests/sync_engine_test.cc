@@ -9,6 +9,7 @@
 #include "src/models/trainable.h"
 #include "src/ps/ps_async.h"
 #include "src/ps/ps_numeric.h"
+#include "src/service/planner_service.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
@@ -159,6 +160,58 @@ TEST(RunnerBuilderTest, RejectsSearchOptionsTheFirstStepCannotRun) {
     ASSERT_FALSE(runner.ok());
     EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
         << runner.status().ToString();
+  }
+}
+
+TEST(RunnerBuilderTest, RejectsTimingInputsTheFirstStepCannotRun) {
+  // Each of these would abort the first Step's simulation, or its shared planner's
+  // query, so Build rejects it with or without a planner. The machine and GPU counts
+  // come from the resources, which Build checks on their own.
+  WordLmModel model(SmallLm(934));
+  struct TimingInputs {
+    ClusterSpec hardware = ClusterSpec::Paper();
+    double gpu_compute_seconds = 4e-3;
+    SyncCostParams costs;
+  };
+  struct BadInput {
+    const char* name;
+    void (*apply)(TimingInputs&);
+  };
+  const BadInput cases[] = {
+      {"cores_per_machine 0", [](TimingInputs& t) { t.hardware.cores_per_machine = 0; }},
+      {"nic_bandwidth 0", [](TimingInputs& t) { t.hardware.nic_bandwidth = 0.0; }},
+      {"pcie_latency < 0", [](TimingInputs& t) { t.hardware.pcie_latency = -1.0; }},
+      {"spine_bandwidth 0 on 2 racks",
+       [](TimingInputs& t) {
+         t.hardware.topology.num_racks = 2;
+         t.hardware.topology.spine_bandwidth = 0.0;
+       }},
+      {"gpu_compute_seconds < 0", [](TimingInputs& t) { t.gpu_compute_seconds = -1.0; }},
+      {"partition_overhead_seconds < 0",
+       [](TimingInputs& t) { t.costs.partition_overhead_seconds = -1.0; }},
+  };
+  auto build_with = [&](const TimingInputs& inputs, bool shared) {
+    RunnerBuilder builder(model.graph(), model.loss());
+    builder.WithResources("a:0,1;b:0,1")
+        .WithHardware(inputs.hardware)
+        .WithCompute(inputs.gpu_compute_seconds, 4)
+        .WithSyncCosts(inputs.costs);
+    if (shared) {
+      builder.WithPlanner(std::make_shared<PlannerService>());
+    }
+    return builder.Build();
+  };
+  for (const bool shared : {false, true}) {
+    for (const BadInput& bad : cases) {
+      SCOPED_TRACE(std::string(bad.name) + (shared ? ", shared planner" : ""));
+      TimingInputs inputs;
+      bad.apply(inputs);
+      auto runner = build_with(inputs, shared);
+      ASSERT_FALSE(runner.ok());
+      EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument)
+          << runner.status().ToString();
+    }
+    EXPECT_TRUE(build_with(TimingInputs(), shared).ok());
   }
 }
 
