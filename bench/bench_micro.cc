@@ -238,38 +238,37 @@ void BM_TanhInto(benchmark::State& state, bool skew) {
 BENCHMARK_CAPTURE(BM_TanhInto, skew, true);
 BENCHMARK_CAPTURE(BM_TanhInto, lm, false);
 
+// The AllReduce over n one-GPU machines, built from scratch each iteration: a fresh
+// cache builds the plan and a fresh graph takes it.
 void BM_RingAllReduceSchedule(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<int> machines;
-  for (int m = 0; m < n; ++m) {
-    machines.push_back(m);
-  }
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
   ClusterSpec spec = ClusterSpec::SingleGpuMachines(n);
+  CollectiveSchedule schedule;
   for (auto _ : state) {
     Cluster cluster(spec);
     TaskGraph graph;
-    AddRingAllReduce(graph, machines, 100'000'000, deps, CollectiveOptions{});
+    CollectiveScheduleCache cache;
+    cache.Instantiate(cache.AllReduce(RankLayout{n, 1}, 1, 100'000'000, CollectiveOptions{}),
+                      graph, deps, &schedule);
     benchmark::DoNotOptimize(graph.Execute(cluster));
   }
 }
 BENCHMARK(BM_RingAllReduceSchedule)->Arg(8)->Arg(32);
 
-// Steady-state path: the ring plan is cached and replayed into a reused graph arena.
+// Steady-state path: the plan is cached and replayed into a reused graph arena.
 void BM_RingAllReduceScheduleCached(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<int> machines;
-  for (int m = 0; m < n; ++m) {
-    machines.push_back(m);
-  }
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
   ClusterSpec spec = ClusterSpec::SingleGpuMachines(n);
   CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
   TaskGraph graph;
   for (auto _ : state) {
     Cluster cluster(spec);
     graph.Reset();
-    AddRingAllReduce(graph, machines, 100'000'000, deps, CollectiveOptions{}, &cache);
+    cache.Instantiate(cache.AllReduce(RankLayout{n, 1}, 1, 100'000'000, CollectiveOptions{}),
+                      graph, deps, &schedule);
     benchmark::DoNotOptimize(graph.Execute(cluster));
   }
 }
@@ -507,12 +506,13 @@ BENCHMARK(BM_PerVariableSearchWarmStart);
 //   0 = flat rank-level ring on a flat cluster: 2(MG-1) pipelined steps of w/(MG)
 //       bytes, PCIe between same-machine neighbours, NIC across machines (the
 //       topology-oblivious schedule where "N" in the ring formulas is the GPU count),
-//   1 = two-level hierarchical on the same flat cluster (PCIe reduce, machine-level
+//   1 = the AllReduce at one rack on the same flat cluster (PCIe reduce, machine-level
 //       NIC ring, PCIe broadcast) — must beat 0 at >= 2 machines,
-//   2 = the same hierarchical schedule on the racked cluster (2 racks, 2:1
+//   2 = the same one-rack AllReduce on the racked cluster (2 racks, 2:1
 //       oversubscribed spine): the machine ring pays the spine on every crossing,
-//   3 = rack-aware on the racked cluster (per-rack rings feeding cross-rack chunk
-//       rings that traverse each spine link once per direction per step) — must beat 2.
+//   3 = the AllReduce at the racked cluster's two racks (per-rack rings feeding
+//       cross-rack chunk rings that traverse each spine link once per direction per
+//       step) — must beat 2.
 // Wall time is schedule construction + event-loop cost; the makespan_us counter is the
 // simulated collective latency docs/perf.md records.
 ClusterSpec RackedBenchSpec(int machines, bool racked) {
@@ -534,7 +534,7 @@ ClusterSpec RackedBenchSpec(int machines, bool racked) {
 // The flat baseline: a reduce-scatter + allgather pipeline over all MG ranks with the
 // ring order a topology-unaware runtime produces — ranks interleaved across machines,
 // so every hop crosses the NICs and each machine's NIC carries G chunks per step
-// (versus one for the machine-major hierarchical ring). Each step every position
+// (versus one for the AllReduce's machine-major ring). Each step every position
 // forwards the chunk it just received to its successor; link FIFO order serializes a
 // machine's concurrent sends.
 void EmitFlatRankRing(TaskGraph& graph, const RankLayout& layout, int64_t bytes,
@@ -567,23 +567,18 @@ void BM_HierarchicalAllReduce(benchmark::State& state) {
   RankLayout layout{machines, spec.gpus_per_machine};
   std::vector<TaskId> deps(static_cast<size_t>(layout.num_ranks()), kNoTask);
   CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
   TaskGraph graph;
   SimTime makespan = 0.0;
   for (auto _ : state) {
     Cluster cluster(spec);
     graph.Reset();
-    switch (algo) {
-      case 0:
-        EmitFlatRankRing(graph, layout, bytes, CollectiveOptions{});
-        break;
-      case 1:
-      case 2:
-        AddHierarchicalAllReduce(graph, layout, bytes, deps, CollectiveOptions{}, &cache);
-        break;
-      default:
-        AddTopologyAllReduce(graph, layout, spec.topology.num_racks, bytes, deps,
-                             CollectiveOptions{}, &cache);
-        break;
+    if (algo == 0) {
+      EmitFlatRankRing(graph, layout, bytes, CollectiveOptions{});
+    } else {
+      const int num_racks = algo == 3 ? spec.topology.num_racks : 1;
+      cache.Instantiate(cache.AllReduce(layout, num_racks, bytes, CollectiveOptions{}), graph,
+                        deps, &schedule);
     }
     makespan = graph.Execute(cluster).makespan;
     benchmark::DoNotOptimize(makespan);

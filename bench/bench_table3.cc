@@ -60,13 +60,12 @@ Measurement MeasureArDense(int n, int m, int64_t w_elements) {
   Cluster cluster(spec);
   TaskGraph graph;
   CollectiveOptions options{0.0};
-  std::vector<int> machines;
-  for (int machine = 0; machine < n; ++machine) {
-    machines.push_back(machine);
-  }
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
+  CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
+  const SchedulePlan& plan = cache.AllReduce(RankLayout{n, 1}, 1, w_elements * 4, options);
   for (int i = 0; i < m; ++i) {
-    AddRingAllReduce(graph, machines, w_elements * 4, deps, options);
+    cache.Instantiate(plan, graph, deps, &schedule);
   }
   graph.Execute(cluster);
   Measurement result{0.0, 0.0};
@@ -83,15 +82,14 @@ Measurement MeasureArSparse(int n, int m, int64_t w_elements, double alpha) {
   Cluster cluster(spec);
   TaskGraph graph;
   CollectiveOptions options{0.0};
-  std::vector<int> machines;
-  for (int machine = 0; machine < n; ++machine) {
-    machines.push_back(machine);
-  }
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
   int64_t block = static_cast<int64_t>(alpha * static_cast<double>(w_elements)) * 4;
   std::vector<int64_t> blocks(static_cast<size_t>(n), block);
+  CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
+  const SchedulePlan& plan = cache.RankRingAllGatherv(RankLayout{n, 1}, blocks, options);
   for (int i = 0; i < m; ++i) {
-    AddRingAllGatherv(graph, machines, blocks, deps, options);
+    cache.Instantiate(plan, graph, deps, &schedule);
   }
   graph.Execute(cluster);
   Measurement result{0.0, 0.0};

@@ -11,7 +11,7 @@ namespace {
 constexpr int32_t ExternalRef(int slot) { return -1 - slot; }
 
 int32_t AddOp(SchedulePlan& plan, TaskKind kind, int src, int dst, int64_t bytes,
-              double seconds, std::span<const int32_t> refs, bool collapse = false) {
+              double seconds, std::span<const int32_t> refs) {
   SchedulePlan::Op op;
   op.kind = kind;
   op.src = src;
@@ -20,25 +20,23 @@ int32_t AddOp(SchedulePlan& plan, TaskKind kind, int src, int dst, int64_t bytes
   op.seconds = seconds;
   op.deps_begin = static_cast<int32_t>(plan.dep_refs.size());
   op.deps_count = static_cast<int32_t>(refs.size());
-  op.collapse_when_external_absent = collapse;
   plan.dep_refs.insert(plan.dep_refs.end(), refs.begin(), refs.end());
   plan.ops.push_back(op);
   return static_cast<int32_t>(plan.ops.size()) - 1;
 }
 
-int32_t PlanTransfer(SchedulePlan& plan, int src_slot, int dst_slot, int64_t bytes,
+int32_t PlanTransfer(SchedulePlan& plan, int src, int dst, int64_t bytes,
                      std::span<const int32_t> refs) {
-  return AddOp(plan, TaskKind::kTransfer, src_slot, dst_slot, bytes, 0.0, refs);
+  return AddOp(plan, TaskKind::kTransfer, src, dst, bytes, 0.0, refs);
 }
 
-int32_t PlanLocalTransfer(SchedulePlan& plan, int slot, int64_t bytes,
+int32_t PlanLocalTransfer(SchedulePlan& plan, int machine, int64_t bytes,
                           std::span<const int32_t> refs) {
-  return AddOp(plan, TaskKind::kLocalTransfer, slot, 0, bytes, 0.0, refs);
+  return AddOp(plan, TaskKind::kLocalTransfer, machine, 0, bytes, 0.0, refs);
 }
 
-int32_t PlanBarrier(SchedulePlan& plan, std::span<const int32_t> refs,
-                    bool collapse = false) {
-  return AddOp(plan, TaskKind::kBarrier, 0, 0, 0, 0.0, refs, collapse);
+int32_t PlanBarrier(SchedulePlan& plan, std::span<const int32_t> refs) {
+  return AddOp(plan, TaskKind::kBarrier, 0, 0, 0, 0.0, refs);
 }
 
 // Applies the per-step overhead to a transfer op; returns the ref marking chunk
@@ -51,97 +49,29 @@ int32_t WithOverhead(SchedulePlan& plan, int32_t transfer, const CollectiveOptio
   return transfer;
 }
 
-// Emits a ring AllReduce over participants 0..n-1, gated by dep_refs. slots[i] is
-// participant i's machine slot (empty = participant index, the historical behavior).
-// Appends each participant's completion barrier to done_refs and the joint barrier ref
-// to *all_done_ref, mirroring the task order of the original direct builder exactly.
-void EmitRingAllReduce(SchedulePlan& plan, std::span<const int> slots,
-                       std::span<const int32_t> dep_refs, int64_t bytes,
-                       const CollectiveOptions& options, std::vector<int32_t>& done_refs,
-                       int32_t& all_done_ref) {
-  const int n = static_cast<int>(dep_refs.size());
-  PX_CHECK_GT(n, 0);
-  auto slot = [&slots](int i) { return slots.empty() ? i : slots[static_cast<size_t>(i)]; };
-
-  if (n == 1) {
-    int32_t refs[] = {dep_refs[0]};
-    done_refs.push_back(PlanBarrier(plan, refs));
-    all_done_ref = done_refs.back();
-    return;
-  }
-
-  // arrivals[i] = ref after which participant i has received *and reduced* the step's
-  // chunk. Reduce-scatter: step s, participant i sends chunk (i-s) mod n to i+1. The
-  // receiver folds its own contribution into the incoming chunk, so every arrival also
-  // gates on the receiver's dependency (a collapsing barrier: absent dep, no barrier).
-  std::vector<int32_t> prev_arrival(static_cast<size_t>(n), -1);
-  std::vector<int32_t> arrival(static_cast<size_t>(n), -1);
-  for (int s = 0; s <= n - 2; ++s) {
-    for (int i = 0; i < n; ++i) {
-      int chunk = PosMod(i - s, n);
-      int recv = PosMod(i + 1, n);
-      int32_t send_dep = s == 0 ? dep_refs[static_cast<size_t>(i)]
-                                : prev_arrival[static_cast<size_t>(i)];
-      int32_t send_refs[] = {send_dep};
-      int32_t transfer = PlanTransfer(plan, slot(i), slot(recv),
-                                      BalancedSplitSize(bytes, n, chunk), send_refs);
-      int32_t arrived = WithOverhead(plan, transfer, options);
-      int32_t gate_refs[] = {arrived, dep_refs[static_cast<size_t>(recv)]};
-      arrival[static_cast<size_t>(recv)] =
-          PlanBarrier(plan, gate_refs, /*collapse=*/true);
-    }
-    std::swap(prev_arrival, arrival);
-  }
-
-  // Allgather: step s, participant i sends chunk (i+1-s) mod n to i+1. Its first send is
-  // gated on its final reduce-scatter arrival (the chunk it fully reduced).
-  for (int s = 0; s <= n - 2; ++s) {
-    for (int i = 0; i < n; ++i) {
-      int chunk = PosMod(i + 1 - s, n);
-      int32_t send_refs[] = {prev_arrival[static_cast<size_t>(i)]};
-      int32_t transfer = PlanTransfer(plan, slot(i), slot(PosMod(i + 1, n)),
-                                      BalancedSplitSize(bytes, n, chunk), send_refs);
-      arrival[static_cast<size_t>(PosMod(i + 1, n))] = WithOverhead(plan, transfer, options);
-    }
-    std::swap(prev_arrival, arrival);
-  }
-
-  size_t done_begin = done_refs.size();
-  for (int i = 0; i < n; ++i) {
-    int32_t refs[] = {prev_arrival[static_cast<size_t>(i)]};
-    done_refs.push_back(PlanBarrier(plan, refs));
-  }
-  all_done_ref = PlanBarrier(
-      plan, std::span<const int32_t>(done_refs.data() + done_begin, static_cast<size_t>(n)));
-}
-
-// The reduce-scatter half of the ring, standalone: after n-1 steps participant i holds
-// the fully reduced chunk (i+1) mod n; owned[i] is the ref gating that ownership.
-// Chunk c has BalancedSplitSize(bytes, n, c) bytes.
+// The reduce-scatter half of a ring over the machines `slots`, gated by dep_refs:
+// step s, participant i sends chunk (i-s) mod n to i+1, and after n-1 steps participant
+// i holds the fully reduced chunk (i+1) mod n; owned[i] is the ref gating that
+// ownership. The receiver folds its own contribution into the incoming chunk, so every
+// arrival also gates on the receiver's dependency. Chunk c has
+// BalancedSplitSize(bytes, n, c) bytes.
 void EmitRingReduceScatter(SchedulePlan& plan, std::span<const int> slots,
                            std::span<const int32_t> dep_refs, int64_t bytes,
                            const CollectiveOptions& options, std::vector<int32_t>& owned) {
   const int n = static_cast<int>(dep_refs.size());
-  PX_CHECK_GT(n, 0);
-  auto slot = [&slots](int i) { return slots.empty() ? i : slots[static_cast<size_t>(i)]; };
   owned.assign(dep_refs.begin(), dep_refs.end());
-  if (n == 1) {
-    return;
-  }
   std::vector<int32_t> arrival(static_cast<size_t>(n), -1);
   for (int s = 0; s <= n - 2; ++s) {
     for (int i = 0; i < n; ++i) {
       int chunk = PosMod(i - s, n);
       int recv = PosMod(i + 1, n);
-      int32_t send_dep = s == 0 ? dep_refs[static_cast<size_t>(i)]
-                                : owned[static_cast<size_t>(i)];
-      int32_t send_refs[] = {send_dep};
-      int32_t transfer = PlanTransfer(plan, slot(i), slot(recv),
+      int32_t send_refs[] = {owned[static_cast<size_t>(i)]};
+      int32_t transfer = PlanTransfer(plan, slots[static_cast<size_t>(i)],
+                                      slots[static_cast<size_t>(recv)],
                                       BalancedSplitSize(bytes, n, chunk), send_refs);
       int32_t arrived = WithOverhead(plan, transfer, options);
       int32_t gate_refs[] = {arrived, dep_refs[static_cast<size_t>(recv)]};
-      arrival[static_cast<size_t>(recv)] =
-          PlanBarrier(plan, gate_refs, /*collapse=*/true);
+      arrival[static_cast<size_t>(recv)] = PlanBarrier(plan, gate_refs);
     }
     std::swap(owned, arrival);
   }
@@ -154,171 +84,27 @@ void EmitRingAllGather(SchedulePlan& plan, std::span<const int> slots,
                        std::span<const int32_t> owned, int64_t bytes,
                        const CollectiveOptions& options, std::vector<int32_t>& done) {
   const int n = static_cast<int>(owned.size());
-  PX_CHECK_GT(n, 0);
-  auto slot = [&slots](int i) { return slots.empty() ? i : slots[static_cast<size_t>(i)]; };
   std::vector<int32_t> prev_arrival(owned.begin(), owned.end());
   std::vector<int32_t> arrival(static_cast<size_t>(n), -1);
   for (int s = 0; s <= n - 2; ++s) {
     for (int i = 0; i < n; ++i) {
       int chunk = PosMod(i + 1 - s, n);
+      int next = PosMod(i + 1, n);
       int32_t send_refs[] = {prev_arrival[static_cast<size_t>(i)]};
-      int32_t transfer = PlanTransfer(plan, slot(i), slot(PosMod(i + 1, n)),
+      int32_t transfer = PlanTransfer(plan, slots[static_cast<size_t>(i)],
+                                      slots[static_cast<size_t>(next)],
                                       BalancedSplitSize(bytes, n, chunk), send_refs);
-      arrival[static_cast<size_t>(PosMod(i + 1, n))] = WithOverhead(plan, transfer, options);
+      arrival[static_cast<size_t>(next)] = WithOverhead(plan, transfer, options);
     }
     std::swap(prev_arrival, arrival);
   }
   done.assign(prev_arrival.begin(), prev_arrival.end());
 }
 
-}  // namespace
-
-SchedulePlan BuildRingAllReducePlan(int num_participants, int64_t bytes,
-                                    const CollectiveOptions& options) {
-  SchedulePlan plan;
-  plan.num_participants = num_participants;
-  std::vector<int32_t> dep_refs(static_cast<size_t>(num_participants));
-  for (int i = 0; i < num_participants; ++i) {
-    dep_refs[static_cast<size_t>(i)] = ExternalRef(i);
-  }
-  EmitRingAllReduce(plan, {}, dep_refs, bytes, options, plan.done_refs, plan.all_done_ref);
-  return plan;
-}
-
-SchedulePlan BuildRingAllGathervPlan(std::span<const int64_t> bytes_per_machine,
-                                     const CollectiveOptions& options) {
-  const int n = static_cast<int>(bytes_per_machine.size());
-  PX_CHECK_GT(n, 0);
-  SchedulePlan plan;
-  plan.num_participants = n;
-
-  if (n == 1) {
-    int32_t refs[] = {ExternalRef(0)};
-    plan.done_refs.push_back(PlanBarrier(plan, refs));
-    plan.all_done_ref = plan.done_refs.back();
-    return plan;
-  }
-
-  // Step s: participant i forwards block (i-s) mod n to participant i+1.
-  std::vector<int32_t> prev_arrival(static_cast<size_t>(n), -1);
-  std::vector<int32_t> arrival(static_cast<size_t>(n), -1);
-  for (int s = 0; s <= n - 2; ++s) {
-    for (int i = 0; i < n; ++i) {
-      int block = PosMod(i - s, n);
-      int32_t send_dep = s == 0 ? ExternalRef(i) : prev_arrival[static_cast<size_t>(i)];
-      int32_t send_refs[] = {send_dep};
-      int32_t transfer =
-          PlanTransfer(plan, i, PosMod(i + 1, n),
-                       bytes_per_machine[static_cast<size_t>(block)], send_refs);
-      arrival[static_cast<size_t>(PosMod(i + 1, n))] = WithOverhead(plan, transfer, options);
-    }
-    std::swap(prev_arrival, arrival);
-  }
-
-  for (int i = 0; i < n; ++i) {
-    int32_t refs[] = {prev_arrival[static_cast<size_t>(i)]};
-    plan.done_refs.push_back(PlanBarrier(plan, refs));
-  }
-  plan.all_done_ref = PlanBarrier(plan, plan.done_refs);
-  return plan;
-}
-
-SchedulePlan BuildHierarchicalAllReducePlan(const RankLayout& layout, int64_t bytes,
-                                            const CollectiveOptions& options) {
-  const int num_ranks = layout.num_ranks();
-  SchedulePlan plan;
-  plan.num_participants = num_ranks;
-  plan.done_refs.resize(static_cast<size_t>(num_ranks));
-
-  // Phase 1: intra-machine reduce onto each machine's lead GPU, over PCIe.
-  std::vector<int32_t> machine_ready(static_cast<size_t>(layout.num_machines), -1);
-  std::vector<int32_t> local_refs(static_cast<size_t>(layout.gpus_per_machine));
-  for (int m = 0; m < layout.num_machines; ++m) {
-    for (int g = 0; g < layout.gpus_per_machine; ++g) {
-      local_refs[static_cast<size_t>(g)] = ExternalRef(layout.RankOf(m, g));
-    }
-    if (layout.gpus_per_machine > 1) {
-      machine_ready[static_cast<size_t>(m)] = PlanLocalTransfer(plan, m, bytes, local_refs);
-    } else {
-      machine_ready[static_cast<size_t>(m)] = PlanBarrier(plan, local_refs);
-    }
-  }
-
-  // Phase 2: ring across machines (machine slot = machine id here, so the plan
-  // instantiates with the identity translation).
-  std::vector<int32_t> ring_done;
-  int32_t ring_all_done = -1;
-  if (layout.num_machines > 1) {
-    EmitRingAllReduce(plan, {}, machine_ready, bytes, options, ring_done, ring_all_done);
-  } else {
-    ring_done = machine_ready;
-  }
-
-  // Phase 3: intra-machine broadcast back to all GPUs.
-  for (int m = 0; m < layout.num_machines; ++m) {
-    int32_t broadcast = ring_done[static_cast<size_t>(m)];
-    if (layout.gpus_per_machine > 1) {
-      int32_t refs[] = {ring_done[static_cast<size_t>(m)]};
-      broadcast = PlanLocalTransfer(plan, m, bytes, refs);
-    }
-    for (int g = 0; g < layout.gpus_per_machine; ++g) {
-      plan.done_refs[static_cast<size_t>(layout.RankOf(m, g))] = broadcast;
-    }
-  }
-  plan.all_done_ref = PlanBarrier(plan, plan.done_refs);
-  return plan;
-}
-
-SchedulePlan BuildRankRingAllGathervPlan(const RankLayout& layout,
-                                         std::span<const int64_t> bytes_per_rank,
-                                         const CollectiveOptions& options) {
-  const int r_count = layout.num_ranks();
-  PX_CHECK_EQ(bytes_per_rank.size(), static_cast<size_t>(r_count));
-  SchedulePlan plan;
-  plan.num_participants = r_count;
-
-  if (r_count == 1) {
-    int32_t refs[] = {ExternalRef(0)};
-    plan.done_refs.push_back(PlanBarrier(plan, refs));
-    plan.all_done_ref = plan.done_refs.back();
-    return plan;
-  }
-
-  std::vector<int32_t> prev_arrival(static_cast<size_t>(r_count), -1);
-  std::vector<int32_t> arrival(static_cast<size_t>(r_count), -1);
-  for (int s = 0; s <= r_count - 2; ++s) {
-    for (int r = 0; r < r_count; ++r) {
-      int block = PosMod(r - s, r_count);
-      int next = PosMod(r + 1, r_count);
-      int32_t send_dep = s == 0 ? ExternalRef(r) : prev_arrival[static_cast<size_t>(r)];
-      int32_t send_refs[] = {send_dep};
-      int src_machine = layout.MachineOfRank(r);
-      int dst_machine = layout.MachineOfRank(next);
-      int32_t transfer;
-      if (src_machine == dst_machine) {
-        transfer = PlanLocalTransfer(plan, src_machine,
-                                     bytes_per_rank[static_cast<size_t>(block)], send_refs);
-      } else {
-        transfer = PlanTransfer(plan, src_machine, dst_machine,
-                                bytes_per_rank[static_cast<size_t>(block)], send_refs);
-      }
-      arrival[static_cast<size_t>(next)] = WithOverhead(plan, transfer, options);
-    }
-    std::swap(prev_arrival, arrival);
-  }
-
-  for (int r = 0; r < r_count; ++r) {
-    int32_t refs[] = {prev_arrival[static_cast<size_t>(r)]};
-    plan.done_refs.push_back(PlanBarrier(plan, refs));
-  }
-  plan.all_done_ref = PlanBarrier(plan, plan.done_refs);
-  return plan;
-}
-
-SchedulePlan BuildTopologyAllReducePlan(const RankLayout& layout, int num_racks,
-                                        int64_t bytes, const CollectiveOptions& options) {
+SchedulePlan BuildAllReducePlan(const RankLayout& layout, int num_racks, int64_t bytes,
+                                const CollectiveOptions& options) {
   const int num_machines = layout.num_machines;
-  PX_CHECK_GT(num_racks, 1);
+  PX_CHECK_GE(num_racks, 1);
   PX_CHECK_EQ(num_machines % num_racks, 0)
       << "racks must partition the machines evenly";
   const int per_rack = num_machines / num_racks;
@@ -327,8 +113,7 @@ SchedulePlan BuildTopologyAllReducePlan(const RankLayout& layout, int num_racks,
   plan.num_participants = num_ranks;
   plan.done_refs.resize(static_cast<size_t>(num_ranks));
 
-  // Phase 1: intra-machine reduce onto each machine's lead GPU, over PCIe (identical to
-  // the hierarchical builder's first phase).
+  // Phase 1: intra-machine reduce onto each machine's lead GPU, over PCIe.
   std::vector<int32_t> machine_ready(static_cast<size_t>(num_machines), -1);
   std::vector<int32_t> local_refs(static_cast<size_t>(layout.gpus_per_machine));
   for (int m = 0; m < num_machines; ++m) {
@@ -348,61 +133,56 @@ SchedulePlan BuildTopologyAllReducePlan(const RankLayout& layout, int num_racks,
   std::vector<int> slots(static_cast<size_t>(per_rack));
   std::vector<int32_t> rack_deps(static_cast<size_t>(per_rack));
   std::vector<int32_t> rack_out;
-  if (per_rack > 1) {
-    for (int r = 0; r < num_racks; ++r) {
-      for (int j = 0; j < per_rack; ++j) {
-        slots[static_cast<size_t>(j)] = r * per_rack + j;
-        rack_deps[static_cast<size_t>(j)] =
-            machine_ready[static_cast<size_t>(r * per_rack + j)];
-      }
-      EmitRingReduceScatter(plan, slots, rack_deps, bytes, options, rack_out);
-      for (int j = 0; j < per_rack; ++j) {
-        owned[static_cast<size_t>(r * per_rack + j)] = rack_out[static_cast<size_t>(j)];
-      }
+  for (int r = 0; r < num_racks; ++r) {
+    for (int j = 0; j < per_rack; ++j) {
+      slots[static_cast<size_t>(j)] = r * per_rack + j;
+      rack_deps[static_cast<size_t>(j)] = machine_ready[static_cast<size_t>(r * per_rack + j)];
+    }
+    EmitRingReduceScatter(plan, slots, rack_deps, bytes, options, rack_out);
+    for (int j = 0; j < per_rack; ++j) {
+      owned[static_cast<size_t>(r * per_rack + j)] = rack_out[static_cast<size_t>(j)];
     }
   }
 
-  // Phase 3: one cross-rack ring AllReduce per chunk, among each rack's owner of that
-  // chunk — the only transfers that leave a rack, so each spine link carries exactly
-  // one (R-1)/R-scaled pass per direction per chunk.
+  // Phase 3, racked clusters only: one cross-rack ring AllReduce per chunk, among each
+  // rack's owner of that chunk — the only transfers that leave a rack, so each spine
+  // link carries exactly one (R-1)/R-scaled pass per direction per chunk.
   std::vector<int32_t> global_owned = owned;
-  std::vector<int> ring_slots(static_cast<size_t>(num_racks));
-  std::vector<int32_t> ring_deps(static_cast<size_t>(num_racks));
-  std::vector<int32_t> ring_done;
-  int32_t ring_all_done = -1;
-  for (int c = 0; c < per_rack; ++c) {
-    const int j = PosMod(c - 1, per_rack);  // local index of chunk c's owner
-    for (int r = 0; r < num_racks; ++r) {
-      ring_slots[static_cast<size_t>(r)] = r * per_rack + j;
-      ring_deps[static_cast<size_t>(r)] = owned[static_cast<size_t>(r * per_rack + j)];
-    }
-    ring_done.clear();
-    EmitRingAllReduce(plan, ring_slots, ring_deps, BalancedSplitSize(bytes, per_rack, c),
-                      options, ring_done, ring_all_done);
-    for (int r = 0; r < num_racks; ++r) {
-      global_owned[static_cast<size_t>(r * per_rack + j)] =
-          ring_done[static_cast<size_t>(r)];
+  if (num_racks > 1) {
+    std::vector<int> ring_slots(static_cast<size_t>(num_racks));
+    std::vector<int32_t> ring_deps(static_cast<size_t>(num_racks));
+    std::vector<int32_t> ring_owned;
+    std::vector<int32_t> ring_done;
+    for (int c = 0; c < per_rack; ++c) {
+      const int j = PosMod(c - 1, per_rack);  // local index of chunk c's owner
+      for (int r = 0; r < num_racks; ++r) {
+        ring_slots[static_cast<size_t>(r)] = r * per_rack + j;
+        ring_deps[static_cast<size_t>(r)] = owned[static_cast<size_t>(r * per_rack + j)];
+      }
+      const int64_t chunk_bytes = BalancedSplitSize(bytes, per_rack, c);
+      EmitRingReduceScatter(plan, ring_slots, ring_deps, chunk_bytes, options, ring_owned);
+      EmitRingAllGather(plan, ring_slots, ring_owned, chunk_bytes, options, ring_done);
+      for (int r = 0; r < num_racks; ++r) {
+        global_owned[static_cast<size_t>(r * per_rack + j)] =
+            ring_done[static_cast<size_t>(r)];
+      }
     }
   }
 
   // Phase 4: ring allgather inside each rack rebuilds the full buffer on every machine.
   std::vector<int32_t> machine_done = global_owned;
-  if (per_rack > 1) {
-    for (int r = 0; r < num_racks; ++r) {
-      for (int j = 0; j < per_rack; ++j) {
-        slots[static_cast<size_t>(j)] = r * per_rack + j;
-        rack_deps[static_cast<size_t>(j)] =
-            global_owned[static_cast<size_t>(r * per_rack + j)];
-      }
-      EmitRingAllGather(plan, slots, rack_deps, bytes, options, rack_out);
-      for (int j = 0; j < per_rack; ++j) {
-        machine_done[static_cast<size_t>(r * per_rack + j)] =
-            rack_out[static_cast<size_t>(j)];
-      }
+  for (int r = 0; r < num_racks; ++r) {
+    for (int j = 0; j < per_rack; ++j) {
+      slots[static_cast<size_t>(j)] = r * per_rack + j;
+      rack_deps[static_cast<size_t>(j)] = global_owned[static_cast<size_t>(r * per_rack + j)];
+    }
+    EmitRingAllGather(plan, slots, rack_deps, bytes, options, rack_out);
+    for (int j = 0; j < per_rack; ++j) {
+      machine_done[static_cast<size_t>(r * per_rack + j)] = rack_out[static_cast<size_t>(j)];
     }
   }
 
-  // Phase 5: intra-machine broadcast back to all GPUs (identical to hierarchical).
+  // Phase 5: intra-machine broadcast back to all GPUs.
   for (int m = 0; m < num_machines; ++m) {
     int32_t broadcast = machine_done[static_cast<size_t>(m)];
     if (layout.gpus_per_machine > 1) {
@@ -413,7 +193,44 @@ SchedulePlan BuildTopologyAllReducePlan(const RankLayout& layout, int num_racks,
       plan.done_refs[static_cast<size_t>(layout.RankOf(m, g))] = broadcast;
     }
   }
-  plan.all_done_ref = PlanBarrier(plan, plan.done_refs);
+  return plan;
+}
+
+SchedulePlan BuildRankRingAllGathervPlan(const RankLayout& layout,
+                                         std::span<const int64_t> bytes_per_rank,
+                                         const CollectiveOptions& options) {
+  const int r_count = layout.num_ranks();
+  PX_CHECK_EQ(bytes_per_rank.size(), static_cast<size_t>(r_count));
+  SchedulePlan plan;
+  plan.num_participants = r_count;
+
+  // Step s: rank r forwards block (r-s) mod n to rank r+1.
+  std::vector<int32_t> prev_arrival(static_cast<size_t>(r_count), -1);
+  for (int r = 0; r < r_count; ++r) {
+    prev_arrival[static_cast<size_t>(r)] = ExternalRef(r);
+  }
+  std::vector<int32_t> arrival(static_cast<size_t>(r_count), -1);
+  for (int s = 0; s <= r_count - 2; ++s) {
+    for (int r = 0; r < r_count; ++r) {
+      int block = PosMod(r - s, r_count);
+      int next = PosMod(r + 1, r_count);
+      int32_t send_refs[] = {prev_arrival[static_cast<size_t>(r)]};
+      int src_machine = layout.MachineOfRank(r);
+      int dst_machine = layout.MachineOfRank(next);
+      int64_t block_bytes = bytes_per_rank[static_cast<size_t>(block)];
+      int32_t transfer =
+          src_machine == dst_machine
+              ? PlanLocalTransfer(plan, src_machine, block_bytes, send_refs)
+              : PlanTransfer(plan, src_machine, dst_machine, block_bytes, send_refs);
+      arrival[static_cast<size_t>(next)] = WithOverhead(plan, transfer, options);
+    }
+    std::swap(prev_arrival, arrival);
+  }
+
+  for (int r = 0; r < r_count; ++r) {
+    int32_t refs[] = {prev_arrival[static_cast<size_t>(r)]};
+    plan.done_refs.push_back(PlanBarrier(plan, refs));
+  }
   return plan;
 }
 
@@ -424,8 +241,8 @@ SchedulePlan BuildBroadcastAllGathervPlan(const RankLayout& layout, int64_t bloc
   SchedulePlan plan;
   plan.num_participants = num_ranks;
 
-  // Transfers in the historical source-major order; arrival_ref[dst][src] collects the
-  // per-destination fan-in so each gate barrier lists its senders in ascending order.
+  // Transfers source-major; arrival_ref[dst][src] collects the per-destination fan-in
+  // so each gate barrier lists its senders in ascending order.
   std::vector<int32_t> arrival_ref(
       static_cast<size_t>(num_ranks) * static_cast<size_t>(num_ranks), -1);
   for (int src = 0; src < num_ranks; ++src) {
@@ -454,58 +271,37 @@ SchedulePlan BuildBroadcastAllGathervPlan(const RankLayout& layout, int64_t bloc
         refs.push_back(ref);
       }
     }
-    refs.push_back(ExternalRef(r));  // the rank's own readiness gates last, as before
+    refs.push_back(ExternalRef(r));  // the rank's own readiness gates last
     plan.done_refs.push_back(PlanBarrier(plan, refs));
   }
-  // The historical loop emitted no joint completion barrier; consumers gate on done[r].
-  plan.all_done_ref = -1;
   return plan;
 }
 
-void InstantiatePlan(const SchedulePlan& plan, TaskGraph& graph,
-                     std::span<const int> machine_of_slot, std::span<const TaskId> deps,
-                     CollectiveSchedule* out, PlanScratch* scratch) {
-  PX_CHECK_EQ(deps.size(), static_cast<size_t>(plan.num_participants));
-  std::vector<TaskId>& ids = scratch->task_of_op;
-  std::vector<TaskId>& dep_buf = scratch->dep_buf;
-  ids.clear();
-  auto machine_of = [&machine_of_slot](int32_t slot) {
-    return machine_of_slot.empty() ? slot : machine_of_slot[static_cast<size_t>(slot)];
-  };
+}  // namespace
 
+void CollectiveScheduleCache::Instantiate(const SchedulePlan& plan, TaskGraph& graph,
+                                          std::span<const TaskId> deps,
+                                          CollectiveSchedule* out) const {
+  PX_CHECK_EQ(deps.size(), static_cast<size_t>(plan.num_participants));
+  std::vector<TaskId>& ids = task_of_op_;
+  ids.clear();
   for (const SchedulePlan::Op& op : plan.ops) {
-    dep_buf.clear();
-    bool external_absent = false;
+    dep_buf_.clear();
     for (int32_t k = 0; k < op.deps_count; ++k) {
       int32_t ref = plan.dep_refs[static_cast<size_t>(op.deps_begin + k)];
-      if (ref >= 0) {
-        dep_buf.push_back(ids[static_cast<size_t>(ref)]);
-      } else {
-        TaskId external = deps[static_cast<size_t>(-1 - ref)];
-        if (external == kNoTask) {
-          external_absent = true;
-        } else {
-          dep_buf.push_back(external);
-        }
+      TaskId dep = ref >= 0 ? ids[static_cast<size_t>(ref)] : deps[static_cast<size_t>(-1 - ref)];
+      if (dep != kNoTask) {
+        dep_buf_.push_back(dep);
       }
     }
-    if (op.collapse_when_external_absent && external_absent) {
-      PX_CHECK(!dep_buf.empty());
-      ids.push_back(dep_buf.front());
-      continue;
-    }
     TaskId id = kNoTask;
-    std::span<const TaskId> dep_span(dep_buf);
+    std::span<const TaskId> dep_span(dep_buf_);
     switch (op.kind) {
       case TaskKind::kTransfer:
-        id = graph.AddTransfer(machine_of(op.src), machine_of(op.dst), op.bytes, dep_span,
-                               op.seconds);
+        id = graph.AddTransfer(op.src, op.dst, op.bytes, dep_span, op.seconds);
         break;
       case TaskKind::kLocalTransfer:
-        id = graph.AddLocalTransfer(machine_of(op.src), op.bytes, dep_span, op.seconds);
-        break;
-      case TaskKind::kDelay:
-        id = graph.AddDelay(op.seconds, dep_span);
+        id = graph.AddLocalTransfer(op.src, op.bytes, dep_span, op.seconds);
         break;
       case TaskKind::kBarrier:
         id = graph.AddBarrier(dep_span);
@@ -521,8 +317,6 @@ void InstantiatePlan(const SchedulePlan& plan, TaskGraph& graph,
   for (int32_t ref : plan.done_refs) {
     out->done.push_back(ids[static_cast<size_t>(ref)]);
   }
-  out->all_done = plan.all_done_ref >= 0 ? ids[static_cast<size_t>(plan.all_done_ref)]
-                                         : kNoTask;
 }
 
 size_t CollectiveScheduleCache::KeyHash::operator()(const Key& key) const {
@@ -531,8 +325,9 @@ size_t CollectiveScheduleCache::KeyHash::operator()(const Key& key) const {
     hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
   };
   mix(key.kind);
-  mix(static_cast<uint64_t>(key.a));
-  mix(static_cast<uint64_t>(key.b));
+  mix(static_cast<uint64_t>(key.machines));
+  mix(static_cast<uint64_t>(key.gpus));
+  mix(static_cast<uint64_t>(key.racks));
   mix(static_cast<uint64_t>(key.bytes));
   mix(key.blocks_hash);
   mix(DoubleBits(key.overhead));
@@ -560,67 +355,30 @@ const SchedulePlan& CollectiveScheduleCache::Lookup(Key key, std::span<const int
   }
 }
 
-const SchedulePlan& CollectiveScheduleCache::RingAllReduce(int num_participants,
-                                                           int64_t bytes,
-                                                           const CollectiveOptions& options) {
+const SchedulePlan& CollectiveScheduleCache::AllReduce(const RankLayout& layout, int num_racks,
+                                                       int64_t bytes,
+                                                       const CollectiveOptions& options) {
   Key key;
   key.kind = 1;
-  key.a = num_participants;
+  key.machines = layout.num_machines;
+  key.gpus = layout.gpus_per_machine;
+  key.racks = num_racks;
   key.bytes = bytes;
   key.overhead = options.step_overhead;
-  return Lookup(key, {}, [&] { return BuildRingAllReducePlan(num_participants, bytes, options); });
-}
-
-const SchedulePlan& CollectiveScheduleCache::RingAllGatherv(
-    std::span<const int64_t> bytes_per_machine, const CollectiveOptions& options) {
-  Key key;
-  key.kind = 2;
-  key.a = static_cast<int32_t>(bytes_per_machine.size());
-  key.blocks_hash = Fnv64(bytes_per_machine);
-  key.overhead = options.step_overhead;
-  return Lookup(key, bytes_per_machine,
-                [&] { return BuildRingAllGathervPlan(bytes_per_machine, options); });
-}
-
-const SchedulePlan& CollectiveScheduleCache::HierarchicalAllReduce(
-    const RankLayout& layout, int64_t bytes, const CollectiveOptions& options) {
-  Key key;
-  key.kind = 3;
-  key.a = layout.num_machines;
-  key.b = layout.gpus_per_machine;
-  key.bytes = bytes;
-  key.overhead = options.step_overhead;
-  return Lookup(key, {},
-                [&] { return BuildHierarchicalAllReducePlan(layout, bytes, options); });
+  return Lookup(key, {}, [&] { return BuildAllReducePlan(layout, num_racks, bytes, options); });
 }
 
 const SchedulePlan& CollectiveScheduleCache::RankRingAllGatherv(
     const RankLayout& layout, std::span<const int64_t> bytes_per_rank,
     const CollectiveOptions& options) {
   Key key;
-  key.kind = 4;
-  key.a = layout.num_machines;
-  key.b = layout.gpus_per_machine;
+  key.kind = 2;
+  key.machines = layout.num_machines;
+  key.gpus = layout.gpus_per_machine;
   key.blocks_hash = Fnv64(bytes_per_rank);
   key.overhead = options.step_overhead;
   return Lookup(key, bytes_per_rank,
                 [&] { return BuildRankRingAllGathervPlan(layout, bytes_per_rank, options); });
-}
-
-const SchedulePlan& CollectiveScheduleCache::TopologyAllReduce(
-    const RankLayout& layout, int num_racks, int64_t bytes,
-    const CollectiveOptions& options) {
-  const int64_t racks_block[] = {num_racks};
-  Key key;
-  key.kind = 5;
-  key.a = layout.num_machines;
-  key.b = layout.gpus_per_machine;
-  key.bytes = bytes;
-  key.blocks_hash = Fnv64(racks_block);
-  key.overhead = options.step_overhead;
-  return Lookup(key, racks_block, [&] {
-    return BuildTopologyAllReducePlan(layout, num_racks, bytes, options);
-  });
 }
 
 const SchedulePlan& CollectiveScheduleCache::BroadcastAllGatherv(const RankLayout& layout,
@@ -628,123 +386,13 @@ const SchedulePlan& CollectiveScheduleCache::BroadcastAllGatherv(const RankLayou
                                                                  int64_t inflated_bytes) {
   const int64_t blocks[] = {block_bytes, inflated_bytes};
   Key key;
-  key.kind = 6;
-  key.a = layout.num_machines;
-  key.b = layout.gpus_per_machine;
+  key.kind = 3;
+  key.machines = layout.num_machines;
+  key.gpus = layout.gpus_per_machine;
   key.blocks_hash = Fnv64(blocks);
   return Lookup(key, blocks, [&] {
     return BuildBroadcastAllGathervPlan(layout, block_bytes, inflated_bytes);
   });
-}
-
-CollectiveSchedule AddRingAllReduce(TaskGraph& graph, const std::vector<int>& machines,
-                                    int64_t bytes, const std::vector<TaskId>& deps,
-                                    const CollectiveOptions& options,
-                                    CollectiveScheduleCache* cache) {
-  const int n = static_cast<int>(machines.size());
-  PX_CHECK_GT(n, 0);
-  PX_CHECK_EQ(deps.size(), machines.size());
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->RingAllReduce(n, bytes, options);
-    cache->Instantiate(plan, graph, machines, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildRingAllReducePlan(n, bytes, options);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, machines, deps, &schedule, &scratch);
-  }
-  return schedule;
-}
-
-CollectiveSchedule AddRingAllGatherv(TaskGraph& graph, const std::vector<int>& machines,
-                                     const std::vector<int64_t>& bytes_per_machine,
-                                     const std::vector<TaskId>& deps,
-                                     const CollectiveOptions& options,
-                                     CollectiveScheduleCache* cache) {
-  PX_CHECK_GT(machines.size(), 0u);
-  PX_CHECK_EQ(deps.size(), machines.size());
-  PX_CHECK_EQ(bytes_per_machine.size(), machines.size());
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->RingAllGatherv(bytes_per_machine, options);
-    cache->Instantiate(plan, graph, machines, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildRingAllGathervPlan(bytes_per_machine, options);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, machines, deps, &schedule, &scratch);
-  }
-  return schedule;
-}
-
-CollectiveSchedule AddHierarchicalAllReduce(TaskGraph& graph, const RankLayout& layout,
-                                            int64_t bytes, const std::vector<TaskId>& deps,
-                                            const CollectiveOptions& options,
-                                            CollectiveScheduleCache* cache) {
-  PX_CHECK_EQ(deps.size(), static_cast<size_t>(layout.num_ranks()));
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->HierarchicalAllReduce(layout, bytes, options);
-    cache->Instantiate(plan, graph, {}, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildHierarchicalAllReducePlan(layout, bytes, options);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, {}, deps, &schedule, &scratch);
-  }
-  return schedule;
-}
-
-CollectiveSchedule AddRankRingAllGatherv(TaskGraph& graph, const RankLayout& layout,
-                                         const std::vector<int64_t>& bytes_per_rank,
-                                         const std::vector<TaskId>& deps,
-                                         const CollectiveOptions& options,
-                                         CollectiveScheduleCache* cache) {
-  PX_CHECK_EQ(deps.size(), static_cast<size_t>(layout.num_ranks()));
-  PX_CHECK_EQ(bytes_per_rank.size(), static_cast<size_t>(layout.num_ranks()));
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->RankRingAllGatherv(layout, bytes_per_rank, options);
-    cache->Instantiate(plan, graph, {}, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildRankRingAllGathervPlan(layout, bytes_per_rank, options);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, {}, deps, &schedule, &scratch);
-  }
-  return schedule;
-}
-
-CollectiveSchedule AddTopologyAllReduce(TaskGraph& graph, const RankLayout& layout,
-                                        int num_racks, int64_t bytes,
-                                        const std::vector<TaskId>& deps,
-                                        const CollectiveOptions& options,
-                                        CollectiveScheduleCache* cache) {
-  PX_CHECK_EQ(deps.size(), static_cast<size_t>(layout.num_ranks()));
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->TopologyAllReduce(layout, num_racks, bytes, options);
-    cache->Instantiate(plan, graph, {}, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildTopologyAllReducePlan(layout, num_racks, bytes, options);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, {}, deps, &schedule, &scratch);
-  }
-  return schedule;
-}
-
-CollectiveSchedule AddBroadcastAllGatherv(TaskGraph& graph, const RankLayout& layout,
-                                          int64_t block_bytes, int64_t inflated_bytes,
-                                          const std::vector<TaskId>& deps,
-                                          CollectiveScheduleCache* cache) {
-  PX_CHECK_EQ(deps.size(), static_cast<size_t>(layout.num_ranks()));
-  CollectiveSchedule schedule;
-  if (cache != nullptr) {
-    const SchedulePlan& plan = cache->BroadcastAllGatherv(layout, block_bytes, inflated_bytes);
-    cache->Instantiate(plan, graph, {}, deps, &schedule);
-  } else {
-    SchedulePlan plan = BuildBroadcastAllGathervPlan(layout, block_bytes, inflated_bytes);
-    PlanScratch scratch;
-    InstantiatePlan(plan, graph, {}, deps, &schedule, &scratch);
-  }
-  return schedule;
 }
 
 }  // namespace parallax

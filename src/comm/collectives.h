@@ -1,25 +1,26 @@
 // Collective communication schedules over the simulated cluster, mirroring the
-// NCCL/OpenMPI primitives the paper builds on (section 2.1):
+// NCCL/OpenMPI primitives the paper builds on (section 2.1). Every collective runs over
+// the ranks of a RankLayout, one schedule each:
 //
-//  - Ring AllReduce (reduce-scatter + allgather): 2(N-1) steps, each moving w/N bytes per
-//    machine — the schedule behind the paper's 4w(N-1)/N per-machine transfer bound.
-//  - Ring AllGatherv: (N-1) steps, each machine forwarding one participant's block — the
-//    schedule behind the 2*alpha*w*(N-1) bound for sparse gradients.
-//  - Hierarchical AllReduce: intra-machine reduce over PCIe, inter-machine ring over the
-//    NICs, intra-machine broadcast — NCCL's topology-aware composition, which is what
-//    makes "N" in the ring formulas the machine count rather than the GPU count.
+//  - AllReduce: intra-machine reduce over PCIe, a ring reduce-scatter + allgather over
+//    the NICs (2(N-1) steps, each moving w/N bytes per machine: the paper's 4w(N-1)/N
+//    per-machine bound), intra-machine broadcast. NCCL's topology-aware composition,
+//    which is what makes "N" in the ring formulas the machine count rather than the GPU
+//    count. On a racked cluster the NIC ring runs inside each rack and one cross-rack
+//    ring per chunk rides the spine.
+//  - Rank-ring AllGatherv: (N-1) steps, each rank forwarding one participant's block
+//    (the 2*alpha*w*(N-1) bound for sparse gradients).
+//  - Broadcast AllGatherv: every rank ships its block to every other rank (OpenMPI's
+//    choice for small blocks).
 //
-// The builders only *schedule* (emit tasks); the numeric payload semantics live in
+// The schedules only *schedule* (emit tasks); the numeric payload semantics live in
 // reduce.h so that at-paper-scale benches can run cost-only while correctness tests push
 // real tensors through identical schedules.
 //
-// Schedules for a fixed (collective, participants, bytes, overhead) tuple are
-// deterministic, so they are built once as a relocatable SchedulePlan and replayed into
-// the per-iteration TaskGraph. A CollectiveScheduleCache keyed on that tuple makes the
-// replay the steady-state path: the partition search simulates thousands of iterations,
-// and after the first one every collective instantiation is an allocation-free copy of a
-// cached plan (this is the amortization the paper applies to its hybrid search — the
-// communication schedule of a candidate placement never changes across its iterations).
+// A schedule for a fixed (collective, layout, bytes, overhead) tuple is deterministic,
+// so the CollectiveScheduleCache builds it once as a SchedulePlan and replays it into
+// each iteration's TaskGraph: the partition search simulates thousands of iterations,
+// and after the first one every collective is an allocation-free copy of a cached plan.
 #ifndef PARALLAX_SRC_COMM_COLLECTIVES_H_
 #define PARALLAX_SRC_COMM_COLLECTIVES_H_
 
@@ -39,115 +40,71 @@ struct CollectiveOptions {
 };
 
 struct CollectiveSchedule {
-  // Completion task per participant, in the order participants were given.
+  // Completion task per rank.
   std::vector<TaskId> done;
-  // Joint completion barrier.
-  TaskId all_done = kNoTask;
 };
 
 // A dependency-resolved recipe for one collective's task DAG, independent of the graph
 // it will be emitted into. Ops reference dependencies either plan-locally (earlier ops)
-// or as external participant slots resolved at instantiation time; machine numbers are
-// slots translated through an optional table, so one ring plan serves any machine list
-// of the same size. Build once, replay many times.
+// or as external rank slots resolved at instantiation time; machines are physical
+// machine numbers. Built and owned by a CollectiveScheduleCache.
 struct SchedulePlan {
   struct Op {
     TaskKind kind = TaskKind::kBarrier;
-    int32_t src = 0;       // machine slot (kTransfer: sender; others: the machine)
-    int32_t dst = 0;       // machine slot, kTransfer only
+    int32_t src = 0;  // kTransfer: sender machine; others: the machine
+    int32_t dst = 0;  // kTransfer only: receiver machine
     int64_t bytes = 0;
     double seconds = 0.0;
     int32_t deps_begin = 0;
     int32_t deps_count = 0;
-    // Mirrors the builders' "gate on the receiver's dependency only when it exists"
-    // shape: when any referenced external dep resolves to kNoTask, the op emits no task
-    // and aliases to its first resolved dependency instead.
-    bool collapse_when_external_absent = false;
   };
 
   std::vector<Op> ops;
   // Dep references: >= 0 is a plan-local op index, < 0 encodes external slot ~ref.
   std::vector<int32_t> dep_refs;
-  std::vector<int32_t> done_refs;  // per participant, op index of its completion task
-  int32_t all_done_ref = -1;
+  std::vector<int32_t> done_refs;  // per rank, op index of its completion task
   int num_participants = 0;
   // Exact key payload for block-vector-keyed collectives (collision verification).
   std::vector<int64_t> key_blocks;
-
-  size_t num_ops() const { return ops.size(); }
 };
 
-// Scratch for plan replay (plan-local op index -> emitted TaskId, plus a dependency
-// staging buffer). Reused across instantiations so replay allocates nothing.
-struct PlanScratch {
-  std::vector<TaskId> task_of_op;
-  std::vector<TaskId> dep_buf;
-};
-
-// Replays `plan` into `graph`. machine_of_slot translates plan machine slots to machine
-// ids (empty = identity, for plans built over physical machine numbers). deps[i] gates
-// participant i's contribution (kNoTask = ready at start). Fills out->done / all_done,
-// reusing their capacity. The emitted tasks are byte-identical to what the matching
-// builder would emit directly — see tests/schedule_cache_test.cc.
-void InstantiatePlan(const SchedulePlan& plan, TaskGraph& graph,
-                     std::span<const int> machine_of_slot, std::span<const TaskId> deps,
-                     CollectiveSchedule* out, PlanScratch* scratch);
-
-// Plan builders. Participant slots are 0..n-1 for the ring collectives (translated
-// through a machine list at instantiation); the layout collectives emit physical machine
-// numbers and instantiate with the identity translation.
-SchedulePlan BuildRingAllReducePlan(int num_participants, int64_t bytes,
-                                    const CollectiveOptions& options);
-SchedulePlan BuildRingAllGathervPlan(std::span<const int64_t> bytes_per_machine,
-                                     const CollectiveOptions& options);
-SchedulePlan BuildHierarchicalAllReducePlan(const RankLayout& layout, int64_t bytes,
-                                            const CollectiveOptions& options);
-SchedulePlan BuildRankRingAllGathervPlan(const RankLayout& layout,
-                                         std::span<const int64_t> bytes_per_rank,
-                                         const CollectiveOptions& options);
-// Rack-aware AllReduce for a layout whose machines are grouped into `num_racks` equal
-// racks (machine-major: machines [r*M/R, (r+1)*M/R) form rack r). Five phases:
-// intra-machine reduce (PCIe), per-rack ring reduce-scatter (NIC), one cross-rack ring
-// per reduced chunk among the racks' chunk owners (these are the only transfers that
-// ride the spine, and each crosses every spine link exactly once per direction per
-// step), per-rack ring allgather, intra-machine broadcast. Per spine link this moves
-// ~2*(R-1)/R * bytes versus the flat machine-major ring's ~2*(M-1)/M * bytes — the win
-// under spine oversubscription. Requires num_racks > 1 and num_machines % num_racks == 0.
-SchedulePlan BuildTopologyAllReducePlan(const RankLayout& layout, int num_racks,
-                                        int64_t bytes, const CollectiveOptions& options);
-// The broadcast-style AllGatherv (every rank ships its block to every other rank;
-// cross-machine hops carry `inflated_bytes`, intra-machine hops `block_bytes`) as a
-// cached plan. Emits exactly the task sequence the historical inline loop in
-// core/iteration_sim.cc produced: all transfers source-major, then one gate barrier per
-// rank whose own readiness dep comes last; no joint completion barrier.
-SchedulePlan BuildBroadcastAllGathervPlan(const RankLayout& layout, int64_t block_bytes,
-                                          int64_t inflated_bytes);
-
-// Keyed plan cache + replay scratch. Single-threaded (one per simulation arena).
+// Keyed plan cache + replay scratch: the one way to schedule a collective. Each lookup
+// returns the plan for its arguments, built on the first request; Instantiate replays
+// it. Single-threaded (one per simulation arena).
 class CollectiveScheduleCache {
  public:
-  const SchedulePlan& RingAllReduce(int num_participants, int64_t bytes,
-                                    const CollectiveOptions& options);
-  const SchedulePlan& RingAllGatherv(std::span<const int64_t> bytes_per_machine,
-                                     const CollectiveOptions& options);
-  const SchedulePlan& HierarchicalAllReduce(const RankLayout& layout, int64_t bytes,
-                                            const CollectiveOptions& options);
+  // AllReduce over every rank of `layout`, moving `bytes` per rank replica, with the
+  // machines grouped into `num_racks` equal racks (machine-major: machines
+  // [r*M/R, (r+1)*M/R) form rack r). Phases: intra-machine reduce (PCIe), ring
+  // reduce-scatter inside each rack (NIC), then, only when num_racks > 1, one
+  // cross-rack ring AllReduce per reduced chunk among the racks' owners of that chunk
+  // (the only transfers that ride the spine, each crossing every spine link once per
+  // direction per step), ring allgather inside each rack, intra-machine broadcast. Per
+  // spine link this moves ~2*(R-1)/R * bytes versus a machine-major ring's
+  // ~2*(M-1)/M * bytes: the win under spine oversubscription. Requires num_racks >= 1
+  // and num_machines % num_racks == 0.
+  const SchedulePlan& AllReduce(const RankLayout& layout, int num_racks, int64_t bytes,
+                                const CollectiveOptions& options);
+  // Ring AllGatherv across every rank of `layout` (the OpenMPI-style rank-level ring the
+  // paper inevitably uses for sparse gradients, section 6.1). Adjacent same-machine
+  // ranks exchange over PCIe; machine-boundary hops cross the NICs. bytes_per_rank[r]
+  // is rank r's block size.
   const SchedulePlan& RankRingAllGatherv(const RankLayout& layout,
                                          std::span<const int64_t> bytes_per_rank,
                                          const CollectiveOptions& options);
-  const SchedulePlan& TopologyAllReduce(const RankLayout& layout, int num_racks,
-                                        int64_t bytes, const CollectiveOptions& options);
+  // Broadcast-style AllGatherv over every rank of `layout`: every rank ships its block
+  // to every other rank; cross-machine hops carry `inflated_bytes`, intra-machine hops
+  // `block_bytes`. All transfers source-major, then one gate barrier per rank whose own
+  // readiness dep comes last.
   const SchedulePlan& BroadcastAllGatherv(const RankLayout& layout, int64_t block_bytes,
                                           int64_t inflated_bytes);
 
-  // Replay with cache-owned scratch. Logically read-only (the plan set is untouched);
-  // the replay scratch it reuses is `mutable` state of the owning arena's thread, like
-  // everything else here — see the thread-ownership contract below.
-  void Instantiate(const SchedulePlan& plan, TaskGraph& graph,
-                   std::span<const int> machine_of_slot, std::span<const TaskId> deps,
-                   CollectiveSchedule* out) const {
-    InstantiatePlan(plan, graph, machine_of_slot, deps, out, &scratch_);
-  }
+  // Replays `plan` into `graph`. deps[r] gates rank r's contribution (kNoTask = ready at
+  // start). Fills out->done, reusing its capacity. Logically read-only (the plan set is
+  // untouched); the replay scratch it reuses is `mutable` state of the owning arena's
+  // thread, like everything else here — see the thread-ownership contract below.
+  void Instantiate(const SchedulePlan& plan, TaskGraph& graph, std::span<const TaskId> deps,
+                   CollectiveSchedule* out) const;
 
   size_t size() const { return plans_.size(); }
   size_t hits() const { return hits_; }
@@ -156,10 +113,11 @@ class CollectiveScheduleCache {
  private:
   struct Key {
     uint8_t kind = 0;
-    int32_t a = 0;           // participant / machine count
-    int32_t b = 0;           // gpus per machine (layout collectives)
-    int64_t bytes = 0;       // scalar payload (0 for block-vector collectives)
-    uint64_t blocks_hash = 0;  // fingerprint of the block vector (0 otherwise)
+    int32_t machines = 0;
+    int32_t gpus = 0;            // gpus per machine
+    int32_t racks = 0;           // AllReduce only
+    int64_t bytes = 0;           // scalar payload (0 for block-vector collectives)
+    uint64_t blocks_hash = 0;    // fingerprint of the block vector (0 otherwise)
     double overhead = 0.0;
 
     bool operator==(const Key& other) const = default;
@@ -174,61 +132,13 @@ class CollectiveScheduleCache {
   // Thread-ownership contract: every member below is owned by the one thread driving
   // the enclosing SimulationArena — no internal locking anywhere in this class.
   std::unordered_map<Key, SchedulePlan, KeyHash> plans_;  // owned by the arena's thread
-  mutable PlanScratch scratch_;  // replay scratch; reused (and mutated) by const Instantiate
+  // Replay scratch (plan-local op index -> emitted TaskId, and a dependency staging
+  // buffer), reused (and mutated) by const Instantiate so replay allocates nothing.
+  mutable std::vector<TaskId> task_of_op_;
+  mutable std::vector<TaskId> dep_buf_;
   size_t hits_ = 0;    // owned by the arena's thread
   size_t misses_ = 0;  // owned by the arena's thread
 };
-
-// Ring AllReduce across `machines` (distinct machine ids, ring in the given order) moving
-// `bytes` per machine. deps[i] gates machine i's first send (kNoTask = ready at start).
-// With a cache, the plan is fetched (or built once) and replayed; without one, a one-off
-// plan is built and instantiated — both paths emit byte-identical task sequences.
-CollectiveSchedule AddRingAllReduce(TaskGraph& graph, const std::vector<int>& machines,
-                                    int64_t bytes, const std::vector<TaskId>& deps,
-                                    const CollectiveOptions& options = {},
-                                    CollectiveScheduleCache* cache = nullptr);
-
-// Ring AllGatherv across `machines`, where machine i contributes bytes_per_machine[i].
-// After the collective every machine holds every block (concatenation semantics).
-CollectiveSchedule AddRingAllGatherv(TaskGraph& graph, const std::vector<int>& machines,
-                                     const std::vector<int64_t>& bytes_per_machine,
-                                     const std::vector<TaskId>& deps,
-                                     const CollectiveOptions& options = {},
-                                     CollectiveScheduleCache* cache = nullptr);
-
-// Hierarchical AllReduce over every rank of `layout`, moving `bytes` per rank replica.
-// deps[rank] gates rank r's contribution. Phases: local reduce (PCIe), inter-machine ring
-// (NIC), local broadcast (PCIe). done[] is indexed by rank.
-CollectiveSchedule AddHierarchicalAllReduce(TaskGraph& graph, const RankLayout& layout,
-                                            int64_t bytes, const std::vector<TaskId>& deps,
-                                            const CollectiveOptions& options = {},
-                                            CollectiveScheduleCache* cache = nullptr);
-
-// Ring AllGatherv across every rank of `layout` (the OpenMPI-style rank-level ring the
-// paper inevitably uses for sparse gradients, section 6.1). Adjacent same-machine ranks
-// exchange over PCIe; machine-boundary hops cross the NICs. bytes_per_rank[r] is rank r's
-// block size. done[] is indexed by rank.
-CollectiveSchedule AddRankRingAllGatherv(TaskGraph& graph, const RankLayout& layout,
-                                         const std::vector<int64_t>& bytes_per_rank,
-                                         const std::vector<TaskId>& deps,
-                                         const CollectiveOptions& options = {},
-                                         CollectiveScheduleCache* cache = nullptr);
-
-// Rack-aware AllReduce over every rank of `layout` grouped into `num_racks` racks (see
-// BuildTopologyAllReducePlan). Executed on a Cluster whose TopologySpec matches, the
-// cross-rack ring transfers ride the spine links. done[] is indexed by rank.
-CollectiveSchedule AddTopologyAllReduce(TaskGraph& graph, const RankLayout& layout,
-                                        int num_racks, int64_t bytes,
-                                        const std::vector<TaskId>& deps,
-                                        const CollectiveOptions& options = {},
-                                        CollectiveScheduleCache* cache = nullptr);
-
-// Broadcast-style AllGatherv over every rank of `layout` (see
-// BuildBroadcastAllGathervPlan). done[] is indexed by rank; no joint barrier.
-CollectiveSchedule AddBroadcastAllGatherv(TaskGraph& graph, const RankLayout& layout,
-                                          int64_t block_bytes, int64_t inflated_bytes,
-                                          const std::vector<TaskId>& deps,
-                                          CollectiveScheduleCache* cache = nullptr);
 
 }  // namespace parallax
 

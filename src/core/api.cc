@@ -42,7 +42,7 @@ RunnerBuilder& RunnerBuilder::WithSearchMode(PartitionSearchMode mode) {
 }
 
 RunnerBuilder& RunnerBuilder::WithPlacementSearch(bool enabled) {
-  config_.search_placement = enabled;
+  config_.search.placement = enabled;
   return *this;
 }
 

@@ -55,17 +55,19 @@ class RunnerBuilder {
   // hybrid rule.
   RunnerBuilder& WithEngine(const std::string& variable_pattern, const std::string& engine);
 
-  // Partition search options (auto partitioning stays on). Search-mode selection is
-  // orthogonal: WithSearchMode picks uniform (one shared P, the default) vs
-  // per-variable (a PartitionPlan via coordinate descent at each variable's measured
-  // alpha). WithSearch alone keeps the uniform mode — it is an exact shim for the
-  // historical behavior.
+  // Partition search options (auto partitioning stays on). Replaces every search
+  // option, the placement bit (`search.placement`) included, so a WithPlacementSearch
+  // before it is overridden. Search-mode selection is orthogonal: WithSearchMode picks
+  // uniform (one shared P, the default) vs per-variable (a PartitionPlan via coordinate
+  // descent at each variable's measured alpha). WithSearch alone keeps the uniform
+  // mode — it is an exact shim for the historical behavior.
   RunnerBuilder& WithSearch(const PartitionSearchOptions& search);
   RunnerBuilder& WithSearchMode(PartitionSearchMode mode);
-  // Per-variable mode only: also search each variable's shard *placement* against the
-  // cluster topology (WithHardware's TopologySpec) — greedy bottleneck-utilization
-  // seeding plus simulated-clock swap refinement; the adopted plan carries the chosen
-  // servers and the PS engines pin their shards accordingly. Off by default.
+  // Sets `search.placement`. Per-variable mode only: also search each variable's shard
+  // *placement* against the cluster topology (WithHardware's TopologySpec) — greedy
+  // bottleneck-utilization seeding plus simulated-clock swap refinement; the adopted
+  // plan carries the chosen servers and the PS engines pin their shards accordingly.
+  // Off by default.
   RunnerBuilder& WithPlacementSearch(bool enabled = true);
   // Fixed layout; disables the automatic search. The plan's count for each
   // partitioner-scoped PS variable is applied row-capped; variables the plan does not

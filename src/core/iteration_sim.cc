@@ -397,15 +397,14 @@ void IterationSimulator::BuildIterationGraph(const RankLayout& layout) {
     for (int r = 0; r < num_ranks; ++r) {
       deps[static_cast<size_t>(r)] = chunk_task[static_cast<size_t>(r)][static_cast<size_t>(c)];
     }
-    // Rack-aware composition when the cluster has a spine; flat clusters take the
-    // historical hierarchical schedule unchanged (bit-identity).
-    const bool rack_aware =
-        !cluster_spec_.topology.flat() && layout.num_machines > 1;
+    // On a racked cluster the AllReduce's cross-rack rings ride the spine; a flat
+    // cluster, or a single machine, is one rack.
+    const int num_racks = cluster_spec_.topology.flat() || layout.num_machines == 1
+                              ? 1
+                              : cluster_spec_.topology.num_racks;
     const SchedulePlan& plan =
-        rack_aware ? a.schedules.TopologyAllReduce(layout, cluster_spec_.topology.num_racks,
-                                                   group_elements * 4, collective)
-                   : a.schedules.HierarchicalAllReduce(layout, group_elements * 4, collective);
-    a.schedules.Instantiate(plan, graph, {}, deps, &a.schedule);
+        a.schedules.AllReduce(layout, num_racks, group_elements * 4, collective);
+    a.schedules.Instantiate(plan, graph, deps, &a.schedule);
     for (int r = 0; r < num_ranks; ++r) {
       TaskId apply = graph.AddGpuCompute(
           layout.MachineOfRank(r), layout.LocalGpuOfRank(r),
@@ -433,17 +432,14 @@ void IterationSimulator::BuildIterationGraph(const RankLayout& layout) {
               grad_chunk_[static_cast<size_t>(v)])];
     }
     // OpenMPI tuned-collective behavior: large blocks ride the bandwidth-efficient ring;
-    // smaller ones take the broadcast-style path (calibration.h). Both are cached
-    // SchedulePlans now — the broadcast fan-in used to be an inline double loop whose
-    // per-rank arrival lists were rebuilt (and reallocated) per collective, which adds
-    // up past ~100 ranks; its plan emits the identical task sequence.
+    // smaller ones take the broadcast-style path (calibration.h).
     bool use_ring = config_.gatherv_algorithm == GathervAlgorithm::kRing ||
                     block_bytes >= costs.gatherv_ring_threshold_bytes;
     if (use_ring) {
       std::vector<int64_t>& blocks = a.blocks;
       blocks.assign(static_cast<size_t>(num_ranks), block_bytes);
       const SchedulePlan& plan = a.schedules.RankRingAllGatherv(layout, blocks, collective);
-      a.schedules.Instantiate(plan, graph, {}, deps, &a.schedule);
+      a.schedules.Instantiate(plan, graph, deps, &a.schedule);
     } else {
       // Broadcast (OpenMPI-style): every rank ships its block to every other rank.
       // Cross-machine hops are inflated by the OpenMPI effective-bandwidth derate
@@ -452,7 +448,7 @@ void IterationSimulator::BuildIterationGraph(const RankLayout& layout) {
           static_cast<double>(block_bytes) * costs.gatherv_cross_machine_inflation);
       const SchedulePlan& plan =
           a.schedules.BroadcastAllGatherv(layout, block_bytes, inflated_bytes);
-      a.schedules.Instantiate(plan, graph, {}, deps, &a.schedule);
+      a.schedules.Instantiate(plan, graph, deps, &a.schedule);
     }
     for (int r = 0; r < num_ranks; ++r) {
       TaskId apply = graph.AddGpuCompute(

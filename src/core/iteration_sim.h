@@ -6,7 +6,7 @@
 //   pulls (PS variables) ──▶ forward chunks ──▶ backward chunks ──▶ per-variable sync
 //                                                                    │
 //     PS path: push → accumulator chain (serial per shard) → update op on the server
-//     AR path: hierarchical ring AllReduce (dense) / AllGatherv (sparse) → GPU apply
+//     AR path: AllReduce (dense) / AllGatherv (sparse), comm/collectives.h → GPU apply
 //
 // Because each variable carries its own SyncMethod, the PS-only (TF-PS), AR-only
 // (Horovod) and hybrid (Parallax) architectures are all instances of the same builder —
@@ -80,10 +80,9 @@ struct SimulationArena {
   uint64_t build_serial = 0;       // owned by the simulating thread (cache tag, see above)
 
   // SimulateIteration scratch (iteration_sim.cc). avail/gate/chunk are the rank-major
-  // DAG tables; the rest are small per-phase staging buffers. (The broadcast-gatherv
-  // fan-in and per-collective done copies that used to live here are folded into
-  // cached SchedulePlans — see comm/collectives.h.) All owned by the simulating
-  // thread: overwritten by every build, valid only within one SimulateIteration.
+  // DAG tables; the rest are small per-phase staging buffers. All owned by the
+  // simulating thread: overwritten by every build, valid only within one
+  // SimulateIteration.
   std::vector<std::vector<TaskId>> avail;     // [rank][shard]; per-build scratch
   std::vector<std::vector<TaskId>> gate;      // [rank][variable]; per-build scratch
   std::vector<std::vector<TaskId>> chunk;     // [rank][chunk]; per-build scratch

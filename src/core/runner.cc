@@ -205,7 +205,6 @@ PlannerQuery GraphRunner::MakePlannerQuery(int initial_partitions) const {
   query.compute_chunks = config_.compute_chunks;
   query.options = config_.search;
   query.options.initial_partitions = initial_partitions;
-  query.options.placement = config_.search_placement;
   return query;
 }
 

@@ -122,15 +122,13 @@ struct ParallaxConfig {
   // Uniform (one shared P, the default) or per-variable (a PartitionPlan found by
   // coordinate descent) — applies to both the startup search and adaptive re-searches.
   PartitionSearchMode search_mode = PartitionSearchMode::kUniform;
-  // Per-variable search only: also search each variable's shard *placement* (which
-  // server machine hosts each piece) against the cluster's topology — the greedy
-  // bottleneck-utilization seed plus measured-clock swap refinement of
-  // SearchPartitionPlan's placement pass. Off by default: placement-oblivious runs stay
-  // bit-identical.
-  bool search_placement = false;
-  // The partition search's options. Each search sets two fields itself: its starting
-  // point (initial_partitions: the machine count, or the current plan's largest count
-  // for an adaptive re-search) and its placement bit (search_placement).
+  // The partition search's options. Each search sets its starting point itself
+  // (initial_partitions: the machine count, or the current plan's largest count for an
+  // adaptive re-search). search.placement, per-variable search only, also searches each
+  // variable's shard *placement* (which server machine hosts each piece) against the
+  // cluster's topology — the greedy bottleneck-utilization seed plus measured-clock swap
+  // refinement of SearchPartitionPlan's placement pass. Off by default:
+  // placement-oblivious runs stay bit-identical.
   PartitionSearchOptions search{.initial_partitions = 8,
                                 .min_partitions = 1,
                                 .max_partitions = 1024};

@@ -221,6 +221,7 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
                               [best](const auto& sample) { return sample.first == best; });
   result.seconds = sampled != samples.end() ? sampled->second : measure_plan(result.plan);
   result.uniform_seconds = result.seconds;
+  result.unplaced_seconds = result.seconds;  // no placement was searched
   result.evaluations = static_cast<int>(samples.size());
   return result;
 }

@@ -19,12 +19,26 @@ ClusterSpec FlatSpec(int machines) {
   return spec;
 }
 
-std::vector<int> AllMachines(int n) {
-  std::vector<int> machines(static_cast<size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    machines[static_cast<size_t>(m)] = m;
-  }
-  return machines;
+// One collective scheduled through a fresh cache: the AllReduce at one rack, and the
+// rank-ring AllGatherv. On RankLayout{N, 1} both are the machine rings of Table 3.
+CollectiveSchedule AllReduce(TaskGraph& graph, const RankLayout& layout, int64_t bytes,
+                             const std::vector<TaskId>& deps,
+                             const CollectiveOptions& options) {
+  CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
+  cache.Instantiate(cache.AllReduce(layout, 1, bytes, options), graph, deps, &schedule);
+  return schedule;
+}
+
+CollectiveSchedule RankRingAllGatherv(TaskGraph& graph, const RankLayout& layout,
+                                      const std::vector<int64_t>& blocks,
+                                      const std::vector<TaskId>& deps,
+                                      const CollectiveOptions& options) {
+  CollectiveScheduleCache cache;
+  CollectiveSchedule schedule;
+  cache.Instantiate(cache.RankRingAllGatherv(layout, blocks, options), graph, deps,
+                    &schedule);
+  return schedule;
 }
 
 // Parameterized over machine count: the paper's ring formulas (Table 3) must hold for
@@ -39,7 +53,7 @@ TEST_P(RingParamTest, AllReducePerMachineBytesMatchTable3) {
   CollectiveOptions options;
   options.step_overhead = 0.0;
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
-  AddRingAllReduce(graph, AllMachines(n), w, deps, options);
+  AllReduce(graph, RankLayout{n, 1}, w, deps, options);
   graph.Execute(cluster);
   // Table 3, AR row, one dense variable: 4w(N-1)/N per machine (in + out).
   int64_t expected = n == 1 ? 0 : 4 * w * (n - 1) / n;
@@ -57,7 +71,7 @@ TEST_P(RingParamTest, AllGathervPerMachineBytesMatchTable3) {
   options.step_overhead = 0.0;
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
   std::vector<int64_t> blocks(static_cast<size_t>(n), alpha_w);
-  AddRingAllGatherv(graph, AllMachines(n), blocks, deps, options);
+  RankRingAllGatherv(graph, RankLayout{n, 1}, blocks, deps, options);
   graph.Execute(cluster);
   // Table 3, AR row, one sparse variable: 2*alpha*w*(N-1) per machine.
   int64_t expected = n == 1 ? 0 : 2 * alpha_w * (n - 1);
@@ -77,9 +91,8 @@ TEST_P(RingParamTest, AllReduceTimeNearBandwidthOptimal) {
   CollectiveOptions options;
   options.step_overhead = 0.0;
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
-  CollectiveSchedule schedule = AddRingAllReduce(graph, AllMachines(n), w, deps, options);
-  graph.Execute(cluster);
-  double finish = graph.FinishTime(schedule.all_done);
+  AllReduce(graph, RankLayout{n, 1}, w, deps, options);
+  double finish = graph.Execute(cluster).makespan;
   // Ring optimum: 2(N-1)/N * w / B. The store-and-forward link model serializes each
   // hop through two queues, so the simulated schedule lands within ~2.3x of optimal
   // while preserving the N-scaling shape.
@@ -98,7 +111,7 @@ TEST(CollectivesTest, AllReduceRespectsDependencies) {
   std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
   deps[2] = graph.AddDelay(1.0);
   CollectiveSchedule schedule =
-      AddRingAllReduce(graph, AllMachines(n), 4'000'000, deps, CollectiveOptions{0.0});
+      AllReduce(graph, RankLayout{n, 1}, 4'000'000, deps, CollectiveOptions{0.0});
   graph.Execute(cluster);
   for (int m = 0; m < n; ++m) {
     EXPECT_GE(graph.FinishTime(schedule.done[static_cast<size_t>(m)]), 1.0);
@@ -109,9 +122,9 @@ TEST(CollectivesTest, SingleMachineIsFree) {
   Cluster cluster(FlatSpec(1));
   TaskGraph graph;
   CollectiveSchedule schedule =
-      AddRingAllReduce(graph, {0}, 1'000'000, {kNoTask}, CollectiveOptions{0.0});
+      AllReduce(graph, RankLayout{1, 1}, 1'000'000, {kNoTask}, CollectiveOptions{0.0});
   graph.Execute(cluster);
-  EXPECT_DOUBLE_EQ(graph.FinishTime(schedule.all_done), 0.0);
+  EXPECT_DOUBLE_EQ(graph.FinishTime(schedule.done[0]), 0.0);
   EXPECT_EQ(cluster.NicBytes(0), 0);
 }
 
@@ -123,8 +136,7 @@ TEST(CollectivesTest, HierarchicalUsesPcieLocallyAndNicAcross) {
   RankLayout layout{2, 4};
   std::vector<TaskId> deps(8, kNoTask);
   const int64_t bytes = 4'000'000;
-  CollectiveSchedule schedule =
-      AddHierarchicalAllReduce(graph, layout, bytes, deps, CollectiveOptions{0.0});
+  CollectiveSchedule schedule = AllReduce(graph, layout, bytes, deps, CollectiveOptions{0.0});
   graph.Execute(cluster);
   EXPECT_EQ(static_cast<int>(schedule.done.size()), 8);
   // NIC carries only the inter-machine ring (4w(N-1)/N with N=2 machines => 2w each).
@@ -132,6 +144,38 @@ TEST(CollectivesTest, HierarchicalUsesPcieLocallyAndNicAcross) {
   EXPECT_EQ(cluster.NicBytes(1), 2 * bytes);
   // PCIe carried the local reduce + broadcast.
   EXPECT_GT(cluster.machine(0).pcie_out.total_bytes(), 0);
+}
+
+// The store-and-forward link model (task_graph.h) holds the sender's NIC out, then the
+// receiver's NIC in, so every hop takes twice its wire time. On a latency-free flat
+// cluster with no step overhead the ring schedules therefore end at exactly twice
+// their bandwidth optimum: 2 x 2(N-1)/N * w/B for the AllReduce and 2 x (N-1) * b/B
+// for the rank-ring AllGatherv. A cut-through link model would move this pin to 1.
+TEST(CollectivesTest, StoreAndForwardDoublesTheRingOptimum) {
+  const double bandwidth = FlatSpec(1).nic_bandwidth;
+  const int64_t w = 80'000'000;  // divisible by every tested N
+  const int64_t b = 8'000'000;   // likewise
+  for (int n : {2, 4, 5, 8, 16}) {
+    SCOPED_TRACE(testing::Message() << "N=" << n);
+    const RankLayout layout{n, 1};
+    const std::vector<TaskId> deps(static_cast<size_t>(n), kNoTask);
+    const CollectiveOptions options{0.0};
+
+    Cluster ar_cluster(FlatSpec(n));
+    TaskGraph ar_graph;
+    AllReduce(ar_graph, layout, w, deps, options);
+    const double ar_seconds = ar_graph.Execute(ar_cluster).makespan;
+    const double ar_expected = 2.0 * (2.0 * (n - 1) / n * static_cast<double>(w) / bandwidth);
+    EXPECT_NEAR(ar_seconds, ar_expected, 1e-12 * ar_expected);
+
+    Cluster gv_cluster(FlatSpec(n));
+    TaskGraph gv_graph;
+    RankRingAllGatherv(gv_graph, layout, std::vector<int64_t>(static_cast<size_t>(n), b),
+                       deps, options);
+    const double gv_seconds = gv_graph.Execute(gv_cluster).makespan;
+    const double gv_expected = 2.0 * ((n - 1) * static_cast<double>(b) / bandwidth);
+    EXPECT_NEAR(gv_seconds, gv_expected, 1e-12 * gv_expected);
+  }
 }
 
 TEST(CollectivesTest, RankRingGathervCrossesEachNicOncePerStep) {
@@ -143,7 +187,7 @@ TEST(CollectivesTest, RankRingGathervCrossesEachNicOncePerStep) {
   const int64_t block = 1'000'000;
   std::vector<int64_t> blocks(4, block);
   std::vector<TaskId> deps(4, kNoTask);
-  AddRankRingAllGatherv(graph, layout, blocks, deps, CollectiveOptions{0.0});
+  RankRingAllGatherv(graph, layout, blocks, deps, CollectiveOptions{0.0});
   graph.Execute(cluster);
   // Ring over ranks 0,1 | 2,3: boundary hops 1->2 and 3->0 cross the NIC, once per step,
   // 3 steps => 3 blocks out + 3 blocks in per machine.

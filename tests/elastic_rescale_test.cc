@@ -278,7 +278,7 @@ TEST(ElasticRescaleTest, PlacementSearchOnNewTopologyStaysInRange) {
   WordLmModel model(SmallLm(713));
   ParallaxConfig config = FastConfig();
   config.search_mode = PartitionSearchMode::kPerVariable;
-  config.search_placement = true;
+  config.search.placement = true;
   config.hardware.topology.num_racks = 2;
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(4, 1),
                      config);

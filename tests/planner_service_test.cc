@@ -12,7 +12,8 @@
 //    placements,
 //  - a per-variable query searches exactly its partitioned sparse variables, resumes a
 //    warm start from their partitions and drift flags, and without one gets the
-//    uniform answer under the uniform query's key,
+//    uniform answer under the uniform query's key; a uniform answer reports its own
+//    seconds as its placement-oblivious baseline,
 //  - a runner using the shared planner trains bit-identically to a private-search
 //    runner (monitored and unmonitored alike),
 //  - with alpha_quantum = 0 the shared planner and the private search decide the same
@@ -447,6 +448,26 @@ TEST(SearchPlanTest, PerVariableQueryWithoutTargetsGetsTheUniformAnswer) {
   EXPECT_EQ(first.search.evaluations, swept.evaluations);
   EXPECT_EQ(first.search.uniform.samples, swept.uniform.samples);
   EXPECT_EQ(first.search.rounds, 0);
+}
+
+TEST(SearchPlanTest, UniformAnswerReportsItsSecondsAsUnplaced) {
+  // A uniform search adopts no placement, so its placement-oblivious baseline is its
+  // own time: through SearchPlan, and through the service on a miss and on a hit.
+  PlannerQuery query = MakeQuery(0.02);
+  query.mode = PartitionSearchMode::kUniform;
+
+  SimulationArena arena;
+  const PartitionPlanSearchResult swept = SearchPlan(query, &arena);
+  EXPECT_GT(swept.seconds, 0.0);
+  EXPECT_EQ(swept.unplaced_seconds, swept.seconds);
+
+  PlannerService service;
+  const PlannerResult miss = service.Plan(query).value();
+  const PlannerResult hit = service.Plan(query).value();
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(miss.search.unplaced_seconds, miss.search.seconds);
+  EXPECT_EQ(hit.search.unplaced_seconds, hit.search.seconds);
 }
 
 TEST(PlannerServiceTest, ArenaPoolGrowsOnDemandAndRetainsUpToCap) {

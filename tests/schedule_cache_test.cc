@@ -1,7 +1,7 @@
 // Cached collective schedules must be byte-identical to freshly built ones: the
 // CollectiveScheduleCache replays a stored SchedulePlan into the task graph, and the
 // resulting task sequence (kinds, machines, payloads, dependency lists) has to match
-// what the uncached builder emits, across layouts, sizes, and dependency shapes.
+// what another cache's first build emits, across layouts, sizes, and dependency shapes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,33 +24,34 @@ ClusterSpec FlatSpec(int machines, int gpus) {
   return spec;
 }
 
-std::vector<int> AllMachines(int n) {
-  std::vector<int> machines(static_cast<size_t>(n));
-  for (int m = 0; m < n; ++m) {
-    machines[static_cast<size_t>(m)] = m;
-  }
-  return machines;
+CollectiveSchedule Replay(const CollectiveScheduleCache& cache, const SchedulePlan& plan,
+                          TaskGraph& graph, const std::vector<TaskId>& deps) {
+  CollectiveSchedule schedule;
+  cache.Instantiate(plan, graph, deps, &schedule);
+  return schedule;
 }
 
-// Builds the same collective three ways — no cache, cold cache, warm cache — and
-// asserts structural fingerprints, task counts, and executed makespans are identical.
-// `add` receives the graph and an optional cache; `make_deps` seeds per-participant
-// dependency tasks (identically into every graph).
+// Builds the same collective three ways — one cache's cold build (`fresh`), a second
+// cache's cold build and that cache's warm replay — and asserts structural
+// fingerprints, task counts, and executed makespans are identical. `add` receives the
+// graph and the cache; `make_deps` seeds per-participant dependency tasks (identically
+// into every graph).
 void ExpectCachedMatchesFresh(
     const ClusterSpec& spec,
     const std::function<std::vector<TaskId>(TaskGraph&)>& make_deps,
     const std::function<CollectiveSchedule(TaskGraph&, const std::vector<TaskId>&,
-                                           CollectiveScheduleCache*)>& add) {
+                                           CollectiveScheduleCache&)>& add) {
+  CollectiveScheduleCache other;
   TaskGraph fresh;
-  CollectiveSchedule fresh_schedule = add(fresh, make_deps(fresh), nullptr);
+  CollectiveSchedule fresh_schedule = add(fresh, make_deps(fresh), other);
 
   CollectiveScheduleCache cache;
   TaskGraph cold;
-  CollectiveSchedule cold_schedule = add(cold, make_deps(cold), &cache);
+  CollectiveSchedule cold_schedule = add(cold, make_deps(cold), cache);
   EXPECT_EQ(cache.misses(), 1u);
 
   TaskGraph warm;
-  CollectiveSchedule warm_schedule = add(warm, make_deps(warm), &cache);
+  CollectiveSchedule warm_schedule = add(warm, make_deps(warm), cache);
   EXPECT_GE(cache.hits(), 1u);
 
   EXPECT_EQ(fresh.num_tasks(), cold.num_tasks());
@@ -61,8 +62,7 @@ void ExpectCachedMatchesFresh(
   for (size_t i = 0; i < fresh_schedule.done.size(); ++i) {
     EXPECT_EQ(fresh_schedule.done[i], warm_schedule.done[i]) << "done[" << i << "]";
   }
-  EXPECT_EQ(fresh_schedule.all_done, warm_schedule.all_done);
-  EXPECT_EQ(cold_schedule.all_done, warm_schedule.all_done);
+  EXPECT_EQ(cold_schedule.done, warm_schedule.done);
 
   Cluster fresh_cluster(spec);
   Cluster warm_cluster(spec);
@@ -86,25 +86,24 @@ TEST(ScheduleCacheTest, RingAllReduceAcrossSizes) {
             return deps;
           },
           [n, bytes](TaskGraph& graph, const std::vector<TaskId>& deps,
-                     CollectiveScheduleCache* cache) {
-            return AddRingAllReduce(graph, AllMachines(n), bytes, deps,
-                                    CollectiveOptions{}, cache);
+                     CollectiveScheduleCache& cache) {
+            return Replay(cache, cache.AllReduce(RankLayout{n, 1}, 1, bytes, CollectiveOptions{}),
+                          graph, deps);
           });
     }
   }
 }
 
 TEST(ScheduleCacheTest, RingAllReduceWithAbsentDeps) {
-  // kNoTask deps change the emitted structure (no receiver gate barriers); the cached
-  // plan must collapse to exactly the shape the direct builder produces.
+  // kNoTask deps leave each machine's reduce gate without a dependency; the cached plan
+  // must replay to exactly the graph another cache's first build emits.
   const int n = 4;
   ExpectCachedMatchesFresh(
       FlatSpec(n, 1),
       [](TaskGraph&) { return std::vector<TaskId>(n, kNoTask); },
-      [](TaskGraph& graph, const std::vector<TaskId>& deps,
-         CollectiveScheduleCache* cache) {
-        return AddRingAllReduce(graph, AllMachines(n), 4'000'000, deps,
-                                CollectiveOptions{}, cache);
+      [](TaskGraph& graph, const std::vector<TaskId>& deps, CollectiveScheduleCache& cache) {
+        return Replay(cache, cache.AllReduce(RankLayout{n, 1}, 1, 4'000'000, CollectiveOptions{}),
+                      graph, deps);
       });
 }
 
@@ -118,10 +117,10 @@ TEST(ScheduleCacheTest, RingAllReduceWithMixedDeps) {
         deps[3] = graph.AddDelay(0.25);
         return deps;
       },
-      [](TaskGraph& graph, const std::vector<TaskId>& deps,
-         CollectiveScheduleCache* cache) {
-        return AddRingAllReduce(graph, AllMachines(n), 10'000'000, deps,
-                                CollectiveOptions{}, cache);
+      [](TaskGraph& graph, const std::vector<TaskId>& deps, CollectiveScheduleCache& cache) {
+        return Replay(cache,
+                      cache.AllReduce(RankLayout{n, 1}, 1, 10'000'000, CollectiveOptions{}),
+                      graph, deps);
       });
 }
 
@@ -145,9 +144,10 @@ TEST(ScheduleCacheTest, RingAllGathervUniformAndSkewedBlocks) {
           return deps;
         },
         [&blocks](TaskGraph& graph, const std::vector<TaskId>& deps,
-                  CollectiveScheduleCache* cache) {
-          return AddRingAllGatherv(graph, AllMachines(n), blocks, deps,
-                                   CollectiveOptions{}, cache);
+                  CollectiveScheduleCache& cache) {
+          return Replay(cache,
+                        cache.RankRingAllGatherv(RankLayout{n, 1}, blocks, CollectiveOptions{}),
+                        graph, deps);
         });
   }
 }
@@ -166,9 +166,9 @@ TEST(ScheduleCacheTest, HierarchicalAllReduceAcrossLayouts) {
           return deps;
         },
         [layout](TaskGraph& graph, const std::vector<TaskId>& deps,
-                 CollectiveScheduleCache* cache) {
-          return AddHierarchicalAllReduce(graph, layout, 4'000'000, deps,
-                                          CollectiveOptions{}, cache);
+                 CollectiveScheduleCache& cache) {
+          return Replay(cache, cache.AllReduce(layout, 1, 4'000'000, CollectiveOptions{}),
+                        graph, deps);
         });
   }
 }
@@ -188,9 +188,9 @@ TEST(ScheduleCacheTest, RankRingAllGathervAcrossLayouts) {
           return deps;
         },
         [layout, &blocks](TaskGraph& graph, const std::vector<TaskId>& deps,
-                          CollectiveScheduleCache* cache) {
-          return AddRankRingAllGatherv(graph, layout, blocks, deps, CollectiveOptions{},
-                                       cache);
+                          CollectiveScheduleCache& cache) {
+          return Replay(cache, cache.RankRingAllGatherv(layout, blocks, CollectiveOptions{}),
+                        graph, deps);
         });
   }
 }
@@ -217,9 +217,10 @@ TEST(ScheduleCacheTest, TopologyAllReduceAcrossRackLayouts) {
           return deps;
         },
         [layout, num_racks](TaskGraph& graph, const std::vector<TaskId>& deps,
-                            CollectiveScheduleCache* cache) {
-          return AddTopologyAllReduce(graph, layout, num_racks, 4'000'000, deps,
-                                      CollectiveOptions{}, cache);
+                            CollectiveScheduleCache& cache) {
+          return Replay(cache,
+                        cache.AllReduce(layout, num_racks, 4'000'000, CollectiveOptions{}),
+                        graph, deps);
         });
   }
 }
@@ -238,8 +239,8 @@ TEST(ScheduleCacheTest, BroadcastAllGathervAcrossLayouts) {
           return deps;
         },
         [layout](TaskGraph& graph, const std::vector<TaskId>& deps,
-                 CollectiveScheduleCache* cache) {
-          return AddBroadcastAllGatherv(graph, layout, 250'000, 300'000, deps, cache);
+                 CollectiveScheduleCache& cache) {
+          return Replay(cache, cache.BroadcastAllGatherv(layout, 250'000, 300'000), graph, deps);
         });
   }
 }
@@ -247,38 +248,22 @@ TEST(ScheduleCacheTest, BroadcastAllGathervAcrossLayouts) {
 TEST(ScheduleCacheTest, DistinctKeysGetDistinctPlans) {
   CollectiveScheduleCache cache;
   CollectiveOptions options;
-  cache.RingAllReduce(4, 1000, options);
-  cache.RingAllReduce(4, 2000, options);
-  cache.RingAllReduce(8, 1000, options);
+  cache.AllReduce(RankLayout{4, 1}, 1, 1000, options);
+  cache.AllReduce(RankLayout{4, 1}, 1, 2000, options);
+  cache.AllReduce(RankLayout{8, 1}, 1, 1000, options);
   CollectiveOptions no_overhead;
   no_overhead.step_overhead = 0.0;
-  cache.RingAllReduce(4, 1000, no_overhead);
+  cache.AllReduce(RankLayout{4, 1}, 1, 1000, no_overhead);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.hits(), 0u);
-  cache.RingAllReduce(4, 1000, options);
+  cache.AllReduce(RankLayout{4, 1}, 1, 1000, options);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(ScheduleCacheTest, PlanIsRelocatableAcrossMachineLists) {
-  // One cached plan serves any machine list of the same size: the ring over machines
-  // {0,1,2} and the ring over {3,1,5} replay the same plan through different tables.
-  CollectiveScheduleCache cache;
-  ClusterSpec spec = FlatSpec(6, 1);
-  TaskGraph graph_a;
-  std::vector<TaskId> deps(3, kNoTask);
-  AddRingAllReduce(graph_a, {0, 1, 2}, 3'000'000, deps, CollectiveOptions{}, &cache);
-  TaskGraph graph_b;
-  AddRingAllReduce(graph_b, {3, 1, 5}, 3'000'000, deps, CollectiveOptions{}, &cache);
-  EXPECT_EQ(cache.size(), 1u);
+  // The rack count is part of the key: two racks of two machines is another schedule.
+  cache.AllReduce(RankLayout{4, 1}, 2, 1000, options);
+  EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(graph_a.num_tasks(), graph_b.num_tasks());
-  // Same schedule, different machines: equal makespans on symmetric clusters.
-  Cluster cluster_a(spec);
-  Cluster cluster_b(spec);
-  EXPECT_EQ(graph_a.Execute(cluster_a).makespan, graph_b.Execute(cluster_b).makespan);
-  EXPECT_EQ(cluster_a.NicBytes(0), cluster_b.NicBytes(3));
 }
 
 }  // namespace
