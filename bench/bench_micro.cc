@@ -206,25 +206,48 @@ Tensor HiddenPreActivation(Model& model, uint64_t seed) {
                                      model.TrainShards(1, rng)[0], input);
 }
 
-// The hidden layer's tanh at the executor's real shapes and values: skew
-// (EmbeddingSkewModel, batch 64) is [64, 128], lm (WordLmModel in pxbench) is [32, 48].
-// With the matmuls on the wide strips, this is the largest op left in a skew replica;
-// max_abs_x echoes how small the pre-activations are.
-void BM_TanhInto(benchmark::State& state, bool skew) {
-  Tensor x;
-  if (skew) {
+// The pre-activations of a model's hidden layer at the executor's real shapes: skew
+// (EmbeddingSkewModel, batch 64) is [64, 128], lm (WordLmModel in pxbench) is [32, 48],
+// both from a forward pass on the initial values. A word LM's grow as it trains (pxbench's
+// lm reaches |x| of 4 to 7 within its first thousand steps, while skew's stay below
+// 0.25), so lm_trained stands in for them: lm's shape, normal values of stddev 2.
+enum class TanhInput { kSkew, kLm, kLmTrained };
+
+Tensor TanhBenchInput(TanhInput input) {
+  if (input == TanhInput::kSkew) {
     EmbeddingSkewModel::Options options;
     options.batch_per_rank = 64;
     EmbeddingSkewModel model(options);
-    x = HiddenPreActivation(model, 14);
-  } else {
-    WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
-                       .batch_per_rank = 32, .seed = 13});
-    x = HiddenPreActivation(model, 14);
+    return HiddenPreActivation(model, 14);
   }
-  Tensor out;
+  if (input == TanhInput::kLmTrained) {
+    Rng rng(14);
+    return RandomNormal(TensorShape({32, 48}), rng, 2.0f);
+  }
+  WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                     .batch_per_rank = 32, .seed = 13});
+  return HiddenPreActivation(model, 14);
+}
+
+// The hidden layer's tanh at those shapes and values, on the library's vector cores
+// (labelled with the dispatched instantiation) or, for BM_TanhLibm, through the loop it
+// replaced: one call of libm's tanhf per element. max_abs_x echoes how large the
+// pre-activations are: strips whose lanes all have |x| < 0.52 take the narrow core,
+// about three times cheaper than the wide core that the rest take.
+template <bool kLibm>
+void TanhBench(benchmark::State& state, TanhInput input) {
+  const Tensor x = TanhBenchInput(input);
+  Tensor out = Tensor::Zeros(x.shape());
   for (auto _ : state) {
-    TanhInto(out, x);
+    if (kLibm) {
+      auto src = x.floats();
+      float* dst = out.mutable_floats().data();
+      for (size_t i = 0; i < src.size(); ++i) {
+        dst[i] = std::tanh(src[i]);
+      }
+    } else {
+      TanhInto(out, x);
+    }
     benchmark::DoNotOptimize(out.floats().data());
     benchmark::ClobberMemory();
   }
@@ -234,9 +257,19 @@ void BM_TanhInto(benchmark::State& state, bool skew) {
     max_abs = std::max(max_abs, std::abs(v));
   }
   state.counters["max_abs_x"] = max_abs;
+  if (!kLibm) {
+    state.SetLabel(MatMulIsaLabel());
+  }
 }
-BENCHMARK_CAPTURE(BM_TanhInto, skew, true);
-BENCHMARK_CAPTURE(BM_TanhInto, lm, false);
+
+void BM_TanhInto(benchmark::State& state, TanhInput input) { TanhBench<false>(state, input); }
+BENCHMARK_CAPTURE(BM_TanhInto, skew, TanhInput::kSkew);
+BENCHMARK_CAPTURE(BM_TanhInto, lm, TanhInput::kLm);
+BENCHMARK_CAPTURE(BM_TanhInto, lm_trained, TanhInput::kLmTrained);
+void BM_TanhLibm(benchmark::State& state, TanhInput input) { TanhBench<true>(state, input); }
+BENCHMARK_CAPTURE(BM_TanhLibm, skew, TanhInput::kSkew);
+BENCHMARK_CAPTURE(BM_TanhLibm, lm, TanhInput::kLm);
+BENCHMARK_CAPTURE(BM_TanhLibm, lm_trained, TanhInput::kLmTrained);
 
 // The AllReduce over n one-GPU machines, built from scratch each iteration: a fresh
 // cache builds the plan and a fresh graph takes it.

@@ -227,9 +227,13 @@ SchedulePlan BuildRankRingAllGathervPlan(const RankLayout& layout,
     std::swap(prev_arrival, arrival);
   }
 
-  for (int r = 0; r < r_count; ++r) {
-    int32_t refs[] = {prev_arrival[static_cast<size_t>(r)]};
+  // Each rank is done at its last arrival. A single rank receives nothing: its
+  // completion is a barrier on its own readiness.
+  if (r_count == 1) {
+    int32_t refs[] = {ExternalRef(0)};
     plan.done_refs.push_back(PlanBarrier(plan, refs));
+  } else {
+    plan.done_refs = prev_arrival;
   }
   return plan;
 }

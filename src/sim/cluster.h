@@ -199,8 +199,6 @@ class Topology {
   int num_racks() const { return num_racks_; }
   int machines_per_rack() const { return machines_per_rack_; }
   int RackOfMachine(int m) const { return m / machines_per_rack_; }
-  // The rack's designated leader for hierarchical collectives: its first machine.
-  int LeaderOfRack(int r) const { return r * machines_per_rack_; }
 
   // Bottleneck bandwidth of the src -> dst path: the NIC within a rack, the weaker of
   // NIC and spine across racks. Same-machine traffic never touches the fabric.

@@ -278,6 +278,301 @@ float* PackBuffer(size_t floats) {
   return buffer.data();
 }
 
+// ---- tanh ----
+//
+// The library's tanh is fdlibm's float tanhf (s_tanhf.c), with the branches of its
+// expm1f (s_expm1f.c) that tanhf reaches, ported operation for operation: every
+// constant has fdlibm's bits and every operation rounds to float in fdlibm's order.
+// FdlibmTanhf is that port. The two vector cores below repeat its operations lane by
+// lane, so they agree with it bit for bit: the narrow core for the small inputs of an
+// untrained layer, the wide core for every other finite input. Like the matmul core,
+// everything the kernel calls is always_inline: the AVX2 entry point then runs the port
+// as VEX code too, where a call into SSE code would pay an SSE/AVX transition per
+// element (about 240 ns each on a 4-vCPU AVX-512 host).
+
+[[gnu::always_inline]] constexpr float FloatOfBits(uint32_t bits) {
+  return __builtin_bit_cast(float, bits);
+}
+[[gnu::always_inline]] constexpr uint32_t BitsOf(float value) {
+  return __builtin_bit_cast(uint32_t, value);
+}
+
+constexpr float kLn2Hi = FloatOfBits(0x3f317180);   // 6.9313812256e-01
+constexpr float kLn2Lo = FloatOfBits(0x3717f7d1);   // 9.0580006145e-06
+constexpr float kInvLn2 = FloatOfBits(0x3fb8aa3b);  // 1.4426950216e+00
+// expm1f's scaled polynomial coefficients.
+constexpr float kQ1 = FloatOfBits(0xbd088889);  // -3.3333335072e-02
+constexpr float kQ2 = FloatOfBits(0x3ad00d01);  // 1.5873016091e-03
+constexpr float kQ3 = FloatOfBits(0xb8a670cd);  // -7.9365076090e-05
+constexpr float kQ4 = FloatOfBits(0x36867e54);  // 4.0082177293e-06
+constexpr float kQ5 = FloatOfBits(0xb457edbb);  // -2.0109921195e-07
+
+// expm1f(y) for the arguments tanhf passes it: y = -2|x| for 2^-55 <= |x| < 1 and
+// y = 2|x| for 1 <= |x| < 22. So a positive y is at least 2, and expm1f's branches for
+// overflow, non-finite y, y below -27 ln2 and k = 1 are never reached and not ported.
+[[gnu::always_inline]] inline float Expm1ForTanh(float y) {
+  uint32_t hy = BitsOf(y);
+  const bool negative = (hy & 0x80000000u) != 0;
+  hy &= 0x7fffffffu;
+  // Argument reduction: y = k ln2 + r with |r| <= 0.5 ln2; c corrects r's rounding.
+  int k = 0;
+  float c = 0.0f;
+  if (hy > 0x3eb17218u) {  // |y| > 0.5 ln2
+    float hi;
+    float lo;
+    if (hy < 0x3f851592u) {  // and |y| < 1.5 ln2, so y is negative: k = -1
+      hi = y + kLn2Hi;
+      lo = -kLn2Lo;
+      k = -1;
+    } else {
+      k = static_cast<int>(kInvLn2 * y + (negative ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = y - t * kLn2Hi;
+      lo = t * kLn2Lo;
+    }
+    y = hi - lo;
+    c = (hi - y) - lo;
+  } else if (hy < 0x33000000u) {  // |y| < 2^-25: expm1(y) rounds to y
+    return y;
+  }
+  // y is now in the primary range.
+  const float hfx = 0.5f * y;
+  const float hxs = y * hfx;
+  const float r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - y * t));
+  if (k == 0) {
+    return y - (y * e - hxs);
+  }
+  e = y * (e - c) - c;
+  e -= hxs;
+  if (k == -1) {
+    return 0.5f * (y - e) - 0.5f;
+  }
+  // 2^k (1 + r) - 1: k is added to a float's exponent field.
+  const uint32_t k_exponent = static_cast<uint32_t>(k) << 23;
+  if (k <= -2 || k > 56) {
+    const float u = 1.0f - (e - y);
+    return FloatOfBits(BitsOf(u) + k_exponent) - 1.0f;
+  }
+  float u;
+  if (k < 23) {
+    t = FloatOfBits(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    u = t - (e - y);
+  } else {
+    t = FloatOfBits(static_cast<uint32_t>(0x7f - k) << 23);  // 2^-k
+    u = y - (e + t);
+    u += 1.0f;
+  }
+  return FloatOfBits(BitsOf(u) + k_exponent);
+}
+
+// fdlibm's tanhf.
+[[gnu::always_inline]] inline float FdlibmTanhf(float x) {
+  const uint32_t jx = BitsOf(x);
+  const uint32_t ix = jx & 0x7fffffffu;
+  const bool negative = (jx & 0x80000000u) != 0;
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return negative ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  float z;
+  if (ix < 0x41b00000u) {  // |x| < 22
+    if (ix == 0) {
+      return x;  // +-0
+    }
+    if (ix < 0x24000000u) {  // |x| < 2^-55
+      return x * (1.0f + x);
+    }
+    if (ix >= 0x3f800000u) {  // |x| >= 1
+      const float t = Expm1ForTanh(2.0f * FloatOfBits(ix));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = Expm1ForTanh(-2.0f * FloatOfBits(ix));
+      z = -t / (t + 2.0f);
+    }
+  } else {
+    z = 1.0f - 1.0e-30f;  // |x| >= 22: 1, inexact
+  }
+  return negative ? -z : z;
+}
+
+// The narrow core's inputs: 2^-26 <= |x| < 1.5 ln2 / 2, as bits of |x|. There
+// Expm1ForTanh(-2|x|) takes no early return and reduces with k = 0 or k = -1, so the
+// narrow core runs about a third of the wide core's operations. Small pre-activations
+// take it (a skew replica's stay below 0.25 while it trains); a word LM's grow past 4
+// within its first thousand steps, and most of its strips take the wide core.
+constexpr int32_t kTanhNarrowMin = 0x32800000;  // 2^-26
+constexpr int32_t kTanhNarrowEnd = 0x3f051592;  // 1.5 ln2 / 2, rounded up
+// Above this |x| (0.5 ln2 / 2), -2|x| reduces with k = -1.
+constexpr int32_t kTanhReduceAbove = 0x3e317218;
+
+// The signed 32-bit lane type of float vector V (what comparing two V yields).
+template <typename V>
+using LaneBits = decltype(V{} < V{});
+
+// What a strip needs, as bits OR-ed over its lanes.
+constexpr int32_t kLaneReduces = 1;    // |x| > 0.5 ln2 / 2: reduces with k = -1
+constexpr int32_t kLaneWide = 2;       // outside the narrow core's range
+constexpr int32_t kLaneNonFinite = 4;  // infinite or NaN: the port's
+
+// Loads a strip of kLanes<V> floats into x and returns its needs.
+template <typename V>
+[[gnu::always_inline]] inline int32_t LoadStrip(const float* src, V& x) {
+  std::memcpy(&x, src, sizeof(x));
+  const LaneBits<V> ix = __builtin_bit_cast(LaneBits<V>, x) & 0x7fffffff;
+  const LaneBits<V> needs = (((ix < kTanhNarrowMin) | (ix >= kTanhNarrowEnd)) & kLaneWide) |
+                            ((ix > kTanhReduceAbove) & kLaneReduces) |
+                            ((ix >= 0x7f800000) & kLaneNonFinite);
+  uint64_t lane_pairs[sizeof(V) / sizeof(uint64_t)];
+  std::memcpy(lane_pairs, &needs, sizeof(needs));
+  uint64_t any = 0;
+  for (uint64_t pair : lane_pairs) {
+    any |= pair;
+  }
+  return static_cast<int32_t>(any | (any >> 32));
+}
+
+// dst[0, kLanes<V>) = FdlibmTanhf of the lanes of x, which all lie in the narrow core's
+// range: Expm1ForTanh(-2|x|), then the port's finish. With kReduces, some lane reduces
+// with k = -1, so every lane runs the k = 0 and the k = -1 sequence and keeps its own.
+template <typename V, bool kReduces>
+[[gnu::always_inline]] inline void TanhNarrowStrip(float* dst, const V& x) {
+  using Bits = LaneBits<V>;
+  const Bits sign = __builtin_bit_cast(Bits, x) & static_cast<int32_t>(0x80000000u);
+  const Bits ix = __builtin_bit_cast(Bits, x) & 0x7fffffff;
+  const V y = -2.0f * __builtin_bit_cast(V, ix);
+  const Bits reduce = ix > kTanhReduceAbove;
+  V r = y;
+  V c = {};
+  if constexpr (kReduces) {
+    const V hi = y + kLn2Hi;
+    const float lo = -kLn2Lo;
+    const V reduced = hi - lo;
+    c = (hi - reduced) - lo;
+    r = reduce ? reduced : y;
+  }
+  const V hfx = 0.5f * r;
+  const V hxs = r * hfx;
+  const V r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const V t = 3.0f - r1 * hfx;
+  const V e = hxs * ((r1 - t) / (6.0f - r * t));
+  V expm1 = r - (r * e - hxs);
+  if constexpr (kReduces) {
+    V e1 = r * (e - c) - c;
+    e1 -= hxs;
+    const V reduced_result = 0.5f * (r - e1) - 0.5f;
+    expm1 = reduce ? reduced_result : expm1;
+  }
+  // tanh(|x|) = -expm1 / (expm1 + 2) > 0; x's sign bit makes it tanh(x).
+  const V z = -expm1 / (expm1 + 2.0f);
+  const V tanh = __builtin_bit_cast(V, __builtin_bit_cast(Bits, z) | sign);
+  std::memcpy(dst, &tanh, sizeof(tanh));
+}
+
+// dst[0, kLanes<V>) = FdlibmTanhf of the lanes of x, which may be any finite floats:
+// every lane runs every branch of the port that a finite input reaches, and keeps the
+// result of its own, so the cost of a strip does not depend on its values. One
+// operation differs in form: the port builds 1 - 2^-k from bits with a shift by k,
+// which SSE2 has no per-lane form of; here it is 1.0f - 2^-k, exact for the k < 23
+// that use it, so the bits are the same.
+template <typename V>
+[[gnu::always_inline]] inline void TanhWideStrip(float* dst, const V& x) {
+  using Bits = LaneBits<V>;
+  const V one = V{} + 1.0f;
+  const Bits ix = __builtin_bit_cast(Bits, x) & 0x7fffffff;
+  const Bits below_one = ix < 0x3f800000;
+  const Bits huge = ix >= 0x41b00000;  // |x| >= 22: tanh is 1 (inexact)
+  // Expm1ForTanh's argument: -2|x| below 1, 2|x| from 1 to 22; huge lanes take 2.
+  const V ax = huge ? one : __builtin_bit_cast(V, ix);
+  const V y = below_one ? -2.0f * ax : 2.0f * ax;
+  const Bits hy = __builtin_bit_cast(Bits, y) & 0x7fffffff;
+  // Argument reduction: the general k for every lane, replaced by k = -1 where
+  // 0.5 ln2 < |y| < 1.5 ln2 and by no reduction (k = 0, c = 0) where |y| <= 0.5 ln2.
+  // A negative y is one below 1.
+  const V half = below_one ? V{} - 0.5f : V{} + 0.5f;
+  Bits k = __builtin_convertvector(kInvLn2 * y + half, Bits);
+  const V kf = __builtin_convertvector(k, V);
+  V hi = y - kf * kLn2Hi;
+  V lo = kf * kLn2Lo;
+  const Bits k_minus_one = hy < 0x3f851592;
+  hi = k_minus_one ? y + kLn2Hi : hi;
+  lo = k_minus_one ? V{} - kLn2Lo : lo;
+  k = k_minus_one ? Bits{} - 1 : k;
+  const Bits primary = hy <= 0x3eb17218;
+  hi = primary ? y : hi;
+  lo = primary ? V{} : lo;
+  k = primary ? Bits{} : k;
+  const V r = hi - lo;
+  const V c = (hi - r) - lo;
+  const V hfx = 0.5f * r;
+  const V hxs = r * hfx;
+  const V r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const V t = 3.0f - r1 * hfx;
+  const V e = hxs * ((r1 - t) / (6.0f - r * t));
+  const V at_k_zero = r - (r * e - hxs);
+  V e1 = r * (e - c) - c;
+  e1 -= hxs;
+  const V at_k_minus_one = 0.5f * (r - e1) - 0.5f;
+  // Otherwise 2^k (1 + r) - 1, in the port's three forms: u, then k added to u's
+  // exponent field, then - 1 for the far k.
+  const Bits far = (k <= -2) | (k > 56);
+  const V two_to_minus_k = __builtin_bit_cast(V, (0x7f - k) << 23);
+  V large = r - (e1 + two_to_minus_k);  // 23 <= k <= 56
+  large += 1.0f;
+  V u = k < 23 ? (1.0f - two_to_minus_k) - (e1 - r) : large;
+  u = far ? 1.0f - (e1 - r) : u;
+  V scaled = __builtin_bit_cast(V, __builtin_bit_cast(Bits, u) + (k << 23));
+  scaled = far ? scaled - 1.0f : scaled;
+  V expm1 = k == -1 ? at_k_minus_one : scaled;
+  expm1 = k == 0 ? at_k_zero : expm1;
+  expm1 = hy < 0x33000000 ? y : expm1;  // |y| < 2^-25: expm1(y) rounds to y
+  // The port's finish: -t / (t + 2) below 1, 1 - 2 / (t + 2) from 1 to 22, then x's sign.
+  const V q = (below_one ? -expm1 : V{} + 2.0f) / (expm1 + 2.0f);
+  V z = below_one ? q : 1.0f - q;
+  z = huge ? V{} + (1.0f - 1.0e-30f) : z;
+  const Bits sign = __builtin_bit_cast(Bits, x) & static_cast<int32_t>(0x80000000u);
+  V tanh = __builtin_bit_cast(V, __builtin_bit_cast(Bits, z) | sign);
+  tanh = ix < 0x24000000 ? x * (1.0f + x) : tanh;  // |x| < 2^-55, +-0 included
+  std::memcpy(dst, &tanh, sizeof(tanh));
+}
+
+// dst[i] = FdlibmTanhf(src[i]) for i in [0, n), kLanes<V> at a time: a strip whose lanes
+// all lie in the narrow core's range runs TanhNarrowStrip, which skips the k = -1
+// sequence when no lane needs it; any other finite strip runs TanhWideStrip; a strip
+// with an infinite or NaN lane, and the tail, runs the port.
+template <typename V>
+[[gnu::always_inline]] inline void TanhKernel(float* dst, const float* src, int64_t n) {
+  constexpr int64_t lanes = kLanes<V>;
+  int64_t i = 0;
+  while (i < n) {
+    V x;
+    const int32_t needs = i + lanes > n ? kLaneNonFinite : LoadStrip(src + i, x);
+    if ((needs & kLaneNonFinite) != 0) {
+      for (const int64_t end = std::min(i + lanes, n); i < end; ++i) {
+        dst[i] = FdlibmTanhf(src[i]);
+      }
+      continue;
+    }
+    if ((needs & kLaneWide) != 0) {
+      TanhWideStrip(dst + i, x);
+    } else if ((needs & kLaneReduces) != 0) {
+      TanhNarrowStrip<V, true>(dst + i, x);
+    } else {
+      TanhNarrowStrip<V, false>(dst + i, x);
+    }
+    i += lanes;
+  }
+}
+
+#if defined(__x86_64__)
+// The 8-lane instantiation, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
+// would fuse the polynomial, `3 - r1 * hfx`, `6 - r * t` and the reduction's
+// `y - k * ln2_hi`, as it would the matmuls.
+[[gnu::target("avx2")]] void TanhKernelAvx2(float* dst, const float* src, int64_t n) {
+  TanhKernel<Vec8>(dst, src, n);
+}
+#endif
+
 }  // namespace
 
 namespace internal {
@@ -347,6 +642,22 @@ void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Ten
   RunStripMatMul</*kSkipZeros=*/false>(isa, cv, a.floats().data(), k, 1, bt, m, k, n);
 }
 
+float ScalarTanh(float x) { return FdlibmTanhf(x); }
+
+void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a) {
+  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+  float* dst = PrepareDense(out, a.shape(), /*zero_fill=*/false);
+  const float* src = a.floats().data();
+  const int64_t n = a.num_elements();
+#if defined(__x86_64__)
+  if (isa == MatMulIsa::kAvx2) {
+    TanhKernelAvx2(dst, src, n);
+    return;
+  }
+#endif
+  TanhKernel<Vec4>(dst, src, n);
+}
+
 }  // namespace internal
 
 void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
@@ -395,11 +706,7 @@ Tensor Transpose2D(const Tensor& a) {
 }
 
 void TanhInto(Tensor& out, const Tensor& a) {
-  float* dst = PrepareDense(out, a.shape(), /*zero_fill=*/false);
-  auto src = a.floats();
-  for (size_t i = 0; i < src.size(); ++i) {
-    dst[i] = std::tanh(src[i]);
-  }
+  internal::TanhInto(internal::ActiveMatMulIsa(), out, a);
 }
 
 Tensor Tanh(const Tensor& a) {

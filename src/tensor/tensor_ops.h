@@ -42,6 +42,11 @@ Tensor Transpose2D(const Tensor& a);
 
 // ---- Nonlinearities ----
 
+// Tanh is the library's own: fdlibm's float tanhf algorithm, ported into
+// tensor_ops.cc (internal::ScalarTanh) and run up to eight lanes at a time, so no value
+// comes from the host's libm. It equals glibc 2.36's tanhf on every float. On a host
+// with another libm (musl, a correctly rounded glibc) values changed once, when Tanh
+// stopped calling that libm's tanhf, and from then on no longer depend on the host.
 Tensor Tanh(const Tensor& a);
 Tensor TanhGrad(const Tensor& output, const Tensor& grad);  // grad * (1 - output^2)
 Tensor Relu(const Tensor& a);
@@ -119,9 +124,9 @@ void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
 
 namespace internal {
 
-// The instantiations of the register-strip core behind the three matmul kernels. Both
-// give every output element the same sequence of rounded operations, so they agree bit
-// for bit; only the number of columns computed side by side differs.
+// The instantiations of the vector cores behind the three matmul kernels and TanhInto.
+// Both give every output element the same sequence of rounded operations, so they agree
+// bit for bit; only the number of elements computed side by side differs.
 enum class MatMulIsa {
   kVec4,  // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
   kAvx2,  // 8-lane AVX2 vectors, never fused multiply-add; x86-64 CPUs with AVX2 only
@@ -138,6 +143,12 @@ const char* MatMulIsaName(MatMulIsa isa);
 void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
 void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
 void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+// The library's tanh of one float, fdlibm's tanhf ported operation for operation: the
+// reference TanhInto's vector cores match bit for bit on every finite input, and its
+// fallback for strips with an infinite or NaN lane and for the tail.
+float ScalarTanh(float x);
+// TanhInto on a chosen instantiation; `isa` must be supported.
+void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a);
 
 }  // namespace internal
 

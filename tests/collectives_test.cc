@@ -195,6 +195,37 @@ TEST(CollectivesTest, RankRingGathervCrossesEachNicOncePerStep) {
   EXPECT_EQ(cluster.NicBytes(1), 6 * block);
 }
 
+// The rank ring emits its N(N-1) hops and nothing else: each rank's completion is its
+// last arrival, a hop, with no barrier behind it. A single rank receives nothing, so its
+// completion is one barrier on its own readiness.
+TEST(CollectivesTest, RankRingGathervEmitsOnlyItsHops) {
+  for (const RankLayout layout : {RankLayout{1, 1}, RankLayout{2, 1}, RankLayout{5, 1},
+                                  RankLayout{1, 4}, RankLayout{3, 2}}) {
+    const int n = layout.num_ranks();
+    SCOPED_TRACE(testing::Message() << "ranks=" << n);
+    CollectiveScheduleCache cache;
+    const std::vector<int64_t> blocks(static_cast<size_t>(n), 1000);
+    const SchedulePlan& plan = cache.RankRingAllGatherv(layout, blocks, CollectiveOptions{0.0});
+    const size_t hops = static_cast<size_t>(n) * static_cast<size_t>(n - 1);
+    ASSERT_EQ(plan.ops.size(), n == 1 ? 1 : hops);
+    ASSERT_EQ(plan.done_refs.size(), static_cast<size_t>(n));
+    for (const int32_t ref : plan.done_refs) {
+      const TaskKind kind = plan.ops[static_cast<size_t>(ref)].kind;
+      if (n == 1) {
+        EXPECT_EQ(kind, TaskKind::kBarrier);
+      } else {
+        EXPECT_TRUE(kind == TaskKind::kTransfer || kind == TaskKind::kLocalTransfer);
+      }
+    }
+    TaskGraph graph;
+    CollectiveSchedule schedule;
+    cache.Instantiate(plan, graph, std::vector<TaskId>(static_cast<size_t>(n), kNoTask),
+                      &schedule);
+    EXPECT_EQ(graph.num_tasks(), n == 1 ? 1 : hops);
+    EXPECT_EQ(schedule.done.size(), static_cast<size_t>(n));
+  }
+}
+
 TEST(ReduceTest, AllReduceSumAndAverage) {
   std::vector<Tensor> xs = {Tensor::Filled(TensorShape({3}), 1.0f),
                             Tensor::Filled(TensorShape({3}), 2.0f),

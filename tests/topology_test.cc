@@ -37,9 +37,6 @@ TEST(TopologyTest, LevelArithmetic) {
   EXPECT_EQ(topology.RackOfMachine(1), 0);
   EXPECT_EQ(topology.RackOfMachine(2), 1);
   EXPECT_EQ(topology.RackOfMachine(5), 2);
-  EXPECT_EQ(topology.LeaderOfRack(0), 0);
-  EXPECT_EQ(topology.LeaderOfRack(1), 2);
-  EXPECT_EQ(topology.LeaderOfRack(2), 4);
 }
 
 TEST(TopologyTest, PathBandwidthPicksTheBottleneckLevel) {
