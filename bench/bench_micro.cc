@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose costs the calibration
 // constants model: sparse gradient coalescing and multi-slice sums (naive map reference
 // vs the fused MultiVariableSum pass, cold vs workspace-reuse), scatter updates,
-// partition stitch, the dense matmuls of the executor (seed loops vs register strips)
-// and its tanh, the cost-model fit, ring-schedule construction, and task-graph execution
-// throughput. Every bench that runs the register-strip matmuls is labelled with the
-// instantiation this CPU dispatches them to ("avx2" or "vec4").
+// partition stitch, the dense matmuls of the executor (seed loops vs register strips),
+// its tanh and its softmax, the cost-model fit, ring-schedule construction, and
+// task-graph execution throughput. Every bench that runs the vector kernels is labelled
+// with the instantiation this CPU dispatches them to ("avx2" or "vec4").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -270,6 +270,79 @@ void BM_TanhLibm(benchmark::State& state, TanhInput input) { TanhBench<true>(sta
 BENCHMARK_CAPTURE(BM_TanhLibm, skew, TanhInput::kSkew);
 BENCHMARK_CAPTURE(BM_TanhLibm, lm, TanhInput::kLm);
 BENCHMARK_CAPTURE(BM_TanhLibm, lm_trained, TanhInput::kLmTrained);
+
+// The logits and labels a model's loss node reads, from a forward pass on the initial
+// values and one training shard.
+template <typename Model>
+std::pair<Tensor, Tensor> LossInputs(Model& model, uint64_t seed) {
+  const Graph& graph = *model.graph();
+  const Node& loss = graph.nodes()[static_cast<size_t>(model.loss())];
+  Rng rng(seed);
+  FeedMap feeds = model.TrainShards(1, rng)[0];
+  Tensor logits =
+      Executor(&graph).RunForward(VariableStore::InitFrom(graph), feeds, loss.inputs[0]);
+  return {std::move(logits), feeds.at(loss.inputs[1])};
+}
+
+// The sampled softmax's logits at the executor's real shapes: skew (EmbeddingSkewModel,
+// batch 64) is [64, 64], lm (WordLmModel in pxbench) is [32, 32].
+enum class SoftmaxInput { kSkew, kLm };
+
+std::pair<Tensor, Tensor> SoftmaxBenchInputs(SoftmaxInput input) {
+  if (input == SoftmaxInput::kSkew) {
+    EmbeddingSkewModel::Options options;
+    options.batch_per_rank = 64;
+    EmbeddingSkewModel model(options);
+    return LossInputs(model, 14);
+  }
+  WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                     .batch_per_rank = 32, .seed = 13});
+  return LossInputs(model, 14);
+}
+
+// The loss node's forward pass: SoftmaxCrossEntropyInto as a replica runs it (labelled
+// with the dispatched instantiation) or, for BM_SoftmaxLibm, the loop it replaced: the
+// seed's softmax with one call of libm's expf per element, then the same mean log loss.
+template <bool kLibm>
+void SoftmaxBench(benchmark::State& state, SoftmaxInput input) {
+  const auto [logits, labels] = SoftmaxBenchInputs(input);
+  const int64_t rows = logits.shape().dim(0);
+  const int64_t cols = logits.shape().dim(1);
+  Tensor probs = Tensor::Zeros(logits.shape());
+  for (auto _ : state) {
+    float loss;
+    if (kLibm) {
+      NaiveSoftmaxRowsInto(probs.mutable_floats().data(), logits.floats().data(), rows, cols,
+                           [](float x) { return std::exp(x); });
+      double sum = 0.0;
+      for (int64_t r = 0; r < rows; ++r) {
+        sum -= std::log(std::max(probs.floats()[static_cast<size_t>(
+                                     r * cols + labels.ints()[static_cast<size_t>(r)])],
+                                 1e-12f));
+      }
+      loss = static_cast<float>(sum / static_cast<double>(rows));
+    } else {
+      loss = SoftmaxCrossEntropyInto(probs, logits, labels, nullptr);
+    }
+    benchmark::DoNotOptimize(loss);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * logits.num_elements());
+  if (!kLibm) {
+    state.SetLabel(MatMulIsaLabel());
+  }
+}
+
+void BM_SoftmaxCrossEntropy(benchmark::State& state, SoftmaxInput input) {
+  SoftmaxBench<false>(state, input);
+}
+BENCHMARK_CAPTURE(BM_SoftmaxCrossEntropy, skew, SoftmaxInput::kSkew);
+BENCHMARK_CAPTURE(BM_SoftmaxCrossEntropy, lm, SoftmaxInput::kLm);
+void BM_SoftmaxLibm(benchmark::State& state, SoftmaxInput input) {
+  SoftmaxBench<true>(state, input);
+}
+BENCHMARK_CAPTURE(BM_SoftmaxLibm, skew, SoftmaxInput::kSkew);
+BENCHMARK_CAPTURE(BM_SoftmaxLibm, lm, SoftmaxInput::kLm);
 
 // The AllReduce over n one-GPU machines, built from scratch each iteration: a fresh
 // cache builds the plan and a fresh graph takes it.

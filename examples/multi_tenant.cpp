@@ -48,7 +48,6 @@ int main() {
     threads.emplace_back([t, planner, &tenants] {
       WordLmModel model(TenantModel(t));
       PartitionSearchOptions search;
-      search.initial_partitions = 4;
       auto runner_or = RunnerBuilder(model.graph(), model.loss())
                            .WithResources("node-a:0,1;node-b:0,1")
                            .WithSearchMode(PartitionSearchMode::kPerVariable)

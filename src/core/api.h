@@ -60,7 +60,9 @@ class RunnerBuilder {
   // before it is overridden. Search-mode selection is orthogonal: WithSearchMode picks
   // uniform (one shared P, the default) vs per-variable (a PartitionPlan via coordinate
   // descent at each variable's measured alpha). WithSearch alone keeps the uniform
-  // mode — it is an exact shim for the historical behavior.
+  // mode — it is an exact shim for the historical behavior. A runner ignores
+  // `search.initial_partitions`: it starts each search at the machine count, or, for an
+  // adaptive re-search, at the current plan's largest count.
   RunnerBuilder& WithSearch(const PartitionSearchOptions& search);
   RunnerBuilder& WithSearchMode(PartitionSearchMode mode);
   // Sets `search.placement`. Per-variable mode only: also search each variable's shard

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 namespace parallax {
 namespace {
@@ -268,14 +270,119 @@ void RunStripMatMul(internal::MatMulIsa isa, float* c, const float* a, int64_t a
   StripMatMul<Vec4, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
 }
 
-// Per-thread packing buffer for the transposed operand of MatMulTransposeB. It only
-// grows, so once a thread has seen its largest operand a kernel call allocates nothing.
+// Per-thread scratch for the transposed operand of MatMulTransposeB and for the
+// softmax's column-major tile; neither kernel calls the other. It only grows, so once a
+// thread has seen its largest operand a kernel call allocates nothing.
 float* PackBuffer(size_t floats) {
   thread_local std::vector<float> buffer;
   if (buffer.size() < floats) {
     buffer.resize(floats);
   }
   return buffer.data();
+}
+
+// ---- Register-block transposes ----
+
+// Transposes the kLanes<V> x kLanes<V> block at src (rows ld_src floats apart) into dst
+// (rows ld_dst floats apart) through registers: rows are loaded as vectors, interleaved
+// in log2(kLanes) rounds of shuffles, and stored as columns. Only bits move, so NaN
+// payloads and -0 survive.
+template <typename V>
+[[gnu::always_inline]] inline void TransposeBlock(float* dst, int64_t ld_dst, const float* src,
+                                                  int64_t ld_src) {
+  constexpr int lanes = kLanes<V>;
+  V row[lanes];
+#pragma GCC unroll 8
+  for (int i = 0; i < lanes; ++i) {
+    std::memcpy(&row[i], src + i * ld_src, sizeof(V));
+  }
+  V column[lanes];
+  if constexpr (lanes == 4) {
+    const V t0 = __builtin_shufflevector(row[0], row[1], 0, 4, 1, 5);
+    const V t1 = __builtin_shufflevector(row[0], row[1], 2, 6, 3, 7);
+    const V t2 = __builtin_shufflevector(row[2], row[3], 0, 4, 1, 5);
+    const V t3 = __builtin_shufflevector(row[2], row[3], 2, 6, 3, 7);
+    column[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    column[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    column[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    column[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+  } else {
+    static_assert(lanes == 8);
+    // Interleave row pairs within each 128-bit half, then pairs of pairs, then swap
+    // the halves: the unpack, shuffle and permute rounds of an AVX 8x8 transpose.
+    V t[8];
+#pragma GCC unroll 4
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = __builtin_shufflevector(row[i], row[i + 1], 0, 8, 1, 9, 4, 12, 5, 13);
+      t[i + 1] = __builtin_shufflevector(row[i], row[i + 1], 2, 10, 3, 11, 6, 14, 7, 15);
+    }
+    V u[8];
+#pragma GCC unroll 2
+    for (int i = 0; i < 8; i += 4) {
+#pragma GCC unroll 2
+      for (int h = 0; h < 2; ++h) {
+        u[i + 2 * h] = __builtin_shufflevector(t[i + h], t[i + h + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+        u[i + 2 * h + 1] =
+            __builtin_shufflevector(t[i + h], t[i + h + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+      }
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      column[j] = __builtin_shufflevector(u[j], u[j + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+      column[j + 4] = __builtin_shufflevector(u[j], u[j + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+    }
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < lanes; ++j) {
+    std::memcpy(dst + j * ld_dst, &column[j], sizeof(V));
+  }
+}
+
+// dst[j * ld_dst + i] = src[i * ld_src + j] for i < rows, j < cols: whole blocks through
+// TransposeBlock, the rows and columns past the last whole block one float at a time.
+template <typename V>
+[[gnu::always_inline]] inline void Transpose(float* dst, int64_t ld_dst, const float* src,
+                                             int64_t ld_src, int64_t rows, int64_t cols) {
+  constexpr int64_t lanes = kLanes<V>;
+  int64_t i = 0;
+  for (; i + lanes <= rows; i += lanes) {
+    int64_t j = 0;
+    for (; j + lanes <= cols; j += lanes) {
+      TransposeBlock<V>(dst + j * ld_dst + i, ld_dst, src + i * ld_src + j, ld_src);
+    }
+    for (; j < cols; ++j) {
+      for (int64_t l = 0; l < lanes; ++l) {
+        dst[j * ld_dst + i + l] = src[(i + l) * ld_src + j];
+      }
+    }
+  }
+  for (; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[j * ld_dst + i] = src[i * ld_src + j];
+    }
+  }
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void TransposeAvx2(float* dst, int64_t ld_dst, const float* src,
+                                           int64_t ld_src, int64_t rows, int64_t cols) {
+  Transpose<Vec8>(dst, ld_dst, src, ld_src, rows, cols);
+}
+#endif
+
+// Transpose on instantiation `isa`.
+[[gnu::always_inline]] inline void RunTranspose(internal::MatMulIsa isa, float* dst,
+                                                int64_t ld_dst, const float* src,
+                                                int64_t ld_src, int64_t rows, int64_t cols) {
+  PX_CHECK(internal::MatMulIsaSupported(isa))
+      << internal::MatMulIsaName(isa) << " is not supported by this CPU";
+#if defined(__x86_64__)
+  if (isa == internal::MatMulIsa::kAvx2) {
+    TransposeAvx2(dst, ld_dst, src, ld_src, rows, cols);
+    return;
+  }
+#endif
+  Transpose<Vec4>(dst, ld_dst, src, ld_src, rows, cols);
 }
 
 // ---- tanh ----
@@ -573,6 +680,273 @@ template <typename V>
 }
 #endif
 
+// ---- exp ----
+//
+// The library's exp is glibc 2.36's float expf (sysdeps/ieee754/flt-32/e_expf.c),
+// ported: x = (k + r) ln2 / 32 with integer k and |r| <= 1/2, then
+// exp(x) = 2^(k/32) * 2^(r/32), the first factor from a 32-entry table and the second
+// from a cubic in r, all in double precision and rounded to float once. x86-64 glibc
+// runs a variant built for FMA on CPUs that have it, where the reduction takes
+// k = round(x * 32/ln2) and r = x * 32/ln2 - k each rounded once from the exact product.
+// The port forms that product without FMA, from 32/ln2 split in two parts whose
+// products with a float are exact (see ExpMainPath). It equals that variant on every
+// float; glibc's SSE2 variant, which rounds the product first, differs on a few
+// (0x4202422f and 0xc27c65d9 among them). Like the tanh, everything is always_inline,
+// and the softmax kernel runs it lane by lane.
+
+// 2^(i/32) for i in [0, 32), as bits less i << 47, so that adding k << 47 for a k with
+// k % 32 = i gives the bits of 2^(k/32): glibc's __exp2f_data.tab.
+constexpr uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+// glibc's 32/ln2 (0x1.71547652b82fep+5) as a 29-bit and a 21-bit part: each part times
+// a float's 24-bit significand fits in a double's 53 bits, so both products are exact.
+constexpr double kInvLn2NHi = 0x1.7154765p+5;
+constexpr double kInvLn2NLo = 0x1.5c17fp-26;
+static_assert(kInvLn2NHi + kInvLn2NLo == 0x1.71547652b82fep+5);
+// Adding 1.5 * 2^52 rounds a double below 2^51 in magnitude to an integer, ties to even.
+constexpr double kExpShift = 0x1.8p+52;
+// The cubic's coefficients, scaled for r in units of 1/32.
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+// exp overflows above log(2^128) and underflows to +0 below log(2^-150).
+constexpr float kExpOverflowAbove = 0x1.62e42ep6f;
+constexpr float kExpUnderflowBelow = -0x1.9fe368p6f;
+
+// The float and 64-bit lane vectors that go with a double vector D; D = double is the
+// scalar port.
+template <typename D>
+struct ExpTypes {
+  using Float = float;
+  using Bits = uint64_t;
+};
+using Vec2 = float __attribute__((vector_size(8)));
+using Vec2d = double __attribute__((vector_size(16)));
+using Vec4d = double __attribute__((vector_size(32)));
+template <>
+struct ExpTypes<Vec2d> {
+  using Float = Vec2;
+  using Bits = uint64_t __attribute__((vector_size(16)));
+};
+template <>
+struct ExpTypes<Vec4d> {
+  using Float = Vec4;
+  using Bits = uint64_t __attribute__((vector_size(32)));
+};
+// The double vector holding half the lanes of float vector V, and the float vector of
+// half its lanes.
+template <typename V>
+using HalfDoubles = std::conditional_t<kLanes<V> == 4, Vec2d, Vec4d>;
+template <typename V>
+using Halves = typename ExpTypes<HalfDoubles<V>>::Float;
+
+// low, high = the first and the second half of v's lanes, widened to double. (GCC 12
+// converts a whole half with one instruction when it is built lane by lane, and with
+// several through __builtin_convertvector.)
+template <typename V>
+[[gnu::always_inline]] inline void WidenHalves(const V& v, HalfDoubles<V>& low,
+                                               HalfDoubles<V>& high) {
+  if constexpr (kLanes<V> == 4) {
+    low = HalfDoubles<V>{v[0], v[1]};
+    high = HalfDoubles<V>{v[2], v[3]};
+  } else {
+    low = HalfDoubles<V>{v[0], v[1], v[2], v[3]};
+    high = HalfDoubles<V>{v[4], v[5], v[6], v[7]};
+  }
+}
+// v = the float halves low and high, joined.
+template <typename V>
+[[gnu::always_inline]] inline void JoinHalves(const Halves<V>& low, const Halves<V>& high,
+                                              V& v) {
+  if constexpr (kLanes<V> == 4) {
+    v = __builtin_shufflevector(low, high, 0, 1, 2, 3);
+  } else {
+    v = __builtin_shufflevector(low, high, 0, 1, 2, 3, 4, 5, 6, 7);
+  }
+}
+
+// entries = kExp2Table at index i, or at each lane's index.
+template <typename Bits>
+[[gnu::always_inline]] inline void Exp2TableAt(const Bits& i, Bits& entries) {
+  if constexpr (std::is_same_v<Bits, uint64_t>) {
+    entries = kExp2Table[i];
+  } else {
+#pragma GCC unroll 4
+    for (size_t l = 0; l < sizeof(Bits) / sizeof(uint64_t); ++l) {
+      entries[l] = kExp2Table[i[l]];
+    }
+  }
+}
+
+// expf's main path, for |x| < 88 and for every finite x between the overflow and
+// underflow thresholds, on x converted to double (a scalar or every lane of a vector).
+// With z = x * 32/ln2 exactly, the FMA variant rounds k = round(z) and r = z - k once
+// each from the exact product. Here z = hi + lo, both exact, k = round(hi), and hi - k
+// is exact, so r = (hi - k) + lo is z - k rounded once. round(hi) differs from round(z)
+// only where lo carries hi - round(hi) past +-1/2 (z itself is never a half-integer):
+// on 44 floats, 22 each way. There k and r are each one off the FMA variant's, and the
+// result is the same bits (checked on every float; ExpPortTest pins three of them).
+template <typename D>
+[[gnu::always_inline]] inline typename ExpTypes<D>::Float ExpMainPath(const D& xd) {
+  using Bits = typename ExpTypes<D>::Bits;
+  const D hi = kInvLn2NHi * xd;
+  const D kd = hi + kExpShift;  // kExpShift + k
+  const D r = (hi - (kd - kExpShift)) + kInvLn2NLo * xd;
+  // s = 2^(k/32): k's low bits index the table, the rest go to the exponent field.
+  const Bits ki = __builtin_bit_cast(Bits, kd);
+  Bits entries;
+  Exp2TableAt(ki & 31, entries);
+  const D s = __builtin_bit_cast(D, entries + (ki << 47));
+  const D z = kExpC0 * r + kExpC1;
+  const D r2 = r * r;
+  D y = kExpC2 * r + 1.0;
+  y = z * r2 + y;
+  y = y * s;
+  if constexpr (std::is_same_v<D, double>) {
+    return static_cast<float>(y);
+  } else {
+    return __builtin_convertvector(y, typename ExpTypes<D>::Float);
+  }
+}
+
+// glibc's expf.
+[[gnu::always_inline]] inline float GlibcExpf(float x) {
+  const uint32_t abstop = (BitsOf(x) >> 20) & 0x7ff;
+  if (abstop >= 0x42b) {  // |x| >= 88, inf or NaN
+    if (BitsOf(x) == 0xff800000u) {
+      return 0.0f;  // exp(-inf)
+    }
+    if (abstop >= 0x7f8) {
+      return x + x;  // +inf, NaN
+    }
+    if (x > kExpOverflowAbove) {
+      return std::numeric_limits<float>::infinity();
+    }
+    if (x < kExpUnderflowBelow) {
+      return 0.0f;
+    }
+  }
+  return ExpMainPath(static_cast<double>(x));
+}
+
+// y = GlibcExpf of every lane of x: the main path on each half of the lanes in double
+// precision, the same operations as the scalar port, so the same bits, then glibc's
+// special cases as per-lane selects.
+template <typename V>
+[[gnu::always_inline]] inline void ExpLanes(const V& x, V& y) {
+  HalfDoubles<V> low;
+  HalfDoubles<V> high;
+  WidenHalves(x, low, high);
+  JoinHalves(ExpMainPath(low), ExpMainPath(high), y);
+  y = x > kExpOverflowAbove ? std::numeric_limits<float>::infinity() : y;  // +inf included
+  y = x < kExpUnderflowBelow ? 0.0f : y;                                   // -inf included
+  y = x != x ? x + x : y;                                                  // NaN
+}
+
+// ---- Softmax ----
+//
+// Each row is the seed's sequence: its max folded left to right as std::max does, then
+// exp(x - max) of every element with the exps summed left to right in float, then every
+// exp divided by the sum. The kernel computes kLanes<V> rows side by side, one per vector
+// lane: it transposes them into a column-major tile, so column c of the rows is one
+// vector, and runs the three passes down the tile's columns with lane-wise operations.
+// Every lane thus performs its own row's operations in its row's order, and the results
+// are bit-identical to the scalar loop, which still runs the rows past the last whole
+// group.
+
+// The seed's loop for one row of `cols` floats, cols >= 1, on the ported exp.
+[[gnu::always_inline]] inline void SoftmaxRow(float* dst, const float* src, int64_t cols) {
+  float max_val = src[0];
+  for (int64_t c = 1; c < cols; ++c) {
+    max_val = std::max(max_val, src[c]);
+  }
+  float sum = 0.0f;
+  for (int64_t c = 0; c < cols; ++c) {
+    dst[c] = GlibcExpf(src[c] - max_val);
+    sum += dst[c];
+  }
+  for (int64_t c = 0; c < cols; ++c) {
+    dst[c] /= sum;
+  }
+}
+
+// dst = row-wise softmax of src, both [rows, cols] with cols >= 1. `tile` holds
+// kLanes<V> * cols floats.
+template <typename V>
+[[gnu::always_inline]] inline void SoftmaxKernel(float* dst, const float* src, int64_t rows,
+                                                 int64_t cols, float* tile) {
+  constexpr int64_t lanes = kLanes<V>;
+  int64_t r = 0;
+  for (; r + lanes <= rows; r += lanes) {
+    // tile[c * lanes + l] = src[(r + l) * cols + c]
+    Transpose<V>(tile, lanes, src + r * cols, cols, lanes, cols);
+    V max_val;
+    std::memcpy(&max_val, tile, sizeof(V));
+    for (int64_t c = 1; c < cols; ++c) {
+      V v;
+      std::memcpy(&v, tile + c * lanes, sizeof(V));
+      max_val = max_val < v ? v : max_val;  // std::max(max_val, v)
+    }
+    V sum = {};
+    for (int64_t c = 0; c < cols; ++c) {
+      V v;
+      std::memcpy(&v, tile + c * lanes, sizeof(V));
+      V e;
+      ExpLanes(v - max_val, e);
+      std::memcpy(tile + c * lanes, &e, sizeof(V));
+      sum += e;
+    }
+    for (int64_t c = 0; c < cols; ++c) {
+      V v;
+      std::memcpy(&v, tile + c * lanes, sizeof(V));
+      v /= sum;
+      std::memcpy(tile + c * lanes, &v, sizeof(V));
+    }
+    Transpose<V>(dst + r * cols, cols, tile, lanes, cols, lanes);
+  }
+  for (; r < rows; ++r) {
+    SoftmaxRow(dst + r * cols, src + r * cols, cols);
+  }
+}
+
+// dst[i] = GlibcExpf(src[i]) for i in [0, n): ExpLanes kLanes<V> at a time, the tail
+// on the scalar port.
+template <typename V>
+[[gnu::always_inline]] inline void ExpKernel(float* dst, const float* src, int64_t n) {
+  int64_t i = 0;
+  for (; i + kLanes<V> <= n; i += kLanes<V>) {
+    V x;
+    std::memcpy(&x, src + i, sizeof(V));
+    V e;
+    ExpLanes(x, e);
+    std::memcpy(dst + i, &e, sizeof(V));
+  }
+  for (; i < n; ++i) {
+    dst[i] = GlibcExpf(src[i]);
+  }
+}
+
+#if defined(__x86_64__)
+// The 8-lane instantiations, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
+// would fuse the exp's products with the additions that follow them, as it would the
+// matmuls.
+[[gnu::target("avx2")]] void SoftmaxKernelAvx2(float* dst, const float* src, int64_t rows,
+                                               int64_t cols, float* tile) {
+  SoftmaxKernel<Vec8>(dst, src, rows, cols, tile);
+}
+[[gnu::target("avx2")]] void ExpKernelAvx2(float* dst, const float* src, int64_t n) {
+  ExpKernel<Vec8>(dst, src, n);
+}
+#endif
+
 }  // namespace
 
 namespace internal {
@@ -632,12 +1006,7 @@ void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Ten
   float* cv = PrepareDense2D(out, m, n);
   // Pack B^T as row-major [k, n] so a strip of output columns reads contiguous floats.
   float* bt = PackBuffer(static_cast<size_t>(k * n));
-  const float* bv = b.floats().data();
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t p = 0; p < k; ++p) {
-      bt[p * n + j] = bv[j * k + p];
-    }
-  }
+  RunTranspose(isa, bt, n, b.floats().data(), k, n, k);
   // The seed's dot product added every term, so no zero skipping here.
   RunStripMatMul</*kSkipZeros=*/false>(isa, cv, a.floats().data(), k, 1, bt, m, k, n);
 }
@@ -656,6 +1025,43 @@ void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a) {
   }
 #endif
   TanhKernel<Vec4>(dst, src, n);
+}
+
+float ScalarExp(float x) { return GlibcExpf(x); }
+
+void ExpInto(MatMulIsa isa, Tensor& out, const Tensor& a) {
+  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+  float* dst = PrepareDense(out, a.shape(), /*zero_fill=*/false);
+  const float* src = a.floats().data();
+  const int64_t n = a.num_elements();
+#if defined(__x86_64__)
+  if (isa == MatMulIsa::kAvx2) {
+    ExpKernelAvx2(dst, src, n);
+    return;
+  }
+#endif
+  ExpKernel<Vec4>(dst, src, n);
+}
+
+void SoftmaxRowsInto(MatMulIsa isa, Tensor& out, const Tensor& logits) {
+  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+  PX_CHECK_EQ(logits.shape().rank(), 2);
+  const int64_t rows = logits.shape().dim(0);
+  const int64_t cols = logits.shape().dim(1);
+  float* dst = PrepareDense(out, logits.shape(), /*zero_fill=*/false);
+  if (cols == 0) {
+    return;
+  }
+  const float* src = logits.floats().data();
+  // Room for the wider instantiation's tile.
+  float* tile = PackBuffer(static_cast<size_t>(kLanes<Vec8> * cols));
+#if defined(__x86_64__)
+  if (isa == MatMulIsa::kAvx2) {
+    SoftmaxKernelAvx2(dst, src, rows, cols, tile);
+    return;
+  }
+#endif
+  SoftmaxKernel<Vec4>(dst, src, rows, cols, tile);
 }
 
 }  // namespace internal
@@ -695,13 +1101,8 @@ Tensor Transpose2D(const Tensor& a) {
   int64_t m = a.shape().dim(0);
   int64_t n = a.shape().dim(1);
   Tensor out = Tensor::Zeros(TensorShape({n, m}));
-  auto src = a.floats();
-  auto dst = out.mutable_floats();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      dst[static_cast<size_t>(j * m + i)] = src[static_cast<size_t>(i * n + j)];
-    }
-  }
+  RunTranspose(internal::ActiveMatMulIsa(), out.mutable_floats().data(), m, a.floats().data(),
+               n, m, n);
   return out;
 }
 
@@ -761,14 +1162,6 @@ Tensor ReluGrad(const Tensor& input, const Tensor& grad) {
   return out;
 }
 
-Tensor Sigmoid(const Tensor& a) {
-  Tensor out = a.Clone();
-  for (float& v : out.mutable_floats()) {
-    v = 1.0f / (1.0f + std::exp(-v));
-  }
-  return out;
-}
-
 Tensor SoftmaxRows(const Tensor& logits) {
   Tensor out;
   SoftmaxRowsInto(out, logits);
@@ -776,28 +1169,7 @@ Tensor SoftmaxRows(const Tensor& logits) {
 }
 
 void SoftmaxRowsInto(Tensor& out, const Tensor& logits) {
-  PX_CHECK_EQ(logits.shape().rank(), 2);
-  int64_t rows = logits.shape().dim(0);
-  int64_t cols = logits.shape().dim(1);
-  float* dst = PrepareDense(out, logits.shape(), /*zero_fill=*/false);
-  auto src = logits.floats();
-  std::copy(src.begin(), src.end(), dst);
-  std::span<float> data(dst, static_cast<size_t>(rows * cols));
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = &data[static_cast<size_t>(r * cols)];
-    float max_val = row[0];
-    for (int64_t c = 1; c < cols; ++c) {
-      max_val = std::max(max_val, row[c]);
-    }
-    float sum = 0.0f;
-    for (int64_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - max_val);
-      sum += row[c];
-    }
-    for (int64_t c = 0; c < cols; ++c) {
-      row[c] /= sum;
-    }
-  }
+  internal::SoftmaxRowsInto(internal::ActiveMatMulIsa(), out, logits);
 }
 
 float SoftmaxCrossEntropy(const Tensor& logits, const Tensor& labels, Tensor* grad_logits) {

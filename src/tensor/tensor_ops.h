@@ -51,9 +51,14 @@ Tensor Tanh(const Tensor& a);
 Tensor TanhGrad(const Tensor& output, const Tensor& grad);  // grad * (1 - output^2)
 Tensor Relu(const Tensor& a);
 Tensor ReluGrad(const Tensor& input, const Tensor& grad);
-Tensor Sigmoid(const Tensor& a);
 
 // Row-wise softmax over the last dimension of a 2-D tensor (numerically stabilized).
+// Its exp is the library's own too: glibc 2.36's float expf algorithm, ported into
+// tensor_ops.cc (internal::ScalarExp) and run up to eight rows at a time, so results no
+// longer depend on the host. The port equals the expf that x86-64 glibc 2.36 runs on
+// CPUs with FMA on every float. glibc's other x86-64 variant, for CPUs without FMA,
+// rounds differently on a few floats (0x4202422f and 0xc27c65d9 among them): a host
+// running it computed another softmax from those logits while the library called libm.
 Tensor SoftmaxRows(const Tensor& logits);
 // Mean cross-entropy loss over rows given int64 labels [rows]; also returns the gradient
 // with respect to the logits (softmax - onehot) / rows via the out parameter.
@@ -124,9 +129,10 @@ void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
 
 namespace internal {
 
-// The instantiations of the vector cores behind the three matmul kernels and TanhInto.
-// Both give every output element the same sequence of rounded operations, so they agree
-// bit for bit; only the number of elements computed side by side differs.
+// The instantiations of the vector cores behind the three matmul kernels, TanhInto and
+// SoftmaxRowsInto. Both give every output element the same sequence of rounded
+// operations, so they agree bit for bit; only the number of elements computed side by
+// side differs.
 enum class MatMulIsa {
   kVec4,  // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
   kAvx2,  // 8-lane AVX2 vectors, never fused multiply-add; x86-64 CPUs with AVX2 only
@@ -149,6 +155,15 @@ void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Ten
 float ScalarTanh(float x);
 // TanhInto on a chosen instantiation; `isa` must be supported.
 void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a);
+// The library's exp of one float, glibc 2.36's expf ported without FMA; it equals the
+// variant glibc runs on CPUs with FMA on every float. The exp of SoftmaxRowsInto's
+// vector lanes and of its rows past the last whole group of lanes.
+float ScalarExp(float x);
+// out = ScalarExp of every element, through the softmax's lane-wise exp core (the tail
+// on the port). For tests; `isa` must be supported.
+void ExpInto(MatMulIsa isa, Tensor& out, const Tensor& a);
+// SoftmaxRowsInto on a chosen instantiation; `isa` must be supported.
+void SoftmaxRowsInto(MatMulIsa isa, Tensor& out, const Tensor& logits);
 
 }  // namespace internal
 

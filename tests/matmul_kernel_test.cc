@@ -302,7 +302,9 @@ TEST_F(MatMulKernelAvx2Test, EmptyInnerDimensionWritesPositiveZeros) {
 
 // The transposed operand of MatMulTransposeB is packed into a per-thread buffer that
 // only grows: a small call after a large one, and a large one after that, must each
-// read only their own operand.
+// read only their own operand. The packing transposes B [n, k] in 8x8 (AVX2) or 4x4
+// blocks through registers and the rows and columns past the last whole block one
+// float at a time, so B also takes every mix of n and k off both block grids.
 void CheckPackedOperand(MatMulIsa isa) {
   Rng rng(303);
   const Kernel kernel = Kernels(isa)[2];
@@ -314,6 +316,14 @@ void CheckPackedOperand(MatMulIsa isa) {
       Tensor b = NonFiniteOperand(kernel.b_shape(shapes[s].m, shapes[s].k, columns[s]), rng,
                                   HardwareNaN());
       CheckAgainstOracle(kernel, a, b, StrFormat("round %d shape %zu", round, s));
+    }
+  }
+  constexpr int64_t kOffGrid[] = {1, 3, 7, 9, 33, 129};
+  for (int64_t n : kOffGrid) {
+    for (int64_t k : kOffGrid) {
+      Tensor a = RandomNormal(kernel.a_shape(3, k, n), rng);
+      Tensor b = NonFiniteOperand(kernel.b_shape(3, k, n), rng, HardwareNaN());
+      CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, 3, k, n));
     }
   }
 }

@@ -1,14 +1,14 @@
 // Naive reference implementations of the sparse aggregation kernels, the parameter
-// server's per-variable step, and the dense matmuls — the seed's semantics, kept
-// verbatim in spirit as (a) the bit-for-bit oracle for the property tests and (b) the
-// baseline the micro-benchmarks measure the fused and register-strip paths against.
+// server's per-variable step, the dense matmuls and the softmax — the seed's semantics,
+// kept verbatim in spirit as (a) the bit-for-bit oracle for the property tests and (b)
+// the baseline the micro-benchmarks measure the fused and register-strip paths against.
 // The library has one sparse aggregation path, the fused MultiVariableSum pass, and
 // holds every variable whole; the seed's per-variable pipeline (sum, scale, split by
 // partition, scatter into each row piece) and its row-range partitioning survive only
 // here, as NaivePsVariableStep and RowPartition. Shared by tests/sparse_fused_test.cc,
 // tests/ps_numeric_test.cc, tests/partition_test.cc, tests/engine_equivalence_test.cc,
-// tests/matmul_kernel_test.cc and bench/bench_micro.cc so the oracle and the benchmark
-// baseline cannot drift apart.
+// tests/matmul_kernel_test.cc, tests/softmax_kernel_test.cc and bench/bench_micro.cc so
+// the oracle and the benchmark baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
 #define PARALLAX_TESTS_NAIVE_REFERENCE_H_
 
@@ -168,6 +168,41 @@ inline Tensor NaiveMatMulTransposeB(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+// The seed SoftmaxRows loop on [rows, cols] floats, cols >= 1: per row, the max folded
+// left to right with std::max, then exp(x - max) of every element with the exps summed
+// left to right, then every exp divided by the sum. `exp` is the library's own
+// (internal::ScalarExp) for the tests' oracle; the seed called libm's, which
+// bench_micro's BM_SoftmaxLibm passes.
+template <typename Exp>
+inline void NaiveSoftmaxRowsInto(float* dst, const float* src, int64_t rows, int64_t cols,
+                                 Exp exp) {
+  std::copy_n(src, rows * cols, dst);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = dst + r * cols;
+    float max_val = row[0];
+    for (int64_t c = 1; c < cols; ++c) {
+      max_val = std::max(max_val, row[c]);
+    }
+    float sum = 0.0f;
+    for (int64_t c = 0; c < cols; ++c) {
+      row[c] = exp(row[c] - max_val);
+      sum += row[c];
+    }
+    for (int64_t c = 0; c < cols; ++c) {
+      row[c] /= sum;
+    }
+  }
+}
+
+inline Tensor NaiveSoftmaxRows(const Tensor& logits) {
+  const int64_t rows = logits.shape().dim(0);
+  const int64_t cols = logits.shape().dim(1);
+  Tensor out = Tensor::Zeros(logits.shape());
+  NaiveSoftmaxRowsInto(out.mutable_floats().data(), logits.floats().data(), rows, cols,
+                       internal::ScalarExp);
+  return out;
 }
 
 // The seed Coalesced: std::map slot assignment, accumulation in input order.
