@@ -4,13 +4,22 @@
 // partition stitch, the dense matmuls of the executor (seed loops vs register strips),
 // its tanh and its softmax, the cost-model fit, ring-schedule construction, and
 // task-graph execution throughput. Every bench that runs the vector kernels is labelled
-// with the instantiation this CPU dispatches them to ("avx2" or "vec4").
+// with the kernel ISA this CPU dispatches them to ("avx512", "avx2" or "vec4"), except
+// BM_MatMulIsa, which runs the matmuls on every kernel ISA the CPU supports side by
+// side.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <numeric>
+#include <random>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/base/thread_pool.h"
 #include "src/comm/collectives.h"
 #include "src/core/api.h"
@@ -113,8 +122,8 @@ void BM_ScatterSgdUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterSgdUpdate)->Arg(1'000)->Arg(10'000);
 
-// The instantiation the public matmul kernels run on this CPU, as a bench label.
-const char* MatMulIsaLabel() { return internal::MatMulIsaName(internal::ActiveMatMulIsa()); }
+// The kernel ISA the public vector kernels run on this CPU, as a bench label.
+const char* KernelIsaLabel() { return internal::KernelIsaName(internal::ActiveKernelIsa()); }
 
 void BM_MatMul(benchmark::State& state) {
   Rng rng(6);
@@ -125,7 +134,7 @@ void BM_MatMul(benchmark::State& state) {
     benchmark::DoNotOptimize(MatMul(a, b));
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  state.SetLabel(MatMulIsaLabel());
+  state.SetLabel(KernelIsaLabel());
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
 
@@ -153,7 +162,7 @@ void MatMulTransposeBBench(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
   if (!kNaive) {
-    state.SetLabel(MatMulIsaLabel());
+    state.SetLabel(KernelIsaLabel());
   }
 }
 
@@ -176,7 +185,7 @@ void MatMulTransposeABench(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * batch * batch * hidden);
   if (!kNaive) {
-    state.SetLabel(MatMulIsaLabel());
+    state.SetLabel(KernelIsaLabel());
   }
 }
 
@@ -188,6 +197,123 @@ void BM_MatMulTransposeA(benchmark::State& state) { MatMulTransposeABench<false>
 BENCHMARK(BM_MatMulTransposeA)->Args({64, 128})->Args({32, 48});
 void BM_MatMulTransposeANaive(benchmark::State& state) { MatMulTransposeABench<true>(state); }
 BENCHMARK(BM_MatMulTransposeANaive)->Args({64, 128})->Args({32, 48});
+
+// ---- Kernel ISAs side by side ----
+
+enum class MatMulKind { kMatMul, kTransposeA, kTransposeB };
+
+struct MatMulIsaShape {
+  std::string name;
+  MatMulKind kind;
+  int64_t m;
+  int64_t k;
+  int64_t n;
+};
+
+// The six matmuls of one replica of WordLmModel or EmbeddingSkewModel (`batch` rows and
+// as many sampled classes, embedding width `embedding`, hidden width `hidden`), as the
+// executor runs them: C[m, n] with inner dimension k.
+std::vector<MatMulIsaShape> ReplicaMatMuls(const std::string& model, int64_t batch,
+                                           int64_t embedding, int64_t hidden) {
+  return {
+      {model + "/hidden", MatMulKind::kMatMul, batch, embedding, hidden},     // x . w1
+      {model + "/logits", MatMulKind::kTransposeB, batch, hidden, batch},     // h . s^T
+      {model + "/dh", MatMulKind::kMatMul, batch, batch, hidden},             // g . s
+      {model + "/dselected", MatMulKind::kTransposeA, batch, batch, hidden},  // g^T . h
+      {model + "/dx", MatMulKind::kTransposeB, batch, hidden, embedding},     // dh . w1^T
+      {model + "/dw1", MatMulKind::kTransposeA, embedding, batch, hidden},    // x^T . dh
+  };
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// One matmul on every kernel ISA this CPU supports, in one process: each iteration runs
+// every ISA for 8 calls, in a fresh random order, so all of them see the same host
+// conditions (on a shared host the same matmul code read 10.8 and 16.7 us in two
+// processes). Counters: each ISA's median time per call (<isa>_us), and the median over
+// iterations of each ISA's time over the next narrower one's in the same iteration
+// (avx2_over_vec4, avx512_over_avx2).
+void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
+  using internal::KernelIsa;
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa : {KernelIsa::kVec4, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (internal::KernelIsaSupported(isa)) {
+      isas.push_back(isa);
+    }
+  }
+  const int64_t m = shape.m;
+  const int64_t k = shape.k;
+  const int64_t n = shape.n;
+  Rng rng(15);
+  Tensor a = RandomNormal(shape.kind == MatMulKind::kTransposeA ? TensorShape({k, m})
+                                                                : TensorShape({m, k}),
+                          rng);
+  Tensor b = RandomNormal(shape.kind == MatMulKind::kTransposeB ? TensorShape({n, k})
+                                                                : TensorShape({k, n}),
+                          rng);
+  void (*kernel)(KernelIsa, Tensor&, const Tensor&, const Tensor&) =
+      shape.kind == MatMulKind::kMatMul       ? internal::MatMulInto
+      : shape.kind == MatMulKind::kTransposeA ? internal::MatMulTransposeAInto
+                                              : internal::MatMulTransposeBInto;
+  constexpr int kCalls = 8;
+  std::vector<Tensor> outs(isas.size());
+  std::vector<std::vector<double>> seconds(isas.size());
+  std::vector<size_t> order(isas.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937 shuffle_rng(16);
+  for (auto _ : state) {
+    std::shuffle(order.begin(), order.end(), shuffle_rng);
+    for (size_t i : order) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int call = 0; call < kCalls; ++call) {
+        kernel(isas[i], outs[i], a, b);
+        benchmark::DoNotOptimize(outs[i].floats().data());
+        benchmark::ClobberMemory();
+      }
+      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+      seconds[i].push_back(elapsed.count() / kCalls);
+    }
+  }
+  for (size_t i = 0; i < isas.size(); ++i) {
+    const std::string name = internal::KernelIsaName(isas[i]);
+    state.counters[name + "_us"] = Median(seconds[i]) * 1e6;
+    if (i > 0) {
+      std::vector<double> ratios;
+      for (size_t r = 0; r < seconds[i].size(); ++r) {
+        ratios.push_back(seconds[i][r] / seconds[i - 1][r]);
+      }
+      state.counters[name + "_over_" + internal::KernelIsaName(isas[i - 1])] = Median(ratios);
+    }
+  }
+  state.SetLabel(StrFormat("%ldx%ldx%ld", static_cast<long>(m), static_cast<long>(k),
+                           static_cast<long>(n)));
+}
+
+// skew's and lm's replicas (pxbench's options), and the lm tenants' (hidden width 24,
+// embedding 16 + 4 * family for families 0-3), each distinct shape once.
+const bool kMatMulIsaRegistered = [] {
+  std::vector<MatMulIsaShape> shapes = ReplicaMatMuls("skew", 64, 32, 128);
+  for (const MatMulIsaShape& shape : ReplicaMatMuls("lm", 32, 32, 48)) {
+    shapes.push_back(shape);
+  }
+  for (int64_t embedding : {16, 20, 24, 28}) {
+    for (const MatMulIsaShape& shape :
+         ReplicaMatMuls(StrFormat("lm_tenant_e%ld", static_cast<long>(embedding)), 32,
+                        embedding, 24)) {
+      shapes.push_back(shape);
+    }
+  }
+  std::set<std::tuple<MatMulKind, int64_t, int64_t, int64_t>> seen;
+  for (const MatMulIsaShape& shape : shapes) {
+    if (seen.insert({shape.kind, shape.m, shape.k, shape.n}).second) {
+      benchmark::RegisterBenchmark(("BM_MatMulIsa/" + shape.name).c_str(), BM_MatMulIsa, shape);
+    }
+  }
+  return true;
+}();
 
 // The tensor a model's "hidden" Tanh node reads, from a forward pass on the initial
 // values and one training shard: the values TanhInto sees in a replica's step.
@@ -258,7 +384,7 @@ void TanhBench(benchmark::State& state, TanhInput input) {
   }
   state.counters["max_abs_x"] = max_abs;
   if (!kLibm) {
-    state.SetLabel(MatMulIsaLabel());
+    state.SetLabel(KernelIsaLabel());
   }
 }
 
@@ -329,7 +455,7 @@ void SoftmaxBench(benchmark::State& state, SoftmaxInput input) {
   }
   state.SetItemsProcessed(state.iterations() * logits.num_elements());
   if (!kLibm) {
-    state.SetLabel(MatMulIsaLabel());
+    state.SetLabel(KernelIsaLabel());
   }
 }
 
@@ -927,7 +1053,7 @@ void RunStepBench(benchmark::State& state, bool use_scratch) {
                                               use_scratch ? &scratch : nullptr));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(MatMulIsaLabel());
+  state.SetLabel(KernelIsaLabel());
 }
 
 void BM_ExecutorRunStep(benchmark::State& state) { RunStepBench(state, false); }
@@ -954,7 +1080,7 @@ void BM_ExecutorRunStepSkew(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(MatMulIsaLabel());
+  state.SetLabel(KernelIsaLabel());
 }
 BENCHMARK(BM_ExecutorRunStepSkew);
 
@@ -985,7 +1111,7 @@ void RunnerStepBench(benchmark::State& state, Model& model, RunnerBuilder& build
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["lanes"] = GlobalSparsePool().num_threads();
-  state.SetLabel(MatMulIsaLabel());
+  state.SetLabel(KernelIsaLabel());
 }
 
 // pxbench's `lm` and `skew` sessions (pxbench/pxbench.cc): the same model options,

@@ -1,10 +1,12 @@
 #include "src/tensor/tensor_ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 namespace parallax {
 namespace {
@@ -140,134 +142,206 @@ float* PrepareDenseRows(Tensor& out, const TensorShape& like, int64_t rows, bool
 // +0.0f and add a(i, p) * b(p, j) in ascending p, one rounded multiply then one rounded
 // add per term (optionally skipping terms whose a(i, p) compares equal to zero). The
 // core keeps that per-element sequence and only changes what runs side by side: a strip
-// of up to kStripVecs vectors of one output row stays in registers for the whole p
-// loop, and the element-wise vector multiply and add are the same IEEE operations as
-// their scalar forms. So the results are bit-identical to the scalar loops, while B is
-// read once per strip and C is written once.
+// of an output row's columns stays in registers for the whole p loop, and the
+// element-wise vector multiply and add are the same IEEE operations as their scalar
+// forms. So the results are bit-identical to the scalar loops, while B is read once per
+// strip and C is written once.
 
 // The core is one template on the float vector type V (GCC/Clang vector extension),
-// compiled twice: with four lanes at the build's baseline ISA (one SSE register on
-// x86-64, scalar code where the target has no vector unit), and with eight lanes inside
-// an AVX2 entry point that x86-64 CPUs with AVX2 run instead (see ActiveMatMulIsa).
-// Everything the entry points call is always_inline, so each copy is compiled for its
-// entry point's ISA.
+// compiled three times: with four lanes at the build's baseline ISA (one SSE register
+// on x86-64, scalar code where the target has no vector unit), with eight lanes inside
+// AVX2 entry points, and with sixteen inside AVX-512F ones (StripEntries, one entry
+// point per strip layout, picked through the kernel-ISA dispatch below). Everything the
+// entry points call is always_inline, so each copy is compiled for its entry point's
+// ISA.
 using Vec4 = float __attribute__((vector_size(16)));
 using Vec8 = float __attribute__((vector_size(32)));
+using Vec16 = float __attribute__((vector_size(64)));
 
 template <typename V>
 constexpr int64_t kLanes = sizeof(V) / sizeof(float);
-// Widest strip: 8 accumulators leave registers for B's vectors (x86-64 has 16 of
-// either width).
+// Widest strip: 8 accumulators of V, plus the last strip's narrower remainder (at most
+// 5 more), leave registers for the broadcast A element and B's vectors: x86-64 has 16
+// xmm and ymm registers, and AVX-512 32 zmm.
 constexpr int kStripVecs = 8;
 
-// c[0, kVecs * lanes) = sum over p in [0, k) of a[p * a_step] * b[p * ldb, +kVecs * lanes).
-// Vectors move through memcpy, so no function passes one by value.
-template <typename V, int kVecs, bool kSkipZeros>
-[[gnu::always_inline]] inline void Strip(float* c, const float* a, int64_t a_step,
-                                         const float* b, int64_t ldb, int64_t k) {
-  V acc[kVecs] = {};
-  for (int64_t p = 0; p < k; ++p) {
-    const float ap = a[p * a_step];
-    if (kSkipZeros && ap == 0.0f) {
-      continue;
-    }
-    const float* bp = b + p * ldb;
+// How a strip of `columns` columns splits into accumulators on instantiation V: V
+// vectors, then 8- and 4-lane vectors, then single columns, all in one pass over p.
+struct StripShape {
+  int wide;
+  int eights;
+  int fours;
+  int singles;
+};
+
+template <typename V>
+constexpr StripShape StripShapeOf(int columns) {
+  const int wide = columns / kLanes<V>;
+  int rest = columns - wide * kLanes<V>;
+  const int eights = kLanes<V> > 8 ? rest / 8 : 0;
+  rest -= eights * 8;
+  const int fours = kLanes<V> > 4 ? rest / 4 : 0;
+  return {wide, eights, fours, rest - fours * 4};
+}
+
+// acc[v] += ap * (the lanes of W at bp + v * kLanes<W>), one vector (W = float: one
+// column) per accumulator. Vectors move through memcpy, so no function passes one by
+// value.
+template <typename W, size_t kCount>
+[[gnu::always_inline]] inline void AddProducts(std::array<W, kCount>& acc, float ap,
+                                               const float* bp) {
 #pragma GCC unroll 8
-    for (int v = 0; v < kVecs; ++v) {
-      V bv;
-      std::memcpy(&bv, bp + v * kLanes<V>, sizeof(bv));
-      const V product = ap * bv;
-      acc[v] += product;
-    }
-  }
-#pragma GCC unroll 8
-  for (int v = 0; v < kVecs; ++v) {
-    std::memcpy(c + v * kLanes<V>, &acc[v], sizeof(V));
+  for (size_t v = 0; v < kCount; ++v) {
+    W bv;
+    std::memcpy(&bv, bp + v * kLanes<W>, sizeof(bv));
+    const W product = ap * bv;
+    acc[v] += product;
   }
 }
 
-// Strip<V, vecs> for a run-time vecs in [1, kMaxVecs]. A remainder of r vectors runs as
-// one r-wide strip, not as a 4-, 2- and 1-wide one: each vector is one add chain, bound
-// by the add latency, so every chain it keeps in flight counts (lm's 48 columns are one
-// 6-vector strip on AVX2).
-template <typename V, int kMaxVecs, bool kSkipZeros>
-[[gnu::always_inline]] inline void StripOf(int64_t vecs, float* c, const float* a,
-                                           int64_t a_step, const float* b, int64_t ldb,
-                                           int64_t k) {
-  if (vecs == kMaxVecs) {
-    Strip<V, kMaxVecs, kSkipZeros>(c, a, a_step, b, ldb, k);
-  } else if constexpr (kMaxVecs > 1) {
-    StripOf<V, kMaxVecs - 1, kSkipZeros>(vecs, c, a, a_step, b, ldb, k);
+template <typename W, size_t kCount>
+[[gnu::always_inline]] inline void StoreAccumulators(float* c, const std::array<W, kCount>& acc) {
+#pragma GCC unroll 8
+  for (size_t v = 0; v < kCount; ++v) {
+    std::memcpy(c + v * kLanes<W>, &acc[v], sizeof(W));
   }
 }
 
-// The same sequence for one column (the strip remainder narrower than a vector).
-template <bool kSkipZeros>
-[[gnu::always_inline]] inline float Column(const float* a, int64_t a_step, const float* b,
-                                           int64_t ldb, int64_t k) {
-  float acc = 0.0f;
-  for (int64_t p = 0; p < k; ++p) {
-    const float ap = a[p * a_step];
-    if (kSkipZeros && ap == 0.0f) {
-      continue;
+// C's columns [0, kColumns) of rows [0, m): for each row i, the sum over p in [0, k) of
+// a[i * a_row_step + p * a_col_step] * b[p * n, +kColumns), accumulated in the
+// registers of StripShapeOf<V>(kColumns) in one pass over p. C's rows are n floats
+// apart.
+template <typename V, int kColumns, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripRows(float* c, const float* a, int64_t a_row_step,
+                                             int64_t a_col_step, const float* b, int64_t m,
+                                             int64_t k, int64_t n) {
+  constexpr StripShape shape = StripShapeOf<V>(kColumns);
+  constexpr int64_t eights_at = shape.wide * kLanes<V>;
+  constexpr int64_t fours_at = eights_at + shape.eights * 8;
+  constexpr int64_t singles_at = fours_at + shape.fours * 4;
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_row_step;
+    std::array<V, shape.wide> wide = {};
+    std::array<Vec8, shape.eights> eights = {};
+    std::array<Vec4, shape.fours> fours = {};
+    std::array<float, shape.singles> singles = {};
+    for (int64_t p = 0; p < k; ++p) {
+      const float ap = ai[p * a_col_step];
+      if (kSkipZeros && ap == 0.0f) {
+        continue;
+      }
+      const float* bp = b + p * n;
+      AddProducts(wide, ap, bp);
+      AddProducts(eights, ap, bp + eights_at);
+      AddProducts(fours, ap, bp + fours_at);
+      AddProducts(singles, ap, bp + singles_at);
     }
-    acc += ap * b[p * ldb];
+    float* ci = c + i * n;
+    StoreAccumulators(ci, wide);
+    StoreAccumulators(ci + eights_at, eights);
+    StoreAccumulators(ci + fours_at, fours);
+    StoreAccumulators(ci + singles_at, singles);
   }
-  return acc;
 }
+
+// Runs StripRows for one column count on one instantiation.
+using StripFn = void (*)(float* c, const float* a, int64_t a_row_step, int64_t a_col_step,
+                         const float* b, int64_t m, int64_t k, int64_t n);
+
+// The widest strip on V: kStripVecs vectors and a remainder narrower than one.
+template <typename V>
+constexpr int kWidestStrip = kStripVecs * kLanes<V> + kLanes<V> - 1;
+
+// StripEntries<V>::Run<columns, skip> is StripRows for that layout, compiled for V's
+// ISA, one function per layout (one entry point inlining all of them made this file
+// take 57 s to compile instead of 13 s). Each is compiled without -O3's loop versioning
+// for strides, which would copy every strip's loop for a_col_step == 1 and run it no
+// faster.
+template <typename V>
+struct StripEntries;
+
+template <>
+struct StripEntries<Vec4> {
+  template <int kColumns, bool kSkipZeros>
+  [[gnu::optimize("no-version-loops-for-strides")]] static void Run(
+      float* c, const float* a, int64_t a_row_step, int64_t a_col_step, const float* b,
+      int64_t m, int64_t k, int64_t n) {
+    StripRows<Vec4, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+  }
+};
+
+#if defined(__x86_64__)
+// The 8-lane instantiation: AVX2 and nothing beyond it. C++ compiles with
+// -ffp-contract=fast by default, so on a target with FMA ("fma", -march=native) GCC
+// fuses `acc += ap * bv` into one multiply-add with a single rounding, and results
+// change. AVX2 has no FMA instruction.
+template <>
+struct StripEntries<Vec8> {
+  template <int kColumns, bool kSkipZeros>
+  [[gnu::target("avx2"), gnu::optimize("no-version-loops-for-strides")]] static void Run(
+      float* c, const float* a, int64_t a_row_step, int64_t a_col_step, const float* b,
+      int64_t m, int64_t k, int64_t n) {
+    StripRows<Vec8, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+  }
+};
+
+// The 16-lane instantiation. AVX-512F has fused multiply-add, so contraction is off for
+// these functions and the callees they inline: GCC contracts after inlining, under the
+// -ffp-contract of the function it compiles.
+template <>
+struct StripEntries<Vec16> {
+  template <int kColumns, bool kSkipZeros>
+  [[gnu::target("avx512f"),
+    gnu::optimize("fp-contract=off", "no-version-loops-for-strides")]] static void
+  Run(float* c, const float* a, int64_t a_row_step, int64_t a_col_step, const float* b,
+      int64_t m, int64_t k, int64_t n) {
+    StripRows<Vec16, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+  }
+};
+#endif
+
+// The instantiation that runs a strip of kColumns columns on V. Each accumulator is one
+// add chain bound by the add latency, so a narrow strip runs faster as more, narrower
+// chains: only strips that hold two 16-lane vectors take them, and narrower ones run
+// the 8-lane strips. (With 16-lane vectors in strips of 16-31 columns, the lm tenants'
+// 24-column products ran 1.10-1.14x slower, one 16- and one 8-lane chain against three
+// 8-lane ones, and their 28-column one 1.43x.)
+template <typename V, int kColumns>
+using StripIsa = std::conditional_t<kLanes<V> == 16 && kColumns < 32, Vec8, V>;
+
+// kStrips<V, skip>[w - 1] runs a strip of w columns, for w from 1 to kWidestStrip<V>.
+template <typename V, bool kSkipZeros, size_t... kIndex>
+constexpr std::array<StripFn, sizeof...(kIndex)> StripsOf(std::index_sequence<kIndex...>) {
+  return {&StripEntries<StripIsa<V, static_cast<int>(kIndex) + 1>>::template Run<
+      static_cast<int>(kIndex) + 1, kSkipZeros>...};
+}
+template <typename V, bool kSkipZeros>
+constexpr auto kStrips = StripsOf<V, kSkipZeros>(std::make_index_sequence<kWidestStrip<V>>());
 
 // C[m, n] = A x B, where A's element (i, p) is a[i * a_row_step + p * a_col_step] and
-// B is row-major [k, n]. Writes every element of C.
-template <typename V, bool kSkipZeros>
-[[gnu::always_inline]] inline void StripMatMul(float* c, const float* a, int64_t a_row_step,
-                                               int64_t a_col_step, const float* b, int64_t m,
-                                               int64_t k, int64_t n) {
+// B is row-major [k, n], on the strips of an instantiation with `lanes` lanes. Writes
+// every element of C. A row runs strips of kStripVecs vectors until at most the widest
+// strip's columns are left, then one strip of all the rest: a pass over p of its own
+// for the last few columns would be one more latency-bound chain ([32, 24] x [24, 20]
+// took 2.4-3.8 us on AVX2 with a scalar pass for each of its last 4 columns, 1.4-1.7 us
+// in one pass).
+void StripMatMul(const StripFn* strips, int64_t lanes, float* c, const float* a,
+                 int64_t a_row_step, int64_t a_col_step, const float* b, int64_t m, int64_t k,
+                 int64_t n) {
   if (k == 0) {
     // Empty sums are +0; returning here also keeps offsets off empty (null) operands.
     std::fill_n(c, m * n, 0.0f);
     return;
   }
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * a_row_step;
-    float* ci = c + i * n;
-    int64_t j = 0;
-    while (j + kLanes<V> <= n) {
-      const int64_t vecs = std::min<int64_t>((n - j) / kLanes<V>, kStripVecs);
-      StripOf<V, kStripVecs, kSkipZeros>(vecs, ci + j, ai, a_col_step, b + j, n, k);
-      j += vecs * kLanes<V>;
-    }
-    for (; j < n; ++j) {
-      ci[j] = Column<kSkipZeros>(ai, a_col_step, b + j, n, k);
-    }
+  const int64_t full = kStripVecs * lanes;
+  const int64_t widest = full + lanes - 1;
+  int64_t j = 0;
+  for (; n - j > widest; j += full) {
+    strips[full - 1](c + j, a, a_row_step, a_col_step, b + j, m, k, n);
   }
-}
-
-#if defined(__x86_64__)
-// The 8-lane instantiation: AVX2 and nothing beyond it. C++ compiles with
-// -ffp-contract=fast by default, so on a target with FMA (AVX-512F, "fma",
-// -march=native) GCC fuses `acc += ap * bv` into one multiply-add with a single
-// rounding, and results change. AVX2 has no FMA instruction.
-template <bool kSkipZeros>
-[[gnu::target("avx2")]] void StripMatMulAvx2(float* c, const float* a, int64_t a_row_step,
-                                             int64_t a_col_step, const float* b, int64_t m,
-                                             int64_t k, int64_t n) {
-  StripMatMul<Vec8, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
-}
-#endif
-
-// StripMatMul on instantiation `isa`; the 4-lane one is compiled right here.
-template <bool kSkipZeros>
-void RunStripMatMul(internal::MatMulIsa isa, float* c, const float* a, int64_t a_row_step,
-                    int64_t a_col_step, const float* b, int64_t m, int64_t k, int64_t n) {
-  PX_CHECK(internal::MatMulIsaSupported(isa))
-      << internal::MatMulIsaName(isa) << " is not supported by this CPU";
-#if defined(__x86_64__)
-  if (isa == internal::MatMulIsa::kAvx2) {
-    StripMatMulAvx2<kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
-    return;
+  if (j < n) {
+    strips[n - j - 1](c + j, a, a_row_step, a_col_step, b + j, m, k, n);
   }
-#endif
-  StripMatMul<Vec4, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
 }
 
 // Per-thread scratch for the transposed operand of MatMulTransposeB and for the
@@ -363,27 +437,17 @@ template <typename V>
   }
 }
 
+void TransposeVec4(float* dst, int64_t ld_dst, const float* src, int64_t ld_src, int64_t rows,
+                   int64_t cols) {
+  Transpose<Vec4>(dst, ld_dst, src, ld_src, rows, cols);
+}
+
 #if defined(__x86_64__)
 [[gnu::target("avx2")]] void TransposeAvx2(float* dst, int64_t ld_dst, const float* src,
                                            int64_t ld_src, int64_t rows, int64_t cols) {
   Transpose<Vec8>(dst, ld_dst, src, ld_src, rows, cols);
 }
 #endif
-
-// Transpose on instantiation `isa`.
-[[gnu::always_inline]] inline void RunTranspose(internal::MatMulIsa isa, float* dst,
-                                                int64_t ld_dst, const float* src,
-                                                int64_t ld_src, int64_t rows, int64_t cols) {
-  PX_CHECK(internal::MatMulIsaSupported(isa))
-      << internal::MatMulIsaName(isa) << " is not supported by this CPU";
-#if defined(__x86_64__)
-  if (isa == internal::MatMulIsa::kAvx2) {
-    TransposeAvx2(dst, ld_dst, src, ld_src, rows, cols);
-    return;
-  }
-#endif
-  Transpose<Vec4>(dst, ld_dst, src, ld_src, rows, cols);
-}
 
 // ---- tanh ----
 //
@@ -522,7 +586,8 @@ constexpr int32_t kLaneReduces = 1;    // |x| > 0.5 ln2 / 2: reduces with k = -1
 constexpr int32_t kLaneWide = 2;       // outside the narrow core's range
 constexpr int32_t kLaneNonFinite = 4;  // infinite or NaN: the port's
 
-// Loads a strip of kLanes<V> floats into x and returns its needs.
+// Loads a strip of kLanes<V> floats into x and returns its needs. The lanes are OR-ed
+// in vector registers, halving the lanes per step, and only lane 0 leaves them.
 template <typename V>
 [[gnu::always_inline]] inline int32_t LoadStrip(const float* src, V& x) {
   std::memcpy(&x, src, sizeof(x));
@@ -530,13 +595,16 @@ template <typename V>
   const LaneBits<V> needs = (((ix < kTanhNarrowMin) | (ix >= kTanhNarrowEnd)) & kLaneWide) |
                             ((ix > kTanhReduceAbove) & kLaneReduces) |
                             ((ix >= 0x7f800000) & kLaneNonFinite);
-  uint64_t lane_pairs[sizeof(V) / sizeof(uint64_t)];
-  std::memcpy(lane_pairs, &needs, sizeof(needs));
-  uint64_t any = 0;
-  for (uint64_t pair : lane_pairs) {
-    any |= pair;
+  LaneBits<Vec4> any;
+  if constexpr (kLanes<V> == 8) {
+    any = __builtin_shufflevector(needs, needs, 0, 1, 2, 3) |
+          __builtin_shufflevector(needs, needs, 4, 5, 6, 7);
+  } else {
+    any = needs;
   }
-  return static_cast<int32_t>(any | (any >> 32));
+  any |= __builtin_shufflevector(any, any, 2, 3, 0, 1);
+  any |= __builtin_shufflevector(any, any, 1, 0, 3, 2);
+  return any[0];
 }
 
 // dst[0, kLanes<V>) = FdlibmTanhf of the lanes of x, which all lie in the narrow core's
@@ -671,10 +739,13 @@ template <typename V>
   }
 }
 
+void TanhKernelVec4(float* dst, const float* src, int64_t n) { TanhKernel<Vec4>(dst, src, n); }
+
 #if defined(__x86_64__)
 // The 8-lane instantiation, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
 // would fuse the polynomial, `3 - r1 * hfx`, `6 - r * t` and the reduction's
-// `y - k * ln2_hi`, as it would the matmuls.
+// `y - k * ln2_hi`, as it would the matmuls. CPUs with AVX-512F run it too: GCC 12's
+// 16-lane build of this core ran BM_TanhInto/skew 2.2-2.8x slower.
 [[gnu::target("avx2")]] void TanhKernelAvx2(float* dst, const float* src, int64_t n) {
   TanhKernel<Vec8>(dst, src, n);
 }
@@ -934,10 +1005,15 @@ template <typename V>
   }
 }
 
+void SoftmaxKernelVec4(float* dst, const float* src, int64_t rows, int64_t cols, float* tile) {
+  SoftmaxKernel<Vec4>(dst, src, rows, cols, tile);
+}
+void ExpKernelVec4(float* dst, const float* src, int64_t n) { ExpKernel<Vec4>(dst, src, n); }
+
 #if defined(__x86_64__)
 // The 8-lane instantiations, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
 // would fuse the exp's products with the additions that follow them, as it would the
-// matmuls.
+// matmuls. CPUs with AVX-512F run them too.
 [[gnu::target("avx2")]] void SoftmaxKernelAvx2(float* dst, const float* src, int64_t rows,
                                                int64_t cols, float* tile) {
   SoftmaxKernel<Vec8>(dst, src, rows, cols, tile);
@@ -947,31 +1023,88 @@ template <typename V>
 }
 #endif
 
+// ---- Kernel-ISA dispatch ----
+//
+// The entry points of one kernel ISA: every vector kernel reaches its core through the
+// row of the ISA it runs on, and nothing else names an instantiation.
+struct KernelEntries {
+  // The matmul strips, as kStrips: skipping the terms whose A element is zero (the
+  // seed's MatMul and MatMulTransposeA loops did), or adding every term.
+  const StripFn* strips_skipping_zeros;
+  const StripFn* strips;
+  int64_t lanes;
+  void (*transpose)(float* dst, int64_t ld_dst, const float* src, int64_t ld_src,
+                    int64_t rows, int64_t cols);
+  void (*tanh)(float* dst, const float* src, int64_t n);
+  void (*exp)(float* dst, const float* src, int64_t n);
+  void (*softmax)(float* dst, const float* src, int64_t rows, int64_t cols, float* tile);
+};
+
+const KernelEntries& EntriesOf(internal::KernelIsa isa) {
+  PX_CHECK(internal::KernelIsaSupported(isa))
+      << internal::KernelIsaName(isa) << " is not supported by this CPU";
+  static constexpr KernelEntries kVec4 = {
+      kStrips<Vec4, true>.data(), kStrips<Vec4, false>.data(), kLanes<Vec4>, TransposeVec4,
+      TanhKernelVec4,             ExpKernelVec4,               SoftmaxKernelVec4};
+#if defined(__x86_64__)
+  static constexpr KernelEntries kAvx2 = {
+      kStrips<Vec8, true>.data(), kStrips<Vec8, false>.data(), kLanes<Vec8>, TransposeAvx2,
+      TanhKernelAvx2,             ExpKernelAvx2,               SoftmaxKernelAvx2};
+  // Only the matmul strips run 16 lanes wide.
+  static constexpr KernelEntries kAvx512 = {
+      kStrips<Vec16, true>.data(), kStrips<Vec16, false>.data(), kLanes<Vec16>, TransposeAvx2,
+      TanhKernelAvx2,              ExpKernelAvx2,                SoftmaxKernelAvx2};
+  switch (isa) {
+    case internal::KernelIsa::kVec4:
+      break;
+    case internal::KernelIsa::kAvx2:
+      return kAvx2;
+    case internal::KernelIsa::kAvx512:
+      return kAvx512;
+  }
+#endif
+  return kVec4;
+}
+
 }  // namespace
 
 namespace internal {
 
-bool MatMulIsaSupported(MatMulIsa isa) {
+bool KernelIsaSupported(KernelIsa isa) {
 #if defined(__x86_64__)
   static const bool avx2 = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
   }();
-  return isa == MatMulIsa::kVec4 || avx2;
+  // The 16-lane row runs the AVX2 tanh, exp, softmax and transposes.
+  static const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") != 0;
+  switch (isa) {
+    case KernelIsa::kVec4:
+      return true;
+    case KernelIsa::kAvx2:
+      return avx2;
+    case KernelIsa::kAvx512:
+      return avx512;
+  }
+  return false;
 #else
-  return isa == MatMulIsa::kVec4;
+  return isa == KernelIsa::kVec4;
 #endif
 }
 
-MatMulIsa ActiveMatMulIsa() {
-  return MatMulIsaSupported(MatMulIsa::kAvx2) ? MatMulIsa::kAvx2 : MatMulIsa::kVec4;
+KernelIsa ActiveKernelIsa() {
+  static const KernelIsa active = KernelIsaSupported(KernelIsa::kAvx512) ? KernelIsa::kAvx512
+                                  : KernelIsaSupported(KernelIsa::kAvx2) ? KernelIsa::kAvx2
+                                                                         : KernelIsa::kVec4;
+  return active;
 }
 
-const char* MatMulIsaName(MatMulIsa isa) {
-  return isa == MatMulIsa::kAvx2 ? "avx2" : "vec4";
+const char* KernelIsaName(KernelIsa isa) {
+  constexpr const char* kNames[] = {"vec4", "avx2", "avx512"};
+  return kNames[static_cast<int>(isa)];
 }
 
-void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
+void MatMulInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t m = a.shape().dim(0);
@@ -979,11 +1112,12 @@ void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   int64_t n = b.shape().dim(1);
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
-  RunStripMatMul</*kSkipZeros=*/true>(isa, cv, a.floats().data(), k, 1, b.floats().data(), m,
-                                      k, n);
+  const KernelEntries& entries = EntriesOf(isa);
+  StripMatMul(entries.strips_skipping_zeros, entries.lanes, cv, a.floats().data(), k, 1,
+              b.floats().data(), m, k, n);
 }
 
-void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
+void MatMulTransposeAInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t k = a.shape().dim(0);
@@ -992,11 +1126,12 @@ void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Ten
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
   // A^T's row i is A's column i: one strided scalar read per p.
-  RunStripMatMul</*kSkipZeros=*/true>(isa, cv, a.floats().data(), 1, m, b.floats().data(), m,
-                                      k, n);
+  const KernelEntries& entries = EntriesOf(isa);
+  StripMatMul(entries.strips_skipping_zeros, entries.lanes, cv, a.floats().data(), 1, m,
+              b.floats().data(), m, k, n);
 }
 
-void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
+void MatMulTransposeBInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(a.shape().rank(), 2);
   PX_CHECK_EQ(b.shape().rank(), 2);
   int64_t m = a.shape().dim(0);
@@ -1006,45 +1141,30 @@ void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Ten
   float* cv = PrepareDense2D(out, m, n);
   // Pack B^T as row-major [k, n] so a strip of output columns reads contiguous floats.
   float* bt = PackBuffer(static_cast<size_t>(k * n));
-  RunTranspose(isa, bt, n, b.floats().data(), k, n, k);
+  const KernelEntries& entries = EntriesOf(isa);
+  entries.transpose(bt, n, b.floats().data(), k, n, k);
   // The seed's dot product added every term, so no zero skipping here.
-  RunStripMatMul</*kSkipZeros=*/false>(isa, cv, a.floats().data(), k, 1, bt, m, k, n);
+  StripMatMul(entries.strips, entries.lanes, cv, a.floats().data(), k, 1, bt, m, k, n);
 }
 
 float ScalarTanh(float x) { return FdlibmTanhf(x); }
 
-void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a) {
-  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+void TanhInto(KernelIsa isa, Tensor& out, const Tensor& a) {
+  const KernelEntries& entries = EntriesOf(isa);
   float* dst = PrepareDense(out, a.shape(), /*zero_fill=*/false);
-  const float* src = a.floats().data();
-  const int64_t n = a.num_elements();
-#if defined(__x86_64__)
-  if (isa == MatMulIsa::kAvx2) {
-    TanhKernelAvx2(dst, src, n);
-    return;
-  }
-#endif
-  TanhKernel<Vec4>(dst, src, n);
+  entries.tanh(dst, a.floats().data(), a.num_elements());
 }
 
 float ScalarExp(float x) { return GlibcExpf(x); }
 
-void ExpInto(MatMulIsa isa, Tensor& out, const Tensor& a) {
-  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+void ExpInto(KernelIsa isa, Tensor& out, const Tensor& a) {
+  const KernelEntries& entries = EntriesOf(isa);
   float* dst = PrepareDense(out, a.shape(), /*zero_fill=*/false);
-  const float* src = a.floats().data();
-  const int64_t n = a.num_elements();
-#if defined(__x86_64__)
-  if (isa == MatMulIsa::kAvx2) {
-    ExpKernelAvx2(dst, src, n);
-    return;
-  }
-#endif
-  ExpKernel<Vec4>(dst, src, n);
+  entries.exp(dst, a.floats().data(), a.num_elements());
 }
 
-void SoftmaxRowsInto(MatMulIsa isa, Tensor& out, const Tensor& logits) {
-  PX_CHECK(MatMulIsaSupported(isa)) << MatMulIsaName(isa) << " is not supported by this CPU";
+void SoftmaxRowsInto(KernelIsa isa, Tensor& out, const Tensor& logits) {
+  const KernelEntries& entries = EntriesOf(isa);
   PX_CHECK_EQ(logits.shape().rank(), 2);
   const int64_t rows = logits.shape().dim(0);
   const int64_t cols = logits.shape().dim(1);
@@ -1053,21 +1173,15 @@ void SoftmaxRowsInto(MatMulIsa isa, Tensor& out, const Tensor& logits) {
     return;
   }
   const float* src = logits.floats().data();
-  // Room for the wider instantiation's tile.
+  // Room for the widest softmax core's tile.
   float* tile = PackBuffer(static_cast<size_t>(kLanes<Vec8> * cols));
-#if defined(__x86_64__)
-  if (isa == MatMulIsa::kAvx2) {
-    SoftmaxKernelAvx2(dst, src, rows, cols, tile);
-    return;
-  }
-#endif
-  SoftmaxKernel<Vec4>(dst, src, rows, cols, tile);
+  entries.softmax(dst, src, rows, cols, tile);
 }
 
 }  // namespace internal
 
 void MatMulInto(Tensor& out, const Tensor& a, const Tensor& b) {
-  internal::MatMulInto(internal::ActiveMatMulIsa(), out, a, b);
+  internal::MatMulInto(internal::ActiveKernelIsa(), out, a, b);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -1077,7 +1191,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 void MatMulTransposeAInto(Tensor& out, const Tensor& a, const Tensor& b) {
-  internal::MatMulTransposeAInto(internal::ActiveMatMulIsa(), out, a, b);
+  internal::MatMulTransposeAInto(internal::ActiveKernelIsa(), out, a, b);
 }
 
 Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
@@ -1087,7 +1201,7 @@ Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
 }
 
 void MatMulTransposeBInto(Tensor& out, const Tensor& a, const Tensor& b) {
-  internal::MatMulTransposeBInto(internal::ActiveMatMulIsa(), out, a, b);
+  internal::MatMulTransposeBInto(internal::ActiveKernelIsa(), out, a, b);
 }
 
 Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
@@ -1101,13 +1215,13 @@ Tensor Transpose2D(const Tensor& a) {
   int64_t m = a.shape().dim(0);
   int64_t n = a.shape().dim(1);
   Tensor out = Tensor::Zeros(TensorShape({n, m}));
-  RunTranspose(internal::ActiveMatMulIsa(), out.mutable_floats().data(), m, a.floats().data(),
-               n, m, n);
+  EntriesOf(internal::ActiveKernelIsa())
+      .transpose(out.mutable_floats().data(), m, a.floats().data(), n, m, n);
   return out;
 }
 
 void TanhInto(Tensor& out, const Tensor& a) {
-  internal::TanhInto(internal::ActiveMatMulIsa(), out, a);
+  internal::TanhInto(internal::ActiveKernelIsa(), out, a);
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -1169,7 +1283,7 @@ Tensor SoftmaxRows(const Tensor& logits) {
 }
 
 void SoftmaxRowsInto(Tensor& out, const Tensor& logits) {
-  internal::SoftmaxRowsInto(internal::ActiveMatMulIsa(), out, logits);
+  internal::SoftmaxRowsInto(internal::ActiveKernelIsa(), out, logits);
 }
 
 float SoftmaxCrossEntropy(const Tensor& logits, const Tensor& labels, Tensor* grad_logits) {

@@ -129,41 +129,44 @@ void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
 
 namespace internal {
 
-// The instantiations of the vector cores behind the three matmul kernels, TanhInto and
-// SoftmaxRowsInto. Both give every output element the same sequence of rounded
-// operations, so they agree bit for bit; only the number of elements computed side by
-// side differs.
-enum class MatMulIsa {
-  kVec4,  // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
-  kAvx2,  // 8-lane AVX2 vectors, never fused multiply-add; x86-64 CPUs with AVX2 only
+// The kernel ISAs: which instantiations of the vector cores the three matmul kernels,
+// the transposes, TanhInto and SoftmaxRowsInto run. Every instantiation gives each
+// output element the same sequence of rounded operations, never a fused multiply-add,
+// so all agree bit for bit; only the number of elements computed side by side differs.
+enum class KernelIsa {
+  kVec4,    // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
+  kAvx2,    // 8-lane AVX2 vectors; x86-64 CPUs with AVX2 only
+  kAvx512,  // 16-lane AVX-512F matmul strips, the AVX2 cores for everything else;
+            // x86-64 CPUs with AVX2 and AVX-512F only
 };
-// Whether this CPU can run `isa`'s instantiation.
-bool MatMulIsaSupported(MatMulIsa isa);
-// The instantiation the public kernels run: kAvx2 where it is supported, kVec4 otherwise.
-MatMulIsa ActiveMatMulIsa();
-// "vec4" or "avx2".
-const char* MatMulIsaName(MatMulIsa isa);
-// MatMulInto, MatMulTransposeAInto and MatMulTransposeBInto on a chosen instantiation,
-// so tests can check each one, not only the one this CPU dispatches to. `isa` must be
+// Whether this CPU can run `isa`.
+bool KernelIsaSupported(KernelIsa isa);
+// The kernel ISA the public kernels run, chosen once per process: the widest one this
+// CPU supports.
+KernelIsa ActiveKernelIsa();
+// "vec4", "avx2" or "avx512".
+const char* KernelIsaName(KernelIsa isa);
+// MatMulInto, MatMulTransposeAInto and MatMulTransposeBInto on a chosen kernel ISA, so
+// tests can check each one, not only the one this CPU dispatches to. `isa` must be
 // supported.
-void MatMulInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
-void MatMulTransposeAInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
-void MatMulTransposeBInto(MatMulIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+void MatMulInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+void MatMulTransposeAInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
+void MatMulTransposeBInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b);
 // The library's tanh of one float, fdlibm's tanhf ported operation for operation: the
 // reference TanhInto's vector cores match bit for bit on every finite input, and its
 // fallback for strips with an infinite or NaN lane and for the tail.
 float ScalarTanh(float x);
-// TanhInto on a chosen instantiation; `isa` must be supported.
-void TanhInto(MatMulIsa isa, Tensor& out, const Tensor& a);
+// TanhInto on a chosen kernel ISA; `isa` must be supported.
+void TanhInto(KernelIsa isa, Tensor& out, const Tensor& a);
 // The library's exp of one float, glibc 2.36's expf ported without FMA; it equals the
 // variant glibc runs on CPUs with FMA on every float. The exp of SoftmaxRowsInto's
 // vector lanes and of its rows past the last whole group of lanes.
 float ScalarExp(float x);
 // out = ScalarExp of every element, through the softmax's lane-wise exp core (the tail
 // on the port). For tests; `isa` must be supported.
-void ExpInto(MatMulIsa isa, Tensor& out, const Tensor& a);
-// SoftmaxRowsInto on a chosen instantiation; `isa` must be supported.
-void SoftmaxRowsInto(MatMulIsa isa, Tensor& out, const Tensor& logits);
+void ExpInto(KernelIsa isa, Tensor& out, const Tensor& a);
+// SoftmaxRowsInto on a chosen kernel ISA; `isa` must be supported.
+void SoftmaxRowsInto(KernelIsa isa, Tensor& out, const Tensor& logits);
 
 }  // namespace internal
 

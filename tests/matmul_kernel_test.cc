@@ -4,11 +4,12 @@
 // denormals count — across strip remainders, degenerate m = 1 / k = 1 shapes, and the
 // special values that exercise the zero-skip path.
 //
-// The kernels run one of two instantiations of their core, chosen per process from the
-// CPU (internal::ActiveMatMulIsa), so on an AVX2 machine the public kernels never run
-// the 4-lane one. Each check therefore calls both instantiations directly:
-// MatMulKernelTest the 4-lane one, MatMulKernelAvx2Test the 8-lane AVX2 one, skipped
-// where the CPU lacks AVX2.
+// The kernels run one of three instantiations of their core, chosen per process from
+// the CPU (internal::ActiveKernelIsa), so on an AVX-512F machine the public kernels run
+// neither the 4-lane nor the 8-lane one. Each check therefore calls every instantiation
+// directly: MatMulKernelTest the 4-lane one, MatMulKernelAvx2Test the 8-lane AVX2 one,
+// MatMulKernelAvx512Test the 16-lane AVX-512F one, each skipped where the CPU lacks
+// its ISA.
 //
 // One thing is outside any kernel's control: when an add meets two NaNs with different
 // bit patterns, which one it returns is left to the compiler's choice of operand order
@@ -19,6 +20,7 @@
 // separately, bit for bit everywhere except the payload of a NaN result.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -42,11 +44,11 @@ struct Kernel {
   std::function<Tensor(const Tensor&, const Tensor&)> oracle;
 };
 
-using internal::MatMulIsa;
+using internal::KernelIsa;
 
 // The three kernels on instantiation `isa`.
-std::vector<Kernel> Kernels(MatMulIsa isa) {
-  auto on_isa = [isa](void (*kernel)(MatMulIsa, Tensor&, const Tensor&, const Tensor&)) {
+std::vector<Kernel> Kernels(KernelIsa isa) {
+  auto on_isa = [isa](void (*kernel)(KernelIsa, Tensor&, const Tensor&, const Tensor&)) {
     return [isa, kernel](Tensor& out, const Tensor& a, const Tensor& b) {
       kernel(isa, out, a, b);
     };
@@ -150,14 +152,24 @@ Tensor NonFiniteOperand(const TensorShape& shape, Rng& rng, float nan) {
   return t;
 }
 
-// A row runs full strips of 8 vectors (32 columns with 4 lanes, 64 with 8), then one
-// strip of the 1-7 vectors left, then single columns. Over these counts both
-// instantiations run every strip width from 1 to 8 vectors and every column remainder:
-//   4 lanes: 7 = 1 vector + 3 columns, 9 = 2 + 1, 21 = 5 + 1, 24 = 6, 31 = 7 + 3,
-//            45 = 8 + 3 + 1, 48 = 8 + 4, 2000 = 62 full strips + 4;
-//   8 lanes: 7 = 7 columns, 9 = 1 + 1, 21 = 2 + 5, 24 = 3, 33 = 4 + 1, 45 = 5 + 5,
-//            48 = 6 (lm's hidden width), 63 = 7 + 7, 65 = 8 + 1, 128 = 8 + 8 (skew's).
-constexpr int64_t kColumnCounts[] = {1, 7, 9, 21, 24, 31, 33, 45, 48, 63, 65, 128, 2000};
+// A row runs full strips of 8 vectors (32 columns with 4 lanes, 64 with 8, 128 with 16)
+// while more than 8 vectors and a remainder narrower than one are left, then one strip
+// of every column left, in one pass: its whole vectors, then 8- and 4-lane vectors,
+// then single columns (with 16 lanes, strips of fewer than 32 columns take 8-lane
+// vectors only). So a strip is laid out by its column count alone, and every count from
+// 1 to 143 (8 * 16 + 15, the widest strip) runs its own layout on each instantiation
+// that reaches it; 144 and up add full strips in front (255 = 128 + 7 * 16 + 8 + 4 + 3
+// with 16 lanes, 2000 = 15 * 128 + 5 * 16). Among them are lm's hidden width 48, skew's
+// 128, and lm's tenants' 16-28.
+constexpr std::array<int64_t, 146> kColumnCounts = [] {
+  std::array<int64_t, 146> counts = {};
+  for (int64_t n = 1; n <= 144; ++n) {
+    counts[static_cast<size_t>(n - 1)] = n;
+  }
+  counts[144] = 255;
+  counts[145] = 2000;
+  return counts;
+}();
 
 struct RowsInner {
   int64_t m;
@@ -165,79 +177,107 @@ struct RowsInner {
 };
 constexpr RowsInner kRowsInner[] = {{1, 1}, {1, 37}, {5, 1}, {6, 29}};
 
-// The 4-lane instantiation runs on every CPU; this fixture runs the checks on the
-// 8-lane AVX2 one, where the CPU has AVX2.
+// The lm tenants' narrow products (batch 32, hidden width 24, embedding 16-28): every
+// column count they run, on every inner dimension.
+constexpr int64_t kTenantColumns[] = {16, 20, 24, 28};
+constexpr int64_t kTenantInner[] = {16, 24, 32};
+constexpr int64_t kTenantRows = 32;
+
+// The 4-lane instantiation runs on every CPU; these fixtures run the checks on the
+// 8-lane AVX2 one and the 16-lane AVX-512F one, where the CPU has their ISA.
 class MatMulKernelAvx2Test : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
       GTEST_SKIP() << "this CPU has no AVX2";
     }
   }
 };
+class MatMulKernelAvx512Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx512)) {
+      GTEST_SKIP() << "this CPU has no AVX-512F";
+    }
+  }
+};
 
-void CheckStripRemainders(MatMulIsa isa) {
-  Rng rng(101);
+// Calls check(kernel, m, k, n) on every kernel of `isa` for every shape of
+// kColumnCounts x kRowsInner and every lm tenant shape.
+void ForEachShape(KernelIsa isa,
+                  const std::function<void(const Kernel&, int64_t, int64_t, int64_t)>& check) {
   for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       for (RowsInner shape : kRowsInner) {
-        Tensor a = RandomNormal(kernel.a_shape(shape.m, shape.k, n), rng);
-        Tensor b = RandomNormal(kernel.b_shape(shape.m, shape.k, n), rng);
-        CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, shape.m, shape.k, n));
+        check(kernel, shape.m, shape.k, n);
+      }
+    }
+    for (int64_t n : kTenantColumns) {
+      for (int64_t k : kTenantInner) {
+        check(kernel, kTenantRows, k, n);
       }
     }
   }
+}
+
+void CheckStripRemainders(KernelIsa isa) {
+  Rng rng(101);
+  ForEachShape(isa, [&](const Kernel& kernel, int64_t m, int64_t k, int64_t n) {
+    Tensor a = RandomNormal(kernel.a_shape(m, k, n), rng);
+    Tensor b = RandomNormal(kernel.b_shape(m, k, n), rng);
+    CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, m, k, n));
+  });
 }
 TEST(MatMulKernelTest, StripRemaindersMatchOracleBitForBit) {
-  CheckStripRemainders(MatMulIsa::kVec4);
+  CheckStripRemainders(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, StripRemaindersMatchOracleBitForBit) {
-  CheckStripRemainders(MatMulIsa::kAvx2);
+  CheckStripRemainders(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, StripRemaindersMatchOracleBitForBit) {
+  CheckStripRemainders(KernelIsa::kAvx512);
 }
 
-void CheckSpecialValues(MatMulIsa isa) {
+void CheckSpecialValues(KernelIsa isa) {
   Rng rng(202);
-  for (const Kernel& kernel : Kernels(isa)) {
-    for (int64_t n : kColumnCounts) {
-      for (RowsInner shape : kRowsInner) {
-        Tensor a = SkipOperand(kernel.a_shape(shape.m, shape.k, n), rng);
-        Tensor b = NonFiniteOperand(kernel.b_shape(shape.m, shape.k, n), rng, HardwareNaN());
-        CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, shape.m, shape.k, n));
-      }
-    }
-  }
+  ForEachShape(isa, [&](const Kernel& kernel, int64_t m, int64_t k, int64_t n) {
+    Tensor a = SkipOperand(kernel.a_shape(m, k, n), rng);
+    Tensor b = NonFiniteOperand(kernel.b_shape(m, k, n), rng, HardwareNaN());
+    CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, m, k, n));
+  });
 }
 TEST(MatMulKernelTest, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
-  CheckSpecialValues(MatMulIsa::kVec4);
+  CheckSpecialValues(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
-  CheckSpecialValues(MatMulIsa::kAvx2);
+  CheckSpecialValues(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, ZerosDenormalsInfinitiesAndNaNsMatchOracleBitForBit) {
+  CheckSpecialValues(KernelIsa::kAvx512);
 }
 
-void CheckForeignNaNs(MatMulIsa isa) {
+void CheckForeignNaNs(KernelIsa isa) {
   Rng rng(404);
   const float foreign_nan = -HardwareNaN();  // same class, opposite sign bit
-  for (const Kernel& kernel : Kernels(isa)) {
-    for (int64_t n : kColumnCounts) {
-      for (RowsInner shape : kRowsInner) {
-        Tensor a = SkipOperand(kernel.a_shape(shape.m, shape.k, n), rng);
-        Tensor b = NonFiniteOperand(kernel.b_shape(shape.m, shape.k, n), rng, foreign_nan);
-        CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, shape.m, shape.k, n),
-                           /*any_nan_payload=*/true);
-      }
-    }
-  }
+  ForEachShape(isa, [&](const Kernel& kernel, int64_t m, int64_t k, int64_t n) {
+    Tensor a = SkipOperand(kernel.a_shape(m, k, n), rng);
+    Tensor b = NonFiniteOperand(kernel.b_shape(m, k, n), rng, foreign_nan);
+    CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, m, k, n), /*any_nan_payload=*/true);
+  });
 }
 TEST(MatMulKernelTest, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
-  CheckForeignNaNs(MatMulIsa::kVec4);
+  CheckForeignNaNs(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
-  CheckForeignNaNs(MatMulIsa::kAvx2);
+  CheckForeignNaNs(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, ForeignNaNPayloadsMatchOracleExceptNaNBits) {
+  CheckForeignNaNs(KernelIsa::kAvx512);
 }
 
 // A zero A entry facing an infinite B row: the skipping kernels leave the sum finite,
 // MatMulTransposeB (which never skipped) turns it into NaN, exactly like the oracle.
-void CheckSkippedZeroAgainstInfinity(MatMulIsa isa) {
+void CheckSkippedZeroAgainstInfinity(KernelIsa isa) {
   constexpr float kInf = std::numeric_limits<float>::infinity();
   for (const Kernel& kernel : Kernels(isa)) {
     const int64_t m = 2;
@@ -269,16 +309,19 @@ void CheckSkippedZeroAgainstInfinity(MatMulIsa isa) {
   }
 }
 TEST(MatMulKernelTest, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
-  CheckSkippedZeroAgainstInfinity(MatMulIsa::kVec4);
+  CheckSkippedZeroAgainstInfinity(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
-  CheckSkippedZeroAgainstInfinity(MatMulIsa::kAvx2);
+  CheckSkippedZeroAgainstInfinity(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
+  CheckSkippedZeroAgainstInfinity(KernelIsa::kAvx512);
 }
 
 // k = 0: every output element is an empty sum, +0, also over a NaN-poisoned reused
 // output. (The seed's MatMulTransposeB loop indexed its empty operands here, so the
 // expectation is written out rather than taken from the oracle.)
-void CheckEmptyInnerDimension(MatMulIsa isa) {
+void CheckEmptyInnerDimension(KernelIsa isa) {
   for (const Kernel& kernel : Kernels(isa)) {
     for (int64_t n : kColumnCounts) {
       Tensor a = Tensor::Zeros(kernel.a_shape(3, 0, n));
@@ -294,18 +337,22 @@ void CheckEmptyInnerDimension(MatMulIsa isa) {
   }
 }
 TEST(MatMulKernelTest, EmptyInnerDimensionWritesPositiveZeros) {
-  CheckEmptyInnerDimension(MatMulIsa::kVec4);
+  CheckEmptyInnerDimension(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, EmptyInnerDimensionWritesPositiveZeros) {
-  CheckEmptyInnerDimension(MatMulIsa::kAvx2);
+  CheckEmptyInnerDimension(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, EmptyInnerDimensionWritesPositiveZeros) {
+  CheckEmptyInnerDimension(KernelIsa::kAvx512);
 }
 
 // The transposed operand of MatMulTransposeB is packed into a per-thread buffer that
 // only grows: a small call after a large one, and a large one after that, must each
-// read only their own operand. The packing transposes B [n, k] in 8x8 (AVX2) or 4x4
-// blocks through registers and the rows and columns past the last whole block one
-// float at a time, so B also takes every mix of n and k off both block grids.
-void CheckPackedOperand(MatMulIsa isa) {
+// read only their own operand. The packing transposes B [n, k] in 8x8 (AVX2, also on
+// AVX-512F) or 4x4 blocks through registers and the rows and columns past the last
+// whole block one float at a time, so B also takes every mix of n and k off both block
+// grids.
+void CheckPackedOperand(KernelIsa isa) {
   Rng rng(303);
   const Kernel kernel = Kernels(isa)[2];
   const RowsInner shapes[] = {{4, 64}, {3, 5}, {2, 70}, {1, 1}};
@@ -328,10 +375,13 @@ void CheckPackedOperand(MatMulIsa isa) {
   }
 }
 TEST(MatMulKernelTest, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
-  CheckPackedOperand(MatMulIsa::kVec4);
+  CheckPackedOperand(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
-  CheckPackedOperand(MatMulIsa::kAvx2);
+  CheckPackedOperand(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, PackedOperandIsExactAcrossShrinkingAndGrowingShapes) {
+  CheckPackedOperand(KernelIsa::kAvx512);
 }
 
 // Contraction detector. With a(i, :) = (-1, 1 + 2^-13) and b(:, j) = (1, 1 - 2^-13),
@@ -340,7 +390,7 @@ TEST_F(MatMulKernelAvx2Test, PackedOperandIsExactAcrossShrinkingAndGrowingShapes
 // shows a contracting build only when some sum happens to round differently; this one
 // always does, for every strip width. The expectation is written out, so a build that
 // contracts the oracle too still fails.
-void CheckMultiplyAndAddRoundSeparately(MatMulIsa isa) {
+void CheckMultiplyAndAddRoundSeparately(KernelIsa isa) {
   const int64_t m = 3;
   const int64_t k = 2;
   for (const Kernel& kernel : Kernels(isa)) {
@@ -368,10 +418,13 @@ void CheckMultiplyAndAddRoundSeparately(MatMulIsa isa) {
   }
 }
 TEST(MatMulKernelTest, MultiplyAndAddRoundSeparately) {
-  CheckMultiplyAndAddRoundSeparately(MatMulIsa::kVec4);
+  CheckMultiplyAndAddRoundSeparately(KernelIsa::kVec4);
 }
 TEST_F(MatMulKernelAvx2Test, MultiplyAndAddRoundSeparately) {
-  CheckMultiplyAndAddRoundSeparately(MatMulIsa::kAvx2);
+  CheckMultiplyAndAddRoundSeparately(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, MultiplyAndAddRoundSeparately) {
+  CheckMultiplyAndAddRoundSeparately(KernelIsa::kAvx512);
 }
 
 }  // namespace

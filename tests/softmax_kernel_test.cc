@@ -32,12 +32,12 @@
 namespace parallax {
 namespace {
 
-using internal::MatMulIsa;
+using internal::KernelIsa;
 
 class SoftmaxKernelAvx2Test : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
       GTEST_SKIP() << "this CPU has no AVX2";
     }
   }
@@ -102,7 +102,7 @@ TEST(ExpPortTest, MatchesGlibcOutputs) {
 }
 
 // Runs ExpInto on `isa` and expects ScalarExp's bits for every element.
-void ExpectExpCoreMatchesPort(MatMulIsa isa, const std::vector<uint32_t>& input_bits,
+void ExpectExpCoreMatchesPort(KernelIsa isa, const std::vector<uint32_t>& input_bits,
                               const std::string& context) {
   const int64_t n = static_cast<int64_t>(input_bits.size());
   Tensor in = Tensor::Zeros(TensorShape({n}));
@@ -122,7 +122,7 @@ void ExpectExpCoreMatchesPort(MatMulIsa isa, const std::vector<uint32_t>& input_
 
 // Every pin in every lane of a strip of otherwise ordinary inputs, and every 251st bit
 // pattern (17.1 million floats).
-void CheckExpCore(MatMulIsa isa) {
+void CheckExpCore(KernelIsa isa) {
   Rng rng(26);
   for (const Pin& pin : kGlibcPins) {
     for (size_t lane = 0; lane < 8; ++lane) {
@@ -147,8 +147,8 @@ void CheckExpCore(MatMulIsa isa) {
   ExpectExpCoreMatchesPort(isa, chunk, "last sweep chunk");
 }
 
-TEST(SoftmaxKernelTest, ExpCoreMatchesPortBitForBit) { CheckExpCore(MatMulIsa::kVec4); }
-TEST_F(SoftmaxKernelAvx2Test, ExpCoreMatchesPortBitForBit) { CheckExpCore(MatMulIsa::kAvx2); }
+TEST(SoftmaxKernelTest, ExpCoreMatchesPortBitForBit) { CheckExpCore(KernelIsa::kVec4); }
+TEST_F(SoftmaxKernelAvx2Test, ExpCoreMatchesPortBitForBit) { CheckExpCore(KernelIsa::kAvx2); }
 
 // Equal bits, except that a NaN only has to be a NaN.
 void ExpectSameValues(const Tensor& got, const Tensor& want, const std::string& context) {
@@ -167,7 +167,7 @@ void ExpectSameValues(const Tensor& got, const Tensor& want, const std::string& 
 
 // Runs the kernel on `isa` into a fresh output and into a reused one pre-filled with NaN
 // (so every element must be written), and compares both with the seed loop.
-void CheckAgainstOracle(MatMulIsa isa, const Tensor& logits, const std::string& context) {
+void CheckAgainstOracle(KernelIsa isa, const Tensor& logits, const std::string& context) {
   const Tensor want = NaiveSoftmaxRows(logits);
   Tensor fresh;
   internal::SoftmaxRowsInto(isa, fresh, logits);
@@ -188,7 +188,7 @@ constexpr int64_t kRowCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
 constexpr int64_t kColCounts[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
                                   11, 12, 13, 14, 15, 16, 17, 32, 64, 2000};
 
-void CheckShapes(MatMulIsa isa) {
+void CheckShapes(KernelIsa isa) {
   Rng rng(61);
   for (int64_t rows : kRowCounts) {
     for (int64_t cols : kColCounts) {
@@ -199,8 +199,8 @@ void CheckShapes(MatMulIsa isa) {
   }
 }
 
-TEST(SoftmaxKernelTest, ShapesMatchSeedLoopBitForBit) { CheckShapes(MatMulIsa::kVec4); }
-TEST_F(SoftmaxKernelAvx2Test, ShapesMatchSeedLoopBitForBit) { CheckShapes(MatMulIsa::kAvx2); }
+TEST(SoftmaxKernelTest, ShapesMatchSeedLoopBitForBit) { CheckShapes(KernelIsa::kVec4); }
+TEST_F(SoftmaxKernelAvx2Test, ShapesMatchSeedLoopBitForBit) { CheckShapes(KernelIsa::kAvx2); }
 
 // Rows of special kinds side by side, so that each lane of a group meets a different one:
 // NaN in column 0 (the max stays NaN) or later (std::max skips it, its exp is NaN), +inf
@@ -254,7 +254,7 @@ void FillRow(RowKind kind, float* row, int64_t cols, Rng& rng) {
   }
 }
 
-void CheckSpecialRows(MatMulIsa isa) {
+void CheckSpecialRows(KernelIsa isa) {
   Rng rng(62);
   constexpr int kKinds = static_cast<int>(RowKind::kCount);
   for (int64_t rows : {int64_t{8}, int64_t{17}, int64_t{64}}) {
@@ -273,8 +273,8 @@ void CheckSpecialRows(MatMulIsa isa) {
   }
 }
 
-TEST(SoftmaxKernelTest, SpecialRowsMatchSeedLoop) { CheckSpecialRows(MatMulIsa::kVec4); }
-TEST_F(SoftmaxKernelAvx2Test, SpecialRowsMatchSeedLoop) { CheckSpecialRows(MatMulIsa::kAvx2); }
+TEST(SoftmaxKernelTest, SpecialRowsMatchSeedLoop) { CheckSpecialRows(KernelIsa::kVec4); }
+TEST_F(SoftmaxKernelAvx2Test, SpecialRowsMatchSeedLoop) { CheckSpecialRows(KernelIsa::kAvx2); }
 
 // The public entry points run the instantiation this CPU dispatches to, and the tile is
 // per-thread scratch shared with MatMulTransposeB's packing: a wide softmax, a packed
@@ -296,9 +296,9 @@ TEST(SoftmaxKernelTest, PublicKernelsMatchSeedLoop) {
 
 // Every float, both instantiations. Takes about a minute and a half in a Release build.
 TEST(SoftmaxKernelTest, DISABLED_ExpCoreMatchesPortOnEveryFloat) {
-  std::vector<MatMulIsa> isas = {MatMulIsa::kVec4};
-  if (internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
-    isas.push_back(MatMulIsa::kAvx2);
+  std::vector<KernelIsa> isas = {KernelIsa::kVec4};
+  if (internal::KernelIsaSupported(KernelIsa::kAvx2)) {
+    isas.push_back(KernelIsa::kAvx2);
   }
   constexpr int64_t kChunk = 1 << 16;
   Tensor in = Tensor::Zeros(TensorShape({kChunk}));
@@ -317,14 +317,14 @@ TEST(SoftmaxKernelTest, DISABLED_ExpCoreMatchesPortOnEveryFloat) {
       const uint32_t port = BitsOf(internal::ScalarExp(x));
       for (size_t k = 0; k < isas.size(); ++k) {
         ASSERT_EQ(BitsOf(outs[k].floats()[static_cast<size_t>(i)]), port)
-            << internal::MatMulIsaName(isas[k]) << " at x = " << Hex(BitsOf(x));
+            << internal::KernelIsaName(isas[k]) << " at x = " << Hex(BitsOf(x));
       }
       libm_differs += BitsOf(std::exp(x)) != port ? 1 : 0;
     }
   }
   std::printf("exp core == port on all 4294967296 floats (%s%s); this host's expf differs "
               "from the port on %llu of them\n",
-              internal::MatMulIsaName(isas.front()), isas.size() > 1 ? " and avx2" : "",
+              internal::KernelIsaName(isas.front()), isas.size() > 1 ? " and avx2" : "",
               static_cast<unsigned long long>(libm_differs));
 }
 

@@ -31,12 +31,12 @@
 namespace parallax {
 namespace {
 
-using internal::MatMulIsa;
+using internal::KernelIsa;
 
 class TanhKernelAvx2Test : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
       GTEST_SKIP() << "this CPU has no AVX2";
     }
   }
@@ -59,7 +59,7 @@ std::string Hex(uint32_t bits) { return StrFormat("0x%08x", bits); }
 
 // Runs TanhInto on `isa` into a fresh output and into a reused one pre-filled with NaN
 // (so every element must be written), and expects both to equal ScalarTanh bit for bit.
-void ExpectKernelMatchesPort(MatMulIsa isa, const std::vector<uint32_t>& input_bits,
+void ExpectKernelMatchesPort(KernelIsa isa, const std::vector<uint32_t>& input_bits,
                              const std::string& context) {
   const int64_t n = static_cast<int64_t>(input_bits.size());
   Tensor in = Tensor::Zeros(TensorShape({n}));
@@ -83,7 +83,7 @@ void ExpectKernelMatchesPort(MatMulIsa isa, const std::vector<uint32_t>& input_b
   }
 }
 
-void CheckStridedSweep(MatMulIsa isa) {
+void CheckStridedSweep(KernelIsa isa) {
   std::vector<uint32_t> chunk;
   for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += kSweepStride) {
     chunk.push_back(static_cast<uint32_t>(bits));
@@ -96,16 +96,16 @@ void CheckStridedSweep(MatMulIsa isa) {
   ExpectKernelMatchesPort(isa, chunk, "last sweep chunk");
 }
 
-TEST(TanhKernelTest, StridedSweepMatchesPortBitForBit) { CheckStridedSweep(MatMulIsa::kVec4); }
+TEST(TanhKernelTest, StridedSweepMatchesPortBitForBit) { CheckStridedSweep(KernelIsa::kVec4); }
 TEST_F(TanhKernelAvx2Test, StridedSweepMatchesPortBitForBit) {
-  CheckStridedSweep(MatMulIsa::kAvx2);
+  CheckStridedSweep(KernelIsa::kAvx2);
 }
 
 // +-4096 ulp around each threshold, of either sign. The window starts 0 to 7 patterns
 // early, so the threshold falls on every lane of a strip, and strips on either side mix
 // in-range and out-of-range lanes (at 0.5 ln2 / 2: lanes with and without the k = -1
 // reduction, which a strip skips when no lane needs it).
-void CheckThresholdWindows(MatMulIsa isa) {
+void CheckThresholdWindows(KernelIsa isa) {
   for (uint32_t threshold : kThresholds) {
     for (uint32_t sign : {0x00000000u, 0x80000000u}) {
       for (uint32_t shift = 0; shift < 8; ++shift) {
@@ -123,10 +123,10 @@ void CheckThresholdWindows(MatMulIsa isa) {
 }
 
 TEST(TanhKernelTest, ThresholdWindowsMatchPortBitForBit) {
-  CheckThresholdWindows(MatMulIsa::kVec4);
+  CheckThresholdWindows(KernelIsa::kVec4);
 }
 TEST_F(TanhKernelAvx2Test, ThresholdWindowsMatchPortBitForBit) {
-  CheckThresholdWindows(MatMulIsa::kAvx2);
+  CheckThresholdWindows(KernelIsa::kAvx2);
 }
 
 // Inputs the narrow core takes, of random sign: |x| in [2^-26, 0.5).
@@ -143,7 +143,7 @@ std::vector<uint32_t> InRangeBits(int64_t n, Rng& rng) {
 // Two 8-lane strips of narrow-core inputs, with one lane at every position replaced by
 // an input outside the narrow core's range: the strip then runs the wide core, or the
 // port where that lane is infinite or NaN.
-void CheckMixedStrips(MatMulIsa isa) {
+void CheckMixedStrips(KernelIsa isa) {
   const uint32_t outside[] = {
       0x00000000, 0x80000000, 0x00000001, 0x807fffff, 0x23ffffff, 0x327fffff, 0x3f051592,
       0xbf400000, 0x3f800000, 0x40a00000, 0xc1f00000, 0x7f800000, 0xff800000, 0x7fc00000,
@@ -160,15 +160,15 @@ void CheckMixedStrips(MatMulIsa isa) {
   }
 }
 
-TEST(TanhKernelTest, MixedStripsMatchPortBitForBit) { CheckMixedStrips(MatMulIsa::kVec4); }
+TEST(TanhKernelTest, MixedStripsMatchPortBitForBit) { CheckMixedStrips(KernelIsa::kVec4); }
 TEST_F(TanhKernelAvx2Test, MixedStripsMatchPortBitForBit) {
-  CheckMixedStrips(MatMulIsa::kAvx2);
+  CheckMixedStrips(KernelIsa::kAvx2);
 }
 
 // Finite inputs of random sign and magnitude, from 2^-64 to 2^7, so that one strip
 // mixes lanes from every branch of the port: the wide core's per-lane selects. A trained
 // layer's pre-activations are of this kind (a word LM's reach |x| of 4 to 7).
-void CheckWideStrips(MatMulIsa isa) {
+void CheckWideStrips(KernelIsa isa) {
   Rng rng(28);
   std::vector<uint32_t> bits;
   for (int i = 0; i < 1 << 16; ++i) {
@@ -179,13 +179,13 @@ void CheckWideStrips(MatMulIsa isa) {
   ExpectKernelMatchesPort(isa, bits, "random magnitudes");
 }
 
-TEST(TanhKernelTest, WideStripsMatchPortBitForBit) { CheckWideStrips(MatMulIsa::kVec4); }
+TEST(TanhKernelTest, WideStripsMatchPortBitForBit) { CheckWideStrips(KernelIsa::kVec4); }
 TEST_F(TanhKernelAvx2Test, WideStripsMatchPortBitForBit) {
-  CheckWideStrips(MatMulIsa::kAvx2);
+  CheckWideStrips(KernelIsa::kAvx2);
 }
 
 // Lengths 0 to 17: no strip, part of one, and every tail after one or two strips.
-void CheckLengths(MatMulIsa isa) {
+void CheckLengths(KernelIsa isa) {
   Rng rng(26);
   for (int64_t n = 0; n <= 17; ++n) {
     ExpectKernelMatchesPort(isa, InRangeBits(n, rng),
@@ -194,9 +194,9 @@ void CheckLengths(MatMulIsa isa) {
   }
 }
 
-TEST(TanhKernelTest, EveryLengthUpTo17MatchesPortBitForBit) { CheckLengths(MatMulIsa::kVec4); }
+TEST(TanhKernelTest, EveryLengthUpTo17MatchesPortBitForBit) { CheckLengths(KernelIsa::kVec4); }
 TEST_F(TanhKernelAvx2Test, EveryLengthUpTo17MatchesPortBitForBit) {
-  CheckLengths(MatMulIsa::kAvx2);
+  CheckLengths(KernelIsa::kAvx2);
 }
 
 // The public kernels run the instantiation this CPU dispatches to.
@@ -289,9 +289,9 @@ TEST(TanhPortTest, WithinTwoUlpOfDoubleTanhOnTheSweep) {
 
 // Every float, both instantiations. Takes about four minutes in a Release build.
 TEST(TanhKernelTest, DISABLED_VectorMatchesPortOnEveryFloat) {
-  std::vector<MatMulIsa> isas = {MatMulIsa::kVec4};
-  if (internal::MatMulIsaSupported(MatMulIsa::kAvx2)) {
-    isas.push_back(MatMulIsa::kAvx2);
+  std::vector<KernelIsa> isas = {KernelIsa::kVec4};
+  if (internal::KernelIsaSupported(KernelIsa::kAvx2)) {
+    isas.push_back(KernelIsa::kAvx2);
   }
   constexpr int64_t kChunk = 1 << 16;
   Tensor in = Tensor::Zeros(TensorShape({kChunk}));
@@ -310,14 +310,14 @@ TEST(TanhKernelTest, DISABLED_VectorMatchesPortOnEveryFloat) {
       const uint32_t port = BitsOf(internal::ScalarTanh(x));
       for (size_t k = 0; k < isas.size(); ++k) {
         ASSERT_EQ(BitsOf(outs[k].floats()[static_cast<size_t>(i)]), port)
-            << internal::MatMulIsaName(isas[k]) << " at x = " << Hex(BitsOf(x));
+            << internal::KernelIsaName(isas[k]) << " at x = " << Hex(BitsOf(x));
       }
       libm_differs += BitsOf(std::tanh(x)) != port ? 1 : 0;
     }
   }
   std::printf("kernel == port on all 4294967296 floats (%s%s); this host's tanhf differs "
               "from the port on %llu of them\n",
-              internal::MatMulIsaName(isas.front()),
+              internal::KernelIsaName(isas.front()),
               isas.size() > 1 ? " and avx2" : "", static_cast<unsigned long long>(libm_differs));
 }
 
