@@ -2,11 +2,11 @@
 // constants model: sparse gradient coalescing and multi-slice sums (naive map reference
 // vs the fused MultiVariableSum pass, cold vs workspace-reuse), scatter updates,
 // partition stitch, the dense matmuls of the executor (seed loops vs register strips),
-// its tanh and its softmax, the cost-model fit, ring-schedule construction, and
-// task-graph execution throughput. Every bench that runs the vector kernels is labelled
-// with the kernel ISA this CPU dispatches them to ("avx512", "avx2" or "vec4"), except
-// BM_MatMulIsa, which runs the matmuls on every kernel ISA the CPU supports side by
-// side.
+// its tanh and its softmax, the models' Gaussian initial values (seed loop vs vector
+// lanes), the cost-model fit, ring-schedule construction, and task-graph execution
+// throughput. Every bench that runs the vector kernels is labelled with the kernel ISA
+// this CPU dispatches them to ("avx512", "avx2" or "vec4"), except BM_MatMulIsa, which
+// runs the matmuls on every kernel ISA the CPU supports side by side.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -469,6 +469,74 @@ void BM_SoftmaxLibm(benchmark::State& state, SoftmaxInput input) {
 }
 BENCHMARK_CAPTURE(BM_SoftmaxLibm, skew, SoftmaxInput::kSkew);
 BENCHMARK_CAPTURE(BM_SoftmaxLibm, lm, SoftmaxInput::kLm);
+
+// The Gaussian initial values a model's constructor draws, at pxbench's shapes: lm
+// (WordLmModel's 2000x32 embedding and 2000x48 softmax, 160 000 values) and skew
+// (EmbeddingSkewModel's 4096x32 hot embedding and 128x128 wide softmax, 147 456).
+enum class InitShapes { kLm, kSkew };
+
+std::vector<TensorShape> InitBenchShapes(InitShapes shapes) {
+  if (shapes == InitShapes::kLm) {
+    return {TensorShape({2000, 32}), TensorShape({2000, 48})};
+  }
+  return {TensorShape({4096, 32}), TensorShape({128, 128})};
+}
+
+// Those draws through RandomNormal (labelled with the dispatched kernel ISA) or, for
+// BM_RandomNormalSeedLoop, through the loop it replaced: one Box–Muller value with libm's
+// log and cos per element. fallback_lanes counts the values of one iteration that the
+// guard sent back to libm.
+template <bool kSeedLoop>
+void RandomNormalBench(benchmark::State& state, InitShapes shapes) {
+  std::vector<Tensor> values;
+  for (const TensorShape& shape : InitBenchShapes(shapes)) {
+    values.push_back(Tensor::Zeros(shape));
+  }
+  int64_t elements = 0;
+  for (auto _ : state) {
+    Rng rng(13);
+    elements = 0;
+    for (Tensor& value : values) {
+      if (kSeedLoop) {
+        NaiveRandomNormalInto(value.mutable_floats(), rng, 0.1f);
+      } else {
+        RandomNormalInto(value.mutable_floats(), rng, 0.1f);
+      }
+      benchmark::DoNotOptimize(value.floats().data());
+      elements += value.num_elements();
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * elements);
+  if (!kSeedLoop) {
+    // The same draws again, through the kernel entry that counts fallbacks.
+    Rng rng(13);
+    int64_t fallbacks = 0;
+    for (const Tensor& value : values) {
+      std::vector<double> u1(static_cast<size_t>(value.num_elements()));
+      std::vector<double> u2(u1.size());
+      for (size_t i = 0; i < u1.size(); ++i) {
+        u1[i] = rng.NextDouble();
+        u2[i] = rng.NextDouble();
+      }
+      std::vector<float> out(u1.size());
+      fallbacks += internal::GaussiansInto(internal::ActiveKernelIsa(), u1, u2, 0.1f, out);
+    }
+    state.counters["fallback_lanes"] = static_cast<double>(fallbacks);
+    state.SetLabel(KernelIsaLabel());
+  }
+}
+
+void BM_RandomNormal(benchmark::State& state, InitShapes shapes) {
+  RandomNormalBench<false>(state, shapes);
+}
+BENCHMARK_CAPTURE(BM_RandomNormal, lm, InitShapes::kLm);
+BENCHMARK_CAPTURE(BM_RandomNormal, skew, InitShapes::kSkew);
+void BM_RandomNormalSeedLoop(benchmark::State& state, InitShapes shapes) {
+  RandomNormalBench<true>(state, shapes);
+}
+BENCHMARK_CAPTURE(BM_RandomNormalSeedLoop, lm, InitShapes::kLm);
+BENCHMARK_CAPTURE(BM_RandomNormalSeedLoop, skew, InitShapes::kSkew);
 
 // The AllReduce over n one-GPU machines, built from scratch each iteration: a fresh
 // cache builds the plan and a fresh graph takes it.

@@ -23,6 +23,17 @@ inline uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+// Box–Muller: a standard normal from two uniforms in [0, 1), keeping the cosine of the
+// pair. u1 is clamped away from 0, where the log diverges. Rng::NextGaussian draws
+// through it, and so does every value RandomNormal (tensor_ops.h) cannot take from its
+// vector lanes, so this is the one statement of the library's Gaussian.
+inline double BoxMuller(double u1, double u2) {
+  if (u1 < 1e-300) {
+    u1 = 1e-300;
+  }
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
 // xoshiro256** PRNG with convenience distributions. Copyable: forked streams are a
 // feature (give each simulated entity its own deterministic stream).
 class Rng {
@@ -59,14 +70,11 @@ class Rng {
   // Uniform in [lo, hi).
   double NextUniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
-  // Standard normal via Box-Muller (one value per call; simple and adequate here).
+  // Standard normal via Box-Muller: draws u1, then u2, and returns one value per pair.
   double NextGaussian() {
-    double u1 = NextDouble();
-    double u2 = NextDouble();
-    if (u1 < 1e-300) {
-      u1 = 1e-300;
-    }
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    const double u1 = NextDouble();
+    const double u2 = NextDouble();
+    return BoxMuller(u1, u2);
   }
 
   // Forks an independent stream; the child is seeded from this stream's output mixed with

@@ -92,15 +92,17 @@ ImageBatch ClusteredImages::Sample(int64_t n, Rng& rng) const {
   std::vector<int64_t> labels(static_cast<size_t>(n));
   auto f = features.mutable_floats();
   auto c = centers_.floats();
+  const size_t dims = static_cast<size_t>(options_.feature_dims);
   for (int64_t i = 0; i < n; ++i) {
     int64_t label = static_cast<int64_t>(rng.NextBounded(
         static_cast<uint64_t>(options_.num_classes)));
     labels[static_cast<size_t>(i)] = label;
-    for (int64_t d = 0; d < options_.feature_dims; ++d) {
-      f[static_cast<size_t>(i * options_.feature_dims + d)] =
-          c[static_cast<size_t>(label * options_.feature_dims + d)] +
-          static_cast<float>(rng.NextGaussian()) *
-              static_cast<float>(options_.cluster_stddev);
+    // The row's noise, drawn after its label, then its class centre added.
+    std::span<float> row = f.subspan(static_cast<size_t>(i) * dims, dims);
+    RandomNormalInto(row, rng, static_cast<float>(options_.cluster_stddev));
+    auto center = c.subspan(static_cast<size_t>(label) * dims, dims);
+    for (size_t d = 0; d < dims; ++d) {
+      row[d] = center[d] + row[d];
     }
   }
   ImageBatch batch;

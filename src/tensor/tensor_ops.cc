@@ -812,6 +812,13 @@ struct ExpTypes<Vec4d> {
   using Float = Vec4;
   using Bits = uint64_t __attribute__((vector_size(32)));
 };
+// (Only the Gaussian core runs eight double lanes.)
+using Vec8d = double __attribute__((vector_size(64)));
+template <>
+struct ExpTypes<Vec8d> {
+  using Float = Vec8;
+  using Bits = uint64_t __attribute__((vector_size(64)));
+};
 // The double vector holding half the lanes of float vector V, and the float vector of
 // half its lanes.
 template <typename V>
@@ -1023,6 +1030,255 @@ void ExpKernelVec4(float* dst, const float* src, int64_t n) { ExpKernel<Vec4>(ds
 }
 #endif
 
+// ---- Gaussian draws ----
+//
+// RandomNormal's values are the seed's: float(BoxMuller(u1, u2)) * stddev for each pair
+// of uniforms drawn from the Rng, u1 then u2. BoxMuller (rng.h) calls libm's double log
+// and cos, whose last bits this library does not reproduce. But a value depends only on
+// BoxMuller's double rounded to float, which drops 29 of its bits. So the kernel
+// computes p = sqrt(-2 log u1) * cos(2 pi u2) on double vector lanes with its own log and
+// cos, within 2^-48 of the exact value relative to it (the bound below), and keeps
+// float(p) only where p - eps |p| and p + eps |p| round to the same float, with eps =
+// 2^-40 (internal::kGaussianGuard). libm's log and cos are within 1 ulp, which puts its
+// double within 5 * 2^-53 of the exact value, so inside that interval; rounding to
+// nearest is monotonic, so it rounds to the same float. A lane whose interval holds the
+// midpoint between two floats (2.2 in 10^5 of them), or whose p is 0, infinite or NaN,
+// recomputes its value with BoxMuller from the same pair. So every value equals the seed
+// loop's on any libm whose log and cos err by less than 1 ulp, glibc's variants with and
+// without FMA both, and the Rng is left where the seed loop leaves it.
+//
+// The core's error, per step, in units of u = 2^-53 relative to the step's exact value:
+// - log: fdlibm's e_log.c, without its branches. x = 2^k (1 + f) with sqrt(2)/2 <=
+//   1 + f < sqrt(2), f exact, and log x = k ln2 + f - f^2/2 + s (f^2/2 + R), where
+//   s = f / (2 + f) and R, a polynomial in s^2, is within 2^-58.45 of its function. The
+//   terms after f are under 0.21 |f|, and under 0.6 where k != 0 and |log x| >= 0.34:
+//   at most 4u.
+// - the reduction r = t - k pi/2, k = round(t 2/pi) in 0..4, with pi/2 in fdlibm's four
+//   parts (pio2_1, pio2_2, pio2_3, pio2_3t, 7.4e-49 short of pi/2): k times a part is
+//   exact and so is the first difference (t >= pi/4 where k >= 1); each later one is
+//   exact or rounds a value within 4 * 2.1e-21 of r, for at most 3u. No double t in
+//   [0, 2 pi) lies closer to a multiple of pi/2 than 6.1e-17, so |r| never sinks to the
+//   size of what the parts leave out.
+// - sin r and cos r (fdlibm's k_sin.c and k_cos.c on r alone, without k_cos.c's split
+//   for |r| >= 0.3): 2u each, plus the reduction's error, which they carry at most
+//   1 : 1 (sin) and tan(pi/4) pi/4 : 1 (cos): at most 5u.
+// - the square root halves log's error and adds u; the product adds u.
+// In all at most 4u/2 + u + 5u + u = 9u < 2^-49.8, and the guard's 2^-40 is 2^8 above
+// the stated 2^-48. (random_normal_test measures the core against long double, and the
+// guard's fallback rate.)
+//
+// The core is one template on the exp core's double vectors, compiled three times: with
+// two lanes at the build's baseline ISA, with four inside an AVX2 entry point, and with
+// eight inside an AVX-512F one compiled without contraction. So no product fuses with the
+// addition after it: the guard would cover a fused core too, but the library holds no
+// fused multiply-add at all (CI counts them).
+
+constexpr double DoubleOfBits(uint64_t bits) { return __builtin_bit_cast(double, bits); }
+
+// fdlibm's constants, by their bits.
+constexpr double kLogLn2Hi = DoubleOfBits(0x3fe62e42fee00000);  // 6.93147180369123816490e-01
+constexpr double kLogLn2Lo = DoubleOfBits(0x3dea39ef35793c76);  // 1.90821492927058770002e-10
+constexpr double kLg1 = DoubleOfBits(0x3fe5555555555593);  // 6.666666666666735130e-01
+constexpr double kLg2 = DoubleOfBits(0x3fd999999997fa04);  // 3.999999999940941908e-01
+constexpr double kLg3 = DoubleOfBits(0x3fd2492494229359);  // 2.857142874366239149e-01
+constexpr double kLg4 = DoubleOfBits(0x3fcc71c51d8e78af);  // 2.222219843214978396e-01
+constexpr double kLg5 = DoubleOfBits(0x3fc7466496cb03de);  // 1.818357216161805012e-01
+constexpr double kLg6 = DoubleOfBits(0x3fc39a09d078c69f);  // 1.531383769920937332e-01
+constexpr double kLg7 = DoubleOfBits(0x3fc2f112df3e5244);  // 1.479819860511658591e-01
+constexpr double kInvPio2 = DoubleOfBits(0x3fe45f306dc9c883);  // 6.36619772367581382433e-01
+constexpr double kPio2Part1 = DoubleOfBits(0x3ff921fb54400000);  // 1.57079632673412561417e+00
+constexpr double kPio2Part2 = DoubleOfBits(0x3dd0b4611a600000);  // 6.07710050630396597660e-11
+constexpr double kPio2Part3 = DoubleOfBits(0x3ba3198a2e000000);  // 2.02226624871116645580e-21
+constexpr double kPio2Part4 = DoubleOfBits(0x397b839a252049c1);  // 8.47842766036889956997e-32
+constexpr double kS1 = DoubleOfBits(0xbfc5555555555549);  // -1.66666666666666324348e-01
+constexpr double kS2 = DoubleOfBits(0x3f8111111110f8a6);  // 8.33333333332248946124e-03
+constexpr double kS3 = DoubleOfBits(0xbf2a01a019c161d5);  // -1.98412698298579493134e-04
+constexpr double kS4 = DoubleOfBits(0x3ec71de357b1fe7d);  // 2.75573137070700676789e-06
+constexpr double kS5 = DoubleOfBits(0xbe5ae5e68a2b9ceb);  // -2.50507602534068634195e-08
+constexpr double kS6 = DoubleOfBits(0x3de5d93a5acfd57c);  // 1.58969099521155010221e-10
+constexpr double kC1 = DoubleOfBits(0x3fa555555555554c);  // 4.16666666666666019037e-02
+constexpr double kC2 = DoubleOfBits(0xbf56c16c16c15177);  // -1.38888888888741095749e-03
+constexpr double kC3 = DoubleOfBits(0x3efa01a019cb1590);  // 2.48015872894767294178e-05
+constexpr double kC4 = DoubleOfBits(0xbe927e4f809c52ad);  // -2.75573143513906633035e-07
+constexpr double kC5 = DoubleOfBits(0x3e21ee9ebdb4b1c4);  // 2.08757232129817482790e-09
+constexpr double kC6 = DoubleOfBits(0xbda8fae9be8838d4);  // -1.13596475577881948265e-11
+
+// log = log x for every lane of a double vector D, each lane a positive normal double.
+// (These helpers return through references: a 4-lane double vector is an AVX register,
+// which the baseline ISA's calling convention does not pass.)
+template <typename D>
+[[gnu::always_inline]] inline void LogLanes(const D& x, D& log) {
+  using Bits = typename ExpTypes<D>::Bits;
+  const Bits bits = __builtin_bit_cast(Bits, x);
+  const Bits mantissa = bits & uint64_t{0x000fffffffffffff};
+  // 1 + f: x's significand in [1, 2), or halved into [1/2, 1) where it reaches sqrt(2)
+  // (`half` then holds bit 52, and k is one higher).
+  const Bits half = (mantissa + (uint64_t{0x95f64} << 32)) & (uint64_t{1} << 52);
+  const D one_plus_f = __builtin_bit_cast(D, mantissa | (half ^ uint64_t{0x3ff0000000000000}));
+  // k as a double: the biased exponent (plus one where halved) in the low bits of 2^52,
+  // less 2^52 + 1023.
+  const D dk = __builtin_bit_cast(D, ((bits >> 52) + (half >> 52)) |
+                                         uint64_t{0x4330000000000000}) -
+               (0x1p52 + 1023.0);
+  const D f = one_plus_f - 1.0;
+  const D s = f / (2.0 + f);
+  const D z = s * s;
+  const D w = z * z;
+  const D t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const D t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const D r = t2 + t1;
+  const D hfsq = 0.5 * f * f;
+  log = dk * kLogLn2Hi - ((hfsq - (s * (hfsq + r) + dk * kLogLn2Lo)) - f);
+}
+
+// cos = cos t for every lane of a double vector D, each lane in [0, 2 pi].
+template <typename D>
+[[gnu::always_inline]] inline void CosLanes(const D& t, D& cos) {
+  using Bits = typename ExpTypes<D>::Bits;
+  const D shifted = t * kInvPio2 + kExpShift;  // kExpShift + k
+  const D k = shifted - kExpShift;
+  const D r = (((t - k * kPio2Part1) - k * kPio2Part2) - k * kPio2Part3) - k * kPio2Part4;
+  const D z = r * r;
+  const D v = z * r;
+  const D sin = r + v * (kS1 + z * (kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)))));
+  const D c = z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+  const D cos_r = 1.0 - (0.5 * z - z * c);
+  // cos t is cos r, -sin r, -cos r, sin r for k mod 4 = 0, 1, 2, 3.
+  const Bits quadrant = __builtin_bit_cast(Bits, shifted);
+  const Bits odd = Bits{} - (quadrant & uint64_t{1});
+  const Bits chosen =
+      (__builtin_bit_cast(Bits, sin) & odd) | (__builtin_bit_cast(Bits, cos_r) & ~odd);
+  cos = __builtin_bit_cast(D, chosen ^ (((quadrant + uint64_t{1}) & uint64_t{2}) << 62));
+}
+
+// root = the square root of every lane, correctly rounded like std::sqrt, two lanes at
+// a time: the wider builtins return AVX registers, which the template, compiled for the
+// baseline ISA before an entry point inlines it, may not.
+template <typename D>
+[[gnu::always_inline]] inline void SqrtLanes(const D& x, D& root) {
+  constexpr size_t kPairs = sizeof(D) / sizeof(Vec2d);
+  Vec2d pairs[kPairs];
+  std::memcpy(pairs, &x, sizeof(D));
+#pragma GCC unroll 4
+  for (size_t i = 0; i < kPairs; ++i) {
+#if defined(__x86_64__)
+    pairs[i] = __builtin_ia32_sqrtpd(pairs[i]);
+#else
+    pairs[i] = Vec2d{std::sqrt(pairs[i][0]), std::sqrt(pairs[i][1])};
+#endif
+  }
+  std::memcpy(&root, pairs, sizeof(D));
+}
+
+// dst[l] = float(BoxMuller(u1[l], u2[l])) * stddev for the lanes l of D, through the
+// vector core and the guard; lanes from `count` on are computed and not recomputed.
+// Writes the core's doubles to core[0, lanes) unless it is null, and returns how many of
+// the first `count` lanes the guard sent to BoxMuller.
+template <typename D>
+[[gnu::always_inline]] inline int64_t GaussianStrip(float* dst, const double* u1,
+                                                    const double* u2, int64_t count,
+                                                    float stddev, double* core) {
+  using Float = typename ExpTypes<D>::Float;
+  using Bits = typename ExpTypes<D>::Bits;
+  D a;
+  D b;
+  std::memcpy(&a, u1, sizeof(D));
+  std::memcpy(&b, u2, sizeof(D));
+  a = a < 1e-300 ? D{} + 1e-300 : a;
+  D log;
+  LogLanes(a, log);
+  D root;
+  SqrtLanes(-2.0 * log, root);
+  D cos;
+  CosLanes((2.0 * M_PI) * b, cos);
+  const D p = root * cos;
+  if (core != nullptr) {
+    std::memcpy(core, &p, sizeof(D));
+  }
+  const D margin = internal::kGaussianGuard *
+                   __builtin_bit_cast(D, __builtin_bit_cast(Bits, p) & (~uint64_t{0} >> 1));
+  const Float value = __builtin_convertvector(p, Float);
+  // p's interval rounds to two floats, or p is NaN or infinite (the bounds are NaN), or
+  // p rounds to 0, where the interval says nothing (no pair in [0, 1) gets there: within
+  // 2^-48 of the exact value, p is at least 2^-26 * 6.1e-17).
+  const auto redo = (__builtin_convertvector(p - margin, Float) !=
+                     __builtin_convertvector(p + margin, Float)) |
+                    (value == 0.0f);
+  const Float scaled = value * stddev;
+  std::memcpy(dst, &scaled, sizeof(Float));
+  uint64_t words[sizeof(redo) / sizeof(uint64_t)];
+  std::memcpy(words, &redo, sizeof(redo));
+  uint64_t any = 0;
+  for (uint64_t word : words) {
+    any |= word;
+  }
+  if (any == 0) {
+    return 0;
+  }
+  int64_t fallbacks = 0;
+  for (int64_t l = 0; l < count; ++l) {
+    if (redo[l] != 0) {
+      dst[l] = static_cast<float>(BoxMuller(u1[l], u2[l])) * stddev;
+      ++fallbacks;
+    }
+  }
+  return fallbacks;
+}
+
+// dst[i] = float(BoxMuller(u1[i], u2[i])) * stddev for i in [0, n): GaussianStrip on
+// every whole group of lanes, then once on the rest padded with a valid pair.
+template <typename D>
+[[gnu::always_inline]] inline int64_t GaussianKernel(float* dst, const double* u1,
+                                                     const double* u2, int64_t n,
+                                                     float stddev, double* core) {
+  constexpr int64_t lanes = sizeof(D) / sizeof(double);
+  int64_t fallbacks = 0;
+  int64_t i = 0;
+  for (; i + lanes <= n; i += lanes) {
+    fallbacks += GaussianStrip<D>(dst + i, u1 + i, u2 + i, lanes, stddev,
+                                  core == nullptr ? nullptr : core + i);
+  }
+  if (i < n) {
+    const int64_t rest = n - i;
+    double a[lanes];
+    double b[lanes];
+    std::fill_n(a, lanes, 0.5);
+    std::fill_n(b, lanes, 0.5);
+    std::copy_n(u1 + i, rest, a);
+    std::copy_n(u2 + i, rest, b);
+    float values[lanes];
+    double cores[lanes];
+    fallbacks += GaussianStrip<D>(values, a, b, rest, stddev, cores);
+    std::copy_n(values, rest, dst + i);
+    if (core != nullptr) {
+      std::copy_n(cores, rest, core + i);
+    }
+  }
+  return fallbacks;
+}
+
+int64_t GaussianKernelVec2d(float* dst, const double* u1, const double* u2, int64_t n,
+                            float stddev, double* core) {
+  return GaussianKernel<Vec2d>(dst, u1, u2, n, stddev, core);
+}
+
+#if defined(__x86_64__)
+// The 4-lane instantiation, AVX2 and nothing beyond it.
+[[gnu::target("avx2")]] int64_t GaussianKernelAvx2(float* dst, const double* u1,
+                                                   const double* u2, int64_t n, float stddev,
+                                                   double* core) {
+  return GaussianKernel<Vec4d>(dst, u1, u2, n, stddev, core);
+}
+
+// The 8-lane instantiation, with contraction off as for the 16-lane matmul strips:
+// AVX-512F has FMA. In one process, RandomNormal's draws and values at lm's shapes took
+// 0.82 of the time they take on the AVX2 entry point (median of 41 alternating rounds).
+[[gnu::target("avx512f"), gnu::optimize("fp-contract=off")]] int64_t GaussianKernelAvx512(
+    float* dst, const double* u1, const double* u2, int64_t n, float stddev, double* core) {
+  return GaussianKernel<Vec8d>(dst, u1, u2, n, stddev, core);
+}
+#endif
+
 // ---- Kernel-ISA dispatch ----
 //
 // The entry points of one kernel ISA: every vector kernel reaches its core through the
@@ -1038,6 +1294,8 @@ struct KernelEntries {
   void (*tanh)(float* dst, const float* src, int64_t n);
   void (*exp)(float* dst, const float* src, int64_t n);
   void (*softmax)(float* dst, const float* src, int64_t rows, int64_t cols, float* tile);
+  int64_t (*gaussians)(float* dst, const double* u1, const double* u2, int64_t n,
+                       float stddev, double* core);
 };
 
 const KernelEntries& EntriesOf(internal::KernelIsa isa) {
@@ -1045,15 +1303,19 @@ const KernelEntries& EntriesOf(internal::KernelIsa isa) {
       << internal::KernelIsaName(isa) << " is not supported by this CPU";
   static constexpr KernelEntries kVec4 = {
       kStrips<Vec4, true>.data(), kStrips<Vec4, false>.data(), kLanes<Vec4>, TransposeVec4,
-      TanhKernelVec4,             ExpKernelVec4,               SoftmaxKernelVec4};
+      TanhKernelVec4,             ExpKernelVec4,               SoftmaxKernelVec4,
+      GaussianKernelVec2d};
 #if defined(__x86_64__)
   static constexpr KernelEntries kAvx2 = {
       kStrips<Vec8, true>.data(), kStrips<Vec8, false>.data(), kLanes<Vec8>, TransposeAvx2,
-      TanhKernelAvx2,             ExpKernelAvx2,               SoftmaxKernelAvx2};
-  // Only the matmul strips run 16 lanes wide.
+      TanhKernelAvx2,             ExpKernelAvx2,               SoftmaxKernelAvx2,
+      GaussianKernelAvx2};
+  // The matmul strips run 16 float lanes wide and the Gaussian core 8 double lanes; the
+  // rest keep their AVX2 cores.
   static constexpr KernelEntries kAvx512 = {
       kStrips<Vec16, true>.data(), kStrips<Vec16, false>.data(), kLanes<Vec16>, TransposeAvx2,
-      TanhKernelAvx2,              ExpKernelAvx2,                SoftmaxKernelAvx2};
+      TanhKernelAvx2,              ExpKernelAvx2,                SoftmaxKernelAvx2,
+      GaussianKernelAvx512};
   switch (isa) {
     case internal::KernelIsa::kVec4:
       break;
@@ -1176,6 +1438,36 @@ void SoftmaxRowsInto(KernelIsa isa, Tensor& out, const Tensor& logits) {
   // Room for the widest softmax core's tile.
   float* tile = PackBuffer(static_cast<size_t>(kLanes<Vec8> * cols));
   entries.softmax(dst, src, rows, cols, tile);
+}
+
+void RandomNormalInto(KernelIsa isa, std::span<float> out, Rng& rng, float stddev) {
+  const KernelEntries& entries = EntriesOf(isa);
+  // The uniforms of one chunk of values, drawn in the seed's order: u1, then u2, per value.
+  constexpr size_t kChunk = 256;
+  double u1[kChunk];
+  double u2[kChunk];
+  for (size_t begin = 0; begin < out.size(); begin += kChunk) {
+    const size_t n = std::min(kChunk, out.size() - begin);
+    for (size_t i = 0; i < n; ++i) {
+      u1[i] = rng.NextDouble();
+      u2[i] = rng.NextDouble();
+    }
+    entries.gaussians(out.data() + begin, u1, u2, static_cast<int64_t>(n), stddev, nullptr);
+  }
+}
+
+int64_t GaussiansInto(KernelIsa isa, std::span<const double> u1, std::span<const double> u2,
+                      float stddev, std::span<float> out, std::span<double> core) {
+  const KernelEntries& entries = EntriesOf(isa);
+  PX_CHECK_EQ(u1.size(), u2.size());
+  PX_CHECK_EQ(out.size(), u1.size());
+  PX_CHECK(core.empty() || core.size() == u1.size());
+  for (size_t i = 0; i < u1.size(); ++i) {
+    PX_CHECK(u1[i] >= 0.0 && u1[i] < 1.0 && u2[i] >= 0.0 && u2[i] < 1.0)
+        << "uniform pair " << i << " outside [0, 1)";
+  }
+  return entries.gaussians(out.data(), u1.data(), u2.data(), static_cast<int64_t>(out.size()),
+                           stddev, core.empty() ? nullptr : core.data());
 }
 
 }  // namespace internal
@@ -1516,11 +1808,13 @@ Tensor ConcatRows(const std::vector<Tensor>& pieces) {
   return out;
 }
 
+void RandomNormalInto(std::span<float> out, Rng& rng, float stddev) {
+  internal::RandomNormalInto(internal::ActiveKernelIsa(), out, rng, stddev);
+}
+
 Tensor RandomNormal(TensorShape shape, Rng& rng, float stddev) {
   Tensor out = Tensor::Zeros(std::move(shape));
-  for (float& v : out.mutable_floats()) {
-    v = static_cast<float>(rng.NextGaussian()) * stddev;
-  }
+  RandomNormalInto(out.mutable_floats(), rng, stddev);
   return out;
 }
 

@@ -130,14 +130,17 @@ void SoftmaxCrossEntropyGradInto(Tensor& grad_logits, const Tensor& probs,
 namespace internal {
 
 // The kernel ISAs: which instantiations of the vector cores the three matmul kernels,
-// the transposes, TanhInto and SoftmaxRowsInto run. Every instantiation gives each
-// output element the same sequence of rounded operations, never a fused multiply-add,
-// so all agree bit for bit; only the number of elements computed side by side differs.
+// the transposes, TanhInto, SoftmaxRowsInto and RandomNormal run. Every instantiation
+// gives each output element the same sequence of rounded operations, never a fused
+// multiply-add, so all agree bit for bit; only the number of elements computed side by
+// side differs. (RandomNormal's core rounds differently from libm; its guard, below,
+// makes every value equal anyway.)
 enum class KernelIsa {
-  kVec4,    // 4-lane vectors at the build's baseline ISA (SSE2 on x86-64); runs anywhere
-  kAvx2,    // 8-lane AVX2 vectors; x86-64 CPUs with AVX2 only
-  kAvx512,  // 16-lane AVX-512F matmul strips, the AVX2 cores for everything else;
-            // x86-64 CPUs with AVX2 and AVX-512F only
+  kVec4,    // 4-lane float (2-lane double) vectors at the build's baseline ISA (SSE2 on
+            // x86-64); runs anywhere
+  kAvx2,    // 8-lane float (4-lane double) AVX2 vectors; x86-64 CPUs with AVX2 only
+  kAvx512,  // 16-lane AVX-512F matmul strips and an 8-lane double Gaussian core, the
+            // AVX2 cores for everything else; x86-64 CPUs with AVX2 and AVX-512F only
 };
 // Whether this CPU can run `isa`.
 bool KernelIsaSupported(KernelIsa isa);
@@ -167,11 +170,35 @@ float ScalarExp(float x);
 void ExpInto(KernelIsa isa, Tensor& out, const Tensor& a);
 // SoftmaxRowsInto on a chosen kernel ISA; `isa` must be supported.
 void SoftmaxRowsInto(KernelIsa isa, Tensor& out, const Tensor& logits);
+// RandomNormalInto on a chosen kernel ISA; `isa` must be supported.
+void RandomNormalInto(KernelIsa isa, std::span<float> out, Rng& rng, float stddev);
+// RandomNormal's guard: a value's vector lane keeps its own double p rounded to float
+// only where p - kGaussianGuard |p| and p + kGaussianGuard |p| round to the same float.
+// The vector core is within kGaussianGuard / 2^8 of the exact Box–Muller value,
+// relative to it (tensor_ops.cc gives the bound).
+inline constexpr double kGaussianGuard = 0x1p-40;
+// RandomNormal's kernel on given uniform pairs, for tests and benches: out[i] =
+// float(BoxMuller(u1[i], u2[i])) * stddev, the value RandomNormal makes of the two
+// uniforms it draws for element i. Writes the vector core's double of each pair to
+// core[i] unless `core` is empty, and returns how many pairs the guard sent to
+// BoxMuller. Every uniform must lie in [0, 1), as Rng::NextDouble's do; `isa` must be
+// supported.
+int64_t GaussiansInto(KernelIsa isa, std::span<const double> u1, std::span<const double> u2,
+                      float stddev, std::span<float> out, std::span<double> core = {});
 
 }  // namespace internal
 
 // ---- Initializers ----
 
+// Gaussian values of standard deviation `stddev`, one per element, equal bit for bit to
+// float(rng.NextGaussian()) * stddev in element order; the Rng ends where those calls
+// leave it. They are computed another way: the uniforms of 256 elements are drawn at a
+// time (u1, then u2, per element), their Box–Muller doubles computed on double vector
+// lanes with the library's own log and cos, and a value recomputed with BoxMuller
+// (rng.h), on libm, only where its lane's double lies too close to the midpoint between
+// two floats to be sure that libm's rounds the same way (internal::kGaussianGuard):
+// about 2.2 in 10^5 values.
+void RandomNormalInto(std::span<float> out, Rng& rng, float stddev = 1.0f);
 Tensor RandomNormal(TensorShape shape, Rng& rng, float stddev = 1.0f);
 // Glorot/Xavier uniform for a [fan_in, fan_out] matrix.
 Tensor GlorotUniform(TensorShape shape, Rng& rng);

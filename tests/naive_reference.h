@@ -1,19 +1,22 @@
 // Naive reference implementations of the sparse aggregation kernels, the parameter
-// server's per-variable step, the dense matmuls and the softmax — the seed's semantics,
-// kept verbatim in spirit as (a) the bit-for-bit oracle for the property tests and (b)
-// the baseline the micro-benchmarks measure the fused and register-strip paths against.
+// server's per-variable step, the dense matmuls, the softmax and the Gaussian draws — the
+// seed's semantics, kept verbatim in spirit as (a) the bit-for-bit oracle for the
+// property tests and (b) the baseline the micro-benchmarks measure the fused and
+// register-strip paths against.
 // The library has one sparse aggregation path, the fused MultiVariableSum pass, and
 // holds every variable whole; the seed's per-variable pipeline (sum, scale, split by
 // partition, scatter into each row piece) and its row-range partitioning survive only
 // here, as NaivePsVariableStep and RowPartition. Shared by tests/sparse_fused_test.cc,
 // tests/ps_numeric_test.cc, tests/partition_test.cc, tests/engine_equivalence_test.cc,
-// tests/matmul_kernel_test.cc, tests/softmax_kernel_test.cc and bench/bench_micro.cc so
-// the oracle and the benchmark baseline cannot drift apart.
+// tests/matmul_kernel_test.cc, tests/softmax_kernel_test.cc, tests/random_normal_test.cc
+// and bench/bench_micro.cc so the oracle and the benchmark baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
 #define PARALLAX_TESTS_NAIVE_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -203,6 +206,27 @@ inline Tensor NaiveSoftmaxRows(const Tensor& logits) {
   NaiveSoftmaxRowsInto(out.mutable_floats().data(), logits.floats().data(), rows, cols,
                        internal::ScalarExp);
   return out;
+}
+
+// The seed's Box–Muller value of one pair of uniforms: u1 clamped away from 0, then
+// sqrt(-2 log u1) cos(2 pi u2) with libm's log and cos. Spelled out rather than calling
+// BoxMuller (rng.h), which the kernel under test shares.
+inline double NaiveBoxMuller(double u1, double u2) {
+  if (u1 < 1e-300) {
+    u1 = 1e-300;
+  }
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
+// The seed RandomNormal loop: per element, u1 then u2 from the Rng, and their
+// NaiveBoxMuller value rounded to float and scaled. bench_micro's
+// BM_RandomNormalSeedLoop times it.
+inline void NaiveRandomNormalInto(std::span<float> out, Rng& rng, float stddev) {
+  for (float& v : out) {
+    const double u1 = rng.NextDouble();
+    const double u2 = rng.NextDouble();
+    v = static_cast<float>(NaiveBoxMuller(u1, u2)) * stddev;
+  }
 }
 
 // The seed Coalesced: std::map slot assignment, accumulation in input order.
