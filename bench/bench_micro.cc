@@ -12,11 +12,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <set>
 #include <string>
 #include <tuple>
+
+#include <sys/resource.h>
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
@@ -28,6 +32,7 @@
 #include "src/graph/executor.h"
 #include "src/models/trainable.h"
 #include "src/ps/ps_numeric.h"
+#include "src/service/planner_service.h"
 #include "src/sync/compression.h"
 #include "src/tensor/sparse_workspace.h"
 #include "src/tensor/tensor_ops.h"
@@ -1154,6 +1159,27 @@ BENCHMARK(BM_ExecutorRunStepSkew);
 
 // ---- Runner step ----------------------------------------------------------------------
 
+// The skew workload's cluster and sync costs (pxbench/pxbench.cc): 4 machines x 2 GPUs on
+// 2 racks, per-variable partition and placement search.
+RunnerBuilder SkewSessionBuilder(EmbeddingSkewModel& model) {
+  ClusterSpec hardware = ClusterSpec::Paper();
+  hardware.topology.num_racks = 2;
+  SyncCostParams costs;
+  costs.sparse_agg_seconds_per_element = 400e-9;
+  costs.sparse_update_seconds_per_element = 20e-9;
+  costs.sparse_flush_seconds_per_element = 2e-9;
+  costs.worker_dispatch_seconds_per_piece = 150e-6;
+  RunnerBuilder builder(model.graph(), model.loss());
+  builder.WithResources(ResourceSpec::Homogeneous(4, 2))
+      .WithHardware(hardware)
+      .WithSearchMode(PartitionSearchMode::kPerVariable)
+      .WithPlacementSearch(true)
+      .WithSyncCosts(costs)
+      .WithCompute(1e-3, 4)
+      .WithLearningRate(0.1f);
+  return builder;
+}
+
 // One warm GraphRunner::Step of a built session: the step-start view, the replicas'
 // compute (fanned out over PARALLAX_THREADS kernel-pool lanes), every engine's apply and
 // the simulated iteration. Cycles through 16 pre-generated batches.
@@ -1198,25 +1224,96 @@ void BM_RunnerStep(benchmark::State& state, bool skew) {
   options.batch_per_rank = 64;
   options.seed = 13;
   EmbeddingSkewModel model(options);
-  ClusterSpec hardware = ClusterSpec::Paper();
-  hardware.topology.num_racks = 2;
-  SyncCostParams costs;
-  costs.sparse_agg_seconds_per_element = 400e-9;
-  costs.sparse_update_seconds_per_element = 20e-9;
-  costs.sparse_flush_seconds_per_element = 2e-9;
-  costs.worker_dispatch_seconds_per_piece = 150e-6;
-  RunnerBuilder builder(model.graph(), model.loss());
-  builder.WithResources(ResourceSpec::Homogeneous(4, 2))
-      .WithHardware(hardware)
-      .WithSearchMode(PartitionSearchMode::kPerVariable)
-      .WithPlacementSearch(true)
-      .WithSyncCosts(costs)
-      .WithCompute(1e-3, 4)
-      .WithLearningRate(0.1f);
+  RunnerBuilder builder = SkewSessionBuilder(model);
   RunnerStepBench(state, model, builder);
 }
 BENCHMARK_CAPTURE(BM_RunnerStep, lm, false);
 BENCHMARK_CAPTURE(BM_RunnerStep, skew, true);
+
+// ---- Session set-up -------------------------------------------------------------------
+
+int64_t MinorFaults() {
+  rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// One session set-up as pxbench times it: RunnerBuilder::Build plus the first
+// GraphRunner::Step (sampling, analysis, the partition search or a planner answer,
+// engine preparation and the first updates). Every iteration makes a fresh model and
+// its feeds first and destroys the runner and the model after, outside the timed span,
+// as pxbench's tenants do. `minor_faults` counts the process's minor page faults per
+// set-up inside the span (getrusage), what the set-up's fresh buffers cost the kernel.
+template <typename Model>
+void SessionSetUpBench(benchmark::State& state,
+                       const std::function<std::unique_ptr<Model>()>& make_model,
+                       const std::function<RunnerBuilder(Model&)>& builder) {
+  int64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<Model> model = make_model();
+    Rng rng(12);
+    const std::vector<FeedMap> feeds = model->TrainShards(8, rng);
+    state.ResumeTiming();
+    const int64_t before = MinorFaults();
+    auto built = builder(*model).Build();
+    PX_CHECK(built.ok()) << built.status().ToString();
+    benchmark::DoNotOptimize(built.value()->Step(feeds));
+    faults += MinorFaults() - before;
+    state.PauseTiming();
+    built.value().reset();
+    model.reset();
+    state.ResumeTiming();
+  }
+  state.counters["minor_faults"] =
+      benchmark::Counter(static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+
+// pxbench's `lm` session, and the largest `skew` tenant family (hot_vocab 8192,
+// wide_vocab 320) answered from a warm PlannerService: one set-up before the loop
+// misses and searches, every timed one is a cache hit.
+void BM_SessionSetUp(benchmark::State& state, bool skew_tenant) {
+  if (!skew_tenant) {
+    SessionSetUpBench<WordLmModel>(
+        state,
+        [] {
+          return std::make_unique<WordLmModel>(WordLmModel::Options{
+              .vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+              .batch_per_rank = 32, .seed = 13});
+        },
+        [](WordLmModel& model) {
+          RunnerBuilder builder(model.graph(), model.loss());
+          builder.WithResources(ResourceSpec::Homogeneous(4, 2)).WithLearningRate(0.5f);
+          return builder;
+        });
+    return;
+  }
+  auto make_model = [] {
+    EmbeddingSkewModel::Options options;
+    options.hot_vocab = 2048 * 4;
+    options.wide_vocab = 128 + 64 * 3;
+    options.batch_per_rank = 64;
+    options.seed = 13;
+    return std::make_unique<EmbeddingSkewModel>(options);
+  };
+  auto service = std::make_shared<PlannerService>(PlannerServiceOptions{});
+  auto builder = [&](EmbeddingSkewModel& model) {
+    RunnerBuilder builder = SkewSessionBuilder(model);
+    builder.WithPlanner(service);
+    return builder;
+  };
+  {
+    std::unique_ptr<EmbeddingSkewModel> model = make_model();
+    Rng rng(12);
+    auto warm = builder(*model).Build();
+    PX_CHECK(warm.ok()) << warm.status().ToString();
+    warm.value()->Step(model->TrainShards(8, rng));
+  }
+  SessionSetUpBench<EmbeddingSkewModel>(state, make_model, builder);
+  PX_CHECK_EQ(service->stats().searches, 1) << "every timed set-up must be a cache hit";
+}
+BENCHMARK_CAPTURE(BM_SessionSetUp, lm, false);
+BENCHMARK_CAPTURE(BM_SessionSetUp, skew_tenant_hit, true);
 
 // ---- Elastic rescale ------------------------------------------------------------------
 

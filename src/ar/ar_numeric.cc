@@ -6,7 +6,7 @@ ArNumericEngine::ArNumericEngine(const Graph* graph, ArNumericConfig config)
     : graph_(graph), config_(std::move(config)) {
   PX_CHECK(graph != nullptr);
   set_name("ar");
-  values_ = VariableStore::InitFrom(*graph);
+  values_ = VariableStore::ShareFrom(*graph);
 }
 
 void ArNumericEngine::Prepare(const SyncPlan& plan) {

@@ -42,8 +42,9 @@ class ArNumericEngine : public SyncEngine {
   // One synchronous step over any number of ranks: aggregates per-rank gradients with
   // collective semantics and applies the result once.
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  // The managed variables' own buffers (no copy): every later ApplyStep writes through
-  // them, a Prepare leaves them as they are.
+  // The managed variables' buffers (no copy): the graph's initial tensor until the
+  // engine's first write to a variable, its own buffer after that, which every later
+  // ApplyStep writes through and a Prepare leaves as it is.
   VariableStore View() const override;
   SyncMethod CostMethod(GradKind kind) const override {
     return kind == GradKind::kSparse ? SyncMethod::kArAllGatherv
@@ -57,7 +58,9 @@ class ArNumericEngine : public SyncEngine {
 
   const Graph* graph_;
   ArNumericConfig config_;
-  VariableStore values_;  // every graph variable, one buffer each
+  // Every graph variable: the graph's initial tensor until this engine's first write
+  // to it (ApplyStep's update or LoadValues), then the engine's own buffer.
+  VariableStore values_;
 };
 
 }  // namespace parallax

@@ -32,11 +32,13 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
   // 1. Sample backward passes on the initial values to classify variables and measure
   //    alpha (section 5: gradient type identifies sparsity). A deferred RestoreFrom
   //    supplies the initial values instead: the sampled alphas then describe the
-  //    workload at the restored parameters, not a cold start. The samples stay in
-  //    step_results_ as the first step's results for their ranks (see Step).
-  VariableStore initial = pending_restore_.has_value()
-                              ? pending_restore_->store.Clone()
-                              : VariableStore::InitFrom(*graph_);
+  //    workload at the restored parameters, not a cold start. Sampling only reads, so
+  //    it runs on the graph's initial tensors (or the restore's) in place, without a
+  //    copy; the engines copy each variable at their first write to it. The samples
+  //    stay in step_results_ as the first step's results for their ranks (see Step).
+  const VariableStore initial = pending_restore_.has_value()
+                                    ? pending_restore_->store
+                                    : VariableStore::ShareFrom(*graph_);
   step_results_.resize(std::min<size_t>(per_rank_feeds.size(), 4));
   for (size_t r = 0; r < step_results_.size(); ++r) {
     executor_.RunStepInto(initial, per_rank_feeds[r], loss_, &exec_scratch_,

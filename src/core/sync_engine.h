@@ -7,9 +7,10 @@
 // anything registered) behind a small interface:
 //
 //   Prepare(plan)    — (re)configure for the variables the plan routes here. Values
-//                      start at the graph's initial values and no Prepare moves them,
-//                      which is what makes elastic mid-training re-partitioning and
-//                      rescaling a plain re-Prepare.
+//                      start at the graph's initial values (shared with the graph
+//                      until the engine first writes a variable) and no Prepare moves
+//                      them, which is what makes elastic mid-training re-partitioning
+//                      and rescaling a plain re-Prepare.
 //   ApplyStep(...)   — one synchronous data-parallel step over the managed variables.
 //   View()           — the managed variables' current values as a worker observes them.
 //   CostMethod(kind) — the timing-plane model for a variable of this gradient kind
@@ -160,9 +161,13 @@ class SyncEngine {
 
   // Current values of the managed variables, as a worker pulling now observes them.
   // Returned tensors may share the engine's buffers: the built-in engines hand out the
-  // buffers they update, with no copy, so the values read through a View are current
-  // until the next ApplyStep writes through them or LoadValues replaces them (a Prepare
-  // leaves them as they are). Callers that need a snapshot Clone() the store.
+  // buffers they update, with no copy. Before an engine's first write to a variable,
+  // that buffer is the graph's initial tensor, which the engine never writes: its first
+  // ApplyStep update copies the variable and writes the copy, so a View taken before
+  // it keeps the initial values. After that, the values read through a View are
+  // current until the next ApplyStep writes through them or LoadValues replaces them
+  // (a Prepare leaves them as they are). Callers that need a snapshot Clone() the
+  // store.
   virtual VariableStore View() const = 0;
 
   // Overwrites the managed variables' current values from `values` (a full worker
@@ -170,9 +175,10 @@ class SyncEngine {
   // restore counterpart of the value-preserving re-Prepare: Prepare carries values
   // across a layout change, LoadValues carries a layout across a value change (crash
   // recovery, GraphRunner::RestoreFrom). Engines must copy, never alias, the incoming
-  // tensors; a View taken before keeps the replaced buffers. Only variables present in
-  // `values` AND managed by this engine move; the default no-op suits engines that
-  // hold no persistent state.
+  // tensors, so the copy is the engine's own buffer from then on; a View taken before
+  // keeps the replaced buffers (the graph's initial tensors, before a first write).
+  // Only variables present in `values` AND managed by this engine move; the default
+  // no-op suits engines that hold no persistent state.
   virtual void LoadValues(const VariableStore& values) { (void)values; }
 
   // Cost hook for the timing plane: how the iteration simulator models a variable of

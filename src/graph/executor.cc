@@ -73,6 +73,15 @@ VariableStore VariableStore::InitFrom(const Graph& graph) {
   return store;
 }
 
+VariableStore VariableStore::ShareFrom(const Graph& graph) {
+  VariableStore store;
+  for (size_t i = 0; i < graph.variables().size(); ++i) {
+    store.values_[static_cast<int>(i)] = graph.variables()[i].initial_value;
+  }
+  store.shared_.assign(graph.variables().size(), 1);
+  return store;
+}
+
 const Tensor& VariableStore::Get(int variable_index) const {
   auto it = values_.find(variable_index);
   PX_CHECK(it != values_.end()) << "variable " << variable_index << " not in store";
@@ -82,11 +91,20 @@ const Tensor& VariableStore::Get(int variable_index) const {
 Tensor& VariableStore::GetMutable(int variable_index) {
   auto it = values_.find(variable_index);
   PX_CHECK(it != values_.end()) << "variable " << variable_index << " not in store";
+  const auto v = static_cast<size_t>(variable_index);
+  if (v < shared_.size() && shared_[v]) {
+    it->second = it->second.Clone();
+    shared_[v] = 0;
+  }
   return it->second;
 }
 
 void VariableStore::Set(int variable_index, Tensor value) {
   values_[variable_index] = std::move(value);
+  const auto v = static_cast<size_t>(variable_index);
+  if (v < shared_.size()) {
+    shared_[v] = 0;
+  }
 }
 
 bool VariableStore::Contains(int variable_index) const {

@@ -54,9 +54,16 @@ class VariableStore {
 
   // Clones every variable's initial value from the graph.
   static VariableStore InitFrom(const Graph& graph);
+  // Shares every variable's initial value with the graph, without a copy: a variable
+  // is copied at its first GetMutable, so writes through the store never reach the
+  // graph. The numeric engines start from such a store.
+  static VariableStore ShareFrom(const Graph& graph);
 
   const Tensor& Get(int variable_index) const;
+  // The variable's value for an in-place write; one still shared with the graph
+  // (ShareFrom) is copied first, once.
   Tensor& GetMutable(int variable_index);
+  // Stores `value` as is; a later GetMutable writes into it.
   void Set(int variable_index, Tensor value);
   bool Contains(int variable_index) const;
   size_t size() const { return values_.size(); }
@@ -72,6 +79,10 @@ class VariableStore {
 
  private:
   std::unordered_map<int, Tensor> values_;
+  // shared_[v] != 0 while variable v still holds the graph's initial tensor
+  // (ShareFrom). A flag, not Tensor::UniquelyOwned: a step's view holds the buffers
+  // while the engines write through this store.
+  std::vector<uint8_t> shared_;
 };
 
 using FeedMap = std::unordered_map<NodeId, Tensor>;

@@ -8,7 +8,7 @@ namespace parallax {
 PsNumericEngine::PsNumericEngine(const Graph* graph) : graph_(graph) {
   PX_CHECK(graph != nullptr);
   set_name("ps");
-  values_ = VariableStore::InitFrom(*graph);
+  values_ = VariableStore::ShareFrom(*graph);
 }
 
 PsNumericEngine::PsNumericEngine(const Graph* graph, PsNumericConfig config)

@@ -12,10 +12,10 @@
 // Partitioning and placement decide where a variable's rows live and how long a step
 // takes, never what a step computes, so they live only in the timing plane
 // (IterationSimulator, TransformGraph, the migration charge). The engine holds one
-// buffer per variable and updates each row in place: the same float operations, row
-// for row, as the per-piece updates of a partitioned server, so values are
-// bit-identical at every partition count (tests/naive_reference.h keeps the split
-// pipeline as the oracle).
+// buffer per variable (the graph's initial tensor until its first update copies it) and
+// updates each row in place: the same float operations, row for row, as the per-piece
+// updates of a partitioned server, so values are bit-identical at every partition
+// count (tests/naive_reference.h keeps the split pipeline as the oracle).
 //
 // PsNumericEngine implements the SyncEngine interface (core/sync_engine.h) and registers
 // as "ps": Prepare routes the plan's PS variables here and refreshes the aggregation
@@ -68,8 +68,9 @@ class PsNumericEngine : public SyncEngine {
   // One synchronous training step given each rank's backward results (all ranks must
   // report a gradient for the same variable set). Applies SGD with `learning_rate`.
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
-  // The managed variables' own buffers (no copy): every later ApplyStep writes through
-  // them, a Prepare leaves them as they are.
+  // The managed variables' buffers (no copy): the graph's initial tensor until the
+  // engine's first write to a variable, its own buffer after that, which every later
+  // ApplyStep writes through and a Prepare leaves as it is.
   VariableStore View() const override;
   SyncMethod CostMethod(GradKind) const override { return SyncMethod::kPs; }
   // Checkpoint restore: each managed variable present in `values` gets a copy of it.
@@ -93,7 +94,9 @@ class PsNumericEngine : public SyncEngine {
 
   const Graph* graph_;
   PsNumericConfig config_;
-  VariableStore values_;  // every graph variable, one buffer each
+  // Every graph variable: the graph's initial tensor until this engine's first write
+  // to it (ApplyStep's update or LoadValues), then the engine's own buffer.
+  VariableStore values_;
   // Scratch arena for the fused sparse aggregation (sort buffers, segment table);
   // reused every ApplyStep so steady-state aggregation never allocates scratch. Not
   // thread-safe: owned by the step path, like the engine's variables.

@@ -29,7 +29,7 @@ const char* DataTypeName(DataType dtype) {
 Tensor::Tensor(DataType dtype, TensorShape shape) : dtype_(dtype), shape_(std::move(shape)) {
   size_t count = static_cast<size_t>(shape_.num_elements());
   if (dtype_ == DataType::kFloat32) {
-    float_data_ = std::make_shared<std::vector<float>>(count, 0.0f);
+    float_data_ = std::make_shared<FloatStorage>(count, 0.0f);
   } else {
     int_data_ = std::make_shared<std::vector<int64_t>>(count, 0);
   }
@@ -43,12 +43,12 @@ Tensor Tensor::Filled(TensorShape shape, float value) {
   return t;
 }
 
-Tensor Tensor::FromVector(std::vector<float> values, TensorShape shape) {
+Tensor Tensor::FromVector(const std::vector<float>& values, TensorShape shape) {
   PX_CHECK_EQ(static_cast<int64_t>(values.size()), shape.num_elements());
   Tensor t;
   t.dtype_ = DataType::kFloat32;
   t.shape_ = std::move(shape);
-  t.float_data_ = std::make_shared<std::vector<float>>(std::move(values));
+  t.float_data_ = std::make_shared<FloatStorage>(values.begin(), values.end());
   return t;
 }
 
@@ -92,7 +92,7 @@ Tensor Tensor::Clone() const {
   copy.dtype_ = dtype_;
   copy.shape_ = shape_;
   if (is_float()) {
-    copy.float_data_ = std::make_shared<std::vector<float>>(*float_data_);
+    copy.float_data_ = std::make_shared<FloatStorage>(*float_data_);
   } else {
     copy.int_data_ = std::make_shared<std::vector<int64_t>>(*int_data_);
   }

@@ -7,13 +7,20 @@
 //
 // Copying a Tensor shares the underlying buffer (cheap, like TF). Mutating accessors
 // require the caller to hold a uniquely-owned tensor or accept aliasing; library code that
-// updates variables in place does so deliberately (variable buffers are the one piece of
-// shared mutable state, owned by a single simulated process).
+// updates variables in place does so deliberately. A graph's initial values are shared,
+// never written: the sampling passes read them in place, and each numeric engine copies
+// a variable at its first write to it (VariableStore::ShareFrom, graph/executor.h).
+//
+// Every float buffer starts on a 64-byte boundary (kTensorAlignment): a cache line, and
+// one AVX-512 register, so where a kernel's rows split across cache lines does not
+// depend on where the allocator happened to place a tensor.
 #ifndef PARALLAX_SRC_TENSOR_TENSOR_H_
 #define PARALLAX_SRC_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,6 +38,33 @@ enum class DataType : int {
 size_t DataTypeSize(DataType dtype);
 const char* DataTypeName(DataType dtype);
 
+// Alignment of every Tensor float buffer, in bytes.
+inline constexpr size_t kTensorAlignment = 64;
+
+// The allocator of Tensor's float storage: each buffer comes from
+// ::operator new(bytes, std::align_val_t{kTensorAlignment}).
+template <typename T>
+class CacheLineAllocator {
+ public:
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kTensorAlignment}));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kTensorAlignment});
+  }
+
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 class Tensor {
  public:
   // Default: empty float tensor of shape [0].
@@ -41,7 +75,8 @@ class Tensor {
 
   static Tensor Zeros(TensorShape shape) { return Tensor(DataType::kFloat32, std::move(shape)); }
   static Tensor Filled(TensorShape shape, float value);
-  static Tensor FromVector(std::vector<float> values, TensorShape shape);
+  // Copies `values` into aligned storage.
+  static Tensor FromVector(const std::vector<float>& values, TensorShape shape);
   static Tensor FromIndices(std::vector<int64_t> values, TensorShape shape);
   static Tensor Scalar(float value) { return Filled(TensorShape({}), value); }
 
@@ -79,9 +114,11 @@ class Tensor {
   std::string DebugString(int64_t max_entries = 8) const;
 
  private:
+  using FloatStorage = std::vector<float, CacheLineAllocator<float>>;
+
   DataType dtype_;
   TensorShape shape_;
-  std::shared_ptr<std::vector<float>> float_data_;
+  std::shared_ptr<FloatStorage> float_data_;
   std::shared_ptr<std::vector<int64_t>> int_data_;
 };
 

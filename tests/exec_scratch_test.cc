@@ -5,53 +5,18 @@
 //  - gradients escaping into the StepResult never alias the scratch (mutating a
 //    returned gradient cannot corrupt the next step).
 //
-// Allocation counting replaces global operator new/delete for this binary; the counters
-// are only inspected inside explicit windows, so gtest's own allocations don't matter.
+// Allocations are counted through tests/alloc_counter.h; the counters are only inspected
+// inside explicit windows, so gtest's own allocations don't matter.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "src/base/rng.h"
 #include "src/graph/executor.h"
 #include "src/models/trainable.h"
 #include "src/tensor/tensor_ops.h"
-
-namespace {
-std::atomic<size_t> g_alloc_count{0};
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc-backed) with the replaced operator
-// delete (free-backed) across inlining and then warns about the very pairing these
-// replacements establish; the combination is intentional.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace parallax {
 namespace {
-
-size_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
 
 constexpr int kSteps = 8;
 

@@ -11,15 +11,12 @@
 //    in-flight coalescing rely on,
 //  - DefaultWorkerCount applies the hardware_concurrency()==0 fallback and the cap.
 //
-// Allocation counting replaces global operator new/delete, nothrow forms included, for
-// this binary; the counters are only inspected inside explicit single-threaded windows.
+// Allocations are counted through tests/alloc_counter.h; the counters are only inspected
+// inside explicit single-threaded windows.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,55 +27,10 @@
 #include "src/service/planner_service.h"
 #include "src/sim/arena_pool.h"
 #include "src/sim/cluster.h"
-
-namespace {
-std::atomic<size_t> g_alloc_count{0};
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc-backed) with the replaced operator
-// delete (free-backed) across inlining and then warns about the very pairing these
-// replacements establish; the combination is intentional.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-// The nothrow forms too: std::stable_sort's temporary buffer comes from them, and a
-// block the library's default nothrow new allocated must not reach the free() below.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace parallax {
 namespace {
-
-size_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
 
 // ---- Word-LM-shaped hybrid workload ---------------------------------------------------
 // One heavy low-alpha embedding and one small hot "wide" variable on PS, over dense AR

@@ -13,18 +13,14 @@
 // CMake registers this binary at PARALLAX_THREADS=1, 2 and 4, so the fan-out runs on
 // several lanes on any host.
 //
-// Allocation counting replaces global operator new/delete, nothrow forms included (the
-// search's std::stable_sort allocates through them, and ASan aborts on a replaced new
-// paired with the default delete). The counters are read inside explicit windows only.
+// Allocations are counted through tests/alloc_counter.h (every form of operator new,
+// aligned and nothrow ones included); the counters are read inside explicit windows only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,60 +32,10 @@
 #include "src/core/api.h"
 #include "src/graph/checkpoint.h"
 #include "src/models/trainable.h"
-
-namespace {
-std::atomic<size_t> g_alloc_count{0};
-std::atomic<size_t> g_alloc_bytes{0};
-
-void CountAllocation(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-}
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc-backed) with the replaced operator
-// delete (free-backed) across inlining and then warns about the very pairing these
-// replacements establish; the combination is intentional.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  CountAllocation(size);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  CountAllocation(size);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  CountAllocation(size);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  CountAllocation(size);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace parallax {
 namespace {
-
-size_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
-size_t AllocBytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 
 constexpr float kLr = 0.3f;
 constexpr int kSteps = 10;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/base/rng.h"
+#include "src/graph/executor.h"
+#include "src/models/trainable.h"
+#include "src/ps/ps_numeric.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 
@@ -210,6 +215,76 @@ TEST(TensorOpsTest, GlorotUniformWithinLimit) {
   float limit = std::sqrt(6.0f / 50.0f);
   for (float v : w.floats()) {
     EXPECT_LE(std::fabs(v), limit);
+  }
+}
+
+bool OnCacheLine(const Tensor& t) {
+  return reinterpret_cast<uintptr_t>(t.floats().data()) % kTensorAlignment == 0;
+}
+
+TEST(TensorTest, EveryFloatBufferStartsOnACacheLine) {
+  // Sizes 1..40 floats: a 16-byte-aligned allocator would put about three in four of
+  // these buffers off a 64-byte boundary.
+  Rng rng(64);
+  for (int64_t n = 1; n <= 40; ++n) {
+    const TensorShape shape({n});
+    std::vector<float> values(static_cast<size_t>(n), 0.5f);
+    const Tensor zeros = Tensor::Zeros(shape);
+    const Tensor filled = Tensor::Filled(shape, 1.5f);
+    const Tensor scalar = Tensor::Scalar(static_cast<float>(n));
+    const Tensor from_vector = Tensor::FromVector(values, shape);
+    const Tensor clone = filled.Clone();
+    const Tensor normal = RandomNormal(TensorShape({n, 3}), rng);
+    EXPECT_TRUE(OnCacheLine(zeros)) << "Zeros, n = " << n;
+    EXPECT_TRUE(OnCacheLine(filled)) << "Filled, n = " << n;
+    EXPECT_TRUE(OnCacheLine(scalar)) << "Scalar, n = " << n;
+    EXPECT_TRUE(OnCacheLine(from_vector)) << "FromVector, n = " << n;
+    EXPECT_TRUE(OnCacheLine(clone)) << "Clone, n = " << n;
+    EXPECT_TRUE(OnCacheLine(normal)) << "RandomNormal, n = " << n;
+
+    // A destination-passing kernel reallocates its output on a shape change.
+    Tensor out = Tensor::Zeros(TensorShape({1, 1}));
+    MatMulInto(out, Tensor::Filled(TensorShape({2, n}), 1.0f),
+               Tensor::Filled(TensorShape({n, 3}), 1.0f));
+    ASSERT_EQ(out.shape(), TensorShape({2, 3}));
+    EXPECT_TRUE(OnCacheLine(out)) << "MatMulInto output, n = " << n;
+  }
+}
+
+TEST(TensorTest, EngineAndGradientBuffersStartOnACacheLine) {
+  // The executor's dense and IndexedSlices gradients, and an engine's buffers after its
+  // first write, over a few model sizes.
+  for (int64_t vocab : {37, 50, 61}) {
+    WordLmModel model({.vocab_size = vocab, .embedding_dim = 5, .hidden_dim = 7,
+                       .batch_per_rank = 6, .seed = static_cast<uint64_t>(vocab)});
+    const Graph& graph = *model.graph();
+    PsNumericEngine engine(model.graph(), PsNumericConfig{});
+    Rng rng(vocab);
+    const std::vector<FeedMap> feeds = model.TrainShards(2, rng);
+    std::vector<StepResult> results;
+    for (const FeedMap& feed : feeds) {
+      results.push_back(Executor(model.graph()).RunStep(engine.View(), feed, model.loss()));
+    }
+    int dense = 0;
+    int sparse = 0;
+    for (const StepResult& result : results) {
+      for (const auto& [v, grad] : result.grads) {
+        const Tensor& values = grad.is_sparse() ? grad.sparse().values() : grad.dense();
+        (grad.is_sparse() ? sparse : dense) += 1;
+        EXPECT_TRUE(OnCacheLine(values)) << graph.variables()[static_cast<size_t>(v)].name
+                                         << " gradient, vocab " << vocab;
+      }
+    }
+    EXPECT_GT(dense, 0);
+    EXPECT_GT(sparse, 0);
+
+    engine.ApplyStep(results, 0.1f);
+    const VariableStore view = engine.View();
+    for (const auto& [v, value] : view.values()) {
+      const VariableDef& def = graph.variables()[static_cast<size_t>(v)];
+      EXPECT_FALSE(value.SharesBufferWith(def.initial_value)) << def.name;
+      EXPECT_TRUE(OnCacheLine(value)) << def.name << " after the first write, vocab " << vocab;
+    }
   }
 }
 
