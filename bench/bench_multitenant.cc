@@ -2,9 +2,9 @@
 // needing a partition plan for its (model, resources, options) key. Compares
 //  - private:  every session runs its own SearchPlan on a private arena (the
 //              pre-service status quo — per-tenant cost is the full search), vs
-//  - shared:   every session routes through one PlannerService, so identical keys are
-//              answered from the PlanCache and concurrent duplicates coalesce onto one
-//              simulation.
+//  - shared:   every session routes through one PlannerService, so a key searched
+//              before is answered by its finished search, and concurrent duplicates
+//              wait on the one running search.
 // Tenants draw from a realistic mixture: a handful of model shapes times a spread of
 // measured alphas that quantize into a few buckets — exactly the regime the service is
 // built for (many tenants, few distinct planning problems). Reports plans/sec for both

@@ -57,6 +57,8 @@ struct PlannerVariable {
   bool partitioned = false;
   int64_t rows = 1;
   bool drifted = true;
+
+  bool operator==(const PlannerVariable& other) const = default;
 };
 
 // Pairs each routed variable (index-aligned with graph.variables()) with the graph's

@@ -62,7 +62,9 @@ class RunnerBuilder {
   // descent at each variable's measured alpha). WithSearch alone keeps the uniform
   // mode — it is an exact shim for the historical behavior. A runner ignores
   // `search.initial_partitions`: it starts each search at the machine count, or, for an
-  // adaptive re-search, at the current plan's largest count.
+  // adaptive re-search, at the current plan's largest count. It ignores
+  // `search.warm_start` too: start-up and rescale searches start cold, and an adaptive
+  // re-search warm-starts exactly when its drift is confined to one variable.
   RunnerBuilder& WithSearch(const PartitionSearchOptions& search);
   RunnerBuilder& WithSearchMode(PartitionSearchMode mode);
   // Sets `search.placement`. Per-variable mode only: also search each variable's shard

@@ -69,6 +69,8 @@ struct PartitionSearchOptions {
   // placement pass) on the cluster the candidates are simulated on. Off by default:
   // flat clusters and placement-oblivious searches pay nothing.
   bool placement = false;
+
+  bool operator==(const PartitionSearchOptions& other) const = default;
 };
 
 // The per-variable search's fixed tuning. A coordinate move is adopted when it beats

@@ -53,6 +53,8 @@ struct IterationSimConfig {
   // neglects it; Table 3 validation turns it off).
   bool include_index_bytes = true;
   SyncCostParams costs;
+
+  bool operator==(const IterationSimConfig& other) const = default;
 };
 
 // Reusable simulation state: the task-graph arena, the collective schedule cache, and

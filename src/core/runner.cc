@@ -207,6 +207,9 @@ PlannerQuery GraphRunner::MakePlannerQuery(int initial_partitions) const {
   query.compute_chunks = config_.compute_chunks;
   query.options = config_.search;
   query.options.initial_partitions = initial_partitions;
+  // Start-up and rescale searches have no adopted plan to resume; MaybeAdapt sets its
+  // own warm start.
+  query.options.warm_start = false;
   return query;
 }
 

@@ -124,7 +124,9 @@ struct ParallaxConfig {
   PartitionSearchMode search_mode = PartitionSearchMode::kUniform;
   // The partition search's options. Each search sets its starting point itself
   // (initial_partitions: the machine count, or the current plan's largest count for an
-  // adaptive re-search). search.placement, per-variable search only, also searches each
+  // adaptive re-search) and whether it warm-starts (warm_start: only an adaptive
+  // re-search whose drift is confined to one variable; start-up and rescale searches
+  // never do). search.placement, per-variable search only, also searches each
   // variable's shard *placement* (which server machine hosts each piece) against the
   // cluster's topology — the greedy bottleneck-utilization seed plus measured-clock swap
   // refinement of SearchPartitionPlan's placement pass. Off by default:
@@ -290,11 +292,12 @@ class GraphRunner {
                                  const std::vector<VariableSync>& to, int to_machines,
                                  const Topology& topology) const;
   // Packages this runner's current search inputs (routed variables with their drift
-  // flags, search mode, cluster, sim config, options starting at initial_partitions) as
-  // one planning query. The query fully determines the search outcome; alphas are the
-  // plan's current (startup-sampled or monitor-measured) ones, and the per-variable
-  // search's targets follow from the routing (SearchTargets), engine overrides
-  // respected. Requires plan_.variables to be routed, which every call site guarantees.
+  // flags, search mode, cluster, sim config, options starting at initial_partitions,
+  // without a warm start) as one planning query. The query fully determines the search
+  // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones,
+  // and the per-variable search's targets follow from the routing (SearchTargets),
+  // engine overrides respected. Requires plan_.variables to be routed, which every call
+  // site guarantees.
   PlannerQuery MakePlannerQuery(int initial_partitions) const;
   // The one search dispatch: the shared PlannerService when config_.planner is set,
   // SearchPlan on this runner's arena otherwise. Either way the result is the search's

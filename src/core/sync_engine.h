@@ -73,6 +73,8 @@ struct CompressionSpec {
   // kTopK: unsent rows accumulate into a residual and re-compete next step (DGC-style
   // error feedback) instead of being dropped. Changes numerics, not wire volume.
   bool error_feedback = true;
+
+  bool operator==(const CompressionSpec& other) const = default;
 };
 
 struct VariableSync {
@@ -94,6 +96,8 @@ struct VariableSync {
   // row-capped partition count), and the timing plane and the migration estimate read
   // shard ownership from this one field.
   std::vector<int> placement;
+
+  bool operator==(const VariableSync& other) const = default;
 };
 
 // The runner's complete synchronization decision, handed to every engine's Prepare.

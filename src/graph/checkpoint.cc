@@ -1,8 +1,10 @@
 #include "src/graph/checkpoint.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -129,6 +131,18 @@ StatusOr<VariableStore> LoadCheckpoint(const Graph& graph, const std::string& pa
       !ReadU64(file.get(), count)) {
     return Status::InvalidArgument("truncated checkpoint header: " + path);
   }
+  // A restore installs both: a step past int64_t would wrap negative, and a clock that
+  // is not a finite, non-negative time stops the next simulated iteration.
+  const double seconds = BitsToDouble(seconds_bits);
+  if (step > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Status::InvalidArgument(
+        StrFormat("corrupt checkpoint step %llu: %s", static_cast<unsigned long long>(step),
+                  path.c_str()));
+  }
+  if (!std::isfinite(seconds) || seconds < 0.0) {
+    return Status::InvalidArgument(
+        StrFormat("corrupt checkpoint clock %g s: %s", seconds, path.c_str()));
+  }
   if (count != graph.variables().size()) {
     return Status::FailedPrecondition(
         StrFormat("checkpoint holds %llu variables, graph has %zu — the checkpoint "
@@ -182,7 +196,7 @@ StatusOr<VariableStore> LoadCheckpoint(const Graph& graph, const std::string& pa
   }
   if (meta != nullptr) {
     meta->step = static_cast<int64_t>(step);
-    meta->simulated_seconds = BitsToDouble(seconds_bits);
+    meta->simulated_seconds = seconds;
   }
   return store;
 }

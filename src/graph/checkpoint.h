@@ -35,9 +35,10 @@ Status SaveCheckpoint(const Graph& graph, const VariableStore& store,
 
 // Reads a checkpoint written by SaveCheckpoint. Shapes must match the graph's
 // variables; `meta` (when non-null) receives the stored training metadata. Every
-// corruption mode — wrong magic/version, truncated header or data section, dims
-// overflow, variable-count mismatch (e.g. a checkpoint from a different model) — comes
-// back as a clean error Status.
+// corruption mode — wrong magic/version, truncated header or data section, a step past
+// int64_t, a clock that is NaN, infinite or negative, dims overflow, variable-count
+// mismatch (e.g. a checkpoint from a different model) — comes back as a clean error
+// Status.
 StatusOr<VariableStore> LoadCheckpoint(const Graph& graph, const std::string& path,
                                        CheckpointMeta* meta = nullptr);
 

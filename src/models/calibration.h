@@ -58,6 +58,8 @@ struct SyncCostParams {
   // bandwidth-efficient ring algorithm; smaller blocks take the broadcast-style path
   // with the inflation above.
   int64_t gatherv_ring_threshold_bytes = 16ll << 20;
+
+  bool operator==(const SyncCostParams& other) const = default;
 };
 
 }  // namespace parallax

@@ -30,6 +30,8 @@ struct VariableSpec {
   int64_t worker_grad_bytes() const;
   // Elements one worker touches per iteration.
   int64_t worker_elements() const;
+
+  bool operator==(const VariableSpec& other) const = default;
 };
 
 struct ModelSpec {

@@ -1,11 +1,12 @@
 #include "src/service/planner_service.h"
 
 #include <algorithm>
-#include <bit>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -20,24 +21,11 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-inline uint64_t MixDouble(uint64_t h, double v) { return Mix(h, std::bit_cast<uint64_t>(v)); }
-
-inline uint64_t MixString(uint64_t h, std::string_view s) {
-  uint64_t fnv = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return Mix(h, Mix(fnv, s.size()));
-}
-
 // Log-space alpha quantization: alphas within a relative factor of (1 + quantum) share
 // a bucket, so the representative's relative error is bounded by ~quantum/2 (see
 // docs/planner_service.md). Bucket 0 is alpha = 1.0 (dense); the clamp floor keeps
 // pathological alphas from producing unbounded bucket ids.
 int64_t AlphaBucket(double alpha, double quantum) {
-  if (quantum <= 0.0) {
-    return std::bit_cast<int64_t>(alpha);  // quantization disabled: exact bit identity
-  }
   const double clamped = std::clamp(alpha, 1e-9, 1.0);
   return std::llround(std::log(clamped) / std::log1p(quantum));
 }
@@ -46,94 +34,13 @@ double BucketRepresentative(int64_t bucket, double quantum) {
   return std::exp(static_cast<double>(bucket) * std::log1p(quantum));
 }
 
-uint64_t ModelFingerprint(const PlannerQuery& query) {
-  uint64_t h = 0x6d6f64656cull;  // "model"
-  h = Mix(h, query.variables.size());
-  for (const PlannerVariable& v : query.variables) {
-    h = MixString(h, v.sync.spec.name);
-    h = Mix(h, static_cast<uint64_t>(v.sync.spec.num_elements));
-    h = Mix(h, static_cast<uint64_t>(v.sync.spec.row_elements));
-    h = Mix(h, v.sync.spec.is_sparse ? 1 : 0);
-    h = Mix(h, static_cast<uint64_t>(v.sync.method));
-    h = Mix(h, static_cast<uint64_t>(v.sync.compression.kind));
-    h = MixDouble(h, v.sync.compression.ratio);
-    h = Mix(h, v.sync.compression.error_feedback ? 1 : 0);
-    h = Mix(h, v.partitioned ? 1 : 0);
-    h = Mix(h, static_cast<uint64_t>(v.rows));
-    if (!v.partitioned) {
-      // Fixed layout the plan does not control — part of the simulated model. For
-      // partitioned variables the searched plan overrides both fields, so including
-      // them would split identical searches across keys.
-      h = Mix(h, static_cast<uint64_t>(v.sync.partitions));
-      h = Mix(h, v.sync.placement.size());
-      for (int server : v.sync.placement) {
-        h = Mix(h, static_cast<uint64_t>(server));
-      }
-    }
-  }
-  // A target's name, size and cap are its variable's, mixed above. The targets add
-  // their count (0 for a uniform query, and for a per-variable one with no target,
-  // which runs the same uniform search) and, under a warm start, where the search
-  // resumes. The search reads that state only then, and keying on it otherwise would
-  // split identical searches.
-  const std::vector<PartitionSearchVariable> targets = SearchTargets(query);
-  h = Mix(h, targets.size());
-  if (query.options.warm_start) {
-    for (const PartitionSearchVariable& t : targets) {
-      h = Mix(h, static_cast<uint64_t>(t.previous_partitions));
-      h = Mix(h, t.drifted ? 1 : 0);
-    }
-  }
-  return h;
+// Whether a search re-shards `v` one variable at a time (SearchTargets).
+bool IsSearchTarget(PartitionSearchMode mode, const PlannerVariable& v) {
+  return mode == PartitionSearchMode::kPerVariable && v.partitioned && v.sync.spec.is_sparse;
 }
 
-uint64_t ResourcesFingerprint(const PlannerQuery& query) {
-  uint64_t h = 0x7265736f75726365ull;  // "resource"
-  const ClusterSpec& c = query.cluster;
-  h = Mix(h, static_cast<uint64_t>(c.num_machines));
-  h = Mix(h, static_cast<uint64_t>(c.gpus_per_machine));
-  h = Mix(h, static_cast<uint64_t>(c.cores_per_machine));
-  h = MixDouble(h, c.nic_bandwidth);
-  h = MixDouble(h, c.nic_latency);
-  h = MixDouble(h, c.pcie_bandwidth);
-  h = MixDouble(h, c.pcie_latency);
-  h = Mix(h, static_cast<uint64_t>(c.topology.num_racks));
-  h = MixDouble(h, c.topology.spine_bandwidth);
-  h = MixDouble(h, c.topology.spine_latency);
-  const IterationSimConfig& s = query.sim_config;
-  h = Mix(h, s.ps_local_aggregation ? 1 : 0);
-  h = Mix(h, s.ps_machine_level_pulls ? 1 : 0);
-  h = Mix(h, static_cast<uint64_t>(s.gatherv_algorithm));
-  h = Mix(h, s.include_index_bytes ? 1 : 0);
-  const SyncCostParams& p = s.costs;
-  h = MixDouble(h, p.sparse_agg_seconds_per_element);
-  h = MixDouble(h, p.sparse_update_seconds_per_element);
-  h = MixDouble(h, p.sparse_flush_seconds_per_element);
-  h = MixDouble(h, p.dense_agg_seconds_per_element);
-  h = MixDouble(h, p.dense_update_seconds_per_element);
-  h = MixDouble(h, p.request_overhead_seconds);
-  h = MixDouble(h, p.partition_overhead_seconds);
-  h = MixDouble(h, p.stitch_seconds_per_partition);
-  h = MixDouble(h, p.worker_dispatch_seconds_per_piece);
-  h = MixDouble(h, p.gpu_dense_apply_seconds_per_element);
-  h = MixDouble(h, p.gpu_sparse_apply_seconds_per_element);
-  h = MixDouble(h, p.collective_step_overhead_seconds);
-  h = MixDouble(h, p.compress_seconds_per_element);
-  h = MixDouble(h, p.gatherv_cross_machine_inflation);
-  h = Mix(h, static_cast<uint64_t>(p.gatherv_ring_threshold_bytes));
-  h = MixDouble(h, query.gpu_compute_seconds);
-  h = Mix(h, static_cast<uint64_t>(query.compute_chunks));
-  return h;
-}
-
-uint64_t OptionsFingerprint(const PartitionSearchOptions& o) {
-  uint64_t h = 0x6f7074696f6e73ull;  // "options"
-  h = Mix(h, static_cast<uint64_t>(o.initial_partitions));
-  h = Mix(h, static_cast<uint64_t>(o.min_partitions));
-  h = Mix(h, static_cast<uint64_t>(o.max_partitions));
-  h = Mix(h, o.warm_start ? 1 : 0);
-  h = Mix(h, o.placement ? 1 : 0);
-  return h;
+bool IsFinished(const std::shared_future<PartitionPlanSearchResult>& search) {
+  return search.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 }  // namespace
@@ -176,11 +83,8 @@ Status ValidatePlannerQuery(const PlannerQuery& query) {
 
 std::vector<PartitionSearchVariable> SearchTargets(const PlannerQuery& query) {
   std::vector<PartitionSearchVariable> targets;
-  if (query.mode != PartitionSearchMode::kPerVariable) {
-    return targets;
-  }
   for (const PlannerVariable& v : query.variables) {
-    if (!v.partitioned || !v.sync.spec.is_sparse) {
+    if (!IsSearchTarget(query.mode, v)) {
       continue;
     }
     PartitionSearchVariable target;
@@ -228,7 +132,7 @@ PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena*
 
 PlannerService::PlannerService(PlannerServiceOptions options)
     : options_(options),
-      cache_(options.cache_capacity),
+      capacity_(std::max<size_t>(options.cache_capacity, 1)),
       arenas_(options.max_pooled_arenas) {
   // Uncapped: the planner's fan-out has always scaled to the full machine
   // (DefaultWorkerCount's default 16-lane ceiling is sized for sparse kernels).
@@ -245,24 +149,46 @@ ArenaPool::Lease PlannerService::AcquireArena() { return arenas_.Acquire(); }
 void PlannerService::Canonicalize(PlannerQuery* query) const {
   PX_CHECK(query != nullptr);
   const double quantum = options_.alpha_quantum;
-  if (quantum <= 0.0) {
-    return;  // exact-alpha keys; nothing to snap
-  }
+  bool has_target = false;
   for (PlannerVariable& v : query->variables) {
-    v.sync.spec.alpha = BucketRepresentative(AlphaBucket(v.sync.spec.alpha, quantum), quantum);
+    if (quantum > 0.0) {
+      v.sync.spec.alpha = BucketRepresentative(AlphaBucket(v.sync.spec.alpha, quantum), quantum);
+    }
+    const bool target = IsSearchTarget(query->mode, v);
+    has_target = has_target || target;
+    // SearchTargets hands a warm start its targets' partitions and drift flags; a plan
+    // sets every partitioned variable's partitions and placement (ApplyPlanToVariables).
+    if (!(target && query->options.warm_start)) {
+      v.drifted = PlannerVariable{}.drifted;
+      if (v.partitioned) {
+        v.sync.partitions = VariableSync{}.partitions;
+      }
+    }
+    if (v.partitioned) {
+      v.sync.placement.clear();
+    }
+  }
+  if (!has_target) {
+    query->mode = PartitionSearchMode::kUniform;
   }
 }
 
-PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
-  PlanCacheKey key;
-  key.model = ModelFingerprint(query);
-  key.resources = ResourcesFingerprint(query);
-  key.options = OptionsFingerprint(query.options);
-  key.alpha_buckets.reserve(query.variables.size());
-  for (const PlannerVariable& v : query.variables) {
-    key.alpha_buckets.push_back(AlphaBucket(v.sync.spec.alpha, options_.alpha_quantum));
-  }
+PlannerQuery PlannerService::KeyFor(const PlannerQuery& query) const {
+  PlannerQuery key = query;
+  Canonicalize(&key);
   return key;
+}
+
+size_t PlannerService::KeyHash::operator()(const PlannerQuery& key) const {
+  // Equal keys hash alike; operator== tells apart keys that share these fields.
+  uint64_t h = Mix(static_cast<uint64_t>(key.mode),
+                   static_cast<uint64_t>(key.cluster.num_machines));
+  for (const PlannerVariable& v : key.variables) {
+    h = Mix(h, std::hash<std::string>{}(v.sync.spec.name));
+    h = Mix(h, static_cast<uint64_t>(v.sync.spec.num_elements));
+    h = Mix(h, std::hash<double>{}(v.sync.spec.alpha));
+  }
+  return static_cast<size_t>(h);
 }
 
 PartitionPlanSearchResult PlannerService::Search(const PlannerQuery& query) {
@@ -273,55 +199,64 @@ PartitionPlanSearchResult PlannerService::Search(const PlannerQuery& query) {
 StatusOr<PlannerResult> PlannerService::Plan(const PlannerQuery& original) {
   PX_RETURN_IF_ERROR(ValidatePlannerQuery(original));
   PX_RETURN_IF_ERROR(ValidateSearchOptions(original.options));
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  PlannerQuery query = original;
-  Canonicalize(&query);
-  const PlanCacheKey key = KeyFor(query);
+  const PlannerQuery key = KeyFor(original);
 
-  std::shared_ptr<InFlight> flight;
-  bool owner = false;
+  PlannerResult result;
+  std::shared_future<PartitionPlanSearchResult> search;
+  // Set when this query searches; the table's entry holds its future.
+  std::optional<std::promise<PartitionPlanSearchResult>> promise;
+  Entry* running = nullptr;
   {
-    // One mu_ hold covers both the cache probe and the in-flight probe. The owner
-    // publishes (Put, then erase) inside a single mu_ section below, so a query
-    // either sees the cached plan or the in-flight marker — a duplicate search is
-    // impossible.
     std::lock_guard<std::mutex> lock(mu_);
-    if (std::optional<PartitionPlanSearchResult> hit = cache_.Get(key)) {
-      return PlannerResult{std::move(*hit), /*cache_hit=*/true, /*coalesced=*/false};
-    }
-    auto it = in_flight_.find(key);
-    if (it != in_flight_.end()) {
-      flight = it->second;
+    ++counts_.queries;
+    auto [it, inserted] = table_.try_emplace(key);
+    Entry& entry = it->second;
+    if (inserted) {
+      ++counts_.cache.misses;
+      ++counts_.searches;
+      promise.emplace();
+      entry.search = promise->get_future().share();
+      running = &entry;
+    } else if (IsFinished(entry.search)) {
+      ++counts_.cache.hits;
+      entry.last_used = ++tick_;
+      result.cache_hit = true;
     } else {
-      flight = std::make_shared<InFlight>();
-      in_flight_.emplace(key, flight);
-      owner = true;
+      ++counts_.cache.misses;
+      ++counts_.coalesced;
+      result.coalesced = true;
+    }
+    search = entry.search;
+  }
+
+  if (running != nullptr) {
+    PartitionPlanSearchResult searched = Search(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    // Finishing and evicting under one hold, so a query sees a key either running or
+    // finished. `running` is still in the table: only finished entries are evicted.
+    promise->set_value(std::move(searched));
+    running->last_used = ++tick_;
+    size_t finished = 0;
+    auto lru = table_.end();
+    for (auto it = table_.begin(); it != table_.end(); ++it) {
+      if (IsFinished(it->second.search)) {
+        ++finished;
+        if (lru == table_.end() || it->second.last_used < lru->second.last_used) {
+          lru = it;
+        }
+      }
+    }
+    // At most capacity_ entries were finished before this one.
+    if (finished > capacity_) {
+      table_.erase(lru);
+      ++counts_.cache.evictions;
     }
   }
-
-  if (!owner) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    // Safe to block here even from a PlanMany pool lane: the owner is by definition
-    // already executing a serial search on some thread and never coalesces itself.
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    return PlannerResult{flight->result, /*cache_hit=*/false, /*coalesced=*/true};
-  }
-
-  searches_.fetch_add(1, std::memory_order_relaxed);
-  PartitionPlanSearchResult searched = Search(query);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_.Put(key, searched);
-    in_flight_.erase(key);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->result = searched;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  return PlannerResult{std::move(searched), /*cache_hit=*/false, /*coalesced=*/false};
+  // Outside the lock: a coalesced query waits here for the search it joined. Safe on a
+  // PlanMany pool lane too: that search is already running on its own thread, and the
+  // query that runs it never waits on a key.
+  result.search = search.get();
+  return result;
 }
 
 StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
@@ -340,12 +275,10 @@ StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
     return results;
   }
   // Group by key: one representative per distinct key actually plans; duplicates share
-  // its result (the batch-level form of in-flight coalescing).
-  std::vector<PlannerQuery> canonical = queries;
-  std::unordered_map<PlanCacheKey, std::vector<size_t>, PlanCacheKeyHash> groups;
-  for (size_t i = 0; i < canonical.size(); ++i) {
-    Canonicalize(&canonical[i]);
-    groups[KeyFor(canonical[i])].push_back(i);
+  // its result (the batch-level form of coalescing).
+  std::unordered_map<PlannerQuery, std::vector<size_t>, KeyHash> groups;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    groups[KeyFor(queries[i])].push_back(i);
   }
   std::vector<size_t> representatives;
   representatives.reserve(groups.size());
@@ -359,7 +292,7 @@ StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
   auto plan_range = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       const size_t index = representatives[static_cast<size_t>(i)];
-      results[index] = Plan(canonical[index]).value();  // validated above
+      results[index] = Plan(queries[index]).value();  // validated above
     }
   };
   const int64_t lanes = pool_ != nullptr ? pool_->num_threads() : 1;
@@ -369,10 +302,14 @@ StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
   } else {
     pool_->ParallelFor(total, (total + workers - 1) / workers, plan_range);
   }
+  const uint64_t duplicates = queries.size() - representatives.size();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    counts_.queries += duplicates;
+    counts_.coalesced += duplicates;
+  }
   for (const auto& [key, members] : groups) {
     for (size_t m = 1; m < members.size(); ++m) {
-      queries_.fetch_add(1, std::memory_order_relaxed);
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
       results[members[m]] = results[members.front()];
       results[members[m]].cache_hit = false;
       results[members[m]].coalesced = true;
@@ -383,10 +320,14 @@ StatusOr<std::vector<PlannerResult>> PlannerService::PlanMany(
 
 PlannerServiceStats PlannerService::stats() const {
   PlannerServiceStats stats;
-  stats.cache = cache_.stats();
-  stats.queries = queries_.load(std::memory_order_relaxed);
-  stats.searches = searches_.load(std::memory_order_relaxed);
-  stats.coalesced = coalesced_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = counts_;
+    stats.cache.size = static_cast<size_t>(
+        std::count_if(table_.begin(), table_.end(),
+                      [](const auto& entry) { return IsFinished(entry.second.search); }));
+  }
+  stats.cache.capacity = capacity_;
   stats.pooled_arenas = arenas_.pooled();
   stats.total_arenas = arenas_.total();
   return stats;

@@ -9,14 +9,14 @@
 //      on a busy arena: the pool grows on demand and retains up to max_pooled_arenas
 //      when idle, so concurrent searches are contention-free while steady-state
 //      queries reuse warm task storage and collective-schedule caches.
-//   2. PlanCache — searches are deterministic, so each search's whole result is
-//      memoized under (model, resources, options) fingerprints plus the quantized
-//      alpha vector. A hit returns the result a fresh search at the same key would,
-//      bit for bit, because searches run AT the bucket-representative alphas
-//      (Canonicalize).
-//   3. Coalescing — duplicate in-flight queries (same key) wait on the one running
-//      search instead of simulating again; PlanMany batches a whole query set, running
-//      one search per distinct key across the service's shared ThreadPool and fanning
+//   2. One table of searches — a search is a deterministic function of its query, so
+//      the service keys each search by the canonical query itself (Canonicalize: alphas
+//      snapped to their bucket representatives, every field no search reads reset). A
+//      finished search is a cache hit, returning what a fresh search at the same key
+//      would, bit for bit, because searches run AT the canonical query.
+//   3. Coalescing — a query whose key is still being searched waits on that search
+//      instead of simulating again; PlanMany batches a whole query set, running one
+//      search per distinct key across the service's shared ThreadPool and fanning
 //      results back out.
 //
 // Every miss runs SearchPlan (below) on one leased arena, one candidate at a time —
@@ -28,9 +28,8 @@
 #ifndef PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 #define PARALLAX_SRC_SERVICE_PLANNER_SERVICE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -42,18 +41,18 @@
 #include "src/core/cost_model.h"
 #include "src/core/iteration_sim.h"
 #include "src/core/sync_engine.h"
-#include "src/service/plan_cache.h"
 #include "src/sim/arena_pool.h"
 #include "src/sim/cluster.h"
 
 namespace parallax {
 
 struct PlannerServiceOptions {
-  // PlanCache entries retained (LRU past this).
+  // Finished searches retained (least recently used evicted past this; at least 1).
+  // Running searches are never evicted.
   size_t cache_capacity = 256;
   // Relative width of one alpha bucket: alphas within ~quantum of each other share a
   // bucket (log-space rounding, relative representative error <= quantum/2). <= 0
-  // disables quantization — every distinct alpha bit pattern is its own key.
+  // disables quantization — every distinct alpha value is its own key.
   double alpha_quantum = 0.05;
   // Arenas retained in the free pool when idle. Checkout past this still succeeds (the
   // pool grows on demand); the excess is dropped on release instead of pooled.
@@ -66,7 +65,9 @@ struct PlannerServiceOptions {
 };
 
 // Everything a search outcome depends on. Runners build this with
-// GraphRunner::MakePlannerQuery; standalone callers can assemble it directly.
+// GraphRunner::MakePlannerQuery; standalone callers can assemble it directly. Its
+// canonical form (PlannerService::KeyFor) is the service's key, compared field by field
+// with the defaulted operator==: doubles compare by value, so +0 and -0 are one key.
 // `variables` is the querying model as the simulator will see it (PlannerVariable,
 // src/core/analysis.h): a searched plan reaches it through ApplyPlanToVariables, and
 // the per-variable search's targets are derived from it (SearchTargets). `cluster` is
@@ -79,6 +80,8 @@ struct PlannerQuery {
   double gpu_compute_seconds = 0.0;
   int compute_chunks = 1;
   PartitionSearchOptions options;
+
+  bool operator==(const PlannerQuery& other) const = default;
 };
 
 // What a query must satisfy for SearchPlan to run it without aborting. Queries are
@@ -116,8 +119,18 @@ struct PlannerResult {
   // What SearchPlan returned for the canonicalized query (searched at the
   // bucket-representative alphas).
   PartitionPlanSearchResult search;
-  bool cache_hit = false;  // served from the PlanCache without simulating
-  bool coalesced = false;  // shared another query's in-flight or batched search
+  bool cache_hit = false;  // answered by a finished search, without simulating
+  bool coalesced = false;  // shared another query's running or batched search
+};
+
+// The table of finished searches. A query that finds its key finished is a hit; one
+// that finds it running or absent is a miss.
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  size_t size = 0;  // finished searches retained
+  size_t capacity = 0;
 };
 
 struct PlannerServiceStats {
@@ -137,8 +150,8 @@ class PlannerService {
  public:
   explicit PlannerService(PlannerServiceOptions options = {});
 
-  // Answers one planning query: canonicalize, consult the cache, coalesce with any
-  // identical in-flight search, otherwise search on a leased arena and memoize.
+  // Answers one planning query: canonicalize, return the finished search at its key,
+  // wait on the running one, or else search on a leased arena and keep the result.
   // Thread-safe; deterministic given the query (cache_hit/coalesced flags aside).
   // Queries are untrusted input: a query that fails ValidatePlannerQuery or whose
   // options fail ValidateSearchOptions (cost_model.h) returns InvalidArgument before
@@ -152,13 +165,18 @@ class PlannerService {
   // naming the first bad index, and no query of the batch is counted or searched.
   StatusOr<std::vector<PlannerResult>> PlanMany(const std::vector<PlannerQuery>& queries);
 
-  // Snaps every variable's spec.alpha to its bucket representative — the value searches
-  // actually run at. Idempotent.
+  // Puts a query in the form searches run at, which is also its key: snaps every
+  // variable's spec.alpha to its bucket representative, and resets what no search
+  // reads — a partitioned variable's placement; its partitions, and any variable's
+  // drift flag, unless the query warm-starts and the variable is a search target; and
+  // kPerVariable mode when no variable is a target (it runs the uniform sweep).
+  // Idempotent.
   void Canonicalize(PlannerQuery* query) const;
 
-  // The cache key of a canonicalized query. Plan() does this internally; exposed so
-  // tests and tools can reason about key identity.
-  PlanCacheKey KeyFor(const PlannerQuery& query) const;
+  // The canonical copy of `query`: its key. Two queries share a search exactly when
+  // their keys are equal. Plan() does this internally; exposed so tests and tools can
+  // reason about key identity.
+  PlannerQuery KeyFor(const PlannerQuery& query) const;
 
   // Contention-free RAII checkout of a pooled SimulationArena (grows the pool on
   // demand; never blocks on a busy arena). The lease — and the service — must outlive
@@ -170,12 +188,13 @@ class PlannerService {
   const PlannerServiceOptions& options() const { return options_; }
 
  private:
-  // A search other queries with the same key can wait on.
-  struct InFlight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;                 // guarded by mu
-    PartitionPlanSearchResult result;  // guarded by mu; valid once done
+  // One search of the table, running or finished; `search` is ready once it finished.
+  struct Entry {
+    std::shared_future<PartitionPlanSearchResult> search;
+    uint64_t last_used = 0;  // tick_ when it finished or was last hit
+  };
+  struct KeyHash {
+    size_t operator()(const PlannerQuery& key) const;
   };
 
   // Runs SearchPlan for a canonicalized query on a leased arena. Pure compute: takes
@@ -183,13 +202,15 @@ class PlannerService {
   PartitionPlanSearchResult Search(const PlannerQuery& query);
 
   const PlannerServiceOptions options_;
+  const size_t capacity_;  // options_.cache_capacity, at least 1
 
-  // Query-path state. Lock order: mu_ may be held across PlanCache calls (the cache's
-  // internal mutex nests inside); nothing here calls back out while holding mu_.
-  std::mutex mu_;
-  std::unordered_map<PlanCacheKey, std::shared_ptr<InFlight>, PlanCacheKeyHash>
-      in_flight_;  // guarded by mu_
-  PlanCache cache_;  // internally synchronized
+  // The one lock of the query path. It is never held across a search: a query looks
+  // up, inserts or evicts under it, then searches or waits on a future outside it.
+  mutable std::mutex mu_;
+  std::unordered_map<PlannerQuery, Entry, KeyHash> table_;  // guarded by mu_
+  uint64_t tick_ = 0;                                       // guarded by mu_
+  // Query counters; stats() fills in the rest.
+  PlannerServiceStats counts_;  // guarded by mu_
 
   // Arena pool (internally synchronized) — checkouts never contend with the query
   // path's lock.
@@ -197,10 +218,6 @@ class PlannerService {
   // Shared worker pool for PlanMany's fan-out. Null when options_.max_workers
   // resolves to one lane (fully serial service).
   std::unique_ptr<ThreadPool> pool_;
-
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> searches_{0};
-  std::atomic<uint64_t> coalesced_{0};
 };
 
 }  // namespace parallax

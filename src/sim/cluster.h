@@ -157,6 +157,8 @@ struct TopologySpec {
   double spine_latency = 10e-6;        // two extra switch hops
 
   bool flat() const { return num_racks <= 1; }
+
+  bool operator==(const TopologySpec& other) const = default;
 };
 
 // Static description of the simulated cluster. Defaults model the paper's testbed.
@@ -176,6 +178,8 @@ struct ClusterSpec {
   // n machines with one GPU each: the 1-worker-per-machine setting of the paper's
   // section 3.1 analysis (used to validate Table 3's closed forms).
   static ClusterSpec SingleGpuMachines(int n);
+
+  bool operator==(const ClusterSpec& other) const = default;
 };
 
 // Read-only view of the level structure of a ClusterSpec: which rack a machine lives

@@ -412,6 +412,33 @@ TEST(PerVariablePlanTest, PerVariableSearchIsDeterministic) {
   EXPECT_EQ(first_seconds, second_seconds);
 }
 
+TEST(PerVariablePlanTest, StartUpSearchIgnoresTheConfiguredWarmStart) {
+  // A start-up search has no earlier plan to resume: the all-ones layout it starts
+  // from was never searched. Only the adaptive loop warm-starts, so the warm_start bit
+  // of WithSearch leaves the start-up search as it is without it.
+  auto start_up_search = [](bool warm_start) {
+    EmbeddingSkewModel model(SkewedTwoVarModel(29));
+    auto runner = RunnerBuilder(model.graph(), model.loss())
+                      .WithResources("m0:0,1;m1:0,1")
+                      .WithSearch({.warm_start = warm_start})
+                      .WithSearchMode(PartitionSearchMode::kPerVariable)
+                      .WithSyncCosts(SkewedPartitionCosts())
+                      .WithCompute(1e-3, 4)
+                      .Build();
+    EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+    Rng rng(41);
+    runner.value()->Step(model.TrainShards(4, rng));
+    return runner.value()->plan_search().value();
+  };
+  const PartitionPlanSearchResult cold = start_up_search(false);
+  const PartitionPlanSearchResult configured = start_up_search(true);
+  EXPECT_FALSE(configured.warm_started);
+  EXPECT_EQ(configured.plan, cold.plan);
+  EXPECT_EQ(configured.seconds, cold.seconds);
+  EXPECT_EQ(configured.evaluations, cold.evaluations);
+  EXPECT_EQ(configured.uniform.samples, cold.uniform.samples);
+}
+
 TEST(PerVariablePlanTest, AdaptiveLoopResearchesPerVariableOnDriftAndChargesMigration) {
   // Drift under PartitionSearchMode::kPerVariable: the re-search runs at the monitor's
   // measured alphas, adopts a plan (not just a shared P), and the adoption step's clock

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,41 @@ TEST(CheckpointTest, LoadRejectsDuplicateVariableRecord) {
   auto loaded = LoadCheckpoint(*model.graph(), path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, LoadRejectsCorruptMeta) {
+  // A restore installs the header's step and clock: the step must fit int64_t, and the
+  // clock must be a finite, non-negative number of seconds, or the first simulated
+  // iteration after the restore cannot run.
+  WordLmModel model(TinyLm(915));
+  VariableStore store = VariableStore::InitFrom(*model.graph());
+  std::string path = TempPath("ckpt_meta_corrupt.px");
+  ASSERT_TRUE(SaveCheckpoint(*model.graph(), store, path, {.step = 3, .simulated_seconds = 1.5})
+                  .ok());
+  struct Corruption {
+    const char* name;
+    uint64_t step;
+    double seconds;
+  };
+  const Corruption cases[] = {
+      {"step 2^63 + 7", (1ull << 63) + 7, 1.5},
+      {"seconds NaN", 3, std::numeric_limits<double>::quiet_NaN()},
+      {"seconds +inf", 3, std::numeric_limits<double>::infinity()},
+      {"seconds -1", 3, -1.0},
+  };
+  for (const Corruption& corruption : cases) {
+    SCOPED_TRACE(corruption.name);
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 2 * sizeof(uint64_t), SEEK_SET), 0);  // past magic, version
+    ASSERT_EQ(std::fwrite(&corruption.step, sizeof(uint64_t), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(&corruption.seconds, sizeof(double), 1, f), 1u);
+    std::fclose(f);
+    auto loaded = LoadCheckpoint(*model.graph(), path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
   std::remove(path.c_str());
 }
 

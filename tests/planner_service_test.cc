@@ -6,6 +6,10 @@
 //  - N threads issuing the same query coalesce onto ONE simulation; distinct keys
 //    search separately,
 //  - LRU eviction respects the configured capacity,
+//  - a running search is never evicted, so its duplicates share it under eviction
+//    pressure,
+//  - queries that differ in a field a search reads get their own keys, and queries
+//    that differ only in fields Canonicalize resets share one; doubles compare by value,
 //  - queries and search options a search cannot run are rejected with a Status, never
 //    searched; odd queries a search can run are accepted,
 //  - ApplyPlanToVariables, the one plan applier, row-caps counts and drops stale
@@ -227,6 +231,68 @@ TEST(PlannerServiceTest, EvictionRespectsCapacity) {
   EXPECT_EQ(service.stats().searches, 4u);
 }
 
+TEST(PlannerServiceTest, ConcurrentQueriesUnderEvictionPressureMatchTheirSearches) {
+  // Room for one finished search, and threads planning two keys and their duplicates
+  // at once: one key's search finishes while the other's still runs. A running search
+  // is never evicted, so its duplicates share it, and every answer is its key's search.
+  PlannerServiceOptions options;
+  options.cache_capacity = 1;
+  PlannerService service(options);
+  const std::vector<PlannerQuery> keys = {MakeQuery(0.02), MakeQuery(0.2)};
+  std::vector<PartitionPlanSearchResult> oracles;
+  for (const PlannerQuery& key : keys) {
+    PlannerQuery canonical = key;
+    service.Canonicalize(&canonical);
+    SimulationArena arena;
+    oracles.push_back(SearchPlan(canonical, &arena));
+  }
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 4;
+  std::vector<std::vector<PlannerResult>> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        results[static_cast<size_t>(t)].push_back(
+            service.Plan(keys[static_cast<size_t>((t + round) % 2)]).value());
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("thread " + std::to_string(t) + ", round " + std::to_string(round));
+      const PartitionPlanSearchResult& answer =
+          results[static_cast<size_t>(t)][static_cast<size_t>(round)].search;
+      const PartitionPlanSearchResult& oracle = oracles[static_cast<size_t>((t + round) % 2)];
+      ExpectPlansIdentical(answer.plan, oracle.plan);
+      EXPECT_EQ(answer.seconds, oracle.seconds);
+      EXPECT_EQ(answer.uniform_seconds, oracle.uniform_seconds);
+      EXPECT_EQ(answer.evaluations, oracle.evaluations);
+    }
+  }
+  const PlannerServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, static_cast<uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(stats.coalesced + stats.cache.hits + stats.searches, stats.queries);
+  EXPECT_GE(stats.searches, 2u);
+  EXPECT_LE(stats.cache.size, 1u);
+}
+
+TEST(PlannerServiceTest, KeyDoublesCompareByValue) {
+  // A latency of -0 is the latency 0: the two queries share one key and one search.
+  PlannerService service;
+  PlannerQuery positive = MakeQuery(0.02);
+  positive.cluster.nic_latency = 0.0;
+  PlannerQuery negative = positive;
+  negative.cluster.nic_latency = -0.0;
+  EXPECT_EQ(service.KeyFor(positive), service.KeyFor(negative));
+  EXPECT_FALSE(service.Plan(positive).value().cache_hit);
+  EXPECT_TRUE(service.Plan(negative).value().cache_hit);
+}
+
 // A PS variable the plan does not control, on a fixed layout.
 PlannerVariable FixedPsVariable(int partitions, std::vector<int> placement) {
   VariableSync sync;
@@ -321,6 +387,124 @@ TEST(PlannerServiceTest, AcceptsOddQueriesASearchCanRun) {
     PlannerService service;
     EXPECT_TRUE(service.Plan(query).ok());
     EXPECT_TRUE(service.PlanMany({MakeQuery(0.2), query}).ok());
+  }
+}
+
+// A change to one field of a query.
+struct QueryEdit {
+  const char* name;
+  void (*apply)(PlannerQuery&);
+};
+
+TEST(PlannerServiceTest, KeySeparatesEveryFieldASearchReads) {
+  // The key's specification. A query that differs from the base in one field a search
+  // reads gets its own key and its own search; one that differs only in fields no
+  // search reads shares the base's key and is answered from the cache.
+  PlannerQuery base = MakeQuery(0.02);
+  base.variables.push_back(FixedPsVariable(2, {}));
+  const QueryEdit read[] = {
+      {"num_machines", [](PlannerQuery& q) { q.cluster.num_machines = 2; }},
+      {"gpus_per_machine", [](PlannerQuery& q) { q.cluster.gpus_per_machine = 1; }},
+      {"cores_per_machine", [](PlannerQuery& q) { q.cluster.cores_per_machine = 8; }},
+      {"nic_bandwidth", [](PlannerQuery& q) { q.cluster.nic_bandwidth = 2e9; }},
+      {"nic_latency", [](PlannerQuery& q) { q.cluster.nic_latency = 2e-6; }},
+      {"pcie_bandwidth", [](PlannerQuery& q) { q.cluster.pcie_bandwidth = 8e9; }},
+      {"pcie_latency", [](PlannerQuery& q) { q.cluster.pcie_latency = 2e-6; }},
+      {"num_racks", [](PlannerQuery& q) { q.cluster.topology.num_racks = 2; }},
+      {"spine_bandwidth", [](PlannerQuery& q) { q.cluster.topology.spine_bandwidth = 1e9; }},
+      {"spine_latency", [](PlannerQuery& q) { q.cluster.topology.spine_latency = 20e-6; }},
+      {"ps_local_aggregation",
+       [](PlannerQuery& q) { q.sim_config.ps_local_aggregation = false; }},
+      {"ps_machine_level_pulls",
+       [](PlannerQuery& q) { q.sim_config.ps_machine_level_pulls = false; }},
+      {"gatherv_algorithm",
+       [](PlannerQuery& q) { q.sim_config.gatherv_algorithm = GathervAlgorithm::kRing; }},
+      {"include_index_bytes",
+       [](PlannerQuery& q) { q.sim_config.include_index_bytes = false; }},
+      {"sparse_agg_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.sparse_agg_seconds_per_element *= 2; }},
+      {"sparse_update_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.sparse_update_seconds_per_element *= 2; }},
+      {"sparse_flush_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.sparse_flush_seconds_per_element *= 2; }},
+      {"dense_agg_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.dense_agg_seconds_per_element *= 2; }},
+      {"dense_update_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.dense_update_seconds_per_element *= 2; }},
+      {"request_overhead_seconds",
+       [](PlannerQuery& q) { q.sim_config.costs.request_overhead_seconds *= 2; }},
+      {"partition_overhead_seconds",
+       [](PlannerQuery& q) { q.sim_config.costs.partition_overhead_seconds *= 2; }},
+      {"stitch_seconds_per_partition",
+       [](PlannerQuery& q) { q.sim_config.costs.stitch_seconds_per_partition *= 2; }},
+      {"worker_dispatch_seconds_per_piece",
+       [](PlannerQuery& q) { q.sim_config.costs.worker_dispatch_seconds_per_piece *= 2; }},
+      {"gpu_dense_apply_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.gpu_dense_apply_seconds_per_element *= 2; }},
+      {"gpu_sparse_apply_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.gpu_sparse_apply_seconds_per_element *= 2; }},
+      {"collective_step_overhead_seconds",
+       [](PlannerQuery& q) { q.sim_config.costs.collective_step_overhead_seconds *= 2; }},
+      {"compress_seconds_per_element",
+       [](PlannerQuery& q) { q.sim_config.costs.compress_seconds_per_element *= 2; }},
+      {"gatherv_cross_machine_inflation",
+       [](PlannerQuery& q) { q.sim_config.costs.gatherv_cross_machine_inflation *= 2; }},
+      {"gatherv_ring_threshold_bytes",
+       [](PlannerQuery& q) { q.sim_config.costs.gatherv_ring_threshold_bytes *= 2; }},
+      {"gpu_compute_seconds", [](PlannerQuery& q) { q.gpu_compute_seconds = 8e-3; }},
+      {"compute_chunks", [](PlannerQuery& q) { q.compute_chunks = 2; }},
+      {"initial_partitions", [](PlannerQuery& q) { q.options.initial_partitions = 8; }},
+      {"min_partitions", [](PlannerQuery& q) { q.options.min_partitions = 2; }},
+      {"max_partitions", [](PlannerQuery& q) { q.options.max_partitions = 64; }},
+      {"warm_start", [](PlannerQuery& q) { q.options.warm_start = true; }},
+      {"placement", [](PlannerQuery& q) { q.options.placement = true; }},
+      {"name", [](PlannerQuery& q) { q.variables[0].sync.spec.name = "embedding_b"; }},
+      {"num_elements", [](PlannerQuery& q) { q.variables[0].sync.spec.num_elements = 320'000; }},
+      {"row_elements", [](PlannerQuery& q) { q.variables[0].sync.spec.row_elements = 32; }},
+      {"is_sparse", [](PlannerQuery& q) { q.variables[1].sync.spec.is_sparse = false; }},
+      {"alpha bucket", [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = 0.04; }},
+      {"method",
+       [](PlannerQuery& q) { q.variables[2].sync.method = SyncMethod::kArAllGatherv; }},
+      {"compression kind",
+       [](PlannerQuery& q) { q.variables[0].sync.compression.kind = CompressionKind::kInt8; }},
+      {"compression ratio", [](PlannerQuery& q) { q.variables[0].sync.compression.ratio = 0.5; }},
+      {"compression error_feedback",
+       [](PlannerQuery& q) { q.variables[0].sync.compression.error_feedback = false; }},
+      {"partitioned", [](PlannerQuery& q) { q.variables[1].partitioned = false; }},
+      {"rows", [](PlannerQuery& q) { q.variables[0].rows = 5'000; }},
+      {"fixed partitions", [](PlannerQuery& q) { q.variables[3].sync.partitions = 4; }},
+      {"fixed placement", [](PlannerQuery& q) { q.variables[3].sync.placement = {1, 0}; }},
+      {"mode", [](PlannerQuery& q) { q.mode = PartitionSearchMode::kUniform; }},
+  };
+  const QueryEdit unread[] = {
+      {"a partitioned variable's placement",
+       [](PlannerQuery& q) { q.variables[0].sync.placement = {0, 1, 2, 3}; }},
+      {"a partitioned variable's partitions, without a warm start",
+       [](PlannerQuery& q) { q.variables[0].sync.partitions = 8; }},
+      {"a target's drift flag, without a warm start",
+       [](PlannerQuery& q) { q.variables[1].drifted = false; }},
+      {"a fixed variable's drift flag", [](PlannerQuery& q) { q.variables[3].drifted = false; }},
+      {"an alpha in the same bucket",
+       [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = 0.0201; }},
+  };
+
+  PlannerService service;
+  ASSERT_FALSE(service.Plan(base).value().cache_hit);
+  for (const QueryEdit& edit : read) {
+    SCOPED_TRACE(edit.name);
+    PlannerQuery query = base;
+    edit.apply(query);
+    EXPECT_FALSE(service.KeyFor(query) == service.KeyFor(base));
+    const uint64_t searches = service.stats().searches;
+    EXPECT_FALSE(service.Plan(query).value().cache_hit);
+    EXPECT_EQ(service.stats().searches, searches + 1);
+  }
+  for (const QueryEdit& edit : unread) {
+    SCOPED_TRACE(edit.name);
+    PlannerQuery query = base;
+    edit.apply(query);
+    EXPECT_TRUE(service.KeyFor(query) == service.KeyFor(base));
+    EXPECT_TRUE(service.Plan(query).value().cache_hit);
   }
 }
 
