@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose costs the calibration
 // constants model: sparse gradient coalescing and multi-slice sums (naive map reference
-// vs the fused MultiVariableSum pass, cold vs workspace-reuse), scatter updates,
+// vs the slot-table RowSlotSum, fresh vs reused state), scatter updates,
 // partition stitch, the dense matmuls of the executor (seed loops vs register strips),
 // its tanh and its softmax, the models' Gaussian initial values (seed loop vs vector
 // lanes), the cost-model fit, ring-schedule construction, and task-graph execution
@@ -34,7 +34,6 @@
 #include "src/ps/ps_numeric.h"
 #include "src/service/planner_service.h"
 #include "src/sync/compression.h"
-#include "src/tensor/sparse_workspace.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/naive_reference.h"
 
@@ -61,23 +60,44 @@ void BM_SparseCoalesceNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseCoalesceNaive)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
-// The fused pass over one group of one input: a coalesce.
+// `inputs` summed from +0 on the slot table, in order: a coalesce for one input.
+void SlotSum(const std::vector<IndexedSlices>& inputs, std::vector<int32_t>& table,
+             RowSlotSum& sum) {
+  const TensorShape& shape = inputs.front().dense_shape();
+  int64_t pairs = 0;
+  for (const IndexedSlices& input : inputs) {
+    pairs += input.nnz_rows();
+  }
+  table.resize(std::max(table.size(), static_cast<size_t>(shape.dim(0))), -1);
+  sum.Begin(table, shape.row_elements(), std::min(shape.dim(0), pairs),
+            RowSlotSum::Start::kFromZero);
+  for (const IndexedSlices& input : inputs) {
+    sum.Add(input);
+  }
+  sum.End();
+}
+
+// The slot pass over one input, on a table and sum made fresh per call.
 void BM_SparseCoalesce(benchmark::State& state) {
-  IndexedSlices slices = MakeSlices(100'000, 64, state.range(0), 1);
-  const std::vector<SparseSumGroup> groups = {{{&slices}}};
+  const std::vector<IndexedSlices> inputs = {MakeSlices(100'000, 64, state.range(0), 1)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MultiVariableSum(groups));
+    std::vector<int32_t> table;
+    RowSlotSum sum;
+    SlotSum(inputs, table, sum);
+    benchmark::DoNotOptimize(sum.sum(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 64);
 }
 BENCHMARK(BM_SparseCoalesce)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
+// The same on one table and sum reused across calls.
 void BM_SparseCoalesceReuse(benchmark::State& state) {
-  IndexedSlices slices = MakeSlices(100'000, 64, state.range(0), 1);
-  const std::vector<SparseSumGroup> groups = {{{&slices}}};
-  SparseWorkspace ws;
+  const std::vector<IndexedSlices> inputs = {MakeSlices(100'000, 64, state.range(0), 1)};
+  std::vector<int32_t> table;
+  RowSlotSum sum;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MultiVariableSum(groups, &ws));
+    SlotSum(inputs, table, sum);
+    benchmark::DoNotOptimize(sum.sum(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 64);
 }
@@ -97,24 +117,22 @@ void BM_SparseSumNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseSumNaive)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
-// The fused pass over one group of the same 8 inputs.
-void BM_SparseSumFused(benchmark::State& state) {
+// The slot pass over the same 8 inputs, on a reused table and sum.
+void BM_SparseSumSlots(benchmark::State& state) {
   std::vector<IndexedSlices> slices;
   for (int k = 0; k < 8; ++k) {
     slices.push_back(
         MakeSlices(100'000, 64, state.range(0), static_cast<uint64_t>(10 + k)));
   }
-  std::vector<SparseSumGroup> groups(1);
-  for (const IndexedSlices& s : slices) {
-    groups.front().inputs.push_back(&s);
-  }
-  SparseWorkspace ws;
+  std::vector<int32_t> table;
+  RowSlotSum sum;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MultiVariableSum(groups, &ws));
+    SlotSum(slices, table, sum);
+    benchmark::DoNotOptimize(sum.sum(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 8 * 64);
 }
-BENCHMARK(BM_SparseSumFused)->Arg(1'000)->Arg(10'000)->Arg(50'000);
+BENCHMARK(BM_SparseSumSlots)->Arg(1'000)->Arg(10'000)->Arg(50'000);
 
 void BM_ScatterSgdUpdate(benchmark::State& state) {
   Rng rng(2);
@@ -965,109 +983,243 @@ void BM_CostModelFit(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelFit);
 
-// ---- Multi-variable fused aggregation (the SyncEngine step path) ---------------------
+// ---- Multi-variable aggregation (the SyncEngine step path) ---------------------------
 //
-// A training step's sparse synchronization: V variables x R ranks of IndexedSlices,
-// all through one MultiVariableSumStream workspace pass, as the PS engine runs it. Args
-// are {per-rank nnz per variable, V, variable rows}: the first regime is a few large
-// embeddings (the LM/NMT shape), the second many small embedding tables (the
-// recommendation-model shape).
+// A training step's sparse synchronization: V variables x R ranks of IndexedSlices, each
+// variable summed on its own slot table and every summed row scaled and applied in
+// place, as the PS engine's global level runs it. Each bench cycles through 16 gradient
+// sets made up front: replaying one set in a hot loop lets the branch predictor learn
+// its rows, which a step on fresh gradients never sees. Args are {per-rank nnz per
+// variable, V, variable rows}: the first regime is a few large embeddings (the LM/NMT
+// shape), the second many small embedding tables (the recommendation-model shape).
+// Synthetic sets share their values across sets (only the row ids differ); the `lm` and
+// `skew` captures run the gradients of pxbench's models, computed by the executor. The
+// `lanes` counter echoes PARALLAX_THREADS: the sum is serial, so lanes should not move
+// the rows.
 
 constexpr int kMultiRanks = 8;
+constexpr int kGradientSets = 16;
 
-std::vector<std::vector<IndexedSlices>> MakeMultiVarGrads(int64_t nnz, int64_t vars,
-                                                          int64_t rows) {
-  std::vector<std::vector<IndexedSlices>> per_var(static_cast<size_t>(vars));
-  for (int64_t v = 0; v < vars; ++v) {
-    for (int r = 0; r < kMultiRanks; ++r) {
-      per_var[static_cast<size_t>(v)].push_back(
-          MakeSlices(rows, 64, nnz, static_cast<uint64_t>(100 + v * kMultiRanks + r)));
-    }
-  }
-  return per_var;
-}
+// Per set, per variable, each rank's gradient.
+using GradientSets = std::vector<std::vector<std::vector<const IndexedSlices*>>>;
 
-// The fused step path: every variable through one MultiVariableSumStream pass, each
-// coalesced row scaled and applied in place — no intermediate gradient tensors.
-void BM_MultiVarAggApplyFused(benchmark::State& state) {
-  auto per_var = MakeMultiVarGrads(state.range(0), state.range(1), state.range(2));
+// Synthetic sets: [rows, 64] tables, per-rank row ids uniform over the rows.
+struct SyntheticGradients {
+  std::vector<IndexedSlices> slices;  // owns every set's gradients
+  GradientSets sets;
   std::vector<Tensor> params;
-  for (int64_t v = 0; v < state.range(1); ++v) {
-    params.push_back(Tensor::Zeros(TensorShape({state.range(2), 64})));
-  }
-  std::vector<SparseSumGroup> groups(per_var.size());
-  for (size_t v = 0; v < per_var.size(); ++v) {
-    for (const IndexedSlices& s : per_var[v]) {
-      groups[v].inputs.push_back(&s);
+
+  SyntheticGradients(int64_t nnz, int64_t vars, int64_t rows) {
+    std::vector<Tensor> values;
+    for (int64_t v = 0; v < vars * kMultiRanks; ++v) {
+      Rng rng(static_cast<uint64_t>(100 + v));
+      values.push_back(RandomNormal(TensorShape({nnz, 64}), rng));
     }
-  }
-  SparseWorkspace ws;
-  const float scale = 1.0f / static_cast<float>(kMultiRanks);
-  for (auto _ : state) {
-    MultiVariableSumStream(groups, &ws, [&](int64_t g, int64_t row, const float* values) {
-      float* dst = params[static_cast<size_t>(g)].mutable_floats().data() + row * 64;
-      for (int64_t j = 0; j < 64; ++j) {
-        dst[j] -= 0.1f * (values[j] * scale);
+    Rng rng(99);
+    for (int set = 0; set < kGradientSets; ++set) {
+      for (int64_t v = 0; v < vars * kMultiRanks; ++v) {
+        std::vector<int64_t> indices(static_cast<size_t>(nnz));
+        for (int64_t& index : indices) {
+          index = static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(rows)));
+        }
+        slices.emplace_back(std::move(indices), values[static_cast<size_t>(v)],
+                            TensorShape({rows, 64}));
       }
-    });
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1) *
-                          kMultiRanks * 64);
-}
-BENCHMARK(BM_MultiVarAggApplyFused)
-    ->Args({1'000, 6, 100'000})
-    ->Args({10'000, 6, 100'000})
-    ->Args({256, 64, 8'192})
-    ->Args({64, 256, 2'048});
-
-// The fused step path with the sparsity monitor's nnz observation tap engaged: the
-// stream additionally reports each group's coalesced row count (read off the segment
-// table it builds anyway). Compare against BM_MultiVarAggApplyFused at equal args —
-// the delta IS the observation overhead, and it must stay under 1% (docs/perf.md).
-void BM_MultiVarAggApplyFusedObserved(benchmark::State& state) {
-  auto per_var = MakeMultiVarGrads(state.range(0), state.range(1), state.range(2));
-  std::vector<Tensor> params;
-  for (int64_t v = 0; v < state.range(1); ++v) {
-    params.push_back(Tensor::Zeros(TensorShape({state.range(2), 64})));
-  }
-  std::vector<SparseSumGroup> groups(per_var.size());
-  for (size_t v = 0; v < per_var.size(); ++v) {
-    for (const IndexedSlices& s : per_var[v]) {
-      groups[v].inputs.push_back(&s);
+    }
+    size_t next = 0;
+    sets.resize(kGradientSets);
+    for (auto& set : sets) {
+      set.resize(static_cast<size_t>(vars));
+      for (auto& per_rank : set) {
+        for (int r = 0; r < kMultiRanks; ++r) {
+          per_rank.push_back(&slices[next++]);
+        }
+      }
+    }
+    for (int64_t v = 0; v < vars; ++v) {
+      params.push_back(Tensor::Zeros(TensorShape({rows, 64})));
     }
   }
-  SparseWorkspace ws;
-  std::vector<int64_t> unique_rows;
+};
+
+// A model's gradients on 8 ranks: kGradientSets sets of every rank's gradients, each
+// set computed at the initial values on its own batch.
+struct ModelGradients {
+  std::shared_ptr<void> model;                    // keeps `graph` alive
+  Graph* graph = nullptr;
+  std::vector<std::vector<StepResult>> per_rank;  // [set][rank]
+  std::vector<int> sparse;                        // the sparse variables
+  std::vector<Tensor> params;                     // their initial values
+};
+
+template <typename Model>
+ModelGradients ComputeGradients(std::shared_ptr<Model> model) {
+  ModelGradients out;
+  out.graph = model->graph();
+  Executor executor(out.graph);
+  VariableStore store = VariableStore::InitFrom(*out.graph);
+  Rng rng(22);
+  for (int set = 0; set < kGradientSets; ++set) {
+    std::vector<StepResult> per_rank;
+    for (const FeedMap& feeds : model->TrainShards(kMultiRanks, rng)) {
+      per_rank.push_back(executor.RunStep(store, feeds, model->loss()));
+    }
+    out.per_rank.push_back(std::move(per_rank));
+  }
+  for (const auto& [v, grad] : out.per_rank.front().front().grads) {
+    if (grad.is_sparse()) {
+      out.sparse.push_back(v);
+    }
+  }
+  std::sort(out.sparse.begin(), out.sparse.end());
+  for (int v : out.sparse) {
+    out.params.push_back(store.Get(v).Clone());
+  }
+  out.model = std::move(model);
+  return out;
+}
+
+// kSynthetic takes its shape from the bench's args (SyntheticGradients); the others
+// are models: a 50 000-row LM at batch 512 per rank, and pxbench's `lm` and `skew`.
+enum class GradientModel { kSynthetic, kVocab50k, kLm, kSkew };
+
+ModelGradients GradientsOf(GradientModel which) {
+  PX_CHECK(which != GradientModel::kSynthetic);
+  if (which == GradientModel::kSkew) {
+    EmbeddingSkewModel::Options options;
+    options.batch_per_rank = 64;
+    options.seed = 21;
+    return ComputeGradients(std::make_shared<EmbeddingSkewModel>(options));
+  }
+  return ComputeGradients(std::make_shared<WordLmModel>(
+      which == GradientModel::kLm
+          ? WordLmModel::Options{.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                                 .batch_per_rank = 32, .seed = 21}
+          : WordLmModel::Options{.vocab_size = 50'000, .embedding_dim = 64,
+                                 .hidden_dim = 64, .batch_per_rank = 512, .seed = 21}));
+}
+
+GradientSets SparseSetsOf(const ModelGradients& gradients) {
+  GradientSets sets;
+  for (const std::vector<StepResult>& per_rank : gradients.per_rank) {
+    auto& set = sets.emplace_back();
+    for (int v : gradients.sparse) {
+      auto& ranks = set.emplace_back();
+      for (const StepResult& result : per_rank) {
+        ranks.push_back(&result.grads.at(v).sparse());
+      }
+    }
+  }
+  return sets;
+}
+
+// One step of the slot pass over `set`, variable by variable: every rank's pairs on
+// the variable's table (a row one rank contributes is read in place), then each summed
+// row scaled and applied to `params`. Returns the distinct rows summed, what an
+// attached SparseAccessObserver would be told.
+int64_t SlotSumAndApply(const std::vector<std::vector<const IndexedSlices*>>& set,
+                        std::vector<Tensor>& params,
+                        std::vector<std::vector<int32_t>>& tables, RowSlotSum& sum) {
+  const float scale = 1.0f / static_cast<float>(kMultiRanks);
+  int64_t distinct = 0;
+  tables.resize(set.size());
+  for (size_t v = 0; v < set.size(); ++v) {
+    Tensor& param = params[v];
+    const int64_t rows = param.shape().dim(0);
+    const int64_t width = param.shape().row_elements();
+    std::vector<int32_t>& table = tables[v];
+    table.resize(std::max(table.size(), static_cast<size_t>(rows)), -1);
+    int64_t pairs = 0;
+    for (const IndexedSlices* grad : set[v]) {
+      pairs += grad->nnz_rows();
+    }
+    sum.Begin(table, width, std::min(rows, pairs), RowSlotSum::Start::kKeepSingle);
+    for (const IndexedSlices* grad : set[v]) {
+      sum.Add(*grad);
+    }
+    sum.End();
+    float* base = param.mutable_floats().data();
+    for (int64_t s = 0; s < sum.size(); ++s) {
+      SgdUpdateRow(base + sum.row(s) * width, sum.sum(s), width, 0.1f, /*average=*/true,
+                   scale);
+    }
+    distinct += sum.size();
+  }
+  return distinct;
+}
+
+void MultiVarAggBench(benchmark::State& state, const GradientSets& sets,
+                      std::vector<Tensor>& params, bool observed) {
+  std::vector<std::vector<int32_t>> tables;
+  RowSlotSum sum;
   int64_t observed_total = 0;
-  const float scale = 1.0f / static_cast<float>(kMultiRanks);
+  int64_t pairs = 0;
+  size_t next = 0;
   for (auto _ : state) {
-    MultiVariableSumStream(groups, &ws, [&](int64_t g, int64_t row, const float* values) {
-      float* dst = params[static_cast<size_t>(g)].mutable_floats().data() + row * 64;
-      for (int64_t j = 0; j < 64; ++j) {
-        dst[j] -= 0.1f * (values[j] * scale);
-      }
-    }, &unique_rows);
-    for (int64_t rows : unique_rows) {
-      observed_total += rows;  // what an attached SparseAccessObserver would consume
+    const int64_t distinct = SlotSumAndApply(sets[next], params, tables, sum);
+    benchmark::ClobberMemory();
+    if (observed) {
+      observed_total += distinct;
     }
+    for (const auto& per_rank : sets[next]) {
+      for (const IndexedSlices* grad : per_rank) {
+        pairs += grad->nnz_rows();
+      }
+    }
+    next = (next + 1) % sets.size();
   }
   benchmark::DoNotOptimize(observed_total);
-  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(1) *
-                          kMultiRanks * 64);
+  state.SetItemsProcessed(pairs);
+  state.counters["lanes"] = GlobalSparsePool().num_threads();
 }
-BENCHMARK(BM_MultiVarAggApplyFusedObserved)
+
+void MultiVarAgg(benchmark::State& state, GradientModel which, bool observed) {
+  if (which == GradientModel::kSynthetic) {
+    SyntheticGradients gradients(state.range(0), state.range(1), state.range(2));
+    MultiVarAggBench(state, gradients.sets, gradients.params, observed);
+    return;
+  }
+  ModelGradients gradients = GradientsOf(which);
+  MultiVarAggBench(state, SparseSetsOf(gradients), gradients.params, observed);
+}
+
+// The step path: every variable summed on its table, each summed row scaled and applied
+// in place — no intermediate gradient tensors. Items are the pairs summed.
+void BM_MultiVarAggApplyFused(benchmark::State& state, GradientModel which) {
+  MultiVarAgg(state, which, false);
+}
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFused, synthetic, GradientModel::kSynthetic)
     ->Args({1'000, 6, 100'000})
     ->Args({10'000, 6, 100'000})
     ->Args({256, 64, 8'192})
     ->Args({64, 256, 2'048});
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFused, lm, GradientModel::kLm);
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFused, skew, GradientModel::kSkew);
+
+// The step path with the sparsity monitor's nnz observation tap engaged: each
+// variable's distinct-row count is the sum's size. Compare against
+// BM_MultiVarAggApplyFused at equal args — the delta IS the observation overhead
+// (docs/perf.md).
+void BM_MultiVarAggApplyFusedObserved(benchmark::State& state, GradientModel which) {
+  MultiVarAgg(state, which, true);
+}
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFusedObserved, synthetic, GradientModel::kSynthetic)
+    ->Args({1'000, 6, 100'000})
+    ->Args({10'000, 6, 100'000})
+    ->Args({256, 64, 8'192})
+    ->Args({64, 256, 2'048});
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFusedObserved, lm, GradientModel::kLm);
+BENCHMARK_CAPTURE(BM_MultiVarAggApplyFusedObserved, skew, GradientModel::kSkew);
 
 // ---- PS engine step with/without the nnz observation hook ----------------------------
 //
-// The whole synchronization step of the PS engine (dense AllReduce-style aggregation +
-// fused sparse aggregate-and-apply) on real LM gradients, with and without a
-// SparseAccessObserver attached. The delta is the total cost of the sparsity monitor's
-// per-step tap: one segment-table read per variable plus one virtual call — <1% of the
-// step (docs/perf.md).
+// The whole synchronization step of the PS engine (dense AllReduce-style aggregation
+// into engine buffers + the slot-table sums and in-place updates, with local
+// aggregation on 4 machines x 2 ranks) on real gradients, with and without a
+// SparseAccessObserver attached, cycling through 16 gradient sets. The delta is the
+// total cost of the sparsity monitor's per-step tap: one rank's distinct-row count per
+// variable plus the virtual calls (docs/perf.md). `vocab50k` is a 50 000-row LM at
+// batch 512 per rank; `lm` and `skew` are pxbench's models.
 
 class CountingObserver : public SparseAccessObserver {
  public:
@@ -1080,36 +1232,40 @@ class CountingObserver : public SparseAccessObserver {
   int64_t total_ = 0;
 };
 
-void PsApplyStepBench(benchmark::State& state, bool observed) {
-  WordLmModel model({.vocab_size = 50'000, .embedding_dim = 64, .hidden_dim = 64,
-                     .batch_per_rank = 512, .seed = 21});
-  Executor executor(model.graph());
-  VariableStore store = VariableStore::InitFrom(*model.graph());
-  Rng rng(22);
-  std::vector<StepResult> per_rank;
-  for (const FeedMap& feeds : model.TrainShards(8, rng)) {
-    per_rank.push_back(executor.RunStep(store, feeds, model.loss()));
-  }
+void PsApplyStepBench(benchmark::State& state, GradientModel which, bool observed) {
+  const ModelGradients gradients = GradientsOf(which);
   PsNumericConfig config;
   config.local_aggregation = true;
   config.ranks_per_machine = 2;
-  PsNumericEngine engine(model.graph(), config);
+  PsNumericEngine engine(gradients.graph, config);
   CountingObserver observer;
   if (observed) {
     engine.set_observer(&observer);
   }
+  size_t next = 0;
   for (auto _ : state) {
-    engine.ApplyStep(per_rank, 0.01f);
+    engine.ApplyStep(gradients.per_rank[next], 0.01f);
+    benchmark::ClobberMemory();
+    next = (next + 1) % gradients.per_rank.size();
   }
   benchmark::DoNotOptimize(observer.total());
   state.SetItemsProcessed(state.iterations());
+  state.counters["lanes"] = GlobalSparsePool().num_threads();
 }
 
-void BM_PsApplyStep(benchmark::State& state) { PsApplyStepBench(state, false); }
-BENCHMARK(BM_PsApplyStep);
+void BM_PsApplyStep(benchmark::State& state, GradientModel which) {
+  PsApplyStepBench(state, which, false);
+}
+BENCHMARK_CAPTURE(BM_PsApplyStep, vocab50k, GradientModel::kVocab50k);
+BENCHMARK_CAPTURE(BM_PsApplyStep, lm, GradientModel::kLm);
+BENCHMARK_CAPTURE(BM_PsApplyStep, skew, GradientModel::kSkew);
 
-void BM_PsApplyStepObserved(benchmark::State& state) { PsApplyStepBench(state, true); }
-BENCHMARK(BM_PsApplyStepObserved);
+void BM_PsApplyStepObserved(benchmark::State& state, GradientModel which) {
+  PsApplyStepBench(state, which, true);
+}
+BENCHMARK_CAPTURE(BM_PsApplyStepObserved, vocab50k, GradientModel::kVocab50k);
+BENCHMARK_CAPTURE(BM_PsApplyStepObserved, lm, GradientModel::kLm);
+BENCHMARK_CAPTURE(BM_PsApplyStepObserved, skew, GradientModel::kSkew);
 
 // ---- Executor gradient buffer plan ---------------------------------------------------
 
@@ -1354,10 +1510,10 @@ void BM_TopKCompress(benchmark::State& state) {
     scores[static_cast<size_t>(i)] = static_cast<float>(rng.NextDouble());
   }
   const int64_t k = std::max<int64_t>(1, n / 10);
-  SparseWorkspace ws;
+  std::vector<int64_t> scratch;
   std::vector<int64_t> selected;
   for (auto _ : state) {
-    TopKSelectRows(rows, scores, k, selected, &ws);
+    TopKSelectRows(rows, scores, k, selected, &scratch);
     benchmark::DoNotOptimize(selected.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

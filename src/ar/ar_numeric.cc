@@ -1,5 +1,7 @@
 #include "src/ar/ar_numeric.h"
 
+#include "src/tensor/tensor_ops.h"
+
 namespace parallax {
 
 ArNumericEngine::ArNumericEngine(const Graph* graph, ArNumericConfig config)
@@ -40,6 +42,8 @@ bool ArNumericEngine::Manages(int variable_index) const {
 void ArNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
                                 float learning_rate) {
   PX_CHECK(!per_rank.empty());
+  const float scale = 1.0f / static_cast<float>(per_rank.size());
+  dense_sums_.resize(graph_->variables().size());
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
     int key = static_cast<int>(v);
     if (!Manages(key)) {
@@ -48,24 +52,35 @@ void ArNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
     if (per_rank.front().grads.find(key) == per_rank.front().grads.end()) {
       continue;
     }
-    bool is_sparse = per_rank.front().grads.at(key).is_sparse();
-    if (is_sparse) {
-      std::vector<IndexedSlices> contributions;
-      contributions.reserve(per_rank.size());
+    Tensor& value = values_.GetMutable(key);
+    if (per_rank.front().grads.at(key).is_sparse()) {
+      // AllGatherv: every rank's pairs in (rank, position) order, each scaled under
+      // kAverage and applied in place — the float sequence of scaling the concatenated
+      // slices and scattering them as one update.
+      const bool average = config_.sparse_aggregation == AggregationMethod::kAverage;
+      const int64_t width = value.shape().row_elements();
+      float* base = value.mutable_floats().data();
       for (const StepResult& r : per_rank) {
-        contributions.push_back(r.grads.at(key).sparse());
+        const IndexedSlices& grad = r.grads.at(key).sparse();
+        PX_CHECK(grad.dense_shape() == value.shape());
+        const float* src = grad.values().floats().data();
+        for (int64_t row : grad.indices()) {
+          SgdUpdateRow(base + row * width, src, width, learning_rate, average, scale);
+          src += width;
+        }
       }
-      IndexedSlices aggregated =
-          AllGathervAggregate(contributions, config_.sparse_aggregation);
-      values_.ApplySgd(key, GradValue::MakeSparse(std::move(aggregated)), learning_rate);
     } else {
-      std::vector<Tensor> contributions;
-      contributions.reserve(per_rank.size());
-      for (const StepResult& r : per_rank) {
-        contributions.push_back(r.grads.at(key).dense());
+      // AllReduce: a copy of rank 0's gradient plus the others in rank order, scaled
+      // under kAverage, in an engine-owned buffer.
+      Tensor& sum = dense_sums_[v];
+      CopyInto(sum, per_rank.front().grads.at(key).dense());
+      for (size_t r = 1; r < per_rank.size(); ++r) {
+        AddInPlace(sum, per_rank[r].grads.at(key).dense());
       }
-      Tensor aggregated = AllReduceAggregate(contributions, config_.dense_aggregation);
-      values_.ApplySgd(key, GradValue::MakeDense(std::move(aggregated)), learning_rate);
+      if (config_.dense_aggregation == AggregationMethod::kAverage) {
+        ScaleInPlace(sum, scale);
+      }
+      AxpyInPlace(value, -learning_rate, sum);
     }
   }
 }

@@ -61,6 +61,8 @@ class ArNumericEngine : public SyncEngine {
   // Every graph variable: the graph's initial tensor until this engine's first write
   // to it (ApplyStep's update or LoadValues), then the engine's own buffer.
   VariableStore values_;
+  // Per graph variable, the aggregated dense gradient: reused every step.
+  std::vector<Tensor> dense_sums_;
 };
 
 }  // namespace parallax

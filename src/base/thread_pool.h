@@ -94,13 +94,12 @@ class ThreadPool {
 // their worker counts through it.
 int DefaultWorkerCount(int cap = 16);
 
-// Threads used for sparse kernels when no explicit pool is supplied: the
-// PARALLAX_THREADS environment variable if set, else DefaultWorkerCount(). Read once
-// at first use.
+// Lanes of the process-wide kernel pool: the PARALLAX_THREADS environment variable if
+// set, else DefaultWorkerCount(). Read once at first use.
 int DefaultSparseThreads();
 
-// Process-wide pool shared by sparse kernels that are not handed a workspace-scoped
-// pool. Constructed lazily with DefaultSparseThreads() lanes.
+// The process-wide kernel pool, which GraphRunner::Step fans a synchronous step's
+// replicas out over. Constructed lazily with DefaultSparseThreads() lanes.
 ThreadPool& GlobalSparsePool();
 
 }  // namespace parallax

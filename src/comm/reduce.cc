@@ -1,26 +1,6 @@
 #include "src/comm/reduce.h"
 
-#include "src/base/logging.h"
-#include "src/tensor/tensor_ops.h"
-
 namespace parallax {
-
-Tensor AllReduceSum(const std::vector<Tensor>& contributions) {
-  PX_CHECK(!contributions.empty());
-  Tensor result = contributions.front().Clone();
-  for (size_t i = 1; i < contributions.size(); ++i) {
-    AddInPlace(result, contributions[i]);
-  }
-  return result;
-}
-
-Tensor AllReduceAggregate(const std::vector<Tensor>& contributions, AggregationMethod method) {
-  Tensor result = AllReduceSum(contributions);
-  if (method == AggregationMethod::kAverage) {
-    ScaleInPlace(result, 1.0f / static_cast<float>(contributions.size()));
-  }
-  return result;
-}
 
 IndexedSlices AllGathervConcat(const std::vector<IndexedSlices>& contributions) {
   return IndexedSlices::Concat(contributions);

@@ -2,15 +2,15 @@
 //
 // AllReduce over dense gradients computes an element-wise sum in deterministic
 // participant order (so distributed runs compare bit-for-bit against the single-device
-// reference). AllGatherv over sparse gradients concatenates the participants' slices —
-// exactly the aggregation semantics the paper attributes to each primitive (section 2.1).
+// reference); the engines sum into their own buffers (ArNumericEngine, PsNumericEngine).
+// AllGatherv over sparse gradients concatenates the participants' slices — exactly the
+// aggregation semantics the paper attributes to each primitive (section 2.1).
 #ifndef PARALLAX_SRC_COMM_REDUCE_H_
 #define PARALLAX_SRC_COMM_REDUCE_H_
 
 #include <vector>
 
 #include "src/tensor/indexed_slices.h"
-#include "src/tensor/tensor.h"
 
 namespace parallax {
 
@@ -21,12 +21,6 @@ enum class AggregationMethod {
   kSum,
   kAverage,
 };
-
-// Sum of dense tensors in index order; result shape equals the inputs'.
-Tensor AllReduceSum(const std::vector<Tensor>& contributions);
-
-// Applies the aggregation method: sum, or sum scaled by 1/contributions.
-Tensor AllReduceAggregate(const std::vector<Tensor>& contributions, AggregationMethod method);
 
 // Concatenation of sparse contributions in index order (AllGatherv semantics).
 IndexedSlices AllGathervConcat(const std::vector<IndexedSlices>& contributions);

@@ -21,16 +21,16 @@ Status ValidateTimingInputs(const ClusterSpec& cluster, double gpu_compute_secon
     return Status::InvalidArgument(
         "cluster: NIC and PCIe bandwidths must be > 0 and their latencies >= 0");
   }
-  if (!c.topology.flat()) {
-    if (c.num_machines % c.topology.num_racks != 0) {
-      return Status::InvalidArgument(StrFormat(
-          "cluster: %d racks do not divide %d machines evenly", c.topology.num_racks,
-          c.num_machines));
-    }
-    if (!(c.topology.spine_bandwidth > 0.0) || !(c.topology.spine_latency >= 0.0)) {
-      return Status::InvalidArgument(
-          "cluster: spine_bandwidth must be > 0 and spine_latency >= 0");
-    }
+  if (!c.topology.flat() && c.num_machines % c.topology.num_racks != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "cluster: %d racks do not divide %d machines evenly", c.topology.num_racks,
+        c.num_machines));
+  }
+  // Checked on a flat cluster too, which never reads them: a planner key holds them,
+  // and a NaN there would make the key equal to no other.
+  if (!(c.topology.spine_bandwidth > 0.0) || !(c.topology.spine_latency >= 0.0)) {
+    return Status::InvalidArgument(
+        "cluster: spine_bandwidth must be > 0 and spine_latency >= 0");
   }
   if (!std::isfinite(gpu_compute_seconds) || gpu_compute_seconds < 0.0) {
     return Status::InvalidArgument("gpu_compute_seconds must be finite and >= 0");

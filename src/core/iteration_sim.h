@@ -100,9 +100,9 @@ struct SimulationArena {
 // What the timing plane needs to simulate an iteration without aborting, checked once
 // for every caller that takes these inputs from outside (ValidatePlannerQuery,
 // RunnerBuilder::Build):
-//   - the cluster: num_machines, gpus_per_machine and cores_per_machine >= 1; NIC and
-//     PCIe bandwidths > 0 and latencies >= 0; on more than one rack, the racks divide
-//     the machines evenly, spine_bandwidth > 0 and spine_latency >= 0;
+//   - the cluster: num_machines, gpus_per_machine and cores_per_machine >= 1; NIC,
+//     PCIe and spine bandwidths > 0 and latencies >= 0 (the spine's on a flat cluster
+//     too); on more than one rack, the racks divide the machines evenly;
 //   - gpu_compute_seconds and every seconds-valued or factor-valued `costs` constant
 //     finite and >= 0.
 // Returns InvalidArgument naming the first rule broken.

@@ -102,7 +102,7 @@ struct StepResult {
 // via RunStepInto extends the reuse to the escaping gradients too: the result's dense
 // buffers, IndexedSlices storage, and map nodes are recycled, making a steady-state
 // step allocation-free end to end.
-// Single-owner state, like a SparseWorkspace: one per thread of control.
+// Single-owner state, like an Rng: one per thread of control.
 class ExecScratch {
  public:
   ExecScratch() = default;

@@ -1,6 +1,7 @@
 #include "src/ps/ps_numeric.h"
 
-#include "src/tensor/indexed_slices.h"
+#include <algorithm>
+
 #include "src/tensor/tensor_ops.h"
 
 namespace parallax {
@@ -63,138 +64,150 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
   const int ranks_per_machine = config_.local_aggregation ? config_.ranks_per_machine : 1;
   PX_CHECK_EQ(num_ranks % ranks_per_machine, 0)
       << "ranks must fill machines evenly for local aggregation";
+  aggregation_.resize(graph_->variables().size());
 
-  // Dense variables are aggregated one at a time, AllReduce-style; sparse ones are
-  // collected and batched through the fused multi-variable aggregation below. Variables
-  // are independent (aggregation never mixes them numerically), so the split changes
-  // nothing about the values.
-  std::vector<int> sparse_vars;
+  // The per-rank tap: one worker's own distinct-row count is a direct access-ratio
+  // sample (no union inversion). One rotating rank per step, chosen at the step's first
+  // sparse variable: the estimator still sees every worker over time. Only multi-rank
+  // steps tap — a single-rank step's aggregate observation IS the rank sample, and
+  // double-reporting it would overweight it in the monitor's estimators.
+  int tap_rank = -1;
   for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    int key = static_cast<int>(v);
+    const int key = static_cast<int>(v);
     if (!Manages(key)) {
       continue;
     }
-    // Collect contributions; every rank must agree on whether the gradient exists and
-    // whether it is sparse (same graph on every replica).
-    if (per_rank.front().grads.find(key) == per_rank.front().grads.end()) {
+    // Every rank must agree on whether the gradient exists and whether it is sparse
+    // (same graph on every replica).
+    const auto it = per_rank.front().grads.find(key);
+    if (it == per_rank.front().grads.end()) {
       for (const StepResult& r : per_rank) {
         PX_CHECK(r.grads.find(key) == r.grads.end()) << "inconsistent gradient presence";
       }
       continue;
     }
-    if (per_rank.front().grads.at(key).is_sparse()) {
-      sparse_vars.push_back(key);
+    if (!it->second.is_sparse()) {
+      ApplyDense(key, per_rank, learning_rate, ranks_per_machine);
       continue;
     }
-    std::vector<Tensor> global_inputs;
-    for (int base = 0; base < num_ranks; base += ranks_per_machine) {
-      std::vector<Tensor> local;
-      local.reserve(static_cast<size_t>(ranks_per_machine));
-      for (int r = base; r < base + ranks_per_machine; ++r) {
-        local.push_back(per_rank[static_cast<size_t>(r)].grads.at(key).dense());
-      }
-      global_inputs.push_back(local.size() == 1 ? local.front() : AllReduceSum(local));
+    if (tap_rank < 0 && observer() != nullptr && num_ranks > 1) {
+      tap_rank = static_cast<int>(observe_rotation_++ % num_ranks);
     }
-    Tensor aggregated = AllReduceSum(global_inputs);
-    if (config_.dense_aggregation == AggregationMethod::kAverage) {
-      ScaleInPlace(aggregated, 1.0f / static_cast<float>(num_ranks));
-    }
-    AxpyInPlace(values_.GetMutable(key), -learning_rate, aggregated);
-  }
-
-  // Per-rank taps: one worker's own coalesced row count is a direct access-ratio
-  // sample (no union inversion). One rotating rank per step — the estimator still
-  // sees every worker over time, but the tap costs a single coalesce-count per
-  // variable per step (a fraction of the aggregation pass's own sort work; training
-  // gradients are fresh every step, so unique_rows() is a real count here, not a
-  // cache hit). Emitted only for multi-rank steps — a single-rank step's aggregate
-  // observation below IS the rank sample, and double-reporting it would overweight
-  // it in the monitor's estimators.
-  if (observer() != nullptr && num_ranks > 1 && !sparse_vars.empty()) {
-    const auto tap_rank = static_cast<size_t>(observe_rotation_++ % num_ranks);
-    for (int v : sparse_vars) {
-      observer()->ObserveRankAccess(v, per_rank[tap_rank].grads.at(v).sparse().unique_rows());
-    }
-  }
-
-  if (!sparse_vars.empty()) {
-    ApplySparseFused(sparse_vars, per_rank, learning_rate, ranks_per_machine);
+    ApplySparse(key, per_rank, learning_rate, ranks_per_machine, tap_rank);
   }
 }
 
-void PsNumericEngine::ApplySparseFused(const std::vector<int>& variables,
-                                       const std::vector<StepResult>& per_rank,
-                                       float learning_rate, int ranks_per_machine) {
+void PsNumericEngine::ApplyDense(int variable, const std::vector<StepResult>& per_rank,
+                                 float learning_rate, int ranks_per_machine) {
+  const int num_ranks = static_cast<int>(per_rank.size());
+  Aggregation& agg = aggregation_[static_cast<size_t>(variable)];
+  auto grad = [&](int rank) -> const Tensor& {
+    return per_rank[static_cast<size_t>(rank)].grads.at(variable).dense();
+  };
+  // A machine's sum is a copy of its first rank's gradient plus the others in rank
+  // order, and the global sum is machine 0's sum plus the others in machine order: the
+  // float sequence of AllReduce's sum at each level.
+  auto sum_machine = [&](int machine, Tensor& out) {
+    const int first = machine * ranks_per_machine;
+    CopyInto(out, grad(first));
+    for (int r = first + 1; r < first + ranks_per_machine; ++r) {
+      AddInPlace(out, grad(r));
+    }
+  };
+  sum_machine(0, agg.dense_sum);
+  for (int m = 1; m < num_ranks / ranks_per_machine; ++m) {
+    if (ranks_per_machine == 1) {
+      AddInPlace(agg.dense_sum, grad(m));
+      continue;
+    }
+    sum_machine(m, agg.dense_machine);
+    AddInPlace(agg.dense_sum, agg.dense_machine);
+  }
+  if (config_.dense_aggregation == AggregationMethod::kAverage) {
+    ScaleInPlace(agg.dense_sum, 1.0f / static_cast<float>(num_ranks));
+  }
+  AxpyInPlace(values_.GetMutable(variable), -learning_rate, agg.dense_sum);
+}
+
+void PsNumericEngine::ApplySparse(int variable, const std::vector<StepResult>& per_rank,
+                                  float learning_rate, int ranks_per_machine,
+                                  int tap_rank) {
   const int num_ranks = static_cast<int>(per_rank.size());
   const int num_machines = num_ranks / ranks_per_machine;
-  const size_t n_vars = variables.size();
+  Tensor& value = values_.GetMutable(variable);
+  const int64_t rows = value.shape().dim(0);
+  const int64_t width = value.shape().row_elements();
+  Aggregation& agg = aggregation_[static_cast<size_t>(variable)];
+  if (agg.slots.size() < static_cast<size_t>(rows)) {
+    agg.slots.resize(static_cast<size_t>(rows), -1);
+  }
+  auto grad = [&](int rank) -> const IndexedSlices& {
+    return per_rank[static_cast<size_t>(rank)].grads.at(variable).sparse();
+  };
+  auto pairs_of = [&](int first_rank, int ranks) {
+    int64_t pairs = 0;
+    for (int r = first_rank; r < first_rank + ranks; ++r) {
+      PX_CHECK(grad(r).dense_shape() == value.shape());
+      pairs += grad(r).nnz_rows();
+    }
+    return pairs;
+  };
+  if (tap_rank >= 0) {
+    observer()->ObserveRankAccess(variable,
+                                  CountDistinctRows(grad(tap_rank).indices(), agg.slots));
+  }
 
-  // Level 1 — local aggregation: every machine sums its ranks' gradients for ALL
-  // variables in one fused pass. Skipped when each machine contributes one rank: the
-  // raw gradient *is* the machine's contribution, so the global level consumes the raw
-  // slices (coalescing them first would regroup each row's float additions).
-  std::vector<std::vector<IndexedSlices>> machine_bundles;
-  std::vector<SparseSumGroup> groups(n_vars);
+  // Level 1 — local aggregation: each machine sums its ranks' pairs from +0 in (rank,
+  // position) order. Skipped when each machine contributes one rank: the raw gradient
+  // is the machine's contribution, so the global level reads the raw pairs (coalescing
+  // them first would regroup each row's float additions).
   if (ranks_per_machine > 1) {
-    machine_bundles.reserve(static_cast<size_t>(num_machines));
+    if (agg.machines.size() < static_cast<size_t>(num_machines)) {
+      agg.machines.resize(static_cast<size_t>(num_machines));
+    }
     for (int m = 0; m < num_machines; ++m) {
-      for (size_t i = 0; i < n_vars; ++i) {
-        groups[i].inputs.clear();
-        for (int r = m * ranks_per_machine; r < (m + 1) * ranks_per_machine; ++r) {
-          groups[i].inputs.push_back(
-              &per_rank[static_cast<size_t>(r)].grads.at(variables[i]).sparse());
-        }
+      const int first = m * ranks_per_machine;
+      RowSlotSum& sum = agg.machines[static_cast<size_t>(m)];
+      sum.Begin(agg.slots, width, std::min(rows, pairs_of(first, ranks_per_machine)),
+                RowSlotSum::Start::kFromZero);
+      for (int r = first; r < first + ranks_per_machine; ++r) {
+        sum.Add(grad(r));
       }
-      machine_bundles.push_back(MultiVariableSum(groups, &workspace_));
+      sum.End();
     }
   }
 
-  // Level 2 — global accumulation fused with the update: one streaming pass sums each
-  // coalesced row, applies the aggregation scale, and writes the SGD update straight
-  // into the variable's row. No aggregated gradient tensor is ever materialized — the
-  // element-wise operations (sum in a fresh zero buffer, *= scale, dst -= lr * v) are
-  // exactly those of the seed's per-variable pipeline (sum, scale, split by partition,
-  // scatter update into each piece; tests/naive_reference.h keeps it as the oracle),
-  // so the result is bit-identical to it at every partition count.
-  row_targets_.resize(n_vars);
-  for (size_t i = 0; i < n_vars; ++i) {
-    groups[i].inputs.clear();
-    for (int m = 0; m < num_machines; ++m) {
-      groups[i].inputs.push_back(
-          ranks_per_machine > 1
-              ? &machine_bundles[static_cast<size_t>(m)][i]
-              : &per_rank[static_cast<size_t>(m)].grads.at(variables[i]).sparse());
+  // Level 2 — the global sum in (machine, position) order: a row with one contribution
+  // is that contribution as is, any other row starts from +0.
+  RowSlotSum& global = agg.global;
+  global.Begin(agg.slots, width, std::min(rows, pairs_of(0, num_ranks)),
+               RowSlotSum::Start::kKeepSingle);
+  for (int m = 0; m < num_machines; ++m) {
+    if (ranks_per_machine == 1) {
+      global.Add(grad(m));
+      continue;
     }
-    Tensor& value = values_.GetMutable(variables[i]);
-    PX_CHECK(groups[i].inputs.front()->dense_shape() == value.shape());
-    row_targets_[i] = {value.mutable_floats().data(), value.shape().row_elements()};
+    const RowSlotSum& machine = agg.machines[static_cast<size_t>(m)];
+    for (int64_t s = 0; s < machine.size(); ++s) {
+      global.Add(machine.row(s), machine.sum(s));
+    }
   }
+  global.End();
+
+  // The update, row by row in the variable's buffer: no aggregated gradient tensor is
+  // materialized, yet the element-wise operations (sum, *= scale, dst -= lr * v) are
+  // those of the seed's per-variable pipeline (sum, scale, split by partition, scatter
+  // update into each piece; tests/naive_reference.h keeps it as the oracle), so the
+  // result is bit-identical to it at every partition count.
   const bool average = config_.sparse_aggregation == AggregationMethod::kAverage;
   const float scale = 1.0f / static_cast<float>(num_ranks);
-  // The observation tap: with no observer the stream is asked for nothing and the
-  // step is instruction-for-instruction the unobserved one.
-  std::vector<int64_t>* unique_out = observer() != nullptr ? &observed_unique_ : nullptr;
-  MultiVariableSumStream(groups, &workspace_,
-                         [&](int64_t g, int64_t row, const float* values) {
-    const RowTarget& target = row_targets_[static_cast<size_t>(g)];
-    const int64_t width = target.width;
-    float* dst = target.base + row * width;
-    if (average) {
-      // (v * scale) then (lr * scaled) — the float sequence of a scale pass followed
-      // by a scatter update.
-      for (int64_t j = 0; j < width; ++j) {
-        dst[j] -= learning_rate * (values[j] * scale);
-      }
-    } else {
-      for (int64_t j = 0; j < width; ++j) {
-        dst[j] -= learning_rate * values[j];
-      }
-    }
-  }, unique_out);
+  float* base = value.mutable_floats().data();
+  for (int64_t s = 0; s < global.size(); ++s) {
+    SgdUpdateRow(base + global.row(s) * width, global.sum(s), width, learning_rate, average,
+                 scale);
+  }
   if (observer() != nullptr) {
-    for (size_t i = 0; i < n_vars; ++i) {
-      observer()->ObserveSparseStep(variables[i], observed_unique_[i], num_ranks);
-    }
+    observer()->ObserveSparseStep(variable, global.size(), num_ranks);
   }
 }
 

@@ -19,9 +19,10 @@
 //
 // PsNumericEngine implements the SyncEngine interface (core/sync_engine.h) and registers
 // as "ps": Prepare routes the plan's PS variables here and refreshes the aggregation
-// semantics; values never move. Every sparse variable of a step is aggregated in one
-// fused MultiVariableSum pass per level, and the global level writes its SGD update
-// straight into the variable's rows.
+// semantics; values never move. A sparse variable is summed on its own slot table
+// (RowSlotSum), per machine and then globally, and each summed row's SGD update is
+// written straight into the variable's row; a dense one is summed into an engine-owned
+// buffer. A warm step allocates nothing.
 #ifndef PARALLAX_SRC_PS_PS_NUMERIC_H_
 #define PARALLAX_SRC_PS_PS_NUMERIC_H_
 
@@ -32,7 +33,7 @@
 #include "src/core/sync_engine.h"
 #include "src/graph/executor.h"
 #include "src/graph/graph.h"
-#include "src/tensor/sparse_workspace.h"
+#include "src/tensor/indexed_slices.h"
 
 namespace parallax {
 
@@ -88,29 +89,29 @@ class PsNumericEngine : public SyncEngine {
 
  private:
   bool Manages(int variable_index) const;
-  void ApplySparseFused(const std::vector<int>& variables,
-                        const std::vector<StepResult>& per_rank, float learning_rate,
-                        int ranks_per_machine);
+  void ApplyDense(int variable, const std::vector<StepResult>& per_rank,
+                  float learning_rate, int ranks_per_machine);
+  void ApplySparse(int variable, const std::vector<StepResult>& per_rank,
+                   float learning_rate, int ranks_per_machine, int tap_rank);
 
   const Graph* graph_;
   PsNumericConfig config_;
   // Every graph variable: the graph's initial tensor until this engine's first write
   // to it (ApplyStep's update or LoadValues), then the engine's own buffer.
   VariableStore values_;
-  // Scratch arena for the fused sparse aggregation (sort buffers, segment table);
-  // reused every ApplyStep so steady-state aggregation never allocates scratch. Not
+  // Aggregation state per graph variable, grow-only and reused every step. Not
   // thread-safe: owned by the step path, like the engine's variables.
-  SparseWorkspace workspace_;
-  // Where the fused stream writes each group's rows, resolved once per step: row r of
-  // group g starts at base + r * width in the variable's buffer.
-  struct RowTarget {
-    float* base;
-    int64_t width;
+  struct Aggregation {
+    // Sparse: row -> slot of the sum under way, -1 when free (RowSlotSum).
+    std::vector<int32_t> slots;
+    // Sparse: each machine's sum of its ranks (local aggregation), then the global sum.
+    std::vector<RowSlotSum> machines;
+    RowSlotSum global;
+    // Dense: the aggregated gradient, and one machine's sum under local aggregation.
+    Tensor dense_sum;
+    Tensor dense_machine;
   };
-  std::vector<RowTarget> row_targets_;
-  // Per-group coalesced row counts from the fused pass, reported to the attached
-  // SparseAccessObserver; sized only when an observer is present.
-  std::vector<int64_t> observed_unique_;
+  std::vector<Aggregation> aggregation_;
   // Which rank the per-rank access tap samples this step (round-robin across steps,
   // so every worker is represented without counting all of them every step).
   int64_t observe_rotation_ = 0;

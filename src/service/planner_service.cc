@@ -63,6 +63,15 @@ Status ValidatePlannerQuery(const PlannerQuery& query) {
           StrFormat("variable '%s': num_elements, row_elements and rows must be >= 1",
                     spec.name.c_str()));
     }
+    // A NaN ratio would make the key equal to no other; a top-k ratio <= 0 selects
+    // nothing, which TopKPsEngine refuses too.
+    const CompressionSpec& compression = v.sync.compression;
+    if (std::isnan(compression.ratio) ||
+        (compression.kind == CompressionKind::kTopK && !(compression.ratio > 0.0))) {
+      return Status::InvalidArgument(StrFormat(
+          "variable '%s': compression ratio must be a number, and > 0 for top-k",
+          spec.name.c_str()));
+    }
     if (v.partitioned) {
       continue;  // the searched plan sets its partitions and placement
     }

@@ -89,8 +89,9 @@ struct PlannerQuery {
 // return its InvalidArgument instead. The rules:
 //   - the cluster, gpu_compute_seconds and sim_config.costs pass ValidateTimingInputs
 //     (core/iteration_sim.h);
-//   - at least one variable; every variable's alpha is finite and in [0, 1], and its
-//     num_elements, row_elements and rows are >= 1;
+//   - at least one variable; every variable's alpha is finite and in [0, 1], its
+//     num_elements, row_elements and rows are >= 1, and its compression ratio is not
+//     NaN (and > 0 under top-k);
 //   - a variable the plan does not control keeps partitions >= 1, and its fixed
 //     placement names servers in [0, num_machines).
 // compute_chunks is not checked (the simulator clamps it).

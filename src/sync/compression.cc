@@ -9,7 +9,7 @@ namespace parallax {
 
 void TopKSelectRows(std::span<const int64_t> rows, std::span<const float> scores,
                     int64_t k, std::vector<int64_t>& selected,
-                    SparseWorkspace* workspace) {
+                    std::vector<int64_t>* scratch) {
   PX_CHECK_EQ(rows.size(), scores.size());
   selected.clear();
   const int64_t n = static_cast<int64_t>(rows.size());
@@ -21,13 +21,13 @@ void TopKSelectRows(std::span<const int64_t> rows, std::span<const float> scores
     std::sort(selected.begin(), selected.end());
     return;
   }
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-  // Candidate permutation in borrowed scratch: partition the positions around the k-th
+  std::vector<int64_t> local;
+  std::vector<int64_t>& pos = scratch != nullptr ? *scratch : local;
+  // Candidate permutation in the scratch: partition the positions around the k-th
   // candidate under the total order (score desc, row asc). The order is strict across
   // distinct candidates, so the selected set — and with it the ascending output — is
   // unique no matter how nth_element arranges equal-ranked duplicates.
-  std::vector<int64_t>& pos = ws.sort_keys(n);
+  pos.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     pos[static_cast<size_t>(i)] = i;
   }

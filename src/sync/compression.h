@@ -2,8 +2,8 @@
 // the "topk_ps" engine and the per-row int8 quantize-dequantize behind "int8_ps".
 //
 // Both kernels are deterministic and allocation-free once their scratch is warm — the
-// selection borrows a SparseWorkspace buffer for its candidate permutation, the
-// quantizer is a pure two-pass scan. The engines in this directory compose them with
+// selection keeps its candidate permutation in a caller's scratch vector, the quantizer
+// is a pure two-pass scan. The engines in this directory compose them with
 // the PS numeric runtime; the property tests in tests/compression_kernel_test.cc pin
 // their semantics against naive references.
 #ifndef PARALLAX_SRC_SYNC_COMPRESSION_H_
@@ -13,8 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "src/tensor/sparse_workspace.h"
-
 namespace parallax {
 
 // Selects the k highest-scoring rows out of `rows`/`scores` (parallel arrays) into
@@ -23,11 +21,11 @@ namespace parallax {
 // duplicate-magnitude inputs. k <= 0 selects nothing; k >= rows.size() selects every
 // row. Duplicate row ids are legal (each candidate competes independently; equal
 // (score, row) candidates are interchangeable, so the selected row multiset is still
-// deterministic). `workspace` backs the candidate permutation; nullptr allocates
-// locally.
+// deterministic). `scratch` backs the candidate permutation (grow-only); nullptr
+// allocates locally.
 void TopKSelectRows(std::span<const int64_t> rows, std::span<const float> scores,
                     int64_t k, std::vector<int64_t>& selected,
-                    SparseWorkspace* workspace = nullptr);
+                    std::vector<int64_t>* scratch = nullptr);
 
 // Per-row symmetric int8 quantize-dequantize over a [rows, row_width] value block:
 // scale_r = maxabs(row r) / 127, v' = clamp(round(v / scale_r), -127, 127) * scale_r.

@@ -95,7 +95,7 @@ void TopKPsEngine::CompressSparse(VarState& state, const IndexedSlices& incoming
   int64_t k = std::max<int64_t>(
       1, static_cast<int64_t>(std::ceil(config_.ratio * static_cast<double>(nnz))));
   k = std::min(k, static_cast<int64_t>(state.active.size()));
-  TopKSelectRows(state.active, state.scores, k, selected_, &workspace_);
+  TopKSelectRows(state.active, state.scores, k, selected_, &select_scratch_);
 
   if (!out.is_sparse()) {
     out = GradValue::MakeSparse(IndexedSlices());

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/ps/ps_numeric.h"
-#include "src/tensor/sparse_workspace.h"
 
 namespace parallax {
 
@@ -86,7 +85,7 @@ class TopKPsEngine : public SyncEngine {
   std::vector<StepResult> compressed_;
   std::vector<std::unordered_map<int, VarState>> state_;  // [rank][variable]
   std::vector<int64_t> selected_;
-  SparseWorkspace workspace_;
+  std::vector<int64_t> select_scratch_;  // TopKSelectRows' candidate permutation
   int64_t last_selected_rows_ = 0;
 };
 

@@ -1,9 +1,9 @@
 #include "src/tensor/indexed_slices.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/base/strings.h"
-#include "src/tensor/sparse_workspace.h"
 
 namespace parallax {
 
@@ -48,219 +48,73 @@ Tensor IndexedSlices::ToDense() const {
   return dense;
 }
 
-namespace {
-
-// Shared front half of the fused multi-variable pipeline: one key / row-pointer fill
-// over all groups (group-major, (contributor, row) order — the order Concat would
-// materialize), one independent stable subsort per group range (cache-sized,
-// group-local radix width), and one segment build that never merges across group
-// boundaries. Returns false when there are no pairs at all.
-struct MultiSortLayout {
-  std::vector<int64_t> pair_start;  // [groups + 1] pair range per group
-  std::vector<int64_t> width;       // [groups] row elements per group
-  std::vector<int64_t> first_seg;   // [groups + 1] segment range per group
-  const std::vector<int64_t>* seg = nullptr;  // workspace segment table
-  int64_t num_seg = 0;
-  int64_t total_elements = 0;
-};
-
-bool FusedMultiSort(const std::vector<SparseSumGroup>& groups, SparseWorkspace& ws,
-                    MultiSortLayout& layout) {
-  const int64_t num_groups = static_cast<int64_t>(groups.size());
-  layout.pair_start.assign(static_cast<size_t>(num_groups) + 1, 0);
-  layout.width.assign(static_cast<size_t>(num_groups), 0);
-  layout.total_elements = 0;
-  for (int64_t g = 0; g < num_groups; ++g) {
-    const SparseSumGroup& group = groups[static_cast<size_t>(g)];
-    PX_CHECK(!group.inputs.empty());
-    const TensorShape& dense_shape = group.inputs.front()->dense_shape();
-    layout.width[static_cast<size_t>(g)] = dense_shape.row_elements();
-    int64_t group_pairs = 0;
-    for (const IndexedSlices* s : group.inputs) {
-      PX_CHECK(s != nullptr);
-      PX_CHECK(s->dense_shape() == dense_shape);
-      group_pairs += s->nnz_rows();
-      layout.total_elements += s->nnz_rows() * layout.width[static_cast<size_t>(g)];
-    }
-    layout.pair_start[static_cast<size_t>(g) + 1] =
-        layout.pair_start[static_cast<size_t>(g)] + group_pairs;
+void RowSlotSum::Begin(std::span<int32_t> table, int64_t width, int64_t max_rows,
+                       Start start) {
+  PX_CHECK_GE(width, 1);
+  PX_CHECK_GE(max_rows, 0);
+  PX_CHECK_LE(max_rows, static_cast<int64_t>(std::numeric_limits<int32_t>::max()));
+  table_ = table;
+  width_ = width;
+  max_rows_ = max_rows;
+  start_ = start;
+  size_ = 0;
+  // Grow-only: a sum no larger than an earlier one leaves every buffer as it is.
+  if (rows_.size() < static_cast<size_t>(max_rows)) {
+    rows_.resize(static_cast<size_t>(max_rows));
+    first_.resize(static_cast<size_t>(max_rows));
+    count_.resize(static_cast<size_t>(max_rows));
   }
-  const int64_t total = layout.pair_start.back();
-  if (total == 0) {
-    return false;
+  if (sums_.size() < static_cast<size_t>(max_rows * width)) {
+    sums_.resize(static_cast<size_t>(max_rows * width));
   }
-
-  auto& keys = ws.sort_keys(total);
-  auto& rows = ws.row_ptrs(total);
-  int64_t p = 0;
-  for (int64_t g = 0; g < num_groups; ++g) {
-    const int64_t row = layout.width[static_cast<size_t>(g)];
-    for (const IndexedSlices* s : groups[static_cast<size_t>(g)].inputs) {
-      auto values = s->values().floats();
-      const std::vector<int64_t>& idx = s->indices();
-      for (int64_t i = 0; i < s->nnz_rows(); ++i, ++p) {
-        keys[static_cast<size_t>(p)] = idx[static_cast<size_t>(i)];
-        rows[static_cast<size_t>(p)] = values.data() + i * row;
-      }
-    }
-  }
-  for (int64_t g = 0; g < num_groups; ++g) {
-    ws.SortRangeByKey(layout.pair_start[static_cast<size_t>(g)],
-                      layout.pair_start[static_cast<size_t>(g) + 1],
-                      groups[static_cast<size_t>(g)].inputs.front()->dense_shape().dim(0) - 1);
-  }
-  layout.seg = &ws.BuildSegmentsInRanges(layout.pair_start);
-  layout.num_seg = static_cast<int64_t>(layout.seg->size()) - 1;
-
-  // Group g owns the contiguous segment run [first_seg[g], first_seg[g+1]) — segment
-  // starts ascend with the pair ranges.
-  layout.first_seg.assign(static_cast<size_t>(num_groups) + 1, 0);
-  int64_t s = 0;
-  for (int64_t g = 0; g <= num_groups; ++g) {
-    while (s < layout.num_seg &&
-           (*layout.seg)[static_cast<size_t>(s)] < layout.pair_start[static_cast<size_t>(g)]) {
-      ++s;
-    }
-    layout.first_seg[static_cast<size_t>(g)] = s;
-  }
-  return true;
 }
 
-}  // namespace
-
-std::vector<IndexedSlices> MultiVariableSum(const std::vector<SparseSumGroup>& groups,
-                                            SparseWorkspace* workspace) {
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-  const int64_t num_groups = static_cast<int64_t>(groups.size());
-
-  auto empty_for = [&](int64_t g) {
-    const IndexedSlices& front = *groups[static_cast<size_t>(g)].inputs.front();
-    return IndexedSlices({}, Tensor::Zeros(front.values().shape().WithDim0(0)),
-                         front.dense_shape());
-  };
-  MultiSortLayout layout;
-  std::vector<IndexedSlices> result;
-  result.reserve(static_cast<size_t>(num_groups));
-  if (!FusedMultiSort(groups, ws, layout)) {
-    for (int64_t g = 0; g < num_groups; ++g) {
-      result.push_back(empty_for(g));
-    }
-    return result;
-  }
-  const std::vector<int64_t>& seg = *layout.seg;
-  const std::vector<int64_t>& first_seg = layout.first_seg;
-  const std::vector<int64_t>& sorted_keys = ws.sorted_keys();
-  const std::vector<int64_t>& pos = ws.sorted_pos();
-  const std::vector<const float*>& rows = ws.row_ptrs(layout.pair_start.back());
-
-  std::vector<std::vector<int64_t>> out_indices(static_cast<size_t>(num_groups));
-  std::vector<Tensor> out_values(static_cast<size_t>(num_groups));
-  std::vector<float*> out_ptr(static_cast<size_t>(num_groups), nullptr);
-  for (int64_t g = 0; g < num_groups; ++g) {
-    const int64_t n_out =
-        first_seg[static_cast<size_t>(g) + 1] - first_seg[static_cast<size_t>(g)];
-    const IndexedSlices& front = *groups[static_cast<size_t>(g)].inputs.front();
-    out_indices[static_cast<size_t>(g)].resize(static_cast<size_t>(n_out));
-    out_values[static_cast<size_t>(g)] = Tensor::Zeros(front.values().shape().WithDim0(n_out));
-    out_ptr[static_cast<size_t>(g)] = out_values[static_cast<size_t>(g)].mutable_floats().data();
-  }
-
-  ParallelOverSegments(ws, layout.num_seg, layout.total_elements,
-                       [&](int64_t s_begin, int64_t s_end) {
-    // Group of the first segment in this range; advances as segments cross group
-    // boundaries (empty groups own no segments, so walking lands on the right one).
-    int64_t g = static_cast<int64_t>(
-                    std::upper_bound(first_seg.begin(), first_seg.end(), s_begin) -
-                    first_seg.begin()) -
-                1;
-    for (int64_t s = s_begin; s < s_end; ++s) {
-      while (s >= first_seg[static_cast<size_t>(g) + 1]) {
-        ++g;
-      }
-      const int64_t row = layout.width[static_cast<size_t>(g)];
-      const int64_t local_s = s - first_seg[static_cast<size_t>(g)];
-      out_indices[static_cast<size_t>(g)][static_cast<size_t>(local_s)] =
-          sorted_keys[static_cast<size_t>(seg[static_cast<size_t>(s)])];
-      float* dst = out_ptr[static_cast<size_t>(g)] + local_s * row;
-      for (int64_t i = seg[static_cast<size_t>(s)]; i < seg[static_cast<size_t>(s) + 1]; ++i) {
-        const float* src = rows[static_cast<size_t>(pos[static_cast<size_t>(i)])];
-        for (int64_t j = 0; j < row; ++j) {
-          dst[j] += src[j];
-        }
-      }
-    }
-  });
-
-  for (int64_t g = 0; g < num_groups; ++g) {
-    result.emplace_back(std::move(out_indices[static_cast<size_t>(g)]),
-                        std::move(out_values[static_cast<size_t>(g)]),
-                        groups[static_cast<size_t>(g)].inputs.front()->dense_shape());
-  }
-  return result;
-}
-
-void MultiVariableSumStream(
-    const std::vector<SparseSumGroup>& groups, SparseWorkspace* workspace,
-    const std::function<void(int64_t, int64_t, const float*)>& consume,
-    std::vector<int64_t>* unique_rows_out) {
-  SparseWorkspace local;
-  SparseWorkspace& ws = workspace != nullptr ? *workspace : local;
-  MultiSortLayout layout;
-  if (!FusedMultiSort(groups, ws, layout)) {
-    if (unique_rows_out != nullptr) {
-      unique_rows_out->assign(groups.size(), 0);
-    }
+void RowSlotSum::Open(int32_t& slot, int64_t row, const float* values) {
+  PX_CHECK_LT(size_, max_rows_) << "more distinct rows than the sum was opened for";
+  slot = static_cast<int32_t>(size_);
+  rows_[static_cast<size_t>(size_)] = row;
+  ++size_;
+  if (start_ == Start::kKeepSingle) {
+    first_[static_cast<size_t>(slot)] = values;
+    count_[static_cast<size_t>(slot)] = 1;
     return;
   }
-  if (unique_rows_out != nullptr) {
-    unique_rows_out->resize(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      (*unique_rows_out)[g] = layout.first_seg[g + 1] - layout.first_seg[g];
+  float* sum = sums_.data() + static_cast<int64_t>(slot) * width_;
+  for (int64_t j = 0; j < width_; ++j) {
+    sum[j] = 0.0f;
+    sum[j] += values[j];
+  }
+}
+
+void RowSlotSum::Add(const IndexedSlices& slices) {
+  PX_CHECK_EQ(slices.row_elements(), width_);
+  PX_CHECK_LE(slices.dense_shape().dim(0), static_cast<int64_t>(table_.size()));
+  const float* values = slices.values().floats().data();
+  const std::vector<int64_t>& indices = slices.indices();
+  for (size_t i = 0; i < indices.size(); ++i) {
+    Add(indices[i], values + static_cast<int64_t>(i) * width_);
+  }
+}
+
+void RowSlotSum::End() {
+  for (int64_t s = 0; s < size_; ++s) {
+    table_[static_cast<size_t>(rows_[static_cast<size_t>(s)])] = -1;
+  }
+}
+
+int64_t CountDistinctRows(std::span<const int64_t> rows, std::span<int32_t> table) {
+  int64_t distinct = 0;
+  for (int64_t row : rows) {
+    int32_t& entry = table[static_cast<size_t>(row)];
+    if (entry < 0) {
+      entry = 0;
+      ++distinct;
     }
   }
-  const std::vector<int64_t>& seg = *layout.seg;
-  const std::vector<int64_t>& first_seg = layout.first_seg;
-  const std::vector<int64_t>& sorted_keys = ws.sorted_keys();
-  const std::vector<int64_t>& pos = ws.sorted_pos();
-  const std::vector<const float*>& rows = ws.row_ptrs(layout.pair_start.back());
-
-  // Each output row is produced by exactly one lane, so a thread-safe consume
-  // (disjoint destinations) parallelizes cleanly. Single-contribution rows — the
-  // common case for sparse gradients — stream straight from the input; only genuine
-  // duplicates are summed into the per-lane scratch row (a fresh zero accumulation,
-  // bit-identical to the materializing reduction).
-  ParallelOverSegments(ws, layout.num_seg, layout.total_elements,
-                       [&](int64_t s_begin, int64_t s_end) {
-    int64_t g = static_cast<int64_t>(
-                    std::upper_bound(first_seg.begin(), first_seg.end(), s_begin) -
-                    first_seg.begin()) -
-                1;
-    // Per-thread scratch row, grow-only across chunks and steps: the duplicate-row
-    // path stays allocation-free once warm.
-    static thread_local std::vector<float> row_buffer;
-    for (int64_t s = s_begin; s < s_end; ++s) {
-      while (s >= first_seg[static_cast<size_t>(g) + 1]) {
-        ++g;
-      }
-      const int64_t row = layout.width[static_cast<size_t>(g)];
-      const int64_t begin = seg[static_cast<size_t>(s)];
-      const int64_t end = seg[static_cast<size_t>(s) + 1];
-      const int64_t key = sorted_keys[static_cast<size_t>(begin)];
-      if (end - begin == 1) {
-        consume(g, key, rows[static_cast<size_t>(pos[static_cast<size_t>(begin)])]);
-        continue;
-      }
-      row_buffer.assign(static_cast<size_t>(row), 0.0f);
-      for (int64_t i = begin; i < end; ++i) {
-        const float* src = rows[static_cast<size_t>(pos[static_cast<size_t>(i)])];
-        for (int64_t j = 0; j < row; ++j) {
-          row_buffer[static_cast<size_t>(j)] += src[j];
-        }
-      }
-      consume(g, key, row_buffer.data());
-    }
-  });
+  for (int64_t row : rows) {
+    table[static_cast<size_t>(row)] = -1;
+  }
+  return distinct;
 }
 
 IndexedSlices IndexedSlices::Concat(const std::vector<IndexedSlices>& slices) {

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,8 +18,6 @@
 #include "src/tensor/tensor.h"
 
 namespace parallax {
-
-class SparseWorkspace;
 
 class IndexedSlices {
  public:
@@ -109,53 +106,87 @@ class IndexedSlices {
   mutable std::atomic<int64_t> unique_rows_cache_{-1};
 };
 
-// One variable's contributions inside a multi-variable fused sum. All inputs share a
-// dense_shape; contributor order defines the per-row accumulation order.
-struct SparseSumGroup {
-  std::vector<const IndexedSlices*> inputs;  // non-empty, non-null
+// RowSlotSum: the one sparse sum. It sums one variable's sparse gradient rows the way a
+// parameter server's accumulator walks them, pair by pair in input order (paper section
+// 3.2). A slot table over the variable's rows, one int32 per row and -1 where the row is
+// free, maps each row to its slot in grow-only buffers: the first pair of a row opens its
+// slot, every later pair adds into it in place. There is no sort, and once the buffers
+// have grown to a step's size a sum allocates nothing.
+//
+// The table belongs to the caller, one per variable, and serves every sum over that
+// variable, one at a time: Begin borrows it with every entry -1, End frees the entries
+// the sum set by walking only the rows it touched. The sums stay readable until the next
+// Begin, so sums over the same table can feed one another (the per-machine sums of a
+// step feed its global sum).
+class RowSlotSum {
+ public:
+  // How a row's sum starts.
+  enum class Start {
+    // +0, then every contribution in order. Coalescing one input, or a machine's ranks
+    // in (rank, position) order, is this.
+    kFromZero,
+    // A row with exactly one contribution is that contribution as is, read in place
+    // (its input must outlive the sum); any other row starts from +0 and adds every
+    // contribution in order.
+    kKeepSingle,
+  };
+
+  // Opens a sum of rows `width` floats wide over `table` (one entry per row of the
+  // variable, every entry -1) for at most `max_rows` distinct rows.
+  void Begin(std::span<int32_t> table, int64_t width, int64_t max_rows, Start start);
+  // Adds one pair: `values` points at the row's `width` floats.
+  void Add(int64_t row, const float* values) {
+    int32_t& slot = table_[static_cast<size_t>(row)];
+    if (slot < 0) {
+      Open(slot, row, values);
+      return;
+    }
+    float* sum = sums_.data() + static_cast<int64_t>(slot) * width_;
+    if (start_ == Start::kKeepSingle && count_[static_cast<size_t>(slot)]++ == 1) {
+      const float* first = first_[static_cast<size_t>(slot)];
+      for (int64_t j = 0; j < width_; ++j) {
+        sum[j] = 0.0f;
+        sum[j] += first[j];
+      }
+    }
+    for (int64_t j = 0; j < width_; ++j) {
+      sum[j] += values[j];
+    }
+  }
+  // Adds every pair of `slices` in order; its dense shape must fit the table and width.
+  void Add(const IndexedSlices& slices);
+  // Frees the table entries this sum set; the table is all -1 again.
+  void End();
+
+  // Distinct rows summed, in the order of their first pair.
+  int64_t size() const { return size_; }
+  int64_t row(int64_t slot) const { return rows_[static_cast<size_t>(slot)]; }
+  // The slot's sum, `width` floats.
+  const float* sum(int64_t slot) const {
+    return start_ == Start::kKeepSingle && count_[static_cast<size_t>(slot)] == 1
+               ? first_[static_cast<size_t>(slot)]
+               : sums_.data() + slot * width_;
+  }
+
+ private:
+  void Open(int32_t& slot, int64_t row, const float* values);
+
+  std::span<int32_t> table_;
+  int64_t width_ = 0;
+  int64_t max_rows_ = 0;
+  Start start_ = Start::kFromZero;
+  int64_t size_ = 0;
+  // Per slot, grow-only: its row, its first contribution and how many it has seen
+  // (kKeepSingle), and its sum (width_ floats, unused by a kept single).
+  std::vector<int64_t> rows_;
+  std::vector<const float*> first_;
+  std::vector<int32_t> count_;
+  std::vector<float> sums_;
 };
 
-// Fused multi-variable aggregation — the one sparse sum kernel: coalesces and sums
-// every group's contributions through ONE shared workspace pass — a single
-// key/row-pointer fill, one segment build, and one (potentially parallel) segmented
-// reduction over all groups. Each group's contiguous key range is stable-sorted
-// independently (SortRangeByKey), so every sort stays cache-sized and keeps the group's
-// own radix width; group ranges never mix, which is what composite keys would have
-// bought at the cost of wider sorts. This is the "gradient aggregation ... iterating
-// through nonzero indices one by one" whose cost partitioning parallelizes (paper
-// section 3.2), for all sparse variables of a training step at once.
-//
-// result[g] holds group g's distinct indices in ascending order, each row the sum of
-// that index's contributions in (contributor, row) order starting from +0 — bit-
-// identical to coalescing Concat(inputs) with the naive slot map: pairs are enumerated
-// group-major in (contributor, row) order and each subsort is stable, so each output
-// row accumulates the same values in the same order; segments never cross group
-// boundaries (BuildSegmentsInRanges). A group of one input is that input coalesced.
-std::vector<IndexedSlices> MultiVariableSum(const std::vector<SparseSumGroup>& groups,
-                                            SparseWorkspace* workspace = nullptr);
-
-// Streaming form of MultiVariableSum: the same shared pass, but every coalesced output
-// row is handed to `consume(group, row_index, row_values)` instead of being
-// materialized into per-group tensors. This is the aggregate-and-apply fusion of the
-// PS engine's step path — with the scale and the SGD update folded into `consume`, a
-// step's sparse synchronization touches no intermediate gradient tensor at all.
-//
-// `row_values` points either directly at the (sole) contributing input row or at a
-// reusable scratch sum — consume must treat it as read-only and not retain it. Rows
-// arrive coalesced (each (group, row) exactly once, summed in the order
-// MultiVariableSum uses); distinct rows may be consumed concurrently from different
-// lanes, so `consume` must only write through its own (group, row).
-//
-// When `unique_rows_out` is non-null it is resized to groups.size() and filled with
-// each group's coalesced row count — the number of distinct indices in the group's
-// aggregated gradient. The counts fall out of the segment table the pass builds
-// anyway (one subtraction per group), so observation costs nothing beyond the copy;
-// passing nullptr — the default — skips even that. This is the nnz tap behind the
-// sparsity monitor's measured alpha (core/sparsity_monitor.h).
-void MultiVariableSumStream(
-    const std::vector<SparseSumGroup>& groups, SparseWorkspace* workspace,
-    const std::function<void(int64_t, int64_t, const float*)>& consume,
-    std::vector<int64_t>* unique_rows_out = nullptr);
+// The number of distinct rows in `rows`, counted on a slot table as RowSlotSum borrows
+// it (every entry -1 before and after).
+int64_t CountDistinctRows(std::span<const int64_t> rows, std::span<int32_t> table);
 
 }  // namespace parallax
 

@@ -1670,11 +1670,8 @@ void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_
   auto src = grad.values().floats();
   const std::vector<int64_t>& indices = grad.indices();
   for (int64_t i = 0; i < grad.nnz_rows(); ++i) {
-    float* d = dst.data() + indices[static_cast<size_t>(i)] * row;
-    const float* s = src.data() + i * row;
-    for (int64_t j = 0; j < row; ++j) {
-      d[j] -= learning_rate * s[j];
-    }
+    SgdUpdateRow(dst.data() + indices[static_cast<size_t>(i)] * row, src.data() + i * row,
+                 row, learning_rate, /*average=*/false, 1.0f);
   }
 }
 

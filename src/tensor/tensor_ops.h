@@ -1,6 +1,6 @@
 // Dense and sparse compute kernels. These are the numeric workhorses behind the graph
 // executor, the collectives (element-wise reduction), and the sparse gather / scatter
-// updates. (Sparse coalescing and summation live in indexed_slices.h: MultiVariableSum.)
+// updates. (Sparse coalescing and summation live in indexed_slices.h: RowSlotSum.)
 //
 // All kernels are deterministic: reductions run in a fixed order so that distributed
 // engines can be compared bit-for-bit against the single-device reference.
@@ -73,6 +73,21 @@ void ScatterAddInPlace(Tensor& params, const IndexedSlices& slices);
 // params[indices[i], :] -= lr * slices row i — the sparse SGD update, one sequential
 // pass in input order (duplicates apply one after another).
 void ScatterSgdUpdate(Tensor& params, const IndexedSlices& grad, float learning_rate);
+// One row of an SGD update, `width` floats: dst -= lr * (grad * scale) when `average`
+// (the float sequence of a scale pass followed by the update), dst -= lr * grad
+// otherwise.
+inline void SgdUpdateRow(float* dst, const float* grad, int64_t width, float learning_rate,
+                         bool average, float scale) {
+  if (average) {
+    for (int64_t j = 0; j < width; ++j) {
+      dst[j] -= learning_rate * (grad[j] * scale);
+    }
+  } else {
+    for (int64_t j = 0; j < width; ++j) {
+      dst[j] -= learning_rate * grad[j];
+    }
+  }
+}
 // Contiguous row slice [row_begin, row_end) of a rank>=1 tensor.
 Tensor SliceRows(const Tensor& input, int64_t row_begin, int64_t row_end);
 // Contiguous column slice [col_begin, col_end) of a 2-D tensor.

@@ -226,14 +226,6 @@ TEST(CollectivesTest, RankRingGathervEmitsOnlyItsHops) {
   }
 }
 
-TEST(ReduceTest, AllReduceSumAndAverage) {
-  std::vector<Tensor> xs = {Tensor::Filled(TensorShape({3}), 1.0f),
-                            Tensor::Filled(TensorShape({3}), 2.0f),
-                            Tensor::Filled(TensorShape({3}), 3.0f)};
-  EXPECT_EQ(AllReduceSum(xs).at(0), 6.0f);
-  EXPECT_EQ(AllReduceAggregate(xs, AggregationMethod::kAverage).at(0), 2.0f);
-}
-
 TEST(ReduceTest, AllGathervConcatAndAverage) {
   Rng rng(15);
   std::vector<IndexedSlices> parts;

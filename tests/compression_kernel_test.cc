@@ -42,9 +42,9 @@ std::vector<int64_t> ReferenceTopK(const std::vector<int64_t>& rows,
 
 void ExpectMatchesReference(const std::vector<int64_t>& rows,
                             const std::vector<float>& scores, int64_t k,
-                            SparseWorkspace* workspace) {
+                            std::vector<int64_t>* scratch) {
   std::vector<int64_t> selected;
-  TopKSelectRows(rows, scores, k, selected, workspace);
+  TopKSelectRows(rows, scores, k, selected, scratch);
   EXPECT_EQ(selected, ReferenceTopK(rows, scores, k))
       << "n=" << rows.size() << " k=" << k;
   EXPECT_TRUE(std::is_sorted(selected.begin(), selected.end()));
@@ -52,7 +52,7 @@ void ExpectMatchesReference(const std::vector<int64_t>& rows,
 
 TEST(TopKSelectRowsTest, MatchesSortReferenceAcrossWidthsAndK) {
   Rng rng(4201);
-  SparseWorkspace workspace;
+  std::vector<int64_t> scratch;
   for (int64_t n : {1, 2, 3, 7, 16, 63, 128, 1000}) {
     std::vector<int64_t> rows(static_cast<size_t>(n));
     std::vector<float> scores(static_cast<size_t>(n));
@@ -62,7 +62,7 @@ TEST(TopKSelectRowsTest, MatchesSortReferenceAcrossWidthsAndK) {
           static_cast<float>(rng.NextUniform(0.0, 100.0));
     }
     for (int64_t k : {int64_t{0}, int64_t{1}, n / 3, n - 1, n, n + 5}) {
-      ExpectMatchesReference(rows, scores, k, &workspace);
+      ExpectMatchesReference(rows, scores, k, &scratch);
     }
   }
 }
@@ -132,12 +132,12 @@ TEST(TopKSelectRowsTest, DeterministicAcrossRepeatsAndWorkspaceReuse) {
     rows[i] = static_cast<int64_t>(rng.NextBounded(300));  // plenty of duplicates
     scores[i] = static_cast<float>(rng.NextBounded(8));    // heavy score ties
   }
-  SparseWorkspace workspace;
+  std::vector<int64_t> scratch;
   std::vector<int64_t> first;
-  TopKSelectRows(rows, scores, 77, first, &workspace);
+  TopKSelectRows(rows, scores, 77, first, &scratch);
   for (int repeat = 0; repeat < 3; ++repeat) {
     std::vector<int64_t> again;
-    TopKSelectRows(rows, scores, 77, again, repeat == 0 ? nullptr : &workspace);
+    TopKSelectRows(rows, scores, 77, again, repeat == 0 ? nullptr : &scratch);
     EXPECT_EQ(again, first);
   }
   EXPECT_EQ(first, ReferenceTopK(rows, scores, 77));

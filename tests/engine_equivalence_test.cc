@@ -181,8 +181,9 @@ class LegacyRunnerReference {
         for (const StepResult& result : per_rank) {
           contributions.push_back(result.grads.at(v).dense());
         }
-        grad = GradValue::MakeDense(
-            AllReduceAggregate(contributions, AggregationMethod::kAverage));
+        Tensor sum = NaiveAllReduceSum(contributions);
+        ScaleInPlace(sum, 1.0f / static_cast<float>(contributions.size()));
+        grad = GradValue::MakeDense(std::move(sum));
       }
       for (VariableStore& replica : ar_rank_values_) {
         replica.ApplySgd(v, grad, lr_);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/base/rng.h"
 #include "src/tensor/indexed_slices.h"
 #include "src/tensor/tensor_ops.h"
@@ -26,17 +28,37 @@ TEST(IndexedSlicesTest, ToDenseAccumulatesDuplicates) {
   EXPECT_EQ(dense.at(0), 0.0f);
 }
 
+// `parts` summed on a slot table from +0, as dense; `distinct_rows` gets the row count.
+Tensor SlotSumToDense(const std::vector<IndexedSlices>& parts,
+                      int64_t* distinct_rows = nullptr) {
+  const TensorShape& shape = parts.front().dense_shape();
+  std::vector<int32_t> table(static_cast<size_t>(shape.dim(0)), -1);
+  RowSlotSum sum;
+  sum.Begin(table, shape.row_elements(), shape.dim(0), RowSlotSum::Start::kFromZero);
+  for (const IndexedSlices& part : parts) {
+    sum.Add(part);
+  }
+  sum.End();
+  Tensor dense = Tensor::Zeros(shape);
+  for (int64_t s = 0; s < sum.size(); ++s) {
+    std::copy_n(sum.sum(s), shape.row_elements(),
+                dense.mutable_floats().data() + sum.row(s) * shape.row_elements());
+  }
+  if (distinct_rows != nullptr) {
+    *distinct_rows = sum.size();
+  }
+  return dense;
+}
+
 TEST(IndexedSlicesTest, CoalescedPreservesDenseEquivalent) {
-  // MultiVariableSum over one group of one input coalesces that input.
+  // A slot sum over one input coalesces that input.
   Rng rng(11);
   IndexedSlices s = RandomSlices(rng, 20, 4, 50);
-  IndexedSlices c = MultiVariableSum({SparseSumGroup{{&s}}}).front();
-  EXPECT_LE(c.nnz_rows(), s.nnz_rows());
-  EXPECT_TRUE(AllClose(c.ToDense(), s.ToDense(), 1e-5f));
-  // Coalesced output has sorted, unique indices.
-  for (size_t i = 1; i < c.indices().size(); ++i) {
-    EXPECT_LT(c.indices()[i - 1], c.indices()[i]);
-  }
+  int64_t distinct_rows = 0;
+  Tensor coalesced = SlotSumToDense({s}, &distinct_rows);
+  EXPECT_LE(distinct_rows, s.nnz_rows());
+  EXPECT_EQ(distinct_rows, s.unique_rows());
+  EXPECT_TRUE(AllClose(coalesced, s.ToDense(), 1e-5f));
 }
 
 TEST(IndexedSlicesTest, SumEqualsDenseSum) {
@@ -47,11 +69,7 @@ TEST(IndexedSlicesTest, SumEqualsDenseSum) {
     parts.push_back(RandomSlices(rng, 15, 3, 8));
     AddInPlace(expected, parts.back().ToDense());
   }
-  SparseSumGroup group;
-  for (const IndexedSlices& part : parts) {
-    group.inputs.push_back(&part);
-  }
-  EXPECT_TRUE(AllClose(MultiVariableSum({group}).front().ToDense(), expected, 1e-4f));
+  EXPECT_TRUE(AllClose(SlotSumToDense(parts), expected, 1e-4f));
 }
 
 TEST(IndexedSlicesTest, ConcatKeepsAllRows) {

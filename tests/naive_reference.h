@@ -1,13 +1,13 @@
 // Naive reference implementations of the sparse aggregation kernels, the parameter
 // server's per-variable step, the dense matmuls, the softmax and the Gaussian draws — the
 // seed's semantics, kept verbatim in spirit as (a) the bit-for-bit oracle for the
-// property tests and (b) the baseline the micro-benchmarks measure the fused and
-// register-strip paths against.
-// The library has one sparse aggregation path, the fused MultiVariableSum pass, and
-// holds every variable whole; the seed's per-variable pipeline (sum, scale, split by
-// partition, scatter into each row piece) and its row-range partitioning survive only
-// here, as NaivePsVariableStep and RowPartition. Shared by tests/sparse_fused_test.cc,
-// tests/ps_numeric_test.cc, tests/partition_test.cc, tests/engine_equivalence_test.cc,
+// property tests and (b) the baseline the micro-benchmarks measure the slot-table sum and
+// the register strips against.
+// The library has one sparse sum, RowSlotSum's slot-table pass, and holds every
+// variable whole; the seed's per-variable pipeline (sum, scale, split by partition,
+// scatter into each row piece), its row-range partitioning and its AllReduce sum survive
+// only here, as NaivePsVariableStep, RowPartition and NaiveAllReduceSum. Shared by
+// tests/sparse_fused_test.cc, tests/ps_numeric_test.cc, tests/partition_test.cc, tests/engine_equivalence_test.cc,
 // tests/matmul_kernel_test.cc, tests/softmax_kernel_test.cc, tests/random_normal_test.cc
 // and bench/bench_micro.cc so the oracle and the benchmark baseline cannot drift apart.
 #ifndef PARALLAX_TESTS_NAIVE_REFERENCE_H_
@@ -261,6 +261,17 @@ inline IndexedSlices NaiveSum(const std::vector<IndexedSlices>& slices) {
   return NaiveCoalesce(IndexedSlices::Concat(slices));
 }
 
+// The seed AllReduce sum: a copy of the first contribution, then every other one added
+// in index order.
+inline Tensor NaiveAllReduceSum(const std::vector<Tensor>& contributions) {
+  PX_CHECK(!contributions.empty());
+  Tensor result = contributions.front().Clone();
+  for (size_t i = 1; i < contributions.size(); ++i) {
+    AddInPlace(result, contributions[i]);
+  }
+  return result;
+}
+
 // The seed ScatterSgdUpdate: one sequential pass in input order.
 inline void NaiveScatterSgd(Tensor& params, const IndexedSlices& grad,
                             float learning_rate) {
@@ -308,13 +319,13 @@ inline std::vector<IndexedSlices> NaiveSplit(const IndexedSlices& slices,
 }
 
 // The seed parameter server's step for one variable — the oracle for
-// PsNumericEngine::ApplyStep, which sends all of a step's sparse variables through one
-// fused pass and updates each variable whole, whatever the plan's partition count. Ranks form machines of `ranks_per_machine` consecutive ranks (1 = no
+// PsNumericEngine::ApplyStep, which sums each sparse variable on its slot table and
+// updates each variable whole, whatever the plan's partition count. Ranks form machines of `ranks_per_machine` consecutive ranks (1 = no
 // local aggregation). A sparse gradient is summed per machine with NaiveSum (a machine
 // of one rank contributes its raw gradient), the machine sums are summed with NaiveSum,
 // scaled by 1/ranks under kAverage, split with NaiveSplit, and every piece is updated
 // with NaiveScatterSgd. A dense gradient takes the same two levels through
-// AllReduceSum, then ScaleInPlace and one AxpyInPlace per piece. `value` is the
+// NaiveAllReduceSum, then ScaleInPlace and one AxpyInPlace per piece. `value` is the
 // variable's full tensor, stored as `partitions` row pieces while it is updated.
 inline void NaivePsVariableStep(Tensor& value, int partitions, int variable,
                                 const std::vector<StepResult>& per_rank,
@@ -348,9 +359,9 @@ inline void NaivePsVariableStep(Tensor& value, int partitions, int variable,
       for (int r = base; r < base + ranks_per_machine; ++r) {
         local.push_back(per_rank[static_cast<size_t>(r)].grads.at(variable).dense());
       }
-      machines.push_back(AllReduceSum(local));
+      machines.push_back(NaiveAllReduceSum(local));
     }
-    Tensor aggregated = AllReduceSum(machines);
+    Tensor aggregated = NaiveAllReduceSum(machines);
     if (dense_aggregation == AggregationMethod::kAverage) {
       ScaleInPlace(aggregated, scale);
     }

@@ -340,6 +340,16 @@ TEST(PlannerServiceTest, RejectsSearchOptionsASearchCannotRun) {
          q.variables[0].sync.spec.alpha = std::numeric_limits<double>::quiet_NaN();
        }},
       {"alpha 5", [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = 5.0; }},
+      {"top-k ratio 0",
+       [](PlannerQuery& q) {
+         q.variables[0].sync.compression = {CompressionKind::kTopK, 0.0, true};
+       }},
+      {"top-k ratio -0.5",
+       [](PlannerQuery& q) {
+         q.variables[0].sync.compression = {CompressionKind::kTopK, -0.5, true};
+       }},
+      {"spine_latency < 0 on a flat cluster",
+       [](PlannerQuery& q) { q.cluster.topology.spine_latency = -1.0; }},
       {"alpha -0.5", [](PlannerQuery& q) { q.variables[0].sync.spec.alpha = -0.5; }},
       {"-1 elements", [](PlannerQuery& q) { q.variables[0].sync.spec.num_elements = -1; }},
       {"0 row_elements", [](PlannerQuery& q) { q.variables[0].sync.spec.row_elements = 0; }},
@@ -387,6 +397,86 @@ TEST(PlannerServiceTest, AcceptsOddQueriesASearchCanRun) {
     PlannerService service;
     EXPECT_TRUE(service.Plan(query).ok());
     EXPECT_TRUE(service.PlanMany({MakeQuery(0.2), query}).ok());
+  }
+}
+
+TEST(PlannerServiceTest, EveryKeyDoubleSetToNaNIsRejectedOrHits) {
+  // A key compares its doubles by value and NaN equals nothing, so a NaN the service let
+  // through would search again on every call. Each double a key holds, set to NaN, is
+  // either rejected or answered from the cache on its second Plan.
+  struct NaNField {
+    const char* name;
+    double* (*field)(PlannerQuery&);
+  };
+  const NaNField fields[] = {
+      {"alpha", [](PlannerQuery& q) { return &q.variables[0].sync.spec.alpha; }},
+      {"compression ratio", [](PlannerQuery& q) { return &q.variables[0].sync.compression.ratio; }},
+      {"top-k compression ratio",
+       [](PlannerQuery& q) {
+         q.variables[0].sync.compression.kind = CompressionKind::kTopK;
+         return &q.variables[0].sync.compression.ratio;
+       }},
+      {"nic_bandwidth", [](PlannerQuery& q) { return &q.cluster.nic_bandwidth; }},
+      {"nic_latency", [](PlannerQuery& q) { return &q.cluster.nic_latency; }},
+      {"pcie_bandwidth", [](PlannerQuery& q) { return &q.cluster.pcie_bandwidth; }},
+      {"pcie_latency", [](PlannerQuery& q) { return &q.cluster.pcie_latency; }},
+      {"spine_bandwidth, flat",
+       [](PlannerQuery& q) { return &q.cluster.topology.spine_bandwidth; }},
+      {"spine_latency, flat", [](PlannerQuery& q) { return &q.cluster.topology.spine_latency; }},
+      {"spine_bandwidth, 2 racks",
+       [](PlannerQuery& q) {
+         q.cluster.topology.num_racks = 2;
+         return &q.cluster.topology.spine_bandwidth;
+       }},
+      {"spine_latency, 2 racks",
+       [](PlannerQuery& q) {
+         q.cluster.topology.num_racks = 2;
+         return &q.cluster.topology.spine_latency;
+       }},
+      {"gpu_compute_seconds", [](PlannerQuery& q) { return &q.gpu_compute_seconds; }},
+      {"sparse_agg_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.sparse_agg_seconds_per_element; }},
+      {"sparse_update_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.sparse_update_seconds_per_element; }},
+      {"sparse_flush_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.sparse_flush_seconds_per_element; }},
+      {"dense_agg_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.dense_agg_seconds_per_element; }},
+      {"dense_update_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.dense_update_seconds_per_element; }},
+      {"request_overhead_seconds",
+       [](PlannerQuery& q) { return &q.sim_config.costs.request_overhead_seconds; }},
+      {"partition_overhead_seconds",
+       [](PlannerQuery& q) { return &q.sim_config.costs.partition_overhead_seconds; }},
+      {"stitch_seconds_per_partition",
+       [](PlannerQuery& q) { return &q.sim_config.costs.stitch_seconds_per_partition; }},
+      {"worker_dispatch_seconds_per_piece",
+       [](PlannerQuery& q) { return &q.sim_config.costs.worker_dispatch_seconds_per_piece; }},
+      {"gpu_dense_apply_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.gpu_dense_apply_seconds_per_element; }},
+      {"gpu_sparse_apply_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.gpu_sparse_apply_seconds_per_element; }},
+      {"collective_step_overhead_seconds",
+       [](PlannerQuery& q) { return &q.sim_config.costs.collective_step_overhead_seconds; }},
+      {"compress_seconds_per_element",
+       [](PlannerQuery& q) { return &q.sim_config.costs.compress_seconds_per_element; }},
+      {"gatherv_cross_machine_inflation",
+       [](PlannerQuery& q) { return &q.sim_config.costs.gatherv_cross_machine_inflation; }},
+  };
+  for (const NaNField& f : fields) {
+    SCOPED_TRACE(f.name);
+    PlannerQuery query = MakeQuery(0.02);
+    *f.field(query) = std::numeric_limits<double>::quiet_NaN();
+    PlannerService service;
+    StatusOr<PlannerResult> first = service.Plan(query);
+    if (!first.ok()) {
+      EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    StatusOr<PlannerResult> second = service.Plan(query);
+    ASSERT_TRUE(second.ok());
+    EXPECT_TRUE(second.value().cache_hit);
+    EXPECT_EQ(service.stats().searches, 1u);
   }
 }
 

@@ -206,14 +206,14 @@ TEST(PsNumericTest, ManagedVariablesFilterUpdates) {
   EXPECT_GT(MaxAbsDiff(before.Get(0), after.Get(0)), 0.0f);
 }
 
-// ---- The fused sparse pass against the seed's per-variable pipeline -----------------
+// ---- The slot-table sums against the seed's per-variable pipeline -------------------
 //
-// PsNumericEngine::ApplyStep sends every sparse variable of a step, one included,
-// through one fused MultiVariableSum pass per aggregation level and writes the update
-// row by row into each variable's one buffer. The oracle is the seed's pipeline, one
-// variable at a time, on a server split into P row pieces (NaivePsVariableStep in
-// tests/naive_reference.h). Every comparison is memcmp: the fused pass must reproduce
-// the seed's per-row float additions exactly, whatever the oracle's P.
+// PsNumericEngine::ApplyStep sums every sparse variable of a step on the variable's slot
+// table, per machine and then globally, and writes the update row by row into each
+// variable's one buffer. The oracle is the seed's pipeline, one variable at a time, on
+// a server split into P row pieces (NaivePsVariableStep in tests/naive_reference.h).
+// Every comparison is memcmp: the slot pass must reproduce the seed's per-row float
+// additions exactly, whatever the oracle's P.
 
 TEST(PsNumericTest, ApplyStepBitIdenticalToNaivePerVariableOracle) {
   WordLmModel model = OracleLm();
@@ -262,7 +262,7 @@ TEST(PsNumericTest, ApplyStepBitIdenticalToNaivePerVariableOracle) {
 
 TEST(PsNumericTest, AsyncPushesBitIdenticalToNaivePerVariableOracle) {
   // AsyncPsEngine applies each rank's push as a one-rank synchronous step with kSum: a
-  // single contribution per row-sum, through the same fused pass.
+  // single contribution per row-sum, through the same slot-table sum.
   WordLmModel model = OracleLm();
   const Graph& graph = *model.graph();
   for (const std::vector<int>& managed : {std::vector<int>{0}, std::vector<int>{0, 1}}) {

@@ -12,6 +12,10 @@
 // and gradients come to about 0.16 of the variable bytes, so set-up allocates about 1.5
 // times them there (2.15 at pxbench's 8 ranks), and one more copy of every variable
 // would break the bound.
+//
+// A warm ApplyStep of the engine under test, on gradients the replicas computed at the
+// step-start view, allocates at most the engine's pinned count: none for ps (with and
+// without a SparseAccessObserver) and ar, which aggregate into buffers they own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +29,7 @@
 
 #include "src/base/rng.h"
 #include "src/core/api.h"
+#include "src/graph/executor.h"
 #include "src/models/trainable.h"
 #include "tests/alloc_counter.h"
 
@@ -165,6 +170,86 @@ TEST_P(SetUpCopyTest, TrainingRescaleAndRestoreLeaveInitialValuesUnchanged) {
     ASSERT_EQ(now.shape(), then.shape());
     EXPECT_EQ(std::memcmp(now.floats().data(), then.floats().data(), Bytes(now)), 0)
         << engine << " changed the initial value of " << graph.variables()[v].name;
+  }
+}
+
+// An observer that records nothing, so that it allocates nothing itself.
+class NullObserver : public SparseAccessObserver {
+ public:
+  void ObserveSparseStep(int, int64_t, int) override {}
+};
+
+// Allocations of one warm ApplyStep of `engine`: the runner trains a few steps, then
+// each replica computes its gradients at the step-start view (every engine's View(),
+// as GraphRunner::Step composes it) and the engine applies three gradient sets, each
+// new; the third apply is counted.
+size_t WarmApplyAllocations(const std::string& engine, bool observed) {
+  WordLmModel model(LmOptions());
+  std::unique_ptr<GraphRunner> runner = Build(model, engine, kMachines);
+  Rng rng(2905);
+  for (int step = 0; step < 3; ++step) {
+    runner->Step(model.TrainShards(kRanks, rng));
+  }
+  SyncEngine* target = runner->engine(engine);
+  PX_CHECK(target != nullptr);
+  NullObserver observer;
+  if (observed) {
+    target->set_observer(&observer);
+  }
+  Executor executor(model.graph());
+  ExecScratch scratch;
+  std::vector<StepResult> per_rank(kRanks);
+  size_t allocations = 0;
+  for (int apply = 0; apply < 3; ++apply) {
+    VariableStore view;
+    for (SyncEngine* e : Engines(*runner)) {
+      const VariableStore part = e->View();
+      for (const auto& [v, value] : part.values()) {
+        view.Set(v, value);
+      }
+    }
+    const std::vector<FeedMap> feeds = model.TrainShards(kRanks, rng);
+    for (int r = 0; r < kRanks; ++r) {
+      executor.RunStepInto(view, feeds[static_cast<size_t>(r)], model.loss(), &scratch,
+                           &per_rank[static_cast<size_t>(r)]);
+    }
+    view = VariableStore();
+    const size_t before = AllocCount();
+    target->ApplyStep(per_rank, 0.5f);
+    allocations = AllocCount() - before;
+  }
+  target->set_observer(nullptr);
+  return allocations;
+}
+
+// The most allocations a warm ApplyStep of each engine may make on this model: the
+// count measured on it. ps, ar and int8_ps make none (int8_ps's quantized copies keep
+// their buffers while each rank's row count holds, 32 rows per table here). The others:
+//  - async_ps: 72, 18 per rank push: each push copies its rank's StepResult, gradient
+//    map, shapes and sparse row indices included, into a one-rank batch
+//    (AsyncPsEngine::PushGradients);
+//  - topk_ps: 11: per rank and table, the incoming gradient's distinct-row count sorts
+//    a copy of its indices (IndexedSlices::unique_rows), 8 here, and the compressed
+//    values tensor is reallocated when its selected row count changes, 3 here.
+size_t WarmApplyBound(const std::string& engine) {
+  if (engine == "async_ps") {
+    return 72;
+  }
+  if (engine == "topk_ps") {
+    return 11;
+  }
+  return 0;
+}
+
+TEST_P(SetUpCopyTest, WarmApplyStepAllocatesAtMostItsPinnedCount) {
+  const std::string& engine = GetParam();
+  const size_t allocations = WarmApplyAllocations(engine, /*observed=*/false);
+  std::printf("%s: a warm ApplyStep allocated %zu times\n", engine.c_str(), allocations);
+  EXPECT_LE(allocations, WarmApplyBound(engine));
+  if (engine == "ps") {
+    const size_t observed = WarmApplyAllocations(engine, /*observed=*/true);
+    std::printf("ps with an observer: a warm ApplyStep allocated %zu times\n", observed);
+    EXPECT_EQ(observed, 0u);
   }
 }
 

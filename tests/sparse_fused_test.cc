@@ -1,22 +1,19 @@
-// Property tests for the fused sparse aggregation kernels: MultiVariableSum and its
-// streaming form MultiVariableSumStream — the library's one sparse sum path — and
-// ScatterSgdUpdate must match the naive reference implementations
-// BIT-FOR-BIT — same accumulation order per output row — across randomized nnz, row
-// widths, duplicate-index densities, group layouts and thread-pool sizes, including
-// nnz=0 and all-duplicate edge cases. The references (tests/naive_reference.h) reproduce
-// the seed implementations (std::map slot assignment, Concat-then-coalesce, sequential
-// scatter).
+// Property tests for the one sparse sum, RowSlotSum's slot-table pass, and for
+// ScatterSgdUpdate: they must match the naive reference implementations BIT-FOR-BIT —
+// same accumulation order per output row — across randomized nnz, row widths,
+// duplicate-index densities and group layouts, including nnz=0 and all-duplicate edge
+// cases, on fresh and on reused state. The references (tests/naive_reference.h)
+// reproduce the seed implementations (std::map slot assignment, Concat-then-coalesce,
+// sequential scatter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
-#include "src/base/thread_pool.h"
-#include "src/tensor/sparse_workspace.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/naive_reference.h"
 
@@ -82,12 +79,6 @@ std::vector<Case> PropertyCases() {
   };
 }
 
-void ExpectStrictlyAscending(const std::vector<int64_t>& indices, const std::string& context) {
-  for (size_t i = 1; i < indices.size(); ++i) {
-    ASSERT_LT(indices[i - 1], indices[i]) << context << " at output row " << i;
-  }
-}
-
 // The naive seed kernels per group: NaiveCoalesce for a group of one input, NaiveSum
 // otherwise, plus the group's distinct row count.
 struct NaiveGroupSums {
@@ -108,89 +99,99 @@ NaiveGroupSums NaivePerGroup(const std::vector<std::vector<IndexedSlices>>& inpu
   return naive;
 }
 
-// Runs both fused kernels over `inputs` (one group per entry, contributors in order)
-// and checks each group against the naive seed kernels. MultiVariableSum must return the
-// naive result's bits with strictly ascending indices; MultiVariableSumStream must hand
-// every naive output row to `consume` exactly once with the same bits, and report each
-// group's naive distinct-row count through unique_rows_out.
-void ExpectFusedKernelsMatchNaive(const std::vector<std::vector<IndexedSlices>>& inputs,
-                                  const NaiveGroupSums& naive, SparseWorkspace* ws,
-                                  const std::string& context) {
-  const size_t num_groups = inputs.size();
-  const std::vector<IndexedSlices>& want = naive.sums;
-  std::vector<SparseSumGroup> groups(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    for (const IndexedSlices& input : inputs[g]) {
-      groups[g].inputs.push_back(&input);
-    }
-  }
+// What a caller keeps across sums: one slot table per group (variable), as the PS engine
+// keeps one per variable, and one sum per group.
+struct SlotState {
+  std::vector<std::vector<int32_t>> tables;
+  std::vector<RowSlotSum> sums;
+};
 
-  std::vector<IndexedSlices> got = MultiVariableSum(groups, ws);
-  ASSERT_EQ(got.size(), num_groups) << context;
+// A slot sum's rows in its slot order, as IndexedSlices.
+IndexedSlices ToSlices(const RowSlotSum& sum, const TensorShape& dense_shape) {
+  const int64_t width = dense_shape.row_elements();
+  std::vector<int64_t> rows;
+  Tensor values = Tensor::Zeros(dense_shape.WithDim0(sum.size()));
+  for (int64_t s = 0; s < sum.size(); ++s) {
+    rows.push_back(sum.row(s));
+    std::copy_n(sum.sum(s), width, values.mutable_floats().data() + s * width);
+  }
+  return IndexedSlices(std::move(rows), std::move(values), dense_shape);
+}
+
+// Sums each group of `inputs` (one variable's contributors, in order) on its own slot
+// table of `state`, and checks it against the naive seed kernels: the group's distinct
+// rows, each once, with the naive row's bits. Every table must be free again after the
+// sums. The random inputs hold no -0, so a kept single contribution has the bits of
+// +0 plus it and both starts match the naive sums.
+void ExpectSlotSumsMatchNaive(const std::vector<std::vector<IndexedSlices>>& inputs,
+                              const NaiveGroupSums& naive, SlotState& state,
+                              RowSlotSum::Start start, const std::string& context) {
+  const size_t num_groups = inputs.size();
+  state.tables.resize(std::max(state.tables.size(), num_groups));
+  state.sums.resize(std::max(state.sums.size(), num_groups));
   for (size_t g = 0; g < num_groups; ++g) {
     const std::string group_context = context + StrFormat(" group=%zu", g);
-    ExpectBitIdentical(got[g], want[g], group_context + " MultiVariableSum");
-    ExpectStrictlyAscending(got[g].indices(), group_context + " MultiVariableSum");
-  }
+    const TensorShape& dense_shape = inputs[g].front().dense_shape();
+    std::vector<int32_t>& table = state.tables[g];
+    table.resize(std::max(table.size(), static_cast<size_t>(dense_shape.dim(0))), -1);
+    int64_t pairs = 0;
+    for (const IndexedSlices& input : inputs[g]) {
+      pairs += input.nnz_rows();
+    }
+    RowSlotSum& sum = state.sums[g];
+    sum.Begin(table, dense_shape.row_elements(), std::min(dense_shape.dim(0), pairs), start);
+    for (const IndexedSlices& input : inputs[g]) {
+      sum.Add(input);
+    }
+    sum.End();
+    ASSERT_TRUE(std::all_of(table.begin(), table.end(), [](int32_t e) { return e == -1; }))
+        << group_context << " left a slot table entry set";
 
-  // Streamed rows may arrive from several lanes at once; each lands in its own slot of
-  // the naive output's layout (found by binary search over the naive indices).
-  std::vector<Tensor> streamed;
-  std::vector<std::vector<std::atomic<int>>> hits;
-  for (size_t g = 0; g < num_groups; ++g) {
-    streamed.push_back(Tensor::Zeros(want[g].values().shape()));
-    hits.emplace_back(static_cast<size_t>(want[g].nnz_rows()));
-  }
-  std::atomic<int> unknown_rows{0};
-  std::vector<int64_t> unique_rows;
-  MultiVariableSumStream(groups, ws, [&](int64_t g, int64_t row, const float* values) {
-    const std::vector<int64_t>& rows = want[static_cast<size_t>(g)].indices();
-    auto it = std::lower_bound(rows.begin(), rows.end(), row);
-    if (it == rows.end() || *it != row) {
-      unknown_rows.fetch_add(1);
-      return;
+    const IndexedSlices& want = naive.sums[g];
+    ASSERT_EQ(sum.size(), naive.distinct_rows[g]) << group_context;
+    ASSERT_EQ(sum.size(), want.nnz_rows()) << group_context;
+    const IndexedSlices got = ToSlices(sum, dense_shape);
+    const int64_t width = dense_shape.row_elements();
+    std::vector<int> hits(static_cast<size_t>(want.nnz_rows()), 0);
+    for (int64_t s = 0; s < got.nnz_rows(); ++s) {
+      const int64_t row = got.indices()[static_cast<size_t>(s)];
+      auto it = std::lower_bound(want.indices().begin(), want.indices().end(), row);
+      ASSERT_TRUE(it != want.indices().end() && *it == row)
+          << group_context << " summed row " << row << " the naive sum lacks";
+      const int64_t slot = it - want.indices().begin();
+      ++hits[static_cast<size_t>(slot)];
+      for (int64_t j = 0; j < width; ++j) {
+        ASSERT_EQ(got.values().floats()[static_cast<size_t>(s * width + j)],
+                  want.values().floats()[static_cast<size_t>(slot * width + j)])
+            << group_context << " row " << row << " element " << j;
+      }
     }
-    const int64_t slot = it - rows.begin();
-    const int64_t width = want[static_cast<size_t>(g)].row_elements();
-    std::copy_n(values, width,
-                streamed[static_cast<size_t>(g)].mutable_floats().data() + slot * width);
-    hits[static_cast<size_t>(g)][static_cast<size_t>(slot)].fetch_add(1);
-  }, &unique_rows);
-  ASSERT_EQ(unknown_rows.load(), 0) << context << " MultiVariableSumStream";
-  ASSERT_EQ(unique_rows, naive.distinct_rows) << context << " unique_rows_out";
-  for (size_t g = 0; g < num_groups; ++g) {
-    const std::string group_context = context + StrFormat(" group=%zu stream", g);
-    for (int64_t slot = 0; slot < want[g].nnz_rows(); ++slot) {
-      ASSERT_EQ(hits[g][static_cast<size_t>(slot)].load(), 1)
-          << group_context << " row " << want[g].indices()[static_cast<size_t>(slot)];
+    for (size_t slot = 0; slot < hits.size(); ++slot) {
+      ASSERT_EQ(hits[slot], 1) << group_context << " row " << want.indices()[slot];
     }
-    ExpectTensorsBitIdentical(streamed[g], want[g].values(), group_context);
   }
 }
 
-// Every property case at pool sizes 1, 2 and 4: on a fresh workspace, then twice on one
-// workspace reused across every case (buffer reuse across differing sizes must not leak
-// state between calls), plus once without a workspace (the kernels' local fallback).
+// Every property case with both starts: on fresh state, then twice on state reused
+// across every case (buffer reuse across differing sizes must not leak state between
+// sums).
 template <typename MakeInputs>
-void ForEveryPoolAndWorkspace(uint64_t seed, MakeInputs make_inputs) {
+void ForFreshAndReusedState(uint64_t seed, MakeInputs make_inputs) {
   Rng rng(seed);
-  for (int pool_threads : {1, 2, 4}) {
-    ThreadPool pool(pool_threads);
-    SparseWorkspace reused(&pool);
-    for (const Case& c : PropertyCases()) {
-      const std::vector<std::vector<IndexedSlices>> inputs = make_inputs(c, rng);
+  SlotState reused;
+  for (const Case& c : PropertyCases()) {
+    const std::vector<std::vector<IndexedSlices>> inputs = make_inputs(c, rng);
+    const NaiveGroupSums naive = NaivePerGroup(inputs);
+    for (const RowSlotSum::Start start :
+         {RowSlotSum::Start::kFromZero, RowSlotSum::Start::kKeepSingle}) {
       const std::string context = StrFormat(
-          "threads=%d rows=%lld width=%lld nnz=%lld dup_span=%lld", pool_threads,
+          "start=%d rows=%lld width=%lld nnz=%lld dup_span=%lld", static_cast<int>(start),
           static_cast<long long>(c.rows), static_cast<long long>(c.width),
           static_cast<long long>(c.nnz), static_cast<long long>(c.dup_span));
-      const NaiveGroupSums naive = NaivePerGroup(inputs);
-      SparseWorkspace fresh(&pool);
-      ExpectFusedKernelsMatchNaive(inputs, naive, &fresh, context + " fresh-ws");
-      ExpectFusedKernelsMatchNaive(inputs, naive, &reused, context + " reused-ws");
-      ExpectFusedKernelsMatchNaive(inputs, naive, &reused, context + " reused-ws again");
-      if (pool_threads == 1) {
-        ExpectFusedKernelsMatchNaive(inputs, naive, nullptr, context + " no-ws");
-      }
+      SlotState fresh;
+      ExpectSlotSumsMatchNaive(inputs, naive, fresh, start, context + " fresh");
+      ExpectSlotSumsMatchNaive(inputs, naive, reused, start, context + " reused");
+      ExpectSlotSumsMatchNaive(inputs, naive, reused, start, context + " reused again");
     }
   }
 }
@@ -198,18 +199,18 @@ void ForEveryPoolAndWorkspace(uint64_t seed, MakeInputs make_inputs) {
 // ---- Properties ----------------------------------------------------------------------
 
 TEST(SparseFusedTest, CoalescedMatchesNaiveBitForBit) {
-  // One group of one input: the fused kernels coalesce it.
-  ForEveryPoolAndWorkspace(101, [](const Case& c, Rng& rng) {
+  // One group of one input: the slot pass coalesces it.
+  ForFreshAndReusedState(101, [](const Case& c, Rng& rng) {
     return std::vector<std::vector<IndexedSlices>>{
         {MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng)}};
   });
 }
 
 TEST(SparseFusedTest, FusedSumMatchesConcatCoalesceBitForBit) {
-  // One group of k inputs, including empty contributions: the fused kernels sum them
-  // in contributor order, as coalescing their concatenation does.
+  // One group of k inputs, including empty contributions: the slot pass sums them in
+  // contributor order, as coalescing their concatenation does.
   for (int k : {1, 2, 5}) {
-    ForEveryPoolAndWorkspace(202 + static_cast<uint64_t>(k), [k](const Case& c, Rng& rng) {
+    ForFreshAndReusedState(202 + static_cast<uint64_t>(k), [k](const Case& c, Rng& rng) {
       std::vector<IndexedSlices> group;
       for (int s = 0; s < k; ++s) {
         // Vary nnz per contribution, including empty contributions.
@@ -222,9 +223,10 @@ TEST(SparseFusedTest, FusedSumMatchesConcatCoalesceBitForBit) {
 }
 
 TEST(SparseFusedTest, MultiGroupSumMatchesNaivePerGroupBitForBit) {
-  // Several groups through one pass: an empty group, groups over the same key space
-  // (equal index values in different groups must never merge), and different widths.
-  ForEveryPoolAndWorkspace(303, [](const Case& c, Rng& rng) {
+  // Several groups, each on its own table: an empty group, groups over the same key
+  // space (equal index values in different groups must never merge), and different
+  // widths.
+  ForFreshAndReusedState(303, [](const Case& c, Rng& rng) {
     std::vector<std::vector<IndexedSlices>> groups(4);
     for (int s = 0; s < 2; ++s) {
       groups[0].push_back(MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng));
@@ -262,37 +264,41 @@ TEST(SparseFusedTest, ScatterSgdUpdateMatchesNaiveForAllPoolSizes) {
 TEST(SparseFusedTest, SumAfterSplitEqualsSplitAfterSum) {
   // End-to-end PS-shard identity: splitting each worker's gradient then summing per
   // piece must equal summing globally then splitting — the algebra the partitioned
-  // accumulators rely on. The per-piece sums run as one multi-group pass, one group per
-  // piece. A split keeps each piece's rows in input order, so every row sums the same
-  // contributions in the same order either way: the bits agree.
+  // accumulators rely on. A split keeps each piece's rows in input order, so every row
+  // sums the same contributions in the same order either way and opens its slot at the
+  // same place: rows, order and bits agree.
   Rng rng(505);
-  SparseWorkspace ws;
   const int64_t rows = 300, width = 4;
+  const TensorShape shape({rows, width});
   RowPartition partition(rows, 4);
   std::vector<IndexedSlices> workers;
-  SparseSumGroup global_group;
   for (int w = 0; w < 3; ++w) {
     workers.push_back(MakeRandomSlices(rows, width, 200, 40, rng));
   }
+  std::vector<int32_t> table(static_cast<size_t>(rows), -1);
+  RowSlotSum sum;
+  sum.Begin(table, width, rows, RowSlotSum::Start::kFromZero);
   for (const IndexedSlices& w : workers) {
-    global_group.inputs.push_back(&w);
+    sum.Add(w);
   }
-  IndexedSlices global = MultiVariableSum({global_group}, &ws).front();
-  std::vector<IndexedSlices> split_of_sum = NaiveSplit(global, partition);
+  sum.End();
+  std::vector<IndexedSlices> split_of_sum = NaiveSplit(ToSlices(sum, shape), partition);
+
   std::vector<std::vector<IndexedSlices>> worker_pieces;
   for (const IndexedSlices& w : workers) {
     worker_pieces.push_back(NaiveSplit(w, partition));
   }
-  std::vector<SparseSumGroup> piece_groups(static_cast<size_t>(partition.num_partitions()));
-  for (size_t p = 0; p < piece_groups.size(); ++p) {
+  ASSERT_EQ(split_of_sum.size(), static_cast<size_t>(partition.num_partitions()));
+  for (int p = 0; p < partition.num_partitions(); ++p) {
+    // Each piece on its own table over the piece's rows.
+    std::vector<int32_t> piece_table(static_cast<size_t>(partition.RowsIn(p)), -1);
+    sum.Begin(piece_table, width, partition.RowsIn(p), RowSlotSum::Start::kFromZero);
     for (const std::vector<IndexedSlices>& pieces : worker_pieces) {
-      piece_groups[p].inputs.push_back(&pieces[p]);
+      sum.Add(pieces[static_cast<size_t>(p)]);
     }
-  }
-  std::vector<IndexedSlices> sum_of_split = MultiVariableSum(piece_groups, &ws);
-  ASSERT_EQ(sum_of_split.size(), split_of_sum.size());
-  for (size_t p = 0; p < sum_of_split.size(); ++p) {
-    ExpectBitIdentical(sum_of_split[p], split_of_sum[p], StrFormat("piece=%zu", p));
+    sum.End();
+    ExpectBitIdentical(ToSlices(sum, shape.WithDim0(partition.RowsIn(p))),
+                       split_of_sum[static_cast<size_t>(p)], StrFormat("piece=%d", p));
   }
 }
 
@@ -308,16 +314,65 @@ TEST(SparseFusedTest, AccessRatioCachedValueMatchesDefinition) {
   }
 }
 
-TEST(SparseFusedTest, CoalescedOutputIsSortedUnique) {
+TEST(SparseFusedTest, CoalescedOutputHoldsEachRowOnce) {
   Rng rng(707);
-  SparseWorkspace ws;
+  std::vector<int32_t> table;
+  RowSlotSum sum;
   for (const Case& c : PropertyCases()) {
     IndexedSlices in = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
-    IndexedSlices out = MultiVariableSum({SparseSumGroup{{&in}}}, &ws).front();
-    for (int64_t i = 1; i < out.nnz_rows(); ++i) {
-      EXPECT_LT(out.indices()[static_cast<size_t>(i - 1)],
-                out.indices()[static_cast<size_t>(i)]);
+    table.resize(std::max(table.size(), static_cast<size_t>(c.rows)), -1);
+    sum.Begin(table, c.width, std::min(c.rows, c.nnz), RowSlotSum::Start::kFromZero);
+    sum.Add(in);
+    sum.End();
+    std::set<int64_t> rows;
+    for (int64_t s = 0; s < sum.size(); ++s) {
+      EXPECT_TRUE(rows.insert(sum.row(s)).second) << "row " << sum.row(s) << " twice";
     }
+    EXPECT_EQ(rows, std::set<int64_t>(in.indices().begin(), in.indices().end()));
+  }
+}
+
+TEST(SparseFusedTest, SingleContributionKeptAsIsOrAddedToZero) {
+  // The two starts differ on a row with one contribution: kKeepSingle reads it in place,
+  // kFromZero adds it to +0, which turns a -0 into +0. A row with two contributions
+  // starts from +0 under both.
+  const TensorShape shape({4, 2});
+  IndexedSlices a({1, 2}, Tensor::FromVector({-0.0f, 1.5f, -0.0f, 2.0f}, TensorShape({2, 2})),
+                  shape);
+  IndexedSlices b({2}, Tensor::FromVector({-0.0f, 0.25f}, TensorShape({1, 2})), shape);
+  std::vector<int32_t> table(4, -1);
+  RowSlotSum sum;
+  for (const RowSlotSum::Start start :
+       {RowSlotSum::Start::kFromZero, RowSlotSum::Start::kKeepSingle}) {
+    const bool keep = start == RowSlotSum::Start::kKeepSingle;
+    SCOPED_TRACE(keep ? "kKeepSingle" : "kFromZero");
+    sum.Begin(table, 2, 4, start);
+    sum.Add(a);
+    sum.Add(b);
+    sum.End();
+    ASSERT_EQ(sum.size(), 2);
+    EXPECT_EQ(sum.row(0), 1);
+    EXPECT_EQ(sum.row(1), 2);
+    // Row 1: one contribution.
+    EXPECT_EQ(sum.sum(0) == a.values().floats().data(), keep);
+    EXPECT_EQ(std::signbit(sum.sum(0)[0]), keep);
+    EXPECT_EQ(sum.sum(0)[1], 1.5f);
+    // Row 2: (+0 + -0) + -0 is +0 under both starts.
+    EXPECT_FALSE(std::signbit(sum.sum(1)[0]));
+    EXPECT_EQ(sum.sum(1)[1], 2.25f);
+  }
+}
+
+TEST(SparseFusedTest, CountDistinctRowsMatchesASetAndFreesTheTable) {
+  Rng rng(808);
+  std::vector<int32_t> table;
+  for (const Case& c : PropertyCases()) {
+    IndexedSlices in = MakeRandomSlices(c.rows, c.width, c.nnz, c.dup_span, rng);
+    table.resize(std::max(table.size(), static_cast<size_t>(c.rows)), -1);
+    EXPECT_EQ(CountDistinctRows(in.indices(), table),
+              static_cast<int64_t>(
+                  std::set<int64_t>(in.indices().begin(), in.indices().end()).size()));
+    EXPECT_TRUE(std::all_of(table.begin(), table.end(), [](int32_t e) { return e == -1; }));
   }
 }
 
