@@ -5,8 +5,9 @@
 // its tanh and its softmax, the models' Gaussian initial values (seed loop vs vector
 // lanes), the cost-model fit, ring-schedule construction, and task-graph execution
 // throughput. Every bench that runs the vector kernels is labelled with the kernel ISA
-// this CPU dispatches them to ("avx512", "avx2" or "vec4"), except BM_MatMulIsa, which
-// runs the matmuls on every kernel ISA the CPU supports side by side.
+// this CPU dispatches them to ("avx512", "avx2" or "vec4"), except BM_MatMulIsa,
+// BM_TanhIsa and BM_SoftmaxIsa, which run their kernels on every kernel ISA the CPU
+// supports side by side.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -253,13 +254,15 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-// One matmul on every kernel ISA this CPU supports, in one process: each iteration runs
-// every ISA for 8 calls, in a fresh random order, so all of them see the same host
-// conditions (on a shared host the same matmul code read 10.8 and 16.7 us in two
-// processes). Counters: each ISA's median time per call (<isa>_us), and the median over
-// iterations of each ISA's time over the next narrower one's in the same iteration
-// (avx2_over_vec4, avx512_over_avx2).
-void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
+// One kernel on every kernel ISA this CPU supports, in one process: each iteration calls
+// run(isa, slot) 8 times per ISA (slot, below 3, is the ISA's index, for its own
+// output), the ISAs in a fresh random order, so all of them see the same host conditions
+// (on a shared host the same matmul code read 10.8 and 16.7 us in two processes).
+// Counters: each ISA's median time per call (<isa>_us), and the median over iterations
+// of each ISA's time over the next narrower one's in the same iteration (avx2_over_vec4,
+// avx512_over_avx2).
+void TimeEveryIsa(benchmark::State& state,
+                  const std::function<void(internal::KernelIsa isa, size_t slot)>& run) {
   using internal::KernelIsa;
   std::vector<KernelIsa> isas;
   for (KernelIsa isa : {KernelIsa::kVec4, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
@@ -267,22 +270,7 @@ void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
       isas.push_back(isa);
     }
   }
-  const int64_t m = shape.m;
-  const int64_t k = shape.k;
-  const int64_t n = shape.n;
-  Rng rng(15);
-  Tensor a = RandomNormal(shape.kind == MatMulKind::kTransposeA ? TensorShape({k, m})
-                                                                : TensorShape({m, k}),
-                          rng);
-  Tensor b = RandomNormal(shape.kind == MatMulKind::kTransposeB ? TensorShape({n, k})
-                                                                : TensorShape({k, n}),
-                          rng);
-  void (*kernel)(KernelIsa, Tensor&, const Tensor&, const Tensor&) =
-      shape.kind == MatMulKind::kMatMul       ? internal::MatMulInto
-      : shape.kind == MatMulKind::kTransposeA ? internal::MatMulTransposeAInto
-                                              : internal::MatMulTransposeBInto;
   constexpr int kCalls = 8;
-  std::vector<Tensor> outs(isas.size());
   std::vector<std::vector<double>> seconds(isas.size());
   std::vector<size_t> order(isas.size());
   std::iota(order.begin(), order.end(), 0);
@@ -292,8 +280,7 @@ void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
     for (size_t i : order) {
       const auto start = std::chrono::steady_clock::now();
       for (int call = 0; call < kCalls; ++call) {
-        kernel(isas[i], outs[i], a, b);
-        benchmark::DoNotOptimize(outs[i].floats().data());
+        run(isas[i], i);
         benchmark::ClobberMemory();
       }
       const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
@@ -311,6 +298,30 @@ void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
       state.counters[name + "_over_" + internal::KernelIsaName(isas[i - 1])] = Median(ratios);
     }
   }
+}
+
+// One matmul of a replica on every kernel ISA, side by side (TimeEveryIsa).
+void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
+  using internal::KernelIsa;
+  const int64_t m = shape.m;
+  const int64_t k = shape.k;
+  const int64_t n = shape.n;
+  Rng rng(15);
+  Tensor a = RandomNormal(shape.kind == MatMulKind::kTransposeA ? TensorShape({k, m})
+                                                                : TensorShape({m, k}),
+                          rng);
+  Tensor b = RandomNormal(shape.kind == MatMulKind::kTransposeB ? TensorShape({n, k})
+                                                                : TensorShape({k, n}),
+                          rng);
+  void (*kernel)(KernelIsa, Tensor&, const Tensor&, const Tensor&) =
+      shape.kind == MatMulKind::kMatMul       ? internal::MatMulInto
+      : shape.kind == MatMulKind::kTransposeA ? internal::MatMulTransposeAInto
+                                              : internal::MatMulTransposeBInto;
+  std::vector<Tensor> outs(3);
+  TimeEveryIsa(state, [&](KernelIsa isa, size_t slot) {
+    kernel(isa, outs[slot], a, b);
+    benchmark::DoNotOptimize(outs[slot].floats().data());
+  });
   state.SetLabel(StrFormat("%ldx%ldx%ld", static_cast<long>(m), static_cast<long>(k),
                            static_cast<long>(n)));
 }
@@ -420,6 +431,20 @@ BENCHMARK_CAPTURE(BM_TanhLibm, skew, TanhInput::kSkew);
 BENCHMARK_CAPTURE(BM_TanhLibm, lm, TanhInput::kLm);
 BENCHMARK_CAPTURE(BM_TanhLibm, lm_trained, TanhInput::kLmTrained);
 
+// The hidden layer's tanh on every kernel ISA, side by side (TimeEveryIsa), on the same
+// inputs as BM_TanhInto.
+void BM_TanhIsa(benchmark::State& state, TanhInput input) {
+  const Tensor x = TanhBenchInput(input);
+  std::vector<Tensor> outs(3);
+  TimeEveryIsa(state, [&](internal::KernelIsa isa, size_t slot) {
+    internal::TanhInto(isa, outs[slot], x);
+    benchmark::DoNotOptimize(outs[slot].floats().data());
+  });
+}
+BENCHMARK_CAPTURE(BM_TanhIsa, skew, TanhInput::kSkew);
+BENCHMARK_CAPTURE(BM_TanhIsa, lm, TanhInput::kLm);
+BENCHMARK_CAPTURE(BM_TanhIsa, lm_trained, TanhInput::kLmTrained);
+
 // The logits and labels a model's loss node reads, from a forward pass on the initial
 // values and one training shard.
 template <typename Model>
@@ -434,8 +459,11 @@ std::pair<Tensor, Tensor> LossInputs(Model& model, uint64_t seed) {
 }
 
 // The sampled softmax's logits at the executor's real shapes: skew (EmbeddingSkewModel,
-// batch 64) is [64, 64], lm (WordLmModel in pxbench) is [32, 32].
-enum class SoftmaxInput { kSkew, kLm };
+// batch 64) is [64, 64], lm (WordLmModel in pxbench) is [32, 32], both from a forward
+// pass on the initial values. lm_trained stands in for a trained lm's logits: lm's
+// shape, normal values of stddev 4. (The exp's vector lanes cost the same on any finite
+// values.)
+enum class SoftmaxInput { kSkew, kLm, kLmTrained };
 
 std::pair<Tensor, Tensor> SoftmaxBenchInputs(SoftmaxInput input) {
   if (input == SoftmaxInput::kSkew) {
@@ -443,6 +471,10 @@ std::pair<Tensor, Tensor> SoftmaxBenchInputs(SoftmaxInput input) {
     options.batch_per_rank = 64;
     EmbeddingSkewModel model(options);
     return LossInputs(model, 14);
+  }
+  if (input == SoftmaxInput::kLmTrained) {
+    Rng rng(14);
+    return {RandomNormal(TensorShape({32, 32}), rng, 4.0f), Tensor()};
   }
   WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
                      .batch_per_rank = 32, .seed = 13});
@@ -492,6 +524,19 @@ void BM_SoftmaxLibm(benchmark::State& state, SoftmaxInput input) {
 }
 BENCHMARK_CAPTURE(BM_SoftmaxLibm, skew, SoftmaxInput::kSkew);
 BENCHMARK_CAPTURE(BM_SoftmaxLibm, lm, SoftmaxInput::kLm);
+
+// The loss node's softmax on every kernel ISA, side by side (TimeEveryIsa).
+void BM_SoftmaxIsa(benchmark::State& state, SoftmaxInput input) {
+  const Tensor logits = SoftmaxBenchInputs(input).first;
+  std::vector<Tensor> outs(3);
+  TimeEveryIsa(state, [&](internal::KernelIsa isa, size_t slot) {
+    internal::SoftmaxRowsInto(isa, outs[slot], logits);
+    benchmark::DoNotOptimize(outs[slot].floats().data());
+  });
+}
+BENCHMARK_CAPTURE(BM_SoftmaxIsa, skew, SoftmaxInput::kSkew);
+BENCHMARK_CAPTURE(BM_SoftmaxIsa, lm, SoftmaxInput::kLm);
+BENCHMARK_CAPTURE(BM_SoftmaxIsa, lm_trained, SoftmaxInput::kLmTrained);
 
 // The Gaussian initial values a model's constructor draws, at pxbench's shapes: lm
 // (WordLmModel's 2000x32 embedding and 2000x48 softmax, 160 000 values) and skew

@@ -40,10 +40,8 @@ void AsyncPsEngine::ApplyStep(const std::vector<StepResult>& per_rank,
 
 void AsyncPsEngine::PushGradients(const StepResult& grads, float learning_rate) {
   // One contributor, applied immediately: the degenerate single-rank synchronous step
-  // *is* the asynchronous update (sum over one worker, no waiting).
-  std::vector<StepResult> single;
-  single.push_back(grads);
-  engine_.ApplyStep(single, learning_rate);
+  // *is* the asynchronous update (sum over one worker, no waiting), read in place.
+  engine_.ApplyRanks({&grads, 1}, learning_rate);
   ++pushes_applied_;
 }
 

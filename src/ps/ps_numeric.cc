@@ -59,6 +59,10 @@ bool PsNumericEngine::Manages(int variable_index) const {
 
 void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
                                 float learning_rate) {
+  ApplyRanks(per_rank, learning_rate);
+}
+
+void PsNumericEngine::ApplyRanks(std::span<const StepResult> per_rank, float learning_rate) {
   PX_CHECK(!per_rank.empty());
   const int num_ranks = static_cast<int>(per_rank.size());
   const int ranks_per_machine = config_.local_aggregation ? config_.ranks_per_machine : 1;
@@ -97,7 +101,7 @@ void PsNumericEngine::ApplyStep(const std::vector<StepResult>& per_rank,
   }
 }
 
-void PsNumericEngine::ApplyDense(int variable, const std::vector<StepResult>& per_rank,
+void PsNumericEngine::ApplyDense(int variable, std::span<const StepResult> per_rank,
                                  float learning_rate, int ranks_per_machine) {
   const int num_ranks = static_cast<int>(per_rank.size());
   Aggregation& agg = aggregation_[static_cast<size_t>(variable)];
@@ -129,7 +133,7 @@ void PsNumericEngine::ApplyDense(int variable, const std::vector<StepResult>& pe
   AxpyInPlace(values_.GetMutable(variable), -learning_rate, agg.dense_sum);
 }
 
-void PsNumericEngine::ApplySparse(int variable, const std::vector<StepResult>& per_rank,
+void PsNumericEngine::ApplySparse(int variable, std::span<const StepResult> per_rank,
                                   float learning_rate, int ranks_per_machine,
                                   int tap_rank) {
   const int num_ranks = static_cast<int>(per_rank.size());

@@ -26,6 +26,7 @@
 #ifndef PARALLAX_SRC_PS_PS_NUMERIC_H_
 #define PARALLAX_SRC_PS_PS_NUMERIC_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,9 @@ class PsNumericEngine : public SyncEngine {
   // One synchronous training step given each rank's backward results (all ranks must
   // report a gradient for the same variable set). Applies SGD with `learning_rate`.
   void ApplyStep(const std::vector<StepResult>& per_rank, float learning_rate) override;
+  // ApplyStep on the results of any run of ranks, read in place: the asynchronous
+  // engine applies each push as a one-rank step without copying it into a batch.
+  void ApplyRanks(std::span<const StepResult> per_rank, float learning_rate);
   // The managed variables' buffers (no copy): the graph's initial tensor until the
   // engine's first write to a variable, its own buffer after that, which every later
   // ApplyStep writes through and a Prepare leaves as it is.
@@ -89,10 +93,10 @@ class PsNumericEngine : public SyncEngine {
 
  private:
   bool Manages(int variable_index) const;
-  void ApplyDense(int variable, const std::vector<StepResult>& per_rank,
-                  float learning_rate, int ranks_per_machine);
-  void ApplySparse(int variable, const std::vector<StepResult>& per_rank,
-                   float learning_rate, int ranks_per_machine, int tap_rank);
+  void ApplyDense(int variable, std::span<const StepResult> per_rank, float learning_rate,
+                  int ranks_per_machine);
+  void ApplySparse(int variable, std::span<const StepResult> per_rank, float learning_rate,
+                   int ranks_per_machine, int tap_rank);
 
   const Graph* graph_;
   PsNumericConfig config_;

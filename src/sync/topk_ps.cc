@@ -91,7 +91,10 @@ void TopKPsEngine::CompressSparse(VarState& state, const IndexedSlices& incoming
 
   // k tracks the *incoming* gradient's support, so the wire volume is ratio * nnz no
   // matter how much residual mass is waiting.
-  const int64_t nnz = incoming.unique_rows();
+  if (distinct_table_.size() < static_cast<size_t>(rows)) {
+    distinct_table_.resize(static_cast<size_t>(rows), -1);
+  }
+  const int64_t nnz = CountDistinctRows(incoming.indices(), distinct_table_);
   int64_t k = std::max<int64_t>(
       1, static_cast<int64_t>(std::ceil(config_.ratio * static_cast<double>(nnz))));
   k = std::min(k, static_cast<int64_t>(state.active.size()));
@@ -102,6 +105,7 @@ void TopKPsEngine::CompressSparse(VarState& state, const IndexedSlices& incoming
   }
   IndexedSlices& compressed = out.mutable_sparse();
   compressed.ResetForReuse(selected_, shape);
+  // The values' buffer only grows: a step selecting fewer rows than an earlier one keeps it.
   GatherRowsInto(compressed.mutable_values(), state.residual, selected_);
   last_selected_rows_ += static_cast<int64_t>(selected_.size());
 

@@ -86,6 +86,9 @@ class TopKPsEngine : public SyncEngine {
   std::vector<std::unordered_map<int, VarState>> state_;  // [rank][variable]
   std::vector<int64_t> selected_;
   std::vector<int64_t> select_scratch_;  // TopKSelectRows' candidate permutation
+  // CountDistinctRows' slot table over the largest sparse variable's rows, every entry
+  // -1 between calls: the incoming gradient's distinct rows, counted without a sort.
+  std::vector<int32_t> distinct_table_;
   int64_t last_selected_rows_ = 0;
 };
 

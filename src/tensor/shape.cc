@@ -35,6 +35,11 @@ TensorShape TensorShape::WithDim0(int64_t new_dim0) const {
   return TensorShape(std::move(dims));
 }
 
+void TensorShape::SetDim0(int64_t new_dim0) {
+  PX_CHECK_GE(rank(), 1);
+  dims_[0] = new_dim0;
+}
+
 std::string TensorShape::ToString() const {
   std::string out = "[";
   for (size_t i = 0; i < dims_.size(); ++i) {

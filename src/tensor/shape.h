@@ -28,6 +28,8 @@ class TensorShape {
 
   // Returns a copy with dim(0) replaced. Requires rank >= 1.
   TensorShape WithDim0(int64_t new_dim0) const;
+  // Replaces dim(0) in place. Requires rank >= 1.
+  void SetDim0(int64_t new_dim0);
 
   bool operator==(const TensorShape& other) const { return dims_ == other.dims_; }
   bool operator!=(const TensorShape& other) const { return dims_ != other.dims_; }

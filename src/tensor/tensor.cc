@@ -99,6 +99,12 @@ Tensor Tensor::Clone() const {
   return copy;
 }
 
+void Tensor::ResizeRows(int64_t rows) {
+  PX_CHECK(is_float() && UniquelyOwned());
+  shape_.SetDim0(rows);
+  float_data_->resize(static_cast<size_t>(shape_.num_elements()));
+}
+
 bool Tensor::SharesBufferWith(const Tensor& other) const {
   return (float_data_ != nullptr && float_data_ == other.float_data_) ||
          (int_data_ != nullptr && int_data_ == other.int_data_);

@@ -97,6 +97,11 @@ class Tensor {
   // Deep copy (new buffer).
   Tensor Clone() const;
 
+  // Sets dim 0 of a uniquely owned float tensor to `rows` in place. The buffer keeps its
+  // capacity, so a tensor whose row count shrinks and grows back within its largest
+  // size allocates nothing. Rows past the old count read zero.
+  void ResizeRows(int64_t rows);
+
   // True if both tensors view the same buffer.
   bool SharesBufferWith(const Tensor& other) const;
 

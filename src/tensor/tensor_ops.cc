@@ -8,6 +8,10 @@
 #include <type_traits>
 #include <utility>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace parallax {
 namespace {
 
@@ -116,16 +120,22 @@ float* PrepareDense1D(Tensor& out, int64_t n, bool zero_fill) {
 }
 
 // Same, for `like` with dim 0 replaced by `rows` (the GatherRows/ConcatRows shape):
-// like.WithDim0(rows) is only materialized on the cold (allocate) path.
+// like.WithDim0(rows) is only materialized on the cold (allocate) path. A target that
+// differs only in its row count keeps its buffer (Tensor::ResizeRows), so a caller
+// whose row count varies from call to call allocates only when it exceeds every
+// earlier one.
 float* PrepareDenseRows(Tensor& out, const TensorShape& like, int64_t rows, bool zero_fill) {
   const std::vector<int64_t>& want = like.dims();
   const std::vector<int64_t>& have = out.shape().dims();
   bool match = out.is_float() && out.UniquelyOwned() && have.size() == want.size() &&
-               !have.empty() && have[0] == rows;
+               !have.empty();
   for (size_t d = 1; match && d < want.size(); ++d) {
     match = have[d] == want[d];
   }
   if (match) {
+    if (have[0] != rows) {
+      out.ResizeRows(rows);
+    }
     auto data = out.mutable_floats();
     if (zero_fill) {
       std::fill(data.begin(), data.end(), 0.0f);
@@ -454,12 +464,13 @@ void TransposeVec4(float* dst, int64_t ld_dst, const float* src, int64_t ld_src,
 // The library's tanh is fdlibm's float tanhf (s_tanhf.c), with the branches of its
 // expm1f (s_expm1f.c) that tanhf reaches, ported operation for operation: every
 // constant has fdlibm's bits and every operation rounds to float in fdlibm's order.
-// FdlibmTanhf is that port. The two vector cores below repeat its operations lane by
-// lane, so they agree with it bit for bit: the narrow core for the small inputs of an
-// untrained layer, the wide core for every other finite input. Like the matmul core,
-// everything the kernel calls is always_inline: the AVX2 entry point then runs the port
-// as VEX code too, where a call into SSE code would pay an SSE/AVX transition per
-// element (about 240 ns each on a 4-vCPU AVX-512 host).
+// FdlibmTanhf is that port. The two vector cores below, and their AVX-512F forms after
+// TanhKernelAvx2, repeat its operations lane by lane, so they agree with it bit for bit:
+// the narrow core for the small inputs of an untrained layer, the wide core for every
+// other finite input. Like the matmul core, everything the kernel calls is
+// always_inline: the AVX2 entry point then runs the port as VEX code too, where a call
+// into SSE code would pay an SSE/AVX transition per element (about 240 ns each on a
+// 4-vCPU AVX-512 host).
 
 [[gnu::always_inline]] constexpr float FloatOfBits(uint32_t bits) {
   return __builtin_bit_cast(float, bits);
@@ -744,10 +755,172 @@ void TanhKernelVec4(float* dst, const float* src, int64_t n) { TanhKernel<Vec4>(
 #if defined(__x86_64__)
 // The 8-lane instantiation, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
 // would fuse the polynomial, `3 - r1 * hfx`, `6 - r * t` and the reduction's
-// `y - k * ln2_hi`, as it would the matmuls. CPUs with AVX-512F run it too: GCC 12's
-// 16-lane build of this core ran BM_TanhInto/skew 2.2-2.8x slower.
+// `y - k * ln2_hi`, as it would the matmuls. CPUs with AVX-512F run the 16-lane cores
+// below and this kernel for their tail.
 [[gnu::target("avx2")]] void TanhKernelAvx2(float* dst, const float* src, int64_t n) {
   TanhKernel<Vec8>(dst, src, n);
+}
+
+// ---- tanh on AVX-512F ----
+//
+// The template's 16-lane build is slow: AVX-512F tests into mask registers, one bit per
+// lane, and a vector of lanes from a mask takes AVX-512DQ, so GCC 12 compiles each
+// vector-valued test of the template one lane at a time (vpextrd, cmp and setle per
+// lane), and that build ran BM_TanhInto/skew 2.2-2.8x slower than 8 lanes. The cores
+// below repeat TanhNarrowStrip and TanhWideStrip statement for statement on Vec16, the
+// same arithmetic in the same order, with each test a mask (Test16) and each
+// `mask ? a : b` a masked blend (Select16), so they agree with the port bit for bit too.
+// (Tests and selects as helper functions under the template would return 8-lane vectors
+// from functions compiled for the baseline ISA, which GCC 12 flags under -Wpsabi at the
+// end of the translation unit, where no scoped pragma reaches.) They are compiled for
+// AVX-512F without contraction, like the 16-lane matmul strips.
+
+using Bits16 = LaneBits<Vec16>;
+
+// The lanes where a kTest b, for the _MM_CMPINT_ predicates LT (<), LE (<=), EQ (==),
+// NLT (>=) and NLE (>).
+template <int kTest>
+[[gnu::target("avx512f"), gnu::always_inline]] inline __mmask16 Test16(const Bits16& a,
+                                                                       int32_t b) {
+  return _mm512_cmp_epi32_mask(__builtin_bit_cast(__m512i, a),
+                               __builtin_bit_cast(__m512i, Bits16{} + b), kTest);
+}
+
+// mask ? a : b, lane by lane.
+[[gnu::target("avx512f"), gnu::always_inline]] inline Vec16 Select16(__mmask16 mask,
+                                                                     const Vec16& a,
+                                                                     const Vec16& b) {
+  return _mm512_mask_blend_ps(mask, b, a);
+}
+[[gnu::target("avx512f"), gnu::always_inline]] inline Bits16 Select16(__mmask16 mask,
+                                                                      const Bits16& a,
+                                                                      const Bits16& b) {
+  return __builtin_bit_cast(Bits16, _mm512_mask_blend_epi32(mask, __builtin_bit_cast(__m512i, b),
+                                                            __builtin_bit_cast(__m512i, a)));
+}
+
+// LoadStrip on 16 lanes: each need is whether its mask has a lane.
+[[gnu::target("avx512f"), gnu::always_inline]] inline int32_t LoadStrip16(const float* src,
+                                                                          Vec16& x) {
+  std::memcpy(&x, src, sizeof(x));
+  const Bits16 ix = __builtin_bit_cast(Bits16, x) & 0x7fffffff;
+  const __mmask16 wide =
+      Test16<_MM_CMPINT_LT>(ix, kTanhNarrowMin) | Test16<_MM_CMPINT_NLT>(ix, kTanhNarrowEnd);
+  const __mmask16 reduces = Test16<_MM_CMPINT_NLE>(ix, kTanhReduceAbove);
+  const __mmask16 non_finite = Test16<_MM_CMPINT_NLT>(ix, 0x7f800000);
+  return (wide != 0 ? kLaneWide : 0) | (reduces != 0 ? kLaneReduces : 0) |
+         (non_finite != 0 ? kLaneNonFinite : 0);
+}
+
+// TanhNarrowStrip<Vec16, kReduces>.
+template <bool kReduces>
+[[gnu::target("avx512f"), gnu::always_inline]] inline void TanhNarrowStrip16(float* dst,
+                                                                             const Vec16& x) {
+  const Bits16 sign = __builtin_bit_cast(Bits16, x) & static_cast<int32_t>(0x80000000u);
+  const Bits16 ix = __builtin_bit_cast(Bits16, x) & 0x7fffffff;
+  const Vec16 y = -2.0f * __builtin_bit_cast(Vec16, ix);
+  const __mmask16 reduce = Test16<_MM_CMPINT_NLE>(ix, kTanhReduceAbove);
+  Vec16 r = y;
+  Vec16 c = {};
+  if constexpr (kReduces) {
+    const Vec16 hi = y + kLn2Hi;
+    const float lo = -kLn2Lo;
+    const Vec16 reduced = hi - lo;
+    c = (hi - reduced) - lo;
+    r = Select16(reduce, reduced, y);
+  }
+  const Vec16 hfx = 0.5f * r;
+  const Vec16 hxs = r * hfx;
+  const Vec16 r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const Vec16 t = 3.0f - r1 * hfx;
+  const Vec16 e = hxs * ((r1 - t) / (6.0f - r * t));
+  Vec16 expm1 = r - (r * e - hxs);
+  if constexpr (kReduces) {
+    Vec16 e1 = r * (e - c) - c;
+    e1 -= hxs;
+    const Vec16 reduced_result = 0.5f * (r - e1) - 0.5f;
+    expm1 = Select16(reduce, reduced_result, expm1);
+  }
+  const Vec16 z = -expm1 / (expm1 + 2.0f);
+  const Vec16 tanh = __builtin_bit_cast(Vec16, __builtin_bit_cast(Bits16, z) | sign);
+  std::memcpy(dst, &tanh, sizeof(tanh));
+}
+
+// TanhWideStrip<Vec16>.
+[[gnu::target("avx512f"), gnu::always_inline]] inline void TanhWideStrip16(float* dst,
+                                                                           const Vec16& x) {
+  const Vec16 one = Vec16{} + 1.0f;
+  const Bits16 ix = __builtin_bit_cast(Bits16, x) & 0x7fffffff;
+  const __mmask16 below_one = Test16<_MM_CMPINT_LT>(ix, 0x3f800000);
+  const __mmask16 huge = Test16<_MM_CMPINT_NLT>(ix, 0x41b00000);
+  const Vec16 ax = Select16(huge, one, __builtin_bit_cast(Vec16, ix));
+  const Vec16 y = Select16(below_one, -2.0f * ax, 2.0f * ax);
+  const Bits16 hy = __builtin_bit_cast(Bits16, y) & 0x7fffffff;
+  const Vec16 half = Select16(below_one, Vec16{} - 0.5f, Vec16{} + 0.5f);
+  Bits16 k = __builtin_convertvector(kInvLn2 * y + half, Bits16);
+  const Vec16 kf = __builtin_convertvector(k, Vec16);
+  Vec16 hi = y - kf * kLn2Hi;
+  Vec16 lo = kf * kLn2Lo;
+  const __mmask16 k_minus_one = Test16<_MM_CMPINT_LT>(hy, 0x3f851592);
+  hi = Select16(k_minus_one, y + kLn2Hi, hi);
+  lo = Select16(k_minus_one, Vec16{} - kLn2Lo, lo);
+  k = Select16(k_minus_one, Bits16{} - 1, k);
+  const __mmask16 primary = Test16<_MM_CMPINT_LE>(hy, 0x3eb17218);
+  hi = Select16(primary, y, hi);
+  lo = Select16(primary, Vec16{}, lo);
+  k = Select16(primary, Bits16{}, k);
+  const Vec16 r = hi - lo;
+  const Vec16 c = (hi - r) - lo;
+  const Vec16 hfx = 0.5f * r;
+  const Vec16 hxs = r * hfx;
+  const Vec16 r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const Vec16 t = 3.0f - r1 * hfx;
+  const Vec16 e = hxs * ((r1 - t) / (6.0f - r * t));
+  const Vec16 at_k_zero = r - (r * e - hxs);
+  Vec16 e1 = r * (e - c) - c;
+  e1 -= hxs;
+  const Vec16 at_k_minus_one = 0.5f * (r - e1) - 0.5f;
+  const __mmask16 far = Test16<_MM_CMPINT_LE>(k, -2) | Test16<_MM_CMPINT_NLE>(k, 56);
+  const Vec16 two_to_minus_k = __builtin_bit_cast(Vec16, (0x7f - k) << 23);
+  Vec16 large = r - (e1 + two_to_minus_k);
+  large += 1.0f;
+  Vec16 u = Select16(Test16<_MM_CMPINT_LT>(k, 23), (1.0f - two_to_minus_k) - (e1 - r), large);
+  u = Select16(far, 1.0f - (e1 - r), u);
+  Vec16 scaled = __builtin_bit_cast(Vec16, __builtin_bit_cast(Bits16, u) + (k << 23));
+  scaled = Select16(far, scaled - 1.0f, scaled);
+  Vec16 expm1 = Select16(Test16<_MM_CMPINT_EQ>(k, -1), at_k_minus_one, scaled);
+  expm1 = Select16(Test16<_MM_CMPINT_EQ>(k, 0), at_k_zero, expm1);
+  expm1 = Select16(Test16<_MM_CMPINT_LT>(hy, 0x33000000), y, expm1);
+  const Vec16 q = Select16(below_one, -expm1, Vec16{} + 2.0f) / (expm1 + 2.0f);
+  Vec16 z = Select16(below_one, q, 1.0f - q);
+  z = Select16(huge, Vec16{} + (1.0f - 1.0e-30f), z);
+  const Bits16 sign = __builtin_bit_cast(Bits16, x) & static_cast<int32_t>(0x80000000u);
+  Vec16 tanh = __builtin_bit_cast(Vec16, __builtin_bit_cast(Bits16, z) | sign);
+  tanh = Select16(Test16<_MM_CMPINT_LT>(ix, 0x24000000), x * (1.0f + x), tanh);
+  std::memcpy(dst, &tanh, sizeof(tanh));
+}
+
+// TanhKernel on 16 lanes: each whole strip takes the core its masks pick, or the port
+// when a lane is infinite or NaN, and the last n % 16 elements run the 8-lane kernel.
+[[gnu::target("avx512f"), gnu::optimize("fp-contract=off")]] void TanhKernelAvx512(
+    float* dst, const float* src, int64_t n) {
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    Vec16 x;
+    const int32_t needs = LoadStrip16(src + i, x);
+    if ((needs & kLaneNonFinite) != 0) {
+      for (int64_t l = i; l < i + 16; ++l) {
+        dst[l] = FdlibmTanhf(src[l]);
+      }
+    } else if ((needs & kLaneWide) != 0) {
+      TanhWideStrip16(dst + i, x);
+    } else if ((needs & kLaneReduces) != 0) {
+      TanhNarrowStrip16<true>(dst + i, x);
+    } else {
+      TanhNarrowStrip16<false>(dst + i, x);
+    }
+  }
+  TanhKernelAvx2(dst + i, src + i, n - i);
 }
 #endif
 
@@ -763,11 +936,13 @@ void TanhKernelVec4(float* dst, const float* src, int64_t n) { TanhKernel<Vec4>(
 // products with a float are exact (see ExpMainPath). It equals that variant on every
 // float; glibc's SSE2 variant, which rounds the product first, differs on a few
 // (0x4202422f and 0xc27c65d9 among them). Like the tanh, everything is always_inline,
-// and the softmax kernel runs it lane by lane.
+// and the softmax kernel runs it lane by lane: 8 float lanes in two halves of 4 doubles
+// on AVX2, in one register of 8 doubles on AVX-512F.
 
 // 2^(i/32) for i in [0, 32), as bits less i << 47, so that adding k << 47 for a k with
-// k % 32 = i gives the bits of 2^(k/32): glibc's __exp2f_data.tab.
-constexpr uint64_t kExp2Table[32] = {
+// k % 32 = i gives the bits of 2^(k/32): glibc's __exp2f_data.tab. On a cache line, so
+// each quarter is one aligned 8-double register.
+alignas(64) constexpr uint64_t kExp2Table[32] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
     0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
     0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
@@ -812,7 +987,7 @@ struct ExpTypes<Vec4d> {
   using Float = Vec4;
   using Bits = uint64_t __attribute__((vector_size(32)));
 };
-// (Only the Gaussian core runs eight double lanes.)
+// (Eight double lanes: the Gaussian core, and the exp on AVX-512F.)
 using Vec8d = double __attribute__((vector_size(64)));
 template <>
 struct ExpTypes<Vec8d> {
@@ -851,11 +1026,32 @@ template <typename V>
   }
 }
 
-// entries = kExp2Table at index i, or at each lane's index.
+// entries = kExp2Table at index i, or at each lane's index. Eight lanes read the table
+// from registers: AVX-512F's two-table permute (vpermt2q) picks lane by lane from 16
+// entries by index bits 0-3, once from each half of the table, and a blend on bit 4
+// keeps the right half's, where fewer lanes load each entry. The permutes are GCC's
+// builtins: this template is compiled for the baseline ISA before an AVX-512F entry
+// point inlines it, so it cannot inline <immintrin.h>'s target("avx512f") wrappers, and
+// GCC's note that their 8-lane results would change an ABI there (-Wpsabi) does not
+// apply to values that never cross a call.
 template <typename Bits>
 [[gnu::always_inline]] inline void Exp2TableAt(const Bits& i, Bits& entries) {
   if constexpr (std::is_same_v<Bits, uint64_t>) {
     entries = kExp2Table[i];
+  } else if constexpr (sizeof(Bits) == 64) {
+#if defined(__x86_64__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+    using Quads = long long __attribute__((vector_size(64)));
+    Quads quarters[4];
+    std::memcpy(quarters, kExp2Table, sizeof(quarters));
+    const Quads index = __builtin_bit_cast(Quads, i);
+    const Quads low = __builtin_ia32_vpermt2varq512_mask(index, quarters[0], quarters[1], 0xff);
+    const Quads high = __builtin_ia32_vpermt2varq512_mask(index, quarters[2], quarters[3], 0xff);
+    const unsigned char upper = __builtin_ia32_ptestmq512(index, Quads{} + 16, 0xff);
+    entries = __builtin_bit_cast(Bits, __builtin_ia32_blendmq_512_mask(low, high, upper));
+#pragma GCC diagnostic pop
+#endif
   } else {
 #pragma GCC unroll 4
     for (size_t l = 0; l < sizeof(Bits) / sizeof(uint64_t); ++l) {
@@ -871,9 +1067,12 @@ template <typename Bits>
 // is exact, so r = (hi - k) + lo is z - k rounded once. round(hi) differs from round(z)
 // only where lo carries hi - round(hi) past +-1/2 (z itself is never a half-integer):
 // on 44 floats, 22 each way. There k and r are each one off the FMA variant's, and the
-// result is the same bits (checked on every float; ExpPortTest pins three of them).
+// result is the same bits (checked on every float; ExpPortTest pins three of them). The
+// result returns through a reference: 8 lanes of it are an AVX register, which the
+// template, compiled for the baseline ISA before an entry point inlines it, may not
+// return.
 template <typename D>
-[[gnu::always_inline]] inline typename ExpTypes<D>::Float ExpMainPath(const D& xd) {
+[[gnu::always_inline]] inline void ExpMainPath(const D& xd, typename ExpTypes<D>::Float& y) {
   using Bits = typename ExpTypes<D>::Bits;
   const D hi = kInvLn2NHi * xd;
   const D kd = hi + kExpShift;  // kExpShift + k
@@ -885,13 +1084,13 @@ template <typename D>
   const D s = __builtin_bit_cast(D, entries + (ki << 47));
   const D z = kExpC0 * r + kExpC1;
   const D r2 = r * r;
-  D y = kExpC2 * r + 1.0;
-  y = z * r2 + y;
-  y = y * s;
+  D p = kExpC2 * r + 1.0;
+  p = z * r2 + p;
+  p = p * s;
   if constexpr (std::is_same_v<D, double>) {
-    return static_cast<float>(y);
+    y = static_cast<float>(p);
   } else {
-    return __builtin_convertvector(y, typename ExpTypes<D>::Float);
+    y = __builtin_convertvector(p, typename ExpTypes<D>::Float);
   }
 }
 
@@ -912,18 +1111,30 @@ template <typename D>
       return 0.0f;
     }
   }
-  return ExpMainPath(static_cast<double>(x));
+  float y;
+  ExpMainPath(static_cast<double>(x), y);
+  return y;
 }
 
-// y = GlibcExpf of every lane of x: the main path on each half of the lanes in double
-// precision, the same operations as the scalar port, so the same bits, then glibc's
-// special cases as per-lane selects.
-template <typename V>
+// y = GlibcExpf of every lane of x: the main path in double precision, on each half of
+// the lanes (D = HalfDoubles<V>) or on all of them at once (D of kLanes<V> doubles), the
+// same operations as the scalar port, so the same bits, then glibc's special cases as
+// per-lane selects.
+template <typename V, typename D = HalfDoubles<V>>
 [[gnu::always_inline]] inline void ExpLanes(const V& x, V& y) {
-  HalfDoubles<V> low;
-  HalfDoubles<V> high;
-  WidenHalves(x, low, high);
-  JoinHalves(ExpMainPath(low), ExpMainPath(high), y);
+  if constexpr (sizeof(D) == 2 * sizeof(V)) {
+    static_assert(kLanes<V> == 8);
+    ExpMainPath(D{x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]}, y);
+  } else {
+    HalfDoubles<V> low;
+    HalfDoubles<V> high;
+    WidenHalves(x, low, high);
+    Halves<V> low_y;
+    Halves<V> high_y;
+    ExpMainPath(low, low_y);
+    ExpMainPath(high, high_y);
+    JoinHalves(low_y, high_y, y);
+  }
   y = x > kExpOverflowAbove ? std::numeric_limits<float>::infinity() : y;  // +inf included
   y = x < kExpUnderflowBelow ? 0.0f : y;                                   // -inf included
   y = x != x ? x + x : y;                                                  // NaN
@@ -956,9 +1167,9 @@ template <typename V>
   }
 }
 
-// dst = row-wise softmax of src, both [rows, cols] with cols >= 1. `tile` holds
-// kLanes<V> * cols floats.
-template <typename V>
+// dst = row-wise softmax of src, both [rows, cols] with cols >= 1, with the exp on
+// ExpLanes<V, D>. `tile` holds kLanes<V> * cols floats.
+template <typename V, typename D = HalfDoubles<V>>
 [[gnu::always_inline]] inline void SoftmaxKernel(float* dst, const float* src, int64_t rows,
                                                  int64_t cols, float* tile) {
   constexpr int64_t lanes = kLanes<V>;
@@ -978,7 +1189,7 @@ template <typename V>
       V v;
       std::memcpy(&v, tile + c * lanes, sizeof(V));
       V e;
-      ExpLanes(v - max_val, e);
+      ExpLanes<V, D>(v - max_val, e);
       std::memcpy(tile + c * lanes, &e, sizeof(V));
       sum += e;
     }
@@ -995,16 +1206,16 @@ template <typename V>
   }
 }
 
-// dst[i] = GlibcExpf(src[i]) for i in [0, n): ExpLanes kLanes<V> at a time, the tail
-// on the scalar port.
-template <typename V>
+// dst[i] = GlibcExpf(src[i]) for i in [0, n): ExpLanes<V, D> kLanes<V> at a time, the
+// tail on the scalar port.
+template <typename V, typename D = HalfDoubles<V>>
 [[gnu::always_inline]] inline void ExpKernel(float* dst, const float* src, int64_t n) {
   int64_t i = 0;
   for (; i + kLanes<V> <= n; i += kLanes<V>) {
     V x;
     std::memcpy(&x, src + i, sizeof(V));
     V e;
-    ExpLanes(x, e);
+    ExpLanes<V, D>(x, e);
     std::memcpy(dst + i, &e, sizeof(V));
   }
   for (; i < n; ++i) {
@@ -1020,13 +1231,23 @@ void ExpKernelVec4(float* dst, const float* src, int64_t n) { ExpKernel<Vec4>(ds
 #if defined(__x86_64__)
 // The 8-lane instantiations, AVX2 and nothing beyond it: under FMA, -ffp-contract=fast
 // would fuse the exp's products with the additions that follow them, as it would the
-// matmuls. CPUs with AVX-512F run them too.
+// matmuls.
 [[gnu::target("avx2")]] void SoftmaxKernelAvx2(float* dst, const float* src, int64_t rows,
                                                int64_t cols, float* tile) {
   SoftmaxKernel<Vec8>(dst, src, rows, cols, tile);
 }
 [[gnu::target("avx2")]] void ExpKernelAvx2(float* dst, const float* src, int64_t n) {
   ExpKernel<Vec8>(dst, src, n);
+}
+
+// The same 8 rows or lanes with the exp on one register of 8 doubles, contraction off.
+[[gnu::target("avx512f"), gnu::optimize("fp-contract=off")]] void SoftmaxKernelAvx512(
+    float* dst, const float* src, int64_t rows, int64_t cols, float* tile) {
+  SoftmaxKernel<Vec8, Vec8d>(dst, src, rows, cols, tile);
+}
+[[gnu::target("avx512f"), gnu::optimize("fp-contract=off")]] void ExpKernelAvx512(
+    float* dst, const float* src, int64_t n) {
+  ExpKernel<Vec8, Vec8d>(dst, src, n);
 }
 #endif
 
@@ -1310,11 +1531,11 @@ const KernelEntries& EntriesOf(internal::KernelIsa isa) {
       kStrips<Vec8, true>.data(), kStrips<Vec8, false>.data(), kLanes<Vec8>, TransposeAvx2,
       TanhKernelAvx2,             ExpKernelAvx2,               SoftmaxKernelAvx2,
       GaussianKernelAvx2};
-  // The matmul strips run 16 float lanes wide and the Gaussian core 8 double lanes; the
-  // rest keep their AVX2 cores.
+  // The matmul strips and the tanh run 16 float lanes wide, the exp and the Gaussian
+  // core 8 double lanes; the transposes keep their AVX2 core.
   static constexpr KernelEntries kAvx512 = {
       kStrips<Vec16, true>.data(), kStrips<Vec16, false>.data(), kLanes<Vec16>, TransposeAvx2,
-      TanhKernelAvx2,              ExpKernelAvx2,                SoftmaxKernelAvx2,
+      TanhKernelAvx512,            ExpKernelAvx512,              SoftmaxKernelAvx512,
       GaussianKernelAvx512};
   switch (isa) {
     case internal::KernelIsa::kVec4:
@@ -1338,7 +1559,7 @@ bool KernelIsaSupported(KernelIsa isa) {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
   }();
-  // The 16-lane row runs the AVX2 tanh, exp, softmax and transposes.
+  // The 16-lane row runs the AVX2 transposes.
   static const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") != 0;
   switch (isa) {
     case KernelIsa::kVec4:

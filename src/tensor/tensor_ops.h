@@ -43,7 +43,7 @@ Tensor Transpose2D(const Tensor& a);
 // ---- Nonlinearities ----
 
 // Tanh is the library's own: fdlibm's float tanhf algorithm, ported into
-// tensor_ops.cc (internal::ScalarTanh) and run up to eight lanes at a time, so no value
+// tensor_ops.cc (internal::ScalarTanh) and run up to sixteen lanes at a time, so no value
 // comes from the host's libm. It equals glibc 2.36's tanhf on every float. On a host
 // with another libm (musl, a correctly rounded glibc) values changed once, when Tanh
 // stopped calling that libm's tanhf, and from then on no longer depend on the host.
@@ -154,8 +154,10 @@ enum class KernelIsa {
   kVec4,    // 4-lane float (2-lane double) vectors at the build's baseline ISA (SSE2 on
             // x86-64); runs anywhere
   kAvx2,    // 8-lane float (4-lane double) AVX2 vectors; x86-64 CPUs with AVX2 only
-  kAvx512,  // 16-lane AVX-512F matmul strips and an 8-lane double Gaussian core, the
-            // AVX2 cores for everything else; x86-64 CPUs with AVX2 and AVX-512F only
+  kAvx512,  // 16-lane AVX-512F matmul strips and tanh cores (GCC 12 compiles the 16-lane
+            // tanh template's vector tests one lane at a time, so these cores test on
+            // mask registers), the exp and the Gaussian core on 8 double lanes, the AVX2
+            // transposes; x86-64 CPUs with AVX2 and AVX-512F only
 };
 // Whether this CPU can run `isa`.
 bool KernelIsaSupported(KernelIsa isa);

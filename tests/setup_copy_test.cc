@@ -14,8 +14,8 @@
 // would break the bound.
 //
 // A warm ApplyStep of the engine under test, on gradients the replicas computed at the
-// step-start view, allocates at most the engine's pinned count: none for ps (with and
-// without a SparseAccessObserver) and ar, which aggregate into buffers they own.
+// step-start view, allocates nothing: every engine aggregates into buffers it owns (ps
+// also with a SparseAccessObserver).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -222,30 +222,16 @@ size_t WarmApplyAllocations(const std::string& engine, bool observed) {
   return allocations;
 }
 
-// The most allocations a warm ApplyStep of each engine may make on this model: the
-// count measured on it. ps, ar and int8_ps make none (int8_ps's quantized copies keep
-// their buffers while each rank's row count holds, 32 rows per table here). The others:
-//  - async_ps: 72, 18 per rank push: each push copies its rank's StepResult, gradient
-//    map, shapes and sparse row indices included, into a one-rank batch
-//    (AsyncPsEngine::PushGradients);
-//  - topk_ps: 11: per rank and table, the incoming gradient's distinct-row count sorts
-//    a copy of its indices (IndexedSlices::unique_rows), 8 here, and the compressed
-//    values tensor is reallocated when its selected row count changes, 3 here.
-size_t WarmApplyBound(const std::string& engine) {
-  if (engine == "async_ps") {
-    return 72;
-  }
-  if (engine == "topk_ps") {
-    return 11;
-  }
-  return 0;
-}
-
+// A warm ApplyStep of any engine allocates nothing on this model. int8_ps's quantized
+// copies keep their buffers while each rank's row count holds (32 rows per table here);
+// async_ps applies each rank's push in place (PsNumericEngine::ApplyRanks); topk_ps
+// counts each incoming gradient's distinct rows on a slot table, and its compressed
+// values keep their buffer when the selected row count changes (Tensor::ResizeRows).
 TEST_P(SetUpCopyTest, WarmApplyStepAllocatesAtMostItsPinnedCount) {
   const std::string& engine = GetParam();
   const size_t allocations = WarmApplyAllocations(engine, /*observed=*/false);
   std::printf("%s: a warm ApplyStep allocated %zu times\n", engine.c_str(), allocations);
-  EXPECT_LE(allocations, WarmApplyBound(engine));
+  EXPECT_EQ(allocations, 0u);
   if (engine == "ps") {
     const size_t observed = WarmApplyAllocations(engine, /*observed=*/true);
     std::printf("ps with an observer: a warm ApplyStep allocated %zu times\n", observed);

@@ -5,8 +5,10 @@
 //
 // The kernel must equal the seed loop on the port (NaiveSoftmaxRows, in
 // tests/naive_reference.h) BIT FOR BIT, compared as bit patterns so that -0.0 and
-// denormals count, on both instantiations: SoftmaxKernelTest runs the 4-lane one,
-// SoftmaxKernelAvx2Test the 8-lane AVX2 one, skipped where the CPU lacks AVX2. Where a
+// denormals count, on every kernel ISA: SoftmaxKernelTest runs the 4-lane instantiation,
+// SoftmaxKernelAvx2Test the 8-lane AVX2 one and SoftmaxKernelAvx512Test the AVX-512F one
+// (8 rows, the exp on one register of 8 doubles), each skipped where the CPU lacks its
+// ISA. Where a
 // row's sum meets two NaNs, which payload an add returns is the compiler's choice of
 // operand order (tests/matmul_kernel_test.cc explains), so a NaN only has to be a NaN.
 //
@@ -39,6 +41,15 @@ class SoftmaxKernelAvx2Test : public ::testing::Test {
   void SetUp() override {
     if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
       GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
+};
+
+class SoftmaxKernelAvx512Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx512)) {
+      GTEST_SKIP() << "this CPU has no AVX-512F";
     }
   }
 };
@@ -120,8 +131,9 @@ void ExpectExpCoreMatchesPort(KernelIsa isa, const std::vector<uint32_t>& input_
   }
 }
 
-// Every pin in every lane of a strip of otherwise ordinary inputs, and every 251st bit
-// pattern (17.1 million floats).
+// Every pin in every lane of a strip of otherwise ordinary inputs, every 251st bit
+// pattern (17.1 million floats), and every length from 0 to 33: no strip, whole strips
+// and every tail on the port.
 void CheckExpCore(KernelIsa isa) {
   Rng rng(26);
   for (const Pin& pin : kGlibcPins) {
@@ -145,10 +157,22 @@ void CheckExpCore(KernelIsa isa) {
     }
   }
   ExpectExpCoreMatchesPort(isa, chunk, "last sweep chunk");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  for (int n = 0; n <= 33; ++n) {
+    std::vector<uint32_t> inputs;
+    for (int i = 0; i < n; ++i) {
+      inputs.push_back(BitsOf(static_cast<float>(rng.NextUniform(-90.0, 90.0))));
+    }
+    ExpectExpCoreMatchesPort(isa, inputs, StrFormat("length %d", n));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
 }
 
 TEST(SoftmaxKernelTest, ExpCoreMatchesPortBitForBit) { CheckExpCore(KernelIsa::kVec4); }
 TEST_F(SoftmaxKernelAvx2Test, ExpCoreMatchesPortBitForBit) { CheckExpCore(KernelIsa::kAvx2); }
+TEST_F(SoftmaxKernelAvx512Test, ExpCoreMatchesPortBitForBit) {
+  CheckExpCore(KernelIsa::kAvx512);
+}
 
 // Equal bits, except that a NaN only has to be a NaN.
 void ExpectSameValues(const Tensor& got, const Tensor& want, const std::string& context) {
@@ -201,6 +225,9 @@ void CheckShapes(KernelIsa isa) {
 
 TEST(SoftmaxKernelTest, ShapesMatchSeedLoopBitForBit) { CheckShapes(KernelIsa::kVec4); }
 TEST_F(SoftmaxKernelAvx2Test, ShapesMatchSeedLoopBitForBit) { CheckShapes(KernelIsa::kAvx2); }
+TEST_F(SoftmaxKernelAvx512Test, ShapesMatchSeedLoopBitForBit) {
+  CheckShapes(KernelIsa::kAvx512);
+}
 
 // Rows of special kinds side by side, so that each lane of a group meets a different one:
 // NaN in column 0 (the max stays NaN) or later (std::max skips it, its exp is NaN), +inf
@@ -275,6 +302,9 @@ void CheckSpecialRows(KernelIsa isa) {
 
 TEST(SoftmaxKernelTest, SpecialRowsMatchSeedLoop) { CheckSpecialRows(KernelIsa::kVec4); }
 TEST_F(SoftmaxKernelAvx2Test, SpecialRowsMatchSeedLoop) { CheckSpecialRows(KernelIsa::kAvx2); }
+TEST_F(SoftmaxKernelAvx512Test, SpecialRowsMatchSeedLoop) {
+  CheckSpecialRows(KernelIsa::kAvx512);
+}
 
 // The public entry points run the instantiation this CPU dispatches to, and the tile is
 // per-thread scratch shared with MatMulTransposeB's packing: a wide softmax, a packed
@@ -294,11 +324,14 @@ TEST(SoftmaxKernelTest, PublicKernelsMatchSeedLoop) {
   }
 }
 
-// Every float, both instantiations. Takes about a minute and a half in a Release build.
+// Every float, every kernel ISA this CPU supports. Takes about two minutes in a Release
+// build.
 TEST(SoftmaxKernelTest, DISABLED_ExpCoreMatchesPortOnEveryFloat) {
-  std::vector<KernelIsa> isas = {KernelIsa::kVec4};
-  if (internal::KernelIsaSupported(KernelIsa::kAvx2)) {
-    isas.push_back(KernelIsa::kAvx2);
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa : {KernelIsa::kVec4, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (internal::KernelIsaSupported(isa)) {
+      isas.push_back(isa);
+    }
   }
   constexpr int64_t kChunk = 1 << 16;
   Tensor in = Tensor::Zeros(TensorShape({kChunk}));
@@ -322,10 +355,14 @@ TEST(SoftmaxKernelTest, DISABLED_ExpCoreMatchesPortOnEveryFloat) {
       libm_differs += BitsOf(std::exp(x)) != port ? 1 : 0;
     }
   }
-  std::printf("exp core == port on all 4294967296 floats (%s%s); this host's expf differs "
+  std::string names;
+  for (KernelIsa isa : isas) {
+    names += names.empty() ? "" : ", ";
+    names += internal::KernelIsaName(isa);
+  }
+  std::printf("exp core == port on all 4294967296 floats (%s); this host's expf differs "
               "from the port on %llu of them\n",
-              internal::KernelIsaName(isas.front()), isas.size() > 1 ? " and avx2" : "",
-              static_cast<unsigned long long>(libm_differs));
+              names.c_str(), static_cast<unsigned long long>(libm_differs));
 }
 
 }  // namespace

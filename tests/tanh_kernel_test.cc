@@ -3,9 +3,10 @@
 // have 2^-26 <= |x| < 1.5 ln2 / 2, a wide one for every other finite strip, and the port
 // for strips with an infinite or NaN lane and for the tail. The kernel must equal the
 // port BIT FOR BIT (compared
-// as bit patterns, so -0.0, NaN payloads and denormals count) on both instantiations:
-// TanhKernelTest runs the 4-lane one, TanhKernelAvx2Test the 8-lane AVX2 one, skipped
-// where the CPU lacks AVX2.
+// as bit patterns, so -0.0, NaN payloads and denormals count) on every kernel ISA:
+// TanhKernelTest runs the 4-lane instantiation, TanhKernelAvx2Test the 8-lane AVX2 one
+// and TanhKernelAvx512Test the 16-lane AVX-512F cores (with the 8-lane kernel for the
+// tail), each skipped where the CPU lacks its ISA.
 //
 // The port itself is pinned to outputs read from glibc 2.36's tanhf, which runs the same
 // algorithm, and checked to stay within 2 ulp of the double-precision tanh rounded to
@@ -38,6 +39,15 @@ class TanhKernelAvx2Test : public ::testing::Test {
   void SetUp() override {
     if (!internal::KernelIsaSupported(KernelIsa::kAvx2)) {
       GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
+};
+
+class TanhKernelAvx512Test : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!internal::KernelIsaSupported(KernelIsa::kAvx512)) {
+      GTEST_SKIP() << "this CPU has no AVX-512F";
     }
   }
 };
@@ -100,15 +110,18 @@ TEST(TanhKernelTest, StridedSweepMatchesPortBitForBit) { CheckStridedSweep(Kerne
 TEST_F(TanhKernelAvx2Test, StridedSweepMatchesPortBitForBit) {
   CheckStridedSweep(KernelIsa::kAvx2);
 }
+TEST_F(TanhKernelAvx512Test, StridedSweepMatchesPortBitForBit) {
+  CheckStridedSweep(KernelIsa::kAvx512);
+}
 
-// +-4096 ulp around each threshold, of either sign. The window starts 0 to 7 patterns
+// +-4096 ulp around each threshold, of either sign. The window starts 0 to 15 patterns
 // early, so the threshold falls on every lane of a strip, and strips on either side mix
 // in-range and out-of-range lanes (at 0.5 ln2 / 2: lanes with and without the k = -1
 // reduction, which a strip skips when no lane needs it).
 void CheckThresholdWindows(KernelIsa isa) {
   for (uint32_t threshold : kThresholds) {
     for (uint32_t sign : {0x00000000u, 0x80000000u}) {
-      for (uint32_t shift = 0; shift < 8; ++shift) {
+      for (uint32_t shift = 0; shift < 16; ++shift) {
         std::vector<uint32_t> window;
         for (uint32_t bits = threshold - 4096 - shift; bits <= threshold + 4096; ++bits) {
           window.push_back(bits | sign);
@@ -128,6 +141,9 @@ TEST(TanhKernelTest, ThresholdWindowsMatchPortBitForBit) {
 TEST_F(TanhKernelAvx2Test, ThresholdWindowsMatchPortBitForBit) {
   CheckThresholdWindows(KernelIsa::kAvx2);
 }
+TEST_F(TanhKernelAvx512Test, ThresholdWindowsMatchPortBitForBit) {
+  CheckThresholdWindows(KernelIsa::kAvx512);
+}
 
 // Inputs the narrow core takes, of random sign: |x| in [2^-26, 0.5).
 std::vector<uint32_t> InRangeBits(int64_t n, Rng& rng) {
@@ -140,9 +156,9 @@ std::vector<uint32_t> InRangeBits(int64_t n, Rng& rng) {
   return bits;
 }
 
-// Two 8-lane strips of narrow-core inputs, with one lane at every position replaced by
-// an input outside the narrow core's range: the strip then runs the wide core, or the
-// port where that lane is infinite or NaN.
+// 16 narrow-core inputs (one 16-lane strip, or two of 8), with one lane at every
+// position replaced by an input outside the narrow core's range: the strip then runs the
+// wide core, or the port where that lane is infinite or NaN.
 void CheckMixedStrips(KernelIsa isa) {
   const uint32_t outside[] = {
       0x00000000, 0x80000000, 0x00000001, 0x807fffff, 0x23ffffff, 0x327fffff, 0x3f051592,
@@ -164,6 +180,46 @@ TEST(TanhKernelTest, MixedStripsMatchPortBitForBit) { CheckMixedStrips(KernelIsa
 TEST_F(TanhKernelAvx2Test, MixedStripsMatchPortBitForBit) {
   CheckMixedStrips(KernelIsa::kAvx2);
 }
+TEST_F(TanhKernelAvx512Test, MixedStripsMatchPortBitForBit) {
+  CheckMixedStrips(KernelIsa::kAvx512);
+}
+
+// Strips of narrow-core inputs that skip the k = -1 reduction (|x| at most
+// 0.5 ln2 / 2), with one lane at every position replaced by an input that needs it:
+// the strip then runs the narrow core with the reduction, and every other lane must
+// keep its k = 0 result. And the reverse: strips that reduce with one lane that does
+// not.
+void CheckReducingLanes(KernelIsa isa) {
+  Rng rng(29);
+  // A float of random sign whose |x| has bits in [lo, end).
+  auto signed_in = [&](uint32_t lo, uint32_t end) {
+    return (lo + static_cast<uint32_t>(rng.NextBounded(end - lo))) |
+           (rng.NextBounded(2) == 1 ? 0x80000000u : 0u);
+  };
+  constexpr uint32_t kReduceFrom = 0x3e317219;  // the first |x| that reduces
+  for (bool reducing_strip : {false, true}) {
+    for (size_t lane = 0; lane < 16; ++lane) {
+      std::vector<uint32_t> strip;
+      for (size_t l = 0; l < 16; ++l) {
+        const bool reduces = (l == lane) != reducing_strip;
+        strip.push_back(reduces ? signed_in(kReduceFrom, 0x3f051592)
+                                : signed_in(0x32800000, kReduceFrom));
+      }
+      ExpectKernelMatchesPort(isa, strip,
+                              StrFormat("%s strip, lane %zu the other kind",
+                                        reducing_strip ? "reducing" : "k = 0", lane));
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+  }
+}
+
+TEST(TanhKernelTest, ReducingLanesMatchPortBitForBit) { CheckReducingLanes(KernelIsa::kVec4); }
+TEST_F(TanhKernelAvx2Test, ReducingLanesMatchPortBitForBit) {
+  CheckReducingLanes(KernelIsa::kAvx2);
+}
+TEST_F(TanhKernelAvx512Test, ReducingLanesMatchPortBitForBit) {
+  CheckReducingLanes(KernelIsa::kAvx512);
+}
 
 // Finite inputs of random sign and magnitude, from 2^-64 to 2^7, so that one strip
 // mixes lanes from every branch of the port: the wide core's per-lane selects. A trained
@@ -183,20 +239,38 @@ TEST(TanhKernelTest, WideStripsMatchPortBitForBit) { CheckWideStrips(KernelIsa::
 TEST_F(TanhKernelAvx2Test, WideStripsMatchPortBitForBit) {
   CheckWideStrips(KernelIsa::kAvx2);
 }
+TEST_F(TanhKernelAvx512Test, WideStripsMatchPortBitForBit) {
+  CheckWideStrips(KernelIsa::kAvx512);
+}
 
-// Lengths 0 to 17: no strip, part of one, and every tail after one or two strips.
-void CheckLengths(KernelIsa isa) {
+// Lengths 0 to max_length: no strip, part of one, and every tail after one or two
+// strips. Each length runs on narrow-core inputs and on random magnitudes, which take
+// the wide core.
+void CheckLengths(KernelIsa isa, int64_t max_length) {
   Rng rng(26);
-  for (int64_t n = 0; n <= 17; ++n) {
+  for (int64_t n = 0; n <= max_length; ++n) {
     ExpectKernelMatchesPort(isa, InRangeBits(n, rng),
                             StrFormat("length %ld", static_cast<long>(n)));
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    std::vector<uint32_t> wide;
+    for (int64_t i = 0; i < n; ++i) {
+      wide.push_back(0x1f800000u +
+                     static_cast<uint32_t>(rng.NextBounded(0x43000000u - 0x1f800000u)));
+    }
+    ExpectKernelMatchesPort(isa, wide, StrFormat("length %ld, wide", static_cast<long>(n)));
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
 }
 
-TEST(TanhKernelTest, EveryLengthUpTo17MatchesPortBitForBit) { CheckLengths(KernelIsa::kVec4); }
+TEST(TanhKernelTest, EveryLengthUpTo17MatchesPortBitForBit) {
+  CheckLengths(KernelIsa::kVec4, 17);
+}
 TEST_F(TanhKernelAvx2Test, EveryLengthUpTo17MatchesPortBitForBit) {
-  CheckLengths(KernelIsa::kAvx2);
+  CheckLengths(KernelIsa::kAvx2, 17);
+}
+// Two 16-lane strips and every tail the 8-lane kernel takes after none, one or two.
+TEST_F(TanhKernelAvx512Test, EveryLengthUpTo33MatchesPortBitForBit) {
+  CheckLengths(KernelIsa::kAvx512, 33);
 }
 
 // The public kernels run the instantiation this CPU dispatches to.
@@ -287,11 +361,14 @@ TEST(TanhPortTest, WithinTwoUlpOfDoubleTanhOnTheSweep) {
   EXPECT_LE(worst, 2) << "at x = " << Hex(worst_x);
 }
 
-// Every float, both instantiations. Takes about four minutes in a Release build.
+// Every float, every kernel ISA this CPU supports. Takes about four minutes in a
+// Release build.
 TEST(TanhKernelTest, DISABLED_VectorMatchesPortOnEveryFloat) {
-  std::vector<KernelIsa> isas = {KernelIsa::kVec4};
-  if (internal::KernelIsaSupported(KernelIsa::kAvx2)) {
-    isas.push_back(KernelIsa::kAvx2);
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa : {KernelIsa::kVec4, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (internal::KernelIsaSupported(isa)) {
+      isas.push_back(isa);
+    }
   }
   constexpr int64_t kChunk = 1 << 16;
   Tensor in = Tensor::Zeros(TensorShape({kChunk}));
@@ -315,10 +392,14 @@ TEST(TanhKernelTest, DISABLED_VectorMatchesPortOnEveryFloat) {
       libm_differs += BitsOf(std::tanh(x)) != port ? 1 : 0;
     }
   }
-  std::printf("kernel == port on all 4294967296 floats (%s%s); this host's tanhf differs "
+  std::string names;
+  for (KernelIsa isa : isas) {
+    names += names.empty() ? "" : ", ";
+    names += internal::KernelIsaName(isa);
+  }
+  std::printf("kernel == port on all 4294967296 floats (%s); this host's tanhf differs "
               "from the port on %llu of them\n",
-              internal::KernelIsaName(isas.front()),
-              isas.size() > 1 ? " and avx2" : "", static_cast<unsigned long long>(libm_differs));
+              names.c_str(), static_cast<unsigned long long>(libm_differs));
 }
 
 }  // namespace
