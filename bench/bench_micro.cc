@@ -232,6 +232,9 @@ struct MatMulIsaShape {
   int64_t m;
   int64_t k;
   int64_t n;
+  // One element of A set to zero: MatMul and MatMulTransposeA then run the one-row
+  // strips that skip the zero's terms, not the tiles.
+  bool lone_zero = false;
 };
 
 // The six matmuls of one replica of WordLmModel or EmbeddingSkewModel (`batch` rows and
@@ -310,6 +313,9 @@ void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
   Tensor a = RandomNormal(shape.kind == MatMulKind::kTransposeA ? TensorShape({k, m})
                                                                 : TensorShape({m, k}),
                           rng);
+  if (shape.lone_zero) {
+    a.mutable_floats()[static_cast<size_t>(m * k / 2)] = 0.0f;
+  }
   Tensor b = RandomNormal(shape.kind == MatMulKind::kTransposeB ? TensorShape({n, k})
                                                                 : TensorShape({k, n}),
                           rng);
@@ -327,12 +333,14 @@ void BM_MatMulIsa(benchmark::State& state, const MatMulIsaShape& shape) {
 }
 
 // skew's and lm's replicas (pxbench's options), and the lm tenants' (hidden width 24,
-// embedding 16 + 4 * family for families 0-3), each distinct shape once.
+// embedding 16 + 4 * family for families 0-3), each distinct shape once, plus lm's
+// hidden layer with one zero in its input (the skipping strips' time).
 const bool kMatMulIsaRegistered = [] {
   std::vector<MatMulIsaShape> shapes = ReplicaMatMuls("skew", 64, 32, 128);
   for (const MatMulIsaShape& shape : ReplicaMatMuls("lm", 32, 32, 48)) {
     shapes.push_back(shape);
   }
+  shapes.push_back({"lm/hidden_zero", MatMulKind::kMatMul, 32, 32, 48, /*lone_zero=*/true});
   for (int64_t embedding : {16, 20, 24, 28}) {
     for (const MatMulIsaShape& shape :
          ReplicaMatMuls(StrFormat("lm_tenant_e%ld", static_cast<long>(embedding)), 32,
@@ -340,9 +348,9 @@ const bool kMatMulIsaRegistered = [] {
       shapes.push_back(shape);
     }
   }
-  std::set<std::tuple<MatMulKind, int64_t, int64_t, int64_t>> seen;
+  std::set<std::tuple<MatMulKind, int64_t, int64_t, int64_t, bool>> seen;
   for (const MatMulIsaShape& shape : shapes) {
-    if (seen.insert({shape.kind, shape.m, shape.k, shape.n}).second) {
+    if (seen.insert({shape.kind, shape.m, shape.k, shape.n, shape.lone_zero}).second) {
       benchmark::RegisterBenchmark(("BM_MatMulIsa/" + shape.name).c_str(), BM_MatMulIsa, shape);
     }
   }
@@ -1336,12 +1344,10 @@ BENCHMARK(BM_ExecutorRunStep);
 void BM_ExecutorRunStepScratch(benchmark::State& state) { RunStepBench(state, true); }
 BENCHMARK(BM_ExecutorRunStepScratch);
 
-// One replica's compute in pxbench's skew workload: EmbeddingSkewModel at batch 64
-// through RunStepInto with a persistent scratch and result, as GraphRunner drives it.
-void BM_ExecutorRunStepSkew(benchmark::State& state) {
-  EmbeddingSkewModel::Options options;
-  options.batch_per_rank = 64;
-  EmbeddingSkewModel model(options);
+// One replica's compute through RunStepInto with a persistent scratch and result, as
+// GraphRunner drives it, on the initial values and one training shard.
+template <typename Model>
+void ReplicaStepBench(benchmark::State& state, Model& model) {
   Executor executor(model.graph());
   VariableStore store = VariableStore::InitFrom(*model.graph());
   Rng rng(11);
@@ -1356,7 +1362,24 @@ void BM_ExecutorRunStepSkew(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(KernelIsaLabel());
 }
+
+// pxbench's skew workload: EmbeddingSkewModel at batch 64.
+void BM_ExecutorRunStepSkew(benchmark::State& state) {
+  EmbeddingSkewModel::Options options;
+  options.batch_per_rank = 64;
+  EmbeddingSkewModel model(options);
+  ReplicaStepBench(state, model);
+}
 BENCHMARK(BM_ExecutorRunStepSkew);
+
+// pxbench's lm workload: WordLmModel with vocabulary 2000, embedding 32, hidden width 48
+// and batch 32.
+void BM_ExecutorRunStepLm(benchmark::State& state) {
+  WordLmModel model({.vocab_size = 2000, .embedding_dim = 32, .hidden_dim = 48,
+                     .batch_per_rank = 32, .seed = 9});
+  ReplicaStepBench(state, model);
+}
+BENCHMARK(BM_ExecutorRunStepLm);
 
 // ---- Runner step ----------------------------------------------------------------------
 

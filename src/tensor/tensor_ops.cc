@@ -146,16 +146,31 @@ float* PrepareDenseRows(Tensor& out, const TensorShape& like, int64_t rows, bool
   return out.mutable_floats().data();
 }
 
-// ---- Register-strip matmul core ----
+// ---- Register-tile matmul core ----
 //
 // Every matmul kernel computes each output element as the seed's loops did: start at
 // +0.0f and add a(i, p) * b(p, j) in ascending p, one rounded multiply then one rounded
-// add per term (optionally skipping terms whose a(i, p) compares equal to zero). The
-// core keeps that per-element sequence and only changes what runs side by side: a strip
-// of an output row's columns stays in registers for the whole p loop, and the
+// add per term, MatMul and MatMulTransposeA skipping the terms whose a(i, p) compares
+// equal to zero. The core keeps that per-element sequence and only changes what runs
+// side by side: a tile of C, a few rows by a strip of their columns, stays in registers
+// for the whole p loop, and each pass over p loads each of B's vectors once and
+// multiplies it by every tile row's A element, one set of accumulators per row. The
 // element-wise vector multiply and add are the same IEEE operations as their scalar
-// forms. So the results are bit-identical to the scalar loops, while B is read once per
-// strip and C is written once.
+// forms, so the results are bit-identical to the scalar loops, while B is read once per
+// tile and C is written once.
+//
+// Zero skipping is decided once per product, not per term. MatMulInto and
+// MatMulTransposeAInto scan A first (KernelEntries::holds_zero). Where A holds no zero
+// no term is skipped, so code that adds every term gives the seed's bits, and a pass over
+// p carries no compare and branch per A element (without them, one-row 16-lane strips of
+// 64-128 columns ran 10-18% faster and the 4- and 8-lane ones 5-9%). A product whose A
+// holds a +0 or -0 runs one-row strips that test every a(i, p), the only way to match
+// the seed when a skipped term faces an infinite or NaN b(p, j) (0 * inf is NaN).
+//
+// Each accumulator is an add chain bound by the add latency, so a one-row strip of 2 or
+// 3 vectors leaves the FP ports idle part of the time; a tile of R rows has R times the
+// chains for the same loads of B (TileRowsOf). MatMulTransposeA's A^T rows are A's
+// columns, so a tile reads R contiguous floats of A per p.
 
 // The core is one template on the float vector type V (GCC/Clang vector extension),
 // compiled three times: with four lanes at the build's baseline ISA (one SSE register
@@ -170,6 +185,9 @@ using Vec16 = float __attribute__((vector_size(64)));
 
 template <typename V>
 constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+// The signed 32-bit lane type of float vector V (what comparing two V yields).
+template <typename V>
+using LaneBits = decltype(V{} < V{});
 // Widest strip: 8 accumulators of V, plus the last strip's narrower remainder (at most
 // 5 more), leave registers for the broadcast A element and B's vectors: x86-64 has 16
 // xmm and ymm registers, and AVX-512 32 zmm.
@@ -182,6 +200,9 @@ struct StripShape {
   int eights;
   int fours;
   int singles;
+
+  // Accumulators per row: each is one add chain.
+  constexpr int chains() const { return wide + eights + fours + singles; }
 };
 
 template <typename V>
@@ -194,18 +215,35 @@ constexpr StripShape StripShapeOf(int columns) {
   return {wide, eights, fours, rest - fours * 4};
 }
 
-// acc[v] += ap * (the lanes of W at bp + v * kLanes<W>), one vector (W = float: one
-// column) per accumulator. Vectors move through memcpy, so no function passes one by
-// value.
-template <typename W, size_t kCount>
-[[gnu::always_inline]] inline void AddProducts(std::array<W, kCount>& acc, float ap,
+// The rows of a tile of `columns` columns on V. Each term is a multiply and an add, and
+// a 16-lane strip's accumulators keep both FP ports busy once a pass over p holds 4 add
+// chains, as many as an add's latency in cycles: one-row strips of 4 to 8 vectors and
+// their remainder ran at 15 multiply-adds per cycle (of 16), and 2-row tiles of them
+// 1-3% slower. So only the 16-lane strips of 2 or 3 chains (32 to 63 columns) run
+// 2-row tiles; 3 and 4 rows ran no faster than 2. Every other strip runs one row: on
+// the 8-lane strips (the AVX2 row, and the AVX-512F row's strips narrower than 32
+// columns) 2-row tiles ran slower.
+template <typename V>
+constexpr int TileRowsOf(int columns) {
+  return kLanes<V> == 16 && StripShapeOf<V>(columns).chains() < 4 ? 2 : 1;
+}
+
+// acc[r][v] += ap[r] * (the lanes of W at bp + v * kLanes<W>) for every row r of the
+// tile: each vector of B (W = float: one column) is loaded once and multiplied by every
+// row's A element. Vectors move through memcpy, so no function passes one by value.
+template <typename W, size_t kCount, size_t kRows>
+[[gnu::always_inline]] inline void AddProducts(std::array<std::array<W, kCount>, kRows>& acc,
+                                               const std::array<float, kRows>& ap,
                                                const float* bp) {
 #pragma GCC unroll 8
   for (size_t v = 0; v < kCount; ++v) {
     W bv;
     std::memcpy(&bv, bp + v * kLanes<W>, sizeof(bv));
-    const W product = ap * bv;
-    acc[v] += product;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < kRows; ++r) {
+      const W product = ap[r] * bv;
+      acc[r][v] += product;
+    }
   }
 }
 
@@ -217,41 +255,107 @@ template <typename W, size_t kCount>
   }
 }
 
-// C's columns [0, kColumns) of rows [0, m): for each row i, the sum over p in [0, k) of
-// a[i * a_row_step + p * a_col_step] * b[p * n, +kColumns), accumulated in the
-// registers of StripShapeOf<V>(kColumns) in one pass over p. C's rows are n floats
+// C's columns [0, kColumns) of rows [0, kRows): for each row i, the sum over p in [0, k)
+// of a[i * a_row_step + p * a_col_step] * b[p * n, +kColumns), accumulated in kRows rows
+// of StripShapeOf<V>(kColumns)'s registers in one pass over p. With kSkipZeros (one row
+// only), a term whose A element compares equal to zero is skipped. C's rows are n floats
 // apart.
-template <typename V, int kColumns, bool kSkipZeros>
-[[gnu::always_inline]] inline void StripRows(float* c, const float* a, int64_t a_row_step,
-                                             int64_t a_col_step, const float* b, int64_t m,
-                                             int64_t k, int64_t n) {
+template <typename V, int kColumns, int kRows, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripTile(float* c, const float* a, int64_t a_row_step,
+                                             int64_t a_col_step, const float* b, int64_t k,
+                                             int64_t n) {
+  static_assert(kRows == 1 || !kSkipZeros);
   constexpr StripShape shape = StripShapeOf<V>(kColumns);
   constexpr int64_t eights_at = shape.wide * kLanes<V>;
   constexpr int64_t fours_at = eights_at + shape.eights * 8;
   constexpr int64_t singles_at = fours_at + shape.fours * 4;
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * a_row_step;
-    std::array<V, shape.wide> wide = {};
-    std::array<Vec8, shape.eights> eights = {};
-    std::array<Vec4, shape.fours> fours = {};
-    std::array<float, shape.singles> singles = {};
-    for (int64_t p = 0; p < k; ++p) {
-      const float ap = ai[p * a_col_step];
-      if (kSkipZeros && ap == 0.0f) {
-        continue;
-      }
-      const float* bp = b + p * n;
-      AddProducts(wide, ap, bp);
-      AddProducts(eights, ap, bp + eights_at);
-      AddProducts(fours, ap, bp + fours_at);
-      AddProducts(singles, ap, bp + singles_at);
+  std::array<std::array<V, shape.wide>, kRows> wide = {};
+  std::array<std::array<Vec8, shape.eights>, kRows> eights = {};
+  std::array<std::array<Vec4, shape.fours>, kRows> fours = {};
+  std::array<std::array<float, shape.singles>, kRows> singles = {};
+  for (int64_t p = 0; p < k; ++p) {
+    std::array<float, kRows> ap;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      ap[r] = a[r * a_row_step + p * a_col_step];
     }
-    float* ci = c + i * n;
-    StoreAccumulators(ci, wide);
-    StoreAccumulators(ci + eights_at, eights);
-    StoreAccumulators(ci + fours_at, fours);
-    StoreAccumulators(ci + singles_at, singles);
+    if (kSkipZeros && ap[0] == 0.0f) {
+      continue;
+    }
+    const float* bp = b + p * n;
+    AddProducts(wide, ap, bp);
+    AddProducts(eights, ap, bp + eights_at);
+    AddProducts(fours, ap, bp + fours_at);
+    AddProducts(singles, ap, bp + singles_at);
   }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+    float* cr = c + r * n;
+    StoreAccumulators(cr, wide[r]);
+    StoreAccumulators(cr + eights_at, eights[r]);
+    StoreAccumulators(cr + fours_at, fours[r]);
+    StoreAccumulators(cr + singles_at, singles[r]);
+  }
+}
+
+// StripTile over rows [0, m): tiles of kRows rows, then the last m % kRows rows as one
+// tile of that height.
+template <typename V, int kColumns, int kRows, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripTiles(float* c, const float* a, int64_t a_row_step,
+                                              int64_t a_col_step, const float* b, int64_t m,
+                                              int64_t k, int64_t n) {
+  int64_t i = 0;
+  for (; i + kRows <= m; i += kRows) {
+    StripTile<V, kColumns, kRows, kSkipZeros>(c + i * n, a + i * a_row_step, a_row_step,
+                                              a_col_step, b, k, n);
+  }
+  if constexpr (kRows > 1) {
+    if (i < m) {
+      StripTiles<V, kColumns, kRows - 1, kSkipZeros>(c + i * n, a + i * a_row_step, a_row_step,
+                                                     a_col_step, b, m - i, k, n);
+    }
+  }
+}
+
+// C's columns [0, kColumns) of rows [0, m), A's element (i, p) at a[i * a_row_step +
+// p * a_col_step]: tiles of TileRowsOf<V>(kColumns) rows, or one-row strips that skip
+// the terms whose A element is zero (kSkipZeros).
+template <typename V, int kColumns, bool kSkipZeros>
+[[gnu::always_inline]] inline void StripRows(float* c, const float* a, int64_t a_row_step,
+                                             int64_t a_col_step, const float* b, int64_t m,
+                                             int64_t k, int64_t n) {
+  constexpr int rows = kSkipZeros ? 1 : TileRowsOf<V>(kColumns);
+  StripTiles<V, kColumns, rows, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+}
+
+// Whether any of the `count` floats at `values` compares equal to zero (+0 or -0; a NaN
+// does not), with the lane tests OR-ed in a register, four vectors per iteration (one
+// per iteration ran lm's 32 x 32 operands' 4- and 8-lane products 4-5% slower).
+template <typename V>
+[[gnu::always_inline]] inline bool HoldsZero(const float* values, int64_t count) {
+  LaneBits<V> zeros = {};
+  int64_t i = 0;
+  for (; i + 4 * kLanes<V> <= count; i += 4 * kLanes<V>) {
+    V x0, x1, x2, x3;
+    std::memcpy(&x0, values + i, sizeof(V));
+    std::memcpy(&x1, values + i + kLanes<V>, sizeof(V));
+    std::memcpy(&x2, values + i + 2 * kLanes<V>, sizeof(V));
+    std::memcpy(&x3, values + i + 3 * kLanes<V>, sizeof(V));
+    zeros |= (x0 == 0.0f) | (x1 == 0.0f) | (x2 == 0.0f) | (x3 == 0.0f);
+  }
+  for (; i + kLanes<V> <= count; i += kLanes<V>) {
+    V x;
+    std::memcpy(&x, values + i, sizeof(x));
+    zeros |= x == 0.0f;
+  }
+  bool zero = false;
+  for (; i < count; ++i) {
+    zero |= values[i] == 0.0f;
+  }
+  for (int64_t lane = 0; lane < kLanes<V>; ++lane) {
+    zero |= zeros[lane] != 0;
+  }
+  return zero;
 }
 
 // Runs StripRows for one column count on one instantiation.
@@ -266,7 +370,7 @@ constexpr int kWidestStrip = kStripVecs * kLanes<V> + kLanes<V> - 1;
 // ISA, one function per layout (one entry point inlining all of them made this file
 // take 57 s to compile instead of 13 s). Each is compiled without -O3's loop versioning
 // for strides, which would copy every strip's loop for a_col_step == 1 and run it no
-// faster.
+// faster. StripEntries<V>::HoldsZero is the zero scan on V's ISA.
 template <typename V>
 struct StripEntries;
 
@@ -277,6 +381,9 @@ struct StripEntries<Vec4> {
       float* c, const float* a, int64_t a_row_step, int64_t a_col_step, const float* b,
       int64_t m, int64_t k, int64_t n) {
     StripRows<Vec4, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+  }
+  static bool HoldsZero(const float* values, int64_t count) {
+    return parallax::HoldsZero<Vec4>(values, count);
   }
 };
 
@@ -293,11 +400,16 @@ struct StripEntries<Vec8> {
       int64_t m, int64_t k, int64_t n) {
     StripRows<Vec8, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
   }
+  [[gnu::target("avx2")]] static bool HoldsZero(const float* values, int64_t count) {
+    return parallax::HoldsZero<Vec8>(values, count);
+  }
 };
 
 // The 16-lane instantiation. AVX-512F has fused multiply-add, so contraction is off for
 // these functions and the callees they inline: GCC contracts after inlining, under the
-// -ffp-contract of the function it compiles.
+// -ffp-contract of the function it compiles. The zero scan tests into mask registers:
+// a vector of lanes from a mask takes AVX-512DQ, and GCC 12 builds the template's
+// 16-lane test one lane at a time.
 template <>
 struct StripEntries<Vec16> {
   template <int kColumns, bool kSkipZeros>
@@ -306,6 +418,14 @@ struct StripEntries<Vec16> {
   Run(float* c, const float* a, int64_t a_row_step, int64_t a_col_step, const float* b,
       int64_t m, int64_t k, int64_t n) {
     StripRows<Vec16, kColumns, kSkipZeros>(c, a, a_row_step, a_col_step, b, m, k, n);
+  }
+  [[gnu::target("avx512f")]] static bool HoldsZero(const float* values, int64_t count) {
+    __mmask16 zeros = 0;
+    int64_t i = 0;
+    for (; i + 16 <= count; i += 16) {
+      zeros |= _mm512_cmp_ps_mask(_mm512_loadu_ps(values + i), _mm512_setzero_ps(), _CMP_EQ_OQ);
+    }
+    return zeros != 0 || parallax::HoldsZero<Vec8>(values + i, count - i);
   }
 };
 #endif
@@ -588,24 +708,47 @@ constexpr int32_t kTanhNarrowEnd = 0x3f051592;  // 1.5 ln2 / 2, rounded up
 // Above this |x| (0.5 ln2 / 2), -2|x| reduces with k = -1.
 constexpr int32_t kTanhReduceAbove = 0x3e317218;
 
-// The signed 32-bit lane type of float vector V (what comparing two V yields).
-template <typename V>
-using LaneBits = decltype(V{} < V{});
-
 // What a strip needs, as bits OR-ed over its lanes.
 constexpr int32_t kLaneReduces = 1;    // |x| > 0.5 ln2 / 2: reduces with k = -1
 constexpr int32_t kLaneWide = 2;       // outside the narrow core's range
 constexpr int32_t kLaneNonFinite = 4;  // infinite or NaN: the port's
 
+// The vector constants of the strip loop's tests and of the cores' sign, built once per
+// kernel call. An empty asm that might change them hides their values from the
+// optimizer: GCC 12 otherwise rebuilt each one from an immediate in every strip (mov,
+// vmovd, vpbroadcastd), and folded any rewritten form back into those constants. Hidden,
+// they stay in registers or, where the wide core needs every register, in stack slots
+// that the tests read as memory operands.
+template <typename V>
+struct TanhStripConstants {
+  LaneBits<V> reduces;
+  LaneBits<V> wide;
+  LaneBits<V> non_finite;
+  LaneBits<V> sign;
+};
+
+template <typename V>
+[[gnu::always_inline]] inline TanhStripConstants<V> MakeTanhStripConstants() {
+  TanhStripConstants<V> constants = {LaneBits<V>{} + kLaneReduces, LaneBits<V>{} + kLaneWide,
+                                     LaneBits<V>{} + kLaneNonFinite,
+                                     LaneBits<V>{} + static_cast<int32_t>(0x80000000u)};
+#if defined(__x86_64__)
+  asm("" : "+x"(constants.reduces), "+x"(constants.wide), "+x"(constants.non_finite),
+      "+x"(constants.sign));
+#endif
+  return constants;
+}
+
 // Loads a strip of kLanes<V> floats into x and returns its needs. The lanes are OR-ed
 // in vector registers, halving the lanes per step, and only lane 0 leaves them.
 template <typename V>
-[[gnu::always_inline]] inline int32_t LoadStrip(const float* src, V& x) {
+[[gnu::always_inline]] inline int32_t LoadStrip(const float* src, V& x,
+                                                const TanhStripConstants<V>& constants) {
   std::memcpy(&x, src, sizeof(x));
   const LaneBits<V> ix = __builtin_bit_cast(LaneBits<V>, x) & 0x7fffffff;
-  const LaneBits<V> needs = (((ix < kTanhNarrowMin) | (ix >= kTanhNarrowEnd)) & kLaneWide) |
-                            ((ix > kTanhReduceAbove) & kLaneReduces) |
-                            ((ix >= 0x7f800000) & kLaneNonFinite);
+  const LaneBits<V> needs =
+      (((ix < kTanhNarrowMin) | (ix >= kTanhNarrowEnd)) & constants.wide) |
+      ((ix > kTanhReduceAbove) & constants.reduces) | ((ix >= 0x7f800000) & constants.non_finite);
   LaneBits<Vec4> any;
   if constexpr (kLanes<V> == 8) {
     any = __builtin_shufflevector(needs, needs, 0, 1, 2, 3) |
@@ -622,9 +765,10 @@ template <typename V>
 // range: Expm1ForTanh(-2|x|), then the port's finish. With kReduces, some lane reduces
 // with k = -1, so every lane runs the k = 0 and the k = -1 sequence and keeps its own.
 template <typename V, bool kReduces>
-[[gnu::always_inline]] inline void TanhNarrowStrip(float* dst, const V& x) {
+[[gnu::always_inline]] inline void TanhNarrowStrip(float* dst, const V& x,
+                                                   const LaneBits<V>& sign_mask) {
   using Bits = LaneBits<V>;
-  const Bits sign = __builtin_bit_cast(Bits, x) & static_cast<int32_t>(0x80000000u);
+  const Bits sign = __builtin_bit_cast(Bits, x) & sign_mask;
   const Bits ix = __builtin_bit_cast(Bits, x) & 0x7fffffff;
   const V y = -2.0f * __builtin_bit_cast(V, ix);
   const Bits reduce = ix > kTanhReduceAbove;
@@ -662,7 +806,8 @@ template <typename V, bool kReduces>
 // which SSE2 has no per-lane form of; here it is 1.0f - 2^-k, exact for the k < 23
 // that use it, so the bits are the same.
 template <typename V>
-[[gnu::always_inline]] inline void TanhWideStrip(float* dst, const V& x) {
+[[gnu::always_inline]] inline void TanhWideStrip(float* dst, const V& x,
+                                                 const LaneBits<V>& sign_mask) {
   using Bits = LaneBits<V>;
   const V one = V{} + 1.0f;
   const Bits ix = __builtin_bit_cast(Bits, x) & 0x7fffffff;
@@ -716,7 +861,7 @@ template <typename V>
   const V q = (below_one ? -expm1 : V{} + 2.0f) / (expm1 + 2.0f);
   V z = below_one ? q : 1.0f - q;
   z = huge ? V{} + (1.0f - 1.0e-30f) : z;
-  const Bits sign = __builtin_bit_cast(Bits, x) & static_cast<int32_t>(0x80000000u);
+  const Bits sign = __builtin_bit_cast(Bits, x) & sign_mask;
   V tanh = __builtin_bit_cast(V, __builtin_bit_cast(Bits, z) | sign);
   tanh = ix < 0x24000000 ? x * (1.0f + x) : tanh;  // |x| < 2^-55, +-0 included
   std::memcpy(dst, &tanh, sizeof(tanh));
@@ -729,10 +874,11 @@ template <typename V>
 template <typename V>
 [[gnu::always_inline]] inline void TanhKernel(float* dst, const float* src, int64_t n) {
   constexpr int64_t lanes = kLanes<V>;
+  const TanhStripConstants<V> constants = MakeTanhStripConstants<V>();
   int64_t i = 0;
   while (i < n) {
     V x;
-    const int32_t needs = i + lanes > n ? kLaneNonFinite : LoadStrip(src + i, x);
+    const int32_t needs = i + lanes > n ? kLaneNonFinite : LoadStrip(src + i, x, constants);
     if ((needs & kLaneNonFinite) != 0) {
       for (const int64_t end = std::min(i + lanes, n); i < end; ++i) {
         dst[i] = FdlibmTanhf(src[i]);
@@ -740,11 +886,11 @@ template <typename V>
       continue;
     }
     if ((needs & kLaneWide) != 0) {
-      TanhWideStrip(dst + i, x);
+      TanhWideStrip(dst + i, x, constants.sign);
     } else if ((needs & kLaneReduces) != 0) {
-      TanhNarrowStrip<V, true>(dst + i, x);
+      TanhNarrowStrip<V, true>(dst + i, x, constants.sign);
     } else {
-      TanhNarrowStrip<V, false>(dst + i, x);
+      TanhNarrowStrip<V, false>(dst + i, x, constants.sign);
     }
     i += lanes;
   }
@@ -1505,11 +1651,13 @@ int64_t GaussianKernelVec2d(float* dst, const double* u1, const double* u2, int6
 // The entry points of one kernel ISA: every vector kernel reaches its core through the
 // row of the ISA it runs on, and nothing else names an instantiation.
 struct KernelEntries {
-  // The matmul strips, as kStrips: skipping the terms whose A element is zero (the
-  // seed's MatMul and MatMulTransposeA loops did), or adding every term.
+  // The matmul strips, as kStrips: one-row strips skipping the terms whose A element
+  // is zero (the seed's MatMul and MatMulTransposeA loops did), or tiles adding every
+  // term; and the scan that picks between them.
   const StripFn* strips_skipping_zeros;
   const StripFn* strips;
   int64_t lanes;
+  bool (*holds_zero)(const float* values, int64_t count);
   void (*transpose)(float* dst, int64_t ld_dst, const float* src, int64_t ld_src,
                     int64_t rows, int64_t cols);
   void (*tanh)(float* dst, const float* src, int64_t n);
@@ -1523,20 +1671,20 @@ const KernelEntries& EntriesOf(internal::KernelIsa isa) {
   PX_CHECK(internal::KernelIsaSupported(isa))
       << internal::KernelIsaName(isa) << " is not supported by this CPU";
   static constexpr KernelEntries kVec4 = {
-      kStrips<Vec4, true>.data(), kStrips<Vec4, false>.data(), kLanes<Vec4>, TransposeVec4,
-      TanhKernelVec4,             ExpKernelVec4,               SoftmaxKernelVec4,
-      GaussianKernelVec2d};
+      kStrips<Vec4, true>.data(), kStrips<Vec4, false>.data(), kLanes<Vec4>,
+      StripEntries<Vec4>::HoldsZero, TransposeVec4, TanhKernelVec4, ExpKernelVec4,
+      SoftmaxKernelVec4, GaussianKernelVec2d};
 #if defined(__x86_64__)
   static constexpr KernelEntries kAvx2 = {
-      kStrips<Vec8, true>.data(), kStrips<Vec8, false>.data(), kLanes<Vec8>, TransposeAvx2,
-      TanhKernelAvx2,             ExpKernelAvx2,               SoftmaxKernelAvx2,
-      GaussianKernelAvx2};
+      kStrips<Vec8, true>.data(), kStrips<Vec8, false>.data(), kLanes<Vec8>,
+      StripEntries<Vec8>::HoldsZero, TransposeAvx2, TanhKernelAvx2, ExpKernelAvx2,
+      SoftmaxKernelAvx2, GaussianKernelAvx2};
   // The matmul strips and the tanh run 16 float lanes wide, the exp and the Gaussian
   // core 8 double lanes; the transposes keep their AVX2 core.
   static constexpr KernelEntries kAvx512 = {
-      kStrips<Vec16, true>.data(), kStrips<Vec16, false>.data(), kLanes<Vec16>, TransposeAvx2,
-      TanhKernelAvx512,            ExpKernelAvx512,              SoftmaxKernelAvx512,
-      GaussianKernelAvx512};
+      kStrips<Vec16, true>.data(), kStrips<Vec16, false>.data(), kLanes<Vec16>,
+      StripEntries<Vec16>::HoldsZero, TransposeAvx2, TanhKernelAvx512, ExpKernelAvx512,
+      SoftmaxKernelAvx512, GaussianKernelAvx512};
   switch (isa) {
     case internal::KernelIsa::kVec4:
       break;
@@ -1596,8 +1744,9 @@ void MatMulInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
   const KernelEntries& entries = EntriesOf(isa);
-  StripMatMul(entries.strips_skipping_zeros, entries.lanes, cv, a.floats().data(), k, 1,
-              b.floats().data(), m, k, n);
+  const float* av = a.floats().data();
+  StripMatMul(entries.holds_zero(av, m * k) ? entries.strips_skipping_zeros : entries.strips,
+              entries.lanes, cv, av, k, 1, b.floats().data(), m, k, n);
 }
 
 void MatMulTransposeAInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {
@@ -1608,10 +1757,11 @@ void MatMulTransposeAInto(KernelIsa isa, Tensor& out, const Tensor& a, const Ten
   int64_t n = b.shape().dim(1);
   PX_CHECK_EQ(k, b.shape().dim(0));
   float* cv = PrepareDense2D(out, m, n);
-  // A^T's row i is A's column i: one strided scalar read per p.
+  // A^T's row i is A's column i: a tile of rows reads contiguous floats of A's row p.
   const KernelEntries& entries = EntriesOf(isa);
-  StripMatMul(entries.strips_skipping_zeros, entries.lanes, cv, a.floats().data(), 1, m,
-              b.floats().data(), m, k, n);
+  const float* av = a.floats().data();
+  StripMatMul(entries.holds_zero(av, m * k) ? entries.strips_skipping_zeros : entries.strips,
+              entries.lanes, cv, av, 1, m, b.floats().data(), m, k, n);
 }
 
 void MatMulTransposeBInto(KernelIsa isa, Tensor& out, const Tensor& a, const Tensor& b) {

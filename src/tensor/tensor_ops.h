@@ -32,6 +32,13 @@ Tensor Scale(const Tensor& a, float factor);
 
 // ---- Linear algebra ----
 
+// Each element of C is the seed loop's sum: +0, then a(i, p) * b(p, j) added in
+// ascending p, the multiply and the add rounded separately. MatMul and MatMulTransposeA
+// skip the terms whose a(i, p) is +0 or -0, as the seed's loops did, so such a term adds
+// nothing even where b(p, j) is infinite or NaN; MatMulTransposeB adds every term. The
+// skip is decided once per call: a call whose A holds no zero runs register tiles of
+// several rows of C, and one whose A holds a zero runs one-row strips that test every
+// a(i, p) (tensor_ops.cc, "Register-tile matmul core").
 // C = A x B with A: [m, k], B: [k, n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 // C = A^T x B with A: [k, m], B: [k, n] -> [m, n]. (Backward of MatMul wrt rhs.)
@@ -154,10 +161,11 @@ enum class KernelIsa {
   kVec4,    // 4-lane float (2-lane double) vectors at the build's baseline ISA (SSE2 on
             // x86-64); runs anywhere
   kAvx2,    // 8-lane float (4-lane double) AVX2 vectors; x86-64 CPUs with AVX2 only
-  kAvx512,  // 16-lane AVX-512F matmul strips and tanh cores (GCC 12 compiles the 16-lane
-            // tanh template's vector tests one lane at a time, so these cores test on
-            // mask registers), the exp and the Gaussian core on 8 double lanes, the AVX2
-            // transposes; x86-64 CPUs with AVX2 and AVX-512F only
+  kAvx512,  // 16-lane AVX-512F matmul strips (2-row tiles where a strip holds 2 or 3
+            // vectors) and tanh cores (GCC 12 compiles the 16-lane tanh template's
+            // vector tests one lane at a time, so these cores test on mask registers),
+            // the exp and the Gaussian core on 8 double lanes, the AVX2 transposes;
+            // x86-64 CPUs with AVX2 and AVX-512F only
 };
 // Whether this CPU can run `isa`.
 bool KernelIsaSupported(KernelIsa isa);

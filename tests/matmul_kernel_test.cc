@@ -1,8 +1,9 @@
-// Property tests for the register-strip matmul kernels: MatMulInto,
+// Property tests for the register-tile matmul kernels: MatMulInto,
 // MatMulTransposeAInto and MatMulTransposeBInto must reproduce the seed's scalar loops
 // (tests/naive_reference.h) BIT-FOR-BIT — compared with memcmp, so -0.0, NaNs and
-// denormals count — across strip remainders, degenerate m = 1 / k = 1 shapes, and the
-// special values that exercise the zero-skip path.
+// denormals count — across strip remainders, tile heights and their tails, degenerate
+// m = 1 / k = 1 shapes, and the special values that exercise the zero-skip path (any
+// zero in A sends a MatMul or MatMulTransposeA product down the skipping strips).
 //
 // The kernels run one of three instantiations of their core, chosen per process from
 // the CPU (internal::ActiveKernelIsa), so on an AVX-512F machine the public kernels run
@@ -316,6 +317,111 @@ TEST_F(MatMulKernelAvx2Test, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRul
 }
 TEST_F(MatMulKernelAvx512Test, SkippedZeroAgainstInfinityFollowsEachKernelsSeedRule) {
   CheckSkippedZeroAgainstInfinity(KernelIsa::kAvx512);
+}
+
+// MatMulInto and MatMulTransposeAInto run tiles of several output rows unless A holds a
+// zero, and a row count that is not a multiple of a tile's height ends in a shorter
+// tile. Every row count 1-9 ends every tile height of up to 8 rows with each possible
+// tail, and 31, 33, 64 and 65 do so after many whole tiles. They run on the column
+// counts the tiles use (32, 48, 64 and 128 columns, and one past each, which adds single
+// columns to the tile), on the lm tenants' column counts, and on B operands with
+// infinities and NaNs (A holds no zero, so nothing is skipped and they meet every row).
+constexpr int64_t kTileRowCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33, 64, 65};
+constexpr int64_t kTileColumnCounts[] = {32, 33, 48, 49, 64, 65, 128, 129, 16, 20, 24, 28};
+constexpr int64_t kTileInner[] = {7, 32};
+
+// A normal operand with no element equal to zero, so the kernels take their tiles.
+Tensor NonzeroOperand(const TensorShape& shape, Rng& rng) {
+  Tensor t = RandomNormal(shape, rng);
+  for (float& v : t.mutable_floats()) {
+    if (v == 0.0f) {
+      v = 1.0f;
+    }
+  }
+  return t;
+}
+
+void CheckTileTails(KernelIsa isa) {
+  Rng rng(505);
+  for (const Kernel& kernel : Kernels(isa)) {
+    for (int64_t m : kTileRowCounts) {
+      for (int64_t n : kTileColumnCounts) {
+        for (int64_t k : kTileInner) {
+          Tensor a = NonzeroOperand(kernel.a_shape(m, k, n), rng);
+          Tensor b = RandomNormal(kernel.b_shape(m, k, n), rng);
+          CheckAgainstOracle(kernel, a, b, ShapeContext(kernel, m, k, n));
+          Tensor special = NonFiniteOperand(kernel.b_shape(m, k, n), rng, HardwareNaN());
+          CheckAgainstOracle(kernel, a, special, ShapeContext(kernel, m, k, n) + " non-finite B");
+        }
+      }
+    }
+  }
+}
+TEST(MatMulKernelTest, TileTailsMatchOracleBitForBit) { CheckTileTails(KernelIsa::kVec4); }
+TEST_F(MatMulKernelAvx2Test, TileTailsMatchOracleBitForBit) { CheckTileTails(KernelIsa::kAvx2); }
+TEST_F(MatMulKernelAvx512Test, TileTailsMatchOracleBitForBit) {
+  CheckTileTails(KernelIsa::kAvx512);
+}
+
+// One zero in an otherwise nonzero A sends MatMulInto and MatMulTransposeAInto down the
+// skipping strips for the whole product. The zero sits at a(0, 0) (A's first stored
+// element), at a(m - 1, k - 1) (its last) or, as -0, at a(m / 2, k / 2) in a middle row,
+// and B's row p of that zero holds infinities of both signs and NaNs while its other rows
+// are finite: a kernel that does not skip turns the zero's output row into NaNs where
+// the seed's loop kept it finite, and a zero scan that misses -0 does exactly that.
+// MatMulTransposeB, which never skipped, must give NaN there like its oracle.
+void CheckLoneZero(KernelIsa isa) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  struct Placement {
+    const char* name;
+    float zero;
+  };
+  const Placement placements[] = {{"first +0", 0.0f}, {"last +0", 0.0f}, {"middle -0", -0.0f}};
+  const RowsInner shapes[] = {{1, 1}, {3, 4}, {9, 17}, {33, 6}};
+  constexpr int64_t kColumns[] = {7, 16, 24, 32, 33, 48, 64, 65, 128, 129};
+  Rng rng(606);
+  for (const Kernel& kernel : Kernels(isa)) {
+    for (RowsInner shape : shapes) {
+      const int64_t m = shape.m;
+      const int64_t k = shape.k;
+      for (int64_t n : kColumns) {
+        for (size_t place = 0; place < std::size(placements); ++place) {
+          const int64_t i0 = place == 0 ? 0 : place == 1 ? m - 1 : m / 2;
+          const int64_t p0 = place == 0 ? 0 : place == 1 ? k - 1 : k / 2;
+          Tensor a = NonzeroOperand(kernel.a_shape(m, k, n), rng);
+          Tensor b = RandomNormal(kernel.b_shape(m, k, n), rng);
+          auto av = a.mutable_floats();
+          auto bv = b.mutable_floats();
+          av[kernel.name == "MatMulTransposeA" ? static_cast<size_t>(p0 * m + i0)
+                                               : static_cast<size_t>(i0 * k + p0)] =
+              placements[place].zero;
+          for (int64_t j = 0; j < n; ++j) {
+            const float special = j % 3 == 0 ? kInf : j % 3 == 1 ? -kInf : HardwareNaN();
+            bv[kernel.name == "MatMulTransposeB" ? static_cast<size_t>(j * k + p0)
+                                                 : static_cast<size_t>(p0 * n + j)] = special;
+          }
+          const std::string context =
+              ShapeContext(kernel, m, k, n) + " zero " + placements[place].name;
+          CheckAgainstOracle(kernel, a, b, context);
+          Tensor got;
+          kernel.into(got, a, b);
+          const float first = got.at(static_cast<size_t>(i0 * n));
+          if (kernel.name == "MatMulTransposeB") {
+            EXPECT_TRUE(std::isnan(first)) << context;
+          } else {
+            EXPECT_TRUE(std::isfinite(first)) << context;
+          }
+        }
+      }
+    }
+  }
+}
+TEST(MatMulKernelTest, LoneZeroTakesTheSkippingPathBitForBit) { CheckLoneZero(KernelIsa::kVec4); }
+TEST_F(MatMulKernelAvx2Test, LoneZeroTakesTheSkippingPathBitForBit) {
+  CheckLoneZero(KernelIsa::kAvx2);
+}
+TEST_F(MatMulKernelAvx512Test, LoneZeroTakesTheSkippingPathBitForBit) {
+  CheckLoneZero(KernelIsa::kAvx512);
 }
 
 // k = 0: every output element is an empty sum, +0, also over a NaN-poisoned reused
